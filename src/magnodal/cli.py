@@ -85,8 +85,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--k", type=int, required=need_k,
                        help="1-based eigenvalue index")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int,
-                       default=max(1, os.cpu_count() or 1))
         p.add_argument("--tol-degeneracy", type=float, default=DEGENERACY_TOL)
         p.add_argument("--tol-vanish", type=float, default=VANISH_TOL)
         p.add_argument("--out", help="output path stem; .json and, for "
@@ -187,7 +185,7 @@ def _stem(out: str) -> str:
 
 
 def _config_echo(args) -> dict:
-    keep = ("command", "graph", "op", "k", "seed", "threads", "format",
+    keep = ("command", "graph", "op", "k", "seed", "format",
             "classes", "skip_inadmissible", "starts", "emit_fixture",
             "family", "beta_min", "beta_max", "samples", "retry_cap")
     out = {}
@@ -284,33 +282,40 @@ def cmd_avg_dist(args) -> None:
             "has complex entries")
     dist = average_surplus_distribution(
         h, by_gauge_classes=args.classes,
-        skip_inadmissible=args.skip_inadmissible, threads=args.threads,
+        skip_inadmissible=args.skip_inadmissible,
         tol_degeneracy=args.tol_degeneracy, tol_vanish=args.tol_vanish)
     beta = dist.betti
-    probs = dist.probs
-    binom = np.array([math.comb(beta, s) for s in range(beta + 1)],
-                     dtype=np.float64) / float(2 ** beta)
-    deviation = float(np.sum(np.abs(probs - binom)))
     symmetric = bool(np.all(dist.counts == dist.counts[::-1]))
+    if dist.n_samples == 0:
+        # every signing was skipped: the average has no samples
+        probs = [None] * (beta + 1)
+        mean = variance = deviation = None
+        print(f"no admissible signings ({dist.skipped} skipped); "
+              f"moments undefined", file=sys.stderr)
+    else:
+        binom = np.array([math.comb(beta, s) for s in range(beta + 1)],
+                         dtype=np.float64) / float(2 ** beta)
+        probs = [float(p) for p in dist.probs]
+        mean, variance = dist.mean, dist.variance
+        deviation = float(np.sum(np.abs(dist.probs - binom)))
+        print(f"mean {mean:.12g}  variance {variance:.12g}  "
+              f"symmetric {symmetric}  binomial L1 {deviation:.3e}",
+              file=sys.stderr)
     payload = {
         "betti": beta,
         "counts": [int(c) for c in dist.counts],
         "n_samples": dist.n_samples,
         "skipped_signings": dist.skipped,
-        "mean": dist.mean,
-        "variance": dist.variance,
+        "mean": mean,
+        "variance": variance,
         "symmetric_counts": symmetric,
         "binomial_l1_deviation": deviation,
         "averaged_over": ("admissible signings only"
                           if args.skip_inadmissible else "all signings"),
     }
-    print(f"mean {dist.mean:.12g}  variance {dist.variance:.12g}  "
-          f"symmetric {symmetric}  binomial L1 {deviation:.3e}",
-          file=sys.stderr)
     _emit(args, payload,
           ("magnodal/avg-dist", ["surplus", "count", "prob"],
-           [[s, int(dist.counts[s]), float(probs[s])]
-            for s in range(beta + 1)]))
+           [[s, int(dist.counts[s]), probs[s]] for s in range(beta + 1)]))
 
 
 def cmd_critical_scan(args) -> None:

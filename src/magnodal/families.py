@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InternalCrossCheckError
 from .graphs import Graph, betti_number
 from .operators import SupportedMatrix
 from .spectral import eigh, multiplicity
@@ -115,7 +116,10 @@ def random_regular_like_graph(beta: int, rng: np.random.Generator) -> Graph:
         deg[r] += 1
         deg[s] += 1
     out = Graph(n, tuple(sorted(edges)))
-    assert betti_number(out) == beta
+    if betti_number(out) != beta:
+        raise InternalCrossCheckError(
+            f"built a graph with {betti_number(out)} independent cycles, "
+            f"expected {beta}")
     return out
 
 
@@ -218,7 +222,10 @@ def degenerate_ring_fixture(n: int = 4) -> tuple[SupportedMatrix, int]:
                 if abs(es.values[j] - es.values[j - 1]) < 1e-9]
     k = interior[0]
     m, k0 = multiplicity(es, k, 1e-8)
-    assert m == 2 and k0 == k
+    if m != 2 or k0 != k:
+        raise InternalCrossCheckError(
+            f"ring eigenvalue {k} has multiplicity {m} starting at {k0}, "
+            f"expected a double eigenvalue starting at {k}")
     return h, k
 
 
@@ -226,6 +233,8 @@ def _locate_cluster(h: SupportedMatrix, es, expected: float,
                     expected_dim: int) -> int:
     close = [j + 1 for j in range(h.graph.n)
              if abs(es.values[j] - expected) < 1e-8 * max(1.0, abs(expected))]
-    assert len(close) == expected_dim, \
-        f"expected a multiplicity-{expected_dim} cluster, found {len(close)}"
+    if len(close) != expected_dim:
+        raise InternalCrossCheckError(
+            f"expected a multiplicity-{expected_dim} cluster, found "
+            f"{len(close)}")
     return close[0]

@@ -115,9 +115,12 @@ def solvability_and_connectivity(L: LinkageLengths) -> LinkageTopology:
     """Classify the configuration space of a generic length set.
 
     Empty exactly when the largest length beats the sum of the others.
-    Otherwise the space has dimension ``m - 3`` and is connected unless
-    the two largest lengths together beat half the total, in which case
-    there are two components exchanged by reflection.
+    Otherwise the space has dimension ``m - 3`` and, by Kapovich and
+    Millson, is connected unless three lengths pairwise sum to more
+    than half the total, in which case there are two components
+    exchanged by reflection.  Pairwise sums only grow with the lengths,
+    so the three largest decide; their smallest pair is the second and
+    third largest.
     """
     if not is_generic(L):
         raise NonGenericLengthsError(
@@ -127,7 +130,7 @@ def solvability_and_connectivity(L: LinkageLengths) -> LinkageTopology:
     if vals[0] > total - vals[0]:
         return LinkageTopology("empty", None)
     dim = len(L) - 3
-    if vals[0] + vals[1] > 0.5 * total:
+    if vals[1] + vals[2] > 0.5 * total:
         return LinkageTopology("two-components", dim)
     return LinkageTopology("connected", dim)
 

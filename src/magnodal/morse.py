@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    AdmissibilityError,
     NonSimpleEigenvalueError,
     NotCriticalError,
     InternalCrossCheckError,
@@ -753,7 +754,7 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
                 surplus = nodal_surplus(hs, k, es=es,
                                         tol_degeneracy=tol_degeneracy,
                                         tol_vanish=tol_vanish)
-            except Exception as exc:  # degenerate products and kin
+            except AdmissibilityError as exc:  # degenerate products
                 rows.append(VerifyRow(bits, k, "skipped", reason=str(exc)))
                 continue
             hess = hessian_eigenvalue(p, k, chart=chart, es=es,

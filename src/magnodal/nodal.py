@@ -7,25 +7,38 @@ real; the count then exceeds ``k - 1`` by a surplus between 0 and the
 number of independent cycles.  Averaging the surplus over all signings
 of a real matrix gives the distribution the rest of the library keeps
 poking at from different directions.
+
+The average runs through one loop, ``_surplus_counts``, whether it
+visits every signing or one representative per switching class.  A
+signing enters the histogram only when every eigenvalue position is
+admissible; with ``skip_inadmissible`` the others are dropped whole and
+counted, so the counts always sum to the sample count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    AdmissibilityError,
+    CapExceededError,
     DegenerateDistributionError,
     DegenerateEdgeProductError,
     EdgeProductNotRealError,
     InadmissibleSigningError,
+    InternalCrossCheckError,
     NonSimpleEigenvalueError,
     VanishingEigenvectorError,
 )
 from .graphs import betti_number, num_components
-from .operators import SIGNING_CAP, SupportedMatrix, signs_for_index
+from .operators import (
+    SIGNING_CAP,
+    SupportedMatrix,
+    gauge_classes_of_signings,
+    signs_for_index,
+)
 from .spectral import (
     DEGENERACY_TOL,
     VANISH_TOL,
@@ -93,17 +106,16 @@ def nodal_count(h: SupportedMatrix, k: int, *,
     count = int(np.count_nonzero(products.real > 0.0))
     if num_components(h.graph) == 1:
         beta = betti_number(h.graph)
-        assert k - 1 <= count <= k - 1 + beta, (
-            f"nodal count {count} violates bounds for k={k}, beta={beta}")
+        if not k - 1 <= count <= k - 1 + beta:
+            raise InternalCrossCheckError(
+                f"nodal count {count} violates the bounds "
+                f"[{k - 1}, {k - 1 + beta}] for k={k}, beta={beta}")
     return count
 
 
 def nodal_surplus(h: SupportedMatrix, k: int, **kwargs) -> int:
     """Nodal count minus ``k - 1``; in ``[0, beta]`` on connected graphs."""
-    surplus = nodal_count(h, k, **kwargs) - (k - 1)
-    if num_components(h.graph) == 1:
-        assert 0 <= surplus <= betti_number(h.graph)
-    return surplus
+    return nodal_count(h, k, **kwargs) - (k - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,125 +163,78 @@ def surplus_distribution(h: SupportedMatrix, **kwargs) -> SurplusDistribution:
     return SurplusDistribution(beta, counts, h.graph.n)
 
 
-def _sweep_chunk(h: SupportedMatrix, start: int, stop: int, beta: int,
-                 skip_inadmissible: bool, kwargs
-                 ) -> tuple[np.ndarray, int, tuple | None]:
-    """Count surpluses for signing indices in ``[start, stop)``.
+def _surplus_counts(h: SupportedMatrix, sign_rows, weight: int,
+                    skip_inadmissible: bool, kwargs) -> tuple[np.ndarray, int]:
+    """Weighted surplus histogram over the signings ``sign_rows`` of ``h``.
 
-    Returns the counts, the number of skipped signings, and the first
-    failure as ``(index, k, message)`` when not skipping.
+    Each signed matrix is solved once and its surpluses for every k are
+    collected in a local histogram, which enters the total times
+    ``weight`` only when every k is admissible.  A failing signing is
+    either counted as ``weight`` skipped signings or, when not
+    skipping, reported as the first failing row.
     """
-    m = h.graph.num_edges
+    beta = betti_number(h.graph)
     counts = np.zeros(beta + 1, dtype=np.int64)
     skipped = 0
-    for index in range(start, stop):
-        signs = signs_for_index(index, m)
-        hs = SupportedMatrix(h.graph, h.diag, h.offdiag * signs)
+    for signs in sign_rows:
+        hs = SupportedMatrix(h.graph, h.diag, h.offdiag * np.asarray(signs))
         es = eigh(hs)
+        local = np.zeros(beta + 1, dtype=np.int64)
         try:
             for k in range(1, h.graph.n + 1):
-                counts[nodal_surplus(hs, k, es=es, **kwargs)] += 1
-        except (NonSimpleEigenvalueError, VanishingEigenvectorError,
-                EdgeProductNotRealError, DegenerateEdgeProductError) as exc:
+                local[nodal_surplus(hs, k, es=es, **kwargs)] += 1
+        except AdmissibilityError as exc:
             if skip_inadmissible:
-                skipped += 1
+                skipped += weight
                 continue
-            k = getattr(exc, "k", None)
-            return counts, skipped, (index, k, str(exc))
-    return counts, skipped, None
+            pattern = tuple(int(s) for s in signs)
+            raise InadmissibleSigningError(
+                f"signing with pattern {pattern} is inadmissible at k={k}: "
+                f"{exc}", signs=pattern, k=k, reason=str(exc)) from exc
+        counts += weight * local
+    return counts, skipped
 
 
 def average_surplus_distribution(h: SupportedMatrix, *,
                                  cap: int = SIGNING_CAP,
                                  by_gauge_classes: bool = False,
                                  skip_inadmissible: bool = False,
-                                 threads: int = 1,
                                  **kwargs) -> SurplusDistribution:
     """Exact surplus histogram averaged over every signing.
 
     Counts are accumulated as integers and divided once, so the
-    probabilities are exact ratios.  With ``by_gauge_classes`` only one
-    representative per switching class is solved and its counts are
-    weighted by the class size; the result must agree with the full
-    sweep.  With ``skip_inadmissible`` failing signings are dropped and
-    counted instead of aborting; the result then averages over the
-    admissible signings only, which is a deliberate departure from the
-    all-signings average.
+    probabilities are exact ratios.  The full sweep solves all
+    ``2^|E|`` signings in enumeration order; with ``by_gauge_classes``
+    only the least representative of each switching class is solved and
+    weighted by the class size, and the result must agree with the full
+    sweep.  A signing counts only when every eigenvalue position is
+    admissible.  Without ``skip_inadmissible`` the first failing signing
+    raises ``InadmissibleSigningError`` with its signs, k and reason.
+    With it, failing signings are dropped whole and counted in
+    ``skipped``; the result then averages over the admissible signings
+    only, a deliberate departure from the all-signings average, and
+    ``n_samples`` is ``(2^|E| - skipped) * n``.  When every signing is
+    skipped the counts are all zero, ``n_samples`` is 0 and the
+    probabilities and moments are undefined.
     """
     if not h.is_real:
         raise ValueError("the signing average is defined for real matrices")
-    beta = betti_number(h.graph)
     m = h.graph.num_edges
-
     if by_gauge_classes:
-        from .operators import gauge_classes_of_signings
-
         classes = gauge_classes_of_signings(h, cap=cap)
-        counts = np.zeros(beta + 1, dtype=np.int64)
-        skipped = 0
-        for rep in classes.representatives:
-            hs = SupportedMatrix(h.graph, h.diag, h.offdiag * np.asarray(rep))
-            es = eigh(hs)
-            try:
-                local = np.zeros(beta + 1, dtype=np.int64)
-                for k in range(1, h.graph.n + 1):
-                    local[nodal_surplus(hs, k, es=es, **kwargs)] += 1
-            except (NonSimpleEigenvalueError, VanishingEigenvectorError,
-                    EdgeProductNotRealError, DegenerateEdgeProductError) as exc:
-                if skip_inadmissible:
-                    skipped += (1 << m) // classes.num_classes
-                    continue
-                raise InadmissibleSigningError(
-                    f"signing with pattern {rep} is inadmissible: {exc}",
-                    signs=rep, k=getattr(exc, "k", None), reason=str(exc))
-            counts += local * ((1 << m) // classes.num_classes)
-        total = (1 << m) * h.graph.n - skipped * h.graph.n
-        return SurplusDistribution(beta, counts, total, skipped=skipped)
-
-    if m > cap:
-        from .errors import CapExceededError
-
-        raise CapExceededError(
-            f"signing sweep over {m} edges exceeds the cap of {cap}")
-
-    total_signings = 1 << m
-    threads = max(1, int(threads))
-    if threads == 1:
-        chunks = [(0, total_signings)]
+        rows = classes.representatives
+        weight = (1 << m) // classes.num_classes
     else:
-        step = max(1, total_signings // (threads * 8))
-        chunks = [(i, min(i + step, total_signings))
-                  for i in range(0, total_signings, step)]
-
-    results = []
-    if threads == 1:
-        for start, stop in chunks:
-            results.append(_sweep_chunk(h, start, stop, beta,
-                                        skip_inadmissible, kwargs))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_sweep_chunk, h, start, stop, beta,
-                                   skip_inadmissible, kwargs)
-                       for start, stop in chunks]
-            results = [f.result() for f in futures]
-
-    counts = np.zeros(beta + 1, dtype=np.int64)
-    skipped = 0
-    failure = None
-    for local, local_skipped, local_failure in results:
-        counts += local
-        skipped += local_skipped
-        if local_failure is not None and (failure is None
-                                          or local_failure[0] < failure[0]):
-            failure = local_failure
-    if failure is not None:
-        index, k, message = failure
-        signs = tuple(signs_for_index(index, m))
-        raise InadmissibleSigningError(
-            f"signing {index} with pattern {signs} is inadmissible at "
-            f"k={k}: {message}", signs=signs, k=k, reason=message)
-    total = total_signings * h.graph.n - skipped * h.graph.n
-    return SurplusDistribution(beta, counts, total, skipped=skipped)
+        if m > cap:
+            raise CapExceededError(
+                f"signing sweep over {m} edges exceeds the cap of {cap}")
+        rows = (signs_for_index(index, m) for index in range(1 << m))
+        weight = 1
+    counts, skipped = _surplus_counts(h, rows, weight, skip_inadmissible,
+                                      kwargs)
+    return SurplusDistribution(betti_number(h.graph), counts,
+                               ((1 << m) - skipped) * h.graph.n,
+                               skipped=skipped)
 
 
 @dataclass(frozen=True, eq=False)

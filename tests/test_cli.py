@@ -164,6 +164,26 @@ class TestAvgDist:
         assert payload["counts"] == [8, 4]
         assert payload["averaged_over"] == "admissible signings only"
 
+    @pytest.mark.parametrize("extra", [[], ["--classes"]])
+    def test_every_signing_skipped(self, tmp_path, capsys, extra):
+        g = complete_graph(4)
+        zero = SupportedMatrix(g, np.zeros(4),
+                               -np.ones(g.num_edges, dtype=np.complex128))
+        op = write_op(tmp_path, zero)
+        stem = str(tmp_path / "run")
+        code, out, err = run(capsys, ["avg-dist", "--op", op, "--out", stem,
+                                      "--skip-inadmissible", *extra])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["counts"] == [0, 0, 0, 0]
+        assert payload["n_samples"] == 0
+        assert payload["skipped_signings"] == 64
+        assert payload["mean"] is None and payload["variance"] is None
+        assert payload["binomial_l1_deviation"] is None
+        assert "no admissible signings" in err
+        csv_rows = (tmp_path / "run.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[2] for row in csv_rows] == [""] * 4
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys, tmp_path):

@@ -37,6 +37,25 @@ def brute_force_generic(lengths, tol=1e-9):
     return True
 
 
+def sampled_four_bar_components(lengths, samples=20000):
+    """Components of the closed 4-bar configurations, counted on a grid.
+
+    Bar 0 lies along the x axis and the angle t of bar 1 sweeps a grid.
+    The last two bars close the polygon, in two mirror positions, where
+    the distance from the end of bar 1 back to the start lies strictly
+    between |l2 - l3| and l2 + l3.  Each arc of such t carries one
+    circle, its two mirror branches meeting at the arc ends; a full
+    circle of such t carries two, whose branches never meet.
+    """
+    l0, l1, l2, l3 = lengths
+    t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    d = np.abs(l0 + l1 * np.exp(1j * t))
+    closes = (d > abs(l2 - l3)) & (d < l2 + l3)
+    if closes.all():
+        return 2
+    return int(np.count_nonzero(closes & ~np.roll(closes, 1)))
+
+
 class TestLinkageLengths:
     def test_positive_required(self):
         with pytest.raises(ValueError):
@@ -96,6 +115,26 @@ class TestSolvability:
         top = solvability_and_connectivity(
             LinkageLengths(np.array([1.0, 1.0, 1.0, 1.2, 0.9])))
         assert top.kind == "connected" and top.dimension == 2
+
+    def test_two_long_bars_alone_stay_connected(self):
+        # the two longest bars beat half the perimeter, but no third bar
+        # joins them pairwise: one circle of configurations
+        lengths = (0.627, 0.243, 0.726, 0.269)
+        top = solvability_and_connectivity(LinkageLengths(np.array(lengths)))
+        assert top.kind == "connected" and top.dimension == 1
+        assert sampled_four_bar_components(lengths) == 1
+
+    def test_four_bars_against_sampled_components(self):
+        kinds = {0: "empty", 1: "connected", 2: "two-components"}
+        rng = np.random.default_rng(41)
+        seen = set()
+        for _ in range(60):
+            lengths = tuple(rng.uniform(0.1, 1.0, size=4))
+            top = solvability_and_connectivity(
+                LinkageLengths(np.array(lengths)))
+            assert top.kind == kinds[sampled_four_bar_components(lengths)]
+            seen.add(top.kind)
+        assert seen == set(kinds.values())
 
     def test_nongeneric_rejected(self):
         with pytest.raises(NonGenericLengthsError):

@@ -1,9 +1,16 @@
 """Nodal counts, surplus statistics, and signing averages."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import magnodal
 from magnodal.errors import (
+    AdmissibilityError,
     CapExceededError,
     DegenerateDistributionError,
     DegenerateEdgeProductError,
@@ -53,6 +60,31 @@ def half_admissible_op():
     g = Graph(3, ((0, 1), (0, 2), (1, 2)))
     return SupportedMatrix(g, np.array([0.0, 1.5, 5.0]),
                            np.array([-1.0, 0.5, -1.0], dtype=np.complex128))
+
+
+def late_admissible_op():
+    """Triangle whose flux-0 signings fail at k=2, after k=1 succeeds.
+
+    (2, 1, 0) is an eigenvector of the base matrix at -1/2, and the
+    strongly negative third diagonal entry puts a simple eigenvalue
+    below it, so the failure is the second eigenvector's.
+    """
+    g = Graph(3, ((0, 1), (0, 2), (1, 2)))
+    return SupportedMatrix(g, np.array([0.0, 1.5, -5.0]),
+                           np.array([-1.0, 0.5, -1.0], dtype=np.complex128))
+
+
+def narrow_diagonal_op():
+    """Zero-diagonal random operator whose signings all fail at some k > 1."""
+    rng = np.random.default_rng(9)
+    return random_operator(random_connected_graph(5, 7, rng), rng,
+                           diag_spread=0.0)
+
+
+def zero_diagonal_k4():
+    g = complete_graph(4)
+    return SupportedMatrix(g, np.zeros(4),
+                           -np.ones(g.num_edges, dtype=np.complex128))
 
 
 class TestEdgeProducts:
@@ -237,12 +269,6 @@ class TestAveragedDistribution:
         assert classed.counts.tolist() == full.counts.tolist()
         assert classed.n_samples == full.n_samples
 
-    def test_threads_agree(self):
-        h = strong_diagonal_fixture(complete_graph(4))
-        one = average_surplus_distribution(h, threads=1)
-        three = average_surplus_distribution(h, threads=3)
-        assert one.counts.tolist() == three.counts.tolist()
-
     def test_complex_matrix_rejected(self):
         g = path_graph(2)
         h = SupportedMatrix(g, np.zeros(2),
@@ -276,12 +302,6 @@ class TestAveragedDistribution:
         assert d.skipped == 4
         assert d.counts.tolist() == [8, 4]
 
-    def test_threads_report_lowest_index_too(self):
-        h = half_admissible_op()
-        with pytest.raises(InadmissibleSigningError) as err:
-            average_surplus_distribution(h, threads=2)
-        assert tuple(int(s) for s in err.value.signs) == (1, 1, 1)
-
     def test_equal_diagonal_histogram_is_symmetric(self):
         rng = np.random.default_rng(3)
         g = complete_graph(4)
@@ -290,6 +310,116 @@ class TestAveragedDistribution:
         d = average_surplus_distribution(h)
         assert d.counts.tolist() == [16, 112, 112, 16]
         assert d.counts.tolist() == d.counts.tolist()[::-1]
+
+
+def scalar_sweep(h):
+    """Per-signing oracle: one local histogram per signing, kept only whole.
+
+    Returns the counts, the number of inadmissible signings, and the
+    sign pattern and k of the first one in enumeration order.
+    """
+    m, n, beta = h.graph.num_edges, h.graph.n, betti_number(h.graph)
+    counts = [0] * (beta + 1)
+    skipped, first = 0, None
+    for index in range(1 << m):
+        signs = tuple(-1 if (index >> i) & 1 else 1 for i in range(m))
+        hs = SupportedMatrix(h.graph, h.diag, h.offdiag * np.array(signs))
+        es = eigh(hs)
+        local = [0] * (beta + 1)
+        try:
+            for k in range(1, n + 1):
+                local[nodal_surplus(hs, k, es=es)] += 1
+        except AdmissibilityError:
+            skipped += 1
+            if first is None:
+                first = (signs, k)
+            continue
+        counts = [a + b for a, b in zip(counts, local)]
+    return counts, skipped, first
+
+
+SWEEP_FIXTURES = {
+    "strong-K3": lambda: strong_diagonal_fixture(complete_graph(3)),
+    "strong-K4": lambda: strong_diagonal_fixture(complete_graph(4)),
+    "strong-K5": lambda: strong_diagonal_fixture(complete_graph(5)),
+    "half-admissible": half_admissible_op,
+    "late-admissible": late_admissible_op,
+    "narrow-diagonal": narrow_diagonal_op,
+    "zero-diagonal-K4": zero_diagonal_k4,
+}
+
+
+class TestSweepAgainstScalarOracle:
+    """Full sweep and class sweep against per-signing scalar counts."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
+    @pytest.mark.parametrize("by_classes", [False, True])
+    def test_skipping(self, name, by_classes):
+        h = SWEEP_FIXTURES[name]()
+        counts, skipped, _ = scalar_sweep(h)
+        d = average_surplus_distribution(h, by_gauge_classes=by_classes,
+                                         skip_inadmissible=True)
+        assert d.counts.tolist() == counts
+        assert d.skipped == skipped
+        assert d.n_samples == ((1 << h.graph.num_edges) - skipped) * h.graph.n
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
+    @pytest.mark.parametrize("by_classes", [False, True])
+    def test_not_skipping(self, name, by_classes):
+        h = SWEEP_FIXTURES[name]()
+        counts, skipped, first = scalar_sweep(h)
+        if skipped == 0:
+            d = average_surplus_distribution(h, by_gauge_classes=by_classes)
+            assert d.counts.tolist() == counts
+            assert d.skipped == 0
+            assert d.n_samples == (1 << h.graph.num_edges) * h.graph.n
+            return
+        with pytest.raises(InadmissibleSigningError) as err:
+            average_surplus_distribution(h, by_gauge_classes=by_classes)
+        assert err.value.k is not None and err.value.reason
+        if not by_classes:
+            assert (err.value.signs, err.value.k) == first
+
+    def test_late_failures_are_covered(self):
+        for name in ("late-admissible", "narrow-diagonal",
+                     "zero-diagonal-K4"):
+            _, skipped, (_, k) = scalar_sweep(SWEEP_FIXTURES[name]())
+            assert skipped > 0 and k > 1
+
+    def test_every_signing_skipped(self):
+        d = average_surplus_distribution(zero_diagonal_k4(),
+                                         skip_inadmissible=True)
+        assert d.counts.tolist() == [0, 0, 0, 0]
+        assert d.skipped == 64 and d.n_samples == 0
+
+
+def test_bound_check_survives_optimized_mode():
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import magnodal.nodal as nodal
+        from magnodal.errors import InternalCrossCheckError
+        from magnodal.families import cycle_graph
+        from magnodal.operators import SupportedMatrix
+
+        if not sys.flags.optimize:
+            sys.exit(2)
+        h = SupportedMatrix(cycle_graph(3), np.array([0.1, 0.2, 0.3]),
+                            -np.ones(3, dtype=np.complex128))
+        # three positive products at k=1 break the bound [0, beta] = [0, 1]
+        nodal.edge_products = lambda h, v: np.ones(3, dtype=np.complex128)
+        try:
+            nodal.nodal_count(h, 1)
+        except InternalCrossCheckError:
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    src = os.path.dirname(os.path.dirname(magnodal.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 class TestNormalizedDistribution:

@@ -57,6 +57,11 @@ class Graph:
             nbrs[s].append(r)
         return tuple(tuple(sorted(a)) for a in nbrs)
 
+    @cached_property
+    def component_count(self) -> int:
+        """Number of connected components, found once per graph."""
+        return len(connected_components(self))
+
     def has_edge(self, r: int, s: int) -> bool:
         return (min(r, s), max(r, s)) in self.edge_index
 
@@ -147,7 +152,7 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def num_components(g: Graph) -> int:
-    return len(connected_components(g))
+    return g.component_count
 
 
 def betti_number(g: Graph) -> int:

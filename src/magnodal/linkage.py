@@ -25,15 +25,18 @@ from .errors import (
     InternalCrossCheckError,
     LinkageHypothesisError,
     NonGenericLengthsError,
+    NonSimpleEigenvalueError,
     NotCriticalError,
     VanishingEigenvectorError,
 )
 from .graphs import Graph, OneForm, induced_subgraph
 from .morse import (
+    CRITICAL_TOL,
     RANK_TOL,
     TorusPoint,
+    _classify,
+    _simple_eigen,
     hessian_eigenvalue,
-    is_critical,
     morse_index,
 )
 from .nodal import nodal_surplus
@@ -232,21 +235,19 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
     raises, as does a point outside the analyzer's scope (no vanishing
     vertex, or more than one).
     """
-    h = p.operator()
-    es = eigh(h)
-    m, _ = multiplicity(es, k, tol_degeneracy)
-    if m != 1:
+    try:
+        s = _simple_eigen(p, k, None, tol_degeneracy)
+    except NonSimpleEigenvalueError as exc:
         raise LinkageHypothesisError(
-            f"eigenvalue {k} has multiplicity {m}; the analysis needs a "
-            f"simple eigenvalue", hypothesis=1)
-    crit = is_critical(p, k, es=es, tol_degeneracy=tol_degeneracy,
-                       tol_vanish=tol_vanish)
+            f"eigenvalue {k} has multiplicity {exc.multiplicity}; the "
+            f"analysis needs a simple eigenvalue", hypothesis=1) from exc
+    crit = _classify(s, CRITICAL_TOL, tol_vanish)
     if not crit.critical:
         raise NotCriticalError(
             f"gradient is nonzero (max imaginary product "
             f"{crit.max_imag_product:.3e}); not a critical point")
-    v = es.vector(k)
-    vanishing = [int(i) for i in np.nonzero(np.abs(v) < tol_vanish)[0]]
+    h, es, v, lam = s.h, s.es, s.v, s.lam
+    vanishing = list(crit.vanishing)
     if len(vanishing) == 0:
         raise VanishingEigenvectorError(
             "eigenvector vanishes nowhere; this is a symmetry-type point, "
@@ -256,7 +257,6 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
             f"eigenvector vanishes at {vanishing}; the analysis covers a "
             f"single vanishing vertex only")
     v0 = vanishing[0]
-    lam = es.value(k)
     scale = h.norm_fro
 
     # Rotate the eigenvector entrywise real nonnegative; the operator

@@ -7,11 +7,14 @@ quotient: one angle per independent cycle.  Eigenvalues become
 functions of those coordinates, and this module computes their
 gradients, Hessians, Morse indices, and critical points.
 
-The eigenvalue Hessian is assembled from first-order eigenvector
-responses through the spectral pseudo-inverse; its formula is only
-valid at critical points, which the entry points check.  Restricting
-the full torus Hessian to the gauge slice loses nothing because the
-vertex-phase directions are in its kernel.
+Every derivative starts from one solve at the point: the operator, its
+eigensystem, the simple k-th eigenpair and the edge products.  The
+eigenvalue Hessian is assembled from first-order eigenvector responses
+through the spectral pseudo-inverse; second-order perturbation theory
+makes it valid at every simple eigenvalue, so the critical-point search
+uses it as its Newton Jacobian.  Restricting the full torus Hessian to
+the gauge slice loses nothing because the vertex-phase directions are
+in its kernel.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .spectral import (
     eigh,
     is_nowhere_vanishing,
     multiplicity,
-    pseudo_inverse_apply,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -153,6 +155,46 @@ class TorusPoint:
         return TorusPoint(self.base, -self.angles, gauge_fixed=self.gauge_fixed)
 
 
+@dataclass(frozen=True, eq=False)
+class _SimpleEigen:
+    """One solve at a torus point: operator, eigenpair and edge products."""
+
+    h: SupportedMatrix
+    es: EigenSystem
+    v: np.ndarray
+    lam: float
+    products: np.ndarray
+
+    @property
+    def gradient(self) -> np.ndarray:
+        """Eigenvalue derivative along each edge angle."""
+        return -2.0 * self.products.imag
+
+    @property
+    def max_imag_product(self) -> float:
+        return float(np.max(np.abs(self.products.imag))) \
+            if self.products.size else 0.0
+
+    def is_flat(self, tol: float) -> bool:
+        """Criticality: every edge product real within ``tol * norm``."""
+        return self.max_imag_product <= tol * self.h.norm_fro
+
+
+def _simple_eigen(p: TorusPoint, k: int, es: EigenSystem | None,
+                  tol_degeneracy: float) -> _SimpleEigen:
+    """Solve at ``p`` (or take ``es``); the k-th eigenvalue must be simple."""
+    h = p.operator()
+    if es is None:
+        es = eigh(h)
+    m, _ = multiplicity(es, k, tol_degeneracy)
+    if m != 1:
+        raise NonSimpleEigenvalueError(
+            f"eigenvalue {k} has multiplicity {m}; the eigenvalue is not "
+            f"differentiable here", k=k, multiplicity=m)
+    v = es.vector(k)
+    return _SimpleEigen(h, es, v, es.value(k), edge_products(h, v))
+
+
 def eigenvalue_gradient(p: TorusPoint, k: int, *,
                         es: EigenSystem | None = None,
                         tol_degeneracy: float = DEGENERACY_TOL) -> OneForm:
@@ -163,16 +205,7 @@ def eigenvalue_gradient(p: TorusPoint, k: int, *,
     point and ``v`` its k-th eigenvector.  Undefined at a degenerate
     eigenvalue; such a point is a candidate non-smooth critical point.
     """
-    h = p.operator()
-    if es is None:
-        es = eigh(h)
-    m, _ = multiplicity(es, k, tol_degeneracy)
-    if m != 1:
-        raise NonSimpleEigenvalueError(
-            f"eigenvalue {k} has multiplicity {m}; the eigenvalue is not "
-            f"differentiable here", k=k, multiplicity=m)
-    products = edge_products(h, es.vector(k))
-    return OneForm(p.graph, -2.0 * products.imag)
+    return OneForm(p.graph, _simple_eigen(p, k, es, tol_degeneracy).gradient)
 
 
 def gradient_coords(p: TorusPoint, k: int, chart: GaugeChart, *,
@@ -221,21 +254,24 @@ def is_critical(p: TorusPoint, k: int, tol: float = CRITICAL_TOL, *,
     action makes the operator real, and ``exceptional`` when instead
     the eigenvector vanishes somewhere.
     """
-    h = p.operator()
-    if es is None:
-        es = eigh(h)
-    m, _ = multiplicity(es, k, tol_degeneracy)
-    if m != 1:
-        return CriticalityReport(True, "incorrigible", m, float("nan"), ())
-    v = es.vector(k)
-    products = edge_products(h, v)
-    worst = float(np.max(np.abs(products.imag))) if products.size else 0.0
-    scale = h.norm_fro
-    _, vanishing = is_nowhere_vanishing(v, tol_vanish)
-    if worst > tol * scale:
+    try:
+        s = _simple_eigen(p, k, es, tol_degeneracy)
+    except NonSimpleEigenvalueError as exc:
+        return CriticalityReport(True, "incorrigible", exc.multiplicity,
+                                 float("nan"), ())
+    return _classify(s, tol, tol_vanish)
+
+
+def _classify(s: _SimpleEigen, tol: float, tol_vanish: float
+              ) -> CriticalityReport:
+    """``is_critical`` at a simple eigenvalue."""
+    worst = s.max_imag_product
+    _, vanishing = is_nowhere_vanishing(s.v, tol_vanish)
+    if not s.is_flat(tol):
         return CriticalityReport(False, "smooth-regular", 1, worst,
                                  tuple(vanishing))
     if not vanishing:
+        h, products = s.h, s.products
         equiv, _ = is_gauge_equiv_to_symmetry(h)
         if not equiv:
             # Criticality within tol * scale allows each entry phase to
@@ -245,7 +281,7 @@ def is_critical(p: TorusPoint, k: int, tol: float = CRITICAL_TOL, *,
             floor = float(np.min(np.abs(products.real))) if products.size \
                 else 1.0
             if floor > 0.0:
-                slack = h.graph.num_edges * tol * scale / floor
+                slack = h.graph.num_edges * tol * h.norm_fro / floor
                 equiv, _ = is_gauge_equiv_to_symmetry(h, tol=slack)
         if not equiv:
             raise InternalCrossCheckError(
@@ -284,84 +320,58 @@ def hessian_frozen_form(p: TorusPoint, k: int, *,
                         tol_degeneracy: float = DEGENERACY_TOL
                         ) -> FrozenFormHessian:
     """Both Hessian blocks of the frozen form at a critical point."""
-    h = p.operator()
-    if es is None:
-        es = eigh(h)
-    m, _ = multiplicity(es, k, tol_degeneracy)
-    if m != 1:
-        raise NonSimpleEigenvalueError(
-            f"eigenvalue {k} has multiplicity {m}", k=k, multiplicity=m)
-    v = es.vector(k)
-    products = edge_products(h, v)
-    scale = h.norm_fro
-    worst = float(np.max(np.abs(products.imag))) if products.size else 0.0
-    if worst > tol_critical * scale:
+    s = _simple_eigen(p, k, es, tol_degeneracy)
+    if not s.is_flat(tol_critical):
         raise NotCriticalError(
-            f"edge products have imaginary part {worst:.3e}; the frozen-form "
-            f"Hessian needs a critical point")
-    edge_diag = -2.0 * products.real
-    lam = es.value(k)
-    dense = h.to_dense() - lam * np.eye(h.graph.n)
-    block = np.conj(v)[:, None] * dense * v[None, :]
+            f"edge products have imaginary part {s.max_imag_product:.3e}; "
+            f"the frozen-form Hessian needs a critical point")
+    dense = s.h.to_dense() - s.lam * np.eye(s.h.graph.n)
+    block = np.conj(s.v)[:, None] * dense * s.v[None, :]
     gauge_block = 2.0 * block.real
     gauge_block = 0.5 * (gauge_block + gauge_block.T)
-    return FrozenFormHessian(edge_diag, gauge_block)
+    return FrozenFormHessian(-2.0 * s.products.real, gauge_block)
 
 
 def hessian_eigenvalue(p: TorusPoint, k: int, *,
                        chart: GaugeChart | None = None,
                        es: EigenSystem | None = None,
-                       tol_critical: float = CRITICAL_TOL,
                        tol_degeneracy: float = DEGENERACY_TOL,
                        tol_sym: float = 1e-9) -> np.ndarray:
     """Eigenvalue Hessian on the gauge-slice coordinates.
 
     Entry ``(i, j)`` couples unit angle directions on non-forest edges
-    ``i`` and ``j``.  Each direction perturbs the operator on a single
-    edge; the first-order eigenvector response comes from the spectral
-    pseudo-inverse, and equal directions pick up the diagonal
-    frozen-form term.  The result is symmetrized after an asymmetry
-    check.
+    ``i`` and ``j``.  Second-order perturbation theory gives it at any
+    simple eigenvalue, critical or not.  Each direction perturbs the
+    operator on a single edge; the first-order eigenvector responses
+    come from one solve against the spectral pseudo-inverse, and equal
+    directions pick up the diagonal frozen-form term.  The result is
+    symmetrized after an asymmetry check.
     """
-    if chart is None:
-        chart = gauge_chart(p.graph)
-    h = p.operator()
-    if es is None:
-        es = eigh(h)
-    m, _ = multiplicity(es, k, tol_degeneracy)
-    if m != 1:
-        raise NonSimpleEigenvalueError(
-            f"eigenvalue {k} has multiplicity {m}; Hessian undefined",
-            k=k, multiplicity=m)
-    v = es.vector(k)
-    lam = es.value(k)
-    products = edge_products(h, v)
-    scale = h.norm_fro
-    worst = float(np.max(np.abs(products.imag))) if products.size else 0.0
-    if worst > tol_critical * scale:
-        raise NotCriticalError(
-            f"edge products have imaginary part {worst:.3e} at eigenvalue "
-            f"{k}; the Hessian formula needs a critical point")
+    return _hessian(_simple_eigen(p, k, es, tol_degeneracy),
+                    chart if chart is not None else gauge_chart(p.graph),
+                    tol_degeneracy, tol_sym)
 
-    dim = chart.dim
-    n = p.graph.n
-    if dim == 0:
+
+def _hessian(s: _SimpleEigen, chart: GaugeChart, tol_degeneracy: float,
+             tol_sym: float = 1e-9) -> np.ndarray:
+    """``hessian_eigenvalue`` at a simple eigenvalue."""
+    if chart.dim == 0:
         return np.zeros((0, 0))
-
-    edge_list = [p.graph.edges[i] for i in chart.nonforest_indices]
-    W = np.zeros((n, dim), dtype=np.complex128)
-    for j, (r, s) in enumerate(edge_list):
-        hrs = h.offdiag[p.graph.edge_index[(r, s)]]
-        W[r, j] = 1j * hrs * v[s]
-        W[s, j] = -1j * np.conj(hrs) * v[r]
-    Vp = np.zeros_like(W)
-    for j in range(dim):
-        Vp[:, j] = -pseudo_inverse_apply(h, lam, W[:, j],
-                                         tol_rel=tol_degeneracy, es=es)
+    idx = chart.nonforest_indices
+    rs = np.array(s.h.graph.edges)[idx]
+    cols = np.arange(chart.dim)
+    hrs = s.h.offdiag[idx]
+    W = np.zeros((s.h.graph.n, chart.dim), dtype=np.complex128)
+    W[rs[:, 0], cols] = 1j * hrs * s.v[rs[:, 1]]
+    W[rs[:, 1], cols] = -1j * np.conj(hrs) * s.v[rs[:, 0]]
+    # Pseudo-inverse of h - lam on every column at once; the cluster
+    # at lam is masked out exactly as in ``pseudo_inverse_apply``.
+    shift = s.es.values - s.lam
+    mask = np.abs(shift) > tol_degeneracy * s.es.spectral_scale
+    inv = np.divide(1.0, shift, out=np.zeros_like(shift), where=mask)
+    Vp = -s.es.vectors @ (inv[:, None] * (s.es.vectors.conj().T @ W))
     H = 2.0 * np.real(Vp.conj().T @ W).T
-    for i, (r, s) in enumerate(edge_list):
-        idx = p.graph.edge_index[(r, s)]
-        H[i, i] += -2.0 * products.real[idx]
+    H[cols, cols] += -2.0 * s.products.real[idx]
     asym = float(np.max(np.abs(H - H.T)))
     if asym > tol_sym * max(1.0, float(np.max(np.abs(H)))):
         raise InternalCrossCheckError(
@@ -495,17 +505,15 @@ def _report_at(p: TorusPoint, k: int, chart: GaugeChart, origin: str, *,
                tol_degeneracy: float, tol_vanish: float, rank_tol: float
                ) -> CriticalPointReport:
     coords = tuple(float(c) for c in p.coords(chart))
-    es = eigh(p.operator())
-    m, _ = multiplicity(es, k, tol_degeneracy)
-    if m > 1:
-        return CriticalPointReport(coords, k, "incorrigible", m, (), None,
-                                   None, None, None, origin)
-    report = is_critical(p, k, es=es, tol_degeneracy=tol_degeneracy,
-                         tol_vanish=tol_vanish)
-    g = gradient_coords(p, k, chart, es=es, tol_degeneracy=tol_degeneracy)
-    gnorm = float(np.linalg.norm(g))
-    hess = hessian_eigenvalue(p, k, chart=chart, es=es,
-                              tol_degeneracy=tol_degeneracy)
+    try:
+        s = _simple_eigen(p, k, None, tol_degeneracy)
+    except NonSimpleEigenvalueError as exc:
+        return CriticalPointReport(coords, k, "incorrigible",
+                                   exc.multiplicity, (), None, None, None,
+                                   None, origin)
+    report = _classify(s, CRITICAL_TOL, tol_vanish)
+    gnorm = float(np.linalg.norm(s.gradient[chart.nonforest_indices]))
+    hess = _hessian(s, chart, tol_degeneracy)
     spectrum = tuple(float(x) for x in np.linalg.eigvalsh(hess)) \
         if hess.size else ()
     index, nullity = morse_index(hess, rank_tol)
@@ -518,68 +526,52 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
             ) -> tuple[str, np.ndarray, float]:
     """Drive the gauge-slice gradient to zero from one start.
 
-    Damped least-squares steps on the gradient map with a
-    finite-difference Jacobian and backtracking on the squared norm.
-    Returns a status, the final coordinates, and an auxiliary number:
-    the eigenvalue gap for the degenerate status, or the last Newton
-    decrement for a converged run.  A small residual gradient over a
-    nearly flat Hessian still means a sizable position error, and the
-    decrement is what bounds it.
+    Damped Newton steps on the gradient map, with the analytic
+    eigenvalue Hessian as Jacobian and backtracking on the squared
+    norm; every trial point costs one eigensolve, shared by its
+    gradient and Hessian.  Returns a status, the final coordinates, and
+    an auxiliary number: the eigenvalue gap for the degenerate status,
+    or the last Newton decrement for a converged run.  A small residual
+    gradient over a nearly flat Hessian still means a sizable position
+    error, and the decrement is what bounds it.
     """
-    x = np.mod(start.copy(), TWO_PI)
-    fd_step = 1e-6
+    idx = chart.nonforest_indices
 
-    def grad(coords: np.ndarray) -> np.ndarray | None:
+    def solve(coords: np.ndarray) -> tuple[TorusPoint, _SimpleEigen] | None:
         p = TorusPoint.from_coords(base, coords, chart)
-        es = eigh(p.operator())
-        m, _ = multiplicity(es, k, tol_degeneracy)
-        if m != 1:
+        try:
+            return p, _simple_eigen(p, k, None, tol_degeneracy)
+        except NonSimpleEigenvalueError:
             return None
-        return gradient_coords(p, k, chart, es=es,
-                               tol_degeneracy=tol_degeneracy)
 
-    def jacobian(coords: np.ndarray) -> np.ndarray | None:
-        dim = len(coords)
-        J = np.empty((dim, dim))
-        for j in range(dim):
-            ej = np.zeros(dim)
-            ej[j] = fd_step
-            gp = grad(np.mod(coords + ej, TWO_PI))
-            gm = grad(np.mod(coords - ej, TWO_PI))
-            if gp is None or gm is None:
-                return None
-            J[:, j] = (gp - gm) / (2.0 * fd_step)
-        return J
-
-    g = grad(x)
-    if g is None:
+    x = np.mod(start.copy(), TWO_PI)
+    at = solve(x)
+    if at is None:
         return "degenerate", x, _gap(base, chart, k, x)
     for _ in range(60):
+        p, s = at
+        g = s.gradient[idx]
+        J = hessian_eigenvalue(p, k, chart=chart, es=s.es,
+                               tol_degeneracy=tol_degeneracy)
+        delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
         if float(np.max(np.abs(g))) <= gtol:
-            J = jacobian(x)
-            if J is None:
-                return "degenerate", x, _gap(base, chart, k, x)
-            delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
             xn = np.mod(x + delta, TWO_PI)
-            gn = grad(xn)
-            if gn is not None and float(np.linalg.norm(gn)) \
-                    < float(np.linalg.norm(g)):
+            nxt = solve(xn)
+            if nxt is not None and float(np.linalg.norm(
+                    nxt[1].gradient[idx])) < float(np.linalg.norm(g)):
                 x = xn
             return "ok", x, float(np.linalg.norm(delta))
-        J = jacobian(x)
-        if J is None:
-            return "degenerate", x, _gap(base, chart, k, x)
-        delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
         f0 = float(g @ g)
         t = 1.0
         improved = False
         while t >= 2.0 ** -12:
             xn = np.mod(x + t * delta, TWO_PI)
-            gn = grad(xn)
-            if gn is None:
+            nxt = solve(xn)
+            if nxt is None:
                 return "degenerate", xn, _gap(base, chart, k, xn)
+            gn = nxt[1].gradient[idx]
             if float(gn @ gn) < f0 * (1.0 - 0.25 * t) + 1e-300:
-                x, g = xn, gn
+                x, at = xn, nxt
                 improved = True
                 break
             t *= 0.5

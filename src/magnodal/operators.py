@@ -15,6 +15,7 @@ tolerances for these construction paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -75,7 +76,7 @@ class SupportedMatrix:
             m[s, r] = np.conj(v)
         return m
 
-    @property
+    @cached_property
     def norm_fro(self) -> float:
         return float(np.sqrt(np.sum(self.diag ** 2)
                              + 2.0 * np.sum(np.abs(self.offdiag) ** 2)))

@@ -62,6 +62,14 @@ class TestGraph:
         assert num_components(g) == 2
         assert betti_number(g) == 4 - 5 + 2
 
+    def test_component_lists_are_fresh(self):
+        g = Graph(4, ((0, 1), (2, 3)))
+        assert num_components(g) == 2
+        comps = connected_components(g)
+        comps[0].append(9)
+        assert connected_components(g) == [[0, 1], [2, 3]]
+        assert num_components(g) == 2
+
     def test_empty_graph(self):
         g = Graph(0)
         assert g.edges == ()

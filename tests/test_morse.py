@@ -34,7 +34,7 @@ from magnodal.morse import (
 )
 from magnodal.nodal import nodal_count
 from magnodal.operators import SupportedMatrix, abs_part
-from magnodal.spectral import eigh
+from magnodal.spectral import eigh, pseudo_inverse_apply
 
 
 def triangle_base():
@@ -238,11 +238,50 @@ class TestHessian:
         rel = np.linalg.norm(exact - fd) / max(1.0, np.linalg.norm(exact))
         assert rel <= 1e-4
 
-    def test_needs_critical_point(self):
-        h = abs_part(triangle_base())
-        p = TorusPoint(h, np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(NotCriticalError):
-            hessian_eigenvalue(p, 1)
+    def test_matches_fd_away_from_critical_points(self):
+        rng = np.random.default_rng(5)
+        h = abs_part(random_operator(complete_graph(5), rng))
+        chart = gauge_chart(h.graph)
+        for _ in range(20):
+            p = TorusPoint.from_coords(
+                h, rng.uniform(0, 2 * np.pi, size=chart.dim), chart)
+            for k in range(1, 6):
+                assert not is_critical(p, k).critical
+                exact = hessian_eigenvalue(p, k, chart=chart)
+                fd = hessian_eigenvalue_fd(p, k, chart=chart)
+                rel = np.linalg.norm(exact - fd) \
+                    / max(1.0, np.linalg.norm(exact))
+                assert rel <= 1e-4
+
+    def test_matches_per_column_pseudo_inverse(self):
+        # Reference assembly: one pseudo_inverse_apply per direction.
+        rng = np.random.default_rng(11)
+        h = abs_part(random_operator(complete_graph(5), rng))
+        chart = gauge_chart(h.graph)
+        edges = [h.graph.edges[i] for i in chart.nonforest_indices]
+        for _ in range(5):
+            p = TorusPoint.from_coords(
+                h, rng.uniform(0, 2 * np.pi, size=chart.dim), chart)
+            op = p.operator()
+            es = eigh(op)
+            for k in range(1, 6):
+                v, lam = es.vector(k), es.value(k)
+                W = np.zeros((5, chart.dim), dtype=np.complex128)
+                for j, (r, s) in enumerate(edges):
+                    hrs = op.offdiag[h.graph.index_of(r, s)]
+                    W[r, j] = 1j * hrs * v[s]
+                    W[s, j] = -1j * np.conj(hrs) * v[r]
+                Vp = np.column_stack([-pseudo_inverse_apply(op, lam, w, es=es)
+                                      for w in W.T])
+                ref = 2.0 * np.real(Vp.conj().T @ W).T
+                for j, (r, s) in enumerate(edges):
+                    ref[j, j] -= 2.0 * np.real(
+                        np.conj(v[r]) * op.offdiag[h.graph.index_of(r, s)]
+                        * v[s])
+                ref = 0.5 * (ref + ref.T)
+                np.testing.assert_allclose(
+                    hessian_eigenvalue(p, k, chart=chart, es=es), ref,
+                    rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
 
     def test_degenerate_raises(self):
         p = TorusPoint.from_operator(ring_op(3))
@@ -323,6 +362,41 @@ class TestCriticalScan:
         h = SupportedMatrix(g, np.zeros(2), np.array([1j]))
         with pytest.raises(ValueError):
             critical_scan(h, 1)
+
+    @pytest.mark.parametrize("h", [
+        strong_diagonal_fixture(complete_graph(4), eta=10.0),
+        *(random_operator(complete_graph(4), np.random.default_rng(s))
+          for s in range(6)),
+    ], ids=["strong-K4", *(f"random-K4-seed{s}" for s in range(6))])
+    def test_search_reports_are_critical(self, h):
+        base = abs_part(h)
+        scale = max(1.0, base.norm_fro)
+        chart = gauge_chart(h.graph)
+        for k in range(1, h.graph.n + 1):
+            sr = critical_scan(h, k, starts=16, seed=0)
+            for r in sr.reports:
+                if r.origin != "search":
+                    continue
+                p = TorusPoint.from_coords(base, np.array(r.coords), chart)
+                assert float(np.max(np.abs(gradient_fd(p, k)))) \
+                    <= 1e-6 * scale
+                assert r.morse_index + r.nullity <= chart.dim
+
+    def test_newton_steps_cost_one_eigensolve(self, monkeypatch):
+        import magnodal.morse as morse
+
+        calls = 0
+
+        def counting_eigh(h):
+            nonlocal calls
+            calls += 1
+            return eigh(h)
+
+        monkeypatch.setattr(morse, "eigh", counting_eigh)
+        h = strong_diagonal_fixture(complete_graph(5), eta=10.0)
+        sr = critical_scan(h, 2, starts=16, seed=0)
+        assert sr.starts_attempted > 0
+        assert calls <= 20 * sr.starts_attempted
 
 
 class TestVerifyIndexSurplus:

@@ -302,6 +302,23 @@ class TestAveragedDistribution:
         assert d.skipped == 4
         assert d.counts.tolist() == [8, 4]
 
+    def test_components_found_once_per_graph(self, monkeypatch):
+        import magnodal.graphs as graphs
+
+        calls = 0
+        original = graphs.connected_components
+
+        def counting(g):
+            nonlocal calls
+            calls += 1
+            return original(g)
+
+        h = strong_diagonal_fixture(complete_graph(5))
+        monkeypatch.setattr(graphs, "connected_components", counting)
+        dist = average_surplus_distribution(h)
+        assert dist.n_samples == 2 ** 10 * 5
+        assert calls <= 1
+
     def test_equal_diagonal_histogram_is_symmetric(self):
         rng = np.random.default_rng(3)
         g = complete_graph(4)

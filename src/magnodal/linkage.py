@@ -236,7 +236,7 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
     vertex, or more than one).
     """
     try:
-        s = _simple_eigen(p, k, None, tol_degeneracy)
+        s = _simple_eigen(p.operator(), k, None, tol_degeneracy)
     except NonSimpleEigenvalueError as exc:
         raise LinkageHypothesisError(
             f"eigenvalue {k} has multiplicity {exc.multiplicity}; the "

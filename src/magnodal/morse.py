@@ -180,10 +180,9 @@ class _SimpleEigen:
         return self.max_imag_product <= tol * self.h.norm_fro
 
 
-def _simple_eigen(p: TorusPoint, k: int, es: EigenSystem | None,
+def _simple_eigen(h: SupportedMatrix, k: int, es: EigenSystem | None,
                   tol_degeneracy: float) -> _SimpleEigen:
-    """Solve at ``p`` (or take ``es``); the k-th eigenvalue must be simple."""
-    h = p.operator()
+    """Solve ``h`` (or take ``es``); the k-th eigenvalue must be simple."""
     if es is None:
         es = eigh(h)
     m, _ = multiplicity(es, k, tol_degeneracy)
@@ -205,7 +204,8 @@ def eigenvalue_gradient(p: TorusPoint, k: int, *,
     point and ``v`` its k-th eigenvector.  Undefined at a degenerate
     eigenvalue; such a point is a candidate non-smooth critical point.
     """
-    return OneForm(p.graph, _simple_eigen(p, k, es, tol_degeneracy).gradient)
+    return OneForm(p.graph, _simple_eigen(p.operator(), k, es,
+                                          tol_degeneracy).gradient)
 
 
 def gradient_coords(p: TorusPoint, k: int, chart: GaugeChart, *,
@@ -255,7 +255,7 @@ def is_critical(p: TorusPoint, k: int, tol: float = CRITICAL_TOL, *,
     the eigenvector vanishes somewhere.
     """
     try:
-        s = _simple_eigen(p, k, es, tol_degeneracy)
+        s = _simple_eigen(p.operator(), k, es, tol_degeneracy)
     except NonSimpleEigenvalueError as exc:
         return CriticalityReport(True, "incorrigible", exc.multiplicity,
                                  float("nan"), ())
@@ -320,7 +320,7 @@ def hessian_frozen_form(p: TorusPoint, k: int, *,
                         tol_degeneracy: float = DEGENERACY_TOL
                         ) -> FrozenFormHessian:
     """Both Hessian blocks of the frozen form at a critical point."""
-    s = _simple_eigen(p, k, es, tol_degeneracy)
+    s = _simple_eigen(p.operator(), k, es, tol_degeneracy)
     if not s.is_flat(tol_critical):
         raise NotCriticalError(
             f"edge products have imaginary part {s.max_imag_product:.3e}; "
@@ -347,7 +347,7 @@ def hessian_eigenvalue(p: TorusPoint, k: int, *,
     directions pick up the diagonal frozen-form term.  The result is
     symmetrized after an asymmetry check.
     """
-    return _hessian(_simple_eigen(p, k, es, tol_degeneracy),
+    return _hessian(_simple_eigen(p.operator(), k, es, tol_degeneracy),
                     chart if chart is not None else gauge_chart(p.graph),
                     tol_degeneracy, tol_sym)
 
@@ -506,7 +506,7 @@ def _report_at(p: TorusPoint, k: int, chart: GaugeChart, origin: str, *,
                ) -> CriticalPointReport:
     coords = tuple(float(c) for c in p.coords(chart))
     try:
-        s = _simple_eigen(p, k, None, tol_degeneracy)
+        s = _simple_eigen(p.operator(), k, None, tol_degeneracy)
     except NonSimpleEigenvalueError as exc:
         return CriticalPointReport(coords, k, "incorrigible",
                                    exc.multiplicity, (), None, None, None,
@@ -531,34 +531,39 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
     norm; every trial point costs one eigensolve, shared by its
     gradient and Hessian.  Returns a status, the final coordinates, and
     an auxiliary number: the eigenvalue gap for the degenerate status,
-    or the last Newton decrement for a converged run.  A small residual
+    read from the eigensystem that failed the simplicity check, or the
+    last Newton decrement for a converged run.  A small residual
     gradient over a nearly flat Hessian still means a sizable position
     error, and the decrement is what bounds it.
     """
     idx = chart.nonforest_indices
 
-    def solve(coords: np.ndarray) -> tuple[TorusPoint, _SimpleEigen] | None:
+    def solve(coords: np.ndarray
+              ) -> tuple[TorusPoint | None, _SimpleEigen | float]:
+        """The point and its solve, or ``None`` and the eigenvalue gap
+        from the same eigensystem when the k-th eigenvalue is not simple."""
         p = TorusPoint.from_coords(base, coords, chart)
+        h = p.operator()
+        es = eigh(h)
         try:
-            return p, _simple_eigen(p, k, None, tol_degeneracy)
+            return p, _simple_eigen(h, k, es, tol_degeneracy)
         except NonSimpleEigenvalueError:
-            return None
+            return None, _gap(es, k)
 
     x = np.mod(start.copy(), TWO_PI)
-    at = solve(x)
-    if at is None:
-        return "degenerate", x, _gap(base, chart, k, x)
+    p, s = solve(x)
+    if p is None:
+        return "degenerate", x, s
     for _ in range(60):
-        p, s = at
         g = s.gradient[idx]
         J = hessian_eigenvalue(p, k, chart=chart, es=s.es,
                                tol_degeneracy=tol_degeneracy)
         delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
         if float(np.max(np.abs(g))) <= gtol:
             xn = np.mod(x + delta, TWO_PI)
-            nxt = solve(xn)
-            if nxt is not None and float(np.linalg.norm(
-                    nxt[1].gradient[idx])) < float(np.linalg.norm(g)):
+            pn, sn = solve(xn)
+            if pn is not None and float(np.linalg.norm(
+                    sn.gradient[idx])) < float(np.linalg.norm(g)):
                 x = xn
             return "ok", x, float(np.linalg.norm(delta))
         f0 = float(g @ g)
@@ -566,12 +571,12 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
         improved = False
         while t >= 2.0 ** -12:
             xn = np.mod(x + t * delta, TWO_PI)
-            nxt = solve(xn)
-            if nxt is None:
-                return "degenerate", xn, _gap(base, chart, k, xn)
-            gn = nxt[1].gradient[idx]
+            pn, sn = solve(xn)
+            if pn is None:
+                return "degenerate", xn, sn
+            gn = sn.gradient[idx]
             if float(gn @ gn) < f0 * (1.0 - 0.25 * t) + 1e-300:
-                x, at = xn, nxt
+                x, p, s = xn, pn, sn
                 improved = True
                 break
             t *= 0.5
@@ -580,9 +585,8 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
     return "maxiter", x, 0.0
 
 
-def _gap(base: SupportedMatrix, chart: GaugeChart, k: int,
-         coords: np.ndarray) -> float:
-    es = eigh(TorusPoint.from_coords(base, coords, chart).operator())
+def _gap(es: EigenSystem, k: int) -> float:
+    """Distance from the k-th eigenvalue to the nearest other one."""
     gaps = [abs(es.values[j] - es.values[k - 1])
             for j in range(es.n) if j != k - 1]
     return float(min(gaps)) if gaps else float("inf")

@@ -8,11 +8,17 @@ number of independent cycles.  Averaging the surplus over all signings
 of a real matrix gives the distribution the rest of the library keeps
 poking at from different directions.
 
-The average runs through one loop, ``_surplus_counts``, whether it
-visits every signing or one representative per switching class.  A
-signing enters the histogram only when every eigenvalue position is
-admissible; with ``skip_inadmissible`` the others are dropped whole and
-counted, so the counts always sum to the sample count.
+The average runs through one kernel, ``_surplus_counts``, whether it
+visits every signing or one representative per switching class.  It
+solves the signings in chunks of ``SWEEP_CHUNK``, one stacked
+eigensolve per chunk, and runs the admissibility checks of
+``nodal_count`` on every signing and eigenvalue position of the chunk
+at once.  A signing enters the histogram only when every eigenvalue
+position is admissible; with ``skip_inadmissible`` the others are
+dropped whole and counted, so the counts always sum to the sample
+count.  Errors come from the scalar code: the first failing signing is
+solved again on its own and ``nodal_count`` raises, so it stays the one
+place that words them and the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from .operators import (
     SIGNING_CAP,
     SupportedMatrix,
     gauge_classes_of_signings,
-    signs_for_index,
 )
 from .spectral import (
     DEGENERACY_TOL,
@@ -56,11 +61,14 @@ PRODUCT_DEGENERATE_TOL = 1e-12
 
 
 def edge_products(h: SupportedMatrix, v: np.ndarray) -> np.ndarray:
-    """The complex products ``conj(v_r) h_rs v_s`` per canonical edge."""
+    """The complex products ``conj(v_r) h_rs v_s`` per canonical edge.
+
+    ``v`` may stack vectors along leading axes; the vertex axis is last.
+    """
     if not h.graph.edges:
-        return np.zeros(0, dtype=np.complex128)
+        return np.zeros(v.shape[:-1] + (0,), dtype=np.complex128)
     rs = np.array(h.graph.edges)
-    return np.conj(v[rs[:, 0]]) * h.offdiag * v[rs[:, 1]]
+    return np.conj(v[..., rs[:, 0]]) * h.offdiag * v[..., rs[:, 1]]
 
 
 def nodal_count(h: SupportedMatrix, k: int, *,
@@ -163,35 +171,107 @@ def surplus_distribution(h: SupportedMatrix, **kwargs) -> SurplusDistribution:
     return SurplusDistribution(beta, counts, h.graph.n)
 
 
-def _surplus_counts(h: SupportedMatrix, sign_rows, weight: int,
-                    skip_inadmissible: bool, kwargs) -> tuple[np.ndarray, int]:
-    """Weighted surplus histogram over the signings ``sign_rows`` of ``h``.
+#: Signings per stacked eigensolve.  A chunk holds ``SWEEP_CHUNK * n * n``
+#: floats of matrices and as many of eigenvectors, so it stays small.
+SWEEP_CHUNK = 256
 
-    Each signed matrix is solved once and its surpluses for every k are
-    collected in a local histogram, which enters the total times
-    ``weight`` only when every k is admissible.  A failing signing is
-    either counted as ``weight`` skipped signings or, when not
-    skipping, reported as the first failing row.
+
+def _signing_histogram(h: SupportedMatrix, signs, kwargs) -> np.ndarray:
+    """Surplus histogram of one signing of ``h``, one ``nodal_count`` per k.
+
+    Raises ``InadmissibleSigningError`` with the signing's signs, the
+    first failing k and the reason when some k is not admissible.
     """
-    beta = betti_number(h.graph)
-    counts = np.zeros(beta + 1, dtype=np.int64)
-    skipped = 0
-    for signs in sign_rows:
-        hs = SupportedMatrix(h.graph, h.diag, h.offdiag * np.asarray(signs))
-        es = eigh(hs)
-        local = np.zeros(beta + 1, dtype=np.int64)
+    hs = SupportedMatrix(h.graph, h.diag, h.offdiag * np.asarray(signs))
+    es = eigh(hs)
+    local = np.zeros(betti_number(h.graph) + 1, dtype=np.int64)
+    for k in range(1, h.graph.n + 1):
         try:
-            for k in range(1, h.graph.n + 1):
-                local[nodal_surplus(hs, k, es=es, **kwargs)] += 1
+            local[nodal_surplus(hs, k, es=es, **kwargs)] += 1
         except AdmissibilityError as exc:
-            if skip_inadmissible:
-                skipped += weight
-                continue
             pattern = tuple(int(s) for s in signs)
             raise InadmissibleSigningError(
                 f"signing with pattern {pattern} is inadmissible at k={k}: "
                 f"{exc}", signs=pattern, k=k, reason=str(exc)) from exc
-        counts += weight * local
+    return local
+
+
+def _surplus_counts(h: SupportedMatrix, chunks, weight: int,
+                    skip_inadmissible: bool, *,
+                    tol_degeneracy: float = DEGENERACY_TOL,
+                    tol_vanish: float = VANISH_TOL,
+                    tol_real: float = PRODUCT_REAL_TOL,
+                    tol_product: float = PRODUCT_DEGENERATE_TOL
+                    ) -> tuple[np.ndarray, int]:
+    """Weighted surplus histogram over the sign-row blocks ``chunks`` of ``h``.
+
+    Each block of signed matrices is solved by one stacked eigensolve,
+    and ``nodal_count``'s checks run for every signing and k at once,
+    with its tolerances and comparisons: simple eigenvalue, no vanishing
+    entry, real and nonzero edge products, and surpluses inside
+    ``[0, beta]``.  Eigenvector signs are left as the solver returns
+    them; the checks and the edge products do not depend on them.  A
+    signing's surpluses enter the total times ``weight`` only when every
+    k passes.  A signing that fails an admissibility check is either
+    counted as ``weight`` skipped signings or, when not skipping and it
+    is the first failing row, re-run through ``nodal_count``, which
+    raises the error; a surplus outside ``[0, beta]`` is re-run even
+    when skipping, so the bound check's ``InternalCrossCheckError``
+    stays the scalar one.  A block the stacked solver cannot solve is
+    redone one signing at a time.
+    """
+    kwargs = dict(tol_degeneracy=tol_degeneracy, tol_vanish=tol_vanish,
+                  tol_real=tol_real, tol_product=tol_product)
+    n, beta = h.graph.n, betti_number(h.graph)
+    rs = np.array(h.graph.edges, dtype=np.intp).reshape(-1, 2)
+    base = h.to_dense()
+    scale = h.norm_fro
+    position = np.arange(n)
+    counts = np.zeros(beta + 1, dtype=np.int64)
+    skipped = 0
+    for rows in chunks:
+        dense = np.repeat(base[None], len(rows), axis=0)
+        dense[:, rs[:, 0], rs[:, 1]] *= rows
+        dense[:, rs[:, 1], rs[:, 0]] *= rows
+        try:
+            values, vectors = np.linalg.eigh(dense)
+        except np.linalg.LinAlgError:
+            for signs in rows:
+                try:
+                    counts += weight * _signing_histogram(h, signs, kwargs)
+                except InadmissibleSigningError:
+                    if not skip_inadmissible:
+                        raise
+                    skipped += weight
+            continue
+        vectors = vectors.swapaxes(1, 2)  # (signing, k, vertex)
+        products = edge_products(h, vectors) * rows[:, None, :]
+        tol = tol_degeneracy * np.maximum(1.0, np.max(np.abs(values), axis=1))
+        close = np.abs(np.diff(values, axis=1)) <= tol[:, None]
+        inadmissible = (
+            np.any(np.abs(vectors) < tol_vanish, axis=2)
+            | np.any(np.abs(products.imag) > tol_real * scale, axis=2)
+            | np.any(np.abs(products.real) < tol_product * scale, axis=2))
+        inadmissible[:, 1:] |= close
+        inadmissible[:, :-1] |= close
+        surplus = np.count_nonzero(products.real > 0.0, axis=2) - position
+        out_of_bounds = ~inadmissible & ((surplus < 0) | (surplus > beta))
+        failed = inadmissible | out_of_bounds
+        failing = np.any(failed, axis=1)
+        if skip_inadmissible:
+            first = np.argmax(failed, axis=1)
+            rerun = out_of_bounds[np.arange(len(rows)), first]
+        else:
+            rerun = failing
+        if np.any(rerun):
+            signs = rows[np.argmax(rerun)]
+            _signing_histogram(h, signs, kwargs)  # raises the scalar error
+            raise InternalCrossCheckError(
+                f"the stacked checks reject the signing with pattern "
+                f"{tuple(int(s) for s in signs)}, which nodal_count accepts")
+        skipped += weight * int(np.count_nonzero(failing))
+        counts += weight * np.bincount(surplus[~failing].ravel(),
+                                       minlength=beta + 1)
     return counts, skipped
 
 
@@ -204,12 +284,14 @@ def average_surplus_distribution(h: SupportedMatrix, *,
 
     Counts are accumulated as integers and divided once, so the
     probabilities are exact ratios.  The full sweep solves all
-    ``2^|E|`` signings in enumeration order; with ``by_gauge_classes``
-    only the least representative of each switching class is solved and
+    ``2^|E|`` signings in enumeration order, in blocks of
+    ``SWEEP_CHUNK`` stacked eigensolves; with ``by_gauge_classes`` only
+    the least representative of each switching class is solved and
     weighted by the class size, and the result must agree with the full
     sweep.  A signing counts only when every eigenvalue position is
     admissible.  Without ``skip_inadmissible`` the first failing signing
-    raises ``InadmissibleSigningError`` with its signs, k and reason.
+    is re-run through ``nodal_count``, and ``InadmissibleSigningError``
+    carries its signs, k and reason.
     With it, failing signings are dropped whole and counted in
     ``skipped``; the result then averages over the admissible signings
     only, a deliberate departure from the all-signings average, and
@@ -222,16 +304,28 @@ def average_surplus_distribution(h: SupportedMatrix, *,
     m = h.graph.num_edges
     if by_gauge_classes:
         classes = gauge_classes_of_signings(h, cap=cap)
-        rows = classes.representatives
-        weight = (1 << m) // classes.num_classes
+        total = classes.num_classes
+        reps = np.array(classes.representatives,
+                        dtype=np.int64).reshape(total, m)
+        weight = (1 << m) // total
+
+        def rows(start, stop):
+            return reps[start:stop]
     else:
         if m > cap:
             raise CapExceededError(
                 f"signing sweep over {m} edges exceeds the cap of {cap}")
-        rows = (signs_for_index(index, m) for index in range(1 << m))
+        total = 1 << m
         weight = 1
-    counts, skipped = _surplus_counts(h, rows, weight, skip_inadmissible,
-                                      kwargs)
+        bits = np.arange(m)
+
+        def rows(start, stop):
+            # bit i of the enumeration index flips edge i
+            return 1 - 2 * ((np.arange(start, stop)[:, None] >> bits) & 1)
+    chunks = (rows(i, min(i + SWEEP_CHUNK, total))
+              for i in range(0, total, SWEEP_CHUNK))
+    counts, skipped = _surplus_counts(h, chunks, weight, skip_inadmissible,
+                                      **kwargs)
     return SurplusDistribution(betti_number(h.graph), counts,
                                ((1 << m) - skipped) * h.graph.n,
                                skipped=skipped)

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: exit codes, payloads, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +184,30 @@ class TestAvgDist:
         assert "no admissible signings" in err
         csv_rows = (tmp_path / "run.csv").read_text().splitlines()[2:]
         assert [row.split(",")[2] for row in csv_rows] == [""] * 4
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "avg_dist_golden.json")
+                    .read_text())
+
+
+class TestAvgDistGolden:
+    """avg-dist output, byte for byte, as the per-signing sweep wrote it."""
+
+    @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: "-".join(
+        [c["op"], *(f.lstrip("-") for f in c["flags"])]))
+    def test_output_is_unchanged(self, tmp_path, capsys, case):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(GOLDEN["operators"][case["op"]]))
+        code, out, err = run(capsys, ["avg-dist", "--op", str(path),
+                                      *case["flags"]])
+        assert code == case["exit"]
+        assert out == case["stdout"]
+        assert err == case["stderr"]
+
+    def test_cases_cover_every_mode(self):
+        modes = {(c["op"], tuple(c["flags"])) for c in GOLDEN["cases"]}
+        assert len(modes) == 16
+        assert {c["exit"] for c in GOLDEN["cases"]} == {0, 2}
 
 
 class TestInputErrors:

@@ -399,6 +399,33 @@ class TestCriticalScan:
         assert calls <= 20 * sr.starts_attempted
 
 
+    @pytest.mark.parametrize("start", [0.0, np.pi, 2 * np.pi])
+    def test_degenerate_start_costs_one_eigensolve(self, monkeypatch, start):
+        import magnodal.morse as morse
+
+        calls = 0
+
+        def counting_eigh(h):
+            nonlocal calls
+            calls += 1
+            return eigh(h)
+
+        base = abs_part(ring_op(4))
+        chart = gauge_chart(base.graph)
+        monkeypatch.setattr(morse, "eigh", counting_eigh)
+        status, x, gap = morse._polish(base, chart, 2, np.array([start]),
+                                       1e-10, 1e-8)
+        monkeypatch.undo()
+        # the gap is the one a second solve at the same point would give
+        x0 = np.mod(np.array([start]), 2 * np.pi)
+        es = eigh(TorusPoint.from_coords(base, x0, chart).operator())
+        expected = min(abs(es.values[j] - es.values[1]) for j in (0, 2, 3))
+        assert calls == 1
+        assert status == "degenerate"
+        assert x.tolist() == x0.tolist()
+        assert gap == expected
+
+
 class TestVerifyIndexSurplus:
     def test_triangle_all_classes(self):
         t = verify_index_equals_surplus(

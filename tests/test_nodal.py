@@ -1,5 +1,6 @@
 """Nodal counts, surplus statistics, and signing averages."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -9,13 +10,16 @@ import numpy as np
 import pytest
 
 import magnodal
+import magnodal.nodal as nodal
 from magnodal.errors import (
     AdmissibilityError,
     CapExceededError,
     DegenerateDistributionError,
     DegenerateEdgeProductError,
     EdgeProductNotRealError,
+    EigenSolverError,
     InadmissibleSigningError,
+    InternalCrossCheckError,
     NonSimpleEigenvalueError,
     VanishingEigenvectorError,
 )
@@ -39,7 +43,12 @@ from magnodal.nodal import (
     normalized_distribution,
     surplus_distribution,
 )
-from magnodal.operators import GaugePhase, SupportedMatrix, gauge_transform
+from magnodal.operators import (
+    GaugePhase,
+    SupportedMatrix,
+    gauge_classes_of_signings,
+    gauge_transform,
+)
 from magnodal.spectral import eigh
 
 
@@ -329,30 +338,22 @@ class TestAveragedDistribution:
         assert d.counts.tolist() == d.counts.tolist()[::-1]
 
 
-def scalar_sweep(h):
-    """Per-signing oracle: one local histogram per signing, kept only whole.
+def late_chunk_op():
+    """K4, a path, then a triangle whose edges come last in edge order.
 
-    Returns the counts, the number of inadmissible signings, and the
-    sign pattern and k of the first one in enumeration order.
+    The triangle's edges have indices 8 to 10, so the first 256
+    signings all keep its flux.  Flipping one of them makes it the
+    triangle of ``half_admissible_op``, whose eigenvector (2, 1, 0) at
+    -1/2 vanishes at the vertex joining it to the path; extended by
+    zero it stays an eigenvector.  The first inadmissible signing is
+    index 256, at k=3.
     """
-    m, n, beta = h.graph.num_edges, h.graph.n, betti_number(h.graph)
-    counts = [0] * (beta + 1)
-    skipped, first = 0, None
-    for index in range(1 << m):
-        signs = tuple(-1 if (index >> i) & 1 else 1 for i in range(m))
-        hs = SupportedMatrix(h.graph, h.diag, h.offdiag * np.array(signs))
-        es = eigh(hs)
-        local = [0] * (beta + 1)
-        try:
-            for k in range(1, n + 1):
-                local[nodal_surplus(hs, k, es=es)] += 1
-        except AdmissibilityError:
-            skipped += 1
-            if first is None:
-                first = (signs, k)
-            continue
-        counts = [a + b for a, b in zip(counts, local)]
-    return counts, skipped, first
+    g = Graph(8, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4),
+                  (4, 5), (5, 6), (5, 7), (6, 7)))
+    return SupportedMatrix(g, np.array([-3.0, -1.0, 8.0, 10.0, 2.0, 5.0,
+                                        0.0, 1.5]),
+                           np.array([-1.0] * 8 + [-0.5, -1.0, -1.0],
+                                    dtype=np.complex128))
 
 
 SWEEP_FIXTURES = {
@@ -363,51 +364,216 @@ SWEEP_FIXTURES = {
     "late-admissible": late_admissible_op,
     "narrow-diagonal": narrow_diagonal_op,
     "zero-diagonal-K4": zero_diagonal_k4,
+    "late-chunk": late_chunk_op,
+    "random-K5": lambda: random_operator(complete_graph(5),
+                                         np.random.default_rng(4)),
 }
+
+#: Coarse tolerances under which each check of ``nodal_count`` decides
+#: some signings of the random K5 on its own.
+COARSE_TOLERANCES = {
+    "degeneracy": (("tol_degeneracy", 0.02),),
+    "vanish": (("tol_vanish", 0.02),),
+    "product": (("tol_product", 2e-3),),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def scalar_sweep(name, by_classes=False, tols=()):
+    """Per-signing oracle: one local histogram per signing, kept only whole.
+
+    Visits every signing of the fixture in enumeration order, or each
+    switching-class representative, with the tolerances ``tols``
+    (keyword, value pairs).  Returns the counts, the number of
+    inadmissible rows, and the first one's signs, k and error.
+    """
+    h = SWEEP_FIXTURES[name]()
+    m, n, beta = h.graph.num_edges, h.graph.n, betti_number(h.graph)
+    if by_classes:
+        rows = gauge_classes_of_signings(h).representatives
+    else:
+        rows = [tuple(-1 if (index >> i) & 1 else 1 for i in range(m))
+                for index in range(1 << m)]
+    counts = [0] * (beta + 1)
+    skipped, first = 0, None
+    for signs in rows:
+        hs = SupportedMatrix(h.graph, h.diag, h.offdiag * np.array(signs))
+        es = eigh(hs)
+        local = [0] * (beta + 1)
+        try:
+            for k in range(1, n + 1):
+                local[nodal_surplus(hs, k, es=es, **dict(tols))] += 1
+        except AdmissibilityError as exc:
+            skipped += 1
+            if first is None:
+                first = (signs, k, exc)
+            continue
+        counts = [a + b for a, b in zip(counts, local)]
+    return counts, skipped, first
 
 
 class TestSweepAgainstScalarOracle:
     """Full sweep and class sweep against per-signing scalar counts."""
 
-    @pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
-    @pytest.mark.parametrize("by_classes", [False, True])
-    def test_skipping(self, name, by_classes):
+    @staticmethod
+    def check_skipping(name, by_classes, tols=()):
         h = SWEEP_FIXTURES[name]()
-        counts, skipped, _ = scalar_sweep(h)
+        counts, skipped, _ = scalar_sweep(name, tols=tols)
         d = average_surplus_distribution(h, by_gauge_classes=by_classes,
-                                         skip_inadmissible=True)
+                                         skip_inadmissible=True, **dict(tols))
         assert d.counts.tolist() == counts
         assert d.skipped == skipped
         assert d.n_samples == ((1 << h.graph.num_edges) - skipped) * h.graph.n
 
-    @pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
-    @pytest.mark.parametrize("by_classes", [False, True])
-    def test_not_skipping(self, name, by_classes):
+    @staticmethod
+    def check_not_skipping(name, by_classes, tols=()):
         h = SWEEP_FIXTURES[name]()
-        counts, skipped, first = scalar_sweep(h)
+        counts, skipped, _ = scalar_sweep(name, tols=tols)
         if skipped == 0:
-            d = average_surplus_distribution(h, by_gauge_classes=by_classes)
+            d = average_surplus_distribution(h, by_gauge_classes=by_classes,
+                                             **dict(tols))
             assert d.counts.tolist() == counts
             assert d.skipped == 0
             assert d.n_samples == (1 << h.graph.num_edges) * h.graph.n
             return
         with pytest.raises(InadmissibleSigningError) as err:
-            average_surplus_distribution(h, by_gauge_classes=by_classes)
-        assert err.value.k is not None and err.value.reason
-        if not by_classes:
-            assert (err.value.signs, err.value.k) == first
+            average_surplus_distribution(h, by_gauge_classes=by_classes,
+                                         **dict(tols))
+        signs, k, exc = scalar_sweep(name, by_classes, tols)[2]
+        assert str(err.value) == (f"signing with pattern {signs} is "
+                                  f"inadmissible at k={k}: {exc}")
+        assert err.value.signs == signs
+        assert err.value.k == k
+        assert err.value.reason == str(exc)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
+    @pytest.mark.parametrize("by_classes", [False, True])
+    def test_skipping(self, name, by_classes):
+        self.check_skipping(name, by_classes)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
+    @pytest.mark.parametrize("by_classes", [False, True])
+    def test_not_skipping(self, name, by_classes):
+        self.check_not_skipping(name, by_classes)
+
+    # 1 puts every signing in its own stacked solve; 7 divides no 2^|E|.
+    @pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
+    @pytest.mark.parametrize("by_classes", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_skipping_in_small_chunks(self, monkeypatch, chunk, name,
+                                      by_classes):
+        monkeypatch.setattr(nodal, "SWEEP_CHUNK", chunk)
+        self.check_skipping(name, by_classes)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
+    @pytest.mark.parametrize("by_classes", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_not_skipping_in_small_chunks(self, monkeypatch, chunk, name,
+                                          by_classes):
+        monkeypatch.setattr(nodal, "SWEEP_CHUNK", chunk)
+        self.check_not_skipping(name, by_classes)
+
+    @pytest.mark.parametrize("tols", sorted(COARSE_TOLERANCES))
+    @pytest.mark.parametrize("by_classes", [False, True])
+    @pytest.mark.parametrize("chunk", [7, 256])
+    def test_coarse_tolerances(self, monkeypatch, chunk, by_classes, tols):
+        monkeypatch.setattr(nodal, "SWEEP_CHUNK", chunk)
+        self.check_skipping("random-K5", by_classes, COARSE_TOLERANCES[tols])
+        self.check_not_skipping("random-K5", by_classes,
+                                COARSE_TOLERANCES[tols])
+
+    def test_coarse_tolerances_fail_some_signings(self):
+        for tols in COARSE_TOLERANCES.values():
+            _, skipped, _ = scalar_sweep("random-K5", tols=tols)
+            assert 0 < skipped < 1 << 10
 
     def test_late_failures_are_covered(self):
         for name in ("late-admissible", "narrow-diagonal",
                      "zero-diagonal-K4"):
-            _, skipped, (_, k) = scalar_sweep(SWEEP_FIXTURES[name]())
+            _, skipped, (_, k, _) = scalar_sweep(name)
             assert skipped > 0 and k > 1
+
+    def test_first_failure_lies_beyond_the_first_chunk(self):
+        _, skipped, (signs, k, _) = scalar_sweep("late-chunk")
+        index = sum(1 << i for i, s in enumerate(signs) if s < 0)
+        assert index >= nodal.SWEEP_CHUNK and k == 3
+        assert 0 < skipped < 1 << 11
 
     def test_every_signing_skipped(self):
         d = average_surplus_distribution(zero_diagonal_k4(),
                                          skip_inadmissible=True)
         assert d.counts.tolist() == [0, 0, 0, 0]
         assert d.skipped == 64 and d.n_samples == 0
+
+    def test_strong_k5_sweep_is_stacked(self, monkeypatch):
+        calls = 0
+        original = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        d = average_surplus_distribution(
+            strong_diagonal_fixture(complete_graph(5)))
+        assert d.n_samples == 1024 * 5
+        assert calls <= -(-1024 // nodal.SWEEP_CHUNK)
+
+
+class TestStackedSolveFallback:
+    """A chunk the stacked solver rejects is solved one signing at a time."""
+
+    def test_same_counts_and_errors(self, monkeypatch):
+        original = np.linalg.eigh
+
+        def no_stacks(a, *args, **kwargs):
+            if np.ndim(a) > 2:
+                raise np.linalg.LinAlgError("stacked solve refused")
+            return original(a, *args, **kwargs)
+
+        expected = average_surplus_distribution(
+            half_admissible_op(), skip_inadmissible=True)
+        monkeypatch.setattr(np.linalg, "eigh", no_stacks)
+        d = average_surplus_distribution(half_admissible_op(),
+                                         skip_inadmissible=True)
+        assert d.counts.tolist() == expected.counts.tolist()
+        assert d.skipped == expected.skipped == 4
+        with pytest.raises(InadmissibleSigningError) as err:
+            average_surplus_distribution(half_admissible_op())
+        assert err.value.signs == (1, 1, 1)
+
+    def test_solver_failure_is_reported(self, monkeypatch):
+        def failing(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(EigenSolverError, match="did not converge"):
+            average_surplus_distribution(
+                strong_diagonal_fixture(complete_graph(3)),
+                skip_inadmissible=True)
+
+
+def test_rejection_the_scalar_path_does_not_share_is_internal(monkeypatch):
+    original = nodal.edge_products
+
+    def zero_when_stacked(h, v):
+        products = original(h, v)
+        return products * 0.0 if v.ndim > 1 else products
+
+    monkeypatch.setattr(nodal, "edge_products", zero_when_stacked)
+    with pytest.raises(InternalCrossCheckError, match="nodal_count accepts"):
+        average_surplus_distribution(
+            strong_diagonal_fixture(complete_graph(3)))
+
+
+def run_optimized(script):
+    """Run ``script`` under ``python -O`` with the package importable."""
+    src = os.path.dirname(os.path.dirname(magnodal.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_bound_check_survives_optimized_mode():
@@ -431,11 +597,46 @@ def test_bound_check_survives_optimized_mode():
             sys.exit(0)
         sys.exit(1)
     """)
-    src = os.path.dirname(os.path.dirname(magnodal.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = run_optimized(script)
+    assert run.returncode == 0, run.stderr
+
+
+def test_sweep_bound_check_survives_optimized_mode():
+    script = textwrap.dedent("""
+        import json, os, sys, tempfile
+        import numpy as np
+        import magnodal.nodal as nodal
+        from magnodal.cli import main
+        from magnodal.errors import InternalCrossCheckError
+        from magnodal.families import cycle_graph
+        from magnodal.operators import SupportedMatrix, operator_to_json
+
+        if not sys.flags.optimize:
+            sys.exit(2)
+        h = SupportedMatrix(cycle_graph(3), np.array([0.1, 0.2, 0.3]),
+                            -np.ones(3, dtype=np.complex128))
+        # positive products on all three edges at k=1 of the identity
+        # signing break the bound [0, beta] = [0, 1], in the stacked
+        # checks and in nodal_count alike
+        nodal.edge_products = lambda h, v: np.ones(v.shape[:-1] + (3,),
+                                                   dtype=np.complex128)
+        for classes in (False, True):
+            for skip in (False, True):
+                try:
+                    nodal.average_surplus_distribution(
+                        h, by_gauge_classes=classes, skip_inadmissible=skip)
+                except InternalCrossCheckError:
+                    continue
+                sys.exit(1)
+        path = os.path.join(tempfile.mkdtemp(), "op.json")
+        with open(path, "w") as f:
+            json.dump(operator_to_json(h), f)
+        for flags in ([], ["--classes"], ["--skip-inadmissible"]):
+            if main(["avg-dist", "--op", path, *flags]) != 1:
+                sys.exit(1)
+        sys.exit(0)
+    """)
+    run = run_optimized(script)
     assert run.returncode == 0, run.stderr
 
 

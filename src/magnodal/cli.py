@@ -41,7 +41,6 @@ from .nodal import (
     average_surplus_distribution,
     nodal_count,
     normalized_distribution,
-    surplus_distribution,
 )
 from .operators import (
     abs_part,
@@ -71,74 +70,81 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tol-*`` value: a finite number, at least 0."""
+    value = float(text)  # argparse reports a ValueError as a usage error
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0: {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="magnodal",
                      description="magnetic nodal-statistics laboratory")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    tol_defaults = {"degeneracy": DEGENERACY_TOL, "vanish": VANISH_TOL}
 
-    def common(p, need_op=True, need_k=False):
-        p.add_argument("--graph", help="graph JSON; checked against the "
-                       "operator file when both are given")
-        if need_op:
-            p.add_argument("--op", required=True, help="operator JSON")
-        p.add_argument("--k", type=int, required=need_k,
-                       help="1-based eigenvalue index")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol-degeneracy", type=float, default=DEGENERACY_TOL)
-        p.add_argument("--tol-vanish", type=float, default=VANISH_TOL)
+    def command(name, func, help, *, op="required", k=None, seed=False,
+                tolerances=("degeneracy", "vanish"), table=True):
+        """A subcommand with only the shared options its ``func`` reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if op:
+            p.add_argument("--graph", help="graph JSON; checked against the "
+                           "operator file when both are given")
+            p.add_argument("--op", required=op == "required",
+                           help="operator JSON")
+        if k:
+            p.add_argument("--k", type=int, required=k == "required",
+                           help="1-based eigenvalue index")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        for tol in tolerances:
+            p.add_argument(f"--tol-{tol}", type=_tolerance,
+                           default=tol_defaults[tol])
         p.add_argument("--out", help="output path stem; .json and, for "
                        "tabular commands, .csv are written")
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="stdout payload format for tabular commands")
+        if table:
+            p.add_argument("--format", choices=("json", "csv"),
+                           default="json", help="stdout payload format")
+        return p
 
-    p = sub.add_parser("spectrum", help="eigenvalues of one operator")
-    common(p)
-    p.set_defaults(func=cmd_spectrum)
+    command("spectrum", cmd_spectrum, "eigenvalues of one operator",
+            tolerances=())
+    command("nodal-dist", cmd_nodal_dist,
+            "nodal counts and surpluses of one operator", k="optional")
 
-    p = sub.add_parser("nodal-dist",
-                       help="nodal counts and surpluses of one operator")
-    common(p)
-    p.set_defaults(func=cmd_nodal_dist)
-
-    p = sub.add_parser("avg-dist",
-                       help="surplus histogram averaged over all signings")
-    common(p)
+    p = command("avg-dist", cmd_avg_dist,
+                "surplus histogram averaged over all signings")
     p.add_argument("--classes", action="store_true",
                    help="solve one representative per switching class")
     p.add_argument("--skip-inadmissible", action="store_true",
                    help="drop failing signings instead of aborting; the "
                    "average then runs over admissible signings only")
-    p.set_defaults(func=cmd_avg_dist)
 
-    p = sub.add_parser("critical-scan",
-                       help="enumerate and search critical points")
-    common(p, need_k=True)
+    p = command("critical-scan", cmd_critical_scan,
+                "enumerate and search critical points",
+                k="required", seed=True)
     p.add_argument("--starts", type=int, default=64)
-    p.set_defaults(func=cmd_critical_scan)
 
-    p = sub.add_parser("verify-index",
-                       help="Morse index versus nodal surplus, all classes")
-    common(p)
-    p.set_defaults(func=cmd_verify_index)
+    command("verify-index", cmd_verify_index,
+            "Morse index versus nodal surplus, all classes")
 
-    p = sub.add_parser("linkage-analyze",
-                       help="analyze an exceptional critical point")
-    common(p, need_op=False)
-    p.add_argument("--op", help="operator JSON at the critical point")
+    p = command("linkage-analyze", cmd_linkage_analyze,
+                "analyze an exceptional critical point",
+                op="optional", k="optional", seed=True, table=False)
     p.add_argument("--emit-fixture", type=int, metavar="DEGREE",
                    help="build a fixture of this vanishing-vertex degree "
                    "instead of reading --op, and write it next to --out")
-    p.set_defaults(func=cmd_linkage_analyze)
 
-    p = sub.add_parser("transversality-check",
-                       help="stratum transversality at one eigenvalue")
-    common(p, need_k=True)
-    p.set_defaults(func=cmd_transversality_check)
+    command("transversality-check", cmd_transversality_check,
+            "stratum transversality at one eigenvalue", k="required",
+            tolerances=("degeneracy",), table=False)
 
-    p = sub.add_parser("clt-experiment",
-                       help="normalized surplus laws against the Gaussian")
-    common(p, need_op=False)
+    p = command("clt-experiment", cmd_clt_experiment,
+                "normalized surplus laws against the Gaussian",
+                op=None, seed=True)
     p.add_argument("--family",
                    choices=("complete-minus-matching", "random-regular-like"),
                    default="complete-minus-matching")
@@ -146,7 +152,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--beta-max", type=int, default=8)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--retry-cap", type=int, default=10)
-    p.set_defaults(func=cmd_clt_experiment)
 
     return parser
 
@@ -165,7 +170,7 @@ def _load_json(path: str):
 
 def _load_operator(args):
     h = operator_from_json(_load_json(args.op))
-    if getattr(args, "graph", None):
+    if args.graph:
         g = graph_from_json(_load_json(args.graph))
         if g != h.graph:
             raise GraphMismatchError(
@@ -185,14 +190,10 @@ def _stem(out: str) -> str:
 
 
 def _config_echo(args) -> dict:
-    keep = ("command", "graph", "op", "k", "seed", "format",
-            "classes", "skip_inadmissible", "starts", "emit_fixture",
-            "family", "beta_min", "beta_max", "samples", "retry_cap")
-    out = {}
-    for key in keep:
-        if hasattr(args, key):
-            out[key] = getattr(args, key)
-    return out
+    """The parsed options; the tolerances are echoed in their own block."""
+    return {key: value for key, value in vars(args).items()
+            if key not in ("func", "_t0", "out")
+            and not key.startswith("tol_")}
 
 
 def _emit(args, payload: dict, csv_spec=None) -> None:
@@ -211,10 +212,9 @@ def _emit(args, payload: dict, csv_spec=None) -> None:
         stem = _stem(args.out)
         write_json(stem + ".json", record)
         if csv_spec is not None:
-            schema, header, rows = csv_spec
-            write_csv(stem + ".csv", schema, header, rows)
-    if args.format == "csv" and csv_spec is not None:
-        schema, header, rows = csv_spec
+            write_csv(stem + ".csv", *csv_spec)
+    if csv_spec is not None and args.format == "csv":
+        _, header, rows = csv_spec
         print(",".join(header))
         for row in rows:
             print(",".join(csv_cell(x) for x in row))

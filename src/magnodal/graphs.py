@@ -10,12 +10,13 @@ deterministic for a given graph.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import GraphMismatchError, InternalCrossCheckError, SchemaError
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,6 @@ class CycleBasis:
 
 
 def _require_same_graph(a: Graph, b: Graph) -> None:
-    from .errors import GraphMismatchError
-
     if a != b:
         raise GraphMismatchError("objects live on different graphs")
 
@@ -254,7 +253,8 @@ def cycle_basis_from_forest(g: Graph, forest: tuple[tuple[int, int], ...],
             add_step(parent[v], v)
         chain = Chain(g, coeffs)
         if np.any(boundary(chain)):
-            raise AssertionError("fundamental cycle has nonzero boundary")
+            raise InternalCrossCheckError(
+                "fundamental cycle has nonzero boundary")
         cycles.append(chain)
     return CycleBasis(g, forest, nonforest, tuple(cycles))
 
@@ -264,7 +264,8 @@ def cycle_basis(g: Graph) -> CycleBasis:
     forest, parent = bfs_forest(g)
     basis = cycle_basis_from_forest(g, forest, parent)
     if len(basis) != betti_number(g):
-        raise AssertionError("cycle basis size does not match the Betti number")
+        raise InternalCrossCheckError(
+            "cycle basis size does not match the Betti number")
     return basis
 
 
@@ -283,6 +284,12 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, dict[int, int]]:
     keep = set(vs)
     edges = [(remap[r], remap[s]) for (r, s) in g.edges if r in keep and s in keep]
     return Graph(len(vs), tuple(edges)), remap
+
+
+def _is_number(x) -> bool:
+    """A finite JSON number that fits a float (``json`` reads NaN too)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def graph_to_json(g: Graph) -> dict:
@@ -350,8 +357,8 @@ def oneform_from_json(obj) -> OneForm:
             raise SchemaError(f"edge {e!r} listed twice")
         seen.add(key)
         v = item["value"]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"value for edge {e!r} must be a number")
+        if not _is_number(v):
+            raise SchemaError(f"value for edge {e!r} must be a finite number")
         vals[g.edge_index[key]] = float(v)
     if len(seen) != g.num_edges:
         missing = [e for e in g.edges if e not in seen]

@@ -35,8 +35,9 @@ from .morse import (
     RANK_TOL,
     TorusPoint,
     _classify,
+    _hessian,
     _simple_eigen,
-    hessian_eigenvalue,
+    gauge_chart,
     morse_index,
 )
 from .nodal import nodal_surplus
@@ -337,7 +338,7 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
                                 tol_vanish=tol_vanish)
     predicted = surplus_red + (2 if c < 0.0 else 0)
 
-    hess = hessian_eigenvalue(p, k, es=es, tol_degeneracy=tol_degeneracy)
+    hess = _hessian(s, gauge_chart(g), tol_degeneracy)
     index, nullity = morse_index(hess, rank_tol)
     if nullity != dim:
         raise InternalCrossCheckError(

@@ -26,14 +26,15 @@ import numpy as np
 
 from .errors import (
     AdmissibilityError,
+    GraphMismatchError,
+    InternalCrossCheckError,
     NonSimpleEigenvalueError,
     NotCriticalError,
-    InternalCrossCheckError,
+    NotProperlySupportedError,
 )
 from .graphs import CycleBasis, Graph, OneForm, cycle_basis
 from .nodal import edge_products, nodal_surplus
 from .operators import (
-    GaugePhase,
     SupportedMatrix,
     abs_part,
     is_gauge_equiv_to_symmetry,
@@ -130,14 +131,10 @@ class TorusPoint:
         if not h.is_real:
             raise ValueError("from_operator needs a real matrix")
         if not is_properly_supported(h):
-            from .errors import NotProperlySupportedError
-
             raise NotProperlySupportedError("torus points need proper support")
         angles = phase_form(h).values.copy()
         if alpha is not None:
             if alpha.graph != h.graph:
-                from .errors import GraphMismatchError
-
                 raise GraphMismatchError("one-form on a different graph")
             angles = angles + alpha.values
         return cls(abs_part(h), angles)
@@ -538,31 +535,28 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
     """
     idx = chart.nonforest_indices
 
-    def solve(coords: np.ndarray
-              ) -> tuple[TorusPoint | None, _SimpleEigen | float]:
-        """The point and its solve, or ``None`` and the eigenvalue gap
-        from the same eigensystem when the k-th eigenvalue is not simple."""
-        p = TorusPoint.from_coords(base, coords, chart)
-        h = p.operator()
+    def solve(coords: np.ndarray) -> _SimpleEigen | float:
+        """The solve at ``coords``, or the eigenvalue gap from the same
+        eigensystem when the k-th eigenvalue is not simple."""
+        h = TorusPoint.from_coords(base, coords, chart).operator()
         es = eigh(h)
         try:
-            return p, _simple_eigen(h, k, es, tol_degeneracy)
+            return _simple_eigen(h, k, es, tol_degeneracy)
         except NonSimpleEigenvalueError:
-            return None, _gap(es, k)
+            return _gap(es, k)
 
     x = np.mod(start.copy(), TWO_PI)
-    p, s = solve(x)
-    if p is None:
+    s = solve(x)
+    if isinstance(s, float):
         return "degenerate", x, s
     for _ in range(60):
         g = s.gradient[idx]
-        J = hessian_eigenvalue(p, k, chart=chart, es=s.es,
-                               tol_degeneracy=tol_degeneracy)
+        J = _hessian(s, chart, tol_degeneracy)
         delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
         if float(np.max(np.abs(g))) <= gtol:
             xn = np.mod(x + delta, TWO_PI)
-            pn, sn = solve(xn)
-            if pn is not None and float(np.linalg.norm(
+            sn = solve(xn)
+            if not isinstance(sn, float) and float(np.linalg.norm(
                     sn.gradient[idx])) < float(np.linalg.norm(g)):
                 x = xn
             return "ok", x, float(np.linalg.norm(delta))
@@ -571,12 +565,12 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
         improved = False
         while t >= 2.0 ** -12:
             xn = np.mod(x + t * delta, TWO_PI)
-            pn, sn = solve(xn)
-            if pn is None:
+            sn = solve(xn)
+            if isinstance(sn, float):
                 return "degenerate", xn, sn
             gn = sn.gradient[idx]
             if float(gn @ gn) < f0 * (1.0 - 0.25 * t) + 1e-300:
-                x, p, s = xn, pn, sn
+                x, s = xn, sn
                 improved = True
                 break
             t *= 0.5
@@ -732,16 +726,17 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
     rows: list[VerifyRow] = []
     for bits in itertools.product((0, 1), repeat=beta):
         coords = np.array([np.pi if b else 0.0 for b in bits])
-        p = TorusPoint.from_coords(base, coords, chart)
-        hs = p.operator()
+        hs = TorusPoint.from_coords(base, coords, chart).operator()
         es = eigh(hs)
         for k in range(1, h.graph.n + 1):
-            m, _ = multiplicity(es, k, tol_degeneracy)
-            if m != 1:
+            try:
+                s = _simple_eigen(hs, k, es, tol_degeneracy)
+            except NonSimpleEigenvalueError as exc:
+                m = exc.multiplicity
                 rows.append(VerifyRow(bits, k, "skipped",
                                       reason=f"multiplicity {m}"))
                 continue
-            ok, vanishing = is_nowhere_vanishing(es.vector(k), tol_vanish)
+            ok, vanishing = is_nowhere_vanishing(s.v, tol_vanish)
             if not ok:
                 rows.append(VerifyRow(bits, k, "skipped",
                                       reason=f"vanishes at {vanishing}"))
@@ -753,9 +748,8 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
             except AdmissibilityError as exc:  # degenerate products
                 rows.append(VerifyRow(bits, k, "skipped", reason=str(exc)))
                 continue
-            hess = hessian_eigenvalue(p, k, chart=chart, es=es,
-                                      tol_degeneracy=tol_degeneracy)
-            index, nullity = morse_index(hess, rank_tol)
+            index, nullity = morse_index(_hessian(s, chart, tol_degeneracy),
+                                         rank_tol)
             if nullity != 0:
                 raise InternalCrossCheckError(
                     f"Hessian at class {bits}, k={k} is degenerate "

@@ -26,7 +26,8 @@ from .errors import (
     NotProperlySupportedError,
     SchemaError,
 )
-from .graphs import Graph, OneForm, coboundary, cycle_basis, graph_from_json, graph_to_json
+from .graphs import (Graph, OneForm, _is_number, bfs_forest, coboundary,
+                     cycle_basis, graph_from_json, graph_to_json, integrate)
 
 TWO_PI = 2.0 * np.pi
 
@@ -287,8 +288,6 @@ def is_gauge_equiv_to_symmetry(h: SupportedMatrix, tol: float = FLUX_TOL
     """
     alpha = phase_form(h)
     basis = cycle_basis(h.graph)
-    from .graphs import integrate
-
     for chain in basis.cycles:
         flux = integrate(alpha, chain)
         rem = np.mod(flux, np.pi)
@@ -299,8 +298,6 @@ def is_gauge_equiv_to_symmetry(h: SupportedMatrix, tol: float = FLUX_TOL
     # propagate over the forest so tree edges cancel exactly.  Non-tree
     # edges are then multiples of pi up to the flux residues.
     reduced = alpha.values - np.pi * np.round(alpha.values / np.pi)
-    from .graphs import bfs_forest
-
     forest, parent = bfs_forest(h.graph)
     theta = np.zeros(h.graph.n)
     order = _forest_order(parent)
@@ -362,9 +359,8 @@ def operator_from_json(obj) -> SupportedMatrix:
     g = graph_from_json(obj["graph"])
     diag = obj["diag"]
     if (not isinstance(diag, list) or len(diag) != g.n
-            or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                   for x in diag)):
-        raise SchemaError("'diag' must be a list of n numbers")
+            or not all(_is_number(x) for x in diag)):
+        raise SchemaError("'diag' must be a list of n finite numbers")
     entries = obj["offdiag"]
     if not isinstance(entries, list):
         raise SchemaError("'offdiag' must be a list")
@@ -383,9 +379,9 @@ def operator_from_json(obj) -> SupportedMatrix:
             raise SchemaError(f"edge {e!r} listed twice")
         seen.add(key)
         re, im = item["re"], item["im"]
-        for x in (re, im):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise SchemaError(f"entry for edge {e!r} must have numeric re/im")
+        if not (_is_number(re) and _is_number(im)):
+            raise SchemaError(
+                f"entry for edge {e!r} must have finite numeric re/im")
         value = complex(float(re), float(im))
         if tuple(e) != key:
             value = value.conjugate()

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magnodal.cli import main
+from magnodal.cli import _build_parser, main
 from magnodal.families import (
     complete_graph,
     cycle_graph,
@@ -370,3 +370,176 @@ class TestCltExperiment:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, ["clt-experiment", "--beta-min", "0"])
         assert code == 3 and "usage error" in err
+
+
+#: The options each subcommand accepts (besides -h/--help).
+OPTIONS = {
+    "spectrum": {"--graph", "--op", "--out", "--format"},
+    "nodal-dist": {"--graph", "--op", "--k", "--tol-degeneracy",
+                   "--tol-vanish", "--out", "--format"},
+    "avg-dist": {"--graph", "--op", "--tol-degeneracy", "--tol-vanish",
+                 "--out", "--format", "--classes", "--skip-inadmissible"},
+    "critical-scan": {"--graph", "--op", "--k", "--seed", "--tol-degeneracy",
+                      "--tol-vanish", "--out", "--format", "--starts"},
+    "verify-index": {"--graph", "--op", "--tol-degeneracy", "--tol-vanish",
+                     "--out", "--format"},
+    "linkage-analyze": {"--graph", "--op", "--k", "--seed",
+                        "--tol-degeneracy", "--tol-vanish", "--out",
+                        "--emit-fixture"},
+    "transversality-check": {"--graph", "--op", "--k", "--tol-degeneracy",
+                             "--out"},
+    "clt-experiment": {"--seed", "--tol-degeneracy", "--tol-vanish", "--out",
+                       "--format", "--family", "--beta-min", "--beta-max",
+                       "--samples", "--retry-cap"},
+}
+
+#: Options a subcommand does not read, with a value that would parse.
+REMOVED = [
+    ("spectrum", "--k", "1"),
+    ("spectrum", "--seed", "0"),
+    ("spectrum", "--tol-degeneracy", "1e-9"),
+    ("spectrum", "--tol-vanish", "1e-9"),
+    ("nodal-dist", "--seed", "0"),
+    ("avg-dist", "--k", "1"),
+    ("avg-dist", "--seed", "0"),
+    ("verify-index", "--k", "1"),
+    ("verify-index", "--seed", "0"),
+    ("linkage-analyze", "--format", "csv"),
+    ("transversality-check", "--seed", "0"),
+    ("transversality-check", "--tol-vanish", "1e-9"),
+    ("transversality-check", "--format", "csv"),
+    ("clt-experiment", "--graph", "graph.json"),
+    ("clt-experiment", "--k", "1"),
+]
+
+#: A value for every option that takes one.
+VALUES = {"--graph": "graph.json", "--op": "op.json", "--k": "1",
+          "--seed": "3", "--tol-degeneracy": "1e-7", "--tol-vanish": "1e-8",
+          "--out": "run", "--format": "csv", "--starts": "2",
+          "--emit-fixture": "3", "--family": "random-regular-like",
+          "--beta-min": "1", "--beta-max": "2", "--samples": "1",
+          "--retry-cap": "2"}
+
+
+def minimal_argv(tmp_path, command):
+    """A valid invocation of ``command`` on a small input."""
+    if command == "clt-experiment":
+        return [command, "--beta-min", "1", "--beta-max", "1",
+                "--samples", "1"]
+    if command == "linkage-analyze":
+        return [command, "--emit-fixture", "3"]
+    argv = [command, "--op", write_op(tmp_path, triangle_op())]
+    if command in ("critical-scan", "transversality-check"):
+        argv += ["--k", "1"]
+    if command == "critical-scan":
+        argv += ["--starts", "1"]
+    return argv
+
+
+class TestSubcommandOptions:
+    def test_each_subcommand_declares_its_own_options(self):
+        parser = _build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a.choices, dict))
+        assert set(subparsers.choices) == set(OPTIONS)
+        for command, sub in subparsers.choices.items():
+            declared = {s for a in sub._actions for s in a.option_strings}
+            assert declared - {"-h", "--help"} == OPTIONS[command], command
+        assert sum(map(len, OPTIONS.values())) == 57
+
+    @pytest.mark.parametrize("command,flag,value", REMOVED,
+                             ids=lambda x: str(x))
+    def test_unread_option_is_a_usage_error(self, tmp_path, capsys,
+                                            command, flag, value):
+        assert flag not in OPTIONS[command]
+        code, out, err = run(capsys, [*minimal_argv(tmp_path, command),
+                                      flag, value])
+        assert code == 3 and "usage error" in err and flag in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_every_option_parses(self, command):
+        argv = [command]
+        for flag in sorted(OPTIONS[command]):
+            argv += [flag] if flag not in VALUES else [flag, VALUES[flag]]
+        args = _build_parser().parse_args(argv)
+        for flag in OPTIONS[command]:
+            key = flag.lstrip("-").replace("-", "_")
+            assert getattr(args, key) not in (None, False), flag
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_record_echoes_own_options(self, tmp_path, capsys, command):
+        stem = str(tmp_path / "run")
+        code, _, _ = run(capsys, [*minimal_argv(tmp_path, command),
+                                  "--out", stem])
+        assert code == 0
+        record = json.loads((tmp_path / "run.json").read_text())
+        own = {flag.lstrip("-").replace("-", "_")
+               for flag in OPTIONS[command]}
+        expected = own - {"out", "tol_degeneracy", "tol_vanish"}
+        assert set(record["config"]) == expected | {"command"}
+        assert record["config"]["command"] == command
+        assert set(record["tolerances"]) == {"degeneracy", "vanish"}
+
+
+class TestNonFiniteInput:
+    """NaN and Infinity (which ``json`` reads) are schema errors."""
+
+    @pytest.mark.parametrize("command", [["spectrum"], ["avg-dist"],
+                                         ["avg-dist", "--classes"]])
+    @pytest.mark.parametrize("where", ["diag", "offdiag"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf"), 10 ** 400],
+                             ids=["nan", "inf", "-inf", "huge-int"])
+    def test_operator_entry(self, tmp_path, capsys, command, where, value):
+        doc = operator_to_json(strong_diagonal_fixture(complete_graph(4)))
+        if where == "diag":
+            doc["diag"][1] = value
+        else:
+            doc["offdiag"][2]["re"] = value
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [command[0], "--op", str(path),
+                                      *command[1:]])
+        assert code == 3 and "input error" in err and "finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--tol-degeneracy", "--tol-vanish"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9", "x"])
+    def test_tolerance(self, tmp_path, capsys, flag, value):
+        op = write_op(tmp_path, triangle_op())
+        code, out, err = run(capsys, ["nodal-dist", "--op", op, "--k", "1",
+                                      flag, value])
+        assert code == 3 and "usage error" in err and flag in err
+        assert out == ""
+
+    def test_zero_tolerance_is_accepted(self, tmp_path, capsys):
+        op = write_op(tmp_path, triangle_op())
+        code, _, _ = run(capsys, ["nodal-dist", "--op", op, "--k", "1",
+                                  "--tol-degeneracy", "0",
+                                  "--tol-vanish", "0"])
+        assert code == 0
+
+    def test_nan_cannot_switch_off_the_simplicity_check(self, tmp_path,
+                                                        capsys):
+        g = complete_graph(4)
+        zero = SupportedMatrix(g, np.zeros(4),
+                               -np.ones(g.num_edges, dtype=np.complex128))
+        op = write_op(tmp_path, zero)
+        code, _, err = run(capsys, ["nodal-dist", "--op", op, "--k", "2"])
+        assert code == 2 and "multiplicity 3" in err
+        code, _, err = run(capsys, ["nodal-dist", "--op", op, "--k", "2",
+                                    "--tol-degeneracy", "nan"])
+        assert code == 3 and "usage error" in err
+
+
+def test_cycle_basis_failure_is_an_internal_error(tmp_path, capsys,
+                                                  monkeypatch):
+    import magnodal.graphs as graphs
+
+    op = write_op(tmp_path, triangle_op())
+    monkeypatch.setattr(graphs, "boundary",
+                        lambda chain: np.ones(chain.graph.n, dtype=np.int64))
+    code, _, err = run(capsys, ["verify-index", "--op", op])
+    assert code == 1 and "internal check failed" in err
+    assert "nonzero boundary" in err

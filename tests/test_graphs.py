@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from magnodal.errors import GraphMismatchError, SchemaError
+from magnodal.errors import (
+    GraphMismatchError,
+    InternalCrossCheckError,
+    SchemaError,
+)
 from magnodal.graphs import (
     Chain,
     Graph,
@@ -229,3 +233,31 @@ class TestJson:
         doc["values"].append(dict(doc["values"][0]))
         with pytest.raises(SchemaError):
             oneform_from_json(doc)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf"), 10 ** 400],
+                             ids=["nan", "inf", "-inf", "huge-int"])
+    def test_oneform_nonfinite_value(self, value):
+        doc = oneform_to_json(OneForm(c3(), [1.0, 2.0, 3.0]))
+        doc["values"][1]["value"] = value
+        with pytest.raises(SchemaError, match="finite"):
+            oneform_from_json(doc)
+
+
+class TestCycleBasisChecks:
+    """The cycle basis cross-checks raise, so they also hold under -O."""
+
+    def test_nonzero_boundary(self, monkeypatch):
+        import magnodal.graphs as graphs
+
+        monkeypatch.setattr(graphs, "boundary",
+                            lambda chain: np.ones(chain.graph.n))
+        with pytest.raises(InternalCrossCheckError, match="boundary"):
+            cycle_basis(k4())
+
+    def test_size_against_betti_number(self, monkeypatch):
+        import magnodal.graphs as graphs
+
+        monkeypatch.setattr(graphs, "betti_number", lambda g: 0)
+        with pytest.raises(InternalCrossCheckError, match="Betti"):
+            cycle_basis(k4())

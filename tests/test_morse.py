@@ -426,6 +426,42 @@ class TestCriticalScan:
         assert gap == expected
 
 
+def count_calls(monkeypatch, module, *names):
+    """Wrap the ``names`` bindings of ``module``; returns the live counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _inner=getattr(module, name),
+                     **kwargs):
+            counts[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+class TestOneOperatorPerSolve:
+    """Hessians reuse the solve they follow instead of rebuilding the
+    operator at the same point."""
+
+    def test_critical_scan(self, monkeypatch):
+        import magnodal.morse as morse
+
+        counts = count_calls(monkeypatch, morse, "eigh", "magnetic_action")
+        critical_scan(strong_diagonal_fixture(complete_graph(5), eta=10.0),
+                      2, starts=16, seed=0)
+        assert counts["eigh"] > 0
+        assert counts["magnetic_action"] <= counts["eigh"]
+
+    def test_verify_index(self, monkeypatch):
+        import magnodal.morse as morse
+
+        counts = count_calls(monkeypatch, morse, "eigh", "magnetic_action")
+        t = verify_index_equals_surplus(
+            strong_diagonal_fixture(complete_graph(5)))
+        assert t.num_ok == 320
+        assert counts["eigh"] == 64
+        assert counts["magnetic_action"] <= counts["eigh"]
+
+
 class TestVerifyIndexSurplus:
     def test_triangle_all_classes(self):
         t = verify_index_equals_surplus(

@@ -78,6 +78,18 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _at_least(low: int):
+    """An integer option value of at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as a usage error
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}: {text}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="magnodal",
                      description="magnetic nodal-statistics laboratory")
@@ -96,7 +108,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--op", required=op == "required",
                            help="operator JSON")
         if k:
-            p.add_argument("--k", type=int, required=k == "required",
+            p.add_argument("--k", type=_at_least(1), required=k == "required",
                            help="1-based eigenvalue index")
         if seed:
             p.add_argument("--seed", type=int, default=0)
@@ -126,7 +138,7 @@ def _build_parser() -> _Parser:
     p = command("critical-scan", cmd_critical_scan,
                 "enumerate and search critical points",
                 k="required", seed=True)
-    p.add_argument("--starts", type=int, default=64)
+    p.add_argument("--starts", type=_at_least(0), default=64)
 
     command("verify-index", cmd_verify_index,
             "Morse index versus nodal surplus, all classes")
@@ -134,7 +146,7 @@ def _build_parser() -> _Parser:
     p = command("linkage-analyze", cmd_linkage_analyze,
                 "analyze an exceptional critical point",
                 op="optional", k="optional", seed=True, table=False)
-    p.add_argument("--emit-fixture", type=int, metavar="DEGREE",
+    p.add_argument("--emit-fixture", type=_at_least(3), metavar="DEGREE",
                    help="build a fixture of this vanishing-vertex degree "
                    "instead of reading --op, and write it next to --out")
 
@@ -150,8 +162,8 @@ def _build_parser() -> _Parser:
                    default="complete-minus-matching")
     p.add_argument("--beta-min", type=int, default=3)
     p.add_argument("--beta-max", type=int, default=8)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--retry-cap", type=int, default=10)
+    p.add_argument("--samples", type=_at_least(1), default=20)
+    p.add_argument("--retry-cap", type=_at_least(0), default=10)
 
     return parser
 
@@ -175,6 +187,10 @@ def _load_operator(args):
         if g != h.graph:
             raise GraphMismatchError(
                 f"graph file {args.graph} does not match the operator's graph")
+    k = getattr(args, "k", None)
+    if k is not None and k > h.graph.n:
+        raise _UsageError(f"--k {k} is outside 1..{h.graph.n}, the "
+                          f"eigenvalue positions of the operator")
     return h
 
 
@@ -478,6 +494,12 @@ def _ks_to_normal(points: np.ndarray, weights: np.ndarray) -> float:
 def cmd_clt_experiment(args) -> None:
     if args.beta_min < 1 or args.beta_max < args.beta_min:
         raise _UsageError("need 1 <= beta-min <= beta-max")
+    if args.family == "complete-minus-matching":
+        for beta in range(args.beta_min, args.beta_max + 1):
+            try:
+                matching_family_for_betti(beta)
+            except ValueError as exc:
+                raise _UsageError(str(exc)) from exc
     rng = np.random.default_rng(args.seed)
     trend = []
     histograms = {}

@@ -56,16 +56,24 @@ def complete_minus_matching(n: int, t: int,
 
 
 def matching_family_for_betti(beta: int) -> tuple[int, int]:
-    """Smallest (n, t) with betti(complete_minus_matching(n, t)) = beta."""
+    """Smallest (n, t) with betti(complete_minus_matching(n, t)) = beta.
+
+    On n vertices the family covers the Betti numbers from
+    ``(n-1)(n-2)/2 - n//2`` to ``(n-1)(n-2)/2``; these ranges leave
+    gaps (11, 16, 22, 23, ...), for which ``ValueError`` is raised.
+    """
     if beta < 1:
         raise ValueError("first Betti number must be at least 1")
     n = 3
-    while True:
-        full = n * (n - 1) // 2 - n + 1
-        t = full - beta
-        if t >= 0 and 2 * t <= n:
-            return n, t
+    while (n - 1) * (n - 2) // 2 < beta:
         n += 1
+    t = (n - 1) * (n - 2) // 2 - beta
+    if 2 * t > n:
+        raise ValueError(
+            f"no complete graph minus a matching has first Betti number "
+            f"{beta}: {n - 1} vertices reach at most {(n - 2) * (n - 3) // 2}"
+            f" and {n} vertices at least {(n - 1) * (n - 2) // 2 - n // 2}")
+    return n, t
 
 
 def random_connected_graph(n: int, num_edges: int,

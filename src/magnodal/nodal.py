@@ -304,13 +304,10 @@ def average_surplus_distribution(h: SupportedMatrix, *,
     m = h.graph.num_edges
     if by_gauge_classes:
         classes = gauge_classes_of_signings(h, cap=cap)
-        total = classes.num_classes
-        reps = np.array(classes.representatives,
-                        dtype=np.int64).reshape(total, m)
-        weight = (1 << m) // total
+        total, weight = classes.num_classes, classes.class_size
 
         def rows(start, stop):
-            return reps[start:stop]
+            return classes.representatives[start:stop]
     else:
         if m > cap:
             raise CapExceededError(

@@ -3,7 +3,17 @@
 The acceptance suite records one verdict per criterion; the terminal
 summary hook prints them as stable one-per-line output at the end of
 the run, whether or not output capture is active.
+
+``classes_by_enumeration`` is the switching-class oracle: it visits
+every one of the ``2^|E|`` signings, so it stays independent of the
+elimination in ``gauge_classes_of_signings``.
 """
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from magnodal.graphs import Graph, cycle_basis
 
 ACCEPTANCE_RESULTS: list[tuple[int, str, str, str]] = []
 
@@ -22,3 +32,53 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f"  ({detail})"
         tr.write_line(line)
+
+
+def cycle_masks(g: Graph) -> list[int]:
+    """Edge bitmask of each fundamental cycle of ``cycle_basis(g)``."""
+    return [sum(1 << int(i) for i in np.flatnonzero(chain.coeffs))
+            for chain in cycle_basis(g).cycles]
+
+
+def class_id(masks: list[int], index: int) -> int:
+    """Class of enumeration index ``index`` (bit i flips edge i).
+
+    Bit j is the parity of the flipped edges on cycle j.
+    """
+    return sum(((index & mask).bit_count() & 1) << j
+               for j, mask in enumerate(masks))
+
+
+def signs_of(index: int, num_edges: int) -> tuple[int, ...]:
+    """Sign tuple of enumeration index ``index``."""
+    return tuple(-1 if (index >> i) & 1 else 1 for i in range(num_edges))
+
+
+@dataclass(frozen=True)
+class EnumeratedClasses:
+    class_of: list[int]
+    class_ids: tuple[int, ...]
+    class_sizes: tuple[int, ...]
+    representatives: tuple[tuple[int, ...], ...]
+
+
+def classes_by_enumeration(g: Graph) -> EnumeratedClasses:
+    """Switching classes of the signings of ``g`` by visiting all of them.
+
+    Returns the class of every enumeration index, the sorted class ids,
+    their sizes, and per class the least sign tuple (-1 before +1).
+    """
+    masks = cycle_masks(g)
+    class_of = []
+    best: dict[int, tuple[int, ...]] = {}
+    sizes: dict[int, int] = {}
+    for index in range(1 << g.num_edges):
+        cid = class_id(masks, index)
+        class_of.append(cid)
+        signs = signs_of(index, g.num_edges)
+        sizes[cid] = sizes.get(cid, 0) + 1
+        if cid not in best or signs < best[cid]:
+            best[cid] = signs
+    ids = tuple(sorted(best))
+    return EnumeratedClasses(class_of, ids, tuple(sizes[c] for c in ids),
+                             tuple(best[c] for c in ids))

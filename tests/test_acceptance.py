@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import class_id, cycle_masks, record_criterion, signs_of
 from magnodal import (
     AdmissibilityError,
     InadmissibleSigningError,
@@ -104,9 +104,18 @@ def test_criterion_01_counting_identities():
         classes = gauge_classes_of_signings(h)
         if classes.num_classes != 2 ** betti_number(g):
             failures.append(f"class count {classes.num_classes} on n={g.n}")
-        sizes = np.bincount(classes.class_of, minlength=classes.num_classes)
-        if not np.all(sizes == 2 ** (g.n - 1)):
+        masks = cycle_masks(g)
+        ids = [class_id(masks, index) for index in range(1 << m)]
+        sizes = np.bincount(ids, minlength=classes.num_classes)
+        if not np.all(sizes == 2 ** (g.n - 1)) \
+                or classes.class_size != 2 ** (g.n - 1):
             failures.append(f"uneven class sizes on n={g.n} m={m}")
+        least = {}
+        for index, cid in enumerate(ids):
+            least[cid] = min(least.get(cid, (1,) * m), signs_of(index, m))
+        if [tuple(int(x) for x in rep) for rep in classes.representatives] \
+                != [least[cid] for cid in range(classes.num_classes)]:
+            failures.append(f"representatives not lex-least on n={g.n} m={m}")
     finish(1, "counting identities", t0, failures, f"{len(graphs)} graphs")
 
 

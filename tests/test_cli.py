@@ -1,6 +1,7 @@
 """End-to-end command-line runs: exit codes, payloads, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,19 @@ class TestAvgDist:
         _, class_out, _ = run(capsys, ["avg-dist", "--op", op, "--classes"])
         assert json.loads(full_out)["counts"] \
             == json.loads(class_out)["counts"]
+
+    def test_k7_classes_binomial(self, tmp_path, capsys):
+        # beta 15: 32768 classes of 64 signings each
+        h = strong_diagonal_fixture(complete_graph(7), eta=100.0)
+        code, out, _ = run(capsys, ["avg-dist", "--op", write_op(tmp_path, h),
+                                    "--classes"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["betti"] == 15
+        assert payload["n_samples"] == 2 ** 21 * 7
+        assert payload["counts"] == [math.comb(15, s) * 2 ** 6 * 7
+                                     for s in range(16)]
+        assert payload["binomial_l1_deviation"] == 0.0
 
     def test_complex_operator_exits_2(self, tmp_path, capsys):
         g = path_graph(2)
@@ -370,6 +384,53 @@ class TestCltExperiment:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, ["clt-experiment", "--beta-min", "0"])
         assert code == 3 and "usage error" in err
+
+    @pytest.mark.parametrize("beta_max", ["11", "16"])
+    def test_family_gap_is_a_usage_error(self, capsys, beta_max):
+        # checked for the whole range before any sample is drawn
+        code, out, err = run(capsys, ["clt-experiment", "--beta-min", "10",
+                                      "--beta-max", beta_max])
+        assert code == 3 and "usage error" in err
+        assert "no complete graph minus a matching" in err
+        assert out == "" and "beta 10" not in err
+
+    def test_beta_12_is_reached(self, capsys):
+        code, out, _ = run(capsys, ["clt-experiment", "--beta-min", "12",
+                                    "--beta-max", "12", "--samples", "1"])
+        assert code == 0
+        assert [row["beta"] for row in json.loads(out)["trend"]] == [12]
+
+
+#: Out-of-range option values on the strong-diagonal triangle (n = 3).
+OUT_OF_RANGE = [
+    ("nodal-dist", "--k", "0"),
+    ("nodal-dist", "--k", "4"),
+    ("critical-scan", "--k", "9"),
+    ("critical-scan", "--starts", "-1"),
+    ("transversality-check", "--k", "4"),
+    ("clt-experiment", "--samples", "0"),
+    ("clt-experiment", "--retry-cap", "-1"),
+    ("linkage-analyze", "--emit-fixture", "1"),
+    ("linkage-analyze", "--k", "4"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", OUT_OF_RANGE,
+                         ids=lambda x: str(x))
+def test_out_of_range_value_is_a_usage_error(tmp_path, capsys, command, flag,
+                                             value):
+    h = strong_diagonal_fixture(cycle_graph(3))
+    argv = {
+        "nodal-dist": ["--op", write_op(tmp_path, h)],
+        "critical-scan": ["--op", write_op(tmp_path, h), "--k", "1"],
+        "transversality-check": ["--op", write_op(tmp_path, h)],
+        "clt-experiment": ["--beta-min", "1", "--beta-max", "1"],
+        "linkage-analyze": ["--op", write_op(tmp_path, h), "--k", "1"]
+        if flag == "--k" else [],
+    }[command]
+    code, out, err = run(capsys, [command, *argv, flag, value])
+    assert code == 3 and "usage error" in err and flag in err
+    assert out == ""
 
 
 #: The options each subcommand accepts (besides -h/--help).

@@ -81,6 +81,24 @@ class TestMatchingFamilyTable:
         with pytest.raises(ValueError):
             matching_family_for_betti(0)
 
+    @pytest.mark.parametrize("beta", [11, 16, 22, 23, 29])
+    def test_gap_raises(self, beta):
+        with pytest.raises(ValueError, match=f"Betti number {beta}:"):
+            matching_family_for_betti(beta)
+
+    def test_every_other_beta_is_reached(self):
+        reached = set()
+        for n in range(3, 9):
+            for t in range(n // 2 + 1):
+                reached.add(betti_number(complete_minus_matching(n, t)))
+        for beta in range(1, 22):
+            if beta in reached:
+                n, t = matching_family_for_betti(beta)
+                assert betti_number(complete_minus_matching(n, t)) == beta
+            else:
+                with pytest.raises(ValueError):
+                    matching_family_for_betti(beta)
+
 
 class TestRandomGraphs:
     def test_connected_with_exact_edge_count(self):

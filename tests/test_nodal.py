@@ -9,6 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from conftest import classes_by_enumeration
 import magnodal
 import magnodal.nodal as nodal
 from magnodal.errors import (
@@ -46,7 +47,6 @@ from magnodal.nodal import (
 from magnodal.operators import (
     GaugePhase,
     SupportedMatrix,
-    gauge_classes_of_signings,
     gauge_transform,
 )
 from magnodal.spectral import eigh
@@ -390,7 +390,7 @@ def scalar_sweep(name, by_classes=False, tols=()):
     h = SWEEP_FIXTURES[name]()
     m, n, beta = h.graph.num_edges, h.graph.n, betti_number(h.graph)
     if by_classes:
-        rows = gauge_classes_of_signings(h).representatives
+        rows = classes_by_enumeration(h.graph).representatives
     else:
         rows = [tuple(-1 if (index >> i) & 1 else 1 for i in range(m))
                 for index in range(1 << m)]

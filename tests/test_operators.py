@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import class_id, classes_by_enumeration, cycle_masks, signs_of
 from magnodal.errors import (
     CapExceededError,
     GraphMismatchError,
     NotProperlySupportedError,
     SchemaError,
 )
-from magnodal.graphs import Graph, OneForm, coboundary
+from magnodal.families import path_graph, random_connected_graph
+from magnodal.graphs import Graph, OneForm, betti_number, num_components
 from magnodal.operators import (
     GaugePhase,
     SupportedMatrix,
@@ -233,43 +237,45 @@ class TestSigningClasses:
     def test_c3_two_classes_of_four(self):
         classes = gauge_classes_of_signings(c3_op())
         assert classes.num_classes == 2
-        assert classes.class_sizes == (4, 4)
-        assert len(classes.class_of) == 8
-        counts = {cid: 0 for cid in classes.class_ids}
-        for cid in classes.class_of:
-            counts[int(cid)] += 1
-        assert all(c == 4 for c in counts.values())
+        assert classes.class_size == 4
+        masks = cycle_masks(c3())
+        ids = [class_id(masks, index) for index in range(8)]
+        assert sorted(ids) == [0, 0, 0, 0, 1, 1, 1, 1]
 
     def test_k4_eight_classes_of_eight(self):
         classes = gauge_classes_of_signings(
             SupportedMatrix(k4(), np.zeros(4),
                             -np.ones(6, dtype=np.complex128)))
         assert classes.num_classes == 8
-        assert classes.class_sizes == (8,) * 8
+        assert classes.class_size == 8
 
     def test_tree_single_class(self):
         g = Graph(4, ((0, 1), (1, 2), (1, 3)))
         h = SupportedMatrix(g, np.zeros(4), -np.ones(3, dtype=np.complex128))
         classes = gauge_classes_of_signings(h)
         assert classes.num_classes == 1
-        assert classes.class_sizes == (2 ** 3,)
+        assert classes.class_size == 2 ** 3
 
     def test_representatives_lex_least(self):
         classes = gauge_classes_of_signings(c3_op())
-        for rep, cid in zip(classes.representatives, classes.class_ids):
-            assert all(isinstance(x, int) for x in rep)
-            members = [tuple(int(x) for x in signs_for_index(i, 3))
-                       for i in range(8) if classes.class_of[i] == cid]
-            assert rep == min(members)
+        reps = classes.representatives
+        assert reps.shape == (2, 3)
+        assert np.issubdtype(reps.dtype, np.integer)
+        assert not reps.flags.writeable
+        masks = cycle_masks(c3())
+        for cid, rep in enumerate(reps):
+            members = [signs_of(i, 3) for i in range(8)
+                       if class_id(masks, i) == cid]
+            assert tuple(int(x) for x in rep) == min(members)
 
     def test_members_gauge_equivalent_to_representative(self):
         h = c3_op()
         classes = gauge_classes_of_signings(h)
+        masks = cycle_masks(h.graph)
         # two signings in one class differ by a vertex sign flip, so the
         # parity over the fundamental cycle agrees; spot-check via fluxes
         for index in range(8):
-            cid = int(classes.class_of[index])
-            rep = classes.representatives[classes.class_ids.index(cid)]
+            rep = classes.representatives[class_id(masks, index)]
             hs = SupportedMatrix(h.graph, h.diag,
                                  h.offdiag * signs_for_index(index, 3))
             hr = SupportedMatrix(h.graph, h.diag,
@@ -281,6 +287,86 @@ class TestSigningClasses:
     def test_proper_support_required(self):
         with pytest.raises(NotProperlySupportedError):
             gauge_classes_of_signings(c3_op(off=(0.0, -1.0, -1.0)))
+
+
+def unit_op(g):
+    return SupportedMatrix(g, np.zeros(g.n),
+                           -np.ones(g.num_edges, dtype=np.complex128))
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(r + offset, s + offset) for r, s in g.edges]
+        offset += g.n
+    return Graph(offset, tuple(edges))
+
+
+def random_graph_of_betti(beta, rng):
+    """Random connected graph on the fewest vertices that carry beta."""
+    n = 1
+    while n * (n - 1) // 2 < n - 1 + beta:
+        n += 1
+    return random_connected_graph(n, n - 1 + beta, rng)
+
+
+DEGENERATE_GRAPHS = {
+    "two-triangles": disjoint_union(c3(), c3()),
+    "k4+k3": disjoint_union(k4(), c3()),
+    "triangle+path": disjoint_union(c3(), path_graph(3)),
+    "tree": Graph(5, ((0, 1), (0, 2), (2, 3), (2, 4))),
+    "edgeless": Graph(3, ()),
+    "one-vertex": Graph(1, ()),
+}
+
+
+class TestClassesAgainstEnumeration:
+    """Elimination against the visit-every-signing oracle."""
+
+    @staticmethod
+    def check(g):
+        classes = gauge_classes_of_signings(unit_op(g))
+        oracle = classes_by_enumeration(g)
+        assert oracle.class_ids == tuple(range(classes.num_classes))
+        assert set(oracle.class_sizes) == {classes.class_size}
+        assert classes.representatives.shape == (classes.num_classes,
+                                                 g.num_edges)
+        assert [tuple(int(x) for x in row)
+                for row in classes.representatives] \
+            == list(oracle.representatives)
+
+    @pytest.mark.parametrize("beta", range(11))
+    def test_random_connected(self, beta):
+        g = random_graph_of_betti(beta, np.random.default_rng(600 + beta))
+        assert betti_number(g) == beta
+        self.check(g)
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_GRAPHS))
+    def test_disconnected_and_degenerate(self, name):
+        self.check(DEGENERATE_GRAPHS[name])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                             max_size=n * (n - 1) // 2))))
+    def test_property_on_small_graphs(self, spec):
+        n, keep = spec
+        pairs = [(r, s) for r in range(n) for s in range(r + 1, n)]
+        g = Graph(n, tuple(e for e, k in zip(pairs, keep) if k))
+        m, beta = g.num_edges, betti_number(g)
+        classes = gauge_classes_of_signings(unit_op(g))
+        assert classes.num_classes == 2 ** beta
+        assert classes.class_size == 2 ** (n - num_components(g))
+        masks = cycle_masks(g)
+        least: dict[int, tuple[int, ...]] = {}
+        sizes = [0] * classes.num_classes
+        for index in range(1 << m):
+            cid = class_id(masks, index)
+            sizes[cid] += 1
+            least[cid] = min(least.get(cid, (1,) * m), signs_of(index, m))
+        assert sizes == [classes.class_size] * classes.num_classes
+        for cid, rep in enumerate(classes.representatives):
+            assert tuple(int(x) for x in rep) == least[cid]
 
 
 class TestSymmetryEquivalence:

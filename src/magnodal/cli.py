@@ -42,16 +42,10 @@ from .nodal import (
     nodal_count,
     normalized_distribution,
 )
-from .operators import (
-    abs_part,
-    operator_from_json,
-    operator_to_json,
-    phase_form,
-)
+from .operators import operator_from_json, operator_to_json
 from .serialize import csv_cell, dumps_canonical, write_csv, write_json
 from .spectral import DEGENERACY_TOL, VANISH_TOL, eigh
 from .transversality import (
-    eigenspace_basis,
     find_edge_separated_pair,
     is_transverse_at,
     splits_graph,
@@ -192,12 +186,6 @@ def _load_operator(args):
         raise _UsageError(f"--k {k} is outside 1..{h.graph.n}, the "
                           f"eigenvalue positions of the operator")
     return h
-
-
-def _point_of(h) -> TorusPoint:
-    if h.is_real:
-        return TorusPoint.from_operator(h)
-    return TorusPoint(abs_part(h), phase_form(h).values)
 
 
 def _stem(out: str) -> str:
@@ -400,7 +388,7 @@ def cmd_linkage_analyze(args) -> None:
         if args.k is None:
             raise _UsageError("linkage-analyze needs --k")
         h = _load_operator(args)
-        point, k = _point_of(h), args.k
+        point, k = TorusPoint.from_operator(h), args.k
     analysis = analyze_exceptional(point, k,
                                    tol_degeneracy=args.tol_degeneracy,
                                    tol_vanish=args.tol_vanish,
@@ -430,10 +418,8 @@ def cmd_linkage_analyze(args) -> None:
 
 def cmd_transversality_check(args) -> None:
     h = _load_operator(args)
-    es = eigh(h)
-    report = is_transverse_at(h, args.k, tol_degeneracy=args.tol_degeneracy,
-                              es=es)
-    basis = eigenspace_basis(h, args.k, args.tol_degeneracy, es=es)
+    report = is_transverse_at(h, args.k, tol_degeneracy=args.tol_degeneracy)
+    basis = report.basis
     support = support_of_eigenspace(basis)
     splitting = splits_graph(h.graph, basis) if support else False
     pair = find_edge_separated_pair(h.graph, basis)

@@ -130,24 +130,19 @@ def _require_same_graph(a: Graph, b: Graph) -> None:
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex components, each sorted, ordered by smallest member."""
-    seen = [False] * g.n
-    comps: list[list[int]] = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        queue = [root]
-        seen[root] = True
-        comp = []
-        while queue:
-            u = queue.pop(0)
-            comp.append(u)
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
+    """Vertex components, each sorted, ordered by smallest member.
+
+    Each vertex joins the component of its root in ``bfs_forest``,
+    which is the component's smallest vertex.
+    """
+    _, parent = bfs_forest(g)
+    comps: dict[int, list[int]] = {}
+    for v in range(g.n):
+        root = v
+        while parent[root] != -1:
+            root = parent[root]
+        comps.setdefault(root, []).append(v)
+    return list(comps.values())
 
 
 def num_components(g: Graph) -> int:

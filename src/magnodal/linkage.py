@@ -315,10 +315,12 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
         raise InternalCrossCheckError(
             f"bar vectors fail to close up (residual {closure:.3e}); the "
             f"eigen-equation at the vanishing vertex is not satisfied")
-    if not is_generic(lengths):
+    try:
+        topology = solvability_and_connectivity(lengths)
+    except NonGenericLengthsError as exc:
         raise LinkageHypothesisError(
-            "bar lengths are not generic; hypothesis (2) fails", hypothesis=2)
-    topology = solvability_and_connectivity(lengths)
+            "bar lengths are not generic; hypothesis (2) fails",
+            hypothesis=2) from exc
 
     c = resolvent_coefficient(h, k, v0, tol_rel=tol_degeneracy, es=es)
     if abs(c) <= shift_tol:
@@ -468,9 +470,10 @@ def build_exceptional_fixture(degree: int, seed: int = 0, *,
         b = rng.uniform(0.5, 1.5, size=degree) * rng.choice([-1.0, 1.0],
                                                             size=degree)
         lengths = LinkageLengths(np.abs(b) * vpos[:degree])
-        if not is_generic(lengths):
-            continue
-        if solvability_and_connectivity(lengths).kind == "empty":
+        try:
+            if solvability_and_connectivity(lengths).kind == "empty":
+                continue
+        except NonGenericLengthsError:
             continue
         theta = sample_configuration(lengths, seed=seed + attempt)
 

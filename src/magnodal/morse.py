@@ -31,10 +31,12 @@ from .errors import (
     NonSimpleEigenvalueError,
     NotCriticalError,
     NotProperlySupportedError,
+    VanishingEigenvectorError,
 )
 from .graphs import CycleBasis, Graph, OneForm, cycle_basis
 from .nodal import edge_products, nodal_surplus
 from .operators import (
+    FLUX_TOL,
     SupportedMatrix,
     abs_part,
     is_gauge_equiv_to_symmetry,
@@ -123,13 +125,12 @@ class TorusPoint:
     @classmethod
     def from_operator(cls, h: SupportedMatrix, alpha: OneForm | None = None
                       ) -> "TorusPoint":
-        """Point representing ``alpha`` acting on a real matrix ``h``.
+        """Point representing ``alpha`` acting on a properly supported ``h``.
 
-        The base becomes the entrywise modulus of ``h``, with the signs
-        of ``h`` absorbed into the angles.
+        ``h`` may be real or complex.  The base becomes the entrywise
+        modulus of ``h``, with the phases of ``h`` (its signs, when it is
+        real) absorbed into the angles.
         """
-        if not h.is_real:
-            raise ValueError("from_operator needs a real matrix")
         if not is_properly_supported(h):
             raise NotProperlySupportedError("torus points need proper support")
         angles = phase_form(h).values.copy()
@@ -269,17 +270,18 @@ def _classify(s: _SimpleEigen, tol: float, tol_vanish: float
                                  tuple(vanishing))
     if not vanishing:
         h, products = s.h, s.products
-        equiv, _ = is_gauge_equiv_to_symmetry(h)
-        if not equiv:
-            # Criticality within tol * scale allows each entry phase to
-            # sit off a multiple of pi by about tol * scale / |product|,
-            # so retry the flux test with that slack before concluding
-            # the invariant is broken.
-            floor = float(np.min(np.abs(products.real))) if products.size \
-                else 1.0
-            if floor > 0.0:
-                slack = h.graph.num_edges * tol * h.norm_fro / floor
-                equiv, _ = is_gauge_equiv_to_symmetry(h, tol=slack)
+        # Criticality within tol * scale allows each entry phase to sit
+        # off a multiple of pi by about tol * scale / |product|, so the
+        # flux test gets that slack before concluding the invariant is
+        # broken.  The test is monotone in its tolerance, so one run at
+        # the larger of FLUX_TOL and the slack decides.
+        flux_tol = FLUX_TOL
+        floor = float(np.min(np.abs(products.real))) if products.size \
+            else 1.0
+        if floor > 0.0:
+            flux_tol = max(FLUX_TOL,
+                           h.graph.num_edges * tol * h.norm_fro / floor)
+        equiv, _ = is_gauge_equiv_to_symmetry(h, tol=flux_tol)
         if not equiv:
             raise InternalCrossCheckError(
                 "critical point with a simple eigenvalue and nowhere-"
@@ -730,24 +732,19 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
         es = eigh(hs)
         for k in range(1, h.graph.n + 1):
             try:
-                s = _simple_eigen(hs, k, es, tol_degeneracy)
-            except NonSimpleEigenvalueError as exc:
-                m = exc.multiplicity
-                rows.append(VerifyRow(bits, k, "skipped",
-                                      reason=f"multiplicity {m}"))
-                continue
-            ok, vanishing = is_nowhere_vanishing(s.v, tol_vanish)
-            if not ok:
-                rows.append(VerifyRow(bits, k, "skipped",
-                                      reason=f"vanishes at {vanishing}"))
-                continue
-            try:
                 surplus = nodal_surplus(hs, k, es=es,
                                         tol_degeneracy=tol_degeneracy,
                                         tol_vanish=tol_vanish)
-            except AdmissibilityError as exc:  # degenerate products
-                rows.append(VerifyRow(bits, k, "skipped", reason=str(exc)))
+            except AdmissibilityError as exc:
+                if isinstance(exc, NonSimpleEigenvalueError):
+                    reason = f"multiplicity {exc.multiplicity}"
+                elif isinstance(exc, VanishingEigenvectorError):
+                    reason = f"vanishes at {list(exc.vertices)}"
+                else:  # degenerate products
+                    reason = str(exc)
+                rows.append(VerifyRow(bits, k, "skipped", reason=reason))
                 continue
+            s = _simple_eigen(hs, k, es, tol_degeneracy)
             index, nullity = morse_index(_hessian(s, chart, tol_degeneracy),
                                          rank_tol)
             if nullity != 0:

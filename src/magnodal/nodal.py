@@ -49,6 +49,7 @@ from .spectral import (
     VANISH_TOL,
     EigenSystem,
     eigh,
+    eigh_dense,
     is_nowhere_vanishing,
     multiplicity,
 )
@@ -209,16 +210,13 @@ def _surplus_counts(h: SupportedMatrix, chunks, weight: int,
     and ``nodal_count``'s checks run for every signing and k at once,
     with its tolerances and comparisons: simple eigenvalue, no vanishing
     entry, real and nonzero edge products, and surpluses inside
-    ``[0, beta]``.  Eigenvector signs are left as the solver returns
-    them; the checks and the edge products do not depend on them.  A
-    signing's surpluses enter the total times ``weight`` only when every
-    k passes.  A signing that fails an admissibility check is either
-    counted as ``weight`` skipped signings or, when not skipping and it
-    is the first failing row, re-run through ``nodal_count``, which
-    raises the error; a surplus outside ``[0, beta]`` is re-run even
-    when skipping, so the bound check's ``InternalCrossCheckError``
-    stays the scalar one.  A block the stacked solver cannot solve is
-    redone one signing at a time.
+    ``[0, beta]``.  A signing's surpluses enter the total times
+    ``weight`` only when every k passes.  A signing that fails an
+    admissibility check is either counted as ``weight`` skipped signings
+    or, when not skipping and it is the first failing row, re-run
+    through ``nodal_count``, which raises the error; a surplus outside
+    ``[0, beta]`` is re-run even when skipping, so the bound check's
+    ``InternalCrossCheckError`` stays the scalar one.
     """
     kwargs = dict(tol_degeneracy=tol_degeneracy, tol_vanish=tol_vanish,
                   tol_real=tol_real, tol_product=tol_product)
@@ -233,17 +231,7 @@ def _surplus_counts(h: SupportedMatrix, chunks, weight: int,
         dense = np.repeat(base[None], len(rows), axis=0)
         dense[:, rs[:, 0], rs[:, 1]] *= rows
         dense[:, rs[:, 1], rs[:, 0]] *= rows
-        try:
-            values, vectors = np.linalg.eigh(dense)
-        except np.linalg.LinAlgError:
-            for signs in rows:
-                try:
-                    counts += weight * _signing_histogram(h, signs, kwargs)
-                except InadmissibleSigningError:
-                    if not skip_inadmissible:
-                        raise
-                    skipped += weight
-            continue
+        values, vectors = eigh_dense(dense)
         vectors = vectors.swapaxes(1, 2)  # (signing, k, vertex)
         products = edge_products(h, vectors) * rows[:, None, :]
         tol = tol_degeneracy * np.maximum(1.0, np.max(np.abs(values), axis=1))

@@ -15,10 +15,12 @@ SCHEMA_VERSION = 1
 
 
 def format_float(x: float) -> str:
-    """Shortest-faithful fixed rendering of a float.
+    """Fixed 17-significant-digit rendering of a float.
 
-    17 significant digits round-trip every double exactly; NaN and
-    infinities are rejected rather than invented as JSON extensions.
+    17 significant digits round-trip every double exactly, though not
+    always in the fewest digits (``0.1`` prints ``0.10000000000000001``);
+    NaN and infinities are rejected rather than invented as JSON
+    extensions.
     """
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise TypeError(f"not a float: {x!r}")

@@ -69,17 +69,23 @@ def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigh(h: SupportedMatrix) -> EigenSystem:
-    """Full eigensystem of a supported matrix.
+def eigh_dense(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvector columns of a dense Hermitian
+    matrix, or of each matrix in a stack along the leading axes.
 
     Identical input bits produce identical output bits, which the
-    sweep-style computations rely on.
+    sweep-style computations rely on.  A solver failure raises
+    ``EigenSolverError``.
     """
-    dense = h.to_dense()
     try:
-        values, vectors = np.linalg.eigh(dense)
+        return np.linalg.eigh(dense)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"dense eigensolve failed: {exc}") from exc
+
+
+def eigh(h: SupportedMatrix) -> EigenSystem:
+    """Full eigensystem of a supported matrix."""
+    values, vectors = eigh_dense(h.to_dense())
     vectors = _normalize_phases(vectors)
     values = values.copy()
     values.setflags(write=False)

@@ -183,7 +183,8 @@ class TransversalityReport:
     compression test (full rank is ``multiplicity`` squared).
     ``kernel_witness`` is a unit-Frobenius Hermitian matrix supported
     off the graph with (h - lambda) X numerically zero, present only
-    when not transverse.
+    when not transverse.  ``basis`` is the eigenspace basis both tests
+    ran on.
     """
 
     transverse: bool
@@ -194,6 +195,7 @@ class TransversalityReport:
     kernel_dimension: int
     compression_rank: int
     kernel_witness: np.ndarray | None
+    basis: EigenspaceBasis
 
 
 def is_transverse_at(h: SupportedMatrix, k: int, *,
@@ -271,6 +273,7 @@ def is_transverse_at(h: SupportedMatrix, k: int, *,
         kernel_dimension=kernel_dim,
         compression_rank=rank,
         kernel_witness=witness,
+        basis=basis,
     )
 
 

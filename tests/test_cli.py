@@ -358,6 +358,28 @@ class TestTransversalityCheck:
         assert payload["kernel_witness"] is None
         assert payload["edge_separated_pair"] is None
 
+    def test_eigenspace_is_built_once(self, tmp_path, capsys, monkeypatch):
+        import magnodal.cli as cli
+        import magnodal.transversality as transversality
+
+        calls = 0
+        original = transversality.eigenspace_basis
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        for module in (cli, transversality):
+            if hasattr(module, "eigenspace_basis"):
+                monkeypatch.setattr(module, "eigenspace_basis", counting)
+        h, k = two_triangle_join()
+        op = write_op(tmp_path, h)
+        code, _, _ = run(capsys, ["transversality-check", "--op", op,
+                                  "--k", str(k)])
+        assert code == 0
+        assert calls == 1
+
 
 class TestCltExperiment:
     def test_tiny_run(self, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnodal.errors import (
     GraphMismatchError,
@@ -79,6 +81,33 @@ class TestGraph:
         assert g.edges == ()
         assert num_components(g) == 0
         assert betti_number(g) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                             max_size=n * (n - 1) // 2))))
+    def test_components_match_union_find(self, spec):
+        n, keep = spec
+        pairs = [(r, s) for r in range(n) for s in range(r + 1, n)]
+        g = Graph(n, tuple(e for e, k in zip(pairs, keep) if k))
+        assert connected_components(g) == union_find_components(g)
+
+
+def union_find_components(g):
+    """Components by union-find, the oracle for ``connected_components``."""
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for r, s in g.edges:
+        root[max(find(r), find(s))] = min(find(r), find(s))
+    comps = {}
+    for v in range(g.n):
+        comps.setdefault(find(v), []).append(v)
+    return sorted(comps.values())
 
 
 class TestFormsAndChains:

@@ -261,3 +261,29 @@ class TestAnalyzeExceptional:
         with pytest.raises(LinkageHypothesisError) as err:
             analyze_exceptional(p, 2)
         assert err.value.hypothesis == 1
+
+    def test_genericity_is_checked_once(self, monkeypatch):
+        import magnodal.linkage as linkage
+
+        fixtures = [build_exceptional_fixture(d, seed=0) for d in range(3, 7)]
+        calls = 0
+        original = linkage.is_generic
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linkage, "is_generic", counting)
+        for fx in fixtures:
+            analyze_exceptional(fx.point, fx.k)
+        assert calls == len(fixtures)
+
+    def test_nongeneric_lengths_fail_hypothesis_two(self, monkeypatch):
+        import magnodal.linkage as linkage
+
+        fx = build_exceptional_fixture(3, seed=0)
+        monkeypatch.setattr(linkage, "is_generic", lambda lengths: False)
+        with pytest.raises(LinkageHypothesisError) as err:
+            analyze_exceptional(fx.point, fx.k)
+        assert err.value.hypothesis == 2

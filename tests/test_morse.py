@@ -1,9 +1,12 @@
 """Torus points, eigenvalue gradients, Hessians, and critical scans."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from magnodal.errors import (
+    AdmissibilityError,
     NonSimpleEigenvalueError,
     NotCriticalError,
     NotProperlySupportedError,
@@ -11,6 +14,7 @@ from magnodal.errors import (
 from magnodal.families import (
     complete_graph,
     cycle_graph,
+    degenerate_ring_fixture,
     path_graph,
     random_operator,
     strong_diagonal_fixture,
@@ -32,9 +36,19 @@ from magnodal.morse import (
     morse_index,
     verify_index_equals_surplus,
 )
-from magnodal.nodal import nodal_count
-from magnodal.operators import SupportedMatrix, abs_part
-from magnodal.spectral import eigh, pseudo_inverse_apply
+from magnodal.nodal import nodal_count, nodal_surplus
+from magnodal.operators import (
+    FLUX_TOL,
+    SupportedMatrix,
+    abs_part,
+    is_gauge_equiv_to_symmetry,
+)
+from magnodal.spectral import (
+    eigh,
+    is_nowhere_vanishing,
+    multiplicity,
+    pseudo_inverse_apply,
+)
 
 
 def triangle_base():
@@ -191,6 +205,21 @@ class TestIsCritical:
         rep = is_critical(fx.point, fx.k)
         assert rep.critical and rep.kind == "exceptional"
         assert rep.vanishing == (0,)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_flux_slack_near_a_symmetry_point(self, k):
+        # Within CRITICAL_TOL of the real point the fluxes sit off pi by
+        # more than FLUX_TOL; only the slack test calls the point real.
+        h = abs_part(strong_diagonal_fixture(complete_graph(4), eta=10.0))
+        chart = gauge_chart(h.graph)
+        near = TorusPoint.from_coords(h, np.array([1e-6, 0.0, 0.0]), chart)
+        equiv, _ = is_gauge_equiv_to_symmetry(near.operator(), tol=FLUX_TOL)
+        assert not equiv
+        rep = is_critical(near, k)
+        assert rep.critical and rep.kind == "symmetry"
+        off = TorusPoint.from_coords(h, np.array([1e-5, 0.0, 0.0]), chart)
+        rep = is_critical(off, k)
+        assert not rep.critical and rep.kind == "smooth-regular"
 
 
 class TestFrozenForm:
@@ -461,6 +490,47 @@ class TestOneOperatorPerSolve:
         assert counts["eigh"] == 64
         assert counts["magnetic_action"] <= counts["eigh"]
 
+    def test_verify_index_checks_each_pair_once(self, monkeypatch):
+        import magnodal.morse as morse
+        import magnodal.nodal as nodal
+
+        morse_counts = count_calls(monkeypatch, morse, "is_nowhere_vanishing")
+        nodal_counts = count_calls(monkeypatch, nodal, "is_nowhere_vanishing")
+        verify_index_equals_surplus(strong_diagonal_fixture(complete_graph(5)))
+        assert morse_counts["is_nowhere_vanishing"] == 0
+        assert nodal_counts["is_nowhere_vanishing"] == 64 * 5
+
+
+def verify_rows_oracle(h, tol_vanish):
+    """Skip decisions of ``verify_index_equals_surplus`` as three checks.
+
+    Multiplicity, then vanishing entries, then ``nodal_surplus``: the
+    order the checks ran in before ``nodal_surplus`` alone decided.
+    """
+    base = abs_part(h)
+    chart = gauge_chart(h.graph)
+    rows = []
+    for bits in itertools.product((0, 1), repeat=chart.dim):
+        coords = np.array([np.pi if b else 0.0 for b in bits])
+        hs = TorusPoint.from_coords(base, coords, chart).operator()
+        es = eigh(hs)
+        for k in range(1, h.graph.n + 1):
+            m, _ = multiplicity(es, k)
+            if m != 1:
+                rows.append((bits, k, "skipped", f"multiplicity {m}"))
+                continue
+            ok, vanishing = is_nowhere_vanishing(es.vector(k), tol_vanish)
+            if not ok:
+                rows.append((bits, k, "skipped", f"vanishes at {vanishing}"))
+                continue
+            try:
+                surplus = nodal_surplus(hs, k, es=es, tol_vanish=tol_vanish)
+            except AdmissibilityError as exc:
+                rows.append((bits, k, "skipped", str(exc)))
+                continue
+            rows.append((bits, k, "ok", surplus))
+    return rows
+
 
 class TestVerifyIndexSurplus:
     def test_triangle_all_classes(self):
@@ -484,6 +554,27 @@ class TestVerifyIndexSurplus:
             == [((0,), 1, 0, 0), ((0,), 4, 1, 1)]
         assert all("multiplicity" in r.reason for r in t.rows
                    if r.status == "skipped")
+
+    @pytest.mark.parametrize("case,tol_vanish,reason", [
+        ("ring-C4", 1e-8, "multiplicity 2"),
+        ("zero-diagonal-P3", 1e-8, "vanishes at [1]"),
+        ("zero-diagonal-P3", 0.0, "edge products too close to zero on "
+         "edges [(0, 1), (1, 2)]"),
+        ("strong-K4", 1e-8, None),
+    ])
+    def test_skip_reasons_match_the_three_check_oracle(self, case, tol_vanish,
+                                                       reason):
+        h = {"ring-C4": degenerate_ring_fixture(4)[0],
+             "zero-diagonal-P3": SupportedMatrix(
+                 path_graph(3), np.zeros(3),
+                 -np.ones(2, dtype=np.complex128)),
+             "strong-K4": strong_diagonal_fixture(complete_graph(4))}[case]
+        t = verify_index_equals_surplus(h, tol_vanish=tol_vanish)
+        got = [(r.class_parities, r.k, r.status,
+                r.surplus if r.status == "ok" else r.reason) for r in t.rows]
+        assert got == verify_rows_oracle(h, tol_vanish)
+        reasons = {r.reason for r in t.rows if r.status == "skipped"}
+        assert reasons == (set() if reason is None else {reason})
 
     def test_complex_matrix_rejected(self):
         g = path_graph(2)

@@ -522,29 +522,14 @@ class TestSweepAgainstScalarOracle:
 
 
 class TestStackedSolveFallback:
-    """A chunk the stacked solver rejects is solved one signing at a time."""
-
-    def test_same_counts_and_errors(self, monkeypatch):
-        original = np.linalg.eigh
-
-        def no_stacks(a, *args, **kwargs):
-            if np.ndim(a) > 2:
-                raise np.linalg.LinAlgError("stacked solve refused")
-            return original(a, *args, **kwargs)
-
-        expected = average_surplus_distribution(
-            half_admissible_op(), skip_inadmissible=True)
-        monkeypatch.setattr(np.linalg, "eigh", no_stacks)
-        d = average_surplus_distribution(half_admissible_op(),
-                                         skip_inadmissible=True)
-        assert d.counts.tolist() == expected.counts.tolist()
-        assert d.skipped == expected.skipped == 4
-        with pytest.raises(InadmissibleSigningError) as err:
-            average_surplus_distribution(half_admissible_op())
-        assert err.value.signs == (1, 1, 1)
+    """A chunk the stacked solver rejects raises at once."""
 
     def test_solver_failure_is_reported(self, monkeypatch):
+        calls = 0
+
         def failing(a, *args, **kwargs):
+            nonlocal calls
+            calls += 1
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", failing)
@@ -552,6 +537,7 @@ class TestStackedSolveFallback:
             average_surplus_distribution(
                 strong_diagonal_fixture(complete_graph(3)),
                 skip_inadmissible=True)
+        assert calls == 1  # no signing is solved again on its own
 
 
 def test_rejection_the_scalar_path_does_not_share_is_internal(monkeypatch):

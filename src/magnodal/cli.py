@@ -46,10 +46,10 @@ from .operators import operator_from_json, operator_to_json
 from .serialize import csv_cell, dumps_canonical, write_csv, write_json
 from .spectral import DEGENERACY_TOL, VANISH_TOL, eigh
 from .transversality import (
-    find_edge_separated_pair,
+    SUPPORT_TOL,
+    _separated_pair,
+    _support_components,
     is_transverse_at,
-    splits_graph,
-    support_of_eigenspace,
 )
 
 
@@ -419,10 +419,9 @@ def cmd_linkage_analyze(args) -> None:
 def cmd_transversality_check(args) -> None:
     h = _load_operator(args)
     report = is_transverse_at(h, args.k, tol_degeneracy=args.tol_degeneracy)
-    basis = report.basis
-    support = support_of_eigenspace(basis)
-    splitting = splits_graph(h.graph, basis) if support else False
-    pair = find_edge_separated_pair(h.graph, basis)
+    support, comps = _support_components(h.graph, report.basis, SUPPORT_TOL)
+    splitting = len(comps) > 1
+    pair = _separated_pair(h.graph, report.basis, comps, SUPPORT_TOL)
     payload = {
         "k": args.k,
         "multiplicity": report.multiplicity,

@@ -3,8 +3,13 @@
 Edges are stored canonically as pairs ``(r, s)`` with ``r < s``, sorted
 lexicographically.  Every array indexed "per edge" follows that order.
 A chain assigns integer coefficients to edges, a one-form assigns real
-values; both are tied to a specific graph instance.  The fundamental
-cycle basis is built from a breadth-first spanning forest and is
+values; both are tied to a specific graph instance.
+
+A graph owns one spanning forest: the breadth-first walk runs once per
+graph and is cached.  It gives the parent of each vertex and its root
+path, the signed chain from the root of its tree down to the vertex.
+The components, the fundamental cycle basis and the gauge witness of
+``operators.is_gauge_equiv_to_symmetry`` all read it, so they are
 deterministic for a given graph.
 """
 
@@ -63,6 +68,11 @@ class Graph:
         """Number of connected components, found once per graph."""
         return len(connected_components(self))
 
+    @cached_property
+    def spanning_forest(self) -> "SpanningForest":
+        """The breadth-first spanning forest, walked once per graph."""
+        return _bfs_walk(self)
+
     def has_edge(self, r: int, s: int) -> bool:
         return (min(r, s), max(r, s)) in self.edge_index
 
@@ -108,6 +118,21 @@ class OneForm:
 
 
 @dataclass(frozen=True, eq=False)
+class SpanningForest:
+    """Forest edges, parent array (-1 at roots) and root paths.
+
+    Row ``v`` of the read-only ``up`` is the chain of tree edges from
+    the root of ``v``'s tree down to ``v``.  The fundamental cycle of a
+    non-forest edge ``(r, s)`` is ``e_rs + up[r] - up[s]``: the shared
+    part of the two root paths cancels.
+    """
+
+    edges: tuple[tuple[int, int], ...]
+    parent: tuple[int, ...]
+    up: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class CycleBasis:
     """Spanning forest plus one fundamental cycle per non-forest edge.
 
@@ -132,10 +157,10 @@ def _require_same_graph(a: Graph, b: Graph) -> None:
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex components, each sorted, ordered by smallest member.
 
-    Each vertex joins the component of its root in ``bfs_forest``,
-    which is the component's smallest vertex.
+    Each vertex joins the component of its root in the graph's spanning
+    forest, which is the component's smallest vertex.
     """
-    _, parent = bfs_forest(g)
+    parent = g.spanning_forest.parent
     comps: dict[int, list[int]] = {}
     for v in range(g.n):
         root = v
@@ -183,11 +208,17 @@ def boundary(xi: Chain) -> np.ndarray:
 def bfs_forest(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[int]]:
     """Breadth-first spanning forest.
 
-    Returns the canonical forest edges and a parent array with -1 at
-    roots.  Roots are the smallest vertex of each component and
+    Returns the canonical forest edges and a fresh parent array with -1
+    at roots.  Roots are the smallest vertex of each component and
     neighbors are visited in ascending order, so the forest is a
     deterministic function of the graph.
     """
+    forest = g.spanning_forest
+    return forest.edges, list(forest.parent)
+
+
+def _bfs_walk(g: Graph) -> SpanningForest:
+    """The one breadth-first walk behind ``Graph.spanning_forest``."""
     parent = [-1] * g.n
     seen = [False] * g.n
     forest: list[tuple[int, int]] = []
@@ -204,48 +235,37 @@ def bfs_forest(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[int]]:
                     parent[w] = u
                     forest.append((min(u, w), max(u, w)))
                     queue.append(w)
-    return tuple(sorted(forest)), parent
+    return SpanningForest(tuple(sorted(forest)), tuple(parent),
+                          _root_paths(g, parent))
 
 
-def cycle_basis_from_forest(g: Graph, forest: tuple[tuple[int, int], ...],
-                            parent: list[int]) -> CycleBasis:
-    """Fundamental cycles of the non-forest edges over a given forest."""
+def _root_paths(g: Graph, parent) -> np.ndarray:
+    """Read-only root path of every vertex of the forest ``parent``."""
+    up = np.zeros((g.n, g.num_edges), dtype=np.int64)
+    done = [p == -1 for p in parent]
+    for v in range(g.n):
+        path = []
+        while not done[v]:
+            path.append(v)
+            v = parent[v]
+        for w in reversed(path):
+            u = parent[w]
+            up[w] = up[u]
+            up[w, g.index_of(u, w)] += 1 if u < w else -1
+            done[w] = True
+    up.setflags(write=False)
+    return up
+
+
+def _fundamental_cycles(g: Graph, forest: tuple[tuple[int, int], ...],
+                        up: np.ndarray) -> CycleBasis:
+    """One cycle ``e_rs + up[r] - up[s]`` per non-forest edge ``(r, s)``."""
     forest_set = set(forest)
     nonforest = tuple(e for e in g.edges if e not in forest_set)
-
-    def path_up(v: int) -> list[int]:
-        path = [v]
-        while parent[path[-1]] != -1:
-            path.append(parent[path[-1]])
-        return path
-
     cycles = []
     for (r, s) in nonforest:
-        up_r = path_up(r)
-        up_s = path_up(s)
-        in_r = {v: i for i, v in enumerate(up_r)}
-        j = 0
-        while up_s[j] not in in_r:
-            j += 1
-        lca = up_s[j]
-        coeffs = np.zeros(g.num_edges, dtype=np.int64)
-
-        def add_step(a: int, b: int) -> None:
-            i = g.index_of(a, b)
-            coeffs[i] += 1 if a < b else -1
-
-        add_step(r, s)
-        v = s
-        while v != lca:
-            add_step(v, parent[v])
-            v = parent[v]
-        down = []
-        v = r
-        while v != lca:
-            down.append(v)
-            v = parent[v]
-        for v in reversed(down):
-            add_step(parent[v], v)
+        coeffs = up[r] - up[s]
+        coeffs[g.index_of(r, s)] += 1
         chain = Chain(g, coeffs)
         if np.any(boundary(chain)):
             raise InternalCrossCheckError(
@@ -254,10 +274,16 @@ def cycle_basis_from_forest(g: Graph, forest: tuple[tuple[int, int], ...],
     return CycleBasis(g, forest, nonforest, tuple(cycles))
 
 
+def cycle_basis_from_forest(g: Graph, forest: tuple[tuple[int, int], ...],
+                            parent: list[int]) -> CycleBasis:
+    """Fundamental cycles of the non-forest edges over a given forest."""
+    return _fundamental_cycles(g, forest, _root_paths(g, parent))
+
+
 def cycle_basis(g: Graph) -> CycleBasis:
-    """Deterministic fundamental cycle basis from the BFS forest."""
-    forest, parent = bfs_forest(g)
-    basis = cycle_basis_from_forest(g, forest, parent)
+    """Deterministic fundamental cycle basis from the graph's BFS forest."""
+    forest = g.spanning_forest
+    basis = _fundamental_cycles(g, forest.edges, forest.up)
     if len(basis) != betti_number(g):
         raise InternalCrossCheckError(
             "cycle basis size does not match the Betti number")
@@ -317,45 +343,3 @@ def graph_from_json(obj) -> Graph:
         return Graph(n, tuple(pairs))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-
-
-def oneform_to_json(alpha: OneForm) -> dict:
-    return {
-        "graph": graph_to_json(alpha.graph),
-        "values": [
-            {"edge": [r, s], "value": float(v)}
-            for (r, s), v in zip(alpha.graph.edges, alpha.values)
-        ],
-    }
-
-
-def oneform_from_json(obj) -> OneForm:
-    """Parse a one-form document; every edge must appear exactly once."""
-    if not isinstance(obj, dict) or "graph" not in obj or "values" not in obj:
-        raise SchemaError("one-form document needs keys 'graph' and 'values'")
-    g = graph_from_json(obj["graph"])
-    entries = obj["values"]
-    if not isinstance(entries, list):
-        raise SchemaError("'values' must be a list")
-    vals = np.full(g.num_edges, np.nan)
-    seen = set()
-    for item in entries:
-        if not isinstance(item, dict) or "edge" not in item or "value" not in item:
-            raise SchemaError("each value entry needs 'edge' and 'value'")
-        e = item["edge"]
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise SchemaError(f"bad edge reference {e!r}")
-        key = (min(e), max(e))
-        if key not in g.edge_index:
-            raise SchemaError(f"edge {e!r} is not in the graph")
-        if key in seen:
-            raise SchemaError(f"edge {e!r} listed twice")
-        seen.add(key)
-        v = item["value"]
-        if not _is_number(v):
-            raise SchemaError(f"value for edge {e!r} must be a finite number")
-        vals[g.edge_index[key]] = float(v)
-    if len(seen) != g.num_edges:
-        missing = [e for e in g.edges if e not in seen]
-        raise SchemaError(f"missing values for edges {missing}")
-    return OneForm(g, vals)

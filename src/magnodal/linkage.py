@@ -36,11 +36,10 @@ from .morse import (
     TorusPoint,
     _classify,
     _hessian,
-    _simple_eigen,
     gauge_chart,
     morse_index,
 )
-from .nodal import nodal_surplus
+from .nodal import _simple_eigen, nodal_surplus
 from .operators import GaugePhase, SupportedMatrix, gauge_transform
 from .spectral import (
     DEGENERACY_TOL,

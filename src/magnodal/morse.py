@@ -2,19 +2,21 @@
 
 A real properly supported matrix spans a torus of operators, one angle
 per edge.  Vertex phases act on that torus, and a gauge slice that pins
-the angles of a spanning forest to zero gives coordinates on the
-quotient: one angle per independent cycle.  Eigenvalues become
+the angles of the graph's spanning forest to zero gives coordinates on
+the quotient: one angle per independent cycle.  Eigenvalues become
 functions of those coordinates, and this module computes their
-gradients, Hessians, Morse indices, and critical points.
+gradients, Hessians, Morse indices, and critical points.  The scan and
+the index check visit the ``2^beta`` symmetry points, coordinates in
+{0, pi}, through one generator that solves each point once.
 
-Every derivative starts from one solve at the point: the operator, its
-eigensystem, the simple k-th eigenpair and the edge products.  The
-eigenvalue Hessian is assembled from first-order eigenvector responses
-through the spectral pseudo-inverse; second-order perturbation theory
-makes it valid at every simple eigenvalue, so the critical-point search
-uses it as its Newton Jacobian.  Restricting the full torus Hessian to
-the gauge slice loses nothing because the vertex-phase directions are
-in its kernel.
+Every derivative starts from one solve at the point, ``nodal``'s
+``_simple_eigen``: the operator, its eigensystem, the simple k-th
+eigenpair and the edge products.  The eigenvalue Hessian is assembled
+from first-order eigenvector responses through the spectral
+pseudo-inverse; second-order perturbation theory makes it valid at
+every simple eigenvalue, so the critical-point search uses it as its
+Newton Jacobian.  Restricting the full torus Hessian to the gauge slice
+loses nothing because the vertex-phase directions are in its kernel.
 """
 
 from __future__ import annotations
@@ -30,17 +32,15 @@ from .errors import (
     InternalCrossCheckError,
     NonSimpleEigenvalueError,
     NotCriticalError,
-    NotProperlySupportedError,
     VanishingEigenvectorError,
 )
 from .graphs import CycleBasis, Graph, OneForm, cycle_basis
-from .nodal import edge_products, nodal_surplus
+from .nodal import _count, _simple_eigen, _SimpleEigen
 from .operators import (
     FLUX_TOL,
     SupportedMatrix,
     abs_part,
     is_gauge_equiv_to_symmetry,
-    is_properly_supported,
     magnetic_action,
     phase_form,
 )
@@ -50,7 +50,6 @@ from .spectral import (
     EigenSystem,
     eigh,
     is_nowhere_vanishing,
-    multiplicity,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -63,6 +62,9 @@ RANK_TOL = 1e-7
 
 #: Points closer than this in the torus metric are the same point.
 DEDUP_TOL = 1e-6
+
+#: Relative asymmetry the assembled Hessian may carry before it raises.
+HESSIAN_SYM_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,22 +84,21 @@ class GaugeChart:
         return len(self.basis.nonforest_edges)
 
 
-def gauge_chart(graph: Graph, basis: CycleBasis | None = None) -> GaugeChart:
-    return GaugeChart(graph, basis if basis is not None else cycle_basis(graph))
+def gauge_chart(graph: Graph) -> GaugeChart:
+    return GaugeChart(graph, cycle_basis(graph))
 
 
 @dataclass(frozen=True, eq=False)
 class TorusPoint:
     """Point of the phase torus over a real base matrix.
 
-    Stores the full vector of edge angles reduced modulo 2 pi.  A
-    gauge-fixed point keeps its forest angles at zero and is addressed
-    through its non-forest coordinates.
+    Stores the full vector of edge angles reduced modulo 2 pi.  A point
+    built from chart coordinates keeps its forest angles at zero and is
+    addressed through its non-forest coordinates.
     """
 
     base: SupportedMatrix
     angles: np.ndarray
-    gauge_fixed: bool = False
 
     def __post_init__(self):
         if not self.base.is_real:
@@ -120,7 +121,7 @@ class TorusPoint:
             raise ValueError("coordinate vector length does not match the chart")
         angles = np.zeros(base.graph.num_edges)
         angles[chart.nonforest_indices] = coords
-        return cls(base, angles, gauge_fixed=True)
+        return cls(base, angles)
 
     @classmethod
     def from_operator(cls, h: SupportedMatrix, alpha: OneForm | None = None
@@ -129,10 +130,9 @@ class TorusPoint:
 
         ``h`` may be real or complex.  The base becomes the entrywise
         modulus of ``h``, with the phases of ``h`` (its signs, when it is
-        real) absorbed into the angles.
+        real) absorbed into the angles; ``phase_form`` rejects a zero
+        edge entry.
         """
-        if not is_properly_supported(h):
-            raise NotProperlySupportedError("torus points need proper support")
         angles = phase_form(h).values.copy()
         if alpha is not None:
             if alpha.graph != h.graph:
@@ -150,46 +150,7 @@ class TorusPoint:
         return TorusPoint.from_coords(self.base, coords, chart)
 
     def conjugate(self) -> "TorusPoint":
-        return TorusPoint(self.base, -self.angles, gauge_fixed=self.gauge_fixed)
-
-
-@dataclass(frozen=True, eq=False)
-class _SimpleEigen:
-    """One solve at a torus point: operator, eigenpair and edge products."""
-
-    h: SupportedMatrix
-    es: EigenSystem
-    v: np.ndarray
-    lam: float
-    products: np.ndarray
-
-    @property
-    def gradient(self) -> np.ndarray:
-        """Eigenvalue derivative along each edge angle."""
-        return -2.0 * self.products.imag
-
-    @property
-    def max_imag_product(self) -> float:
-        return float(np.max(np.abs(self.products.imag))) \
-            if self.products.size else 0.0
-
-    def is_flat(self, tol: float) -> bool:
-        """Criticality: every edge product real within ``tol * norm``."""
-        return self.max_imag_product <= tol * self.h.norm_fro
-
-
-def _simple_eigen(h: SupportedMatrix, k: int, es: EigenSystem | None,
-                  tol_degeneracy: float) -> _SimpleEigen:
-    """Solve ``h`` (or take ``es``); the k-th eigenvalue must be simple."""
-    if es is None:
-        es = eigh(h)
-    m, _ = multiplicity(es, k, tol_degeneracy)
-    if m != 1:
-        raise NonSimpleEigenvalueError(
-            f"eigenvalue {k} has multiplicity {m}; the eigenvalue is not "
-            f"differentiable here", k=k, multiplicity=m)
-    v = es.vector(k)
-    return _SimpleEigen(h, es, v, es.value(k), edge_products(h, v))
+        return TorusPoint(self.base, -self.angles)
 
 
 def eigenvalue_gradient(p: TorusPoint, k: int, *,
@@ -334,8 +295,7 @@ def hessian_frozen_form(p: TorusPoint, k: int, *,
 def hessian_eigenvalue(p: TorusPoint, k: int, *,
                        chart: GaugeChart | None = None,
                        es: EigenSystem | None = None,
-                       tol_degeneracy: float = DEGENERACY_TOL,
-                       tol_sym: float = 1e-9) -> np.ndarray:
+                       tol_degeneracy: float = DEGENERACY_TOL) -> np.ndarray:
     """Eigenvalue Hessian on the gauge-slice coordinates.
 
     Entry ``(i, j)`` couples unit angle directions on non-forest edges
@@ -344,15 +304,15 @@ def hessian_eigenvalue(p: TorusPoint, k: int, *,
     operator on a single edge; the first-order eigenvector responses
     come from one solve against the spectral pseudo-inverse, and equal
     directions pick up the diagonal frozen-form term.  The result is
-    symmetrized after an asymmetry check.
+    symmetrized after an asymmetry check against ``HESSIAN_SYM_TOL``.
     """
     return _hessian(_simple_eigen(p.operator(), k, es, tol_degeneracy),
                     chart if chart is not None else gauge_chart(p.graph),
-                    tol_degeneracy, tol_sym)
+                    tol_degeneracy)
 
 
-def _hessian(s: _SimpleEigen, chart: GaugeChart, tol_degeneracy: float,
-             tol_sym: float = 1e-9) -> np.ndarray:
+def _hessian(s: _SimpleEigen, chart: GaugeChart, tol_degeneracy: float
+             ) -> np.ndarray:
     """``hessian_eigenvalue`` at a simple eigenvalue."""
     if chart.dim == 0:
         return np.zeros((0, 0))
@@ -372,7 +332,7 @@ def _hessian(s: _SimpleEigen, chart: GaugeChart, tol_degeneracy: float,
     H = 2.0 * np.real(Vp.conj().T @ W).T
     H[cols, cols] += -2.0 * s.products.real[idx]
     asym = float(np.max(np.abs(H - H.T)))
-    if asym > tol_sym * max(1.0, float(np.max(np.abs(H)))):
+    if asym > HESSIAN_SYM_TOL * max(1.0, float(np.max(np.abs(H)))):
         raise InternalCrossCheckError(
             f"assembled Hessian asymmetry {asym:.3e} beyond tolerance")
     return 0.5 * (H + H.T)
@@ -500,12 +460,13 @@ def _halton(count: int, dim: int) -> np.ndarray:
     return points
 
 
-def _report_at(p: TorusPoint, k: int, chart: GaugeChart, origin: str, *,
-               tol_degeneracy: float, tol_vanish: float, rank_tol: float
-               ) -> CriticalPointReport:
+def _report_at(p: TorusPoint, h: SupportedMatrix, es: EigenSystem, k: int,
+               chart: GaugeChart, origin: str, *, tol_degeneracy: float,
+               tol_vanish: float, rank_tol: float) -> CriticalPointReport:
+    """Report at ``p`` from its operator ``h`` and eigensystem ``es``."""
     coords = tuple(float(c) for c in p.coords(chart))
     try:
-        s = _simple_eigen(p.operator(), k, None, tol_degeneracy)
+        s = _simple_eigen(h, k, es, tol_degeneracy)
     except NonSimpleEigenvalueError as exc:
         return CriticalPointReport(coords, k, "incorrigible",
                                    exc.multiplicity, (), None, None, None,
@@ -588,6 +549,20 @@ def _gap(es: EigenSystem, k: int) -> float:
     return float(min(gaps)) if gaps else float("inf")
 
 
+def _symmetry_points(base: SupportedMatrix, chart: GaugeChart):
+    """Yield ``(bits, point, operator, eigensystem)`` per symmetry class.
+
+    The ``2^beta`` gauge-slice points have coordinate ``pi`` where the
+    bit is 1 and 0 elsewhere, in ``itertools.product`` order; the first
+    is the base matrix itself.
+    """
+    for bits in itertools.product((0, 1), repeat=chart.dim):
+        p = TorusPoint.from_coords(
+            base, np.array([np.pi if b else 0.0 for b in bits]), chart)
+        h = p.operator()
+        yield bits, p, h, eigh(h)
+
+
 def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
                   seed: int = 0, tol_degeneracy: float = DEGENERACY_TOL,
                   tol_vanish: float = VANISH_TOL,
@@ -606,14 +581,13 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
     base = abs_part(h)
     chart = gauge_chart(h.graph)
     beta = chart.dim
-    scale = max(1.0, float(np.max(np.abs(eigh(base).values))))
-    gtol = 1e-10 * scale
 
     reports: list[CriticalPointReport] = []
     incorrigible: list[tuple[tuple[float, ...], float]] = []
-    for bits in itertools.product((0.0, np.pi), repeat=beta):
-        p = TorusPoint.from_coords(base, np.array(bits), chart)
-        reports.append(_report_at(p, k, chart, "symmetry-enumeration",
+    for _, p, hp, es in _symmetry_points(base, chart):
+        if not reports:  # the base matrix sets the gradient tolerance
+            gtol = 1e-10 * max(1.0, float(np.max(np.abs(es.values))))
+        reports.append(_report_at(p, hp, es, k, chart, "symmetry-enumeration",
                                   tol_degeneracy=tol_degeneracy,
                                   tol_vanish=tol_vanish, rank_tol=rank_tol))
 
@@ -661,7 +635,8 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
                 partner = j
                 break
         p = TorusPoint.from_coords(base, x, chart)
-        rep = _report_at(p, k, chart, "search",
+        hp = p.operator()
+        rep = _report_at(p, hp, eigh(hp), k, chart, "search",
                          tol_degeneracy=tol_degeneracy,
                          tol_vanish=tol_vanish, rank_tol=rank_tol)
         if partner is not None:
@@ -722,19 +697,13 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
     """
     if not h.is_real:
         raise ValueError("verification expects a real matrix")
-    base = abs_part(h)
     chart = gauge_chart(h.graph)
-    beta = chart.dim
     rows: list[VerifyRow] = []
-    for bits in itertools.product((0, 1), repeat=beta):
-        coords = np.array([np.pi if b else 0.0 for b in bits])
-        hs = TorusPoint.from_coords(base, coords, chart).operator()
-        es = eigh(hs)
+    for bits, _, hs, es in _symmetry_points(abs_part(h), chart):
         for k in range(1, h.graph.n + 1):
             try:
-                surplus = nodal_surplus(hs, k, es=es,
-                                        tol_degeneracy=tol_degeneracy,
-                                        tol_vanish=tol_vanish)
+                s = _simple_eigen(hs, k, es, tol_degeneracy)
+                surplus = _count(s, tol_vanish) - (k - 1)
             except AdmissibilityError as exc:
                 if isinstance(exc, NonSimpleEigenvalueError):
                     reason = f"multiplicity {exc.multiplicity}"
@@ -744,7 +713,6 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
                     reason = str(exc)
                 rows.append(VerifyRow(bits, k, "skipped", reason=reason))
                 continue
-            s = _simple_eigen(hs, k, es, tol_degeneracy)
             index, nullity = morse_index(_hessian(s, chart, tol_degeneracy),
                                          rank_tol)
             if nullity != 0:

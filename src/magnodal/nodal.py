@@ -19,6 +19,12 @@ dropped whole and counted, so the counts always sum to the sample
 count.  Errors come from the scalar code: the first failing signing is
 solved again on its own and ``nodal_count`` raises, so it stays the one
 place that words them and the oracle the kernel is tested against.
+
+Every scalar decision at one eigenvalue position starts from one solve,
+``_simple_eigen``: the operator, its eigensystem, the simple k-th
+eigenpair and the edge products.  ``nodal_count`` runs its checks on
+that object, and the Morse module takes its gradients and Hessians
+from the same object.
 """
 
 from __future__ import annotations
@@ -72,6 +78,46 @@ def edge_products(h: SupportedMatrix, v: np.ndarray) -> np.ndarray:
     return np.conj(v[..., rs[:, 0]]) * h.offdiag * v[..., rs[:, 1]]
 
 
+@dataclass(frozen=True, eq=False)
+class _SimpleEigen:
+    """One solve: operator, simple k-th eigenpair and edge products."""
+
+    h: SupportedMatrix
+    es: EigenSystem
+    k: int
+    v: np.ndarray
+    lam: float
+    products: np.ndarray
+
+    @property
+    def gradient(self) -> np.ndarray:
+        """Eigenvalue derivative along each edge angle."""
+        return -2.0 * self.products.imag
+
+    @property
+    def max_imag_product(self) -> float:
+        return float(np.max(np.abs(self.products.imag))) \
+            if self.products.size else 0.0
+
+    def is_flat(self, tol: float) -> bool:
+        """Criticality: every edge product real within ``tol * norm``."""
+        return self.max_imag_product <= tol * self.h.norm_fro
+
+
+def _simple_eigen(h: SupportedMatrix, k: int, es: EigenSystem | None,
+                  tol_degeneracy: float) -> _SimpleEigen:
+    """Solve ``h`` (or take ``es``); the k-th eigenvalue must be simple."""
+    if es is None:
+        es = eigh(h)
+    m, _ = multiplicity(es, k, tol_degeneracy)
+    if m != 1:
+        raise NonSimpleEigenvalueError(
+            f"eigenvalue {k} has multiplicity {m}; it must be simple",
+            k=k, multiplicity=m)
+    v = es.vector(k)
+    return _SimpleEigen(h, es, k, v, es.value(k), edge_products(h, v))
+
+
 def nodal_count(h: SupportedMatrix, k: int, *,
                 es: EigenSystem | None = None,
                 tol_degeneracy: float = DEGENERACY_TOL,
@@ -85,33 +131,30 @@ def nodal_count(h: SupportedMatrix, k: int, *,
     failure raises its own error type.  On a connected graph the count
     lands in ``[k - 1, k - 1 + beta]``.
     """
-    if es is None:
-        es = eigh(h)
-    m, _ = multiplicity(es, k, tol_degeneracy)
-    if m != 1:
-        raise NonSimpleEigenvalueError(
-            f"eigenvalue {k} has multiplicity {m}; nodal count undefined",
-            k=k, multiplicity=m)
-    v = es.vector(k)
-    ok, vanishing = is_nowhere_vanishing(v, tol_vanish)
+    return _count(_simple_eigen(h, k, es, tol_degeneracy), tol_vanish,
+                  tol_real, tol_product)
+
+
+def _count(s: _SimpleEigen, tol_vanish: float,
+           tol_real: float = PRODUCT_REAL_TOL,
+           tol_product: float = PRODUCT_DEGENERATE_TOL) -> int:
+    """``nodal_count`` at a simple eigenvalue."""
+    h, k, products = s.h, s.k, s.products
+    ok, vanishing = is_nowhere_vanishing(s.v, tol_vanish)
     if not ok:
         raise VanishingEigenvectorError(
             f"eigenvector {k} vanishes at vertices {vanishing}",
             vertices=vanishing)
-    products = edge_products(h, v)
-    scale = h.norm_fro
-    if products.size:
-        worst = float(np.max(np.abs(products.imag)))
-        if worst > tol_real * scale:
-            raise EdgeProductNotRealError(
-                f"edge products for eigenvector {k} are not real "
-                f"(max imaginary part {worst:.3e}); the matrix is not at a "
-                f"critical point")
-        small = np.abs(products.real) < tol_product * scale
-        if np.any(small):
-            bad = [h.graph.edges[i] for i in np.nonzero(small)[0]]
-            raise DegenerateEdgeProductError(
-                f"edge products too close to zero on edges {bad}", edges=bad)
+    if not s.is_flat(tol_real):
+        raise EdgeProductNotRealError(
+            f"edge products for eigenvector {k} are not real "
+            f"(max imaginary part {s.max_imag_product:.3e}); the matrix is "
+            f"not at a critical point")
+    small = np.abs(products.real) < tol_product * h.norm_fro
+    if np.any(small):
+        bad = [h.graph.edges[i] for i in np.nonzero(small)[0]]
+        raise DegenerateEdgeProductError(
+            f"edge products too close to zero on edges {bad}", edges=bad)
     count = int(np.count_nonzero(products.real > 0.0))
     if num_components(h.graph) == 1:
         beta = betti_number(h.graph)

@@ -26,8 +26,8 @@ from .errors import (
     NotProperlySupportedError,
     SchemaError,
 )
-from .graphs import (Graph, OneForm, _is_number, bfs_forest, coboundary,
-                     cycle_basis, graph_from_json, graph_to_json, integrate)
+from .graphs import (Graph, OneForm, _is_number, coboundary, cycle_basis,
+                     graph_from_json, graph_to_json, integrate)
 
 TWO_PI = 2.0 * np.pi
 
@@ -317,40 +317,12 @@ def is_gauge_equiv_to_symmetry(h: SupportedMatrix, tol: float = FLUX_TOL
         if min(rem, np.pi - rem) > tol:
             return False, None
 
-    # Reduce each phase to its nearest multiple of pi offset, then
-    # propagate over the forest so tree edges cancel exactly.  Non-tree
-    # edges are then multiples of pi up to the flux residues.
+    # Reduce each phase to its offset from the nearest multiple of pi
+    # and undo the offsets along each root path: every tree edge then
+    # cancels, and non-tree edges are multiples of pi up to the flux
+    # residues.
     reduced = alpha.values - np.pi * np.round(alpha.values / np.pi)
-    forest, parent = bfs_forest(h.graph)
-    theta = np.zeros(h.graph.n)
-    order = _forest_order(parent)
-    for w in order:
-        u = parent[w]
-        if u == -1:
-            continue
-        i = h.graph.index_of(u, w)
-        step = reduced[i] if u < w else -reduced[i]
-        theta[w] = theta[u] - step
-    return True, GaugePhase(theta)
-
-
-def _forest_order(parent: list[int]) -> list[int]:
-    """Vertices ordered so parents precede children."""
-    n = len(parent)
-    children: list[list[int]] = [[] for _ in range(n)]
-    roots = []
-    for v, p in enumerate(parent):
-        if p == -1:
-            roots.append(v)
-        else:
-            children[p].append(v)
-    order = []
-    stack = list(reversed(roots))
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(children[v]))
-    return order
+    return True, GaugePhase(-(h.graph.spanning_forest.up @ reduced))
 
 
 def operator_to_json(h: SupportedMatrix) -> dict:

@@ -85,10 +85,6 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def complex_to_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
 def write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_canonical(payload))

@@ -100,14 +100,24 @@ def support_of_eigenspace(basis: EigenspaceBasis,
     return tuple(int(i) for i in np.nonzero(norms > tol)[0])
 
 
+def _support_components(g: Graph, basis: EigenspaceBasis, tol: float
+                        ) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The eigenspace support and the components of the subgraph it
+    induces, in the original vertex labels."""
+    supp = support_of_eigenspace(basis, tol)
+    if not supp:
+        return supp, []
+    sub, _ = induced_subgraph(g, supp)
+    return supp, [[supp[i] for i in comp] for comp in connected_components(sub)]
+
+
 def splits_graph(g: Graph, basis: EigenspaceBasis,
                  tol: float = SUPPORT_TOL) -> bool:
     """True when the support induces a disconnected subgraph."""
-    supp = support_of_eigenspace(basis, tol)
-    if len(supp) == 0:
+    supp, comps = _support_components(g, basis, tol)
+    if not supp:
         raise ValueError("eigenspace support is empty")
-    sub, _ = induced_subgraph(g, list(supp))
-    return len(connected_components(sub)) > 1
+    return len(comps) > 1
 
 
 def projects_surjectively(basis: EigenspaceBasis, edge: tuple[int, int],
@@ -290,12 +300,13 @@ def find_edge_separated_pair(g: Graph, basis: EigenspaceBasis,
     eigenvectors; this component-wise search is the only strategy
     tried.
     """
-    supp = support_of_eigenspace(basis, tol)
-    if len(supp) == 0:
-        return None
-    sub, _ = induced_subgraph(g, list(supp))
-    inv = sorted(supp)
-    comps = [[inv[i] for i in comp] for comp in connected_components(sub)]
+    return _separated_pair(g, basis, _support_components(g, basis, tol)[1],
+                           tol)
+
+
+def _separated_pair(g: Graph, basis: EigenspaceBasis, comps: list[list[int]],
+                    tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """``find_edge_separated_pair`` over the support components ``comps``."""
     if len(comps) < 2:
         return None
     found: list[np.ndarray] = []

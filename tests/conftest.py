@@ -6,14 +6,17 @@ the run, whether or not output capture is active.
 
 ``classes_by_enumeration`` is the switching-class oracle: it visits
 every one of the ``2^|E|`` signings, so it stays independent of the
-elimination in ``gauge_classes_of_signings``.
+elimination in ``gauge_classes_of_signings``.  ``cycle_basis_by_lca``
+is the fundamental-cycle oracle: it walks each cycle through the lowest
+common ancestor, independent of the root paths in ``graphs``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
-from magnodal.graphs import Graph, cycle_basis
+from magnodal.graphs import Chain, CycleBasis, Graph, cycle_basis
 
 ACCEPTANCE_RESULTS: list[tuple[int, str, str, str]] = []
 
@@ -32,6 +35,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f"  ({detail})"
         tr.write_line(line)
+
+
+def small_graphs(max_n: int):
+    """Hypothesis strategy: any graph on at most ``max_n`` vertices."""
+    def on(n):
+        pairs = [(r, s) for r in range(n) for s in range(r + 1, n)]
+        return st.lists(st.booleans(), min_size=len(pairs),
+                        max_size=len(pairs)).map(
+            lambda keep: Graph(n, tuple(e for e, k in zip(pairs, keep) if k)))
+    return st.integers(0, max_n).flatmap(on)
 
 
 def cycle_masks(g: Graph) -> list[int]:
@@ -82,3 +95,50 @@ def classes_by_enumeration(g: Graph) -> EnumeratedClasses:
     ids = tuple(sorted(best))
     return EnumeratedClasses(class_of, ids, tuple(sizes[c] for c in ids),
                              tuple(best[c] for c in ids))
+
+
+def cycle_basis_by_lca(g: Graph, forest, parent) -> CycleBasis:
+    """Fundamental cycles over a forest, each walked edge by edge.
+
+    The cycle of a non-forest edge ``(r, s)`` steps from ``r`` to ``s``,
+    up the tree from ``s`` to the lowest common ancestor of ``r`` and
+    ``s``, and down from there to ``r``.
+    """
+    forest_set = set(forest)
+    nonforest = tuple(e for e in g.edges if e not in forest_set)
+
+    def path_up(v: int) -> list[int]:
+        path = [v]
+        while parent[path[-1]] != -1:
+            path.append(parent[path[-1]])
+        return path
+
+    cycles = []
+    for (r, s) in nonforest:
+        up_r = path_up(r)
+        up_s = path_up(s)
+        in_r = {v: i for i, v in enumerate(up_r)}
+        j = 0
+        while up_s[j] not in in_r:
+            j += 1
+        lca = up_s[j]
+        coeffs = np.zeros(g.num_edges, dtype=np.int64)
+
+        def add_step(a: int, b: int) -> None:
+            i = g.index_of(a, b)
+            coeffs[i] += 1 if a < b else -1
+
+        add_step(r, s)
+        v = s
+        while v != lca:
+            add_step(v, parent[v])
+            v = parent[v]
+        down = []
+        v = r
+        while v != lca:
+            down.append(v)
+            v = parent[v]
+        for v in reversed(down):
+            add_step(parent[v], v)
+        cycles.append(Chain(g, coeffs))
+    return CycleBasis(g, tuple(forest), nonforest, tuple(cycles))

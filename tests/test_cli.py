@@ -283,6 +283,23 @@ class TestCriticalScan:
         lines = (tmp_path / "scan.csv").read_text().splitlines()
         assert lines[1].split(",")[0] == "classification"
 
+    def test_one_forest_walk_per_graph(self, tmp_path, capsys, monkeypatch):
+        import magnodal.graphs as graphs
+
+        walked = []
+        original = graphs._bfs_walk
+
+        def counting(g):
+            walked.append(g)
+            return original(g)
+
+        monkeypatch.setattr(graphs, "_bfs_walk", counting)
+        op = write_op(tmp_path, strong_diagonal_fixture(complete_graph(5)))
+        code, _, _ = run(capsys, ["critical-scan", "--op", op, "--k", "2",
+                                  "--starts", "4"])
+        assert code == 0
+        assert len(walked) == 1
+
     def test_complex_operator_exits_2(self, tmp_path, capsys):
         g = path_graph(2)
         h = SupportedMatrix(g, np.zeros(2), np.array([np.exp(0.4j)]))
@@ -379,6 +396,27 @@ class TestTransversalityCheck:
                                   "--k", str(k)])
         assert code == 0
         assert calls == 1
+
+    def test_support_is_found_once(self, tmp_path, capsys, monkeypatch):
+        import magnodal.transversality as transversality
+
+        counts = {"support_of_eigenspace": 0, "connected_components": 0}
+        for name in counts:
+            def counting(*args, _name=name,
+                         _inner=getattr(transversality, name), **kwargs):
+                counts[_name] += 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(transversality, name, counting)
+        h, k = two_triangle_join()
+        op = write_op(tmp_path, h)
+        code, out, _ = run(capsys, ["transversality-check", "--op", op,
+                                    "--k", str(k)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["splits_graph"] is True
+        assert payload["edge_separated_pair"] is not None
+        assert counts == {"support_of_eigenspace": 1,
+                          "connected_components": 1}
 
 
 class TestCltExperiment:

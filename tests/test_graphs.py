@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cycle_basis_by_lca, small_graphs
 from magnodal.errors import (
     GraphMismatchError,
     InternalCrossCheckError,
@@ -24,8 +25,6 @@ from magnodal.graphs import (
     induced_subgraph,
     integrate,
     num_components,
-    oneform_from_json,
-    oneform_to_json,
 )
 
 
@@ -83,14 +82,31 @@ class TestGraph:
         assert betti_number(g) == 0
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
-        st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
-                             max_size=n * (n - 1) // 2))))
-    def test_components_match_union_find(self, spec):
-        n, keep = spec
-        pairs = [(r, s) for r in range(n) for s in range(r + 1, n)]
-        g = Graph(n, tuple(e for e, k in zip(pairs, keep) if k))
+    @given(small_graphs(9))
+    def test_components_match_union_find(self, g):
         assert connected_components(g) == union_find_components(g)
+
+    def test_one_forest_walk_per_graph(self, monkeypatch):
+        import magnodal.graphs as graphs
+
+        walks = 0
+        original = graphs._bfs_walk
+
+        def counting(g):
+            nonlocal walks
+            walks += 1
+            return original(g)
+
+        monkeypatch.setattr(graphs, "_bfs_walk", counting)
+        g = k4()
+        for _ in range(3):
+            bfs_forest(g)
+            cycle_basis(g)
+            connected_components(g)
+        assert walks == 1
+        forest, parent = bfs_forest(g)
+        parent[1] = 3
+        assert bfs_forest(g) == (forest, [-1, 0, 0, 0])
 
 
 def union_find_components(g):
@@ -108,6 +124,69 @@ def union_find_components(g):
     for v in range(g.n):
         comps.setdefault(find(v), []).append(v)
     return sorted(comps.values())
+
+
+def kruskal_forest(g, order):
+    """Spanning forest from the edges taken in ``order``.
+
+    Each tree is rooted at its largest vertex and its parents are set
+    depth first, so neither the forest nor the parent order is the
+    breadth-first one.
+    """
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    forest = []
+    for i in order:
+        r, s = g.edges[i]
+        a, b = find(r), find(s)
+        if a != b:
+            root[a] = b
+            forest.append((r, s))
+    nbrs = [[] for _ in range(g.n)]
+    for r, s in forest:
+        nbrs[r].append(s)
+        nbrs[s].append(r)
+    parent, seen = [-1] * g.n, [False] * g.n
+    for start in reversed(range(g.n)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in nbrs[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = u
+                    stack.append(w)
+    return tuple(sorted(forest)), parent
+
+
+def same_basis(a, b):
+    return (a.forest_edges == b.forest_edges
+            and a.nonforest_edges == b.nonforest_edges
+            and all(np.array_equal(x.coeffs, y.coeffs)
+                    for x, y in zip(a.cycles, b.cycles, strict=True)))
+
+
+class TestCyclesAgainstLca:
+    """Root-path differences against the lowest-common-ancestor walk."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bfs_and_custom_forests(self, data):
+        g = data.draw(small_graphs(9))
+        assert same_basis(cycle_basis(g),
+                          cycle_basis_by_lca(g, *bfs_forest(g)))
+        order = data.draw(st.permutations(range(g.num_edges)))
+        forest, parent = kruskal_forest(g, order)
+        assert same_basis(cycle_basis_from_forest(g, forest, parent),
+                          cycle_basis_by_lca(g, forest, parent))
 
 
 class TestFormsAndChains:
@@ -244,33 +323,6 @@ class TestJson:
                     {"n": 2, "edges": [[0, 0]]}, {"n": 2, "edges": "x"}):
             with pytest.raises(SchemaError):
                 graph_from_json(bad)
-
-    def test_oneform_round_trip(self):
-        alpha = OneForm(c3(), [0.25, -1.5, 3.125])
-        back = oneform_from_json(oneform_to_json(alpha))
-        assert back.graph == alpha.graph
-        assert np.array_equal(back.values, alpha.values)
-
-    def test_oneform_missing_edge(self):
-        doc = oneform_to_json(OneForm(c3(), [1.0, 2.0, 3.0]))
-        doc["values"].pop()
-        with pytest.raises(SchemaError):
-            oneform_from_json(doc)
-
-    def test_oneform_duplicate_edge(self):
-        doc = oneform_to_json(OneForm(c3(), [1.0, 2.0, 3.0]))
-        doc["values"].append(dict(doc["values"][0]))
-        with pytest.raises(SchemaError):
-            oneform_from_json(doc)
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
-                                       -float("inf"), 10 ** 400],
-                             ids=["nan", "inf", "-inf", "huge-int"])
-    def test_oneform_nonfinite_value(self, value):
-        doc = oneform_to_json(OneForm(c3(), [1.0, 2.0, 3.0]))
-        doc["values"][1]["value"] = value
-        with pytest.raises(SchemaError, match="finite"):
-            oneform_from_json(doc)
 
 
 class TestCycleBasisChecks:

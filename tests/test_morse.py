@@ -85,7 +85,6 @@ class TestTorusPoint:
         chart = gauge_chart(h.graph)
         assert chart.dim == 1
         p = TorusPoint.from_coords(h, [0.7], chart)
-        assert p.gauge_fixed
         nf = chart.nonforest_indices[0]
         assert p.angles[nf] == pytest.approx(0.7)
         assert np.count_nonzero(p.angles) == 1
@@ -499,6 +498,18 @@ class TestOneOperatorPerSolve:
         verify_index_equals_surplus(strong_diagonal_fixture(complete_graph(5)))
         assert morse_counts["is_nowhere_vanishing"] == 0
         assert nodal_counts["is_nowhere_vanishing"] == 64 * 5
+
+    def test_verify_index_solves_each_pair_once(self, monkeypatch):
+        import magnodal.morse as morse
+        import magnodal.nodal as nodal
+
+        names = ("multiplicity", "edge_products")
+        counts = [count_calls(monkeypatch, module,
+                              *(n for n in names if hasattr(module, n)))
+                  for module in (morse, nodal)]
+        verify_index_equals_surplus(strong_diagonal_fixture(complete_graph(5)))
+        total = {n: sum(c.get(n, 0) for c in counts) for n in names}
+        assert total == {"multiplicity": 64 * 5, "edge_products": 64 * 5}
 
 
 def verify_rows_oracle(h, tol_vanish):

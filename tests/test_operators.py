@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import class_id, classes_by_enumeration, cycle_masks, signs_of
+from conftest import (class_id, classes_by_enumeration, cycle_masks,
+                      signs_of, small_graphs)
 from magnodal.errors import (
     CapExceededError,
     GraphMismatchError,
@@ -13,6 +14,7 @@ from magnodal.errors import (
 from magnodal.families import path_graph, random_connected_graph
 from magnodal.graphs import Graph, OneForm, betti_number, num_components
 from magnodal.operators import (
+    FLUX_TOL,
     GaugePhase,
     SupportedMatrix,
     abs_part,
@@ -416,6 +418,21 @@ class TestSymmetryEquivalence:
         args = np.angle(flattened.offdiag)
         rem = np.abs(args - np.pi * np.round(args / np.pi))
         assert np.max(rem) <= 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(9), st.integers(0, 2 ** 32 - 1))
+    def test_witness_makes_gauged_signings_real(self, g, seed):
+        rng = np.random.default_rng(seed)
+        h = random_op(g, rng)
+        signed = SupportedMatrix(g, h.diag, h.offdiag * rng.choice(
+            [-1.0, 1.0], size=g.num_edges))
+        gauged = gauge_transform(
+            GaugePhase(rng.uniform(0, 2 * np.pi, g.n)), signed)
+        ok, witness = is_gauge_equiv_to_symmetry(gauged)
+        assert ok
+        args = np.angle(gauge_transform(witness, gauged).offdiag)
+        assert np.all(np.abs(args - np.pi * np.round(args / np.pi))
+                      <= FLUX_TOL)
 
 
 class TestOperatorJson:

@@ -6,7 +6,6 @@ import pytest
 
 from magnodal.serialize import (
     SCHEMA_VERSION,
-    complex_to_json,
     csv_cell,
     dumps_canonical,
     format_float,
@@ -73,9 +72,6 @@ class TestDumpsCanonical:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             dumps_canonical(1 + 2j)
-
-    def test_complex_helper(self):
-        assert complex_to_json(1 + 2j) == {"re": 1.0, "im": 2.0}
 
 
 class TestCsv:

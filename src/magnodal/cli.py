@@ -6,6 +6,12 @@ results payload; identical configs reproduce the results payload
 byte-for-byte.  Exit codes: 0 success, 2 precondition of the
 underlying statement unmet, 3 input/schema/usage error, 4 enumeration
 cap exceeded, 1 internal failure.
+
+``main`` builds the argument parser on its first call and reuses it for
+every later call in the process.  The parser holds no per-run state:
+``parse_args`` returns a fresh namespace each time, every default is
+immutable, the value parsers are pure functions, usage errors raise
+instead of being stored, and help text is formatted when it is printed.
 """
 
 from __future__ import annotations
@@ -160,6 +166,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--retry-cap", type=_at_least(0), default=10)
 
     return parser
+
+
+#: The parser ``main`` reuses, built by the first ``_parser()`` call.
+_PARSER: _Parser | None = None
+
+
+def _parser() -> _Parser:
+    """The parser ``main`` uses, built once per process."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +575,8 @@ def cmd_clt_experiment(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         args._t0 = time.monotonic()
         args.func(args)
         return 0

@@ -8,7 +8,8 @@ values; both are tied to a specific graph instance.
 A graph owns one spanning forest: the breadth-first walk runs once per
 graph and is cached.  It gives the parent of each vertex and its root
 path, the signed chain from the root of its tree down to the vertex.
-The components, the fundamental cycle basis and the gauge witness of
+The fundamental cycle basis is built from it once per graph and cached
+too.  The components, the cycle basis and the gauge witness of
 ``operators.is_gauge_equiv_to_symmetry`` all read it, so they are
 deterministic for a given graph.
 """
@@ -72,6 +73,12 @@ class Graph:
     def spanning_forest(self) -> "SpanningForest":
         """The breadth-first spanning forest, walked once per graph."""
         return _bfs_walk(self)
+
+    @cached_property
+    def fundamental_cycles(self) -> "CycleBasis":
+        """The cycle basis over ``spanning_forest``, built and checked
+        once per graph."""
+        return _checked_cycle_basis(self)
 
     def has_edge(self, r: int, s: int) -> bool:
         return (min(r, s), max(r, s)) in self.edge_index
@@ -281,7 +288,15 @@ def cycle_basis_from_forest(g: Graph, forest: tuple[tuple[int, int], ...],
 
 
 def cycle_basis(g: Graph) -> CycleBasis:
-    """Deterministic fundamental cycle basis from the graph's BFS forest."""
+    """Deterministic fundamental cycle basis from the graph's BFS forest.
+
+    The basis is cached with the graph; its chains are read-only.
+    """
+    return g.fundamental_cycles
+
+
+def _checked_cycle_basis(g: Graph) -> CycleBasis:
+    """The one build behind ``Graph.fundamental_cycles``."""
     forest = g.spanning_forest
     basis = _fundamental_cycles(g, forest.edges, forest.up)
     if len(basis) != betti_number(g):

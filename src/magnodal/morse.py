@@ -483,18 +483,19 @@ def _report_at(p: TorusPoint, h: SupportedMatrix, es: EigenSystem, k: int,
 
 def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
             start: np.ndarray, gtol: float, tol_degeneracy: float
-            ) -> tuple[str, np.ndarray, float]:
+            ) -> tuple[str, np.ndarray, float, _SimpleEigen | None]:
     """Drive the gauge-slice gradient to zero from one start.
 
     Damped Newton steps on the gradient map, with the analytic
     eigenvalue Hessian as Jacobian and backtracking on the squared
     norm; every trial point costs one eigensolve, shared by its
-    gradient and Hessian.  Returns a status, the final coordinates, and
-    an auxiliary number: the eigenvalue gap for the degenerate status,
-    read from the eigensystem that failed the simplicity check, or the
-    last Newton decrement for a converged run.  A small residual
-    gradient over a nearly flat Hessian still means a sizable position
-    error, and the decrement is what bounds it.
+    gradient and Hessian.  Returns a status, the final coordinates, an
+    auxiliary number and, for a converged run, the solve at the final
+    coordinates (``None`` otherwise).  The number is the eigenvalue gap
+    for the degenerate status, read from the eigensystem that failed the
+    simplicity check, or the last Newton decrement for a converged run.
+    A small residual gradient over a nearly flat Hessian still means a
+    sizable position error, and the decrement is what bounds it.
     """
     idx = chart.nonforest_indices
 
@@ -511,7 +512,7 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
     x = np.mod(start.copy(), TWO_PI)
     s = solve(x)
     if isinstance(s, float):
-        return "degenerate", x, s
+        return "degenerate", x, s, None
     for _ in range(60):
         g = s.gradient[idx]
         J = _hessian(s, chart, tol_degeneracy)
@@ -521,8 +522,8 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
             sn = solve(xn)
             if not isinstance(sn, float) and float(np.linalg.norm(
                     sn.gradient[idx])) < float(np.linalg.norm(g)):
-                x = xn
-            return "ok", x, float(np.linalg.norm(delta))
+                x, s = xn, sn
+            return "ok", x, float(np.linalg.norm(delta)), s
         f0 = float(g @ g)
         t = 1.0
         improved = False
@@ -530,7 +531,7 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
             xn = np.mod(x + t * delta, TWO_PI)
             sn = solve(xn)
             if isinstance(sn, float):
-                return "degenerate", xn, sn
+                return "degenerate", xn, sn, None
             gn = sn.gradient[idx]
             if float(gn @ gn) < f0 * (1.0 - 0.25 * t) + 1e-300:
                 x, s = xn, sn
@@ -538,8 +539,8 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
                 break
             t *= 0.5
         if not improved:
-            return "stuck", x, 0.0
-    return "maxiter", x, 0.0
+            return "stuck", x, 0.0, None
+    return "maxiter", x, 0.0, None
 
 
 def _gap(es: EigenSystem, k: int) -> float:
@@ -594,15 +595,15 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
     known = [np.array(r.coords) for r in reports]
     unconverged = 0
     attempted = 0
-    found: list[tuple[np.ndarray, float]] = []
+    found: list[tuple[np.ndarray, float, _SimpleEigen]] = []
     if beta > 0:
         grid = _halton(min(128, max(8, 2 ** beta)), beta) * TWO_PI
         rng = np.random.default_rng(seed)
         random_starts = rng.uniform(0.0, TWO_PI, size=(starts, beta))
         for start in np.vstack([grid, random_starts]):
             attempted += 1
-            status, x, aux = _polish(base, chart, k, start, gtol,
-                                     tol_degeneracy)
+            status, x, aux, s = _polish(base, chart, k, start, gtol,
+                                        tol_degeneracy)
             if status == "degenerate":
                 coords = tuple(float(c) for c in x)
                 if all(_torus_distance(x, np.array(c)) > DEDUP_TOL
@@ -616,14 +617,14 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
             if any(_torus_distance(x, c) <= radius for c in known):
                 continue
             if any(_torus_distance(x, c) <= max(radius, r)
-                   for c, r in found):
+                   for c, r, _ in found):
                 continue
-            found.append((x, radius))
+            found.append((x, radius, s))
 
     # Pair conjugate search points; keep the lexicographically smaller
     # coordinates as the primary report.
     consumed = set()
-    for i, (x, radius) in enumerate(found):
+    for i, (x, radius, s) in enumerate(found):
         if i in consumed:
             continue
         partner = None
@@ -635,8 +636,7 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
                 partner = j
                 break
         p = TorusPoint.from_coords(base, x, chart)
-        hp = p.operator()
-        rep = _report_at(p, hp, eigh(hp), k, chart, "search",
+        rep = _report_at(p, s.h, s.es, k, chart, "search",
                          tol_degeneracy=tol_degeneracy,
                          tol_vanish=tol_vanish, rank_tol=rank_tol)
         if partner is not None:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from magnodal import __version__, cli
 from magnodal.cli import _build_parser, main
 from magnodal.families import (
     complete_graph,
@@ -299,6 +300,26 @@ class TestCriticalScan:
                                   "--starts", "4"])
         assert code == 0
         assert len(walked) == 1
+
+    def test_one_cycle_basis_per_graph(self, tmp_path, capsys, monkeypatch):
+        import magnodal.graphs as graphs
+
+        checked = []
+        original = graphs.boundary
+
+        def counting(chain):
+            checked.append(chain.graph)
+            return original(chain)
+
+        monkeypatch.setattr(graphs, "boundary", counting)
+        op = write_op(tmp_path, strong_diagonal_fixture(complete_graph(5)))
+        code, _, _ = run(capsys, ["critical-scan", "--op", op, "--k", "2",
+                                  "--starts", "4"])
+        assert code == 0
+        # one boundary check per fundamental cycle of K5 (beta 6), all on
+        # the one graph the operator file was read into
+        assert len(checked) == 6
+        assert len({id(g) for g in checked}) == 1
 
     def test_complex_operator_exits_2(self, tmp_path, capsys):
         g = path_graph(2)
@@ -664,3 +685,105 @@ def test_cycle_basis_failure_is_an_internal_error(tmp_path, capsys,
     code, _, err = run(capsys, ["verify-index", "--op", op])
     assert code == 1 and "internal check failed" in err
     assert "nonzero boundary" in err
+
+
+@pytest.fixture
+def parser_cache(monkeypatch):
+    """Start with no cached parser, whatever ran before."""
+    monkeypatch.setattr(cli, "_PARSER", None)
+
+
+def run_fresh(capsys, monkeypatch, argv):
+    """``run`` with a parser built for this call alone."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", _build_parser)
+        return run(capsys, argv)
+
+
+@pytest.mark.usefixtures("parser_cache")
+class TestParserReuse:
+    """``main`` builds its parser once per process, and the parser keeps
+    nothing from one call to the next."""
+
+    def test_built_once(self, tmp_path, capsys, monkeypatch):
+        built = 0
+
+        def counting():
+            nonlocal built
+            built += 1
+            return _build_parser()
+
+        monkeypatch.setattr(cli, "_build_parser", counting)
+        op = write_op(tmp_path, triangle_op())
+        codes = [run(capsys, argv)[0] for argv in [
+            ["spectrum", "--op", op],
+            ["avg-dist", "--op", op],
+            ["nodal-dist", "--op", op, "--seed", "1"],
+            ["spectrum", "--op", op, "--format", "csv"],
+            ["no-such-command"],
+        ] * 3]
+        assert codes == [0, 0, 3, 0, 3] * 3
+        assert built == 1
+
+    def test_mixed_sequence_matches_fresh_parsers(self, tmp_path, capsys,
+                                                  monkeypatch):
+        strong = write_op(tmp_path, strong_diagonal_fixture(complete_graph(4)))
+        triangle = write_op(tmp_path, strong_diagonal_fixture(cycle_graph(3)),
+                            "triangle.json")
+        complex_op = write_op(tmp_path, SupportedMatrix(
+            path_graph(2), np.zeros(2), np.array([np.exp(0.4j)])),
+            "complex.json")
+        scan = ["critical-scan", "--op", triangle, "--k", "1",
+                "--starts", "2"]
+
+        def sequence(out):
+            return [
+                ["avg-dist", "--op", strong],
+                ["avg-dist", "--op", strong, "--seed", "5"],
+                [*scan, "--seed", "5", "--out", str(out / "seeded")],
+                [*scan, "--out", str(out / "default")],
+                ["spectrum", "--op", str(tmp_path / "missing.json")],
+                ["avg-dist", "--op", complex_op],
+                ["avg-dist", "--op", strong, "--format", "csv"],
+                ["avg-dist", "--op", strong],
+            ]
+
+        reused_dir, fresh_dir = tmp_path / "reused", tmp_path / "fresh"
+        reused_dir.mkdir()
+        fresh_dir.mkdir()
+        reused = [run(capsys, argv) for argv in sequence(reused_dir)]
+        fresh = [run_fresh(capsys, monkeypatch, argv)
+                 for argv in sequence(fresh_dir)]
+        assert [code for code, _, _ in reused] == [0, 3, 0, 0, 3, 2, 0, 0]
+        assert reused == fresh
+        assert reused[-2][1].startswith("surplus,count,prob\n")
+        assert reused[-1][1] == reused[0][1]
+
+        def config(out, name):
+            return json.loads((out / f"{name}.json").read_text())["config"]
+
+        own = {flag.lstrip("-").replace("-", "_")
+               for flag in OPTIONS["critical-scan"]}
+        keys = own - {"out", "tol_degeneracy", "tol_vanish"} | {"command"}
+        for out in (reused_dir, fresh_dir):
+            assert config(out, "seeded")["seed"] == 5
+            assert config(out, "default")["seed"] == 0
+            assert set(config(out, "default")) == keys
+        for name in ("seeded", "default"):
+            assert config(reused_dir, name) == config(fresh_dir, name)
+
+    @pytest.mark.parametrize("argv", [["--version"], ["-h"],
+                                      ["avg-dist", "-h"]])
+    def test_help_and_version_exit(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as fresh:
+            _build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        assert fresh.value.code == 0 and expected.out
+        if argv == ["--version"]:
+            assert expected.out == f"{__version__}\n"
+        run(capsys, ["spectrum", "--op", write_op(tmp_path, triangle_op())])
+        for _ in range(2):
+            with pytest.raises(SystemExit) as reused:
+                main(argv)
+            assert reused.value.code == 0
+            assert capsys.readouterr() == expected

@@ -108,6 +108,27 @@ class TestGraph:
         parent[1] = 3
         assert bfs_forest(g) == (forest, [-1, 0, 0, 0])
 
+    def test_one_cycle_basis_per_graph(self, monkeypatch):
+        import magnodal.graphs as graphs
+
+        checked = []
+        original = graphs.boundary
+
+        def counting(chain):
+            checked.append(chain)
+            return original(chain)
+
+        monkeypatch.setattr(graphs, "boundary", counting)
+        g = k4()
+        basis = cycle_basis(g)
+        assert all(cycle_basis(g) is basis for _ in range(3))
+        assert len(checked) == betti_number(g) == 3
+        # an equal but distinct graph builds and checks its own basis
+        assert cycle_basis(k4()) is not basis
+        assert len(checked) == 6
+        with pytest.raises(ValueError):
+            basis.cycles[0].coeffs[0] = 5
+
 
 def union_find_components(g):
     """Components by union-find, the oracle for ``connected_components``."""

@@ -44,6 +44,8 @@ from magnodal.operators import (
     is_gauge_equiv_to_symmetry,
 )
 from magnodal.spectral import (
+    DEGENERACY_TOL,
+    VANISH_TOL,
     eigh,
     is_nowhere_vanishing,
     multiplicity,
@@ -441,17 +443,55 @@ class TestCriticalScan:
         base = abs_part(ring_op(4))
         chart = gauge_chart(base.graph)
         monkeypatch.setattr(morse, "eigh", counting_eigh)
-        status, x, gap = morse._polish(base, chart, 2, np.array([start]),
-                                       1e-10, 1e-8)
+        status, x, gap, solve = morse._polish(base, chart, 2,
+                                              np.array([start]), 1e-10, 1e-8)
         monkeypatch.undo()
         # the gap is the one a second solve at the same point would give
         x0 = np.mod(np.array([start]), 2 * np.pi)
         es = eigh(TorusPoint.from_coords(base, x0, chart).operator())
         expected = min(abs(es.values[j] - es.values[1]) for j in (0, 2, 3))
         assert calls == 1
-        assert status == "degenerate"
+        assert status == "degenerate" and solve is None
         assert x.tolist() == x0.tolist()
         assert gap == expected
+
+    def test_search_reports_reuse_the_polish_solve(self, monkeypatch):
+        """Every eigensolve of a scan is a symmetry point or a Newton
+        trial: a search report reads the solve its polish ended on."""
+        import magnodal.morse as morse
+
+        counts = count_calls(monkeypatch, morse, "eigh")
+        in_polish = 0
+        original = morse._polish
+
+        def counting_polish(*args, **kwargs):
+            nonlocal in_polish
+            before = counts["eigh"]
+            result = original(*args, **kwargs)
+            in_polish += counts["eigh"] - before
+            return result
+
+        monkeypatch.setattr(morse, "_polish", counting_polish)
+        h = random_operator(complete_graph(5), np.random.default_rng(0))
+        sr = critical_scan(h, 2, starts=4, seed=0)
+        search = sum(r.origin == "search" for r in sr.reports)
+        assert search > 0  # 20 here; each cost a second solve before
+        assert counts["eigh"] == 2 ** 6 + in_polish
+        # ... and that solve is the one at the reported coordinates
+        monkeypatch.undo()
+        base, chart = abs_part(h), gauge_chart(h.graph)
+        for r in sr.reports:
+            if r.origin != "search":
+                continue
+            p = TorusPoint.from_coords(base, np.array(r.coords), chart)
+            hp = p.operator()
+            fresh = morse._report_at(p, hp, eigh(hp), 2, chart, "search",
+                                     tol_degeneracy=DEGENERACY_TOL,
+                                     tol_vanish=VANISH_TOL,
+                                     rank_tol=morse.RANK_TOL)
+            expected = fresh.to_payload()
+            expected["conjugate_of"] = r.to_payload()["conjugate_of"]
+            assert r.to_payload() == expected
 
 
 def count_calls(monkeypatch, module, *names):

@@ -130,7 +130,8 @@ def _build_parser() -> _Parser:
     p = command("avg-dist", cmd_avg_dist,
                 "surplus histogram averaged over all signings")
     p.add_argument("--classes", action="store_true",
-                   help="solve one representative per switching class")
+                   help="accepted and ignored: the average always solves "
+                   "one representative per switching class")
     p.add_argument("--skip-inadmissible", action="store_true",
                    help="drop failing signings instead of aborting; the "
                    "average then runs over admissible signings only")
@@ -303,8 +304,7 @@ def cmd_avg_dist(args) -> None:
             "the signing average is stated for real matrices; this operator "
             "has complex entries")
     dist = average_surplus_distribution(
-        h, by_gauge_classes=args.classes,
-        skip_inadmissible=args.skip_inadmissible,
+        h, skip_inadmissible=args.skip_inadmissible,
         tol_degeneracy=args.tol_degeneracy, tol_vanish=args.tol_vanish)
     beta = dist.betti
     symmetric = bool(np.all(dist.counts == dist.counts[::-1]))
@@ -521,8 +521,7 @@ def cmd_clt_experiment(args) -> None:
             h = surplus_probe_operator(g, rng)
             try:
                 dist = average_surplus_distribution(
-                    h, by_gauge_classes=True,
-                    tol_degeneracy=args.tol_degeneracy,
+                    h, tol_degeneracy=args.tol_degeneracy,
                     tol_vanish=args.tol_vanish)
                 rho = normalized_distribution(dist)
             except AdmissibilityError:

@@ -8,9 +8,10 @@ number of independent cycles.  Averaging the surplus over all signings
 of a real matrix gives the distribution the rest of the library keeps
 poking at from different directions.
 
-The average runs through one kernel, ``_surplus_counts``, whether it
-visits every signing or one representative per switching class.  It
-solves the signings in chunks of ``SWEEP_CHUNK``, one stacked
+Switching-equivalent signings share their spectrum and nodal counts,
+so the average solves one representative per switching class and
+weights it by the class size.  The kernel, ``_surplus_counts``, solves
+the representatives in chunks of ``SWEEP_CHUNK``, one stacked
 eigensolve per chunk, and runs the admissibility checks of
 ``nodal_count`` on every signing and eigenvalue position of the chunk
 at once.  A signing enters the histogram only when every eigenvalue
@@ -308,55 +309,43 @@ def _surplus_counts(h: SupportedMatrix, chunks, weight: int,
 
 def average_surplus_distribution(h: SupportedMatrix, *,
                                  cap: int = SIGNING_CAP,
-                                 by_gauge_classes: bool = False,
                                  skip_inadmissible: bool = False,
                                  **kwargs) -> SurplusDistribution:
     """Exact surplus histogram averaged over every signing.
 
-    Counts are accumulated as integers and divided once, so the
-    probabilities are exact ratios.  The full sweep solves all
-    ``2^|E|`` signings in enumeration order, in blocks of
-    ``SWEEP_CHUNK`` stacked eigensolves; with ``by_gauge_classes`` only
-    the least representative of each switching class is solved and
-    weighted by the class size, and the result must agree with the full
-    sweep.  A signing counts only when every eigenvalue position is
-    admissible.  Without ``skip_inadmissible`` the first failing signing
-    is re-run through ``nodal_count``, and ``InadmissibleSigningError``
-    carries its signs, k and reason.
-    With it, failing signings are dropped whole and counted in
-    ``skipped``; the result then averages over the admissible signings
-    only, a deliberate departure from the all-signings average, and
-    ``n_samples`` is ``(2^|E| - skipped) * n``.  When every signing is
-    skipped the counts are all zero, ``n_samples`` is 0 and the
+    Switching-equivalent signings are conjugate by a diagonal sign
+    matrix, so they share spectrum and nodal counts: only the least
+    representative of each of the ``2^beta`` switching classes is
+    solved, in class-id order and in blocks of ``SWEEP_CHUNK`` stacked
+    eigensolves, and its surpluses count ``class_size`` times.  Counts
+    are accumulated as integers and divided once, so the probabilities
+    are exact ratios; ``cap`` bounds beta, and a graph whose
+    ``n * 2^|E|`` samples overflow the int64 counts is refused too.  A
+    signing counts only when every eigenvalue position is admissible.
+    Without ``skip_inadmissible`` the first failing class is re-run
+    through ``nodal_count``, and ``InadmissibleSigningError`` carries
+    its representative's signs, k and reason.
+    With it, failing classes are dropped whole and their signings
+    counted in ``skipped``; the result then averages over the admissible
+    signings only, a deliberate departure from the all-signings average,
+    and ``n_samples`` is ``(2^|E| - skipped) * n``.  When every signing
+    is skipped the counts are all zero, ``n_samples`` is 0 and the
     probabilities and moments are undefined.
     """
     if not h.is_real:
         raise ValueError("the signing average is defined for real matrices")
-    m = h.graph.num_edges
-    if by_gauge_classes:
-        classes = gauge_classes_of_signings(h, cap=cap)
-        total, weight = classes.num_classes, classes.class_size
-
-        def rows(start, stop):
-            return classes.representatives[start:stop]
-    else:
-        if m > cap:
-            raise CapExceededError(
-                f"signing sweep over {m} edges exceeds the cap of {cap}")
-        total = 1 << m
-        weight = 1
-        bits = np.arange(m)
-
-        def rows(start, stop):
-            # bit i of the enumeration index flips edge i
-            return 1 - 2 * ((np.arange(start, stop)[:, None] >> bits) & 1)
-    chunks = (rows(i, min(i + SWEEP_CHUNK, total))
-              for i in range(0, total, SWEEP_CHUNK))
-    counts, skipped = _surplus_counts(h, chunks, weight, skip_inadmissible,
-                                      **kwargs)
+    m, n = h.graph.num_edges, h.graph.n
+    classes = gauge_classes_of_signings(h, cap=cap)
+    if n << m > np.iinfo(np.int64).max:
+        raise CapExceededError(
+            f"{n} vertices times 2^{m} signings overflow the int64 counts")
+    reps = classes.representatives
+    chunks = (reps[i:i + SWEEP_CHUNK] for i in range(0, len(reps),
+                                                       SWEEP_CHUNK))
+    counts, skipped = _surplus_counts(h, chunks, classes.class_size,
+                                      skip_inadmissible, **kwargs)
     return SurplusDistribution(betti_number(h.graph), counts,
-                               ((1 << m) - skipped) * h.graph.n,
-                               skipped=skipped)
+                               ((1 << m) - skipped) * n, skipped=skipped)
 
 
 @dataclass(frozen=True, eq=False)

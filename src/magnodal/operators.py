@@ -31,8 +31,9 @@ from .graphs import (Graph, OneForm, _is_number, coboundary, cycle_basis,
 
 TWO_PI = 2.0 * np.pi
 
-#: Default refusal threshold for full signing enumerations.
-SIGNING_CAP = 24
+#: Default refusal threshold: the edges of a full signing enumeration,
+#: the cycles (beta) of a switching-class enumeration.
+SIGNING_CAP = 20
 
 #: Flux distance to a multiple of pi below which a class is a switching class.
 FLUX_TOL = 1e-9
@@ -245,18 +246,17 @@ def gauge_classes_of_signings(h: SupportedMatrix, cap: int = SIGNING_CAP
     basis, and their flips solve a linear system whose solution is
     affine in the class id.  The representatives are built from it in
     ``O(2^beta |E|)`` without visiting the ``2^|E|`` signings; ``cap``
-    still bounds ``|E|``.
+    bounds beta.  The classes depend on the graph only, so zero entries
+    are allowed.
     """
     if not h.is_real:
         raise ValueError("signing classes are defined for real matrices")
-    if not is_properly_supported(h):
-        raise NotProperlySupportedError(
-            "signing classes need a properly supported matrix")
     m = h.graph.num_edges
-    if m > cap:
-        raise CapExceededError(
-            f"class enumeration over {m} edges exceeds the cap of {cap}")
     cycles = cycle_basis(h.graph).cycles
+    if len(cycles) > cap:
+        raise CapExceededError(
+            f"class enumeration over beta {len(cycles)} exceeds the cap "
+            f"of {cap}")
     columns = [0] * m
     for j, chain in enumerate(cycles):
         for i in np.flatnonzero(chain.coeffs):

@@ -463,7 +463,7 @@ def test_criterion_11_average_symmetry():
             off = -rng.uniform(0.5, 1.5, size=m).astype(np.complex128)
             h = SupportedMatrix(g, np.full(n, level), off)
             try:
-                dist = average_surplus_distribution(h, by_gauge_classes=True)
+                dist = average_surplus_distribution(h)
                 break
             except InadmissibleSigningError:
                 continue

@@ -13,6 +13,7 @@ from magnodal.families import (
     complete_graph,
     cycle_graph,
     path_graph,
+    random_operator,
     strong_diagonal_fixture,
     two_triangle_join,
 )
@@ -165,6 +166,60 @@ class TestAvgDist:
         code, _, err = run(capsys, ["avg-dist", "--op", op])
         assert code == 4 and "cap" in err
 
+    @staticmethod
+    def path_with_chords(n):
+        """A path on ``n`` vertices plus three chords: beta 3."""
+        edges = path_graph(n).edges + ((0, 3), (5, 9), (12, 20))
+        return Graph(n, tuple(sorted(edges)))
+
+    def test_cap_bounds_beta_not_edges(self, tmp_path, capsys):
+        # 32 edges, 8 classes of 2^29 signings each
+        h = random_operator(self.path_with_chords(30),
+                            np.random.default_rng(1))
+        code, out, _ = run(capsys, ["avg-dist", "--op", write_op(tmp_path, h)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["betti"] == 3
+        assert payload["n_samples"] == 30 * 2 ** 32
+        assert payload["counts"] == [30 * 2 ** 29 * c for c in (1, 3, 3, 1)]
+
+    def test_count_overflow_exits_4(self, tmp_path, capsys):
+        # beta 3 is under the cap, but 70 * 2^72 samples overflow int64
+        h = random_operator(self.path_with_chords(70),
+                            np.random.default_rng(1))
+        code, out, err = run(capsys, ["avg-dist", "--op",
+                                      write_op(tmp_path, h)])
+        assert code == 4 and out == ""
+        assert err == ("cap exceeded: 70 vertices times 2^72 signings "
+                       "overflow the int64 counts\n")
+
+    def test_one_class_enumeration_and_two_to_beta_rows(self, tmp_path,
+                                                       capsys, monkeypatch):
+        import magnodal.nodal as nodal
+
+        enumerations, rows = [], []
+        classes, solve = nodal.gauge_classes_of_signings, nodal.eigh_dense
+
+        def counting_classes(*args, **kwargs):
+            enumerations.append(args)
+            return classes(*args, **kwargs)
+
+        def counting_solve(dense):
+            rows.append(len(dense))
+            return solve(dense)
+
+        monkeypatch.setattr(nodal, "gauge_classes_of_signings",
+                            counting_classes)
+        monkeypatch.setattr(nodal, "eigh_dense", counting_solve)
+        op = write_op(tmp_path, strong_diagonal_fixture(complete_graph(5)))
+        for extra in ([], ["--skip-inadmissible"], ["--classes"]):
+            enumerations.clear()
+            rows.clear()
+            code, _, _ = run(capsys, ["avg-dist", "--op", op, *extra])
+            assert code == 0
+            assert len(enumerations) == 1
+            assert sum(rows) == 2 ** 6  # beta of K5
+
     def test_inadmissible_signing_exits_2(self, tmp_path, capsys):
         op = write_op(tmp_path, half_admissible_op())
         code, _, err = run(capsys, ["avg-dist", "--op", op])
@@ -206,7 +261,9 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "avg_dist_golden.json")
 
 
 class TestAvgDistGolden:
-    """avg-dist output, byte for byte, as the per-signing sweep wrote it."""
+    """avg-dist output, byte for byte, as the per-signing sweep wrote it;
+    the exit-2 messages name the class representative since the average
+    sums over switching classes only."""
 
     @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: "-".join(
         [c["op"], *(f.lstrip("-") for f in c["flags"])]))
@@ -218,6 +275,22 @@ class TestAvgDistGolden:
         assert code == case["exit"]
         assert out == case["stdout"]
         assert err == case["stderr"]
+
+    @pytest.mark.parametrize(
+        "case", [c for c in GOLDEN["cases"] if "--classes" not in c["flags"]],
+        ids=lambda c: "-".join([c["op"], *(f.lstrip("-")
+                                          for f in c["flags"])]))
+    def test_classes_flag_is_ignored(self, tmp_path, capsys, case):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(GOLDEN["operators"][case["op"]]))
+        argv = ["avg-dist", "--op", str(path), *case["flags"]]
+        assert run(capsys, [*argv, "--classes"]) == run(capsys, argv)
+
+    def test_classes_help_says_ignored(self, capsys):
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["avg-dist", "-h"])
+        assert "accepted and ignored" in " ".join(
+            capsys.readouterr().out.split())
 
     def test_cases_cover_every_mode(self):
         modes = {(c["op"], tuple(c["flags"])) for c in GOLDEN["cases"]}

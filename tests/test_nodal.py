@@ -47,6 +47,8 @@ from magnodal.nodal import (
 from magnodal.operators import (
     GaugePhase,
     SupportedMatrix,
+    enumerate_signings,
+    gauge_classes_of_signings,
     gauge_transform,
 )
 from magnodal.spectral import eigh
@@ -272,11 +274,13 @@ class TestAveragedDistribution:
         assert d.mean == 1.5 and d.variance == 0.75
 
     def test_class_weighted_agrees_with_full(self):
+        # every one of the 2^6 signings, each solved on its own
         h = strong_diagonal_fixture(complete_graph(4))
-        full = average_surplus_distribution(h)
-        classed = average_surplus_distribution(h, by_gauge_classes=True)
-        assert classed.counts.tolist() == full.counts.tolist()
-        assert classed.n_samples == full.n_samples
+        full = sum(surplus_distribution(hs).counts
+                   for hs in enumerate_signings(h))
+        classed = average_surplus_distribution(h)
+        assert classed.counts.tolist() == full.tolist()
+        assert classed.n_samples == 2 ** 6 * 4
 
     def test_complex_matrix_rejected(self):
         g = path_graph(2)
@@ -290,11 +294,15 @@ class TestAveragedDistribution:
         with pytest.raises(CapExceededError):
             average_surplus_distribution(h)
 
-    def test_inadmissible_reports_lowest_index(self):
+    def test_inadmissible_reports_least_representative(self):
+        # the failing class is the identity's, whose least member flips
+        # the two edges at vertex 0
         h = half_admissible_op()
         with pytest.raises(InadmissibleSigningError) as err:
             average_surplus_distribution(h)
-        assert tuple(int(s) for s in err.value.signs) == (1, 1, 1)
+        assert tuple(int(s) for s in err.value.signs) == (-1, -1, 1)
+        assert err.value.signs == classes_by_enumeration(
+            h.graph).representatives[0]
         assert "vanish" in err.value.reason
 
     def test_skip_inadmissible(self):
@@ -305,10 +313,10 @@ class TestAveragedDistribution:
         assert d.counts.tolist() == [8, 4]
 
     def test_skip_inadmissible_by_classes(self):
-        d = average_surplus_distribution(half_admissible_op(),
-                                         by_gauge_classes=True,
-                                         skip_inadmissible=True)
-        assert d.skipped == 4
+        # a failing class is skipped whole, all 2^(n - 1) of its signings
+        h = half_admissible_op()
+        d = average_surplus_distribution(h, skip_inadmissible=True)
+        assert d.skipped == gauge_classes_of_signings(h).class_size == 4
         assert d.counts.tolist() == [8, 4]
 
     def test_components_found_once_per_graph(self, monkeypatch):
@@ -346,7 +354,8 @@ def late_chunk_op():
     triangle of ``half_admissible_op``, whose eigenvector (2, 1, 0) at
     -1/2 vanishes at the vertex joining it to the path; extended by
     zero it stays an eigenvector.  The first inadmissible signing is
-    index 256, at k=3.
+    index 256, at k=3; the triangle's cycle is the last fundamental
+    cycle, so the first inadmissible class is class 8 of 16.
     """
     g = Graph(8, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4),
                   (4, 5), (5, 6), (5, 7), (6, 7)))
@@ -354,6 +363,14 @@ def late_chunk_op():
                                         0.0, 1.5]),
                            np.array([-1.0] * 8 + [-0.5, -1.0, -1.0],
                                     dtype=np.complex128))
+
+
+def zero_entry_k4():
+    """Strong-diagonal K4 with a zero entry: no signing has a sign there."""
+    h = strong_diagonal_fixture(complete_graph(4))
+    off = h.offdiag.copy()
+    off[2] = 0.0
+    return SupportedMatrix(h.graph, h.diag, off)
 
 
 SWEEP_FIXTURES = {
@@ -364,6 +381,7 @@ SWEEP_FIXTURES = {
     "late-admissible": late_admissible_op,
     "narrow-diagonal": narrow_diagonal_op,
     "zero-diagonal-K4": zero_diagonal_k4,
+    "zero-entry-K4": zero_entry_k4,
     "late-chunk": late_chunk_op,
     "random-K5": lambda: random_operator(complete_graph(5),
                                          np.random.default_rng(4)),
@@ -378,16 +396,29 @@ COARSE_TOLERANCES = {
 }
 
 
+def sweep_fixture(name, pre_signed=False):
+    """Fixture ``name``; ``pre_signed`` flips the sign of its odd edges.
+
+    Signing a fixture first permutes its signings, so the average over
+    all of them must not change.
+    """
+    h = SWEEP_FIXTURES[name]()
+    if pre_signed:
+        h = SupportedMatrix(h.graph, h.diag,
+                            h.offdiag * (-1) ** np.arange(h.graph.num_edges))
+    return h
+
+
 @functools.lru_cache(maxsize=None)
-def scalar_sweep(name, by_classes=False, tols=()):
+def scalar_sweep(name, by_classes=False, pre_signed=False, tols=()):
     """Per-signing oracle: one local histogram per signing, kept only whole.
 
     Visits every signing of the fixture in enumeration order, or each
-    switching-class representative, with the tolerances ``tols``
-    (keyword, value pairs).  Returns the counts, the number of
-    inadmissible rows, and the first one's signs, k and error.
+    switching-class representative in class-id order, with the
+    tolerances ``tols`` (keyword, value pairs).  Returns the counts, the
+    number of inadmissible rows, and the first one's signs, k and error.
     """
-    h = SWEEP_FIXTURES[name]()
+    h = sweep_fixture(name, pre_signed)
     m, n, beta = h.graph.num_edges, h.graph.n, betti_number(h.graph)
     if by_classes:
         rows = classes_by_enumeration(h.graph).representatives
@@ -413,33 +444,37 @@ def scalar_sweep(name, by_classes=False, tols=()):
 
 
 class TestSweepAgainstScalarOracle:
-    """Full sweep and class sweep against per-signing scalar counts."""
+    """Class sweep against per-signing scalar counts over every signing.
+
+    The counts and skips come from the full ``2^|E|`` enumeration of the
+    fixture as given.  A pre-signed fixture has the same set of
+    signings, so it must give the same counts; the exit-2 message names
+    the first failing class representative of the operator swept.
+    """
 
     @staticmethod
-    def check_skipping(name, by_classes, tols=()):
-        h = SWEEP_FIXTURES[name]()
+    def check_skipping(name, pre_signed, tols=()):
+        h = sweep_fixture(name, pre_signed)
         counts, skipped, _ = scalar_sweep(name, tols=tols)
-        d = average_surplus_distribution(h, by_gauge_classes=by_classes,
-                                         skip_inadmissible=True, **dict(tols))
+        d = average_surplus_distribution(h, skip_inadmissible=True,
+                                         **dict(tols))
         assert d.counts.tolist() == counts
         assert d.skipped == skipped
         assert d.n_samples == ((1 << h.graph.num_edges) - skipped) * h.graph.n
 
     @staticmethod
-    def check_not_skipping(name, by_classes, tols=()):
-        h = SWEEP_FIXTURES[name]()
+    def check_not_skipping(name, pre_signed, tols=()):
+        h = sweep_fixture(name, pre_signed)
         counts, skipped, _ = scalar_sweep(name, tols=tols)
         if skipped == 0:
-            d = average_surplus_distribution(h, by_gauge_classes=by_classes,
-                                             **dict(tols))
+            d = average_surplus_distribution(h, **dict(tols))
             assert d.counts.tolist() == counts
             assert d.skipped == 0
             assert d.n_samples == (1 << h.graph.num_edges) * h.graph.n
             return
         with pytest.raises(InadmissibleSigningError) as err:
-            average_surplus_distribution(h, by_gauge_classes=by_classes,
-                                         **dict(tols))
-        signs, k, exc = scalar_sweep(name, by_classes, tols)[2]
+            average_surplus_distribution(h, **dict(tols))
+        signs, k, exc = scalar_sweep(name, True, pre_signed, tols)[2]
         assert str(err.value) == (f"signing with pattern {signs} is "
                                   f"inadmissible at k={k}: {exc}")
         assert err.value.signs == signs
@@ -447,39 +482,39 @@ class TestSweepAgainstScalarOracle:
         assert err.value.reason == str(exc)
 
     @pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
-    @pytest.mark.parametrize("by_classes", [False, True])
-    def test_skipping(self, name, by_classes):
-        self.check_skipping(name, by_classes)
+    @pytest.mark.parametrize("pre_signed", [False, True])
+    def test_skipping(self, name, pre_signed):
+        self.check_skipping(name, pre_signed)
 
     @pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
-    @pytest.mark.parametrize("by_classes", [False, True])
-    def test_not_skipping(self, name, by_classes):
-        self.check_not_skipping(name, by_classes)
+    @pytest.mark.parametrize("pre_signed", [False, True])
+    def test_not_skipping(self, name, pre_signed):
+        self.check_not_skipping(name, pre_signed)
 
-    # 1 puts every signing in its own stacked solve; 7 divides no 2^|E|.
+    # 1 puts every class in its own stacked solve; 7 divides no 2^beta.
     @pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
-    @pytest.mark.parametrize("by_classes", [False, True])
+    @pytest.mark.parametrize("pre_signed", [False, True])
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_skipping_in_small_chunks(self, monkeypatch, chunk, name,
-                                      by_classes):
+                                      pre_signed):
         monkeypatch.setattr(nodal, "SWEEP_CHUNK", chunk)
-        self.check_skipping(name, by_classes)
+        self.check_skipping(name, pre_signed)
 
     @pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
-    @pytest.mark.parametrize("by_classes", [False, True])
+    @pytest.mark.parametrize("pre_signed", [False, True])
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_not_skipping_in_small_chunks(self, monkeypatch, chunk, name,
-                                          by_classes):
+                                          pre_signed):
         monkeypatch.setattr(nodal, "SWEEP_CHUNK", chunk)
-        self.check_not_skipping(name, by_classes)
+        self.check_not_skipping(name, pre_signed)
 
     @pytest.mark.parametrize("tols", sorted(COARSE_TOLERANCES))
-    @pytest.mark.parametrize("by_classes", [False, True])
+    @pytest.mark.parametrize("pre_signed", [False, True])
     @pytest.mark.parametrize("chunk", [7, 256])
-    def test_coarse_tolerances(self, monkeypatch, chunk, by_classes, tols):
+    def test_coarse_tolerances(self, monkeypatch, chunk, pre_signed, tols):
         monkeypatch.setattr(nodal, "SWEEP_CHUNK", chunk)
-        self.check_skipping("random-K5", by_classes, COARSE_TOLERANCES[tols])
-        self.check_not_skipping("random-K5", by_classes,
+        self.check_skipping("random-K5", pre_signed, COARSE_TOLERANCES[tols])
+        self.check_not_skipping("random-K5", pre_signed,
                                 COARSE_TOLERANCES[tols])
 
     def test_coarse_tolerances_fail_some_signings(self):
@@ -490,14 +525,22 @@ class TestSweepAgainstScalarOracle:
     def test_late_failures_are_covered(self):
         for name in ("late-admissible", "narrow-diagonal",
                      "zero-diagonal-K4"):
-            _, skipped, (_, k, _) = scalar_sweep(name)
+            _, skipped, (_, k, _) = scalar_sweep(name, True)
             assert skipped > 0 and k > 1
 
     def test_first_failure_lies_beyond_the_first_chunk(self):
-        _, skipped, (signs, k, _) = scalar_sweep("late-chunk")
-        index = sum(1 << i for i, s in enumerate(signs) if s < 0)
-        assert index >= nodal.SWEEP_CHUNK and k == 3
-        assert 0 < skipped < 1 << 11
+        # beyond the first chunk of 7 classes, and at k > 1
+        h = late_chunk_op()
+        _, skipped, (signs, k, _) = scalar_sweep("late-chunk", True)
+        reps = classes_by_enumeration(h.graph).representatives
+        assert reps.index(signs) == 8 and k == 3
+        assert skipped == 8
+        assert 0 < scalar_sweep("late-chunk")[1] < 1 << 11
+
+    def test_zero_entry_fails_every_signing(self):
+        counts, skipped, (_, _, exc) = scalar_sweep("zero-entry-K4")
+        assert counts == [0, 0, 0, 0] and skipped == 1 << 6
+        assert isinstance(exc, DegenerateEdgeProductError)
 
     def test_every_signing_skipped(self):
         d = average_surplus_distribution(zero_diagonal_k4(),
@@ -518,7 +561,7 @@ class TestSweepAgainstScalarOracle:
         d = average_surplus_distribution(
             strong_diagonal_fixture(complete_graph(5)))
         assert d.n_samples == 1024 * 5
-        assert calls <= -(-1024 // nodal.SWEEP_CHUNK)
+        assert calls <= -(-(2 ** 6) // nodal.SWEEP_CHUNK)  # 2^beta classes
 
 
 class TestStackedSolveFallback:
@@ -606,14 +649,12 @@ def test_sweep_bound_check_survives_optimized_mode():
         # checks and in nodal_count alike
         nodal.edge_products = lambda h, v: np.ones(v.shape[:-1] + (3,),
                                                    dtype=np.complex128)
-        for classes in (False, True):
-            for skip in (False, True):
-                try:
-                    nodal.average_surplus_distribution(
-                        h, by_gauge_classes=classes, skip_inadmissible=skip)
-                except InternalCrossCheckError:
-                    continue
-                sys.exit(1)
+        for skip in (False, True):
+            try:
+                nodal.average_surplus_distribution(h, skip_inadmissible=skip)
+            except InternalCrossCheckError:
+                continue
+            sys.exit(1)
         path = os.path.join(tempfile.mkdtemp(), "op.json")
         with open(path, "w") as f:
             json.dump(operator_to_json(h), f)

@@ -286,9 +286,27 @@ class TestSigningClasses:
             prod_r = np.prod(np.sign(hr.offdiag.real))
             assert prod_s == prod_r
 
-    def test_proper_support_required(self):
-        with pytest.raises(NotProperlySupportedError):
-            gauge_classes_of_signings(c3_op(off=(0.0, -1.0, -1.0)))
+    def test_cap_bounds_beta(self):
+        h = SupportedMatrix(k4(), np.zeros(4),
+                            -np.ones(6, dtype=np.complex128))
+        assert gauge_classes_of_signings(h, cap=3).num_classes == 8
+        with pytest.raises(CapExceededError,
+                           match="over beta 3 exceeds the cap of 2"):
+            gauge_classes_of_signings(h, cap=2)
+
+    def test_zero_entry_classes_match_enumeration(self):
+        # the classes depend on the cycle space only, not on the entries
+        oracle = classes_by_enumeration(k4())
+        for zero in range(6):
+            off = -np.ones(6, dtype=np.complex128)
+            off[zero] = 0.0
+            classes = gauge_classes_of_signings(
+                SupportedMatrix(k4(), np.zeros(4), off))
+            assert oracle.class_ids == tuple(range(classes.num_classes))
+            assert set(oracle.class_sizes) == {classes.class_size}
+            assert [tuple(int(x) for x in row)
+                    for row in classes.representatives] \
+                == list(oracle.representatives)
 
 
 def unit_op(g):

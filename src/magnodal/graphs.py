@@ -56,6 +56,13 @@ class Graph:
         return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
+    def endpoints(self) -> np.ndarray:
+        """Read-only ``(num_edges, 2)`` array of the pairs in ``edges``."""
+        rs = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        rs.setflags(write=False)
+        return rs
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuple per vertex."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]

@@ -35,7 +35,7 @@ from .morse import (
     RANK_TOL,
     TorusPoint,
     _classify,
-    _hessian,
+    _hessian_at,
     gauge_chart,
     morse_index,
 )
@@ -331,7 +331,7 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
     samples_checked = 0
     if dim > 0 and manifold_samples > 0:
         samples_checked = _check_manifold_samples(
-            rotated, v0, neighbors, lengths, w, lam, c, manifold_samples,
+            rotated, v0, neighbors, lengths, w, k, lam, c, manifold_samples,
             seed, tol_degeneracy, shift_tol)
 
     surplus_red = nodal_surplus(reduced, k_red, es=es_sub,
@@ -339,7 +339,7 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
                                 tol_vanish=tol_vanish)
     predicted = surplus_red + (2 if c < 0.0 else 0)
 
-    hess = _hessian(s, gauge_chart(g), tol_degeneracy)
+    hess = _hessian_at(s, gauge_chart(g), tol_degeneracy)
     index, nullity = morse_index(hess, rank_tol)
     if nullity != dim:
         raise InternalCrossCheckError(
@@ -372,7 +372,7 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
 
 
 def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
-                            lengths: LinkageLengths, w, lam, c_ref,
+                            lengths: LinkageLengths, w, k: int, lam, c_ref,
                             count: int, seed: int, tol_degeneracy: float,
                             shift_tol: float) -> int:
     """Spot-check the hypotheses along the critical manifold.
@@ -380,9 +380,10 @@ def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
     Rebuilds the operator at freshly sampled closed configurations,
     working in the frame where the eigenvector is real: replacing the
     phases of the vanishing-vertex row while keeping moduli stays on
-    the critical manifold.  Verifies the eigenvalue stays simple and
-    the shift coefficient keeps its sign.  A finite sample only; this
-    does not prove the hypotheses over the whole manifold.
+    the critical manifold.  Verifies the eigenvalue stays simple, stays
+    at position k, and that the shift coefficient keeps its sign.  A
+    finite sample only; this does not prove the hypotheses over the
+    whole manifold.
     """
     g = rotated.graph
     checked = 0
@@ -405,6 +406,12 @@ def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
                 f"sampled manifold point {i} has a degenerate eigenvalue; "
                 f"hypothesis (3) quantifies over the manifold and fails",
                 hypothesis=3)
+        if kq != k:
+            config = ", ".join(f"{a:.6g}" for a in theta)
+            raise LinkageHypothesisError(
+                f"eigenvalue leaves position k={k} along the manifold "
+                f"(sample {i}: position {kq}, configuration [{config}]); "
+                f"hypothesis (3) fails", hypothesis=3)
         cq = resolvent_coefficient(hq, kq, v0, tol_rel=tol_degeneracy, es=esq)
         if abs(cq) <= shift_tol or (cq < 0) != (c_ref < 0):
             raise LinkageHypothesisError(

@@ -7,7 +7,7 @@ the quotient: one angle per independent cycle.  Eigenvalues become
 functions of those coordinates, and this module computes their
 gradients, Hessians, Morse indices, and critical points.  The scan and
 the index check visit the ``2^beta`` symmetry points, coordinates in
-{0, pi}, through one generator that solves each point once.
+{0, pi}, through one stacked real eigensolve.
 
 Every derivative starts from one solve at the point, ``nodal``'s
 ``_simple_eigen``: the operator, its eigensystem, the simple k-th
@@ -17,12 +17,21 @@ pseudo-inverse; second-order perturbation theory makes it valid at
 every simple eigenvalue, so the critical-point search uses it as its
 Newton Jacobian.  Restricting the full torus Hessian to the gauge slice
 loses nothing because the vertex-phase directions are in its kernel.
+
+The search polishes all of its starts in lockstep: each Newton round
+builds the trial operators of every active start as one stack, solves
+it with one ``spectral.eigh_stack`` call per solver path (real or
+complex), checks simplicity and takes edge products and gradients
+across the stack, and assembles one stacked Hessian for the starts
+that moved.  The stacked kernels do per row exactly the arithmetic of
+a single solve, so every start follows its one-start trajectory bit
+for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -43,12 +52,14 @@ from .operators import (
     is_gauge_equiv_to_symmetry,
     magnetic_action,
     phase_form,
+    unit_phases,
 )
 from .spectral import (
     DEGENERACY_TOL,
     VANISH_TOL,
     EigenSystem,
     eigh,
+    eigh_stack,
     is_nowhere_vanishing,
 )
 
@@ -74,10 +85,13 @@ class GaugeChart:
     graph: Graph
     basis: CycleBasis
 
-    @property
+    @cached_property
     def nonforest_indices(self) -> np.ndarray:
-        return np.array([self.graph.edge_index[e]
-                         for e in self.basis.nonforest_edges], dtype=np.int64)
+        """Edge positions of the chart coordinates, read-only."""
+        idx = np.array([self.graph.edge_index[e]
+                        for e in self.basis.nonforest_edges], dtype=np.int64)
+        idx.setflags(write=False)
+        return idx
 
     @property
     def dim(self) -> int:
@@ -306,36 +320,94 @@ def hessian_eigenvalue(p: TorusPoint, k: int, *,
     directions pick up the diagonal frozen-form term.  The result is
     symmetrized after an asymmetry check against ``HESSIAN_SYM_TOL``.
     """
-    return _hessian(_simple_eigen(p.operator(), k, es, tol_degeneracy),
-                    chart if chart is not None else gauge_chart(p.graph),
-                    tol_degeneracy)
+    return _hessian_at(_simple_eigen(p.operator(), k, es, tol_degeneracy),
+                       chart if chart is not None else gauge_chart(p.graph),
+                       tol_degeneracy)
 
 
-def _hessian(s: _SimpleEigen, chart: GaugeChart, tol_degeneracy: float
+@dataclass(frozen=True, eq=False)
+class _Solves:
+    """Solves of a stack of operators on one graph, one per row.
+
+    ``offdiag`` (S, m) holds each operator's edge entries, ``values``
+    (S, n) and ``vectors`` (S, n, n) its ascending eigenvalues and
+    phase-normalized eigenvector columns, and ``products`` (S, m) the
+    edge products of its k-th eigenvector.  All rows come from one
+    solver path: real vectors for real operators, complex otherwise.
+    """
+
+    offdiag: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+    k: int
+    products: np.ndarray
+
+    @classmethod
+    def of(cls, s: _SimpleEigen) -> "_Solves":
+        """A stack of one."""
+        return cls(s.h.offdiag[None], s.es.values[None], s.es.vectors[None],
+                   s.k, s.products[None])
+
+    def take(self, rows) -> "_Solves":
+        return _Solves(self.offdiag[rows], self.values[rows],
+                       self.vectors[rows], self.k, self.products[rows])
+
+    def simple_eigen(self, base: SupportedMatrix, row: int) -> _SimpleEigen:
+        """Row ``row`` as a ``_SimpleEigen`` that holds no stack memory."""
+        values, vectors = self.values[row].copy(), self.vectors[row].copy()
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        es = EigenSystem(values, vectors)
+        return _SimpleEigen(
+            SupportedMatrix(base.graph, base.diag, self.offdiag[row]), es,
+            self.k, es.vector(self.k), es.value(self.k),
+            self.products[row].copy())
+
+
+def _hessian_at(s: _SimpleEigen, chart: GaugeChart, tol_degeneracy: float
+                ) -> np.ndarray:
+    """``hessian_eigenvalue`` at a simple eigenvalue: a stack of one."""
+    return _hessian(_Solves.of(s), chart, tol_degeneracy)[0]
+
+
+def _hessian(s: _Solves, chart: GaugeChart, tol_degeneracy: float
              ) -> np.ndarray:
-    """``hessian_eigenvalue`` at a simple eigenvalue."""
+    """``hessian_eigenvalue`` of every row of a stack, shape (S, d, d).
+
+    Each row sees the arithmetic of a single solve: the batched matrix
+    products call the same BLAS kernel per row.
+    """
+    count, k = len(s.values), s.k
     if chart.dim == 0:
-        return np.zeros((0, 0))
+        return np.zeros((count, 0, 0))
     idx = chart.nonforest_indices
-    rs = np.array(s.h.graph.edges)[idx]
+    rs = chart.graph.endpoints[idx]
     cols = np.arange(chart.dim)
-    hrs = s.h.offdiag[idx]
-    W = np.zeros((s.h.graph.n, chart.dim), dtype=np.complex128)
-    W[rs[:, 0], cols] = 1j * hrs * s.v[rs[:, 1]]
-    W[rs[:, 1], cols] = -1j * np.conj(hrs) * s.v[rs[:, 0]]
+    v = s.vectors[:, :, k - 1]
+    lam = s.values[:, k - 1:k]
+    hrs = s.offdiag[:, idx]
+    W = np.zeros((count, chart.graph.n, chart.dim), dtype=np.complex128)
+    W[:, rs[:, 0], cols] = 1j * hrs * v[:, rs[:, 1]]
+    W[:, rs[:, 1], cols] = -1j * np.conj(hrs) * v[:, rs[:, 0]]
     # Pseudo-inverse of h - lam on every column at once; the cluster
     # at lam is masked out exactly as in ``pseudo_inverse_apply``.
-    shift = s.es.values - s.lam
-    mask = np.abs(shift) > tol_degeneracy * s.es.spectral_scale
+    shift = s.values - lam
+    scale = np.maximum(1.0, np.max(np.abs(s.values), axis=1))
+    mask = np.abs(shift) > (tol_degeneracy * scale)[:, None]
     inv = np.divide(1.0, shift, out=np.zeros_like(shift), where=mask)
-    Vp = -s.es.vectors @ (inv[:, None] * (s.es.vectors.conj().T @ W))
-    H = 2.0 * np.real(Vp.conj().T @ W).T
-    H[cols, cols] += -2.0 * s.products.real[idx]
-    asym = float(np.max(np.abs(H - H.T)))
-    if asym > HESSIAN_SYM_TOL * max(1.0, float(np.max(np.abs(H)))):
+    Vp = -s.vectors @ (inv[:, :, None]
+                       * (s.vectors.conj().swapaxes(1, 2) @ W))
+    H = 2.0 * np.real(Vp.conj().swapaxes(1, 2) @ W).swapaxes(1, 2)
+    H[:, cols, cols] += -2.0 * s.products.real[:, idx]
+    Ht = H.swapaxes(1, 2)
+    asym = np.max(np.abs(H - Ht), axis=(1, 2))
+    bad = asym > HESSIAN_SYM_TOL * np.maximum(
+        1.0, np.max(np.abs(H), axis=(1, 2)))
+    if np.any(bad):
         raise InternalCrossCheckError(
-            f"assembled Hessian asymmetry {asym:.3e} beyond tolerance")
-    return 0.5 * (H + H.T)
+            f"assembled Hessian asymmetry {asym[np.argmax(bad)]:.3e} "
+            f"beyond tolerance")
+    return 0.5 * (H + Ht)
 
 
 def hessian_eigenvalue_fd(p: TorusPoint, k: int, *,
@@ -432,9 +504,10 @@ class ScanResult:
     unconverged: int
 
 
-def _torus_distance(a: np.ndarray, b: np.ndarray) -> float:
+def _torus_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max-metric torus distance from the point ``a`` to each row of ``b``."""
     d = np.abs(np.mod(a - b, TWO_PI))
-    return float(np.max(np.minimum(d, TWO_PI - d))) if d.size else 0.0
+    return np.max(np.minimum(d, TWO_PI - d), axis=-1)
 
 
 def _halton(count: int, dim: int) -> np.ndarray:
@@ -460,11 +533,12 @@ def _halton(count: int, dim: int) -> np.ndarray:
     return points
 
 
-def _report_at(p: TorusPoint, h: SupportedMatrix, es: EigenSystem, k: int,
+def _report_at(coords, h: SupportedMatrix, es: EigenSystem, k: int,
                chart: GaugeChart, origin: str, *, tol_degeneracy: float,
                tol_vanish: float, rank_tol: float) -> CriticalPointReport:
-    """Report at ``p`` from its operator ``h`` and eigensystem ``es``."""
-    coords = tuple(float(c) for c in p.coords(chart))
+    """Report at chart ``coords`` from the operator ``h`` there and its
+    eigensystem ``es``."""
+    coords = tuple(float(c) for c in coords)
     try:
         s = _simple_eigen(h, k, es, tol_degeneracy)
     except NonSimpleEigenvalueError as exc:
@@ -473,7 +547,7 @@ def _report_at(p: TorusPoint, h: SupportedMatrix, es: EigenSystem, k: int,
                                    None, origin)
     report = _classify(s, CRITICAL_TOL, tol_vanish)
     gnorm = float(np.linalg.norm(s.gradient[chart.nonforest_indices]))
-    hess = _hessian(s, chart, tol_degeneracy)
+    hess = _hessian_at(s, chart, tol_degeneracy)
     spectrum = tuple(float(x) for x in np.linalg.eigvalsh(hess)) \
         if hess.size else ()
     index, nullity = morse_index(hess, rank_tol)
@@ -481,87 +555,158 @@ def _report_at(p: TorusPoint, h: SupportedMatrix, es: EigenSystem, k: int,
                                gnorm, spectrum, index, nullity, origin)
 
 
-def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
-            start: np.ndarray, gtol: float, tol_degeneracy: float
-            ) -> tuple[str, np.ndarray, float, _SimpleEigen | None]:
-    """Drive the gauge-slice gradient to zero from one start.
+def _offdiag_at(base: SupportedMatrix, chart: GaugeChart, coords: np.ndarray
+                ) -> np.ndarray:
+    """Edge entries (S, m) of the operators at chart coordinates (S, d).
 
-    Damped Newton steps on the gradient map, with the analytic
-    eigenvalue Hessian as Jacobian and backtracking on the squared
-    norm; every trial point costs one eigensolve, shared by its
-    gradient and Hessian.  Returns a status, the final coordinates, an
-    auxiliary number and, for a converged run, the solve at the final
-    coordinates (``None`` otherwise).  The number is the eigenvalue gap
-    for the degenerate status, read from the eigensystem that failed the
-    simplicity check, or the last Newton decrement for a converged run.
-    A small residual gradient over a nearly flat Hessian still means a
-    sizable position error, and the decrement is what bounds it.
+    Row by row these are the bits of
+    ``TorusPoint.from_coords(base, coords[i], chart).operator().offdiag``.
+    """
+    angles = np.zeros((len(coords), base.graph.num_edges))
+    angles[:, chart.nonforest_indices] = coords
+    return base.offdiag * unit_phases(np.mod(angles, TWO_PI))
+
+
+def _simple_rows(values: np.ndarray, k: int, tol_degeneracy: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of eigenvalues: whether the k-th one is simple, as
+    ``multiplicity`` decides, and its distance to the nearest other one."""
+    dist = np.abs(values - values[:, k - 1:k])
+    dist[:, k - 1] = np.inf
+    tol = tol_degeneracy * np.maximum(1.0, np.max(np.abs(values), axis=1))
+    near = dist[:, max(k - 2, 0):k + 1] <= tol[:, None]
+    return ~np.any(near, axis=1), np.min(dist, axis=1)
+
+
+# Phases of a start in ``_polish``.
+_START, _LINE, _FINAL, _DONE = range(4)
+
+
+def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
+            starts: np.ndarray, gtol: float, tol_degeneracy: float
+            ) -> list[tuple[str, np.ndarray, float, _SimpleEigen | None]]:
+    """Drive the gauge-slice gradient to zero from every row of ``starts``.
+
+    Per start: damped Newton steps on the gradient map, with the
+    analytic eigenvalue Hessian as Jacobian and backtracking on the
+    squared norm; every trial point costs one eigensolve, shared by its
+    gradient and Hessian.  Returns per start a status, the final
+    coordinates, an auxiliary number and, for a converged run, the
+    solve at the final coordinates (``None`` otherwise).  The number is
+    the eigenvalue gap for the degenerate status, read from the
+    eigensystem that failed the simplicity check, or the last Newton
+    decrement for a converged run.  A small residual gradient over a
+    nearly flat Hessian still means a sizable position error, and the
+    decrement is what bounds it.
+
+    The starts run in lockstep.  Each round solves the one trial point
+    of every active start in one stacked eigensolve per solver path
+    (operators that are exactly real take the real path), runs the
+    simplicity check, edge products and gradients across the stack, and
+    assembles one stacked Hessian for the starts that moved to a new
+    point.  Position, step, step length, squared gradient norm, Newton
+    count and phase are per-start arrays; the least-squares step is a
+    per-start call.  Each start follows the one-start trajectory bit
+    for bit.
     """
     idx = chart.nonforest_indices
+    rs = base.graph.endpoints
+    count = len(starts)
+    x = np.mod(starts, TWO_PI)       # current point
+    trial = x.copy()                 # point solved in the next round
+    g = np.zeros_like(x)             # gradient at x
+    delta = np.zeros_like(x)         # Newton step from x
+    t = np.ones(count)               # step length of the trial
+    f0 = np.zeros(count)             # squared gradient norm at x
+    aux = np.zeros(count)            # Newton decrement of a final check
+    newton = np.zeros(count, dtype=np.int64)
+    phase = np.full(count, _START)
+    held: dict[int, _SimpleEigen] = {}  # solve at x during a final check
+    out: list = [None] * count
 
-    def solve(coords: np.ndarray) -> _SimpleEigen | float:
-        """The solve at ``coords``, or the eigenvalue gap from the same
-        eigensystem when the k-th eigenvalue is not simple."""
-        h = TorusPoint.from_coords(base, coords, chart).operator()
-        es = eigh(h)
-        try:
-            return _simple_eigen(h, k, es, tol_degeneracy)
-        except NonSimpleEigenvalueError:
-            return _gap(es, k)
+    def advance(r: np.ndarray, off: np.ndarray) -> None:
+        """One round for the starts ``r``, all on one solver path."""
+        values, vectors = eigh_stack(base.graph, base.diag, off)
+        v = vectors[:, :, k - 1]
+        s = _Solves(off, values, vectors, k,
+                    np.conj(v[:, rs[:, 0]]) * off * v[:, rs[:, 1]])
+        simple, gap = _simple_rows(values, k, tol_degeneracy)
+        gn = (-2.0 * s.products.imag)[:, idx]
+        moved = []
+        for j, i in enumerate(r):
+            if phase[i] == _FINAL:
+                # keep the last Newton step only if it lowers the gradient
+                if simple[j] and float(np.linalg.norm(gn[j])) \
+                        < float(np.linalg.norm(g[i])):
+                    out[i] = ("ok", trial[i].copy(), float(aux[i]),
+                              s.simple_eigen(base, j))
+                else:
+                    out[i] = ("ok", x[i].copy(), float(aux[i]), held[i])
+                del held[i]
+            elif not simple[j]:
+                out[i] = ("degenerate", trial[i].copy(), float(gap[j]), None)
+            elif phase[i] == _LINE and not float(gn[j] @ gn[j]) \
+                    < f0[i] * (1.0 - 0.25 * t[i]) + 1e-300:
+                t[i] *= 0.5
+                if t[i] < 2.0 ** -12:
+                    out[i] = ("stuck", x[i].copy(), 0.0, None)
+            else:  # the start itself or an accepted step
+                x[i], g[i] = trial[i], gn[j]
+                if newton[i] == 60:
+                    out[i] = ("maxiter", x[i].copy(), 0.0, None)
+                else:
+                    moved.append(j)
+            if out[i] is not None:
+                phase[i] = _DONE
+        if moved:
+            J = _hessian(s.take(moved), chart, tol_degeneracy)
+            for Jj, j in zip(J, moved):
+                i = r[j]
+                newton[i] += 1
+                step, *_ = np.linalg.lstsq(Jj, -g[i], rcond=None)
+                delta[i], t[i] = step, 1.0
+                if float(np.max(np.abs(g[i]))) <= gtol:
+                    phase[i] = _FINAL
+                    aux[i] = float(np.linalg.norm(step))
+                    held[i] = s.simple_eigen(base, j)
+                else:
+                    phase[i] = _LINE
+                    f0[i] = float(g[i] @ g[i])
+        live = r[phase[r] != _DONE]
+        trial[live] = np.mod(x[live] + t[live, None] * delta[live], TWO_PI)
 
-    x = np.mod(start.copy(), TWO_PI)
-    s = solve(x)
-    if isinstance(s, float):
-        return "degenerate", x, s, None
-    for _ in range(60):
-        g = s.gradient[idx]
-        J = _hessian(s, chart, tol_degeneracy)
-        delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
-        if float(np.max(np.abs(g))) <= gtol:
-            xn = np.mod(x + delta, TWO_PI)
-            sn = solve(xn)
-            if not isinstance(sn, float) and float(np.linalg.norm(
-                    sn.gradient[idx])) < float(np.linalg.norm(g)):
-                x, s = xn, sn
-            return "ok", x, float(np.linalg.norm(delta)), s
-        f0 = float(g @ g)
-        t = 1.0
-        improved = False
-        while t >= 2.0 ** -12:
-            xn = np.mod(x + t * delta, TWO_PI)
-            sn = solve(xn)
-            if isinstance(sn, float):
-                return "degenerate", xn, sn, None
-            gn = sn.gradient[idx]
-            if float(gn @ gn) < f0 * (1.0 - 0.25 * t) + 1e-300:
-                x, s = xn, sn
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            return "stuck", x, 0.0, None
-    return "maxiter", x, 0.0, None
+    while True:
+        rows = np.flatnonzero(phase != _DONE)
+        if not rows.size:
+            return out
+        off = _offdiag_at(base, chart, trial[rows])
+        # Exactly real operators take the real solver path, as in
+        # ``eigh``; the others share one complex stack.
+        real = np.all(off.imag == 0.0, axis=1)
+        for path in (real, ~real):
+            if np.any(path):
+                advance(rows[path], off[path])
 
 
-def _gap(es: EigenSystem, k: int) -> float:
-    """Distance from the k-th eigenvalue to the nearest other one."""
-    gaps = [abs(es.values[j] - es.values[k - 1])
-            for j in range(es.n) if j != k - 1]
-    return float(min(gaps)) if gaps else float("inf")
-
-
-def _symmetry_points(base: SupportedMatrix, chart: GaugeChart):
-    """Yield ``(bits, point, operator, eigensystem)`` per symmetry class.
+def _symmetry_points(base: SupportedMatrix, chart: GaugeChart
+                     ) -> list[tuple[tuple[int, ...], SupportedMatrix,
+                                     EigenSystem]]:
+    """``(bits, operator, eigensystem)`` per symmetry class.
 
     The ``2^beta`` gauge-slice points have coordinate ``pi`` where the
-    bit is 1 and 0 elsewhere, in ``itertools.product`` order; the first
-    is the base matrix itself.
+    bit is 1 and 0 elsewhere, in ``itertools.product`` order (the last
+    bit varies fastest); the first is the base matrix itself.  Their
+    operators are real, and one stacked real solve covers them all.
     """
-    for bits in itertools.product((0, 1), repeat=chart.dim):
-        p = TorusPoint.from_coords(
-            base, np.array([np.pi if b else 0.0 for b in bits]), chart)
-        h = p.operator()
-        yield bits, p, h, eigh(h)
+    d = chart.dim
+    bits = (np.arange(2 ** d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+    off = _offdiag_at(base, chart, np.where(bits == 1, np.pi, 0.0))
+    values, vectors = eigh_stack(base.graph, base.diag, off)
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return [(tuple(row), SupportedMatrix(base.graph, base.diag, o),
+             EigenSystem(w, V))
+            for row, o, w, V in zip(bits.tolist(), off, values, vectors)]
 
 
 def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
@@ -585,65 +730,69 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
 
     reports: list[CriticalPointReport] = []
     incorrigible: list[tuple[tuple[float, ...], float]] = []
-    for _, p, hp, es in _symmetry_points(base, chart):
+    for bits, hp, es in _symmetry_points(base, chart):
         if not reports:  # the base matrix sets the gradient tolerance
             gtol = 1e-10 * max(1.0, float(np.max(np.abs(es.values))))
-        reports.append(_report_at(p, hp, es, k, chart, "symmetry-enumeration",
+        reports.append(_report_at([np.pi if b else 0.0 for b in bits], hp,
+                                  es, k, chart, "symmetry-enumeration",
                                   tol_degeneracy=tol_degeneracy,
                                   tol_vanish=tol_vanish, rank_tol=rank_tol))
 
-    known = [np.array(r.coords) for r in reports]
+    known = np.array([r.coords for r in reports])
     unconverged = 0
     attempted = 0
-    found: list[tuple[np.ndarray, float, _SimpleEigen]] = []
+    found: list[_SimpleEigen] = []
     if beta > 0:
         grid = _halton(min(128, max(8, 2 ** beta)), beta) * TWO_PI
         rng = np.random.default_rng(seed)
         random_starts = rng.uniform(0.0, TWO_PI, size=(starts, beta))
-        for start in np.vstack([grid, random_starts]):
-            attempted += 1
-            status, x, aux, s = _polish(base, chart, k, start, gtol,
-                                        tol_degeneracy)
+        polished = _polish(base, chart, k, np.vstack([grid, random_starts]),
+                           gtol, tol_degeneracy)
+        attempted = len(polished)
+        # Landing points kept so far, each compared against in one array
+        # operation per start.
+        stuck_x = np.empty((attempted, beta))
+        found_x = np.empty((attempted, beta))
+        found_r = np.empty(attempted)
+        for status, x, aux, s in polished:
             if status == "degenerate":
-                coords = tuple(float(c) for c in x)
-                if all(_torus_distance(x, np.array(c)) > DEDUP_TOL
-                       for c, _ in incorrigible):
-                    incorrigible.append((coords, aux))
+                if np.all(_torus_distance(x, stuck_x[:len(incorrigible)])
+                          > DEDUP_TOL):
+                    stuck_x[len(incorrigible)] = x
+                    incorrigible.append((tuple(float(c) for c in x), aux))
                 continue
             if status != "ok":
                 unconverged += 1
                 continue
             radius = max(DEDUP_TOL, 10.0 * aux)
-            if any(_torus_distance(x, c) <= radius for c in known):
+            if np.any(_torus_distance(x, known) <= radius):
                 continue
-            if any(_torus_distance(x, c) <= max(radius, r)
-                   for c, r, _ in found):
+            nf = len(found)
+            if np.any(_torus_distance(x, found_x[:nf])
+                      <= np.maximum(radius, found_r[:nf])):
                 continue
-            found.append((x, radius, s))
+            found_x[nf], found_r[nf] = x, radius
+            found.append(s)
 
     # Pair conjugate search points; keep the lexicographically smaller
     # coordinates as the primary report.
-    consumed = set()
-    for i, (x, radius, s) in enumerate(found):
-        if i in consumed:
+    nf = len(found)
+    consumed = np.zeros(nf, dtype=bool)
+    for i, s in enumerate(found):
+        if consumed[i]:
             continue
-        partner = None
-        for j in range(i + 1, len(found)):
-            if j in consumed:
-                continue
-            if _torus_distance(np.mod(-x, TWO_PI), found[j][0]) \
-                    <= max(radius, found[j][1]):
-                partner = j
-                break
-        p = TorusPoint.from_coords(base, x, chart)
-        rep = _report_at(p, s.h, s.es, k, chart, "search",
+        x = found_x[i]
+        close = (_torus_distance(np.mod(-x, TWO_PI), found_x[i + 1:nf])
+                 <= np.maximum(found_r[i], found_r[i + 1:nf])) \
+            & ~consumed[i + 1:]
+        rep = _report_at(np.mod(x, TWO_PI), s.h, s.es, k, chart, "search",
                          tol_degeneracy=tol_degeneracy,
                          tol_vanish=tol_vanish, rank_tol=rank_tol)
-        if partner is not None:
-            consumed.add(partner)
+        if np.any(close):
+            partner = i + 1 + int(np.argmax(close))
+            consumed[partner] = True
             rep = replace(
-                rep,
-                conjugate_of=tuple(float(c) for c in found[partner][0]))
+                rep, conjugate_of=tuple(float(c) for c in found_x[partner]))
         reports.append(rep)
 
     coverage = (f"symmetry classes enumerated exactly (2^{beta}); search used "
@@ -699,7 +848,7 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
         raise ValueError("verification expects a real matrix")
     chart = gauge_chart(h.graph)
     rows: list[VerifyRow] = []
-    for bits, _, hs, es in _symmetry_points(abs_part(h), chart):
+    for bits, hs, es in _symmetry_points(abs_part(h), chart):
         for k in range(1, h.graph.n + 1):
             try:
                 s = _simple_eigen(hs, k, es, tol_degeneracy)
@@ -713,8 +862,8 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
                     reason = str(exc)
                 rows.append(VerifyRow(bits, k, "skipped", reason=reason))
                 continue
-            index, nullity = morse_index(_hessian(s, chart, tol_degeneracy),
-                                         rank_tol)
+            index, nullity = morse_index(
+                _hessian_at(s, chart, tol_degeneracy), rank_tol)
             if nullity != 0:
                 raise InternalCrossCheckError(
                     f"Hessian at class {bits}, k={k} is degenerate "

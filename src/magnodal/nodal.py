@@ -75,7 +75,7 @@ def edge_products(h: SupportedMatrix, v: np.ndarray) -> np.ndarray:
     """
     if not h.graph.edges:
         return np.zeros(v.shape[:-1] + (0,), dtype=np.complex128)
-    rs = np.array(h.graph.edges)
+    rs = h.graph.endpoints
     return np.conj(v[..., rs[:, 0]]) * h.offdiag * v[..., rs[:, 1]]
 
 
@@ -265,7 +265,7 @@ def _surplus_counts(h: SupportedMatrix, chunks, weight: int,
     kwargs = dict(tol_degeneracy=tol_degeneracy, tol_vanish=tol_vanish,
                   tol_real=tol_real, tol_product=tol_product)
     n, beta = h.graph.n, betti_number(h.graph)
-    rs = np.array(h.graph.edges, dtype=np.intp).reshape(-1, 2)
+    rs = h.graph.endpoints
     base = h.to_dense()
     scale = h.norm_fro
     position = np.arange(n)

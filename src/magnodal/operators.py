@@ -66,17 +66,7 @@ class SupportedMatrix:
 
     def to_dense(self) -> np.ndarray:
         """Dense array, real dtype when the matrix is real."""
-        if self.is_real:
-            m = np.diag(self.diag)
-            for (r, s), v in zip(self.graph.edges, self.offdiag.real):
-                m[r, s] = v
-                m[s, r] = v
-            return m
-        m = np.diag(self.diag.astype(np.complex128))
-        for (r, s), v in zip(self.graph.edges, self.offdiag):
-            m[r, s] = v
-            m[s, r] = np.conj(v)
-        return m
+        return dense_matrices(self.graph, self.diag, self.offdiag[None])[0]
 
     @cached_property
     def norm_fro(self) -> float:
@@ -103,6 +93,26 @@ class SupportedMatrix:
         diag = np.real(np.diag(m))
         off = np.array([m[r, s] for (r, s) in graph.edges], dtype=np.complex128)
         return cls(graph, diag, off)
+
+
+def dense_matrices(graph: Graph, diag: np.ndarray, offdiag: np.ndarray
+                   ) -> np.ndarray:
+    """Dense Hermitian arrays (S, n, n) with diagonal ``diag`` and the
+    edge entries of row i of ``offdiag`` (S, m).
+
+    The dtype is real when every entry is real (floating-zero imaginary
+    parts, as ``SupportedMatrix.is_real`` decides) and complex otherwise.
+    """
+    real = not offdiag.imag.any()
+    n = graph.n
+    rs = graph.endpoints
+    dense = np.zeros((len(offdiag), n, n),
+                     dtype=np.float64 if real else np.complex128)
+    dense[:, np.arange(n), np.arange(n)] = diag
+    upper = offdiag.real if real else offdiag
+    dense[:, rs[:, 0], rs[:, 1]] = upper
+    dense[:, rs[:, 1], rs[:, 0]] = upper if real else np.conj(offdiag)
+    return dense
 
 
 @dataclass(frozen=True, eq=False)

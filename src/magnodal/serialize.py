@@ -30,6 +30,10 @@ def format_float(x: float) -> str:
 
 
 def _escape(s: str) -> str:
+    # Printable ASCII without a quote or backslash needs no escape;
+    # every key and most values are such strings.
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
     out = ['"']
     for ch in s:
         if ch == '"':

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenSolverError, NonSimpleEigenvalueError
-from .operators import SupportedMatrix
+from .graphs import Graph
+from .operators import SupportedMatrix, dense_matrices
 
 #: Relative eigenvalue-cluster tolerance.
 DEGENERACY_TOL = 1e-8
@@ -57,16 +58,21 @@ def _check_k(k: int, n: int) -> None:
 
 
 def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        a = col[i]
-        if np.iscomplexobj(out):
-            out[:, j] = col * (np.conj(a) / abs(a))
-        elif a < 0.0:
-            out[:, j] = -col
-    return out
+    """Rotate every eigenvector column so that its first largest-modulus
+    entry ``a`` is real and positive; leading axes stack matrices.
+
+    The complex factor is ``conj(a) / hypot(a.real, a.imag)``, which has
+    the bits of the per-column scalar ``conj(a) / abs(a)``, signed zeros
+    included; the array ``np.abs`` and a multiplication by ``1 / hypot``
+    do not.
+    """
+    if vectors.size == 0:
+        return vectors.copy()
+    i = np.argmax(np.abs(vectors), axis=-2)
+    a = np.take_along_axis(vectors, i[..., None, :], axis=-2)
+    if np.iscomplexobj(vectors):
+        return vectors * (np.conj(a) / np.hypot(a.real, a.imag))
+    return np.where(a < 0.0, -vectors, vectors)
 
 
 def eigh_dense(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,11 +89,24 @@ def eigh_dense(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise EigenSolverError(f"dense eigensolve failed: {exc}") from exc
 
 
+def eigh_stack(graph: Graph, diag: np.ndarray, offdiag: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues (S, n) and phase-normalized eigenvectors
+    (S, n, n) of the matrices with diagonal ``diag`` and edge entries
+    ``offdiag`` (S, m), in one stacked solve.
+
+    The rows take the real solver path when all of them are real and
+    the complex path otherwise; a row solved in a stack gets the bits it
+    gets alone on the same path.
+    """
+    values, vectors = eigh_dense(dense_matrices(graph, diag, offdiag))
+    return values, _normalize_phases(vectors)
+
+
 def eigh(h: SupportedMatrix) -> EigenSystem:
     """Full eigensystem of a supported matrix."""
-    values, vectors = eigh_dense(h.to_dense())
-    vectors = _normalize_phases(vectors)
-    values = values.copy()
+    values, vectors = eigh_stack(h.graph, h.diag, h.offdiag[None])
+    values, vectors = values[0].copy(), vectors[0]
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenSystem(values, vectors)

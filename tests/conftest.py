@@ -9,6 +9,9 @@ every one of the ``2^|E|`` signings, so it stays independent of the
 elimination in ``gauge_classes_of_signings``.  ``cycle_basis_by_lca``
 is the fundamental-cycle oracle: it walks each cycle through the lowest
 common ancestor, independent of the root paths in ``graphs``.
+``scalar_polish`` is the Newton oracle: one start at a time, one
+``eigh`` per trial point, against which the lockstep ``morse._polish``
+must agree bit for bit.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import strategies as st
 
+from magnodal.errors import NonSimpleEigenvalueError
 from magnodal.graphs import Chain, CycleBasis, Graph, cycle_basis
+from magnodal.morse import TWO_PI, TorusPoint, _hessian_at
+from magnodal.nodal import _simple_eigen
+from magnodal.spectral import eigh
 
 ACCEPTANCE_RESULTS: list[tuple[int, str, str, str]] = []
 
@@ -142,3 +149,63 @@ def cycle_basis_by_lca(g: Graph, forest, parent) -> CycleBasis:
             add_step(parent[v], v)
         cycles.append(Chain(g, coeffs))
     return CycleBasis(g, tuple(forest), nonforest, tuple(cycles))
+
+
+def eigenvalue_gap(es, k: int) -> float:
+    """Distance from the k-th eigenvalue to the nearest other one."""
+    gaps = [abs(es.values[j] - es.values[k - 1])
+            for j in range(es.n) if j != k - 1]
+    return float(min(gaps)) if gaps else float("inf")
+
+
+def scalar_polish(base, chart, k: int, start, gtol: float,
+                  tol_degeneracy: float):
+    """One start of ``morse._polish``, run on its own.
+
+    Damped Newton steps on the gauge-slice gradient with the analytic
+    Hessian as Jacobian and backtracking on the squared norm; each trial
+    point is one ``eigh`` of its own operator.  Returns ``(status, x,
+    aux, solve)`` as the lockstep does for this start.
+    """
+    idx = chart.nonforest_indices
+
+    def solve(coords):
+        h = TorusPoint.from_coords(base, coords, chart).operator()
+        es = eigh(h)
+        try:
+            return _simple_eigen(h, k, es, tol_degeneracy)
+        except NonSimpleEigenvalueError:
+            return eigenvalue_gap(es, k)
+
+    x = np.mod(np.array(start, dtype=np.float64), TWO_PI)
+    s = solve(x)
+    if isinstance(s, float):
+        return "degenerate", x, s, None
+    for _ in range(60):
+        g = s.gradient[idx]
+        J = _hessian_at(s, chart, tol_degeneracy)
+        delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
+        if float(np.max(np.abs(g))) <= gtol:
+            xn = np.mod(x + delta, TWO_PI)
+            sn = solve(xn)
+            if not isinstance(sn, float) and float(np.linalg.norm(
+                    sn.gradient[idx])) < float(np.linalg.norm(g)):
+                x, s = xn, sn
+            return "ok", x, float(np.linalg.norm(delta)), s
+        f0 = float(g @ g)
+        t = 1.0
+        improved = False
+        while t >= 2.0 ** -12:
+            xn = np.mod(x + t * delta, TWO_PI)
+            sn = solve(xn)
+            if isinstance(sn, float):
+                return "degenerate", xn, sn, None
+            gn = sn.gradient[idx]
+            if float(gn @ gn) < f0 * (1.0 - 0.25 * t) + 1e-300:
+                x, s = xn, sn
+                improved = True
+                break
+            t *= 0.5
+        if not improved:
+            return "stuck", x, 0.0, None
+    return "maxiter", x, 0.0, None

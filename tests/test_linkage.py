@@ -14,7 +14,13 @@ from magnodal.errors import (
     NotCriticalError,
     VanishingEigenvectorError,
 )
-from magnodal.families import cycle_graph, path_graph, strong_diagonal_fixture
+from magnodal.families import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_operator,
+    strong_diagonal_fixture,
+)
 from magnodal.linkage import (
     LinkageLengths,
     analyze_exceptional,
@@ -23,7 +29,7 @@ from magnodal.linkage import (
     sample_configuration,
     solvability_and_connectivity,
 )
-from magnodal.morse import TorusPoint
+from magnodal.morse import TorusPoint, critical_scan, gauge_chart
 from magnodal.operators import SupportedMatrix, abs_part
 from magnodal.spectral import eigh
 
@@ -287,3 +293,26 @@ class TestAnalyzeExceptional:
         with pytest.raises(LinkageHypothesisError) as err:
             analyze_exceptional(fx.point, fx.k)
         assert err.value.hypothesis == 2
+
+    def test_eigenvalue_leaving_position_k_is_named(self):
+        """A manifold sample where the eigenvalue nearest lambda sits at
+        another position reports that, not a shift-coefficient sign."""
+        h = random_operator(complete_graph(5), np.random.default_rng(0))
+        base, chart = abs_part(h), gauge_chart(h.graph)
+        for r in critical_scan(h, 2, starts=4, seed=0).reports:
+            if r.origin != "search":
+                continue
+            p = TorusPoint.from_coords(base, np.array(r.coords), chart)
+            try:
+                analyze_exceptional(p, 2)
+            except LinkageHypothesisError as exc:
+                err = exc
+                break
+        else:
+            pytest.fail("no search report fails a linkage hypothesis")
+        assert err.hypothesis == 3
+        message = str(err)
+        assert message.startswith("eigenvalue leaves position k=2 along the "
+                                  "manifold (sample 0: position 1, "
+                                  "configuration [0, ")
+        assert "shift coefficient" not in message

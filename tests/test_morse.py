@@ -41,6 +41,7 @@ from magnodal.operators import (
     FLUX_TOL,
     SupportedMatrix,
     abs_part,
+    dense_matrices,
     is_gauge_equiv_to_symmetry,
 )
 from magnodal.spectral import (
@@ -413,70 +414,82 @@ class TestCriticalScan:
                 assert r.morse_index + r.nullity <= chart.dim
 
     def test_newton_steps_cost_one_eigensolve(self, monkeypatch):
+        """One stacked solve per Newton round plus one for the symmetry
+        points, and every start solves exactly the points its scalar run
+        solves."""
         import magnodal.morse as morse
 
-        calls = 0
-
-        def counting_eigh(h):
-            nonlocal calls
-            calls += 1
-            return eigh(h)
-
-        monkeypatch.setattr(morse, "eigh", counting_eigh)
         h = strong_diagonal_fixture(complete_graph(5), eta=10.0)
-        sr = critical_scan(h, 2, starts=16, seed=0)
-        assert sr.starts_attempted > 0
-        assert calls <= 20 * sr.starts_attempted
+        base, chart = abs_part(h), gauge_chart(h.graph)
+        solves = [oracle_solve_count(monkeypatch, base, chart, 2, start)
+                  for start in scan_starts(chart, 16, 0)]
+        stacks = count_stacks(monkeypatch, morse)
+        inner = morse._offdiag_at
 
+        def marking(*args):  # every round builds its operators once
+            stacks.append(("round", 0))
+            return inner(*args)
+
+        monkeypatch.setattr(morse, "_offdiag_at", marking)
+        counts = count_calls(monkeypatch, morse, "eigh")
+        sr = critical_scan(h, 2, starts=16, seed=0)
+        assert sr.starts_attempted == len(solves) > 0
+        assert counts["eigh"] == 0
+        rounds = []
+        for path, _ in stacks:
+            if path == "round":
+                rounds.append([])
+            else:
+                rounds[-1].append(path)
+        assert rounds[0] == ["real"]  # the symmetry points
+        assert len(rounds) == 1 + max(solves)
+        # one stacked solve per solver path: real rows (Newton trials that
+        # land on 0 or pi exactly) among complex ones cost a second call
+        assert all(sorted(r) in (["complex"], ["real"], ["complex", "real"])
+                   for r in rounds[1:])
+        assert sum(rows for path, rows in stacks if path != "round") \
+            == 2 ** 6 + sum(solves)
 
     @pytest.mark.parametrize("start", [0.0, np.pi, 2 * np.pi])
     def test_degenerate_start_costs_one_eigensolve(self, monkeypatch, start):
         import magnodal.morse as morse
 
-        calls = 0
-
-        def counting_eigh(h):
-            nonlocal calls
-            calls += 1
-            return eigh(h)
-
         base = abs_part(ring_op(4))
         chart = gauge_chart(base.graph)
-        monkeypatch.setattr(morse, "eigh", counting_eigh)
-        status, x, gap, solve = morse._polish(base, chart, 2,
-                                              np.array([start]), 1e-10, 1e-8)
+        stacks = count_stacks(monkeypatch, morse)
+        [(status, x, gap, solve)] = morse._polish(
+            base, chart, 2, np.array([[start]]), 1e-10, 1e-8)
         monkeypatch.undo()
         # the gap is the one a second solve at the same point would give
         x0 = np.mod(np.array([start]), 2 * np.pi)
         es = eigh(TorusPoint.from_coords(base, x0, chart).operator())
         expected = min(abs(es.values[j] - es.values[1]) for j in (0, 2, 3))
-        assert calls == 1
+        assert stacks == [("real", 1)]
         assert status == "degenerate" and solve is None
         assert x.tolist() == x0.tolist()
         assert gap == expected
 
     def test_search_reports_reuse_the_polish_solve(self, monkeypatch):
-        """Every eigensolve of a scan is a symmetry point or a Newton
-        trial: a search report reads the solve its polish ended on."""
+        """Every eigensolve of a scan is the symmetry stack or a Newton
+        round: a search report reads the solve its polish ended on."""
         import magnodal.morse as morse
 
-        counts = count_calls(monkeypatch, morse, "eigh")
-        in_polish = 0
+        stacks = count_stacks(monkeypatch, morse)
+        in_polish = []
         original = morse._polish
 
         def counting_polish(*args, **kwargs):
-            nonlocal in_polish
-            before = counts["eigh"]
+            before = len(stacks)
             result = original(*args, **kwargs)
-            in_polish += counts["eigh"] - before
+            in_polish.extend(stacks[before:])
             return result
 
         monkeypatch.setattr(morse, "_polish", counting_polish)
         h = random_operator(complete_graph(5), np.random.default_rng(0))
         sr = critical_scan(h, 2, starts=4, seed=0)
         search = sum(r.origin == "search" for r in sr.reports)
-        assert search > 0  # 20 here; each cost a second solve before
-        assert counts["eigh"] == 2 ** 6 + in_polish
+        assert search > 0  # 20 here; each cost a second solve once
+        assert stacks == [("real", 2 ** 6)] + in_polish
         # ... and that solve is the one at the reported coordinates
         monkeypatch.undo()
         base, chart = abs_part(h), gauge_chart(h.graph)
@@ -485,13 +498,56 @@ class TestCriticalScan:
                 continue
             p = TorusPoint.from_coords(base, np.array(r.coords), chart)
             hp = p.operator()
-            fresh = morse._report_at(p, hp, eigh(hp), 2, chart, "search",
-                                     tol_degeneracy=DEGENERACY_TOL,
+            fresh = morse._report_at(r.coords, hp, eigh(hp), 2, chart,
+                                     "search", tol_degeneracy=DEGENERACY_TOL,
                                      tol_vanish=VANISH_TOL,
                                      rank_tol=morse.RANK_TOL)
             expected = fresh.to_payload()
             expected["conjugate_of"] = r.to_payload()["conjugate_of"]
             assert r.to_payload() == expected
+
+
+def scan_starts(chart, starts, seed):
+    """The start points ``critical_scan`` polishes, in its order."""
+    import magnodal.morse as morse
+
+    beta = chart.dim
+    grid = morse._halton(min(128, max(8, 2 ** beta)), beta) * morse.TWO_PI
+    rng = np.random.default_rng(seed)
+    return np.vstack([grid, rng.uniform(0.0, morse.TWO_PI,
+                                        size=(starts, beta))])
+
+
+def scan_gtol(base):
+    """The gradient tolerance ``critical_scan`` sets from the base."""
+    return 1e-10 * max(1.0, float(np.max(np.abs(eigh(base).values))))
+
+
+def oracle_solve_count(monkeypatch, base, chart, k, start):
+    """Eigensolves one start makes in the scalar oracle."""
+    import conftest
+
+    with monkeypatch.context() as m:
+        counts = count_calls(m, conftest, "eigh")
+        conftest.scalar_polish(base, chart, k, start, scan_gtol(base),
+                               DEGENERACY_TOL)
+    return counts["eigh"]
+
+
+def count_stacks(monkeypatch, module):
+    """Record ``(path, rows)`` for each stacked solve (one ``eigh_dense``
+    call through ``eigh_stack``) that ``module`` makes."""
+    stacks = []
+    inner = module.eigh_stack
+
+    def recording(graph, diag, offdiag):
+        dense = dense_matrices(graph, diag, offdiag)
+        stacks.append(("complex" if np.iscomplexobj(dense) else "real",
+                       len(dense)))
+        return inner(graph, diag, offdiag)
+
+    monkeypatch.setattr(module, "eigh_stack", recording)
+    return stacks
 
 
 def count_calls(monkeypatch, module, *names):
@@ -506,28 +562,98 @@ def count_calls(monkeypatch, module, *names):
     return counts
 
 
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestLockstepPolish:
+    """The lockstep polish follows the scalar oracle bit for bit: the
+    status, the coordinates, the auxiliary number and the final solve."""
+
+    @pytest.mark.parametrize("case,k,starts", [
+        ("strong-K5", 2, 4),
+        ("random-K5-seed0", 2, 4),
+        ("random-K5-seed0", 3, 4),
+        ("ring-C4", 1, 8),
+        ("ring-C4", 2, 8),
+        ("strong-C3", 2, 16),
+    ])
+    def test_matches_the_scalar_oracle(self, monkeypatch, case, k, starts):
+        import conftest
+        import magnodal.morse as morse
+
+        h = {"strong-K5": strong_diagonal_fixture(complete_graph(5)),
+             "random-K5-seed0": random_operator(complete_graph(5),
+                                                np.random.default_rng(0)),
+             "ring-C4": ring_op(4),
+             "strong-C3": strong_diagonal_fixture(cycle_graph(3))}[case]
+        base, chart = abs_part(h), gauge_chart(h.graph)
+        points = scan_starts(chart, starts, 0)
+        stacks = count_stacks(monkeypatch, morse)
+        got = morse._polish(base, chart, k, points, scan_gtol(base),
+                            DEGENERACY_TOL)
+        monkeypatch.undo()
+        want = [conftest.scalar_polish(base, chart, k, p, scan_gtol(base),
+                                       DEGENERACY_TOL) for p in points]
+        assert len(got) == len(want)
+        for (status, x, aux, s), (status0, x0, aux0, s0) in zip(got, want):
+            assert status == status0
+            assert same_bits(x, x0)
+            assert same_bits(aux, aux0)
+            assert (s is None) == (s0 is None)
+            if s is not None:
+                assert same_bits(s.h.offdiag, s0.h.offdiag)
+                assert same_bits(s.es.values, s0.es.values)
+                assert same_bits(s.es.vectors, s0.es.vectors)
+                assert same_bits(s.products, s0.products)
+                assert s.lam == s0.lam and same_bits(s.v, s0.v)
+        statuses = {r[0] for r in want}
+        if case == "random-K5-seed0" and k == 2:
+            assert "stuck" in statuses
+        if case == "ring-C4":
+            # a Halton start at pi is a real operator among complex ones
+            assert {"real", "complex"} <= {path for path, _ in stacks}
+            assert "degenerate" in statuses
+
+    def test_converged_final_solve_holds_no_stack(self):
+        """A returned solve owns its arrays, so a kept report does not
+        keep a round's stacks alive."""
+        import magnodal.morse as morse
+
+        h = strong_diagonal_fixture(complete_graph(4))
+        base, chart = abs_part(h), gauge_chart(h.graph)
+        for status, _, _, s in morse._polish(
+                base, chart, 2, scan_starts(chart, 4, 0), scan_gtol(base),
+                DEGENERACY_TOL):
+            assert status == "ok"
+            for arr in (s.es.values, s.es.vectors, s.products, s.h.offdiag):
+                assert arr.base is None
+
+
 class TestOneOperatorPerSolve:
-    """Hessians reuse the solve they follow instead of rebuilding the
-    operator at the same point."""
+    """Every eigensolve of a scan or an index check is stacked, and no
+    operator is built one point at a time."""
 
     def test_critical_scan(self, monkeypatch):
         import magnodal.morse as morse
 
+        stacks = count_stacks(monkeypatch, morse)
         counts = count_calls(monkeypatch, morse, "eigh", "magnetic_action")
         critical_scan(strong_diagonal_fixture(complete_graph(5), eta=10.0),
                       2, starts=16, seed=0)
-        assert counts["eigh"] > 0
-        assert counts["magnetic_action"] <= counts["eigh"]
+        assert len(stacks) > 1
+        assert counts == {"eigh": 0, "magnetic_action": 0}
 
     def test_verify_index(self, monkeypatch):
         import magnodal.morse as morse
 
+        stacks = count_stacks(monkeypatch, morse)
         counts = count_calls(monkeypatch, morse, "eigh", "magnetic_action")
         t = verify_index_equals_surplus(
             strong_diagonal_fixture(complete_graph(5)))
         assert t.num_ok == 320
-        assert counts["eigh"] == 64
-        assert counts["magnetic_action"] <= counts["eigh"]
+        assert stacks == [("real", 64)]
+        assert counts == {"eigh": 0, "magnetic_action": 0}
 
     def test_verify_index_checks_each_pair_once(self, monkeypatch):
         import magnodal.morse as morse

@@ -14,6 +14,28 @@ from magnodal.serialize import (
 )
 
 
+def escape_by_characters(s: str) -> str:
+    """JSON string literal built one character at a time (the oracle)."""
+    out = ['"']
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ch == "\n":
+            out.append("\\n")
+        elif ch == "\r":
+            out.append("\\r")
+        elif ch == "\t":
+            out.append("\\t")
+        elif ord(ch) < 0x20:
+            out.append("\\u%04x" % ord(ch))
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
+
+
 class TestFormatFloat:
     def test_round_trip_is_exact(self):
         values = [0.1, 1.0 / 3.0, 1e-300, 1e300, -2.5, 0.0,
@@ -64,6 +86,15 @@ class TestDumpsCanonical:
         assert dumps_canonical('a"b') == '"a\\"b"'
         assert dumps_canonical("a\nb") == '"a\\nb"'
         assert dumps_canonical("a\x01b") == '"a\\u0001b"'
+
+    @pytest.mark.parametrize("s", [
+        "", "plain_key", "with space", 'a"b', "a\\b", '"', "\\", "\x7f",
+        "del\x7fin", "café", "β ≥ 0", "\U0001f600",
+        *(f"x{chr(c)}y" for c in range(0x20)),
+        *(chr(c) for c in range(0x20, 0x80)),
+    ])
+    def test_escape_matches_character_loop(self, s):
+        assert dumps_canonical(s) == escape_by_characters(s)
 
     def test_non_string_keys_rejected(self):
         with pytest.raises(TypeError):

@@ -5,7 +5,9 @@ from magnodal.errors import NonSimpleEigenvalueError
 from magnodal.graphs import Graph
 from magnodal.operators import GaugePhase, SupportedMatrix, gauge_transform
 from magnodal.spectral import (
+    _normalize_phases,
     eigh,
+    eigh_stack,
     is_nowhere_vanishing,
     multiplicity,
     pseudo_inverse_apply,
@@ -98,6 +100,51 @@ class TestEigh:
             es.value(0)
         with pytest.raises(ValueError):
             es.vector(3)
+
+
+def normalize_by_columns(vectors):
+    """Phase normalization one column at a time (the oracle)."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        a = col[int(np.argmax(np.abs(col)))]
+        if np.iscomplexobj(out):
+            out[:, j] = col * (np.conj(a) / abs(a))
+        elif a < 0.0:
+            out[:, j] = -col
+    return out
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_rows_match_single_solves(self, complex_entries):
+        rng = np.random.default_rng(11)
+        h = random_supported(6, rng, density=0.8)
+        rows = rng.uniform(0.5, 1.5, size=(5, h.graph.num_edges)) + 0j
+        if complex_entries:
+            rows *= np.exp(1j * rng.uniform(0, 2 * np.pi, size=rows.shape))
+        values, vectors = eigh_stack(h.graph, h.diag, rows)
+        assert np.iscomplexobj(vectors) == complex_entries
+        for off, w, V in zip(rows, values, vectors):
+            es = eigh(SupportedMatrix(h.graph, h.diag, off))
+            assert es.values.tobytes() == w.tobytes()
+            assert es.vectors.tobytes() == V.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_phase_normalization_matches_column_loop(self, n,
+                                                     complex_entries):
+        """Signed zeros included: a real anchor entry ``a`` with a zero
+        imaginary part keeps the sign the scalar division gives it."""
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(20, n, n))
+        if complex_entries:
+            a = a + 1j * rng.normal(size=(20, n, n))
+        _, vectors = np.linalg.eigh(a + np.conj(a.swapaxes(1, 2)))
+        stacked = _normalize_phases(vectors)
+        for V, S in zip(vectors, stacked):
+            assert normalize_by_columns(V).tobytes() == S.tobytes()
+            assert _normalize_phases(V).tobytes() == S.tobytes()
 
 
 class TestMultiplicity:

@@ -56,7 +56,6 @@ from .operators import (
     SigningClasses,
     SupportedMatrix,
     abs_part,
-    enumerate_signings,
     gauge_classes_of_signings,
     gauge_transform,
     is_gauge_equiv_to_symmetry,
@@ -93,9 +92,7 @@ from .morse import (
     critical_scan,
     eigenvalue_gradient,
     gauge_chart,
-    gradient_fd,
     hessian_eigenvalue,
-    hessian_eigenvalue_fd,
     hessian_frozen_form,
     is_critical,
     morse_index,

@@ -49,6 +49,7 @@ from .operators import (
     FLUX_TOL,
     SupportedMatrix,
     abs_part,
+    gauge_classes_of_signings,
     is_gauge_equiv_to_symmetry,
     magnetic_action,
     phase_form,
@@ -58,9 +59,9 @@ from .spectral import (
     DEGENERACY_TOL,
     VANISH_TOL,
     EigenSystem,
-    eigh,
     eigh_stack,
     is_nowhere_vanishing,
+    simple_positions,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -187,22 +188,6 @@ def gradient_coords(p: TorusPoint, k: int, chart: GaugeChart, *,
     """Gradient restricted to the gauge-slice coordinates."""
     g = eigenvalue_gradient(p, k, es=es, tol_degeneracy=tol_degeneracy)
     return g.values[chart.nonforest_indices].copy()
-
-
-def eigenvalue_at(p: TorusPoint, k: int) -> float:
-    return eigh(p.operator()).value(k)
-
-
-def gradient_fd(p: TorusPoint, k: int, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient over every edge angle, for checking."""
-    out = np.empty(p.graph.num_edges)
-    for i in range(p.graph.num_edges):
-        delta = np.zeros(p.graph.num_edges)
-        delta[i] = step
-        up = TorusPoint(p.base, p.angles + delta)
-        dn = TorusPoint(p.base, p.angles - delta)
-        out[i] = (eigenvalue_at(up, k) - eigenvalue_at(dn, k)) / (2.0 * step)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,35 +395,6 @@ def _hessian(s: _Solves, chart: GaugeChart, tol_degeneracy: float
     return 0.5 * (H + Ht)
 
 
-def hessian_eigenvalue_fd(p: TorusPoint, k: int, *,
-                          chart: GaugeChart | None = None,
-                          step: float = 1e-4) -> np.ndarray:
-    """Central-difference Hessian over the gauge-slice coordinates."""
-    if chart is None:
-        chart = gauge_chart(p.graph)
-    dim = chart.dim
-    idx = chart.nonforest_indices
-
-    def value(offsets: np.ndarray) -> float:
-        delta = np.zeros(p.graph.num_edges)
-        delta[idx] = offsets
-        return eigenvalue_at(TorusPoint(p.base, p.angles + delta), k)
-
-    H = np.empty((dim, dim))
-    f0 = value(np.zeros(dim))
-    for i in range(dim):
-        ei = np.zeros(dim)
-        ei[i] = step
-        H[i, i] = (value(ei) - 2.0 * f0 + value(-ei)) / step ** 2
-        for j in range(i + 1, dim):
-            ej = np.zeros(dim)
-            ej[j] = step
-            H[i, j] = H[j, i] = (
-                value(ei + ej) - value(ei - ej) - value(-ei + ej)
-                + value(-ei - ej)) / (4.0 * step ** 2)
-    return H
-
-
 def morse_index(hess: np.ndarray, rank_tol: float = RANK_TOL
                 ) -> tuple[int, int]:
     """Count of negative and of near-zero Hessian eigenvalues.
@@ -567,17 +523,6 @@ def _offdiag_at(base: SupportedMatrix, chart: GaugeChart, coords: np.ndarray
     return base.offdiag * unit_phases(np.mod(angles, TWO_PI))
 
 
-def _simple_rows(values: np.ndarray, k: int, tol_degeneracy: float
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of eigenvalues: whether the k-th one is simple, as
-    ``multiplicity`` decides, and its distance to the nearest other one."""
-    dist = np.abs(values - values[:, k - 1:k])
-    dist[:, k - 1] = np.inf
-    tol = tol_degeneracy * np.maximum(1.0, np.max(np.abs(values), axis=1))
-    near = dist[:, max(k - 2, 0):k + 1] <= tol[:, None]
-    return ~np.any(near, axis=1), np.min(dist, axis=1)
-
-
 # Phases of a start in ``_polish``.
 _START, _LINE, _FINAL, _DONE = range(4)
 
@@ -630,7 +575,7 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
         v = vectors[:, :, k - 1]
         s = _Solves(off, values, vectors, k,
                     np.conj(v[:, rs[:, 0]]) * off * v[:, rs[:, 1]])
-        simple, gap = _simple_rows(values, k, tol_degeneracy)
+        simple = simple_positions(values, tol_degeneracy)[:, k - 1]
         gn = (-2.0 * s.products.imag)[:, idx]
         moved = []
         for j, i in enumerate(r):
@@ -644,7 +589,9 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
                     out[i] = ("ok", x[i].copy(), float(aux[i]), held[i])
                 del held[i]
             elif not simple[j]:
-                out[i] = ("degenerate", trial[i].copy(), float(gap[j]), None)
+                gap = np.min(np.abs(np.delete(values[j], k - 1)
+                                    - values[j, k - 1]))
+                out[i] = ("degenerate", trial[i].copy(), float(gap), None)
             elif phase[i] == _LINE and not float(gn[j] @ gn[j]) \
                     < f0[i] * (1.0 - 0.25 * t[i]) + 1e-300:
                 t[i] *= 0.5
@@ -695,12 +642,18 @@ def _symmetry_points(base: SupportedMatrix, chart: GaugeChart
 
     The ``2^beta`` gauge-slice points have coordinate ``pi`` where the
     bit is 1 and 0 elsewhere, in ``itertools.product`` order (the last
-    bit varies fastest); the first is the base matrix itself.  Their
-    operators are real, and one stacked real solve covers them all.
+    bit varies fastest); the first is the base matrix itself.  Each is
+    the forest-gauge representative of the switching class whose id
+    has bit ``j`` set where coordinate ``j`` is ``pi``, so the signs
+    come from ``gauge_classes_of_signings``, which refuses a beta over
+    ``SIGNING_CAP``.  The operators are real, and one stacked real
+    solve covers them all.
     """
     d = chart.dim
-    bits = (np.arange(2 ** d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
-    off = _offdiag_at(base, chart, np.where(bits == 1, np.pi, 0.0))
+    classes = gauge_classes_of_signings(base)
+    bits = (np.arange(classes.num_classes)[:, None]
+            >> np.arange(d - 1, -1, -1)) & 1
+    off = base.offdiag * classes.rows(bits @ (1 << np.arange(d)))
     values, vectors = eigh_stack(base.graph, base.diag, off)
     values.setflags(write=False)
     vectors.setflags(write=False)
@@ -720,7 +673,8 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
     seeded random starts are polished toward gradient zeros.  Found
     points are deduplicated against each other and against conjugate
     partners.  The search side is best effort only and the coverage
-    note says so.
+    note says so.  A beta over ``SIGNING_CAP`` raises
+    ``CapExceededError`` before anything is solved.
     """
     if not h.is_real:
         raise ValueError("critical_scan expects a real base matrix")
@@ -842,7 +796,8 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
     coordinates in {0, pi}.  For each admissible pair (class, k) the
     eigenvalue Hessian must be nondegenerate with index equal to the
     nodal surplus; a violation raises.  Inadmissible pairs are recorded
-    as skipped with the reason.
+    as skipped with the reason.  A beta over ``SIGNING_CAP`` raises
+    ``CapExceededError`` before anything is solved.
     """
     if not h.is_real:
         raise ValueError("verification expects a real matrix")

@@ -9,17 +9,19 @@ of a real matrix gives the distribution the rest of the library keeps
 poking at from different directions.
 
 Switching-equivalent signings share their spectrum and nodal counts,
-so the average solves one representative per switching class and
-weights it by the class size.  The kernel, ``_surplus_counts``, solves
-the representatives in chunks of ``SWEEP_CHUNK``, one stacked
-eigensolve per chunk, and runs the admissibility checks of
-``nodal_count`` on every signing and eigenvalue position of the chunk
-at once.  A signing enters the histogram only when every eigenvalue
-position is admissible; with ``skip_inadmissible`` the others are
-dropped whole and counted, so the counts always sum to the sample
-count.  Errors come from the scalar code: the first failing signing is
-solved again on its own and ``nodal_count`` raises, so it stays the one
-place that words them and the oracle the kernel is tested against.
+so the average solves one representative per switching class, the
+member that leaves the spanning forest unflipped, and weights it by the
+class size.  The kernel, ``_surplus_counts``, solves the
+representatives in chunks of ``SWEEP_CHUNK``, each built from its class
+ids and solved by one stacked eigensolve, and runs the admissibility
+checks of ``nodal_count`` on every signing and eigenvalue position of
+the chunk at once.  A signing enters the histogram only when every
+eigenvalue position is admissible; with ``skip_inadmissible`` the
+others are dropped whole and counted, so the counts always sum to the
+sample count.  Errors come from the scalar code: the first failing
+signing is solved again on its own and ``nodal_count`` raises, so it
+stays the one place that words them and the oracle the kernel is
+tested against.
 
 Every scalar decision at one eigenvalue position starts from one solve,
 ``_simple_eigen``: the operator, its eigensystem, the simple k-th
@@ -59,6 +61,7 @@ from .spectral import (
     eigh_dense,
     is_nowhere_vanishing,
     multiplicity,
+    simple_positions,
 )
 
 #: Edge products must be real within this times the matrix norm.
@@ -278,14 +281,11 @@ def _surplus_counts(h: SupportedMatrix, chunks, weight: int,
         values, vectors = eigh_dense(dense)
         vectors = vectors.swapaxes(1, 2)  # (signing, k, vertex)
         products = edge_products(h, vectors) * rows[:, None, :]
-        tol = tol_degeneracy * np.maximum(1.0, np.max(np.abs(values), axis=1))
-        close = np.abs(np.diff(values, axis=1)) <= tol[:, None]
         inadmissible = (
-            np.any(np.abs(vectors) < tol_vanish, axis=2)
+            ~simple_positions(values, tol_degeneracy)
+            | np.any(np.abs(vectors) < tol_vanish, axis=2)
             | np.any(np.abs(products.imag) > tol_real * scale, axis=2)
             | np.any(np.abs(products.real) < tol_product * scale, axis=2))
-        inadmissible[:, 1:] |= close
-        inadmissible[:, :-1] |= close
         surplus = np.count_nonzero(products.real > 0.0, axis=2) - position
         out_of_bounds = ~inadmissible & ((surplus < 0) | (surplus > beta))
         failed = inadmissible | out_of_bounds
@@ -314,10 +314,11 @@ def average_surplus_distribution(h: SupportedMatrix, *,
     """Exact surplus histogram averaged over every signing.
 
     Switching-equivalent signings are conjugate by a diagonal sign
-    matrix, so they share spectrum and nodal counts: only the least
-    representative of each of the ``2^beta`` switching classes is
-    solved, in class-id order and in blocks of ``SWEEP_CHUNK`` stacked
-    eigensolves, and its surpluses count ``class_size`` times.  Counts
+    matrix, so they share spectrum and nodal counts: only the
+    forest-gauge representative of each of the ``2^beta`` switching
+    classes is solved, in class-id order and in blocks of
+    ``SWEEP_CHUNK`` stacked eigensolves whose sign rows are built per
+    block, and its surpluses count ``class_size`` times.  Counts
     are accumulated as integers and divided once, so the probabilities
     are exact ratios; ``cap`` bounds beta, and a graph whose
     ``n * 2^|E|`` samples overflow the int64 counts is refused too.  A
@@ -339,9 +340,9 @@ def average_surplus_distribution(h: SupportedMatrix, *,
     if n << m > np.iinfo(np.int64).max:
         raise CapExceededError(
             f"{n} vertices times 2^{m} signings overflow the int64 counts")
-    reps = classes.representatives
-    chunks = (reps[i:i + SWEEP_CHUNK] for i in range(0, len(reps),
-                                                       SWEEP_CHUNK))
+    total = classes.num_classes
+    chunks = (classes.rows(np.arange(i, min(i + SWEEP_CHUNK, total)))
+              for i in range(0, total, SWEEP_CHUNK))
     counts, skipped = _surplus_counts(h, chunks, classes.class_size,
                                       skip_inadmissible, **kwargs)
     return SurplusDistribution(betti_number(h.graph), counts,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -31,8 +30,8 @@ from .graphs import (Graph, OneForm, _is_number, coboundary, cycle_basis,
 
 TWO_PI = 2.0 * np.pi
 
-#: Default refusal threshold: the edges of a full signing enumeration,
-#: the cycles (beta) of a switching-class enumeration.
+#: Default refusal threshold on the cycles (beta) of a switching-class
+#: enumeration.
 SIGNING_CAP = 20
 
 #: Flux distance to a multiple of pi below which a class is a switching class.
@@ -197,116 +196,63 @@ def signs_for_index(index: int, num_edges: int) -> np.ndarray:
     return np.array([-1.0 if (index >> i) & 1 else 1.0 for i in range(num_edges)])
 
 
-def enumerate_signings(h: SupportedMatrix, cap: int = SIGNING_CAP
-                       ) -> Iterator[SupportedMatrix]:
-    """Stream all sign patterns applied to a real matrix.
-
-    Yields ``2**|E|`` matrices in binary-counter order over the
-    canonical edge order (edge 0 is the least significant bit).  Refuses
-    graphs with more than ``cap`` edges instead of attempting the
-    enumeration.
-    """
-    if not h.is_real:
-        raise ValueError("signing enumeration is defined for real matrices")
-    m = h.graph.num_edges
-    if m > cap:
-        raise CapExceededError(
-            f"signing enumeration over {m} edges exceeds the cap of {cap}; "
-            f"raise the cap explicitly to proceed")
-    for index in range(1 << m):
-        yield SupportedMatrix(h.graph, h.diag,
-                              h.offdiag * signs_for_index(index, m))
-
-
 @dataclass(frozen=True, eq=False)
 class SigningClasses:
-    """Switching classes of the signings of a real matrix.
+    """Switching classes of the signings of a real matrix, in the forest
+    gauge.
 
     The id of a class packs the sign parity around fundamental cycle
     ``j`` of ``cycle_basis`` into bit ``j``; the ids are exactly
-    ``0 .. 2^beta - 1``.  Row ``c`` of ``representatives`` (read-only
-    int8 signs, one column per canonical edge) is the lexicographically
-    least sign vector of class ``c``, comparing entrywise with -1
-    before +1.  Every class holds ``class_size = 2^(n - components)``
-    signings.
+    ``0 .. 2^beta - 1``.  Class ``c`` is represented by the signing that
+    keeps every forest edge unflipped and flips the non-forest edge of
+    cycle ``j`` (``nonforest[j]`` in canonical edge order) exactly when
+    bit ``j`` of ``c`` is set; that edge is the only non-forest edge on
+    its cycle, so the parities come out as the id says.  ``rows`` builds
+    the sign rows of any block of ids on demand.  Every class holds
+    ``class_size = 2^(n - components)`` signings.
     """
 
     graph: Graph
-    representatives: np.ndarray
+    nonforest: np.ndarray
     class_size: int
 
     @property
     def num_classes(self) -> int:
-        return len(self.representatives)
+        return 1 << len(self.nonforest)
+
+    def rows(self, ids) -> np.ndarray:
+        """Int8 signs (len(ids), |E|) of the representatives of ``ids``."""
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = np.ones((len(ids), self.graph.num_edges), dtype=np.int8)
+        rows[:, self.nonforest] = \
+            1 - 2 * ((ids[:, None] >> np.arange(len(self.nonforest))) & 1)
+        return rows
 
 
 def gauge_classes_of_signings(h: SupportedMatrix, cap: int = SIGNING_CAP
                               ) -> SigningClasses:
-    """Least representative of each switching class of a real matrix.
+    """The ``2^beta`` switching classes of the signings of a real matrix.
 
     Two sign patterns are equivalent when they differ by a vertex sign
     flip, equivalently when the sign parity around every fundamental
-    cycle agrees.  Over GF(2), edge ``i`` has the column ``c_i`` whose
-    bit ``j`` says whether cycle ``j`` uses it, and a signing with
-    flipped edges ``x`` lies in class ``sum_i x_i c_i``.  The least
-    member flips edge ``i`` greedily, in canonical order, whenever the
-    later columns can still reach the class.  That always holds when
-    ``c_i`` is in the span of the later columns, so such edges are
-    flipped in every representative; the other ``beta`` edges are a
-    basis, and their flips solve a linear system whose solution is
-    affine in the class id.  The representatives are built from it in
-    ``O(2^beta |E|)`` without visiting the ``2^|E|`` signings; ``cap``
-    bounds beta.  The classes depend on the graph only, so zero entries
-    are allowed.
+    cycle agrees.  Vertex flips can set every forest edge to +1, so
+    each class has exactly one member that leaves the forest unflipped,
+    and that member is its representative.  Nothing is enumerated up
+    front; ``cap`` bounds beta.  The classes depend on the graph only,
+    so zero entries are allowed.
     """
     if not h.is_real:
         raise ValueError("signing classes are defined for real matrices")
-    m = h.graph.num_edges
-    cycles = cycle_basis(h.graph).cycles
-    if len(cycles) > cap:
+    basis = cycle_basis(h.graph)
+    beta = len(basis.cycles)
+    if beta > cap:
         raise CapExceededError(
-            f"class enumeration over beta {len(cycles)} exceeds the cap "
-            f"of {cap}")
-    columns = [0] * m
-    for j, chain in enumerate(cycles):
-        for i in np.flatnonzero(chain.coeffs):
-            columns[i] |= 1 << j
-
-    # Echelon basis of the columns, keyed by leading bit; each vector
-    # keeps the edges whose columns it sums.
-    basis: dict[int, tuple[int, np.ndarray]] = {}
-
-    def reduce(v: int) -> tuple[int, np.ndarray]:
-        """``v`` reduced by the basis, and the edges summed into it."""
-        edges = np.zeros(m, dtype=bool)
-        while v and v.bit_length() - 1 in basis:
-            w, w_edges = basis[v.bit_length() - 1]
-            v ^= w
-            edges ^= w_edges
-        return v, edges
-
-    # From the last edge back, an edge whose column is independent of
-    # the later ones joins the basis; the others flip in every class.
-    always = np.ones(m, dtype=bool)
-    for i in reversed(range(m)):
-        v, edges = reduce(columns[i])
-        if v:
-            edges[i] = True
-            basis[v.bit_length() - 1] = (v, edges)
-            always[i] = False
-    rest = 0
-    for i in np.flatnonzero(always):
-        rest ^= columns[i]
-    # Class c flips those edges and the basis edges whose columns sum
-    # to c ^ rest.  That is affine in c, so the rows double once per
-    # cycle, in class-id order.
-    flips = (always ^ reduce(rest)[1])[None]
-    for j in range(len(cycles)):
-        flips = np.concatenate([flips, flips ^ reduce(1 << j)[1]])
-    reps = 1 - 2 * flips.astype(np.int8)
-    reps.setflags(write=False)
-    return SigningClasses(graph=h.graph, representatives=reps,
-                          class_size=1 << (m - len(cycles)))
+            f"class enumeration over beta {beta} exceeds the cap of {cap}")
+    nonforest = np.array([h.graph.edge_index[e]
+                          for e in basis.nonforest_edges], dtype=np.int64)
+    nonforest.setflags(write=False)
+    return SigningClasses(graph=h.graph, nonforest=nonforest,
+                          class_size=1 << (h.graph.num_edges - beta))
 
 
 def is_gauge_equiv_to_symmetry(h: SupportedMatrix, tol: float = FLUX_TOL

@@ -131,6 +131,23 @@ def multiplicity(es: EigenSystem, k: int, tol_rel: float = DEGENERACY_TOL
     return hi - lo + 1, lo + 1
 
 
+def simple_positions(values: np.ndarray, tol_rel: float = DEGENERACY_TOL
+                     ) -> np.ndarray:
+    """Which eigenvalues are simple, per row of a stack of ascending
+    spectra ``values`` (S, n): whether ``multiplicity`` gives 1, for
+    every row and position at once.
+
+    A position is simple when both neighbours lie farther than
+    ``tol_rel * max(1, max |eigenvalue|)`` of its row away.
+    """
+    tol = tol_rel * np.maximum(1.0, np.max(np.abs(values), axis=-1))
+    close = np.abs(np.diff(values, axis=-1)) <= tol[..., None]
+    simple = np.ones(values.shape, dtype=bool)
+    simple[..., 1:] &= ~close
+    simple[..., :-1] &= ~close
+    return simple
+
+
 def is_nowhere_vanishing(v: np.ndarray, tol: float = VANISH_TOL
                          ) -> tuple[bool, list[int]]:
     """Check a unit vector for entries below the vanishing threshold."""

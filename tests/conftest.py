@@ -5,24 +5,32 @@ summary hook prints them as stable one-per-line output at the end of
 the run, whether or not output capture is active.
 
 ``classes_by_enumeration`` is the switching-class oracle: it visits
-every one of the ``2^|E|`` signings, so it stays independent of the
-elimination in ``gauge_classes_of_signings``.  ``cycle_basis_by_lca``
-is the fundamental-cycle oracle: it walks each cycle through the lowest
-common ancestor, independent of the root paths in ``graphs``.
+every one of the ``2^|E|`` signings and groups them by cycle parities,
+so it stays independent of the forest-gauge rows that
+``gauge_classes_of_signings`` builds from the class ids.
+``enumerate_signings`` streams those signings as matrices, and
+``eigenvalue_at``, ``gradient_fd`` and ``hessian_eigenvalue_fd`` are
+the finite-difference oracles for the analytic Morse derivatives.
+``cycle_basis_by_lca`` is the fundamental-cycle oracle: it walks each
+cycle through the lowest common ancestor, independent of the root
+paths in ``graphs``.
 ``scalar_polish`` is the Newton oracle: one start at a time, one
 ``eigh`` per trial point, against which the lockstep ``morse._polish``
 must agree bit for bit.
 """
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from hypothesis import strategies as st
 
-from magnodal.errors import NonSimpleEigenvalueError
+from magnodal.errors import CapExceededError, NonSimpleEigenvalueError
 from magnodal.graphs import Chain, CycleBasis, Graph, cycle_basis
-from magnodal.morse import TWO_PI, TorusPoint, _hessian_at
+from magnodal.morse import (TWO_PI, GaugeChart, TorusPoint, _hessian_at,
+                            gauge_chart)
 from magnodal.nodal import _simple_eigen
+from magnodal.operators import SupportedMatrix, signs_for_index
 from magnodal.spectral import eigh
 
 ACCEPTANCE_RESULTS: list[tuple[int, str, str, str]] = []
@@ -74,6 +82,11 @@ def signs_of(index: int, num_edges: int) -> tuple[int, ...]:
     return tuple(-1 if (index >> i) & 1 else 1 for i in range(num_edges))
 
 
+def index_of(signs) -> int:
+    """Enumeration index of a sign row: the inverse of ``signs_of``."""
+    return sum(1 << i for i, s in enumerate(signs) if s < 0)
+
+
 @dataclass(frozen=True)
 class EnumeratedClasses:
     class_of: list[int]
@@ -82,26 +95,99 @@ class EnumeratedClasses:
     representatives: tuple[tuple[int, ...], ...]
 
 
+def forest_mask(g: Graph) -> int:
+    """Edge bitmask of the spanning forest of ``cycle_basis(g)``."""
+    return sum(1 << g.edge_index[e] for e in cycle_basis(g).forest_edges)
+
+
 def classes_by_enumeration(g: Graph) -> EnumeratedClasses:
     """Switching classes of the signings of ``g`` by visiting all of them.
 
     Returns the class of every enumeration index, the sorted class ids,
-    their sizes, and per class the least sign tuple (-1 before +1).
+    their sizes, and per class the sign tuple of its one member whose
+    forest edges are all +1.
     """
     masks = cycle_masks(g)
+    forest = forest_mask(g)
     class_of = []
-    best: dict[int, tuple[int, ...]] = {}
+    reps: dict[int, tuple[int, ...]] = {}
     sizes: dict[int, int] = {}
     for index in range(1 << g.num_edges):
         cid = class_id(masks, index)
         class_of.append(cid)
-        signs = signs_of(index, g.num_edges)
         sizes[cid] = sizes.get(cid, 0) + 1
-        if cid not in best or signs < best[cid]:
-            best[cid] = signs
-    ids = tuple(sorted(best))
+        if not index & forest:
+            assert cid not in reps, "two forest-gauge members in one class"
+            reps[cid] = signs_of(index, g.num_edges)
+    ids = tuple(sorted(sizes))
     return EnumeratedClasses(class_of, ids, tuple(sizes[c] for c in ids),
-                             tuple(best[c] for c in ids))
+                             tuple(reps[c] for c in ids))
+
+
+def enumerate_signings(h: SupportedMatrix, cap: int = 20
+                       ) -> Iterator[SupportedMatrix]:
+    """Stream all sign patterns applied to a real matrix.
+
+    Yields ``2**|E|`` matrices in binary-counter order over the
+    canonical edge order (edge 0 is the least significant bit).  Refuses
+    graphs with more than ``cap`` edges instead of attempting the
+    enumeration.
+    """
+    if not h.is_real:
+        raise ValueError("signing enumeration is defined for real matrices")
+    m = h.graph.num_edges
+    if m > cap:
+        raise CapExceededError(
+            f"signing enumeration over {m} edges exceeds the cap of {cap}; "
+            f"raise the cap explicitly to proceed")
+    for index in range(1 << m):
+        yield SupportedMatrix(h.graph, h.diag,
+                              h.offdiag * signs_for_index(index, m))
+
+
+def eigenvalue_at(p: TorusPoint, k: int) -> float:
+    return eigh(p.operator()).value(k)
+
+
+def gradient_fd(p: TorusPoint, k: int, step: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient over every edge angle, for checking."""
+    out = np.empty(p.graph.num_edges)
+    for i in range(p.graph.num_edges):
+        delta = np.zeros(p.graph.num_edges)
+        delta[i] = step
+        up = TorusPoint(p.base, p.angles + delta)
+        dn = TorusPoint(p.base, p.angles - delta)
+        out[i] = (eigenvalue_at(up, k) - eigenvalue_at(dn, k)) / (2.0 * step)
+    return out
+
+
+def hessian_eigenvalue_fd(p: TorusPoint, k: int, *,
+                          chart: GaugeChart | None = None,
+                          step: float = 1e-4) -> np.ndarray:
+    """Central-difference Hessian over the gauge-slice coordinates."""
+    if chart is None:
+        chart = gauge_chart(p.graph)
+    dim = chart.dim
+    idx = chart.nonforest_indices
+
+    def value(offsets: np.ndarray) -> float:
+        delta = np.zeros(p.graph.num_edges)
+        delta[idx] = offsets
+        return eigenvalue_at(TorusPoint(p.base, p.angles + delta), k)
+
+    H = np.empty((dim, dim))
+    f0 = value(np.zeros(dim))
+    for i in range(dim):
+        ei = np.zeros(dim)
+        ei[i] = step
+        H[i, i] = (value(ei) - 2.0 * f0 + value(-ei)) / step ** 2
+        for j in range(i + 1, dim):
+            ej = np.zeros(dim)
+            ej[j] = step
+            H[i, j] = H[j, i] = (
+                value(ei + ej) - value(ei - ej) - value(-ei + ej)
+                + value(-ei - ej)) / (4.0 * step ** 2)
+    return H
 
 
 def cycle_basis_by_lca(g: Graph, forest, parent) -> CycleBasis:

@@ -14,7 +14,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import class_id, cycle_masks, record_criterion, signs_of
+from conftest import (class_id, cycle_masks, enumerate_signings,
+                      forest_mask, gradient_fd, hessian_eigenvalue_fd,
+                      index_of, record_criterion)
 from magnodal import (
     AdmissibilityError,
     InadmissibleSigningError,
@@ -31,13 +33,10 @@ from magnodal import (
     eigenspace_basis,
     eigenvalue_gradient,
     eigh,
-    enumerate_signings,
     find_edge_separated_pair,
     gauge_chart,
     gauge_classes_of_signings,
-    gradient_fd,
     hessian_eigenvalue,
-    hessian_eigenvalue_fd,
     is_generic,
     is_transverse_at,
     magnetic_action,
@@ -110,12 +109,12 @@ def test_criterion_01_counting_identities():
         if not np.all(sizes == 2 ** (g.n - 1)) \
                 or classes.class_size != 2 ** (g.n - 1):
             failures.append(f"uneven class sizes on n={g.n} m={m}")
-        least = {}
-        for index, cid in enumerate(ids):
-            least[cid] = min(least.get(cid, (1,) * m), signs_of(index, m))
-        if [tuple(int(x) for x in rep) for rep in classes.representatives] \
-                != [least[cid] for cid in range(classes.num_classes)]:
-            failures.append(f"representatives not lex-least on n={g.n} m={m}")
+        flips = [index_of(row)
+                 for row in classes.rows(np.arange(classes.num_classes))]
+        if [ids[f] for f in flips] != list(range(classes.num_classes)) \
+                or any(f & forest_mask(g) for f in flips):
+            failures.append(f"representatives not forest-gauge members on "
+                            f"n={g.n} m={m}")
     finish(1, "counting identities", t0, failures, f"{len(graphs)} graphs")
 
 

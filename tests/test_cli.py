@@ -412,6 +412,24 @@ class TestVerifyIndex:
         assert "verified 6 rows" in err
 
 
+@pytest.mark.parametrize("argv", [["critical-scan", "--k", "1"],
+                                  ["verify-index"]])
+def test_beta_over_the_cap_exits_4_before_any_solve(tmp_path, capsys,
+                                                    monkeypatch, argv):
+    # K8 carries beta 21; uncapped, its 2^21 symmetry points would be
+    # solved as one stack
+    op = write_op(tmp_path, strong_diagonal_fixture(complete_graph(8)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolve ran before the cap check")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    code, out, err = run(capsys, [argv[0], "--op", op, *argv[1:]])
+    assert code == 4 and out == ""
+    assert err == ("cap exceeded: class enumeration over beta 21 exceeds "
+                   "the cap of 20\n")
+
+
 class TestLinkageAnalyze:
     def test_emit_fixture_and_reanalyze(self, tmp_path, capsys):
         stem = str(tmp_path / "link")

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import eigenvalue_at, gradient_fd, hessian_eigenvalue_fd
 from magnodal.errors import (
     AdmissibilityError,
     NonSimpleEigenvalueError,
@@ -24,13 +25,10 @@ from magnodal.morse import (
     GaugeChart,
     TorusPoint,
     critical_scan,
-    eigenvalue_at,
     eigenvalue_gradient,
     gauge_chart,
     gradient_coords,
-    gradient_fd,
     hessian_eigenvalue,
-    hessian_eigenvalue_fd,
     hessian_frozen_form,
     is_critical,
     morse_index,
@@ -418,6 +416,7 @@ class TestCriticalScan:
         points, and every start solves exactly the points its scalar run
         solves."""
         import magnodal.morse as morse
+        import magnodal.nodal as nodal
 
         h = strong_diagonal_fixture(complete_graph(5), eta=10.0)
         base, chart = abs_part(h), gauge_chart(h.graph)
@@ -431,11 +430,11 @@ class TestCriticalScan:
             return inner(*args)
 
         monkeypatch.setattr(morse, "_offdiag_at", marking)
-        counts = count_calls(monkeypatch, morse, "eigh")
+        counts = count_calls(monkeypatch, nodal, "eigh")
         sr = critical_scan(h, 2, starts=16, seed=0)
         assert sr.starts_attempted == len(solves) > 0
         assert counts["eigh"] == 0
-        rounds = []
+        rounds = [[]]  # the symmetry points come before the first round
         for path, _ in stacks:
             if path == "round":
                 rounds.append([])
@@ -636,9 +635,11 @@ class TestOneOperatorPerSolve:
 
     def test_critical_scan(self, monkeypatch):
         import magnodal.morse as morse
+        import magnodal.nodal as nodal
 
         stacks = count_stacks(monkeypatch, morse)
-        counts = count_calls(monkeypatch, morse, "eigh", "magnetic_action")
+        counts = count_calls(monkeypatch, nodal, "eigh")
+        counts.update(count_calls(monkeypatch, morse, "magnetic_action"))
         critical_scan(strong_diagonal_fixture(complete_graph(5), eta=10.0),
                       2, starts=16, seed=0)
         assert len(stacks) > 1
@@ -646,9 +647,11 @@ class TestOneOperatorPerSolve:
 
     def test_verify_index(self, monkeypatch):
         import magnodal.morse as morse
+        import magnodal.nodal as nodal
 
         stacks = count_stacks(monkeypatch, morse)
-        counts = count_calls(monkeypatch, morse, "eigh", "magnetic_action")
+        counts = count_calls(monkeypatch, nodal, "eigh")
+        counts.update(count_calls(monkeypatch, morse, "magnetic_action"))
         t = verify_index_equals_surplus(
             strong_diagonal_fixture(complete_graph(5)))
         assert t.num_ok == 320

@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from conftest import classes_by_enumeration
+from conftest import classes_by_enumeration, enumerate_signings
 import magnodal
 import magnodal.nodal as nodal
 from magnodal.errors import (
@@ -47,7 +47,6 @@ from magnodal.nodal import (
 from magnodal.operators import (
     GaugePhase,
     SupportedMatrix,
-    enumerate_signings,
     gauge_classes_of_signings,
     gauge_transform,
 )
@@ -294,13 +293,13 @@ class TestAveragedDistribution:
         with pytest.raises(CapExceededError):
             average_surplus_distribution(h)
 
-    def test_inadmissible_reports_least_representative(self):
-        # the failing class is the identity's, whose least member flips
-        # the two edges at vertex 0
+    def test_inadmissible_reports_forest_gauge_representative(self):
+        # the failing class is the identity's, whose forest-gauge member
+        # is the operator itself
         h = half_admissible_op()
         with pytest.raises(InadmissibleSigningError) as err:
             average_surplus_distribution(h)
-        assert tuple(int(s) for s in err.value.signs) == (-1, -1, 1)
+        assert tuple(int(s) for s in err.value.signs) == (1, 1, 1)
         assert err.value.signs == classes_by_enumeration(
             h.graph).representatives[0]
         assert "vanish" in err.value.reason

@@ -1,24 +1,27 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (class_id, classes_by_enumeration, cycle_masks,
-                      signs_of, small_graphs)
+                      enumerate_signings, forest_mask, index_of, signs_of,
+                      small_graphs)
 from magnodal.errors import (
     CapExceededError,
     GraphMismatchError,
     NotProperlySupportedError,
     SchemaError,
 )
-from magnodal.families import path_graph, random_connected_graph
+from magnodal.families import (complete_minus_matching, path_graph,
+                               random_connected_graph)
 from magnodal.graphs import Graph, OneForm, betti_number, num_components
 from magnodal.operators import (
     FLUX_TOL,
     GaugePhase,
     SupportedMatrix,
     abs_part,
-    enumerate_signings,
     gauge_classes_of_signings,
     gauge_transform,
     is_gauge_equiv_to_symmetry,
@@ -258,17 +261,17 @@ class TestSigningClasses:
         assert classes.num_classes == 1
         assert classes.class_size == 2 ** 3
 
-    def test_representatives_lex_least(self):
+    def test_representatives_are_forest_gauge_members(self):
         classes = gauge_classes_of_signings(c3_op())
-        reps = classes.representatives
+        reps = classes.rows(np.arange(classes.num_classes))
         assert reps.shape == (2, 3)
-        assert np.issubdtype(reps.dtype, np.integer)
-        assert not reps.flags.writeable
+        assert reps.dtype == np.int8
         masks = cycle_masks(c3())
         for cid, rep in enumerate(reps):
             members = [signs_of(i, 3) for i in range(8)
                        if class_id(masks, i) == cid]
-            assert tuple(int(x) for x in rep) == min(members)
+            assert tuple(int(x) for x in rep) in members
+            assert not index_of(rep) & forest_mask(c3())
 
     def test_members_gauge_equivalent_to_representative(self):
         h = c3_op()
@@ -277,7 +280,7 @@ class TestSigningClasses:
         # two signings in one class differ by a vertex sign flip, so the
         # parity over the fundamental cycle agrees; spot-check via fluxes
         for index in range(8):
-            rep = classes.representatives[class_id(masks, index)]
+            rep = classes.rows([class_id(masks, index)])[0]
             hs = SupportedMatrix(h.graph, h.diag,
                                  h.offdiag * signs_for_index(index, 3))
             hr = SupportedMatrix(h.graph, h.diag,
@@ -305,7 +308,7 @@ class TestSigningClasses:
             assert oracle.class_ids == tuple(range(classes.num_classes))
             assert set(oracle.class_sizes) == {classes.class_size}
             assert [tuple(int(x) for x in row)
-                    for row in classes.representatives] \
+                    for row in classes.rows(range(classes.num_classes))] \
                 == list(oracle.representatives)
 
 
@@ -341,7 +344,7 @@ DEGENERATE_GRAPHS = {
 
 
 class TestClassesAgainstEnumeration:
-    """Elimination against the visit-every-signing oracle."""
+    """Forest-gauge classes against the visit-every-signing oracle."""
 
     @staticmethod
     def check(g):
@@ -349,10 +352,9 @@ class TestClassesAgainstEnumeration:
         oracle = classes_by_enumeration(g)
         assert oracle.class_ids == tuple(range(classes.num_classes))
         assert set(oracle.class_sizes) == {classes.class_size}
-        assert classes.representatives.shape == (classes.num_classes,
-                                                 g.num_edges)
-        assert [tuple(int(x) for x in row)
-                for row in classes.representatives] \
+        rows = classes.rows(np.arange(classes.num_classes))
+        assert rows.shape == (classes.num_classes, g.num_edges)
+        assert [tuple(int(x) for x in row) for row in rows] \
             == list(oracle.representatives)
 
     @pytest.mark.parametrize("beta", range(11))
@@ -364,6 +366,25 @@ class TestClassesAgainstEnumeration:
     @pytest.mark.parametrize("name", sorted(DEGENERATE_GRAPHS))
     def test_disconnected_and_degenerate(self, name):
         self.check(DEGENERATE_GRAPHS[name])
+
+    def test_block_starting_mid_range(self):
+        g = random_graph_of_betti(6, np.random.default_rng(606))
+        rows = gauge_classes_of_signings(unit_op(g)).rows(np.arange(37, 53))
+        assert [tuple(int(x) for x in row) for row in rows] \
+            == list(classes_by_enumeration(g).representatives[37:53])
+
+    def test_enumeration_holds_no_rows(self):
+        # 2^18 rows of 25 signs would take 6.5 MB
+        h = unit_op(complete_minus_matching(8, 3))
+        assert h.graph.num_edges == 25 and betti_number(h.graph) == 18
+        tracemalloc.start()
+        try:
+            classes = gauge_classes_of_signings(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert classes.num_classes == 2 ** 18
+        assert peak < 1 << 20
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
@@ -378,15 +399,13 @@ class TestClassesAgainstEnumeration:
         assert classes.num_classes == 2 ** beta
         assert classes.class_size == 2 ** (n - num_components(g))
         masks = cycle_masks(g)
-        least: dict[int, tuple[int, ...]] = {}
         sizes = [0] * classes.num_classes
         for index in range(1 << m):
-            cid = class_id(masks, index)
-            sizes[cid] += 1
-            least[cid] = min(least.get(cid, (1,) * m), signs_of(index, m))
+            sizes[class_id(masks, index)] += 1
         assert sizes == [classes.class_size] * classes.num_classes
-        for cid, rep in enumerate(classes.representatives):
-            assert tuple(int(x) for x in rep) == least[cid]
+        for cid, rep in enumerate(classes.rows(range(classes.num_classes))):
+            assert class_id(masks, index_of(rep)) == cid
+            assert not index_of(rep) & forest_mask(g)
 
 
 class TestSymmetryEquivalence:

@@ -5,6 +5,7 @@ from magnodal.errors import NonSimpleEigenvalueError
 from magnodal.graphs import Graph
 from magnodal.operators import GaugePhase, SupportedMatrix, gauge_transform
 from magnodal.spectral import (
+    EigenSystem,
     _normalize_phases,
     eigh,
     eigh_stack,
@@ -12,6 +13,7 @@ from magnodal.spectral import (
     multiplicity,
     pseudo_inverse_apply,
     resolvent_coefficient,
+    simple_positions,
 )
 
 
@@ -173,6 +175,22 @@ class TestMultiplicity:
         es2 = eigh(gauge_transform(GaugePhase(theta), h))
         for k in range(1, 5):
             assert multiplicity(es, k) == multiplicity(es2, k)
+
+    def test_stacked_cut_matches_the_scalar_one(self):
+        # neighbours at, inside and just outside the cluster tolerance,
+        # on rows whose scale is set by 1 or by the largest eigenvalue
+        rng = np.random.default_rng(13)
+        steps = rng.choice([0.0, 0.5e-8, 1e-8, 1.5e-8, 0.4], size=(300, 6))
+        values = rng.uniform(-2.0, 2.0, size=(300, 1)) \
+            + np.cumsum(steps, axis=1)
+        values[::3] *= 50.0
+        simple = simple_positions(values)
+        assert simple.shape == values.shape
+        for row, flags in zip(values, simple):
+            es = EigenSystem(row, np.eye(len(row)))
+            assert flags.tolist() == [multiplicity(es, k)[0] == 1
+                                      for k in range(1, len(row) + 1)]
+        assert 0 < np.count_nonzero(~simple) < simple.size
 
 
 class TestVanishing:

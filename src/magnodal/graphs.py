@@ -9,7 +9,7 @@ A graph owns one spanning forest: the breadth-first walk runs once per
 graph and is cached.  It gives the parent of each vertex and its root
 path, the signed chain from the root of its tree down to the vertex.
 The fundamental cycle basis is built from it once per graph and cached
-too.  The components, the cycle basis and the gauge witness of
+too, with the canonical positions of its non-forest edges.  The components, the cycle basis and the gauge witness of
 ``operators.is_gauge_equiv_to_symmetry`` all read it, so they are
 deterministic for a given graph.
 """
@@ -161,6 +161,14 @@ class CycleBasis:
 
     def __len__(self) -> int:
         return len(self.cycles)
+
+    @cached_property
+    def nonforest_indices(self) -> np.ndarray:
+        """Canonical edge positions of ``nonforest_edges``, read-only."""
+        idx = np.array([self.graph.edge_index[e]
+                        for e in self.nonforest_edges], dtype=np.int64)
+        idx.setflags(write=False)
+        return idx
 
 
 def _require_same_graph(a: Graph, b: Graph) -> None:

@@ -7,7 +7,10 @@ the quotient: one angle per independent cycle.  Eigenvalues become
 functions of those coordinates, and this module computes their
 gradients, Hessians, Morse indices, and critical points.  The scan and
 the index check visit the ``2^beta`` symmetry points, coordinates in
-{0, pi}, through one stacked real eigensolve.
+{0, pi}, through one stacked real eigensolve.  Their Hessians are
+assembled as stacks too: one for a scan's symmetry points, one for its
+search reports, and one per k for an index check; the Morse indices of
+each phase come from one stacked eigensolve of its Hessians.
 
 Every derivative starts from one solve at the point, ``nodal``'s
 ``_simple_eigen``: the operator, its eigensystem, the simple k-th
@@ -31,7 +34,6 @@ for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -86,13 +88,11 @@ class GaugeChart:
     graph: Graph
     basis: CycleBasis
 
-    @cached_property
+    @property
     def nonforest_indices(self) -> np.ndarray:
-        """Edge positions of the chart coordinates, read-only."""
-        idx = np.array([self.graph.edge_index[e]
-                        for e in self.basis.nonforest_edges], dtype=np.int64)
-        idx.setflags(write=False)
-        return idx
+        """Edge positions of the chart coordinates, read-only; cached
+        with the cycle basis."""
+        return self.basis.nonforest_indices
 
     @property
     def dim(self) -> int:
@@ -328,10 +328,12 @@ class _Solves:
     products: np.ndarray
 
     @classmethod
-    def of(cls, s: _SimpleEigen) -> "_Solves":
-        """A stack of one."""
-        return cls(s.h.offdiag[None], s.es.values[None], s.es.vectors[None],
-                   s.k, s.products[None])
+    def stack(cls, solves) -> "_Solves":
+        """The single solves ``solves``, all at one k, one per row."""
+        return cls(np.stack([s.h.offdiag for s in solves]),
+                   np.stack([s.es.values for s in solves]),
+                   np.stack([s.es.vectors for s in solves]), solves[0].k,
+                   np.stack([s.products for s in solves]))
 
     def take(self, rows) -> "_Solves":
         return _Solves(self.offdiag[rows], self.values[rows],
@@ -352,7 +354,7 @@ class _Solves:
 def _hessian_at(s: _SimpleEigen, chart: GaugeChart, tol_degeneracy: float
                 ) -> np.ndarray:
     """``hessian_eigenvalue`` at a simple eigenvalue: a stack of one."""
-    return _hessian(_Solves.of(s), chart, tol_degeneracy)[0]
+    return _hessian(_Solves.stack([s]), chart, tol_degeneracy)[0]
 
 
 def _hessian(s: _Solves, chart: GaugeChart, tol_degeneracy: float
@@ -402,17 +404,32 @@ def morse_index(hess: np.ndarray, rank_tol: float = RANK_TOL
     The zero band is ``rank_tol`` times the largest magnitude
     eigenvalue; for the zero matrix everything is nullity.
     """
-    hess = np.asarray(hess, dtype=np.float64)
+    _, index, nullity = _morse_indices(
+        np.asarray(hess, dtype=np.float64)[None], rank_tol)
+    return int(index[0]), int(nullity[0])
+
+
+def _morse_indices(hess: np.ndarray, rank_tol: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``morse_index`` of every matrix of a stack (S, d, d), with spectra.
+
+    Returns the ascending eigenvalues (S, d) of the symmetrized
+    matrices, from one stacked solve, and the indices and nullities
+    (S,).  Symmetrizing leaves the bits of an exactly symmetric matrix,
+    such as an assembled Hessian, unchanged.  Empty matrices have index
+    and nullity 0.
+    """
+    count, d = hess.shape[0], hess.shape[-1]
     if hess.size == 0:
-        return 0, 0
-    w = np.linalg.eigvalsh(0.5 * (hess + hess.T))
-    scale = float(np.max(np.abs(w)))
-    if scale == 0.0:
-        return 0, len(w)
-    cut = rank_tol * scale
-    index = int(np.count_nonzero(w < -cut))
-    nullity = int(np.count_nonzero(np.abs(w) <= cut))
-    return index, nullity
+        zeros = np.zeros(count, dtype=np.int64)
+        return np.zeros((count, d)), zeros, zeros
+    w = np.linalg.eigvalsh(0.5 * (hess + hess.swapaxes(1, 2)))
+    scale = np.max(np.abs(w), axis=1)
+    cut = (rank_tol * scale)[:, None]
+    index = np.count_nonzero(w < -cut, axis=1)
+    nullity = np.where(scale == 0.0, d,
+                       np.count_nonzero(np.abs(w) <= cut, axis=1))
+    return w, index, nullity
 
 
 # ---------------------------------------------------------------------------
@@ -489,26 +506,42 @@ def _halton(count: int, dim: int) -> np.ndarray:
     return points
 
 
-def _report_at(coords, h: SupportedMatrix, es: EigenSystem, k: int,
-               chart: GaugeChart, origin: str, *, tol_degeneracy: float,
-               tol_vanish: float, rank_tol: float) -> CriticalPointReport:
-    """Report at chart ``coords`` from the operator ``h`` there and its
-    eigensystem ``es``."""
-    coords = tuple(float(c) for c in coords)
-    try:
-        s = _simple_eigen(h, k, es, tol_degeneracy)
-    except NonSimpleEigenvalueError as exc:
-        return CriticalPointReport(coords, k, "incorrigible",
-                                   exc.multiplicity, (), None, None, None,
-                                   None, origin)
-    report = _classify(s, CRITICAL_TOL, tol_vanish)
-    gnorm = float(np.linalg.norm(s.gradient[chart.nonforest_indices]))
-    hess = _hessian_at(s, chart, tol_degeneracy)
-    spectrum = tuple(float(x) for x in np.linalg.eigvalsh(hess)) \
-        if hess.size else ()
-    index, nullity = morse_index(hess, rank_tol)
-    return CriticalPointReport(coords, k, report.kind, 1, report.vanishing,
-                               gnorm, spectrum, index, nullity, origin)
+def _reports_at(points, k: int, chart: GaugeChart, origin: str, *,
+                tol_degeneracy: float, tol_vanish: float, rank_tol: float
+                ) -> list[CriticalPointReport]:
+    """One report per ``(coords, h, es)`` of ``points``: chart
+    coordinates, the operator there and its eigensystem.
+
+    A point whose k-th eigenvalue is not simple is ``incorrigible``;
+    every other point is classified on its own.  The Hessians of the
+    simple points are assembled as one stack, and their spectra,
+    indices and nullities come from one stacked solve.
+    """
+    reports, simple, solves = [], [], []
+    for coords, h, es in points:
+        coords = tuple(float(c) for c in coords)
+        try:
+            s = _simple_eigen(h, k, es, tol_degeneracy)
+        except NonSimpleEigenvalueError as exc:
+            reports.append(CriticalPointReport(
+                coords, k, "incorrigible", exc.multiplicity, (), None, None,
+                None, None, origin))
+            continue
+        report = _classify(s, CRITICAL_TOL, tol_vanish)
+        gnorm = float(np.linalg.norm(s.gradient[chart.nonforest_indices]))
+        simple.append(len(reports))
+        solves.append(s)
+        reports.append(CriticalPointReport(
+            coords, k, report.kind, 1, report.vanishing, gnorm, None, None,
+            None, origin))
+    if solves:
+        spectra, index, nullity = _morse_indices(
+            _hessian(_Solves.stack(solves), chart, tol_degeneracy), rank_tol)
+        for i, w, ind, nul in zip(simple, spectra.tolist(), index.tolist(),
+                                  nullity.tolist()):
+            reports[i] = replace(reports[i], hessian_eigenvalues=tuple(w),
+                                 morse_index=ind, nullity=nul)
+    return reports
 
 
 def _offdiag_at(base: SupportedMatrix, chart: GaugeChart, coords: np.ndarray
@@ -682,15 +715,14 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
     chart = gauge_chart(h.graph)
     beta = chart.dim
 
-    reports: list[CriticalPointReport] = []
+    tols = dict(tol_degeneracy=tol_degeneracy, tol_vanish=tol_vanish,
+                rank_tol=rank_tol)
+    points = [([np.pi if b else 0.0 for b in bits], hp, es)
+              for bits, hp, es in _symmetry_points(base, chart)]
+    # the base matrix, the first point, sets the gradient tolerance
+    gtol = 1e-10 * max(1.0, float(np.max(np.abs(points[0][2].values))))
+    reports = _reports_at(points, k, chart, "symmetry-enumeration", **tols)
     incorrigible: list[tuple[tuple[float, ...], float]] = []
-    for bits, hp, es in _symmetry_points(base, chart):
-        if not reports:  # the base matrix sets the gradient tolerance
-            gtol = 1e-10 * max(1.0, float(np.max(np.abs(es.values))))
-        reports.append(_report_at([np.pi if b else 0.0 for b in bits], hp,
-                                  es, k, chart, "symmetry-enumeration",
-                                  tol_degeneracy=tol_degeneracy,
-                                  tol_vanish=tol_vanish, rank_tol=rank_tol))
 
     known = np.array([r.coords for r in reports])
     unconverged = 0
@@ -728,26 +760,33 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
             found_x[nf], found_r[nf] = x, radius
             found.append(s)
 
-    # Pair conjugate search points; keep the lexicographically smaller
-    # coordinates as the primary report.
+    # Pair conjugate search points; the one found first is the primary
+    # report.
     nf = len(found)
     consumed = np.zeros(nf, dtype=bool)
-    for i, s in enumerate(found):
+    primaries, partners = [], []
+    for i in range(nf):
         if consumed[i]:
             continue
-        x = found_x[i]
-        close = (_torus_distance(np.mod(-x, TWO_PI), found_x[i + 1:nf])
+        close = (_torus_distance(np.mod(-found_x[i], TWO_PI),
+                                 found_x[i + 1:nf])
                  <= np.maximum(found_r[i], found_r[i + 1:nf])) \
             & ~consumed[i + 1:]
-        rep = _report_at(np.mod(x, TWO_PI), s.h, s.es, k, chart, "search",
-                         tol_degeneracy=tol_degeneracy,
-                         tol_vanish=tol_vanish, rank_tol=rank_tol)
+        partner = None
         if np.any(close):
             partner = i + 1 + int(np.argmax(close))
             consumed[partner] = True
-            rep = replace(
-                rep, conjugate_of=tuple(float(c) for c in found_x[partner]))
-        reports.append(rep)
+        primaries.append(i)
+        partners.append(partner)
+    if primaries:
+        search = _reports_at([(np.mod(found_x[i], TWO_PI), found[i].h,
+                               found[i].es) for i in primaries],
+                             k, chart, "search", **tols)
+        for rep, partner in zip(search, partners):
+            if partner is not None:
+                rep = replace(rep, conjugate_of=tuple(
+                    float(c) for c in found_x[partner]))
+            reports.append(rep)
 
     coverage = (f"symmetry classes enumerated exactly (2^{beta}); search used "
                 f"{attempted} polished starts, {unconverged} unconverged; "
@@ -795,16 +834,21 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
     Every switching class is represented by the gauge-slice point with
     coordinates in {0, pi}.  For each admissible pair (class, k) the
     eigenvalue Hessian must be nondegenerate with index equal to the
-    nodal surplus; a violation raises.  Inadmissible pairs are recorded
-    as skipped with the reason.  A beta over ``SIGNING_CAP`` raises
-    ``CapExceededError`` before anything is solved.
+    nodal surplus; a violation raises, at the first failing pair in
+    class-major order.  Inadmissible pairs are recorded as skipped with
+    the reason.  The Hessians are assembled as one stack per k, and
+    their indices come from one stacked solve.  A beta over
+    ``SIGNING_CAP`` raises ``CapExceededError`` before anything is
+    solved.
     """
     if not h.is_real:
         raise ValueError("verification expects a real matrix")
     chart = gauge_chart(h.graph)
-    rows: list[VerifyRow] = []
+    n = h.graph.n
+    rows: list = []  # a skipped VerifyRow, or (bits, k, surplus) to check
+    solves: list[list[tuple[int, _SimpleEigen]]] = [[] for _ in range(n)]
     for bits, hs, es in _symmetry_points(abs_part(h), chart):
-        for k in range(1, h.graph.n + 1):
+        for k in range(1, n + 1):
             try:
                 s = _simple_eigen(hs, k, es, tol_degeneracy)
                 surplus = _count(s, tol_vanish) - (k - 1)
@@ -817,17 +861,27 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
                     reason = str(exc)
                 rows.append(VerifyRow(bits, k, "skipped", reason=reason))
                 continue
-            index, nullity = morse_index(
-                _hessian_at(s, chart, tol_degeneracy), rank_tol)
-            if nullity != 0:
-                raise InternalCrossCheckError(
-                    f"Hessian at class {bits}, k={k} is degenerate "
-                    f"(nullity {nullity}); the index comparison needs a "
-                    f"nondegenerate critical point")
-            if index != surplus:
-                raise InternalCrossCheckError(
-                    f"Morse index {index} differs from nodal surplus "
-                    f"{surplus} at class {bits}, k={k}")
-            rows.append(VerifyRow(bits, k, "ok", surplus=surplus,
-                                  index=index, nullity=nullity))
+            solves[k - 1].append((len(rows), s))
+            rows.append((bits, k, surplus))
+    at = [i for per_k in solves for i, _ in per_k]
+    if at:
+        _, index, nullity = _morse_indices(np.concatenate([
+            _hessian(_Solves.stack([s for _, s in per_k]), chart,
+                     tol_degeneracy) for per_k in solves if per_k]), rank_tol)
+        counts = dict(zip(at, zip(index.tolist(), nullity.tolist())))
+    for i, row in enumerate(rows):
+        if isinstance(row, VerifyRow):
+            continue
+        (bits, k, surplus), (index, nullity) = row, counts[i]
+        if nullity != 0:
+            raise InternalCrossCheckError(
+                f"Hessian at class {bits}, k={k} is degenerate "
+                f"(nullity {nullity}); the index comparison needs a "
+                f"nondegenerate critical point")
+        if index != surplus:
+            raise InternalCrossCheckError(
+                f"Morse index {index} differs from nodal surplus "
+                f"{surplus} at class {bits}, k={k}")
+        rows[i] = VerifyRow(bits, k, "ok", surplus=surplus, index=index,
+                            nullity=nullity)
     return IndexSurplusTable(tuple(rows))

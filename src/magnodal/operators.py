@@ -248,10 +248,7 @@ def gauge_classes_of_signings(h: SupportedMatrix, cap: int = SIGNING_CAP
     if beta > cap:
         raise CapExceededError(
             f"class enumeration over beta {beta} exceeds the cap of {cap}")
-    nonforest = np.array([h.graph.edge_index[e]
-                          for e in basis.nonforest_edges], dtype=np.int64)
-    nonforest.setflags(write=False)
-    return SigningClasses(graph=h.graph, nonforest=nonforest,
+    return SigningClasses(graph=h.graph, nonforest=basis.nonforest_indices,
                           class_size=1 << (h.graph.num_edges - beta))
 
 

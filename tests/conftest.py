@@ -16,7 +16,9 @@ cycle through the lowest common ancestor, independent of the root
 paths in ``graphs``.
 ``scalar_polish`` is the Newton oracle: one start at a time, one
 ``eigh`` per trial point, against which the lockstep ``morse._polish``
-must agree bit for bit.
+must agree bit for bit.  ``scalar_report`` is the report oracle: one
+point at a time, one Hessian and one ``morse_index`` per point, against
+which the stacked ``morse._reports_at`` must agree bit for bit.
 """
 
 from dataclasses import dataclass
@@ -27,8 +29,9 @@ from hypothesis import strategies as st
 
 from magnodal.errors import CapExceededError, NonSimpleEigenvalueError
 from magnodal.graphs import Chain, CycleBasis, Graph, cycle_basis
-from magnodal.morse import (TWO_PI, GaugeChart, TorusPoint, _hessian_at,
-                            gauge_chart)
+from magnodal.morse import (CRITICAL_TOL, TWO_PI, CriticalPointReport,
+                            GaugeChart, TorusPoint, _classify, _hessian_at,
+                            gauge_chart, morse_index)
 from magnodal.nodal import _simple_eigen
 from magnodal.operators import SupportedMatrix, signs_for_index
 from magnodal.spectral import eigh
@@ -295,3 +298,24 @@ def scalar_polish(base, chart, k: int, start, gtol: float,
         if not improved:
             return "stuck", x, 0.0, None
     return "maxiter", x, 0.0, None
+
+
+def scalar_report(coords, h, es, k: int, chart, origin: str, *,
+                  tol_degeneracy: float, tol_vanish: float, rank_tol: float):
+    """The report ``morse._reports_at`` gives at chart ``coords``, from
+    the operator ``h`` there and its eigensystem ``es``, built alone."""
+    coords = tuple(float(c) for c in coords)
+    try:
+        s = _simple_eigen(h, k, es, tol_degeneracy)
+    except NonSimpleEigenvalueError as exc:
+        return CriticalPointReport(coords, k, "incorrigible",
+                                   exc.multiplicity, (), None, None, None,
+                                   None, origin)
+    report = _classify(s, CRITICAL_TOL, tol_vanish)
+    gnorm = float(np.linalg.norm(s.gradient[chart.nonforest_indices]))
+    hess = _hessian_at(s, chart, tol_degeneracy)
+    spectrum = tuple(float(x) for x in np.linalg.eigvalsh(hess)) \
+        if hess.size else ()
+    index, nullity = morse_index(hess, rank_tol)
+    return CriticalPointReport(coords, k, report.kind, 1, report.vanishing,
+                               gnorm, spectrum, index, nullity, origin)

@@ -5,9 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import eigenvalue_at, gradient_fd, hessian_eigenvalue_fd
+from conftest import (eigenvalue_at, gradient_fd, hessian_eigenvalue_fd,
+                      scalar_report)
 from magnodal.errors import (
     AdmissibilityError,
+    InternalCrossCheckError,
     NonSimpleEigenvalueError,
     NotCriticalError,
     NotProperlySupportedError,
@@ -351,6 +353,28 @@ class TestMorseIndex:
         assert morse_index(h, rank_tol=1e-7) == (0, 1)
         assert morse_index(h, rank_tol=1e-12) == (0, 0)
 
+    def test_stack_matches_one_matrix_at_a_time(self):
+        import magnodal.morse as morse
+
+        a = np.random.default_rng(0).normal(size=(3, 3))
+        stack = np.stack([a + a.T, np.zeros((3, 3)), -np.eye(3),
+                          np.diag([-0.5, 0.5, 2.0]), a])
+        w, index, nullity = morse._morse_indices(stack, 0.25)
+        for m, wm, i, z in zip(stack, w, index, nullity):
+            assert (int(i), int(z)) == morse_index(m, 0.25)
+            assert same_bits(wm, np.linalg.eigvalsh(0.5 * (m + m.T)))
+        # the zero matrix beside nonzero ones is all nullity
+        assert (index[1], nullity[1]) == (0, 3)
+        # -0.5 and 0.5 sit exactly on the cut 0.25 * 2.0: nullity, not index
+        assert (index[3], nullity[3]) == (0, 2)
+
+    def test_empty_stack(self):
+        import magnodal.morse as morse
+
+        w, index, nullity = morse._morse_indices(np.zeros((4, 0, 0)), 1e-7)
+        assert w.shape == (4, 0)
+        assert index.tolist() == nullity.tolist() == [0, 0, 0, 0]
+
 
 class TestCriticalScan:
     def test_tree_has_single_trivial_report(self):
@@ -497,10 +521,10 @@ class TestCriticalScan:
                 continue
             p = TorusPoint.from_coords(base, np.array(r.coords), chart)
             hp = p.operator()
-            fresh = morse._report_at(r.coords, hp, eigh(hp), 2, chart,
-                                     "search", tol_degeneracy=DEGENERACY_TOL,
-                                     tol_vanish=VANISH_TOL,
-                                     rank_tol=morse.RANK_TOL)
+            fresh = scalar_report(r.coords, hp, eigh(hp), 2, chart, "search",
+                                  tol_degeneracy=DEGENERACY_TOL,
+                                  tol_vanish=VANISH_TOL,
+                                  rank_tol=morse.RANK_TOL)
             expected = fresh.to_payload()
             expected["conjugate_of"] = r.to_payload()["conjugate_of"]
             assert r.to_payload() == expected
@@ -681,6 +705,124 @@ class TestOneOperatorPerSolve:
         assert total == {"multiplicity": 64 * 5, "edge_products": 64 * 5}
 
 
+class TestStackedHessians:
+    """A scan assembles its Hessians in one stack per phase, and an index
+    check in one stack per k; each reads its spectra from one stacked
+    solve."""
+
+    @pytest.mark.parametrize("case,k,phases", [
+        ("random-K5-seed0", 2, 2),  # symmetry points and search reports
+        ("strong-C3", 2, 1),        # symmetry points only
+    ])
+    def test_scan_builds_one_hessian_stack_per_phase(self, monkeypatch, case,
+                                                     k, phases):
+        import magnodal.morse as morse
+
+        h = {"random-K5-seed0": random_operator(complete_graph(5),
+                                                np.random.default_rng(0)),
+             "strong-C3": strong_diagonal_fixture(cycle_graph(3))}[case]
+        events = record_calls(monkeypatch, (morse, "_reports_at"),
+                              (morse, "_hessian"), (np.linalg, "eigvalsh"))
+        polish = morse._polish
+
+        def quiet_polish(*args):  # its Newton Jacobians are not reports
+            before = len(events)
+            out = polish(*args)
+            del events[before:]
+            return out
+
+        monkeypatch.setattr(morse, "_polish", quiet_polish)
+        sr = critical_scan(h, k, starts=4, seed=0)
+        assert any(r.origin == "search" for r in sr.reports) == (phases == 2)
+        assert events == ["_reports_at", "_hessian", "eigvalsh"] * phases
+
+    def test_verify_builds_one_hessian_stack_per_k(self, monkeypatch):
+        import magnodal.morse as morse
+
+        events = record_calls(monkeypatch, (morse, "_hessian"),
+                              (np.linalg, "eigvalsh"))
+        h = strong_diagonal_fixture(complete_graph(5))
+        assert verify_index_equals_surplus(h).num_ok == 320
+        # one Hessian per pair made 320 calls
+        assert events == ["_hessian"] * h.graph.n + ["eigvalsh"]
+
+    def test_chart_and_classes_share_the_nonforest_positions(self):
+        from magnodal.operators import gauge_classes_of_signings
+
+        h = strong_diagonal_fixture(complete_graph(5))
+        idx = gauge_chart(h.graph).nonforest_indices
+        assert gauge_classes_of_signings(h).nonforest is idx
+        assert not idx.flags.writeable
+        assert [h.graph.edges[i] for i in idx] \
+            == list(gauge_chart(h.graph).basis.nonforest_edges)
+
+
+def record_calls(monkeypatch, *bindings):
+    """Wrap each ``(module, name)`` binding; returns the live list of the
+    names called, in call order."""
+    events = []
+    for module, name in bindings:
+        def recording(*args, _name=name, _inner=getattr(module, name),
+                      **kwargs):
+            events.append(_name)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, recording)
+    return events
+
+
+def payload_bits(report) -> str:
+    """The report payload with every float spelled out, signed zeros
+    included."""
+    return repr(report.to_payload())
+
+
+class TestStackedReports:
+    """Each point of a stacked ``_reports_at`` call gets the report the
+    scalar oracle gives it alone, bit for bit."""
+
+    @pytest.mark.parametrize("case,k", [
+        *((f"random-K5-seed{s}", k) for s in range(3) for k in (2, 3)),
+        ("tree-P3", 1),
+        ("ring-C4", 1),
+    ])
+    def test_matches_the_scalar_oracle(self, monkeypatch, case, k):
+        import magnodal.morse as morse
+
+        if case == "tree-P3":
+            h = random_operator(path_graph(3), np.random.default_rng(6))
+        elif case == "ring-C4":
+            h = degenerate_ring_fixture(4)[0]
+        else:
+            h = random_operator(complete_graph(5),
+                                np.random.default_rng(int(case[-1])))
+        calls = []
+        inner = morse._reports_at
+
+        def recording(points, *args, **kwargs):
+            got = inner(points, *args, **kwargs)
+            calls.append((points, args, kwargs, list(got)))
+            return got
+
+        monkeypatch.setattr(morse, "_reports_at", recording)
+        critical_scan(h, k, starts=4, seed=0)
+        monkeypatch.undo()
+        for points, (k0, chart, origin), kwargs, got in calls:
+            want = [scalar_report(coords, hp, es, k0, chart, origin, **kwargs)
+                    for coords, hp, es in points]
+            assert [payload_bits(r) for r in got] \
+                == [payload_bits(r) for r in want]
+        kinds = {r.classification for r in calls[0][3]}
+        origins = [origin for _, (_, _, origin), _, _ in calls]
+        if case == "tree-P3":
+            assert calls[0][1][1].dim == 0
+            assert origins == ["symmetry-enumeration"]
+        elif case == "ring-C4":
+            # one flux class is simple at k = 1, the other is not
+            assert kinds == {"symmetry", "incorrigible"}
+        else:
+            assert origins == ["symmetry-enumeration", "search"]
+
+
 def verify_rows_oracle(h, tol_vanish):
     """Skip decisions of ``verify_index_equals_surplus`` as three checks.
 
@@ -761,3 +903,31 @@ class TestVerifyIndexSurplus:
         h = SupportedMatrix(g, np.zeros(2), np.array([1j]))
         with pytest.raises(ValueError):
             verify_index_equals_surplus(h)
+
+    def test_first_failing_pair_in_class_order_is_named(self, monkeypatch):
+        """Two pairs get a wrong surplus; the error names the one that
+        comes first class by class, not k by k."""
+        import magnodal.morse as morse
+
+        h = strong_diagonal_fixture(complete_graph(4))
+        idx = gauge_chart(h.graph).nonforest_indices
+        inner = morse._count
+
+        def wrong(s, tol_vanish):
+            bits = tuple(int(x) for x in s.h.offdiag.real[idx] < 0.0)
+            off = (bits, s.k) in {((0, 0, 0), 2), ((0, 0, 1), 1)}
+            return inner(s, tol_vanish) + off
+
+        monkeypatch.setattr(morse, "_count", wrong)
+        with pytest.raises(InternalCrossCheckError) as err:
+            verify_index_equals_surplus(h)
+        assert str(err.value) == ("Morse index 1 differs from nodal surplus "
+                                  "2 at class (0, 0, 0), k=2")
+
+    def test_degenerate_hessian_message(self):
+        with pytest.raises(InternalCrossCheckError) as err:
+            verify_index_equals_surplus(
+                strong_diagonal_fixture(complete_graph(4)), rank_tol=1.0)
+        assert str(err.value) == (
+            "Hessian at class (0, 0, 0), k=1 is degenerate (nullity 3); the "
+            "index comparison needs a nondegenerate critical point")

@@ -45,6 +45,7 @@ from .graphs import (
     coboundary,
     connected_components,
     cycle_basis,
+    cycle_basis_from_forest,
     graph_from_json,
     graph_to_json,
     induced_subgraph,

@@ -111,7 +111,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--k", type=_at_least(1), required=k == "required",
                            help="1-based eigenvalue index")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_at_least(0), default=0)
         for tol in tolerances:
             p.add_argument(f"--tol-{tol}", type=_tolerance,
                            default=tol_defaults[tol])

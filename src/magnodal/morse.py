@@ -11,7 +11,7 @@ the index check visit the ``2^beta`` symmetry points, coordinates in
 Each phase decides its points at once: ``nodal``'s admissibility
 kernel, ``_stack_checks``, gives simplicity, vanishing entries,
 criticality and surplus for a whole stack, so the index check decides
-every class of one k together and a scan classifies its symmetry
+every (class, k) pair together and a scan classifies its symmetry
 points, and then its search reports, as one stack each.  Only the
 pairs the kernel rejects go back through the scalar ``_simple_eigen``
 and ``_count``, which word the skip reasons.  The Hessians are
@@ -34,9 +34,10 @@ it with one ``spectral.eigh_stack`` call per solver path (real or
 complex), checks simplicity and takes edge products and gradients
 across the stack, assembles one stacked Hessian for the starts that
 moved and solves their Newton steps in one stacked least-squares call.
-Its search reports take the solves the polish ended on.  The stacked
-kernels do per row exactly the arithmetic of a single solve, so every
-start follows its one-start trajectory bit for bit.
+It returns its outcomes as arrays and one solve stack, a row per start,
+from which the search reports take their rows.  The stacked kernels do
+per row exactly the arithmetic of a single solve, so every start
+follows its one-start trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .spectral import (
     DEGENERACY_TOL,
     VANISH_TOL,
     EigenSystem,
+    _check_k,
     eigh_stack,
     is_nowhere_vanishing,
     multiplicity,
@@ -172,9 +174,6 @@ class TorusPoint:
 
     def coords(self, chart: GaugeChart) -> np.ndarray:
         return self.angles[chart.nonforest_indices].copy()
-
-    def with_coords(self, chart: GaugeChart, coords) -> "TorusPoint":
-        return TorusPoint.from_coords(self.base, coords, chart)
 
     def conjugate(self) -> "TorusPoint":
         return TorusPoint(self.base, -self.angles)
@@ -340,8 +339,9 @@ class _Solves:
     ``offdiag`` (S, m) holds each operator's edge entries, ``values``
     (S, n) and ``vectors`` (S, n, n) its ascending eigenvalues and
     phase-normalized eigenvector columns, and ``products`` (S, m) the
-    edge products of its k-th eigenvector.  All rows come from one
-    solver path: real vectors for real operators, complex otherwise.
+    edge products of its k-th eigenvector.  A stacked solve has the
+    vectors of its solver path, real for real operators and complex
+    otherwise; the complex solve stack of ``_polish`` holds both.
     """
 
     offdiag: np.ndarray
@@ -361,34 +361,21 @@ class _Solves:
         return cls(offdiag, values, vectors, k,
                    np.conj(v[:, rs[:, 0]]) * offdiag * v[:, rs[:, 1]])
 
-    @classmethod
-    def stack(cls, solves) -> "_Solves":
-        """The single solves ``solves``, all at one k, one per row."""
-        return cls(np.stack([s.h.offdiag for s in solves]),
-                   np.stack([s.es.values for s in solves]),
-                   np.stack([s.es.vectors for s in solves]), solves[0].k,
-                   np.stack([s.products for s in solves]))
-
     def take(self, rows) -> "_Solves":
         return _Solves(self.offdiag[rows], self.values[rows],
                        self.vectors[rows], self.k, self.products[rows])
 
-    def simple_eigen(self, base: SupportedMatrix, row: int) -> _SimpleEigen:
-        """Row ``row`` as a ``_SimpleEigen`` that holds no stack memory."""
-        values, vectors = self.values[row].copy(), self.vectors[row].copy()
-        values.setflags(write=False)
-        vectors.setflags(write=False)
-        es = EigenSystem(values, vectors)
-        return _SimpleEigen(
-            SupportedMatrix(base.graph, base.diag, self.offdiag[row]), es,
-            self.k, es.vector(self.k), es.value(self.k),
-            self.products[row].copy())
+    def put(self, rows, s: "_Solves") -> None:
+        self.offdiag[rows], self.values[rows] = s.offdiag, s.values
+        self.vectors[rows], self.products[rows] = s.vectors, s.products
 
 
 def _hessian_at(s: _SimpleEigen, chart: GaugeChart, tol_degeneracy: float
                 ) -> np.ndarray:
     """``hessian_eigenvalue`` at a simple eigenvalue: a stack of one."""
-    return _hessian(_Solves.stack([s]), chart, tol_degeneracy)[0]
+    return _hessian(_Solves.at(s.h.graph, s.h.offdiag[None],
+                               s.es.values[None], s.es.vectors[None], s.k),
+                    chart, tol_degeneracy)[0]
 
 
 def _hessian(s: _Solves, chart: GaugeChart, tol_degeneracy: float
@@ -641,26 +628,27 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[..., 0]
 
 
-# Phases of a start in ``_polish``.
-_START, _LINE, _FINAL, _DONE = range(4)
+# Phases of a start in ``_polish``: the live ones, then its outcomes.
+_START, _LINE, _FINAL, _OK, _DEGENERATE, _STUCK, _MAXITER = range(7)
 
 
 def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
             starts: np.ndarray, gtol: float, tol_degeneracy: float
-            ) -> list[tuple[str, np.ndarray, float, _SimpleEigen | None]]:
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Solves]:
     """Drive the gauge-slice gradient to zero from every row of ``starts``.
 
     Per start: damped Newton steps on the gradient map, with the
     analytic eigenvalue Hessian as Jacobian and backtracking on the
     squared norm; every trial point costs one eigensolve, shared by its
-    gradient and Hessian.  Returns per start a status, the final
-    coordinates, an auxiliary number and, for a converged run, the
-    solve at the final coordinates (``None`` otherwise).  The number is
-    the eigenvalue gap for the degenerate status, read from the
-    eigensystem that failed the simplicity check, or the last Newton
-    decrement for a converged run.  A small residual gradient over a
-    nearly flat Hessian still means a sizable position error, and the
-    decrement is what bounds it.
+    gradient and Hessian.  Returns per start an outcome (``_OK``,
+    ``_DEGENERATE``, ``_STUCK`` or ``_MAXITER``), the final coordinates
+    and an auxiliary number, and one solve stack whose row of a
+    converged start is the solve at its final coordinates.  The number
+    is the eigenvalue gap of a degenerate start, read from the
+    eigensystem that failed the simplicity check, the last Newton
+    decrement of a converged one, and 0 otherwise.  A small residual
+    gradient over a nearly flat Hessian still means a sizable position
+    error, and the decrement is what bounds it.
 
     The starts run in lockstep.  Each round solves the one trial point
     of every active start in one stacked eigensolve per solver path
@@ -671,22 +659,24 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
     call (``_lstsq``).  Position, step, step length, squared gradient
     norm, Newton count and phase are per-start arrays, and each round's
     phase decisions are masks over its stack; squared norms come from
-    ``_squares``.  Python runs per start only to record its outcome, so
-    each start follows the one-start trajectory bit for bit.
+    ``_squares``.  A start's solve row is written when it enters its
+    final check and overwritten when the final step is kept, so each
+    start follows the one-start trajectory bit for bit.
     """
     idx = chart.nonforest_indices
-    count = len(starts)
-    x = np.mod(starts, TWO_PI)       # current point
+    count, n, m = len(starts), base.graph.n, base.graph.num_edges
+    x = np.mod(starts, TWO_PI)       # current point, then the outcome's
     trial = x.copy()                 # point solved in the next round
     g = np.zeros_like(x)             # gradient at x
     delta = np.zeros_like(x)         # Newton step from x
     t = np.ones(count)               # step length of the trial
     f0 = np.zeros(count)             # squared gradient norm at x
-    aux = np.zeros(count)            # Newton decrement of a final check
+    aux = np.zeros(count)            # Newton decrement or eigenvalue gap
     newton = np.zeros(count, dtype=np.int64)
     phase = np.full(count, _START)
-    held: dict[int, _SimpleEigen] = {}  # solve at x during a final check
-    out: list = [None] * count
+    c = np.complex128
+    solves = _Solves(np.zeros((count, m), c), np.zeros((count, n)),
+                     np.zeros((count, n, n), c), k, np.zeros((count, m), c))
 
     def advance(r: np.ndarray, off: np.ndarray) -> None:
         """One round for the starts ``r``, all on one solver path."""
@@ -698,36 +688,26 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
         at = phase[r]
         final = at == _FINAL
         # keep the last Newton step only if it lowers the gradient
-        better = simple & (np.sqrt(sq) < np.sqrt(_squares(g[r])))
-        for j in np.flatnonzero(final).tolist():
-            i = r[j]
-            kept = held.pop(i)
-            out[i] = (("ok", trial[i].copy(), float(aux[i]),
-                       s.simple_eigen(base, j)) if better[j]
-                      else ("ok", x[i].copy(), float(aux[i]), kept))
+        kept = final & simple & (np.sqrt(sq) < np.sqrt(_squares(g[r])))
+        x[r[kept]] = trial[r[kept]]
+        solves.put(r[kept], s.take(kept))
         degenerate = np.flatnonzero(~final & ~simple)
-        if degenerate.size:
-            w = values[degenerate]
-            gaps = np.min(np.abs(np.delete(w, k - 1, axis=1) - w[:, k - 1:k]),
-                          axis=1)
-            for j, gap in zip(degenerate.tolist(), gaps.tolist()):
-                out[r[j]] = ("degenerate", trial[r[j]].copy(), gap, None)
+        w = values[degenerate]
+        x[r[degenerate]] = trial[r[degenerate]]
+        aux[r[degenerate]] = np.min(
+            np.abs(np.delete(w, k - 1, axis=1) - w[:, k - 1:k]), axis=1)
         rejected = (simple & (at == _LINE)
                     & ~(sq < f0[r] * (1.0 - 0.25 * t[r]) + 1e-300))
         back = r[rejected]
         t[back] *= 0.5
         stuck = back[t[back] < 2.0 ** -12]
-        for i in stuck.tolist():
-            out[i] = ("stuck", x[i].copy(), 0.0, None)
         # the start itself or an accepted step
         accepted = np.flatnonzero(~final & simple & ~rejected)
         a = r[accepted]
         x[a], g[a] = trial[a], gn[accepted]
         maxed = newton[a] == 60
-        for i in a[maxed].tolist():
-            out[i] = ("maxiter", x[i].copy(), 0.0, None)
-        phase[r[final]] = phase[r[degenerate]] = phase[stuck] \
-            = phase[a[maxed]] = _DONE
+        phase[r[final]], phase[r[degenerate]] = _OK, _DEGENERATE
+        phase[stuck], phase[a[maxed]] = _STUCK, _MAXITER
         moved = accepted[~maxed]
         if moved.size:
             i = r[moved]
@@ -738,16 +718,15 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
             done = np.max(np.abs(g[i]), axis=1) <= gtol
             phase[i] = np.where(done, _FINAL, _LINE)
             aux[i[done]] = np.sqrt(_squares(delta[i[done]]))
-            for j, ij in zip(moved[done].tolist(), i[done].tolist()):
-                held[ij] = s.simple_eigen(base, j)
+            solves.put(i[done], s.take(moved[done]))
             f0[i[~done]] = _squares(g[i[~done]])
-        live = r[phase[r] != _DONE]
+        live = r[phase[r] < _OK]
         trial[live] = np.mod(x[live] + t[live, None] * delta[live], TWO_PI)
 
     while True:
-        rows = np.flatnonzero(phase != _DONE)
+        rows = np.flatnonzero(phase < _OK)
         if not rows.size:
-            return out
+            return phase, x, aux, solves
         off = _offdiag_at(base, chart, trial[rows])
         # Exactly real operators take the real solver path, as in
         # ``eigh``; the others share one complex stack.
@@ -792,11 +771,13 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
     seeded random starts are polished toward gradient zeros.  Found
     points are deduplicated against each other and against conjugate
     partners.  The search side is best effort only and the coverage
-    note says so.  A beta over ``SIGNING_CAP`` raises
-    ``CapExceededError`` before anything is solved.
+    note says so.  A ``k`` outside ``1..n`` raises ``ValueError``, and
+    a beta over ``SIGNING_CAP`` raises ``CapExceededError``, before
+    anything is solved.
     """
     if not h.is_real:
         raise ValueError("critical_scan expects a real base matrix")
+    _check_k(k, h.graph.n)
     base = abs_part(h)
     chart = gauge_chart(h.graph)
     beta = chart.dim
@@ -814,30 +795,29 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
 
     unconverged = 0
     attempted = 0
-    found: list[_SimpleEigen] = []
+    found: list[int] = []  # the starts whose landing points are kept
     if beta > 0:
         grid = _halton(min(128, max(8, 2 ** beta)), beta) * TWO_PI
         rng = np.random.default_rng(seed)
         random_starts = rng.uniform(0.0, TWO_PI, size=(starts, beta))
-        polished = _polish(base, chart, k, np.vstack([grid, random_starts]),
-                           gtol, tol_degeneracy)
-        attempted = len(polished)
+        status, xs, auxs, solves = _polish(
+            base, chart, k, np.vstack([grid, random_starts]), gtol,
+            tol_degeneracy)
+        attempted = len(status)
+        unconverged = int(np.count_nonzero(status > _DEGENERATE))
         # Landing points kept so far, each compared against in one array
         # operation per start.
         stuck_x = np.empty((attempted, beta))
         found_x = np.empty((attempted, beta))
         found_r = np.empty(attempted)
-        for status, x, aux, s in polished:
-            if status == "degenerate":
-                if np.all(_torus_distance(x, stuck_x[:len(incorrigible)])
-                          > DEDUP_TOL):
-                    stuck_x[len(incorrigible)] = x
-                    incorrigible.append((tuple(float(c) for c in x), aux))
-                continue
-            if status != "ok":
-                unconverged += 1
-                continue
-            radius = max(DEDUP_TOL, 10.0 * aux)
+        degenerate = status == _DEGENERATE
+        for x, gap in zip(xs[degenerate], auxs[degenerate].tolist()):
+            if np.all(_torus_distance(x, stuck_x[:len(incorrigible)])
+                      > DEDUP_TOL):
+                stuck_x[len(incorrigible)] = x
+                incorrigible.append((tuple(float(c) for c in x), gap))
+        for i in np.flatnonzero(status == _OK).tolist():
+            x, radius = xs[i], max(DEDUP_TOL, 10.0 * float(auxs[i]))
             if np.any(_torus_distance(x, known) <= radius):
                 continue
             nf = len(found)
@@ -845,7 +825,7 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
                       <= np.maximum(radius, found_r[:nf])):
                 continue
             found_x[nf], found_r[nf] = x, radius
-            found.append(s)
+            found.append(i)
 
     # Pair conjugate search points; the one found first is the primary
     # report.
@@ -867,7 +847,7 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
         partners.append(partner)
     if primaries:
         search = _reports_at(np.mod(found_x[primaries], TWO_PI), base,
-                             _Solves.stack([found[i] for i in primaries]),
+                             solves.take([found[i] for i in primaries]),
                              chart, "search", **tols)
         for rep, partner in zip(search, partners):
             if partner is not None:
@@ -923,13 +903,13 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
     eigenvalue Hessian must be nondegenerate with index equal to the
     nodal surplus; a violation raises, at the first failing pair in
     class-major order.  Inadmissible pairs are recorded as skipped with
-    the reason.  The admissibility kernel decides every pair of a k at
-    once from the stacked solve of the symmetry points; only the pairs
-    it rejects run through the scalar checks, which word the skip
-    reasons and raise the bound check's error.  The Hessians are
-    assembled as one stack per k, and their indices come from one
-    stacked solve.  A beta over ``SIGNING_CAP`` raises
-    ``CapExceededError`` before anything is solved.
+    the reason.  One admissibility kernel call decides every pair from
+    the stacked solve of the symmetry points; only the pairs it rejects
+    run through the scalar checks, which word the skip reasons and raise
+    the bound check's error.  The Hessians are assembled as one stack
+    per k, and their indices come from one stacked solve.  A beta over
+    ``SIGNING_CAP`` raises ``CapExceededError`` before anything is
+    solved.
     """
     if not h.is_real:
         raise ValueError("verification expects a real matrix")
@@ -937,16 +917,14 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
     graph, chart = h.graph, gauge_chart(h.graph)
     n = graph.n
     bits, off, values, vectors = _symmetry_points(base, chart)
-    admissible = np.empty((len(values), n), dtype=bool)
-    surplus = np.empty((len(values), n), dtype=np.int64)
-    for k in range(1, n + 1):
-        s = _Solves.at(graph, off, values, vectors, k)
-        checks = _stack_checks(values, vectors[:, None, :, k - 1],
-                               s.products[:, None], [k - 1], base.norm_fro,
-                               chart.dim, tol_degeneracy=tol_degeneracy,
-                               tol_vanish=tol_vanish)
-        admissible[:, k - 1] = ~checks.failed[:, 0]
-        surplus[:, k - 1] = checks.surplus[:, 0]
+    solves = [_Solves.at(graph, off, values, vectors, k)
+              for k in range(1, n + 1)]
+    checks = _stack_checks(
+        values, vectors.swapaxes(1, 2),
+        np.stack([s.products for s in solves], axis=1), np.arange(n),
+        base.norm_fro, chart.dim, tol_degeneracy=tol_degeneracy,
+        tol_vanish=tol_vanish)
+    admissible, surplus = ~checks.failed, checks.surplus
     classes = [tuple(b) for b in bits.tolist()]
     reasons = {}
     for c, j in np.argwhere(~admissible).tolist():
@@ -962,17 +940,13 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
             reasons[c, j] = f"vanishes at {list(exc.vertices)}"
         except AdmissibilityError as exc:  # degenerate products
             reasons[c, j] = str(exc)
-    index = np.zeros((n, len(values)), dtype=np.int64)
-    nullity = np.zeros((n, len(values)), dtype=np.int64)
-    hessians = [_hessian(_Solves.at(graph, off[rows], values[rows],
-                                    vectors[rows], k), chart, tol_degeneracy)
-                for k, rows in enumerate(admissible.T, start=1)
-                if np.any(rows)]
+    index, nullity = np.zeros_like(surplus), np.zeros_like(surplus)
+    hessians = [_hessian(s.take(rows), chart, tol_degeneracy)
+                for s, rows in zip(solves, admissible.T) if np.any(rows)]
     if hessians:
         # k-major, as the stacks: the transposed masks take them in order
-        _, index[admissible.T], nullity[admissible.T] = _morse_indices(
+        _, index.T[admissible.T], nullity.T[admissible.T] = _morse_indices(
             np.concatenate(hessians), rank_tol)
-    index, nullity = index.T, nullity.T
     wrong = admissible & ((nullity != 0) | (index != surplus))
     if np.any(wrong):
         c, j = np.unravel_index(np.argmax(wrong), wrong.shape)

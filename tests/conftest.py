@@ -16,9 +16,11 @@ cycle through the lowest common ancestor, independent of the root
 paths in ``graphs``.
 ``scalar_polish`` is the Newton oracle: one start at a time, one
 ``eigh`` per trial point, against which the lockstep ``morse._polish``
-must agree bit for bit.  ``scalar_report`` is the report oracle: one
-point at a time, one Hessian and one ``morse_index`` per point, against
-which the stacked ``morse._reports_at`` must agree bit for bit.
+must agree bit for bit, on each start's outcome and on the row of its
+solve stack that a converged start ends on.  ``scalar_report`` is the
+report oracle: one point at a time, one Hessian and one ``morse_index``
+per point, against which the stacked ``morse._reports_at`` must agree
+bit for bit.
 """
 
 from dataclasses import dataclass
@@ -254,7 +256,10 @@ def scalar_polish(base, chart, k: int, start, gtol: float,
     Damped Newton steps on the gauge-slice gradient with the analytic
     Hessian as Jacobian and backtracking on the squared norm; each trial
     point is one ``eigh`` of its own operator.  Returns ``(status, x,
-    aux, solve)`` as the lockstep does for this start.
+    aux, solve)``: the lockstep's outcome for this start, named, its
+    coordinates and auxiliary number, and for a converged start the
+    solve its row of the lockstep's solve stack holds (``None``
+    otherwise).
     """
     idx = chart.nonforest_indices
 

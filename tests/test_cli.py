@@ -584,6 +584,9 @@ OUT_OF_RANGE = [
     ("clt-experiment", "--retry-cap", "-1"),
     ("linkage-analyze", "--emit-fixture", "1"),
     ("linkage-analyze", "--k", "4"),
+    ("critical-scan", "--seed", "-1"),
+    ("linkage-analyze", "--seed", "-1"),
+    ("clt-experiment", "--seed", "-1"),
 ]
 
 

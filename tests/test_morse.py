@@ -120,7 +120,7 @@ class TestTorusPoint:
         h = abs_part(triangle_base())
         chart = gauge_chart(h.graph)
         p = TorusPoint.from_coords(h, [1.1], chart)
-        q = p.with_coords(chart, p.coords(chart))
+        q = TorusPoint.from_coords(h, p.coords(chart), chart)
         np.testing.assert_allclose(q.angles, p.angles)
 
     def test_conjugate_negates_angles(self):
@@ -379,6 +379,16 @@ class TestMorseIndex:
 
 
 class TestCriticalScan:
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_k_outside_the_spectrum_raises_before_any_solve(self, monkeypatch,
+                                                             k):
+        import magnodal.morse as morse
+
+        stacks = count_stacks(monkeypatch, morse)
+        with pytest.raises(ValueError, match=f"k={k} outside 1..4"):
+            critical_scan(strong_diagonal_fixture(complete_graph(4)), k)
+        assert stacks == []
+
     def test_tree_has_single_trivial_report(self):
         rng = np.random.default_rng(6)
         h = random_operator(path_graph(3), rng)
@@ -482,7 +492,7 @@ class TestCriticalScan:
         base = abs_part(ring_op(4))
         chart = gauge_chart(base.graph)
         stacks = count_stacks(monkeypatch, morse)
-        [(status, x, gap, solve)] = morse._polish(
+        status, x, gap, _ = morse._polish(
             base, chart, 2, np.array([[start]]), 1e-10, 1e-8)
         monkeypatch.undo()
         # the gap is the one a second solve at the same point would give
@@ -490,9 +500,9 @@ class TestCriticalScan:
         es = eigh(TorusPoint.from_coords(base, x0, chart).operator())
         expected = min(abs(es.values[j] - es.values[1]) for j in (0, 2, 3))
         assert stacks == [("real", 1)]
-        assert status == "degenerate" and solve is None
-        assert x.tolist() == x0.tolist()
-        assert gap == expected
+        assert status.tolist() == [morse._DEGENERATE]
+        assert x.tolist() == [x0.tolist()]
+        assert gap.tolist() == [expected]
 
     def test_search_reports_reuse_the_polish_solve(self, monkeypatch):
         """Every eigensolve of a scan is the symmetry stack or a Newton
@@ -622,9 +632,15 @@ def same_bits(a, b) -> bool:
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+#: Outcome codes of ``morse._polish`` and the statuses the oracle names.
+OUTCOMES = {"_OK": "ok", "_DEGENERATE": "degenerate", "_STUCK": "stuck",
+            "_MAXITER": "maxiter"}
+
+
 class TestLockstepPolish:
     """The lockstep polish follows the scalar oracle bit for bit: the
-    status, the coordinates, the auxiliary number and the final solve."""
+    outcome, the coordinates, the auxiliary number and, for a converged
+    start, its row of the solve stack."""
 
     @pytest.mark.parametrize("case,k,starts", [
         ("strong-K5", 2, 4),
@@ -646,23 +662,26 @@ class TestLockstepPolish:
         base, chart = abs_part(h), gauge_chart(h.graph)
         points = scan_starts(chart, starts, 0)
         stacks = count_stacks(monkeypatch, morse)
-        got = morse._polish(base, chart, k, points, scan_gtol(base),
-                            DEGENERACY_TOL)
+        status, xs, auxs, solves = morse._polish(
+            base, chart, k, points, scan_gtol(base), DEGENERACY_TOL)
         monkeypatch.undo()
         want = [conftest.scalar_polish(base, chart, k, p, scan_gtol(base),
                                        DEGENERACY_TOL) for p in points]
-        assert len(got) == len(want)
-        for (status, x, aux, s), (status0, x0, aux0, s0) in zip(got, want):
-            assert status == status0
-            assert same_bits(x, x0)
-            assert same_bits(aux, aux0)
-            assert (s is None) == (s0 is None)
-            if s is not None:
-                assert same_bits(s.h.offdiag, s0.h.offdiag)
-                assert same_bits(s.es.values, s0.es.values)
-                assert same_bits(s.es.vectors, s0.es.vectors)
-                assert same_bits(s.products, s0.products)
-                assert s.lam == s0.lam and same_bits(s.v, s0.v)
+        names = {getattr(morse, code): name for code, name in OUTCOMES.items()}
+        assert len(status) == len(xs) == len(auxs) == len(want)
+        assert len(solves.values) == len(want) and solves.k == k
+        for i, (status0, x0, aux0, s0) in enumerate(want):
+            assert names[status[i]] == status0
+            assert same_bits(xs[i], x0)
+            assert same_bits(auxs[i], aux0)
+            assert (s0 is not None) == (status0 == "ok")
+            if s0 is not None:
+                # the stack is complex; a real-path solve sits in it exactly
+                assert same_bits(solves.offdiag[i], s0.h.offdiag)
+                assert same_bits(solves.values[i], s0.es.values)
+                assert same_bits(solves.vectors[i],
+                                 s0.es.vectors.astype(np.complex128))
+                assert same_bits(solves.products[i], s0.products)
         statuses = {r[0] for r in want}
         if case == "random-K5-seed0" and k == 2:
             assert "stuck" in statuses
@@ -670,20 +689,6 @@ class TestLockstepPolish:
             # a Halton start at pi is a real operator among complex ones
             assert {"real", "complex"} <= {path for path, _ in stacks}
             assert "degenerate" in statuses
-
-    def test_converged_final_solve_holds_no_stack(self):
-        """A returned solve owns its arrays, so a kept report does not
-        keep a round's stacks alive."""
-        import magnodal.morse as morse
-
-        h = strong_diagonal_fixture(complete_graph(4))
-        base, chart = abs_part(h), gauge_chart(h.graph)
-        for status, _, _, s in morse._polish(
-                base, chart, 2, scan_starts(chart, 4, 0), scan_gtol(base),
-                DEGENERACY_TOL):
-            assert status == "ok"
-            for arr in (s.es.values, s.es.vectors, s.products, s.h.offdiag):
-                assert arr.base is None
 
 
 class TestStackedLeastSquares:
@@ -744,8 +749,8 @@ class TestOneOperatorPerSolve:
         assert counts == {"eigh": 0, "magnetic_action": 0}
 
     def test_verify_index_checks_each_pair_once(self, monkeypatch):
-        """One kernel call per k decides every class at once; only the
-        skipped pairs run the scalar checks, one call each."""
+        """One kernel call decides every (class, k) pair at once; only
+        the skipped pairs run the scalar checks, one call each."""
         import magnodal.morse as morse
         import magnodal.nodal as nodal
 
@@ -757,7 +762,7 @@ class TestOneOperatorPerSolve:
                 vanishing = count_calls(m, nodal, "is_nowhere_vanishing")
                 t = verify_index_equals_surplus(h)
             assert t.num_skipped == skipped
-            assert kernel == ["_stack_checks"] * h.graph.n
+            assert kernel == ["_stack_checks"]
             assert counts["_simple_eigen"] == skipped
             assert counts["_count"] == vanishing["is_nowhere_vanishing"] \
                 == skipped - sum("multiplicity" in r.reason for r in t.rows)
@@ -1006,15 +1011,12 @@ class TestVerifyIndexSurplus:
         h = strong_diagonal_fixture(complete_graph(4))
         inner = morse._stack_checks
 
-        def wrong(values, vectors, products, positions, *args, **kwargs):
-            checks = inner(values, vectors, products, positions, *args,
-                           **kwargs)
+        def wrong(*args, **kwargs):
+            checks = inner(*args, **kwargs)
             # class ids count in bit order: class (0, 0, 1) is row 1
-            plant = {2: 0, 1: 1}  # k: row
             surplus = checks.surplus.copy()
-            k = positions[0] + 1
-            if k in plant:
-                surplus[plant[k], 0] += 1
+            surplus[0, 1] += 1  # class (0, 0, 0), k=2
+            surplus[1, 0] += 1  # class (0, 0, 1), k=1
             return replace(checks, surplus=surplus)
 
         monkeypatch.setattr(morse, "_stack_checks", wrong)

@@ -3,7 +3,12 @@
 Every imported name must be used, and no module may use a bare
 ``assert``: ``python -O`` strips those, and cross-checks must raise
 ``InternalCrossCheckError`` in every mode.  The package ``__init__``
-re-exports names by importing them and is left out.
+re-exports names by importing them and is left out.  Every module-level
+function and class must be loaded in its own module, imported by
+another, or exported from ``__init__``.  ``families.py``, the fixture
+module the tests draw on, is exempt, and so are the functions the
+benchmark's tracer wraps (``LAYERS`` in ``bench/tracing.py``), which
+the benchmark needs to exist.
 """
 
 import ast
@@ -12,9 +17,10 @@ from pathlib import Path
 import pytest
 
 import magnodal
+from test_bench_contract import layers
 
-MODULES = sorted(p for p in Path(magnodal.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(magnodal.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def parse(path: Path) -> ast.Module:
@@ -36,6 +42,31 @@ def unused_imports(tree: ast.Module) -> list[str]:
             if name not in used]
 
 
+def loaded_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def imported_from(tree: ast.Module, module: str) -> set[str]:
+    """Names that ``from .module import ...`` statements bind."""
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module == module for alias in node.names}
+
+
+def unreferenced_definitions(path: Path, trees: dict[Path, ast.Module],
+                             exempt=()) -> list[str]:
+    """Module-level functions and classes of ``path``, other than
+    ``exempt``, that its own module never loads and no other package
+    module (``__init__`` included) imports."""
+    tree = trees[path]
+    used = loaded_names(tree).union(exempt, *(
+        imported_from(other, path.stem) for other in trees.values()))
+    return [f"{node.name} (line {node.lineno})" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in used]
+
+
 def bare_asserts(tree: ast.Module) -> list[int]:
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Assert)]
@@ -51,8 +82,23 @@ def test_no_bare_assert(path):
     assert bare_asserts(parse(path)) == []
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "families.py"],
+    ids=lambda p: p.name)
+def test_every_definition_is_used(path):
+    trees = {p: parse(p) for p in PACKAGE.glob("*.py")}
+    traced = layers().get(path.stem, ())
+    assert unreferenced_definitions(path, trees, traced) == []
+
+
 def test_checks_catch_what_they_look_for():
     tree = ast.parse("import os\nfrom x import y as z\nassert z\n")
     assert unused_imports(tree) == ["os (line 1)"]
     assert bare_asserts(tree) == [3]
     assert MODULES and all(p.name != "__init__.py" for p in MODULES)
+    a, b = Path("a.py"), Path("b.py")
+    trees = {a: ast.parse("def f(): pass\ndef g(): pass\n"
+                          "class C: pass\nclass D: pass\nx = [f, D]\n"),
+             b: ast.parse("from .a import g\nfrom a import C\n")}
+    assert unreferenced_definitions(a, trees) == ["C (line 3)"]
+    assert unreferenced_definitions(a, trees, ("C",)) == []

@@ -44,7 +44,11 @@ from .operators import GaugePhase, SupportedMatrix, gauge_transform
 from .spectral import (
     DEGENERACY_TOL,
     VANISH_TOL,
+    EigenSystem,
+    _lstsq,
+    _squares,
     eigh,
+    eigh_stack,
     multiplicity,
     resolvent_coefficient,
 )
@@ -56,6 +60,12 @@ GENERICITY_TOL = 1e-9
 
 #: Refusal threshold for the genericity enumeration.
 LENGTH_CAP = 20
+
+#: Sign rows per block of the genericity enumeration.
+_GENERIC_CHUNK = 1 << 13
+
+#: Random starts a configuration search tries before it gives up.
+RESTARTS = 60
 
 #: Spectral shift coefficients below this count as degenerate.
 SHIFT_COEFF_TOL = 1e-9
@@ -85,8 +95,9 @@ def is_generic(L: LinkageLengths, tol: float = GENERICITY_TOL,
     """No signed sum of the lengths vanishes within tolerance.
 
     Checks all sign choices up to a global flip, so ``2**(m-1)`` sums,
-    against ``tol`` times the largest length.  Refuses length sets
-    beyond the cap.
+    against ``tol`` times the largest length, one block of sign rows at
+    a time (bit i of the row index flips length i + 1).  Refuses length
+    sets beyond the cap.
     """
     m = len(L)
     if m > cap:
@@ -94,10 +105,12 @@ def is_generic(L: LinkageLengths, tol: float = GENERICITY_TOL,
             f"genericity check over {m} lengths exceeds the cap of {cap}")
     cut = tol * float(np.max(L.lengths))
     rest = L.lengths[1:]
-    for bits in range(1 << (m - 1)):
-        signs = np.array([-1.0 if (bits >> i) & 1 else 1.0
-                          for i in range(m - 1)])
-        if abs(L.lengths[0] + float(signs @ rest)) <= cut:
+    for lo in range(0, 1 << (m - 1), _GENERIC_CHUNK):
+        bits = np.arange(lo, min(lo + _GENERIC_CHUNK, 1 << (m - 1)))
+        signs = 1.0 - 2.0 * ((bits[:, None] >> np.arange(m - 1)) & 1)
+        # one dot product per sign row, with the bits of ``signs[i] @ rest``
+        sums = L.lengths[0] + (signs[:, None, :] @ rest[:, None])[:, 0, 0]
+        if np.any(np.abs(sums) <= cut):
             return False
     return True
 
@@ -139,12 +152,52 @@ def solvability_and_connectivity(L: LinkageLengths) -> LinkageTopology:
 
 
 def sample_configuration(L: LinkageLengths, seed: int = 0,
-                         max_restarts: int = 60) -> np.ndarray:
+                         max_restarts: int = RESTARTS) -> np.ndarray:
     """One closed configuration, normalized so the first angle is zero.
 
     Solves ``sum_r M_r exp(i theta_r) = 0`` by damped least squares
     from seeded random starts.  Works for any solvable length set, not
     only generic ones; an unsolvable set raises.
+    """
+    theta, found = _sample_configurations(L, [seed], max_restarts)
+    if not found[0]:
+        raise _no_configuration(max_restarts)
+    return theta[0]
+
+
+def _no_configuration(max_restarts: int) -> EmptyConfigurationError:
+    return EmptyConfigurationError(
+        f"no closed configuration found after {max_restarts} restarts; the "
+        f"length set may be on the solvability boundary")
+
+
+def _closure(vals: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Closure residuals (..., 2), real and imaginary part, of the
+    configurations ``theta`` (..., m)."""
+    z = (vals * np.exp(1j * theta)).sum(axis=-1)
+    return z.view(np.float64).reshape(z.shape + (2,))
+
+
+#: The step lengths a backtracking line search tries, longest first,
+#: and the factor each must lower the squared residual by.
+_STEPS = 0.5 ** np.arange(15)
+_SHRINK = 1.0 - 0.25 * _STEPS
+
+
+def _sample_configurations(L: LinkageLengths, seeds, max_restarts: int
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """``sample_configuration`` for every seed in lockstep: the closed
+    configurations (S, m) and which of them were found.
+
+    Per seed: restarts from ``default_rng(seed)`` starts, each damped
+    Gauss-Newton steps on the closure residual with backtracking, at
+    most 200 steps, until the residual falls below ``1e-12`` times the
+    total length; a start that cannot lower the residual gives way to
+    the next.  Each round takes one step for every seed: one stacked
+    least-squares call (``_lstsq``) for the steps, and every trial
+    length at once for the line searches, whose first acceptable length
+    is the one a one-at-a-time search keeps.  So every seed follows its
+    one-seed trajectory bit for bit; a seed that is done stops moving.
     """
     m = len(L)
     vals = L.lengths
@@ -154,45 +207,56 @@ def sample_configuration(L: LinkageLengths, seed: int = 0,
         raise EmptyConfigurationError(
             "largest length exceeds the sum of the others; no closed "
             "configuration exists")
-    rng = np.random.default_rng(seed)
     target = 1e-12 * total
-
-    def residual(phi: np.ndarray) -> np.ndarray:
-        theta = np.concatenate([[0.0], phi])
-        z = np.sum(vals * np.exp(1j * theta))
-        return np.array([z.real, z.imag])
-
-    for attempt in range(max_restarts):
-        if attempt == 0 and m == 2:
-            phi = np.array([np.pi])
-        else:
-            phi = rng.uniform(0.0, TWO_PI, size=m - 1)
-        for _ in range(200):
-            r = residual(phi)
-            if float(np.hypot(r[0], r[1])) <= target:
-                theta = np.mod(np.concatenate([[0.0], phi]), TWO_PI)
-                theta[0] = 0.0
-                return theta
-            theta = np.concatenate([[0.0], phi])
-            J = np.stack([-vals[1:] * np.sin(theta[1:]),
-                          vals[1:] * np.cos(theta[1:])])
-            delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
-            f0 = float(r @ r)
-            t = 1.0
-            moved = False
-            while t >= 2.0 ** -14:
-                cand = phi + t * delta
-                rc = residual(cand)
-                if float(rc @ rc) < f0 * (1.0 - 0.25 * t) + 1e-300:
-                    phi = cand
-                    moved = True
-                    break
-                t *= 0.5
-            if not moved:
-                break
-    raise EmptyConfigurationError(
-        f"no closed configuration found after {max_restarts} restarts; the "
-        f"length set may be on the solvability boundary")
+    count = len(seeds)
+    # the angles of every restart, the first one pinned to zero; two bars
+    # first try the flat fold, which draws nothing
+    starts = np.full((count, max_restarts + 1, m), np.pi)
+    starts[:, :, 0] = 0.0
+    for i, s in enumerate(seeds):
+        starts[i, 1:, 1:] = np.random.default_rng(s).uniform(
+            0.0, TWO_PI, (max_restarts, m - 1))
+    starts = starts[:, 0 if m == 2 else 1:]
+    rows = np.arange(count)
+    theta = starts[:, 0].copy()
+    r = _closure(vals, theta)        # residual at theta
+    f = _squares(r)                  # its squared norm
+    attempt = np.zeros(count, dtype=np.int64)
+    steps = np.zeros(count, dtype=np.int64)
+    found = np.zeros(count, dtype=bool)
+    live = np.ones(count, dtype=bool)
+    delta = np.zeros((count, m))
+    signed = np.stack([-vals[1:], vals[1:]])
+    while live.any():
+        done = live & (np.hypot(r[:, 0], r[:, 1]) <= target)
+        found |= done
+        live &= ~done
+        J = np.empty((count, 2, m - 1))
+        np.sin(theta[:, 1:], out=J[:, 0])
+        np.cos(theta[:, 1:], out=J[:, 1])
+        J *= signed
+        delta[:, 1:] = _lstsq(J, -r)
+        trial = theta[:, None] + _STEPS[:, None] * delta[:, None]
+        rc = _closure(vals, trial)
+        fc = _squares(rc.reshape(-1, 2)).reshape(-1, 15)
+        ok = fc < f[:, None] * _SHRINK + 1e-300
+        first = ok.argmax(axis=1)
+        moved = live & ok[rows, first]
+        np.copyto(theta, trial[rows, first], where=moved[:, None])
+        np.copyto(r, rc[rows, first], where=moved[:, None])
+        np.copyto(f, fc[rows, first], where=moved)
+        steps += live
+        # a start that is stuck or out of steps gives way to the next
+        again = live & (~moved | (steps == 200))
+        if again.any():
+            attempt += again
+            live &= attempt < max_restarts
+            again &= live
+            theta[again] = starts[again, attempt[again]]
+            r[again] = _closure(vals, theta[again])
+            f[again] = _squares(r[again])
+            steps[again] = 0
+    return np.mod(theta, TWO_PI), found
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,10 +342,8 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
 
     # Row of the vanishing vertex: entries are stored for the canonical
     # orientation, so flip by conjugation where needed.
-    coupling = np.empty(len(neighbors), dtype=np.complex128)
-    for i, u in enumerate(neighbors):
-        val = rotated.offdiag[g.index_of(v0, u)]
-        coupling[i] = val if v0 < u else np.conj(val)
+    row = rotated.offdiag[[g.index_of(v0, u) for u in neighbors]]
+    coupling = np.where(np.array(neighbors) > v0, row, np.conj(row))
 
     sub_edges = [(r, s) for (r, s) in g.edges if r != v0 and s != v0]
     sub_off = np.array([rotated.offdiag[g.index_of(r, s)]
@@ -383,22 +445,34 @@ def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
     the critical manifold.  Verifies the eigenvalue stays simple, stays
     at position k, and that the shift coefficient keeps its sign.  A
     finite sample only; this does not prove the hypotheses over the
-    whole manifold.
+    whole manifold.  The configurations are sampled in lockstep and
+    their operators solved in one stacked eigensolve per solver path;
+    the checks then run sample by sample, so the first failing sample
+    names the failure.
     """
     g = rotated.graph
-    checked = 0
+    theta, found = _sample_configurations(
+        lengths, [seed + 17 * i + 1 for i in range(count)], RESTARTS)
+    # New bar vectors M_j exp(i theta_j); the stored entry is h_{v0,u}
+    # when v0 < u and its conjugate otherwise, and the eigenvector is
+    # real positive at u.
+    bars = lengths.lengths * np.exp(1j * theta) / w[neighbors]
+    off = np.tile(rotated.offdiag, (count, 1))
+    off[:, [g.index_of(v0, u) for u in neighbors]] = np.where(
+        v0 < np.array(neighbors), bars, np.conj(bars))
+    values = np.zeros((count, g.n))
+    vectors = np.zeros((count, g.n, g.n), dtype=np.complex128)
+    real = np.all(off.imag == 0.0, axis=1)
+    for path in (real, ~real):  # each row on its own solver path
+        if np.any(path):
+            values[path], vectors[path] = eigh_stack(g, rotated.diag,
+                                                     off[path])
     for i in range(count):
-        theta = sample_configuration(lengths, seed=seed + 17 * i + 1)
-        off = rotated.offdiag.copy()
-        for j, u in enumerate(neighbors):
-            idx = g.index_of(v0, u)
-            # New bar vector M_j exp(i theta_j); the stored entry is
-            # h_{v0,u} when v0 < u and its conjugate otherwise, and the
-            # eigenvector is real positive at u.
-            value = lengths.lengths[j] * np.exp(1j * theta[j]) / w[u]
-            off[idx] = value if v0 < u else np.conj(value)
-        hq = SupportedMatrix(g, rotated.diag, off)
-        esq = eigh(hq)
+        if not found[i]:
+            raise _no_configuration(RESTARTS)
+        hq = SupportedMatrix(g, rotated.diag, off[i])
+        esq = EigenSystem(values[i], vectors[i].real if real[i]
+                          else vectors[i])
         kq = int(np.argmin(np.abs(esq.values - lam))) + 1
         mq, _ = multiplicity(esq, kq, tol_degeneracy)
         if mq != 1:
@@ -407,7 +481,7 @@ def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
                 f"hypothesis (3) quantifies over the manifold and fails",
                 hypothesis=3)
         if kq != k:
-            config = ", ".join(f"{a:.6g}" for a in theta)
+            config = ", ".join(f"{a:.6g}" for a in theta[i])
             raise LinkageHypothesisError(
                 f"eigenvalue leaves position k={k} along the manifold "
                 f"(sample {i}: position {kq}, configuration [{config}]); "
@@ -418,8 +492,7 @@ def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
                 f"shift coefficient changes sign or degenerates along the "
                 f"manifold (sample {i}: {cq:.3e}); hypothesis (3) fails",
                 hypothesis=3)
-        checked += 1
-    return checked
+    return count
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import (
     AdmissibilityError,
@@ -74,6 +73,8 @@ from .spectral import (
     VANISH_TOL,
     EigenSystem,
     _check_k,
+    _lstsq,
+    _squares,
     eigh_stack,
     is_nowhere_vanishing,
     multiplicity,
@@ -577,20 +578,6 @@ def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
     return reports
 
 
-def _squares(x: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of ``x`` (S, d), with the bits of
-    ``x[i] @ x[i]`` for a contiguous copy of the row, and so of
-    ``np.linalg.norm(x[i]) ** 2`` before the root.
-
-    The batched product runs one dot product per row.  A dot product's
-    bits depend on the stride of its operands, and a column selection
-    such as ``a[:, idx]`` leaves strided rows, so the rows are laid out
-    contiguously first, as a vector built on its own is.
-    """
-    x = np.ascontiguousarray(x)
-    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
-
-
 def _offdiag_at(base: SupportedMatrix, chart: GaugeChart, coords: np.ndarray
                 ) -> np.ndarray:
     """Edge entries (S, m) of the operators at chart coordinates (S, d).
@@ -601,31 +588,6 @@ def _offdiag_at(base: SupportedMatrix, chart: GaugeChart, coords: np.ndarray
     angles = np.zeros((len(coords), base.graph.num_edges))
     angles[:, chart.nonforest_indices] = coords
     return base.offdiag * unit_phases(np.mod(angles, TWO_PI))
-
-
-#: The least-squares gufunc of ``np.linalg.lstsq``, looked up once.
-_LSTSQ = _umath_linalg.lstsq
-
-
-def _lstsq_failed(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least-squares solutions ``x[i]`` of ``a[i] x = b[i]`` for a stack
-    ``a`` (S, m, n) and ``b`` (S, m), shape (S, n).
-
-    One call of the gufunc that ``np.linalg.lstsq`` runs per matrix,
-    with its default ``rcond`` and error handling, so every row gets the
-    bits of ``np.linalg.lstsq(a[i], b[i], rcond=None)[0]``.  The gufunc
-    is private to numpy, which fixes the floor in ``pyproject.toml``.
-    """
-    m, n = a.shape[-2:]
-    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        x, _, _, _ = _LSTSQ(a, b[..., None], np.finfo(np.float64).eps
-                            * max(m, n), signature="ddd->ddid")
-    return x[..., 0]
 
 
 # Phases of a start in ``_polish``: the live ones, then its outcomes.

@@ -14,6 +14,12 @@ import math
 SCHEMA_VERSION = 1
 
 
+def _finite(x: float) -> str:
+    if math.isfinite(x):
+        return "%.17g" % x
+    raise ValueError("non-finite values have no canonical serialization")
+
+
 def format_float(x: float) -> str:
     """Fixed 17-significant-digit rendering of a float.
 
@@ -24,9 +30,7 @@ def format_float(x: float) -> str:
     """
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise TypeError(f"not a float: {x!r}")
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("non-finite values have no canonical serialization")
-    return "%.17g" % float(x)
+    return _finite(float(x))
 
 
 def _escape(s: str) -> str:
@@ -54,18 +58,26 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
+#: Text of a scalar leaf by its exact type.  Subclasses, such as numpy
+#: floats, miss the table and take the ``isinstance`` chain.
+_LEAVES = {type(None): lambda x: "null",
+           bool: lambda x: "true" if x else "false",
+           int: str, float: _finite, str: _escape}
+
+
 def dumps_canonical(obj, indent: int = 0) -> str:
     """Canonical JSON text: sorted keys, fixed float format.
 
     Accepts the JSON value types plus tuples; anything else (including
-    complex numbers) must be converted by the caller first.
+    complex numbers) must be converted by the caller first.  Scalar
+    leaves are formatted from one table keyed by their type, so only
+    containers recurse.
     """
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -75,17 +87,22 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [dumps_canonical(x, indent + 1) for x in obj]
-        return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
+        items = [leaf(x) if (leaf := _LEAVES.get(type(x))) else
+                 dumps_canonical(x, indent + 1) for x in obj]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         keys = sorted(obj)
         if any(not isinstance(k, str) for k in keys):
             raise TypeError("canonical JSON needs string keys")
-        items = [f"{_escape(k)}: {dumps_canonical(obj[k], indent + 1)}"
-                 for k in keys]
-        return "{\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "}"
+        items = []
+        for k in keys:
+            v = obj[k]
+            leaf = _LEAVES.get(type(v))
+            items.append(f"{_escape(k)}: " + (
+                leaf(v) if leaf else dumps_canonical(v, indent + 1)))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

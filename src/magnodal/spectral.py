@@ -8,6 +8,10 @@ eigenvectors have exactly zero imaginary part.
 
 Eigenvalue positions ``k`` are 1-based throughout the library, matching
 the usual counting of the spectrum from the bottom.
+
+The module also holds the two row-wise kernels that the stacked Newton
+solvers of ``morse`` and ``linkage`` share, squared norms and
+least-squares steps, each giving a row the bits of its one-row call.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import EigenSolverError, NonSimpleEigenvalueError
 from .graphs import Graph
@@ -101,6 +106,45 @@ def eigh_stack(graph: Graph, diag: np.ndarray, offdiag: np.ndarray
     """
     values, vectors = eigh_dense(dense_matrices(graph, diag, offdiag))
     return values, _normalize_phases(vectors)
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of ``x`` (S, d), with the bits of
+    ``x[i] @ x[i]`` for a contiguous copy of the row, and so of
+    ``np.linalg.norm(x[i]) ** 2`` before the root.
+
+    The batched product runs one dot product per row.  A dot product's
+    bits depend on the stride of its operands, and a column selection
+    such as ``a[:, idx]`` leaves strided rows, so the rows are laid out
+    contiguously first, as a vector built on its own is.
+    """
+    x = np.ascontiguousarray(x)
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
+#: The least-squares gufunc of ``np.linalg.lstsq``, looked up once.
+_LSTSQ = _umath_linalg.lstsq
+
+
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares solutions ``x[i]`` of ``a[i] x = b[i]`` for a stack
+    ``a`` (S, m, n) and ``b`` (S, m), shape (S, n).
+
+    One call of the gufunc that ``np.linalg.lstsq`` runs per matrix,
+    with its default ``rcond`` and error handling, so every row gets the
+    bits of ``np.linalg.lstsq(a[i], b[i], rcond=None)[0]``.  The gufunc
+    is private to numpy, which fixes the floor in ``pyproject.toml``.
+    """
+    m, n = a.shape[-2:]
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x, _, _, _ = _LSTSQ(a, b[..., None], np.finfo(np.float64).eps
+                            * max(m, n), signature="ddd->ddid")
+    return x[..., 0]
 
 
 def eigh(h: SupportedMatrix) -> EigenSystem:

@@ -8,14 +8,19 @@ stratum transversally.  Two equivalent tests are implemented and
 cross-checked on every call: triviality of the kernel of
 X -> (h - lambda) X over Hermitian matrices supported off the graph,
 and surjectivity of compression onto Hermitian forms on the
-eigenspace.  Transversality failures localize to eigenspaces whose
-supports split the graph, which is where the structured witnesses come
-from.
+eigenspace.  Each test places the real basis of its directions into
+one stack of unit matrices by index and applies its map to the whole
+stack in one batched product, which gives every product the bits of
+the product with its unit alone, signed zeros included: the singular
+value decompositions that follow can see the sign of a zero.
+Transversality failures localize to eigenspaces whose supports split
+the graph, which is where the structured witnesses come from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -77,12 +82,12 @@ def eigenspace_basis(h: SupportedMatrix, k: int,
     dense = h.to_dense()
     width = float(cluster[-1] - cluster[0])
     budget = 1e-9 * max(1.0, h.norm_fro) + width
-    for j in range(m):
-        resid = float(np.linalg.norm(dense @ vecs[:, j] - lam * vecs[:, j]))
-        if resid > budget:
-            raise InternalCrossCheckError(
-                f"eigenvector residual {resid:.3e} exceeds the cluster "
-                f"budget {budget:.3e}")
+    resid = np.linalg.norm(dense @ vecs - lam * vecs, axis=0)
+    over = resid[resid > budget]
+    if over.size:
+        raise InternalCrossCheckError(
+            f"eigenvector residual {over[0]:.3e} exceeds the cluster "
+            f"budget {budget:.3e}")
     vecs.setflags(write=False)
     return EigenspaceBasis(eigenvalue=lam, k_first=k, dim=m, vectors=vecs)
 
@@ -136,52 +141,28 @@ def projects_surjectively(basis: EigenspaceBasis, edge: tuple[int, int],
     return bool(sv[-1] > tol)
 
 
-def _offgraph_units(g: Graph) -> list[np.ndarray]:
-    """Real basis of Hermitian matrices with zero diagonal, zero on edges."""
-    units = []
-    for r in range(g.n):
-        for s in range(r + 1, g.n):
-            if g.has_edge(r, s):
-                continue
-            e = np.zeros((g.n, g.n), dtype=np.complex128)
-            e[r, s] = 1.0
-            e[s, r] = 1.0
-            units.append(e)
-            f = np.zeros((g.n, g.n), dtype=np.complex128)
-            f[r, s] = 1j
-            f[s, r] = -1j
-            units.append(f)
+def _pairs(n: int, skip=()) -> np.ndarray:
+    """Index pairs ``r < s`` below n, in row-major order, without those
+    in ``skip``: shape (q, 2)."""
+    return np.array([e for e in combinations(range(n), 2) if e not in skip],
+                    dtype=np.intp).reshape(-1, 2)
+
+
+def _units(n: int, pairs: np.ndarray, diagonal: bool) -> np.ndarray:
+    """Real basis of Hermitian n-by-n matrices, as one stack: the
+    diagonal units when ``diagonal``, then for each pair ``(r, s)`` of
+    ``pairs`` (q, 2) the real unit at ``(r, s)`` and the imaginary one,
+    ``i`` at ``(r, s)`` and ``-i`` at ``(s, r)``."""
+    d = n if diagonal else 0
+    units = np.zeros((d + 2 * len(pairs), n, n), dtype=np.complex128)
+    i = np.arange(d)
+    units[i, i, i] = 1.0
+    e = d + 2 * np.arange(len(pairs))
+    r, s = pairs[:, 0], pairs[:, 1]
+    units[e, r, s] = units[e, s, r] = 1.0
+    units[e + 1, r, s] = 1j
+    units[e + 1, s, r] = -1j
     return units
-
-
-def _ongraph_units(g: Graph) -> list[np.ndarray]:
-    """Real basis of Hermitian matrices supported on the graph."""
-    units = []
-    for r in range(g.n):
-        e = np.zeros((g.n, g.n), dtype=np.complex128)
-        e[r, r] = 1.0
-        units.append(e)
-    for (r, s) in g.edges:
-        e = np.zeros((g.n, g.n), dtype=np.complex128)
-        e[r, s] = 1.0
-        e[s, r] = 1.0
-        units.append(e)
-        f = np.zeros((g.n, g.n), dtype=np.complex128)
-        f[r, s] = 1j
-        f[s, r] = -1j
-        units.append(f)
-    return units
-
-
-def _herm_to_real(x: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of a Hermitian matrix."""
-    m = x.shape[0]
-    if m == 1:
-        return np.array([x[0, 0].real])
-    iu = np.triu_indices(m, k=1)
-    return np.concatenate([np.diag(x).real,
-                           x[iu].real * np.sqrt(2.0),
-                           x[iu].imag * np.sqrt(2.0)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,13 +214,10 @@ def is_transverse_at(h: SupportedMatrix, k: int, *,
     scale = max(1.0, h.norm_fro)
     shifted = h.to_dense() - lam * np.eye(n)
 
-    off_units = _offgraph_units(g)
-    if off_units:
-        cols = []
-        for unit in off_units:
-            y = shifted @ unit
-            cols.append(np.concatenate([y.real.ravel(), y.imag.ravel()]))
-        a = np.stack(cols, axis=1)
+    pairs = _pairs(n, g.edge_index)
+    if pairs.size:
+        y = (shifted @ _units(n, pairs, False)).reshape(len(pairs) * 2, -1)
+        a = np.concatenate([y.real, y.imag], axis=1).T
         sv = np.linalg.svd(a, compute_uv=False)
         smallest = float(sv[-1])
         cut = rank_tol * scale
@@ -253,17 +231,23 @@ def is_transverse_at(h: SupportedMatrix, k: int, *,
     witness = None
     if not a_transverse:
         _, _, vh = np.linalg.svd(a)
-        coeffs = vh[-1]
+        # The coefficients of the real and imaginary unit of each pair;
+        # adding zero gives the zeros of a sum of scaled units.
+        c = vh[-1].reshape(-1, 2) + 0.0
+        r, s = pairs.T
         x = np.zeros((n, n), dtype=np.complex128)
-        for c, unit in zip(coeffs, off_units):
-            x = x + c * unit
-        x = x / np.linalg.norm(x)
-        witness = x
+        x.real[r, s] = x.real[s, r] = c[:, 0]
+        x.imag[r, s] = c[:, 1]
+        x.imag[s, r] = -c[:, 1] + 0.0
+        witness = x / np.linalg.norm(x)
 
-    on_units = _ongraph_units(g)
     u = basis.vectors
-    comp = np.stack([_herm_to_real(u.conj().T @ unit @ u)
-                     for unit in on_units])
+    w = u.conj().T @ _units(n, g.endpoints, True) @ u
+    r, s = _pairs(m).T
+    upper = w[:, r, s]
+    comp = np.concatenate([w[:, np.arange(m), np.arange(m)].real,
+                           upper.real * np.sqrt(2.0),
+                           upper.imag * np.sqrt(2.0)], axis=1)
     csv = np.linalg.svd(comp, compute_uv=False)
     rank = int(np.sum(csv > rank_tol * max(1.0, float(csv[0]))))
     b_transverse = rank == m * m

@@ -21,6 +21,15 @@ solve stack that a converged start ends on.  ``scalar_report`` is the
 report oracle: one point at a time, one Hessian and one ``morse_index``
 per point, against which the stacked ``morse._reports_at`` must agree
 bit for bit.
+``scalar_transverse`` is the transversality oracle: one dense unit
+matrix per direction and one product per unit, against which
+``is_transverse_at`` must agree bit for bit on its singular values,
+ranks and witness.  ``scalar_sample_configuration`` and
+``scalar_manifold_samples`` are the linkage oracles: one Newton step and
+one ``np.linalg.lstsq`` at a time per sample, and one eigensolve per
+sampled operator.  ``scalar_is_generic`` visits the signed length sums
+one at a time, and ``recursive_dumps`` is the serializer that recurses
+once per leaf.
 """
 
 from dataclasses import dataclass
@@ -29,14 +38,22 @@ from typing import Iterator
 import numpy as np
 from hypothesis import strategies as st
 
-from magnodal.errors import CapExceededError, NonSimpleEigenvalueError
+from magnodal.errors import (CapExceededError, EmptyConfigurationError,
+                             InternalCrossCheckError, LinkageHypothesisError,
+                             NonSimpleEigenvalueError)
 from magnodal.graphs import Chain, CycleBasis, Graph, cycle_basis
+from magnodal.linkage import GENERICITY_TOL, LENGTH_CAP
 from magnodal.morse import (CRITICAL_TOL, TWO_PI, CriticalPointReport,
                             GaugeChart, TorusPoint, _classify, _hessian_at,
                             gauge_chart, morse_index)
 from magnodal.nodal import _simple_eigen
 from magnodal.operators import SupportedMatrix, signs_for_index
-from magnodal.spectral import eigh
+from magnodal.serialize import _escape, format_float
+from magnodal.spectral import (DEGENERACY_TOL, eigh, multiplicity,
+                               resolvent_coefficient)
+from magnodal.transversality import (TRANSVERSALITY_RANK_TOL,
+                                     TransversalityReport, codim_stratum,
+                                     eigenspace_basis)
 
 ACCEPTANCE_RESULTS: list[tuple[int, str, str, str]] = []
 
@@ -324,3 +341,264 @@ def scalar_report(coords, h, es, k: int, chart, origin: str, *,
     index, nullity = morse_index(hess, rank_tol)
     return CriticalPointReport(coords, k, report.kind, 1, report.vanishing,
                                gnorm, spectrum, index, nullity, origin)
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _offgraph_units(g: Graph) -> list[np.ndarray]:
+    """Real basis of Hermitian matrices with zero diagonal, zero on edges."""
+    units = []
+    for r in range(g.n):
+        for s in range(r + 1, g.n):
+            if g.has_edge(r, s):
+                continue
+            e = np.zeros((g.n, g.n), dtype=np.complex128)
+            e[r, s] = 1.0
+            e[s, r] = 1.0
+            units.append(e)
+            f = np.zeros((g.n, g.n), dtype=np.complex128)
+            f[r, s] = 1j
+            f[s, r] = -1j
+            units.append(f)
+    return units
+
+
+def _ongraph_units(g: Graph) -> list[np.ndarray]:
+    """Real basis of Hermitian matrices supported on the graph."""
+    units = []
+    for r in range(g.n):
+        e = np.zeros((g.n, g.n), dtype=np.complex128)
+        e[r, r] = 1.0
+        units.append(e)
+    for (r, s) in g.edges:
+        e = np.zeros((g.n, g.n), dtype=np.complex128)
+        e[r, s] = 1.0
+        e[s, r] = 1.0
+        units.append(e)
+        f = np.zeros((g.n, g.n), dtype=np.complex128)
+        f[r, s] = 1j
+        f[s, r] = -1j
+        units.append(f)
+    return units
+
+
+def _herm_to_real(x: np.ndarray) -> np.ndarray:
+    """Isometric real coordinates of a Hermitian matrix."""
+    m = x.shape[0]
+    if m == 1:
+        return np.array([x[0, 0].real])
+    iu = np.triu_indices(m, k=1)
+    return np.concatenate([np.diag(x).real,
+                           x[iu].real * np.sqrt(2.0),
+                           x[iu].imag * np.sqrt(2.0)])
+
+
+def scalar_transverse(h: SupportedMatrix, k: int, *,
+                      tol_degeneracy: float = DEGENERACY_TOL,
+                      rank_tol: float = TRANSVERSALITY_RANK_TOL
+                      ) -> tuple[TransversalityReport, np.ndarray,
+                                 np.ndarray]:
+    """``is_transverse_at`` one unit at a time, with the singular values
+    of its kernel test (empty without off-graph directions) and of its
+    compression test."""
+    es = eigh(h)
+    basis = eigenspace_basis(h, k, tol_degeneracy, es=es)
+    m = basis.dim
+    lam = basis.eigenvalue
+    g = h.graph
+    n = g.n
+    scale = max(1.0, h.norm_fro)
+    shifted = h.to_dense() - lam * np.eye(n)
+
+    off_units = _offgraph_units(g)
+    sv = np.zeros(0)
+    if off_units:
+        cols = []
+        for unit in off_units:
+            y = shifted @ unit
+            cols.append(np.concatenate([y.real.ravel(), y.imag.ravel()]))
+        a = np.stack(cols, axis=1)
+        sv = np.linalg.svd(a, compute_uv=False)
+        smallest = float(sv[-1])
+        cut = rank_tol * scale
+        kernel_dim = int(np.sum(sv <= cut))
+        a_transverse = smallest > cut
+    else:
+        smallest = np.inf
+        kernel_dim = 0
+        a_transverse = True
+
+    witness = None
+    if not a_transverse:
+        _, _, vh = np.linalg.svd(a)
+        coeffs = vh[-1]
+        x = np.zeros((n, n), dtype=np.complex128)
+        for c, unit in zip(coeffs, off_units):
+            x = x + c * unit
+        x = x / np.linalg.norm(x)
+        witness = x
+
+    on_units = _ongraph_units(g)
+    u = basis.vectors
+    comp = np.stack([_herm_to_real(u.conj().T @ unit @ u)
+                     for unit in on_units])
+    csv = np.linalg.svd(comp, compute_uv=False)
+    rank = int(np.sum(csv > rank_tol * max(1.0, float(csv[0]))))
+    b_transverse = rank == m * m
+
+    if a_transverse != b_transverse:
+        raise InternalCrossCheckError(
+            f"transversality tests disagree: kernel test says "
+            f"{a_transverse} (smallest singular value {smallest:.3e}), "
+            f"compression rank {rank} of {m * m}")
+
+    report = TransversalityReport(
+        transverse=a_transverse, multiplicity=m, eigenvalue=lam,
+        codimension=codim_stratum(m), smallest_singular_value=smallest,
+        kernel_dimension=kernel_dim, compression_rank=rank,
+        kernel_witness=witness, basis=basis)
+    return report, sv, csv
+
+
+def scalar_is_generic(lengths: np.ndarray, tol: float = GENERICITY_TOL,
+                      cap: int = LENGTH_CAP) -> bool:
+    """``linkage.is_generic`` one signed sum at a time."""
+    m = len(lengths)
+    if m > cap:
+        raise CapExceededError(
+            f"genericity check over {m} lengths exceeds the cap of {cap}")
+    cut = tol * float(np.max(lengths))
+    rest = lengths[1:]
+    for bits in range(1 << (m - 1)):
+        signs = np.array([-1.0 if (bits >> i) & 1 else 1.0
+                          for i in range(m - 1)])
+        if abs(lengths[0] + float(signs @ rest)) <= cut:
+            return False
+    return True
+
+
+def scalar_sample_configuration(vals: np.ndarray, seed: int = 0,
+                                max_restarts: int = 60) -> np.ndarray:
+    """``linkage.sample_configuration`` one Newton step at a time, each
+    solved by its own ``np.linalg.lstsq`` call, from the bar lengths
+    ``vals``."""
+    m = len(vals)
+    total = float(np.sum(vals))
+    top = float(np.max(vals))
+    if m == 1 or top > total - top + GENERICITY_TOL * total:
+        raise EmptyConfigurationError(
+            "largest length exceeds the sum of the others; no closed "
+            "configuration exists")
+    rng = np.random.default_rng(seed)
+    target = 1e-12 * total
+
+    def residual(phi: np.ndarray) -> np.ndarray:
+        theta = np.concatenate([[0.0], phi])
+        z = np.sum(vals * np.exp(1j * theta))
+        return np.array([z.real, z.imag])
+
+    for attempt in range(max_restarts):
+        if attempt == 0 and m == 2:
+            phi = np.array([np.pi])
+        else:
+            phi = rng.uniform(0.0, TWO_PI, size=m - 1)
+        for _ in range(200):
+            r = residual(phi)
+            if float(np.hypot(r[0], r[1])) <= target:
+                theta = np.mod(np.concatenate([[0.0], phi]), TWO_PI)
+                theta[0] = 0.0
+                return theta
+            theta = np.concatenate([[0.0], phi])
+            J = np.stack([-vals[1:] * np.sin(theta[1:]),
+                          vals[1:] * np.cos(theta[1:])])
+            delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
+            f0 = float(r @ r)
+            t = 1.0
+            moved = False
+            while t >= 2.0 ** -14:
+                cand = phi + t * delta
+                rc = residual(cand)
+                if float(rc @ rc) < f0 * (1.0 - 0.25 * t) + 1e-300:
+                    phi = cand
+                    moved = True
+                    break
+                t *= 0.5
+            if not moved:
+                break
+    raise EmptyConfigurationError(
+        f"no closed configuration found after {max_restarts} restarts; the "
+        f"length set may be on the solvability boundary")
+
+
+def scalar_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
+                            lengths, w, k: int, lam, c_ref, count: int,
+                            seed: int, tol_degeneracy: float,
+                            shift_tol: float) -> int:
+    """``linkage._check_manifold_samples`` one sample at a time: one
+    sampled configuration, one operator and one eigensolve each."""
+    g = rotated.graph
+    checked = 0
+    for i in range(count):
+        theta = scalar_sample_configuration(lengths.lengths,
+                                            seed=seed + 17 * i + 1)
+        off = rotated.offdiag.copy()
+        for j, u in enumerate(neighbors):
+            idx = g.index_of(v0, u)
+            value = lengths.lengths[j] * np.exp(1j * theta[j]) / w[u]
+            off[idx] = value if v0 < u else np.conj(value)
+        hq = SupportedMatrix(g, rotated.diag, off)
+        esq = eigh(hq)
+        kq = int(np.argmin(np.abs(esq.values - lam))) + 1
+        mq, _ = multiplicity(esq, kq, tol_degeneracy)
+        if mq != 1:
+            raise LinkageHypothesisError(
+                f"sampled manifold point {i} has a degenerate eigenvalue; "
+                f"hypothesis (3) quantifies over the manifold and fails",
+                hypothesis=3)
+        if kq != k:
+            config = ", ".join(f"{a:.6g}" for a in theta)
+            raise LinkageHypothesisError(
+                f"eigenvalue leaves position k={k} along the manifold "
+                f"(sample {i}: position {kq}, configuration [{config}]); "
+                f"hypothesis (3) fails", hypothesis=3)
+        cq = resolvent_coefficient(hq, kq, v0, tol_rel=tol_degeneracy, es=esq)
+        if abs(cq) <= shift_tol or (cq < 0) != (c_ref < 0):
+            raise LinkageHypothesisError(
+                f"shift coefficient changes sign or degenerates along the "
+                f"manifold (sample {i}: {cq:.3e}); hypothesis (3) fails",
+                hypothesis=3)
+        checked += 1
+    return checked
+
+
+def recursive_dumps(obj, indent: int = 0) -> str:
+    """``serialize.dumps_canonical`` with one recursive call per leaf."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return _escape(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [recursive_dumps(x, indent + 1) for x in obj]
+        return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        keys = sorted(obj)
+        if any(not isinstance(k, str) for k in keys):
+            raise TypeError("canonical JSON needs string keys")
+        items = [f"{_escape(k)}: {recursive_dumps(obj[k], indent + 1)}"
+                 for k in keys]
+        return "{\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

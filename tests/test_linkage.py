@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import (same_bits, scalar_is_generic, scalar_manifold_samples,
+                      scalar_sample_configuration)
 from magnodal.errors import (
     AdmissibilityError,
     CapExceededError,
@@ -21,6 +23,7 @@ from magnodal.families import (
     random_operator,
     strong_diagonal_fixture,
 )
+import magnodal.linkage as linkage
 from magnodal.linkage import (
     LinkageLengths,
     analyze_exceptional,
@@ -105,6 +108,46 @@ class TestIsGeneric:
         with pytest.raises(CapExceededError):
             is_generic(LinkageLengths(np.ones(21) + np.arange(21) * 0.01))
 
+    @staticmethod
+    def planted(rng, m, offset, late):
+        """Lengths whose signed sum with the sign row of one odd index
+        is ``offset`` times the largest length: an index in the last
+        block when ``late``, else one below 64."""
+        vals = rng.uniform(0.1, 3.0, size=m)
+        vals[0] = 3.0 * m
+        top = (1 << (m - 1)) - 1
+        pick = 2 * int(rng.integers(0, min(32, (top + 1) // 2)))
+        index = top - pick if late else pick + 1
+        signs = 1.0 - 2.0 * ((index >> np.arange(m - 1)) & 1)
+        rest = vals[0] + vals[2:] @ signs[1:]
+        # bit 0 is set: vals[0] - vals[1] + rest = offset * max(vals)
+        for _ in range(3):
+            vals[1] = rest - offset * np.max(vals)
+        return vals
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5e-9, 0.99e-9, 1.01e-9,
+                                        2e-9, 1e-6])
+    def test_matches_scalar_loop(self, offset):
+        """Identical verdicts to the one-sum-at-a-time loop, on random
+        sets and on planted sums at and around the cut, one per block
+        boundary and late in the enumeration."""
+        rng = np.random.default_rng(int(offset * 1e12) + 5)
+        cases = [rng.uniform(0.1, 3.0, size=m) for m in range(1, 13)]
+        cases += [self.planted(rng, m, offset, late)
+                  for m in (2, 3, 5, 9, 13) for late in (False, True)]
+        cases.append(self.planted(rng, 16, offset, True))
+        if offset < 1e-9:  # the loop stops at the tie
+            cases += [self.planted(rng, m, offset, False) for m in (18, 20)]
+        verdicts = []
+        for vals in cases:
+            verdicts.append(is_generic(LinkageLengths(vals)))
+            assert verdicts[-1] == scalar_is_generic(vals), len(vals)
+        assert (False in verdicts) == (offset < 1e-9)
+
+    def test_twenty_generic_lengths(self):
+        vals = np.random.default_rng(20).uniform(0.1, 3.0, size=20)
+        assert is_generic(LinkageLengths(vals))
+
 
 class TestSolvability:
     def test_overlong_bar_gives_empty(self):
@@ -175,6 +218,73 @@ class TestSampleConfiguration:
     def test_single_bar_raises(self):
         with pytest.raises(EmptyConfigurationError):
             sample_configuration(LinkageLengths(np.array([1.0])))
+
+
+def sampler_cases():
+    """Length sets of 2 to 12 bars, and near the solvability boundary,
+    where every restart can fail."""
+    rng = np.random.default_rng(31)
+    cases = [rng.uniform(0.1, 3.0, size=m) for m in (2, 2, 3, 4, 5, 6, 8, 12)]
+    for m in (3, 4, 6):
+        vals = rng.uniform(0.5, 1.5, size=m)
+        vals[0] = np.sum(vals[1:]) * (1.0 - 1e-10)
+        cases.append(vals)
+    cases.append(np.array([1.0, 1.0]))
+    return cases
+
+
+class TestLockstepSampler:
+    """The lockstep sampler against ``scalar_sample_configuration``,
+    which takes one Newton step and one ``np.linalg.lstsq`` at a time."""
+
+    @staticmethod
+    def scalar(vals, seed, restarts):
+        try:
+            return scalar_sample_configuration(vals, seed, restarts)
+        except EmptyConfigurationError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("restarts", [1, 3, 60])
+    @pytest.mark.parametrize("case", range(len(sampler_cases())))
+    def test_one_seed_matches_scalar(self, case, restarts):
+        vals = sampler_cases()[case]
+        for seed in (0, 1, 18, 35):
+            want = self.scalar(vals, seed, restarts)
+            try:
+                got = sample_configuration(LinkageLengths(vals), seed,
+                                           restarts)
+            except EmptyConfigurationError as exc:
+                got = str(exc)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert same_bits(got, want)
+
+    @pytest.mark.parametrize("restarts", [1, 60])
+    @pytest.mark.parametrize("case", range(len(sampler_cases())))
+    def test_lockstep_rows_match_one_seed(self, case, restarts):
+        vals = sampler_cases()[case]
+        seeds = [0, 18, 35, 52, 7]
+        if np.max(vals) > np.sum(vals) - np.max(vals):
+            with pytest.raises(EmptyConfigurationError,
+                               match=self.scalar(vals, 0, restarts)):
+                linkage._sample_configurations(LinkageLengths(vals), seeds,
+                                               restarts)
+            return
+        theta, found = linkage._sample_configurations(
+            LinkageLengths(vals), seeds, restarts)
+        for i, seed in enumerate(seeds):
+            want = self.scalar(vals, seed, restarts)
+            assert found[i] == (not isinstance(want, str))
+            if found[i]:
+                assert same_bits(theta[i], want)
+                assert same_bits(theta[i], sample_configuration(
+                    LinkageLengths(vals), seed, restarts))
+
+    def test_cases_include_failures(self):
+        outcomes = [isinstance(self.scalar(vals, seed, 3), str)
+                    for vals in sampler_cases() for seed in (0, 1, 18, 35)]
+        assert any(outcomes) and not all(outcomes)
 
 
 class TestBuildFixture:
@@ -293,6 +403,48 @@ class TestAnalyzeExceptional:
         with pytest.raises(LinkageHypothesisError) as err:
             analyze_exceptional(fx.point, fx.k)
         assert err.value.hypothesis == 2
+
+    def test_manifold_samples_match_scalar_loop(self, monkeypatch):
+        """The lockstep manifold check against one sample at a time:
+        the same count, or the same error and message, on fixtures and
+        on the search reports of random K5 scans, which fail it."""
+        outcomes = []
+        lockstep = linkage._check_manifold_samples
+
+        def compare(*args):
+            def run(check):
+                try:
+                    return check(*args)
+                except (LinkageHypothesisError,
+                        EmptyConfigurationError) as exc:
+                    return type(exc), str(exc)
+            want = run(scalar_manifold_samples)
+            assert run(lockstep) == want
+            outcomes.append(want)
+            return lockstep(*args)
+
+        monkeypatch.setattr(linkage, "_check_manifold_samples", compare)
+        for degree in (4, 5, 6):
+            for seed in (0, 1):
+                fx = build_exceptional_fixture(degree, seed=seed)
+                analyze_exceptional(fx.point, fx.k, seed=seed)
+        for seed in (0, 1):
+            h = random_operator(complete_graph(5),
+                                np.random.default_rng(seed))
+            base, chart = abs_part(h), gauge_chart(h.graph)
+            for k in (2, 3):
+                for r in critical_scan(h, k, starts=4, seed=0).reports:
+                    if r.origin != "search":
+                        continue
+                    p = TorusPoint.from_coords(base, np.array(r.coords),
+                                               chart)
+                    try:
+                        analyze_exceptional(p, k)
+                    except (LinkageHypothesisError, AdmissibilityError,
+                            VanishingEigenvectorError):
+                        pass
+        assert 4 in outcomes
+        assert any(isinstance(o, tuple) for o in outcomes)
 
     def test_eigenvalue_leaving_position_k_is_named(self):
         """A manifold sample where the eigenvalue nearest lambda sits at

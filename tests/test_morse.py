@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (eigenvalue_at, gradient_fd, hessian_eigenvalue_fd,
-                      scalar_report)
+                      same_bits, scalar_report)
 from magnodal.errors import (
     AdmissibilityError,
     InternalCrossCheckError,
@@ -628,10 +628,6 @@ def count_calls(monkeypatch, module, *names):
     return counts
 
 
-def same_bits(a, b) -> bool:
-    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
-
-
 #: Outcome codes of ``morse._polish`` and the statuses the oracle names.
 OUTCOMES = {"_OK": "ok", "_DEGENERATE": "degenerate", "_STUCK": "stuck",
             "_MAXITER": "maxiter"}
@@ -692,15 +688,16 @@ class TestLockstepPolish:
 
 
 class TestStackedLeastSquares:
-    """``morse._lstsq`` gives every row of a stack the bits of
-    ``np.linalg.lstsq`` on that row alone."""
+    """``spectral._lstsq``, which ``morse`` and ``linkage`` share, gives
+    every row of a stack the bits of ``np.linalg.lstsq`` on that row
+    alone."""
 
     @pytest.mark.parametrize("kind", ["general", "symmetric",
                                       "rank-deficient", "zero"])
     @pytest.mark.parametrize("d", [1, 2, 5, 8])
     @pytest.mark.parametrize("count", [1, 40])
     def test_rows_match_lstsq(self, kind, d, count):
-        import magnodal.morse as morse
+        from magnodal.spectral import _lstsq
 
         rng = np.random.default_rng(1000 * d + count)
         a = rng.normal(size=(count, d, d)) \
@@ -712,9 +709,24 @@ class TestStackedLeastSquares:
         elif kind == "zero":
             a = np.zeros((count, d, d))
         b = rng.normal(size=(count, d))
-        got = morse._lstsq(a, b)
+        got = _lstsq(a, b)
         assert got.shape == (count, d)
         for i in range(count):
+            want, *_ = np.linalg.lstsq(a[i], b[i], rcond=None)
+            assert same_bits(got[i], want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 19])
+    def test_wide_rows_match_lstsq(self, d):
+        """The 2-by-d closure Jacobians of ``linkage``'s sampler."""
+        from magnodal.spectral import _lstsq
+
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(30, 2, d)) * rng.uniform(0.1, 3.0, size=d)
+        b = rng.normal(size=(30, 2)) * 10.0 ** rng.uniform(-14, 0,
+                                                            size=(30, 1))
+        got = _lstsq(a, b)
+        assert got.shape == (30, d)
+        for i in range(30):
             want, *_ = np.linalg.lstsq(a[i], b[i], rcond=None)
             assert same_bits(got[i], want)
 

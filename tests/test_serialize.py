@@ -2,8 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import recursive_dumps
 from magnodal.serialize import (
     SCHEMA_VERSION,
     csv_cell,
@@ -103,6 +107,56 @@ class TestDumpsCanonical:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             dumps_canonical(1 + 2j)
+
+
+#: JSON-like trees: scalar leaves of every table type and numpy floats
+#: (which miss the table), inside lists, tuples and string-keyed dicts.
+LEAVES = (st.none() | st.booleans() | st.integers()
+          | st.floats(allow_nan=False, allow_infinity=False)
+          | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+          | st.text(max_size=6))
+TREES = st.recursive(
+    LEAVES, lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=40)
+
+
+class TestLeafTable:
+    """Leaves formatted from the type table give the bytes of the
+    serializer that recurses once per leaf."""
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2, True, False, 3],
+        (1, (2.5, None), [True, (), {}]),
+        {"b": [{"c": (1, 2.0)}, []], "a": {"x": None, "y": "z"}},
+        [np.float64(0.1), 0.1, np.float64(-0.0), -0.0, 1e300],
+        {"s": ['a"b', "c\\d", "e\nf", "\x01", "café"], 'k"ey': 1},
+        [[[[1.5]]], {"deep": [[{"er": [2]}]]}],
+        True, None, 7, -0.0, "plain",
+    ])
+    def test_matches_recursive_serializer(self, payload):
+        assert dumps_canonical(payload) == recursive_dumps(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(TREES)
+    def test_random_trees_match_recursive_serializer(self, payload):
+        assert dumps_canonical(payload) == recursive_dumps(payload)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("wrap", [
+        lambda x: [1.0, x, 2.0], lambda x: {"a": 1.0, "b": x},
+        lambda x: {"a": [[x]]}, lambda x: x])
+    def test_non_finite_leaf_rejected(self, bad, wrap):
+        with pytest.raises(ValueError):
+            dumps_canonical(wrap(bad))
+
+    @pytest.mark.parametrize("bad", [1 + 2j, np.int64(3), np.complex128(1)])
+    @pytest.mark.parametrize("wrap", [
+        lambda x: [1, x], lambda x: {"a": x}, lambda x: x])
+    def test_unknown_leaf_rejected(self, bad, wrap):
+        with pytest.raises(TypeError):
+            dumps_canonical(wrap(bad))
 
 
 class TestCsv:

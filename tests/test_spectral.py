@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import small_graphs
 from magnodal.errors import NonSimpleEigenvalueError
-from magnodal.graphs import Graph
+from magnodal.graphs import Graph, num_components
 from magnodal.operators import GaugePhase, SupportedMatrix, gauge_transform
 from magnodal.spectral import (
     EigenSystem,
@@ -175,6 +178,29 @@ class TestMultiplicity:
         es2 = eigh(gauge_transform(GaugePhase(theta), h))
         for k in range(1, 5):
             assert multiplicity(es, k) == multiplicity(es2, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(6).filter(lambda g: g.n and num_components(g) == 1),
+           st.data())
+    def test_spectrum_is_gauge_invariant(self, g, data):
+        """A vertex phase transform is a unitary conjugation, so the
+        spectrum of a connected operator does not move."""
+        floats = st.floats(-2.0, 2.0)
+        angles = st.floats(0.0, 2 * np.pi)
+        diag = np.array(data.draw(st.lists(floats, min_size=g.n,
+                                           max_size=g.n)))
+        moduli = np.array(data.draw(st.lists(
+            st.floats(0.2, 2.0), min_size=g.num_edges,
+            max_size=g.num_edges)))
+        phases = np.array(data.draw(st.lists(
+            angles, min_size=g.num_edges, max_size=g.num_edges)))
+        theta = np.array(data.draw(st.lists(angles, min_size=g.n,
+                                            max_size=g.n)))
+        h = SupportedMatrix(g, diag, moduli * np.exp(1j * phases))
+        values = eigh(h).values
+        moved = eigh(gauge_transform(GaugePhase(theta), h)).values
+        np.testing.assert_allclose(moved, values, rtol=0.0,
+                                   atol=1e-12 * max(1.0, h.norm_fro))
 
     def test_stacked_cut_matches_the_scalar_one(self):
         # neighbours at, inside and just outside the cluster tolerance,

@@ -1,9 +1,12 @@
 """Degeneracy strata, transversality tests, and splitting diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 
-from magnodal.errors import StratumAmbiguousError
+from conftest import same_bits, scalar_transverse
+from magnodal.errors import InternalCrossCheckError, StratumAmbiguousError
 from magnodal.families import (
     complete_graph,
     cycle_graph,
@@ -17,6 +20,7 @@ from magnodal.families import (
 )
 from magnodal.graphs import Graph
 from magnodal.operators import SupportedMatrix
+from magnodal.spectral import EigenSystem, eigh
 from magnodal.transversality import (
     EigenspaceBasis,
     codim_stratum,
@@ -240,3 +244,94 @@ class TestEdgeSeparatedPair:
         h = strong_diagonal_fixture(cycle_graph(3))
         assert find_edge_separated_pair(h.graph,
                                         eigenspace_basis(h, 1)) is None
+
+
+def transversality_cases():
+    """Operators and cluster starts: random join fixtures (not
+    transverse, with witnesses), the two-triangle join, degenerate rings,
+    and random operators on up to seven vertices at every simple k,
+    complete and edgeless graphs included."""
+    rng = np.random.default_rng(2024)
+    cases = [random_join_fixture(rng) for _ in range(40)]
+    cases.append(two_triangle_join())
+    cases += [degenerate_ring_fixture(n) for n in (4, 6, 8)]
+    for n in (*range(1, 8), 5, 6, 7, 7):
+        for m in sorted({n - 1, (n - 1 + n * (n - 1) // 2) // 2,
+                         n * (n - 1) // 2}):
+            h = random_operator(random_connected_graph(n, max(m, 0), rng),
+                                rng)
+            cases += [(h, k) for k in range(1, n + 1)]
+    cases.append((SupportedMatrix(Graph(3), np.array([0.0, 1.0, 2.0]),
+                                  np.zeros(0, dtype=np.complex128)), 2))
+    return cases
+
+
+class TestAgainstScalarOracle:
+    """The stacked kernels of ``is_transverse_at`` against
+    ``scalar_transverse``, which builds one unit matrix per direction:
+    the same bits for every singular value, rank and witness."""
+
+    @pytest.mark.parametrize("case", range(len(transversality_cases())))
+    def test_bits_match(self, case, monkeypatch):
+        h, k = transversality_cases()[case]
+        want, sv, csv = scalar_transverse(h, k)
+        seen = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            out = svd(a, *args, **kwargs)
+            seen.append(out if kwargs.get("compute_uv", True) is False
+                        else None)
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        got = is_transverse_at(h, k)
+        monkeypatch.undo()
+        spectra = [s for s in seen if s is not None]
+        assert same_bits(spectra[-1], csv)
+        if sv.size:
+            assert same_bits(spectra[0], sv)
+        else:
+            assert len(spectra) == 1
+        for field in ("transverse", "multiplicity", "codimension",
+                      "kernel_dimension", "compression_rank"):
+            assert getattr(got, field) == getattr(want, field), field
+        assert same_bits(got.eigenvalue, want.eigenvalue)
+        assert same_bits(got.smallest_singular_value,
+                         want.smallest_singular_value)
+        assert same_bits(got.basis.vectors, want.basis.vectors)
+        if want.kernel_witness is None:
+            assert got.kernel_witness is None
+        else:
+            assert same_bits(got.kernel_witness, want.kernel_witness)
+
+    def test_cases_cover_both_verdicts(self):
+        verdicts = [scalar_transverse(h, k)[0].transverse
+                    for h, k in transversality_cases()]
+        assert verdicts.count(False) >= 40 and verdicts.count(True) >= 150
+
+
+class TestResidualCheck:
+    def test_wrong_vector_is_named(self):
+        h, k = two_triangle_join()
+        es = eigh(h)
+        vectors = np.array(es.vectors)
+        vectors[:, k] = np.roll(vectors[:, k], 1)
+        with pytest.raises(InternalCrossCheckError,
+                           match=r"eigenvector residual \d\.\d{3}e[+-]\d+ "
+                                 r"exceeds the cluster budget"):
+            eigenspace_basis(h, k, es=EigenSystem(es.values, vectors))
+
+    def test_first_failing_column_is_reported(self):
+        h, k = two_triangle_join()
+        es = eigh(h)
+        vectors = np.array(es.vectors)
+        vectors[:, k - 1] = np.roll(vectors[:, k - 1], 1)
+        vectors[:, k] = 3.0 * np.roll(vectors[:, k], 2)
+        dense = h.to_dense()
+        lam = float(np.mean(es.values[k - 1:k + 1]))
+        first = np.linalg.norm(dense @ vectors[:, k - 1]
+                               - lam * vectors[:, k - 1])
+        with pytest.raises(InternalCrossCheckError,
+                           match=re.escape(f"residual {first:.3e} exceeds")):
+            eigenspace_basis(h, k, es=EigenSystem(es.values, vectors))

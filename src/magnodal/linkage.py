@@ -225,10 +225,12 @@ def _sample_configurations(L: LinkageLengths, seeds, max_restarts: int
     steps = np.zeros(count, dtype=np.int64)
     found = np.zeros(count, dtype=bool)
     live = np.ones(count, dtype=bool)
+    out = np.zeros((count, m))
     delta = np.zeros((count, m))
     signed = np.stack([-vals[1:], vals[1:]])
     while live.any():
         done = live & (np.hypot(r[:, 0], r[:, 1]) <= target)
+        np.copyto(out, theta, where=done[:, None])
         found |= done
         live &= ~done
         J = np.empty((count, 2, m - 1))
@@ -240,14 +242,12 @@ def _sample_configurations(L: LinkageLengths, seeds, max_restarts: int
         rc = _closure(vals, trial)
         fc = _squares(rc.reshape(-1, 2)).reshape(-1, 15)
         ok = fc < f[:, None] * _SHRINK + 1e-300
+        # the first acceptable step; rows that are done move on unread
         first = ok.argmax(axis=1)
-        moved = live & ok[rows, first]
-        np.copyto(theta, trial[rows, first], where=moved[:, None])
-        np.copyto(r, rc[rows, first], where=moved[:, None])
-        np.copyto(f, fc[rows, first], where=moved)
-        steps += live
+        theta, r, f = trial[rows, first], rc[rows, first], fc[rows, first]
+        steps += 1
         # a start that is stuck or out of steps gives way to the next
-        again = live & (~moved | (steps == 200))
+        again = live & (~ok[rows, first] | (steps == 200))
         if again.any():
             attempt += again
             live &= attempt < max_restarts
@@ -256,7 +256,7 @@ def _sample_configurations(L: LinkageLengths, seeds, max_restarts: int
             r[again] = _closure(vals, theta[again])
             f[again] = _squares(r[again])
             steps[again] = 0
-    return np.mod(theta, TWO_PI), found
+    return np.mod(out, TWO_PI), found
 
 
 @dataclass(frozen=True, eq=False)

@@ -193,11 +193,12 @@ def _sample_configurations(L: LinkageLengths, seeds, max_restarts: int
     Gauss-Newton steps on the closure residual with backtracking, at
     most 200 steps, until the residual falls below ``1e-12`` times the
     total length; a start that cannot lower the residual gives way to
-    the next.  Each round takes one step for every seed: one stacked
-    least-squares call (``_lstsq``) for the steps, and every trial
-    length at once for the line searches, whose first acceptable length
-    is the one a one-at-a-time search keeps.  So every seed follows its
-    one-seed trajectory bit for bit; a seed that is done stops moving.
+    the next.  Each round takes one step for every seed still
+    searching: one stacked least-squares call (``_lstsq``) for the
+    steps, the full steps tried at once, and where one fails every
+    shorter length at once, keeping the first acceptable one as a
+    one-at-a-time search does.  So every seed follows its one-seed
+    trajectory bit for bit.
     """
     m = len(L)
     vals = L.lengths
@@ -217,42 +218,54 @@ def _sample_configurations(L: LinkageLengths, seeds, max_restarts: int
         starts[i, 1:, 1:] = np.random.default_rng(s).uniform(
             0.0, TWO_PI, (max_restarts, m - 1))
     starts = starts[:, 0 if m == 2 else 1:]
-    rows = np.arange(count)
+    out = np.zeros((count, m))
+    found = np.zeros(count, dtype=bool)
+    # the seeds still searching, their angles, residuals and its squared
+    # norms, restarts and steps
+    ids = np.arange(count)
     theta = starts[:, 0].copy()
-    r = _closure(vals, theta)        # residual at theta
-    f = _squares(r)                  # its squared norm
+    r = _closure(vals, theta)
+    f = _squares(r)
     attempt = np.zeros(count, dtype=np.int64)
     steps = np.zeros(count, dtype=np.int64)
-    found = np.zeros(count, dtype=bool)
-    live = np.ones(count, dtype=bool)
-    out = np.zeros((count, m))
-    delta = np.zeros((count, m))
     signed = np.stack([-vals[1:], vals[1:]])
-    while live.any():
-        done = live & (np.hypot(r[:, 0], r[:, 1]) <= target)
-        np.copyto(out, theta, where=done[:, None])
-        found |= done
-        live &= ~done
-        J = np.empty((count, 2, m - 1))
+    while ids.size:
+        done = np.hypot(r[:, 0], r[:, 1]) <= target
+        if done.any():
+            out[ids[done]], found[ids[done]] = theta[done], True
+            ids, theta, r, f, attempt, steps = (
+                a[~done] for a in (ids, theta, r, f, attempt, steps))
+            if not ids.size:
+                break
+        J = np.empty((ids.size, 2, m - 1))
         np.sin(theta[:, 1:], out=J[:, 0])
         np.cos(theta[:, 1:], out=J[:, 1])
         J *= signed
+        delta = np.zeros_like(theta)
         delta[:, 1:] = _lstsq(J, -r)
-        trial = theta[:, None] + _STEPS[:, None] * delta[:, None]
+        # the full step first, and every shorter one only where it fails
+        trial = theta + delta
         rc = _closure(vals, trial)
-        fc = _squares(rc.reshape(-1, 2)).reshape(-1, 15)
-        ok = fc < f[:, None] * _SHRINK + 1e-300
-        # the first acceptable step; rows that are done move on unread
-        first = ok.argmax(axis=1)
-        theta, r, f = trial[rows, first], rc[rows, first], fc[rows, first]
+        fc = _squares(rc)
+        moved = fc < f * _SHRINK[0] + 1e-300
+        if not moved.all():
+            trials = theta[:, None] + _STEPS[:, None] * delta[:, None]
+            rcs = _closure(vals, trials)
+            fcs = _squares(rcs.reshape(-1, 2)).reshape(-1, _STEPS.size)
+            ok = fcs < f[:, None] * _SHRINK + 1e-300
+            rows, first = np.arange(ids.size), ok.argmax(axis=1)
+            trial, rc, fc, moved = (a[rows, first] for a in (trials, rcs, fcs,
+                                                              ok))
+        theta, r, f = trial, rc, fc
         steps += 1
         # a start that is stuck or out of steps gives way to the next
-        again = live & (~ok[rows, first] | (steps == 200))
+        again = ~moved | (steps == 200)
         if again.any():
             attempt += again
-            live &= attempt < max_restarts
-            again &= live
-            theta[again] = starts[again, attempt[again]]
+            keep = attempt < max_restarts
+            ids, theta, r, f, attempt, steps, again = (
+                a[keep] for a in (ids, theta, r, f, attempt, steps, again))
+            theta[again] = starts[ids[again], attempt[again]]
             r[again] = _closure(vals, theta[again])
             f[again] = _squares(r[again])
             steps[again] = 0

@@ -9,6 +9,7 @@ open with a schema comment line naming the layout and its version.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 
 SCHEMA_VERSION = 1
@@ -93,15 +94,12 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        keys = sorted(obj)
-        if any(not isinstance(k, str) for k in keys):
+        pairs = sorted(obj.items())
+        if not all(map(isinstance, obj, repeat(str))):
             raise TypeError("canonical JSON needs string keys")
-        items = []
-        for k in keys:
-            v = obj[k]
-            leaf = _LEAVES.get(type(v))
-            items.append(f"{_escape(k)}: " + (
-                leaf(v) if leaf else dumps_canonical(v, indent + 1)))
+        items = [f"{_escape(k)}: " + (
+            leaf(v) if (leaf := _LEAVES.get(type(v))) else
+            dumps_canonical(v, indent + 1)) for k, v in pairs]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

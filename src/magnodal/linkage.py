@@ -220,15 +220,15 @@ def _sample_configurations(L: LinkageLengths, seeds, max_restarts: int
     starts = starts[:, 0 if m == 2 else 1:]
     out = np.zeros((count, m))
     found = np.zeros(count, dtype=bool)
-    # the seeds still searching, their angles, residuals and its squared
-    # norms, restarts and steps
+    # the seeds still searching: their angles, closure residuals, squared
+    # residual norms, restart counts and step counts
     ids = np.arange(count)
     theta = starts[:, 0].copy()
     r = _closure(vals, theta)
     f = _squares(r)
     attempt = np.zeros(count, dtype=np.int64)
     steps = np.zeros(count, dtype=np.int64)
-    signed = np.stack([-vals[1:], vals[1:]])
+    signed = np.stack([-vals[1:], vals[1:]])  # scales the Jacobian rows
     while ids.size:
         done = np.hypot(r[:, 0], r[:, 1]) <= target
         if done.any():

@@ -459,7 +459,7 @@ def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
     at position k, and that the shift coefficient keeps its sign.  A
     finite sample only; this does not prove the hypotheses over the
     whole manifold.  The configurations are sampled in lockstep and
-    their operators solved in one stacked eigensolve per solver path;
+    their operators solved in one stacked eigensolve;
     the checks then run sample by sample, so the first failing sample
     names the failure.
     """
@@ -473,19 +473,14 @@ def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
     off = np.tile(rotated.offdiag, (count, 1))
     off[:, [g.index_of(v0, u) for u in neighbors]] = np.where(
         v0 < np.array(neighbors), bars, np.conj(bars))
-    values = np.zeros((count, g.n))
-    vectors = np.zeros((count, g.n, g.n), dtype=np.complex128)
-    real = np.all(off.imag == 0.0, axis=1)
-    for path in (real, ~real):  # each row on its own solver path
-        if np.any(path):
-            values[path], vectors[path] = eigh_stack(g, rotated.diag,
-                                                     off[path])
+    # No row is real (generic lengths close up in no collinear
+    # configuration), so each takes the complex path it takes alone.
+    values, vectors = eigh_stack(g, rotated.diag, off)
     for i in range(count):
         if not found[i]:
             raise _no_configuration(RESTARTS)
         hq = SupportedMatrix(g, rotated.diag, off[i])
-        esq = EigenSystem(values[i], vectors[i].real if real[i]
-                          else vectors[i])
+        esq = EigenSystem(values[i], vectors[i])
         kq = int(np.argmin(np.abs(esq.values - lam))) + 1
         mq, _ = multiplicity(esq, kq, tol_degeneracy)
         if mq != 1:

@@ -44,11 +44,8 @@ from .operators import GaugePhase, SupportedMatrix, gauge_transform
 from .spectral import (
     DEGENERACY_TOL,
     VANISH_TOL,
-    EigenSystem,
     _lstsq,
-    _squares,
     eigh,
-    eigh_stack,
     multiplicity,
     resolvent_coefficient,
 )
@@ -63,9 +60,6 @@ LENGTH_CAP = 20
 
 #: Sign rows per block of the genericity enumeration.
 _GENERIC_CHUNK = 1 << 13
-
-#: Random starts a configuration search tries before it gives up.
-RESTARTS = 60
 
 #: Spectral shift coefficients below this count as degenerate.
 SHIFT_COEFF_TOL = 1e-9
@@ -152,53 +146,12 @@ def solvability_and_connectivity(L: LinkageLengths) -> LinkageTopology:
 
 
 def sample_configuration(L: LinkageLengths, seed: int = 0,
-                         max_restarts: int = RESTARTS) -> np.ndarray:
+                         max_restarts: int = 60) -> np.ndarray:
     """One closed configuration, normalized so the first angle is zero.
 
     Solves ``sum_r M_r exp(i theta_r) = 0`` by damped least squares
     from seeded random starts.  Works for any solvable length set, not
     only generic ones; an unsolvable set raises.
-    """
-    theta, found = _sample_configurations(L, [seed], max_restarts)
-    if not found[0]:
-        raise _no_configuration(max_restarts)
-    return theta[0]
-
-
-def _no_configuration(max_restarts: int) -> EmptyConfigurationError:
-    return EmptyConfigurationError(
-        f"no closed configuration found after {max_restarts} restarts; the "
-        f"length set may be on the solvability boundary")
-
-
-def _closure(vals: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Closure residuals (..., 2), real and imaginary part, of the
-    configurations ``theta`` (..., m)."""
-    z = (vals * np.exp(1j * theta)).sum(axis=-1)
-    return z.view(np.float64).reshape(z.shape + (2,))
-
-
-#: The step lengths a backtracking line search tries, longest first,
-#: and the factor each must lower the squared residual by.
-_STEPS = 0.5 ** np.arange(15)
-_SHRINK = 1.0 - 0.25 * _STEPS
-
-
-def _sample_configurations(L: LinkageLengths, seeds, max_restarts: int
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """``sample_configuration`` for every seed in lockstep: the closed
-    configurations (S, m) and which of them were found.
-
-    Per seed: restarts from ``default_rng(seed)`` starts, each damped
-    Gauss-Newton steps on the closure residual with backtracking, at
-    most 200 steps, until the residual falls below ``1e-12`` times the
-    total length; a start that cannot lower the residual gives way to
-    the next.  Each round takes one step for every seed still
-    searching: one stacked least-squares call (``_lstsq``) for the
-    steps, the full steps tried at once, and where one fails every
-    shorter length at once, keeping the first acceptable one as a
-    one-at-a-time search does.  So every seed follows its one-seed
-    trajectory bit for bit.
     """
     m = len(L)
     vals = L.lengths
@@ -208,68 +161,41 @@ def _sample_configurations(L: LinkageLengths, seeds, max_restarts: int
         raise EmptyConfigurationError(
             "largest length exceeds the sum of the others; no closed "
             "configuration exists")
+    rng = np.random.default_rng(seed)
     target = 1e-12 * total
-    count = len(seeds)
-    # the angles of every restart, the first one pinned to zero; two bars
-    # first try the flat fold, which draws nothing
-    starts = np.full((count, max_restarts + 1, m), np.pi)
-    starts[:, :, 0] = 0.0
-    for i, s in enumerate(seeds):
-        starts[i, 1:, 1:] = np.random.default_rng(s).uniform(
-            0.0, TWO_PI, (max_restarts, m - 1))
-    starts = starts[:, 0 if m == 2 else 1:]
-    out = np.zeros((count, m))
-    found = np.zeros(count, dtype=bool)
-    # the seeds still searching: their angles, closure residuals, squared
-    # residual norms, restart counts and step counts
-    ids = np.arange(count)
-    theta = starts[:, 0].copy()
-    r = _closure(vals, theta)
-    f = _squares(r)
-    attempt = np.zeros(count, dtype=np.int64)
-    steps = np.zeros(count, dtype=np.int64)
     signed = np.stack([-vals[1:], vals[1:]])  # scales the Jacobian rows
-    while ids.size:
-        done = np.hypot(r[:, 0], r[:, 1]) <= target
-        if done.any():
-            out[ids[done]], found[ids[done]] = theta[done], True
-            ids, theta, r, f, attempt, steps = (
-                a[~done] for a in (ids, theta, r, f, attempt, steps))
-            if not ids.size:
+    theta = np.zeros(m)
+    for attempt in range(max_restarts):
+        # two bars first try the flat fold, which draws nothing
+        theta[1:] = (np.pi if attempt == 0 and m == 2
+                     else rng.uniform(0.0, TWO_PI, size=m - 1))
+        r = _closure(vals, theta)
+        for _ in range(200):
+            if float(np.hypot(r[0], r[1])) <= target:
+                return np.mod(theta, TWO_PI)
+            J = signed * np.stack([np.sin(theta[1:]), np.cos(theta[1:])])
+            delta = np.zeros(m)
+            delta[1:] = _lstsq(J[None], -r[None])[0]
+            f0 = float(r @ r)
+            t = 1.0
+            while t >= 2.0 ** -14:
+                trial = theta + t * delta
+                rc = _closure(vals, trial)
+                if float(rc @ rc) < f0 * (1.0 - 0.25 * t) + 1e-300:
+                    break
+                t *= 0.5
+            else:
                 break
-        J = np.empty((ids.size, 2, m - 1))
-        np.sin(theta[:, 1:], out=J[:, 0])
-        np.cos(theta[:, 1:], out=J[:, 1])
-        J *= signed
-        delta = np.zeros_like(theta)
-        delta[:, 1:] = _lstsq(J, -r)
-        # the full step first, and every shorter one only where it fails
-        trial = theta + delta
-        rc = _closure(vals, trial)
-        fc = _squares(rc)
-        moved = fc < f * _SHRINK[0] + 1e-300
-        if not moved.all():
-            trials = theta[:, None] + _STEPS[:, None] * delta[:, None]
-            rcs = _closure(vals, trials)
-            fcs = _squares(rcs.reshape(-1, 2)).reshape(-1, _STEPS.size)
-            ok = fcs < f[:, None] * _SHRINK + 1e-300
-            rows, first = np.arange(ids.size), ok.argmax(axis=1)
-            trial, rc, fc, moved = (a[rows, first] for a in (trials, rcs, fcs,
-                                                              ok))
-        theta, r, f = trial, rc, fc
-        steps += 1
-        # a start that is stuck or out of steps gives way to the next
-        again = ~moved | (steps == 200)
-        if again.any():
-            attempt += again
-            keep = attempt < max_restarts
-            ids, theta, r, f, attempt, steps, again = (
-                a[keep] for a in (ids, theta, r, f, attempt, steps, again))
-            theta[again] = starts[ids[again], attempt[again]]
-            r[again] = _closure(vals, theta[again])
-            f[again] = _squares(r[again])
-            steps[again] = 0
-    return np.mod(out, TWO_PI), found
+            theta, r = trial, rc
+    raise EmptyConfigurationError(
+        f"no closed configuration found after {max_restarts} restarts; the "
+        f"length set may be on the solvability boundary")
+
+
+def _closure(vals: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Real and imaginary part of the closure residual of ``theta``."""
+    z = np.sum(vals * np.exp(1j * theta))
+    return np.array([z.real, z.imag])
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,29 +384,22 @@ def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
     the critical manifold.  Verifies the eigenvalue stays simple, stays
     at position k, and that the shift coefficient keeps its sign.  A
     finite sample only; this does not prove the hypotheses over the
-    whole manifold.  The configurations are sampled in lockstep and
-    their operators solved in one stacked eigensolve;
-    the checks then run sample by sample, so the first failing sample
-    names the failure.
+    whole manifold.
     """
     g = rotated.graph
-    theta, found = _sample_configurations(
-        lengths, [seed + 17 * i + 1 for i in range(count)], RESTARTS)
-    # New bar vectors M_j exp(i theta_j); the stored entry is h_{v0,u}
-    # when v0 < u and its conjugate otherwise, and the eigenvector is
-    # real positive at u.
-    bars = lengths.lengths * np.exp(1j * theta) / w[neighbors]
-    off = np.tile(rotated.offdiag, (count, 1))
-    off[:, [g.index_of(v0, u) for u in neighbors]] = np.where(
-        v0 < np.array(neighbors), bars, np.conj(bars))
-    # No row is real (generic lengths close up in no collinear
-    # configuration), so each takes the complex path it takes alone.
-    values, vectors = eigh_stack(g, rotated.diag, off)
+    checked = 0
     for i in range(count):
-        if not found[i]:
-            raise _no_configuration(RESTARTS)
-        hq = SupportedMatrix(g, rotated.diag, off[i])
-        esq = EigenSystem(values[i], vectors[i])
+        theta = sample_configuration(lengths, seed=seed + 17 * i + 1)
+        off = rotated.offdiag.copy()
+        for j, u in enumerate(neighbors):
+            idx = g.index_of(v0, u)
+            # New bar vector M_j exp(i theta_j); the stored entry is
+            # h_{v0,u} when v0 < u and its conjugate otherwise, and the
+            # eigenvector is real positive at u.
+            value = lengths.lengths[j] * np.exp(1j * theta[j]) / w[u]
+            off[idx] = value if v0 < u else np.conj(value)
+        hq = SupportedMatrix(g, rotated.diag, off)
+        esq = eigh(hq)
         kq = int(np.argmin(np.abs(esq.values - lam))) + 1
         mq, _ = multiplicity(esq, kq, tol_degeneracy)
         if mq != 1:
@@ -489,7 +408,7 @@ def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
                 f"hypothesis (3) quantifies over the manifold and fails",
                 hypothesis=3)
         if kq != k:
-            config = ", ".join(f"{a:.6g}" for a in theta[i])
+            config = ", ".join(f"{a:.6g}" for a in theta)
             raise LinkageHypothesisError(
                 f"eigenvalue leaves position k={k} along the manifold "
                 f"(sample {i}: position {kq}, configuration [{config}]); "
@@ -500,7 +419,8 @@ def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
                 f"shift coefficient changes sign or degenerates along the "
                 f"manifold (sample {i}: {cq:.3e}); hypothesis (3) fails",
                 hypothesis=3)
-    return count
+        checked += 1
+    return checked
 
 
 @dataclass(frozen=True, eq=False)

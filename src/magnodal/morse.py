@@ -74,7 +74,6 @@ from .spectral import (
     EigenSystem,
     _check_k,
     _lstsq,
-    _squares,
     eigh_stack,
     is_nowhere_vanishing,
     multiplicity,
@@ -576,6 +575,20 @@ def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
             tuple(spectra[j].tolist()), int(index[j]), int(nullity[j]),
             origin)
     return reports
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of ``x`` (S, d), with the bits of
+    ``x[i] @ x[i]`` for a contiguous copy of the row, and so of
+    ``np.linalg.norm(x[i]) ** 2`` before the root.
+
+    The batched product runs one dot product per row.  A dot product's
+    bits depend on the stride of its operands, and a column selection
+    such as ``a[:, idx]`` leaves strided rows, so the rows are laid out
+    contiguously first, as a vector built on its own is.
+    """
+    x = np.ascontiguousarray(x)
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
 def _offdiag_at(base: SupportedMatrix, chart: GaugeChart, coords: np.ndarray

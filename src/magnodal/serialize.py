@@ -71,8 +71,8 @@ def dumps_canonical(obj, indent: int = 0) -> str:
 
     Accepts the JSON value types plus tuples; anything else (including
     complex numbers) must be converted by the caller first.  Scalar
-    leaves are formatted from one table keyed by their type, so only
-    containers recurse.
+    leaves of the exact JSON types are formatted from one table keyed
+    by type, before any ``isinstance`` test.
     """
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
@@ -88,8 +88,7 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [leaf(x) if (leaf := _LEAVES.get(type(x))) else
-                 dumps_canonical(x, indent + 1) for x in obj]
+        items = [dumps_canonical(x, indent + 1) for x in obj]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
     if isinstance(obj, dict):
         if not obj:
@@ -97,9 +96,8 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         pairs = sorted(obj.items())
         if not all(map(isinstance, obj, repeat(str))):
             raise TypeError("canonical JSON needs string keys")
-        items = [f"{_escape(k)}: " + (
-            leaf(v) if (leaf := _LEAVES.get(type(v))) else
-            dumps_canonical(v, indent + 1)) for k, v in pairs]
+        items = [f"{_escape(k)}: {dumps_canonical(v, indent + 1)}"
+                 for k, v in pairs]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -7,11 +7,8 @@ positive.  Real symmetric input takes the real code path, so its
 eigenvectors have exactly zero imaginary part.
 
 Eigenvalue positions ``k`` are 1-based throughout the library, matching
-the usual counting of the spectrum from the bottom.
-
-The module also holds the two row-wise kernels that the stacked Newton
-solvers of ``morse`` and ``linkage`` share, squared norms and
-least-squares steps, each giving a row the bits of its one-row call.
+the usual counting of the spectrum from the bottom.  ``_lstsq`` is the
+one least-squares step of the Newton solvers in ``morse`` and ``linkage``.
 """
 
 from __future__ import annotations
@@ -106,20 +103,6 @@ def eigh_stack(graph: Graph, diag: np.ndarray, offdiag: np.ndarray
     """
     values, vectors = eigh_dense(dense_matrices(graph, diag, offdiag))
     return values, _normalize_phases(vectors)
-
-
-def _squares(x: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of ``x`` (S, d), with the bits of
-    ``x[i] @ x[i]`` for a contiguous copy of the row, and so of
-    ``np.linalg.norm(x[i]) ** 2`` before the root.
-
-    The batched product runs one dot product per row.  A dot product's
-    bits depend on the stride of its operands, and a column selection
-    such as ``a[:, idx]`` leaves strided rows, so the rows are laid out
-    contiguously first, as a vector built on its own is.
-    """
-    x = np.ascontiguousarray(x)
-    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
 #: The least-squares gufunc of ``np.linalg.lstsq``, looked up once.

@@ -224,9 +224,7 @@ def is_transverse_at(h: SupportedMatrix, k: int, *,
         kernel_dim = int(np.sum(sv <= cut))
         a_transverse = smallest > cut
     else:
-        smallest = np.inf
-        kernel_dim = 0
-        a_transverse = True
+        smallest, kernel_dim, a_transverse = np.inf, 0, True
 
     witness = None
     if not a_transverse:

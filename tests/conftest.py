@@ -24,12 +24,10 @@ bit for bit.
 ``scalar_transverse`` is the transversality oracle: one dense unit
 matrix per direction and one product per unit, against which
 ``is_transverse_at`` must agree bit for bit on its singular values,
-ranks and witness.  ``scalar_sample_configuration`` and
-``scalar_manifold_samples`` are the linkage oracles: one Newton step and
-one ``np.linalg.lstsq`` at a time per sample, and one eigensolve per
-sampled operator.  ``scalar_is_generic`` visits the signed length sums
-one at a time, and ``recursive_dumps`` is the serializer that recurses
-once per leaf.
+ranks and witness.  ``scalar_sample_configuration`` is the linkage
+sampler oracle, solving each Newton step with ``np.linalg.lstsq``.
+``scalar_is_generic`` visits the signed length sums one at a time, and
+``recursive_dumps`` is the serializer that recurses once per leaf.
 """
 
 from dataclasses import dataclass
@@ -39,8 +37,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from magnodal.errors import (CapExceededError, EmptyConfigurationError,
-                             InternalCrossCheckError, LinkageHypothesisError,
-                             NonSimpleEigenvalueError)
+                             InternalCrossCheckError, NonSimpleEigenvalueError)
 from magnodal.graphs import Chain, CycleBasis, Graph, cycle_basis
 from magnodal.linkage import GENERICITY_TOL, LENGTH_CAP
 from magnodal.morse import (CRITICAL_TOL, TWO_PI, CriticalPointReport,
@@ -49,8 +46,7 @@ from magnodal.morse import (CRITICAL_TOL, TWO_PI, CriticalPointReport,
 from magnodal.nodal import _simple_eigen
 from magnodal.operators import SupportedMatrix, signs_for_index
 from magnodal.serialize import _escape, format_float
-from magnodal.spectral import (DEGENERACY_TOL, eigh, multiplicity,
-                               resolvent_coefficient)
+from magnodal.spectral import DEGENERACY_TOL, eigh
 from magnodal.transversality import (TRANSVERSALITY_RANK_TOL,
                                      TransversalityReport, codim_stratum,
                                      eigenspace_basis)
@@ -530,47 +526,6 @@ def scalar_sample_configuration(vals: np.ndarray, seed: int = 0,
     raise EmptyConfigurationError(
         f"no closed configuration found after {max_restarts} restarts; the "
         f"length set may be on the solvability boundary")
-
-
-def scalar_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
-                            lengths, w, k: int, lam, c_ref, count: int,
-                            seed: int, tol_degeneracy: float,
-                            shift_tol: float) -> int:
-    """``linkage._check_manifold_samples`` one sample at a time: one
-    sampled configuration, one operator and one eigensolve each."""
-    g = rotated.graph
-    checked = 0
-    for i in range(count):
-        theta = scalar_sample_configuration(lengths.lengths,
-                                            seed=seed + 17 * i + 1)
-        off = rotated.offdiag.copy()
-        for j, u in enumerate(neighbors):
-            idx = g.index_of(v0, u)
-            value = lengths.lengths[j] * np.exp(1j * theta[j]) / w[u]
-            off[idx] = value if v0 < u else np.conj(value)
-        hq = SupportedMatrix(g, rotated.diag, off)
-        esq = eigh(hq)
-        kq = int(np.argmin(np.abs(esq.values - lam))) + 1
-        mq, _ = multiplicity(esq, kq, tol_degeneracy)
-        if mq != 1:
-            raise LinkageHypothesisError(
-                f"sampled manifold point {i} has a degenerate eigenvalue; "
-                f"hypothesis (3) quantifies over the manifold and fails",
-                hypothesis=3)
-        if kq != k:
-            config = ", ".join(f"{a:.6g}" for a in theta)
-            raise LinkageHypothesisError(
-                f"eigenvalue leaves position k={k} along the manifold "
-                f"(sample {i}: position {kq}, configuration [{config}]); "
-                f"hypothesis (3) fails", hypothesis=3)
-        cq = resolvent_coefficient(hq, kq, v0, tol_rel=tol_degeneracy, es=esq)
-        if abs(cq) <= shift_tol or (cq < 0) != (c_ref < 0):
-            raise LinkageHypothesisError(
-                f"shift coefficient changes sign or degenerates along the "
-                f"manifold (sample {i}: {cq:.3e}); hypothesis (3) fails",
-                hypothesis=3)
-        checked += 1
-    return checked
 
 
 def recursive_dumps(obj, indent: int = 0) -> str:

@@ -1,12 +1,12 @@
 """Linkage configuration spaces and exceptional-point analysis."""
 
+import functools
 import itertools
-import re
 
 import numpy as np
 import pytest
 
-from conftest import (same_bits, scalar_is_generic, scalar_manifold_samples,
+from conftest import (same_bits, scalar_is_generic,
                       scalar_sample_configuration)
 from magnodal.errors import (
     AdmissibilityError,
@@ -221,6 +221,7 @@ class TestSampleConfiguration:
             sample_configuration(LinkageLengths(np.array([1.0])))
 
 
+@functools.cache
 def sampler_cases():
     """Length sets of 2 to 12 bars, and near the solvability boundary,
     where every restart can fail."""
@@ -234,9 +235,9 @@ def sampler_cases():
     return cases
 
 
-class TestLockstepSampler:
-    """The lockstep sampler against ``scalar_sample_configuration``,
-    which takes one Newton step and one ``np.linalg.lstsq`` at a time."""
+class TestSamplerOracle:
+    """The sampler against ``scalar_sample_configuration``, which solves
+    each Newton step with ``np.linalg.lstsq``."""
 
     @staticmethod
     def scalar(vals, seed, restarts):
@@ -260,27 +261,6 @@ class TestLockstepSampler:
                 assert got == want
             else:
                 assert same_bits(got, want)
-
-    @pytest.mark.parametrize("restarts", [1, 60])
-    @pytest.mark.parametrize("case", range(len(sampler_cases())))
-    def test_lockstep_rows_match_one_seed(self, case, restarts):
-        vals = sampler_cases()[case]
-        seeds = [0, 18, 35, 52, 7]
-        if np.max(vals) > np.sum(vals) - np.max(vals):
-            with pytest.raises(EmptyConfigurationError, match=re.escape(
-                    self.scalar(vals, 0, restarts))):
-                linkage._sample_configurations(LinkageLengths(vals), seeds,
-                                               restarts)
-            return
-        theta, found = linkage._sample_configurations(
-            LinkageLengths(vals), seeds, restarts)
-        for i, seed in enumerate(seeds):
-            want = self.scalar(vals, seed, restarts)
-            assert found[i] == (not isinstance(want, str))
-            if found[i]:
-                assert same_bits(theta[i], want)
-                assert same_bits(theta[i], sample_configuration(
-                    LinkageLengths(vals), seed, restarts))
 
     def test_cases_include_failures(self):
         outcomes = [isinstance(self.scalar(vals, seed, 3), str)
@@ -405,24 +385,40 @@ class TestAnalyzeExceptional:
             analyze_exceptional(fx.point, fx.k)
         assert err.value.hypothesis == 2
 
-    def test_manifold_samples_match_scalar_loop(self, monkeypatch):
-        """The lockstep manifold check against one sample at a time:
-        the same count, or the same error and message, on fixtures and
-        on the search reports of random K5 scans, which fail it."""
+    def test_manifold_samples_match_scalar_sampler(self, monkeypatch):
+        """The manifold check against the same check sampling with
+        ``scalar_sample_configuration``: the same configurations bit for
+        bit, and the same count or the same error and message, on
+        fixtures and on the search reports of random K5 scans, which
+        fail it."""
         outcomes = []
-        lockstep = linkage._check_manifold_samples
+        check = linkage._check_manifold_samples
+
+        def scalar(L, seed, max_restarts=60):
+            return scalar_sample_configuration(L.lengths, seed, max_restarts)
+
+        def run(sampler, args):
+            thetas = []
+
+            def record(L, seed, max_restarts=60):
+                thetas.append(sampler(L, seed, max_restarts))
+                return thetas[-1]
+
+            linkage.sample_configuration = record
+            try:
+                return check(*args), thetas
+            except (LinkageHypothesisError, EmptyConfigurationError) as exc:
+                return (type(exc), str(exc)), thetas
+            finally:
+                linkage.sample_configuration = sample_configuration
 
         def compare(*args):
-            def run(check):
-                try:
-                    return check(*args)
-                except (LinkageHypothesisError,
-                        EmptyConfigurationError) as exc:
-                    return type(exc), str(exc)
-            want = run(scalar_manifold_samples)
-            assert run(lockstep) == want
+            want, want_thetas = run(scalar, args)
+            got, thetas = run(sample_configuration, args)
+            assert got == want and len(thetas) == len(want_thetas)
+            assert all(map(same_bits, thetas, want_thetas))
             outcomes.append(want)
-            return lockstep(*args)
+            return check(*args)
 
         monkeypatch.setattr(linkage, "_check_manifold_samples", compare)
         for degree in (4, 5, 6):

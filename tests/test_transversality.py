@@ -1,5 +1,6 @@
 """Degeneracy strata, transversality tests, and splitting diagnostics."""
 
+import functools
 import re
 
 import numpy as np
@@ -246,6 +247,7 @@ class TestEdgeSeparatedPair:
                                         eigenspace_basis(h, 1)) is None
 
 
+@functools.cache
 def transversality_cases():
     """Operators and cluster starts: random join fixtures (not
     transverse, with witnesses), the two-triangle join, degenerate rings,

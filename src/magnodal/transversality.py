@@ -224,7 +224,9 @@ def is_transverse_at(h: SupportedMatrix, k: int, *,
         kernel_dim = int(np.sum(sv <= cut))
         a_transverse = smallest > cut
     else:
-        smallest, kernel_dim, a_transverse = np.inf, 0, True
+        smallest = np.inf
+        kernel_dim = 0
+        a_transverse = True
 
     witness = None
     if not a_transverse:

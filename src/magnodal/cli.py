@@ -396,7 +396,7 @@ def cmd_verify_index(args) -> None:
 def cmd_linkage_analyze(args) -> None:
     if args.emit_fixture is not None:
         fx = build_exceptional_fixture(args.emit_fixture, seed=args.seed)
-        point, k = fx.point, fx.k
+        point, k, es = fx.point, fx.k, fx.es
         if args.out:
             write_json(_stem(args.out) + ".fixture.json",
                        operator_to_json(point.operator()))
@@ -406,11 +406,11 @@ def cmd_linkage_analyze(args) -> None:
         if args.k is None:
             raise _UsageError("linkage-analyze needs --k")
         h = _load_operator(args)
-        point, k = TorusPoint.from_operator(h), args.k
+        point, k, es = TorusPoint.from_operator(h), args.k, None
     analysis = analyze_exceptional(point, k,
                                    tol_degeneracy=args.tol_degeneracy,
                                    tol_vanish=args.tol_vanish,
-                                   seed=args.seed)
+                                   seed=args.seed, es=es)
     payload = {
         "k": k,
         "vanishing_vertex": analysis.vanishing_vertex,

@@ -281,19 +281,19 @@ def _root_paths(g: Graph, parent) -> np.ndarray:
 
 def _fundamental_cycles(g: Graph, forest: tuple[tuple[int, int], ...],
                         up: np.ndarray) -> CycleBasis:
-    """One cycle ``e_rs + up[r] - up[s]`` per non-forest edge ``(r, s)``."""
+    """One cycle ``e_rs + up[r] - up[s]`` per non-forest edge ``(r, s)``,
+    built as one array, whose boundaries one incidence product checks."""
     forest_set = set(forest)
-    nonforest = tuple(e for e in g.edges if e not in forest_set)
-    cycles = []
-    for (r, s) in nonforest:
-        coeffs = up[r] - up[s]
-        coeffs[g.index_of(r, s)] += 1
-        chain = Chain(g, coeffs)
-        if np.any(boundary(chain)):
-            raise InternalCrossCheckError(
-                "fundamental cycle has nonzero boundary")
-        cycles.append(chain)
-    return CycleBasis(g, forest, nonforest, tuple(cycles))
+    idx = np.flatnonzero([e not in forest_set for e in g.edges])
+    r, s = g.endpoints[idx].T
+    coeffs = up[r] - up[s]
+    coeffs[np.arange(len(idx)), idx] += 1
+    incidence = np.zeros((g.num_edges, g.n), dtype=np.int64)
+    incidence[np.arange(g.num_edges)[:, None], g.endpoints] = [-1, 1]
+    if np.any(coeffs @ incidence):
+        raise InternalCrossCheckError("fundamental cycle has nonzero boundary")
+    return CycleBasis(g, forest, tuple(g.edges[i] for i in idx),
+                      tuple(Chain(g, c) for c in coeffs))
 
 
 def cycle_basis_from_forest(g: Graph, forest: tuple[tuple[int, int], ...],

@@ -44,10 +44,11 @@ from .operators import GaugePhase, SupportedMatrix, gauge_transform
 from .spectral import (
     DEGENERACY_TOL,
     VANISH_TOL,
+    EigenSystem,
     _lstsq,
+    _resolvent_sum,
     eigh,
     multiplicity,
-    resolvent_coefficient,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -227,7 +228,8 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
                         rank_tol: float = RANK_TOL,
                         shift_tol: float = SHIFT_COEFF_TOL,
                         manifold_samples: int = 4,
-                        seed: int = 0) -> ExceptionalAnalysis:
+                        seed: int = 0,
+                        es: EigenSystem | None = None) -> ExceptionalAnalysis:
     """Analyze a critical point vanishing at exactly one vertex.
 
     Verifies the three hypotheses (simple eigenvalue of the reduced
@@ -236,10 +238,11 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
     the linkage data, and cross-checks both against the numerical
     eigenvalue Hessian.  Any mismatch between prediction and numerics
     raises, as does a point outside the analyzer's scope (no vanishing
-    vertex, or more than one).
+    vertex, or more than one).  ``es`` is the eigensystem of
+    ``p.operator()`` when the caller has solved it.
     """
     try:
-        s = _simple_eigen(p.operator(), k, None, tol_degeneracy)
+        s = _simple_eigen(p.operator(), k, es, tol_degeneracy)
     except NonSimpleEigenvalueError as exc:
         raise LinkageHypothesisError(
             f"eigenvalue {k} has multiplicity {exc.multiplicity}; the "
@@ -322,7 +325,7 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
             "bar lengths are not generic; hypothesis (2) fails",
             hypothesis=2) from exc
 
-    c = resolvent_coefficient(h, k, v0, tol_rel=tol_degeneracy, es=es)
+    c = _resolvent_sum(es, k, v0)
     if abs(c) <= shift_tol:
         raise LinkageHypothesisError(
             f"spectral shift coefficient {c:.3e} is degenerate; "
@@ -413,7 +416,7 @@ def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
                 f"eigenvalue leaves position k={k} along the manifold "
                 f"(sample {i}: position {kq}, configuration [{config}]); "
                 f"hypothesis (3) fails", hypothesis=3)
-        cq = resolvent_coefficient(hq, kq, v0, tol_rel=tol_degeneracy, es=esq)
+        cq = _resolvent_sum(esq, kq, v0)
         if abs(cq) <= shift_tol or (cq < 0) != (c_ref < 0):
             raise LinkageHypothesisError(
                 f"shift coefficient changes sign or degenerates along the "
@@ -425,12 +428,14 @@ def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
 
 @dataclass(frozen=True, eq=False)
 class ExceptionalFixture:
-    """A constructed operator with a known exceptional critical point."""
+    """A constructed operator with a known exceptional critical point;
+    ``es`` is the eigensystem of ``point.operator()``."""
 
     h: SupportedMatrix
     alpha: OneForm
     k: int
     point: TorusPoint
+    es: EigenSystem
     eigenvalue: float
     vanishing_vertex: int
     degree: int
@@ -506,7 +511,7 @@ def build_exceptional_fixture(degree: int, seed: int = 0, *,
         m, _ = multiplicity(es, k)
         if m != 1 or abs(es.value(k) - lam) > 1e-9 * max(1.0, h.norm_fro):
             continue
-        c = resolvent_coefficient(hp, k, 0, es=es)
+        c = _resolvent_sum(es, k, 0)
         if abs(c) <= 10 * SHIFT_COEFF_TOL:
             continue
         full_vec = np.zeros(g.n)
@@ -515,7 +520,7 @@ def build_exceptional_fixture(degree: int, seed: int = 0, *,
                                      - lam * full_vec))
         if resid > 1e-9 * max(1.0, h.norm_fro):
             continue
-        return ExceptionalFixture(h, alpha, k, point, lam, 0, degree)
+        return ExceptionalFixture(h, alpha, k, point, es, lam, 0, degree)
     raise RuntimeError(
         f"could not build an admissible fixture of degree {degree} after "
         f"{max_attempts} attempts")

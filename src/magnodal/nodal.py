@@ -16,12 +16,16 @@ representatives in chunks of ``SWEEP_CHUNK``, each built from its class
 ids and solved by one stacked eigensolve, and runs the admissibility
 kernel, ``_stack_checks``, on every signing and eigenvalue position of
 the chunk at once: ``nodal_count``'s checks as masks over the stack,
-with its tolerances and comparisons.  The Morse module's index check
-and scan reports run the same kernel on their stacks of symmetry
-points and search points.  A signing enters the histogram only when
-every eigenvalue position is admissible; with ``skip_inadmissible`` the
-others are dropped whole and counted, so the counts always sum to the
-sample count.  Errors come from the scalar code: the first failing
+with its tolerances and comparisons.  The sum runs in real arithmetic:
+its products ``v_r (h_rs * sign) v_s`` carry the bits of the real parts
+of the complex ones (every imaginary factor is an exact zero and a sign
+flip is exact), up to the signs of zeros, which no check reads.  The
+Morse module's index check and scan reports run the same kernel on
+their stacks of symmetry points and search points, with complex
+products.  A signing enters the histogram only when every eigenvalue
+position is admissible; with ``skip_inadmissible`` the others are
+dropped whole and counted, so the counts always sum to the sample
+count.  Errors come from the scalar code: the first failing
 signing is solved again on its own and ``nodal_count`` raises, so it
 stays the one place that words them and the oracle the kernel is
 tested against.
@@ -80,8 +84,6 @@ def edge_products(h: SupportedMatrix, v: np.ndarray) -> np.ndarray:
 
     ``v`` may stack vectors along leading axes; the vertex axis is last.
     """
-    if not h.graph.edges:
-        return np.zeros(v.shape[:-1] + (0,), dtype=np.complex128)
     rs = h.graph.endpoints
     return np.conj(v[..., rs[:, 0]]) * h.offdiag * v[..., rs[:, 1]]
 
@@ -110,6 +112,15 @@ class _SimpleEigen:
     def is_flat(self, tol: float) -> bool:
         """Criticality: every edge product real within ``tol * norm``."""
         return self.max_imag_product <= tol * self.h.norm_fro
+
+
+def _signed_products(h: SupportedMatrix, vectors: np.ndarray,
+                     rows: np.ndarray) -> np.ndarray:
+    """Real edge products of the real ``h`` signed by each row of ``rows``
+    (S, m), for the real eigenvectors ``vectors`` (S, K, n)."""
+    rs = h.graph.endpoints
+    return (vectors[..., rs[:, 0]] * (h.offdiag.real * rows)[:, None, :]
+            * vectors[..., rs[:, 1]])
 
 
 def _simple_eigen(h: SupportedMatrix, k: int, es: EigenSystem | None,
@@ -269,7 +280,7 @@ class _StackChecks:
     @cached_property
     def inadmissible(self) -> np.ndarray:
         """Pairs on which ``nodal_count`` raises an ``AdmissibilityError``."""
-        return (~self.simple | np.any(self.vanishing, axis=2) | ~self.flat
+        return (~self.simple | self.vanishing.any(axis=2) | ~self.flat
                 | ~self.resolved)
 
     @cached_property
@@ -298,14 +309,18 @@ def _stack_checks(values: np.ndarray, vectors: np.ndarray,
     Frobenius norm, one for all rows or one per row.  Each check uses
     ``nodal_count``'s tolerance and comparison, so a pair fails here
     exactly when the scalar check raises, except that the bound check
-    runs on disconnected graphs too.
+    runs on disconnected graphs too.  Real ``products`` are real by
+    construction, so they pass the realness check without a test.
     """
     scale = np.asarray(scale, dtype=np.float64)[..., None, None]
+    flat = (~(np.abs(products.imag) > tol_real * scale).any(axis=2)
+            if np.iscomplexobj(products)
+            else np.ones(products.shape[:2], dtype=bool))
     return _StackChecks(
         simple_positions(values, tol_degeneracy)[:, positions],
         np.abs(vectors) < tol_vanish,
-        ~np.any(np.abs(products.imag) > tol_real * scale, axis=2),
-        ~np.any(np.abs(products.real) < tol_product * scale, axis=2),
+        flat,
+        ~(np.abs(products.real) < tol_product * scale).any(axis=2),
         np.count_nonzero(products.real > 0.0, axis=2) - np.asarray(positions),
         beta)
 
@@ -319,15 +334,16 @@ def _surplus_counts(h: SupportedMatrix, chunks, weight: int,
                     ) -> tuple[np.ndarray, int]:
     """Weighted surplus histogram over the sign-row blocks ``chunks`` of ``h``.
 
-    Each block of signed matrices is solved by one stacked eigensolve,
-    and ``_stack_checks`` runs ``nodal_count``'s checks for every
-    signing and k at once.  A signing's surpluses enter the total times
-    ``weight`` only when every k passes.  A signing that fails an
-    admissibility check is either counted as ``weight`` skipped signings
-    or, when not skipping and it is the first failing row, re-run
-    through ``nodal_count``, which raises the error; a surplus outside
-    ``[0, beta]`` is re-run even when skipping, so the bound check's
-    ``InternalCrossCheckError`` stays the scalar one.
+    Each block of signed matrices of the real ``h`` is solved by one
+    stacked eigensolve, and ``_stack_checks`` runs ``nodal_count``'s
+    checks on the real products for every signing and k at once.  A
+    signing's surpluses enter the total times ``weight`` only when
+    every k passes.  A signing that fails an admissibility check is
+    either counted as ``weight`` skipped signings or, when not skipping
+    and it is the first failing row, re-run through ``nodal_count``,
+    which raises the error; a surplus outside ``[0, beta]`` is re-run
+    even when skipping, so the bound check's ``InternalCrossCheckError``
+    stays the scalar one.
     """
     tols = dict(tol_degeneracy=tol_degeneracy, tol_vanish=tol_vanish,
                 tol_real=tol_real, tol_product=tol_product)
@@ -343,17 +359,17 @@ def _surplus_counts(h: SupportedMatrix, chunks, weight: int,
         dense[:, rs[:, 1], rs[:, 0]] *= rows
         values, vectors = eigh_dense(dense)
         vectors = vectors.swapaxes(1, 2)  # (signing, k, vertex)
-        products = edge_products(h, vectors) * rows[:, None, :]
-        checks = _stack_checks(values, vectors, products, position,
+        checks = _stack_checks(values, vectors,
+                               _signed_products(h, vectors, rows), position,
                                h.norm_fro, beta, **tols)
         failed = checks.failed
-        failing = np.any(failed, axis=1)
+        failing = failed.any(axis=1)
         if skip_inadmissible:
             first = np.argmax(failed, axis=1)
             rerun = checks.out_of_bounds[np.arange(len(rows)), first]
         else:
             rerun = failing
-        if np.any(rerun):
+        if rerun.any():
             signs = rows[np.argmax(rerun)]
             _signing_histogram(h, signs, tols)  # raises the scalar error
             raise InternalCrossCheckError(

@@ -58,7 +58,7 @@ class SupportedMatrix:
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "offdiag", o)
 
-    @property
+    @cached_property
     def is_real(self) -> bool:
         """True when every off-diagonal imaginary part is floating zero."""
         return bool(np.all(self.offdiag.imag == 0.0))

@@ -130,10 +130,11 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[..., 0]
 
 
-def eigh(h: SupportedMatrix) -> EigenSystem:
-    """Full eigensystem of a supported matrix."""
-    values, vectors = eigh_stack(h.graph, h.diag, h.offdiag[None])
-    values, vectors = values[0].copy(), vectors[0]
+def eigh(h: SupportedMatrix, dense: np.ndarray | None = None) -> EigenSystem:
+    """Full eigensystem of a supported matrix, solved from ``dense``,
+    its ``to_dense()`` array, when the caller has built that already."""
+    values, vectors = eigh_dense(h.to_dense() if dense is None else dense)
+    vectors = _normalize_phases(vectors)
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenSystem(values, vectors)
@@ -167,8 +168,8 @@ def simple_positions(values: np.ndarray, tol_rel: float = DEGENERACY_TOL
     A position is simple when both neighbours lie farther than
     ``tol_rel * max(1, max |eigenvalue|)`` of its row away.
     """
-    tol = tol_rel * np.maximum(1.0, np.max(np.abs(values), axis=-1))
-    close = np.abs(np.diff(values, axis=-1)) <= tol[..., None]
+    tol = tol_rel * np.maximum(1.0, np.abs(values).max(axis=-1))
+    close = np.abs(values[..., 1:] - values[..., :-1]) <= tol[..., None]
     simple = np.ones(values.shape, dtype=bool)
     simple[..., 1:] &= ~close
     simple[..., :-1] &= ~close
@@ -218,6 +219,12 @@ def resolvent_coefficient(h: SupportedMatrix, k: int, vertex: int,
             f"simple eigenvalue", k=k, multiplicity=m)
     if not 0 <= vertex < es.n:
         raise ValueError(f"vertex {vertex} out of range")
+    return _resolvent_sum(es, k, vertex)
+
+
+def _resolvent_sum(es: EigenSystem, k: int, vertex: int) -> float:
+    """``resolvent_coefficient``'s sum, for callers that have checked
+    that the k-th eigenvalue is simple."""
     lam = es.values[k - 1]
     total = 0.0
     for j in range(es.n):

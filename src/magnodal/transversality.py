@@ -63,14 +63,17 @@ class EigenspaceBasis:
 
 def eigenspace_basis(h: SupportedMatrix, k: int,
                      tol_degeneracy: float = DEGENERACY_TOL,
-                     es: EigenSystem | None = None) -> EigenspaceBasis:
+                     es: EigenSystem | None = None,
+                     dense: np.ndarray | None = None) -> EigenspaceBasis:
     """Eigenspace of the cluster containing the k-th eigenvalue.
 
     ``k`` must open its cluster; querying a later member is ambiguous
-    about which stratum is meant and raises.
+    about which stratum is meant and raises.  ``dense`` is
+    ``h.to_dense()`` when the caller has built it.
     """
+    dense = h.to_dense() if dense is None else dense
     if es is None:
-        es = eigh(h)
+        es = eigh(h, dense)
     m, k0 = multiplicity(es, k, tol_degeneracy)
     if k0 != k:
         raise StratumAmbiguousError(
@@ -79,7 +82,6 @@ def eigenspace_basis(h: SupportedMatrix, k: int,
     vecs = es.vectors[:, k - 1:k - 1 + m].copy()
     cluster = es.values[k - 1:k - 1 + m]
     lam = float(np.mean(cluster))
-    dense = h.to_dense()
     width = float(cluster[-1] - cluster[0])
     budget = 1e-9 * max(1.0, h.norm_fro) + width
     resid = np.linalg.norm(dense @ vecs - lam * vecs, axis=0)
@@ -204,15 +206,14 @@ def is_transverse_at(h: SupportedMatrix, k: int, *,
     are equivalent in exact arithmetic and both are always computed; a
     disagreement raises instead of guessing which one to trust.
     """
-    if es is None:
-        es = eigh(h)
-    basis = eigenspace_basis(h, k, tol_degeneracy, es=es)
+    dense = h.to_dense()
+    basis = eigenspace_basis(h, k, tol_degeneracy, es=es, dense=dense)
     m = basis.dim
     lam = basis.eigenvalue
     g = h.graph
     n = g.n
     scale = max(1.0, h.norm_fro)
-    shifted = h.to_dense() - lam * np.eye(n)
+    shifted = dense - lam * np.eye(n)
 
     pairs = _pairs(n, g.edge_index)
     if pairs.size:

@@ -13,7 +13,12 @@ so it stays independent of the forest-gauge rows that
 the finite-difference oracles for the analytic Morse derivatives.
 ``cycle_basis_by_lca`` is the fundamental-cycle oracle: it walks each
 cycle through the lowest common ancestor, independent of the root
-paths in ``graphs``.
+paths in ``graphs``.  ``cycle_basis_by_loop`` builds the same cycles
+from the root paths one at a time, each checked by ``boundary``, against
+which the array build must agree bit for bit, and ``lose_a_root_path``
+plants the fault that its boundary check must catch.
+``complex_class_products`` is the class sum's complex product oracle:
+the real products ``nodal._signed_products`` must give the same checks.
 ``scalar_polish`` is the Newton oracle: one start at a time, one
 ``eigh`` per trial point, against which the lockstep ``morse._polish``
 must agree bit for bit, on each start's outcome and on the row of its
@@ -38,12 +43,13 @@ from hypothesis import strategies as st
 
 from magnodal.errors import (CapExceededError, EmptyConfigurationError,
                              InternalCrossCheckError, NonSimpleEigenvalueError)
-from magnodal.graphs import Chain, CycleBasis, Graph, cycle_basis
+import magnodal.graphs as graphs
+from magnodal.graphs import Chain, CycleBasis, Graph, boundary, cycle_basis
 from magnodal.linkage import GENERICITY_TOL, LENGTH_CAP
 from magnodal.morse import (CRITICAL_TOL, TWO_PI, CriticalPointReport,
                             GaugeChart, TorusPoint, _classify, _hessian_at,
                             gauge_chart, morse_index)
-from magnodal.nodal import _simple_eigen
+from magnodal.nodal import _simple_eigen, edge_products
 from magnodal.operators import SupportedMatrix, signs_for_index
 from magnodal.serialize import _escape, format_float
 from magnodal.spectral import DEGENERACY_TOL, eigh
@@ -253,6 +259,45 @@ def cycle_basis_by_lca(g: Graph, forest, parent) -> CycleBasis:
             add_step(parent[v], v)
         cycles.append(Chain(g, coeffs))
     return CycleBasis(g, tuple(forest), nonforest, tuple(cycles))
+
+
+def cycle_basis_by_loop(g: Graph, forest, up) -> CycleBasis:
+    """Fundamental cycles ``e_rs + up[r] - up[s]`` over the root paths
+    ``up``, one non-forest edge ``(r, s)`` at a time, each checked by
+    ``boundary``."""
+    forest_set = set(forest)
+    nonforest = tuple(e for e in g.edges if e not in forest_set)
+    cycles = []
+    for (r, s) in nonforest:
+        coeffs = up[r] - up[s]
+        coeffs[g.index_of(r, s)] += 1
+        chain = Chain(g, coeffs)
+        if np.any(boundary(chain)):
+            raise InternalCrossCheckError(
+                "fundamental cycle has nonzero boundary")
+        cycles.append(chain)
+    return CycleBasis(g, tuple(forest), nonforest, tuple(cycles))
+
+
+def lose_a_root_path(monkeypatch) -> None:
+    """Make every spanning forest built from now on forget the root path
+    of its last vertex, so a cycle through that vertex has a boundary."""
+    original = graphs._root_paths
+
+    def wrong(g, parent):
+        up = original(g, parent).copy()
+        up[-1] = 0
+        return up
+
+    monkeypatch.setattr(graphs, "_root_paths", wrong)
+
+
+def complex_class_products(h: SupportedMatrix, vectors: np.ndarray,
+                           rows: np.ndarray) -> np.ndarray:
+    """Complex edge products of the signed operators ``h * rows`` (S, m)
+    for eigenvectors ``vectors`` (S, K, n): ``edge_products`` of ``h``
+    times the signs."""
+    return edge_products(h, vectors) * rows[:, None, :]
 
 
 def eigenvalue_gap(es, k: int) -> float:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import lose_a_root_path
 from magnodal import __version__, cli
 from magnodal.cli import _build_parser, main
 from magnodal.families import (
@@ -377,22 +378,21 @@ class TestCriticalScan:
     def test_one_cycle_basis_per_graph(self, tmp_path, capsys, monkeypatch):
         import magnodal.graphs as graphs
 
-        checked = []
-        original = graphs.boundary
+        built = []
+        original = graphs._fundamental_cycles
 
-        def counting(chain):
-            checked.append(chain.graph)
-            return original(chain)
+        def counting(g, forest, up):
+            built.append(original(g, forest, up))
+            return built[-1]
 
-        monkeypatch.setattr(graphs, "boundary", counting)
+        monkeypatch.setattr(graphs, "_fundamental_cycles", counting)
         op = write_op(tmp_path, strong_diagonal_fixture(complete_graph(5)))
         code, _, _ = run(capsys, ["critical-scan", "--op", op, "--k", "2",
                                   "--starts", "4"])
         assert code == 0
-        # one boundary check per fundamental cycle of K5 (beta 6), all on
-        # the one graph the operator file was read into
-        assert len(checked) == 6
-        assert len({id(g) for g in checked}) == 1
+        # one checked build of the six fundamental cycles of K5, on the
+        # one graph the operator file was read into
+        assert len(built) == 1 and len(built[0]) == 6
 
     def test_complex_operator_exits_2(self, tmp_path, capsys):
         g = path_graph(2)
@@ -771,11 +771,8 @@ class TestNonFiniteInput:
 
 def test_cycle_basis_failure_is_an_internal_error(tmp_path, capsys,
                                                   monkeypatch):
-    import magnodal.graphs as graphs
-
     op = write_op(tmp_path, triangle_op())
-    monkeypatch.setattr(graphs, "boundary",
-                        lambda chain: np.ones(chain.graph.n, dtype=np.int64))
+    lose_a_root_path(monkeypatch)
     code, _, err = run(capsys, ["verify-index", "--op", op])
     assert code == 1 and "internal check failed" in err
     assert "nonzero boundary" in err

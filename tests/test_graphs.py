@@ -1,14 +1,22 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_basis_by_lca, small_graphs
+from conftest import (cycle_basis_by_lca, cycle_basis_by_loop,
+                      lose_a_root_path, small_graphs)
+import magnodal
 from magnodal.errors import (
     GraphMismatchError,
     InternalCrossCheckError,
     SchemaError,
 )
+from magnodal.families import complete_graph, random_connected_graph
 from magnodal.graphs import (
     Chain,
     Graph,
@@ -111,21 +119,21 @@ class TestGraph:
     def test_one_cycle_basis_per_graph(self, monkeypatch):
         import magnodal.graphs as graphs
 
-        checked = []
-        original = graphs.boundary
+        built = []
+        original = graphs._fundamental_cycles
 
-        def counting(chain):
-            checked.append(chain)
-            return original(chain)
+        def counting(g, forest, up):
+            built.append(g)
+            return original(g, forest, up)
 
-        monkeypatch.setattr(graphs, "boundary", counting)
+        monkeypatch.setattr(graphs, "_fundamental_cycles", counting)
         g = k4()
         basis = cycle_basis(g)
         assert all(cycle_basis(g) is basis for _ in range(3))
-        assert len(checked) == betti_number(g) == 3
+        assert built == [g] and len(basis) == betti_number(g) == 3
         # an equal but distinct graph builds and checks its own basis
         assert cycle_basis(k4()) is not basis
-        assert len(checked) == 6
+        assert len(built) == 2 and built[1] is not g
         with pytest.raises(ValueError):
             basis.cycles[0].coeffs[0] = 5
 
@@ -208,6 +216,69 @@ class TestCyclesAgainstLca:
         forest, parent = kruskal_forest(g, order)
         assert same_basis(cycle_basis_from_forest(g, forest, parent),
                           cycle_basis_by_lca(g, forest, parent))
+
+
+def random_graph(rng, n: int, p: float) -> Graph:
+    return Graph(n, tuple((r, s) for r in range(n) for s in range(r + 1, n)
+                          if rng.random() < p))
+
+
+def forest_of(g: Graph) -> Graph:
+    """The graph's BFS spanning forest as a graph of its own (beta 0)."""
+    return Graph(g.n, bfs_forest(g)[0])
+
+
+class TestArrayBuildAgainstLoop:
+    """The array-built basis against the one-cycle-at-a-time loop over
+    the same root paths: forest edges, non-forest edges and coefficient
+    rows bit for bit."""
+
+    @staticmethod
+    def check(g):
+        forest = g.spanning_forest
+        basis = cycle_basis(g)
+        expected = cycle_basis_by_loop(g, forest.edges, forest.up)
+        assert same_basis(basis, expected)
+        assert all(x.coeffs.dtype == y.coeffs.dtype == np.int64
+                   for x, y in zip(basis.cycles, expected.cycles))
+        assert basis.nonforest_indices.tolist() == [
+            g.edge_index[e] for e in expected.nonforest_edges]
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_complete_graphs(self, n):
+        self.check(complete_graph(n))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_graphs_and_their_forests(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, int(rng.integers(1, 13)),
+                         float(rng.uniform(0.1, 0.9)))
+        self.check(g)
+        self.check(forest_of(g))
+        assert len(cycle_basis(forest_of(g))) == 0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_connected_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 11))
+        g = random_connected_graph(n, int(rng.integers(
+            n - 1, n * (n - 1) // 2 + 1)), rng)
+        assert num_components(g) == 1
+        self.check(g)
+
+    def test_disconnected_graphs(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            a = random_graph(rng, 6, 0.6)
+            g = Graph(12, a.edges + tuple((r + 6, s + 6) for r, s in
+                                          random_graph(rng, 6, 0.6).edges))
+            assert num_components(g) >= 2
+            self.check(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(9))
+    def test_any_small_graph(self, g):
+        self.check(g)
 
 
 class TestFormsAndChains:
@@ -350,12 +421,39 @@ class TestCycleBasisChecks:
     """The cycle basis cross-checks raise, so they also hold under -O."""
 
     def test_nonzero_boundary(self, monkeypatch):
-        import magnodal.graphs as graphs
-
-        monkeypatch.setattr(graphs, "boundary",
-                            lambda chain: np.ones(chain.graph.n))
+        lose_a_root_path(monkeypatch)
         with pytest.raises(InternalCrossCheckError, match="boundary"):
             cycle_basis(k4())
+
+    def test_nonzero_boundary_survives_optimized_mode(self):
+        script = textwrap.dedent("""
+            import sys
+            import magnodal.graphs as graphs
+            from magnodal.errors import InternalCrossCheckError
+            from magnodal.families import complete_graph
+
+            if not sys.flags.optimize:
+                sys.exit(2)
+            original = graphs._root_paths
+
+            def wrong(g, parent):
+                up = original(g, parent).copy()
+                up[-1] = 0
+                return up
+
+            graphs._root_paths = wrong
+            try:
+                graphs.cycle_basis(complete_graph(4))
+            except InternalCrossCheckError as exc:
+                sys.exit(0 if "nonzero boundary" in str(exc) else 1)
+            sys.exit(1)
+        """)
+        src = os.path.dirname(os.path.dirname(magnodal.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
 
     def test_size_against_betti_number(self, monkeypatch):
         import magnodal.graphs as graphs

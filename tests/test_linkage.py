@@ -359,6 +359,46 @@ class TestAnalyzeExceptional:
             analyze_exceptional(p, 2)
         assert err.value.hypothesis == 1
 
+    @pytest.mark.parametrize("degree", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_fixture_eigensystem_is_not_solved_again(self, monkeypatch,
+                                                     degree, seed):
+        """Given the fixture's eigensystem, the analysis solves no
+        operator of the point and gives the bits of a fresh solve."""
+        import dataclasses
+
+        import magnodal.nodal as nodal
+
+        fx = build_exceptional_fixture(degree, seed=seed)
+        fresh = analyze_exceptional(fx.point, fx.k)
+        point = fx.point.operator()
+        solved = []
+        for module in (linkage, nodal):
+            def recording(h, *args, _inner=module.eigh):
+                solved.append(same_bits(h.offdiag, point.offdiag)
+                              and same_bits(h.diag, point.diag))
+                return _inner(h, *args)
+            monkeypatch.setattr(module, "eigh", recording)
+        given = analyze_exceptional(fx.point, fx.k, es=fx.es)
+        assert not any(solved)
+        for field in dataclasses.fields(given):
+            a, b = getattr(given, field.name), getattr(fresh, field.name)
+            if field.name == "reduced":
+                assert same_bits(a.diag, b.diag)
+                assert same_bits(a.offdiag, b.offdiag)
+            elif field.name == "lengths":
+                assert same_bits(a.lengths, b.lengths)
+            elif isinstance(a, (np.ndarray, float)):
+                assert same_bits(a, b), field.name
+            else:
+                assert a == b, field.name
+
+    def test_fixture_eigensystem_is_the_point_solve(self):
+        fx = build_exceptional_fixture(4, seed=0)
+        es = eigh(fx.point.operator())
+        assert same_bits(fx.es.values, es.values)
+        assert same_bits(fx.es.vectors, es.vectors)
+
     def test_genericity_is_checked_once(self, monkeypatch):
         import magnodal.linkage as linkage
 

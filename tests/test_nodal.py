@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import classes_by_enumeration, enumerate_signings
+from conftest import (classes_by_enumeration, complex_class_products,
+                      enumerate_signings)
 import magnodal
 import magnodal.nodal as nodal
 from magnodal.errors import (
@@ -518,6 +519,48 @@ class TestSweepAgainstScalarOracle:
         self.check_not_skipping("random-K5", pre_signed,
                                 COARSE_TOLERANCES[tols])
 
+    @pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
+    @pytest.mark.parametrize("pre_signed", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_real_products_match_complex_oracle(self, monkeypatch, skip,
+                                                chunk, pre_signed, name):
+        """The class sum on its real products against the same sum on
+        the complex products: the same counts and skips, or the same
+        error and message."""
+        monkeypatch.setattr(nodal, "SWEEP_CHUNK", chunk)
+        h = sweep_fixture(name, pre_signed)
+
+        def outcome():
+            try:
+                d = average_surplus_distribution(h, skip_inadmissible=skip)
+            except AdmissibilityError as exc:
+                return type(exc), str(exc)
+            return d.counts.tolist(), d.skipped, d.n_samples
+
+        real = outcome()
+        monkeypatch.setattr(nodal, "_signed_products",
+                            complex_class_products)
+        assert real == outcome()
+
+    def test_class_sum_runs_in_real_arithmetic(self, monkeypatch):
+        dtypes = set()
+        original = nodal._stack_checks
+
+        def recording(values, vectors, products, *args, **kwargs):
+            dtypes.add(products.dtype)
+            return original(values, vectors, products, *args, **kwargs)
+
+        monkeypatch.setattr(nodal, "_stack_checks", recording)
+        for name in sorted(SWEEP_FIXTURES):
+            for skip in (False, True):
+                try:
+                    average_surplus_distribution(sweep_fixture(name),
+                                                 skip_inadmissible=skip)
+                except AdmissibilityError:
+                    pass
+        assert dtypes == {np.dtype(np.float64)}
+
     def test_coarse_tolerances_fail_some_signings(self):
         for tols in COARSE_TOLERANCES.values():
             _, skipped, _ = scalar_sweep("random-K5", tols=tols)
@@ -565,28 +608,53 @@ class TestSweepAgainstScalarOracle:
         assert calls <= -(-(2 ** 6) // nodal.SWEEP_CHUNK)  # 2^beta classes
 
 
-@st.composite
-def planted_operators(draw):
-    """A small connected operator, some of whose signings fail checks.
+PLANTED_NUMBER = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
 
-    A random spanning tree keeps the graph connected, where the surplus
-    bounds hold.  Diagonals and couplings are drawn partly from a few
-    repeated values (equal diagonals and couplings plant degenerate
-    eigenvalues and vanishing entries), partly as zero entries
-    (degenerate edge products) and partly with a complex phase
-    (products that are not real).
-    """
+
+@st.composite
+def planted_graphs(draw):
+    """A small connected graph: a random spanning tree plus any edges,
+    so the surplus bounds hold."""
     n = draw(st.integers(2, 5))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pairs = [(r, s) for r in range(n) for s in range(r + 1, n)]
     edges |= {e for e, keep in zip(pairs, draw(st.lists(
         st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep}
-    g = Graph(n, tuple(sorted(edges)))
-    number = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+    return Graph(n, tuple(sorted(edges)))
+
+
+@st.composite
+def planted_operators(draw):
+    """A small connected operator, some of whose signings fail checks.
+
+    Diagonals and couplings are drawn partly from a few repeated values
+    (equal diagonals and couplings plant degenerate eigenvalues and
+    vanishing entries), partly as zero entries (degenerate edge
+    products) and partly with a complex phase (products that are not
+    real).
+    """
+    g = draw(planted_graphs())
+    number = PLANTED_NUMBER
     diag = draw(st.lists(st.sampled_from([0.0, 1.0]) | number,
-                         min_size=n, max_size=n))
+                         min_size=g.n, max_size=g.n))
     coupling = st.sampled_from([0.0, -1.0, 1.0]) | number.map(complex) \
         | st.tuples(number, number).map(lambda c: complex(*c))
+    offdiag = draw(st.lists(coupling, min_size=g.num_edges,
+                            max_size=g.num_edges))
+    return SupportedMatrix(g, np.array(diag), np.array(offdiag,
+                                                       dtype=np.complex128))
+
+
+@st.composite
+def real_planted_operators(draw):
+    """A small connected real operator, as the class sum solves them:
+    all-zero or repeated diagonals, couplings of +-1 and exact zeros
+    (degenerate products), and some real couplings of other sizes."""
+    g = draw(planted_graphs())
+    diag = draw(st.just([0.0] * g.n) | st.lists(
+        st.sampled_from([0.0, 1.0]) | PLANTED_NUMBER, min_size=g.n,
+        max_size=g.n))
+    coupling = st.sampled_from([0.0, -1.0, 1.0]) | PLANTED_NUMBER
     offdiag = draw(st.lists(coupling, min_size=g.num_edges,
                             max_size=g.num_edges))
     return SupportedMatrix(g, np.array(diag), np.array(offdiag,
@@ -604,12 +672,14 @@ CHECK_ERRORS = (
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(planted_operators(), st.data())
+@settings(max_examples=300, deadline=None)
+@given(planted_operators() | real_planted_operators(), st.data())
 def test_admissibility_kernel_matches_nodal_count(h, data):
     """Every (signing, k) of the kernel against scalar ``nodal_count``:
     the same pass or fail, error class and surplus, and so the same
-    first failing pair; passing surpluses lie in ``[0, beta]``."""
+    first failing pair; passing surpluses lie in ``[0, beta]``.  On a
+    real operator the class sum's real products give the masks and
+    surpluses of the complex ones, and so the same errors."""
     m, n, beta = h.graph.num_edges, h.graph.n, betti_number(h.graph)
     rows = np.array(data.draw(st.lists(
         st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m),
@@ -620,8 +690,20 @@ def test_admissibility_kernel_matches_nodal_count(h, data):
     values, vectors = eigh_stack(h.graph, h.diag, h.offdiag * rows)
     vectors = vectors.swapaxes(1, 2)  # (signing, k, vertex)
     checks = nodal._stack_checks(
-        values, vectors, edge_products(h, vectors) * rows[:, None, :],
+        values, vectors, complex_class_products(h, vectors, rows),
         np.arange(n), h.norm_fro, beta, **tols)
+    if h.is_real:
+        # the real parts of the complex products, bit for bit up to the
+        # signs of zeros, which array_equal does not see
+        products = complex_class_products(h, vectors, rows)
+        signed = nodal._signed_products(h, vectors, rows)
+        assert signed.dtype == np.float64 and not products.imag.any()
+        assert np.array_equal(signed, products.real)
+        real = nodal._stack_checks(values, vectors, signed, np.arange(n),
+                                   h.norm_fro, beta, **tols)
+        for mask in ("simple", "vanishing", "flat", "resolved", "surplus",
+                     "inadmissible", "out_of_bounds", "failed"):
+            assert np.array_equal(getattr(real, mask), getattr(checks, mask))
     for row, signs in enumerate(rows):
         hs = SupportedMatrix(h.graph, h.diag, h.offdiag * signs)
         es = eigh(hs)
@@ -659,13 +741,12 @@ class TestStackedSolveFallback:
 
 
 def test_rejection_the_scalar_path_does_not_share_is_internal(monkeypatch):
-    original = nodal.edge_products
+    original = nodal._signed_products
 
-    def zero_when_stacked(h, v):
-        products = original(h, v)
-        return products * 0.0 if v.ndim > 1 else products
+    def zero_when_stacked(h, v, rows):
+        return original(h, v, rows) * 0.0
 
-    monkeypatch.setattr(nodal, "edge_products", zero_when_stacked)
+    monkeypatch.setattr(nodal, "_signed_products", zero_when_stacked)
     with pytest.raises(InternalCrossCheckError, match="nodal_count accepts"):
         average_surplus_distribution(
             strong_diagonal_fixture(complete_graph(3)))
@@ -724,6 +805,8 @@ def test_sweep_bound_check_survives_optimized_mode():
         # checks and in nodal_count alike
         nodal.edge_products = lambda h, v: np.ones(v.shape[:-1] + (3,),
                                                    dtype=np.complex128)
+        nodal._signed_products = lambda h, v, rows: np.ones(v.shape[:-1]
+                                                            + (3,))
         for skip in (False, True):
             try:
                 nodal.average_surplus_distribution(h, skip_inadmissible=skip)

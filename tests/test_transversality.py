@@ -313,6 +313,27 @@ class TestAgainstScalarOracle:
         assert verdicts.count(False) >= 40 and verdicts.count(True) >= 150
 
 
+class TestOneDenseMatrix:
+    @pytest.mark.parametrize("case", [0, 40, 50, 120])
+    @pytest.mark.parametrize("given_es", [False, True])
+    def test_dense_matrix_is_built_once(self, monkeypatch, case, given_es):
+        """One ``dense_matrices`` call per check: the solve, the residual
+        check and the kernel test share the array."""
+        import magnodal.operators as operators
+        import magnodal.spectral as spectral
+
+        h, k = transversality_cases()[case]
+        es = eigh(h) if given_es else None
+        calls = []
+        for module in (operators, spectral):
+            def counting(*args, _inner=module.dense_matrices):
+                calls.append(args)
+                return _inner(*args)
+            monkeypatch.setattr(module, "dense_matrices", counting)
+        is_transverse_at(h, k, es=es)
+        assert len(calls) == 1
+
+
 class TestResidualCheck:
     def test_wrong_vector_is_named(self):
         h, k = two_triangle_join()

@@ -75,9 +75,9 @@ from .spectral import (
     _check_k,
     _lstsq,
     eigh_stack,
+    eigvalsh_dense,
     is_nowhere_vanishing,
     multiplicity,
-    simple_positions,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -361,6 +361,17 @@ class _Solves:
         return cls(offdiag, values, vectors, k,
                    np.conj(v[:, rs[:, 0]]) * offdiag * v[:, rs[:, 1]])
 
+    @staticmethod
+    def joined(parts: list["_Solves"]) -> "_Solves":
+        """The rows of ``parts`` in order as one stack; real vectors
+        join complex ones exactly, as they are assigned into them."""
+        if len(parts) == 1:
+            return parts[0]
+        return _Solves(*(np.concatenate([getattr(p, f) for p in parts])
+                         for f in ("offdiag", "values", "vectors")),
+                       parts[0].k,
+                       np.concatenate([p.products for p in parts]))
+
     def take(self, rows) -> "_Solves":
         return _Solves(self.offdiag[rows], self.values[rows],
                        self.vectors[rows], self.k, self.products[rows])
@@ -444,7 +455,7 @@ def _morse_indices(hess: np.ndarray, rank_tol: float
     if hess.size == 0:
         zeros = np.zeros(count, dtype=np.int64)
         return np.zeros((count, d)), zeros, zeros
-    w = np.linalg.eigvalsh(0.5 * (hess + hess.swapaxes(1, 2)))
+    w = eigvalsh_dense(0.5 * (hess + hess.swapaxes(1, 2)))
     scale = np.max(np.abs(w), axis=1)
     cut = (rank_tol * scale)[:, None]
     index = np.count_nonzero(w < -cut, axis=1)
@@ -625,21 +636,19 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
     gradient over a nearly flat Hessian still means a sizable position
     error, and the decrement is what bounds it.
 
-    The starts run in lockstep.  Each round solves the one trial point
-    of every active start in one stacked eigensolve per solver path
-    (operators that are exactly real take the real path), runs the
-    simplicity check, edge products and gradients across the stack,
-    assembles one stacked Hessian for the starts that moved to a new
-    point and solves their Newton steps in one stacked least-squares
-    call (``_lstsq``).  Position, step, step length, squared gradient
-    norm, Newton count and phase are per-start arrays, and each round's
-    phase decisions are masks over its stack; squared norms come from
-    ``_squares``.  A start's solve row is written when it enters its
-    final check and overwritten when the final step is kept, so each
+    The starts run in lockstep, one round per trial point of every live
+    start.  Only what depends on the solver path is split: the exactly
+    real operators come first and take the real path, and each path
+    has its own stacked eigensolve, edge products and Newton Hessians.
+    The simplicity check at k, the gradients, the phase decisions
+    (masks over the round) and the one least-squares call (``_lstsq``)
+    run once per round.  A start notes the round and row of its solve
+    on entering its final check and when its final step is kept, and
+    the solve stack is gathered from those rows at the end.  So each
     start follows the one-start trajectory bit for bit.
     """
-    idx = chart.nonforest_indices
-    count, n, m = len(starts), base.graph.n, base.graph.num_edges
+    graph, idx = base.graph, chart.nonforest_indices
+    count, n, m = len(starts), graph.n, graph.num_edges
     x = np.mod(starts, TWO_PI)       # current point, then the outcome's
     trial = x.copy()                 # point solved in the next round
     g = np.zeros_like(x)             # gradient at x
@@ -649,23 +658,33 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
     aux = np.zeros(count)            # Newton decrement or eigenvalue gap
     newton = np.zeros(count, dtype=np.int64)
     phase = np.full(count, _START)
-    c = np.complex128
-    solves = _Solves(np.zeros((count, m), c), np.zeros((count, n)),
-                     np.zeros((count, n, n), c), k, np.zeros((count, m), c))
-
-    def advance(r: np.ndarray, off: np.ndarray) -> None:
-        """One round for the starts ``r``, all on one solver path."""
-        values, vectors = eigh_stack(base.graph, base.diag, off)
-        s = _Solves.at(base.graph, off, values, vectors, k)
-        simple = simple_positions(values, tol_degeneracy)[:, k - 1]
+    held_in = np.full(count, -1)     # round of a start's solve row,
+    held_at = np.zeros_like(held_in)  # and its row there
+    rounds: list[_Solves] = []       # the solves of the rounds held
+    while (r := np.flatnonzero(phase < _OK)).size:
+        off = _offdiag_at(base, chart, trial[r])
+        real = np.all(off.imag == 0.0, axis=1)
+        cut = int(np.count_nonzero(real))
+        if 0 < cut < len(r):
+            order = np.argsort(~real, kind="stable")
+            r, off = r[order], off[order]
+        paths = [(lo, _Solves.at(graph, off[lo:hi], *eigh_stack(
+            graph, base.diag, off[lo:hi]), k))
+            for lo, hi in ((0, cut), (cut, len(r))) if lo < hi]
+        s = _Solves.joined([p for _, p in paths])
+        values = s.values
+        # ``simple_positions`` at k: only k itself within the tolerance
+        tol = tol_degeneracy * np.maximum(1.0, np.abs(values).max(axis=1))
+        near = np.abs(values[:, max(k - 2, 0):k + 1] - values[:, k - 1:k])
+        simple = np.count_nonzero(near <= tol[:, None], axis=1) == 1
         gn = (-2.0 * s.products.imag)[:, idx]
         sq = _squares(gn)
         at = phase[r]
         final = at == _FINAL
         # keep the last Newton step only if it lowers the gradient
-        kept = final & simple & (np.sqrt(sq) < np.sqrt(_squares(g[r])))
+        kept = np.flatnonzero(final & simple
+                              & (np.sqrt(sq) < np.sqrt(_squares(g[r]))))
         x[r[kept]] = trial[r[kept]]
-        solves.put(r[kept], s.take(kept))
         degenerate = np.flatnonzero(~final & ~simple)
         w = values[degenerate]
         x[r[degenerate]] = trial[r[degenerate]]
@@ -686,29 +705,30 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
         moved = accepted[~maxed]
         if moved.size:
             i = r[moved]
-            J = _hessian(s.take(moved), chart, tol_degeneracy)
+            J = np.concatenate([  # each path's Hessians on its own vectors
+                _hessian(p.take(rows - lo), chart, tol_degeneracy)
+                for lo, p in paths if (rows := moved[
+                    (moved >= lo) & (moved < lo + len(p.values))]).size])
             newton[i] += 1
             delta[i] = _lstsq(J, -g[i])
             t[i] = 1.0
             done = np.max(np.abs(g[i]), axis=1) <= gtol
             phase[i] = np.where(done, _FINAL, _LINE)
             aux[i[done]] = np.sqrt(_squares(delta[i[done]]))
-            solves.put(i[done], s.take(moved[done]))
             f0[i[~done]] = _squares(g[i[~done]])
+            kept = np.append(kept, moved[done])
+        if kept.size:
+            held_in[r[kept]], held_at[r[kept]] = len(rounds), kept
+            rounds.append(s)
         live = r[phase[r] < _OK]
         trial[live] = np.mod(x[live] + t[live, None] * delta[live], TWO_PI)
-
-    while True:
-        rows = np.flatnonzero(phase < _OK)
-        if not rows.size:
-            return phase, x, aux, solves
-        off = _offdiag_at(base, chart, trial[rows])
-        # Exactly real operators take the real solver path, as in
-        # ``eigh``; the others share one complex stack.
-        real = np.all(off.imag == 0.0, axis=1)
-        for path in (real, ~real):
-            if np.any(path):
-                advance(rows[path], off[path])
+    c = np.complex128
+    solves = _Solves(np.zeros((count, m), c), np.zeros((count, n)),
+                     np.zeros((count, n, n), c), k, np.zeros((count, m), c))
+    for j, s in enumerate(rounds):
+        mine = np.flatnonzero(held_in == j)
+        solves.put(mine, s.take(held_at[mine]))
+    return phase, x, aux, solves
 
 
 def _symmetry_points(base: SupportedMatrix, chart: GaugeChart

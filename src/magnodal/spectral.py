@@ -7,8 +7,12 @@ positive.  Real symmetric input takes the real code path, so its
 eigenvectors have exactly zero imaginary part.
 
 Eigenvalue positions ``k`` are 1-based throughout the library, matching
-the usual counting of the spectrum from the bottom.  ``_lstsq`` is the
-one least-squares step of the Newton solvers in ``morse`` and ``linkage``.
+the usual counting of the spectrum from the bottom.  This module is the
+package's one gateway to LAPACK: every dense eigensolve runs through
+``eigh_dense``, or ``eigvalsh_dense`` for spectra alone, and ``_lstsq``
+is the one least-squares step of the Newton solvers in ``morse`` and
+``linkage``.  Each calls the gufunc that ``np.linalg`` runs, with its
+bits and error handling, without the wrapper's cost per call.
 """
 
 from __future__ import annotations
@@ -66,29 +70,58 @@ def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
     The complex factor is ``conj(a) / hypot(a.real, a.imag)``, which has
     the bits of the per-column scalar ``conj(a) / abs(a)``, signed zeros
     included; the array ``np.abs`` and a multiplication by ``1 / hypot``
-    do not.
+    do not.  The pivots are indexed directly in the stack flattened to
+    three axes.
     """
     if vectors.size == 0:
         return vectors.copy()
-    i = np.argmax(np.abs(vectors), axis=-2)
-    a = np.take_along_axis(vectors, i[..., None, :], axis=-2)
-    if np.iscomplexobj(vectors):
+    flat = vectors.reshape(-1, *vectors.shape[-2:])
+    cols = np.arange(flat.shape[2])
+    a = flat[np.arange(len(flat))[:, None],
+             np.argmax(np.abs(flat), axis=1), cols]
+    a = a.reshape(*vectors.shape[:-2], 1, len(cols))
+    if vectors.dtype.kind == "c":
         return vectors * (np.conj(a) / np.hypot(a.real, a.imag))
     return np.where(a < 0.0, -vectors, vectors)
 
 
+#: The LAPACK gufuncs that ``np.linalg.eigh``, ``eigvalsh`` and ``lstsq``
+#: run, looked up once.  They are private to numpy, which fixes the floor
+#: in ``pyproject.toml``.
+_EIGH, _EIGVALSH, _LSTSQ = (_umath_linalg.eigh_lo, _umath_linalg.eigvalsh_lo,
+                            _umath_linalg.lstsq)
+
+
+def _eigh_failed(err, flag):
+    raise EigenSolverError("dense eigensolve failed: Eigenvalues did not "
+                           "converge")
+
+
+#: The error handling of ``np.linalg.eigh``, as a decorator.
+_solver_errors = np.errstate(call=_eigh_failed, invalid="call",
+                             over="ignore", divide="ignore", under="ignore")
+
+
+@_solver_errors
 def eigh_dense(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvector columns of a dense Hermitian
-    matrix, or of each matrix in a stack along the leading axes.
+    matrix, or of each matrix in a stack along the leading axes, with the
+    bits of ``np.linalg.eigh``.
 
     Identical input bits produce identical output bits, which the
-    sweep-style computations rely on.  A solver failure raises
-    ``EigenSolverError``.
+    sweep-style computations rely on.  A solver failure, as on a NaN or
+    infinite entry, raises ``EigenSolverError``.
     """
-    try:
-        return np.linalg.eigh(dense)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"dense eigensolve failed: {exc}") from exc
+    return _EIGH(dense, signature="D->dD" if dense.dtype.kind == "c"
+                 else "d->dd")
+
+
+@_solver_errors
+def eigvalsh_dense(dense: np.ndarray) -> np.ndarray:
+    """``eigh_dense``'s eigenvalues alone, with the bits of
+    ``np.linalg.eigvalsh``."""
+    return _EIGVALSH(dense, signature="D->d" if dense.dtype.kind == "c"
+                     else "d->d")
 
 
 def eigh_stack(graph: Graph, diag: np.ndarray, offdiag: np.ndarray
@@ -105,10 +138,6 @@ def eigh_stack(graph: Graph, diag: np.ndarray, offdiag: np.ndarray
     return values, _normalize_phases(vectors)
 
 
-#: The least-squares gufunc of ``np.linalg.lstsq``, looked up once.
-_LSTSQ = _umath_linalg.lstsq
-
-
 def _lstsq_failed(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
@@ -119,8 +148,7 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     One call of the gufunc that ``np.linalg.lstsq`` runs per matrix,
     with its default ``rcond`` and error handling, so every row gets the
-    bits of ``np.linalg.lstsq(a[i], b[i], rcond=None)[0]``.  The gufunc
-    is private to numpy, which fixes the floor in ``pyproject.toml``.
+    bits of ``np.linalg.lstsq(a[i], b[i], rcond=None)[0]``.
     """
     m, n = a.shape[-2:]
     with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",

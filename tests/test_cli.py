@@ -420,10 +420,12 @@ def test_beta_over_the_cap_exits_4_before_any_solve(tmp_path, capsys,
     # solved as one stack
     op = write_op(tmp_path, strong_diagonal_fixture(complete_graph(8)))
 
+    import magnodal.spectral as spectral
+
     def refuse(*args, **kwargs):
         raise AssertionError("an eigensolve ran before the cap check")
 
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(spectral, "_EIGH", refuse)
     code, out, err = run(capsys, [argv[0], "--op", op, *argv[1:]])
     assert code == 4 and out == ""
     assert err == ("cap exceeded: class enumeration over beta 21 exceeds "

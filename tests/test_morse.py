@@ -816,7 +816,7 @@ class TestStackedHessians:
                                                 np.random.default_rng(0)),
              "strong-C3": strong_diagonal_fixture(cycle_graph(3))}[case]
         events = record_calls(monkeypatch, (morse, "_reports_at"),
-                              (morse, "_hessian"), (np.linalg, "eigvalsh"))
+                              (morse, "_hessian"), (morse, "eigvalsh_dense"))
         polish = morse._polish
 
         def quiet_polish(*args):  # its Newton Jacobians are not reports
@@ -828,17 +828,18 @@ class TestStackedHessians:
         monkeypatch.setattr(morse, "_polish", quiet_polish)
         sr = critical_scan(h, k, starts=4, seed=0)
         assert any(r.origin == "search" for r in sr.reports) == (phases == 2)
-        assert events == ["_reports_at", "_hessian", "eigvalsh"] * phases
+        assert events == ["_reports_at", "_hessian",
+                          "eigvalsh_dense"] * phases
 
     def test_verify_builds_one_hessian_stack_per_k(self, monkeypatch):
         import magnodal.morse as morse
 
         events = record_calls(monkeypatch, (morse, "_hessian"),
-                              (np.linalg, "eigvalsh"))
+                              (morse, "eigvalsh_dense"))
         h = strong_diagonal_fixture(complete_graph(5))
         assert verify_index_equals_surplus(h).num_ok == 320
         # one Hessian per pair made 320 calls
-        assert events == ["_hessian"] * h.graph.n + ["eigvalsh"]
+        assert events == ["_hessian"] * h.graph.n + ["eigvalsh_dense"]
 
     def test_chart_and_classes_share_the_nonforest_positions(self):
         from magnodal.operators import gauge_classes_of_signings

@@ -28,12 +28,11 @@ every simple eigenvalue, so the critical-point search uses it as its
 Newton Jacobian.  Restricting the full torus Hessian to the gauge slice
 loses nothing because the vertex-phase directions are in its kernel.
 
-The search polishes all of its starts in lockstep: each Newton round
-builds the trial operators of every active start as one stack, solves
-it with one ``spectral.eigh_stack`` call per solver path (real or
-complex), checks simplicity and takes edge products and gradients
-across the stack, assembles one stacked Hessian for the starts that
-moved and solves their Newton steps in one stacked least-squares call.
+The search polishes all of its starts in lockstep, one round per
+Newton trial: the trial operators of every live start form one stack,
+of which only the eigensolve, edge products and Hessians run once per
+solver path (real or complex); the simplicity check, gradients, line
+search and one stacked least-squares call run once over the round.
 It returns its outcomes as arrays and one solve stack, a row per start,
 from which the search reports take their rows.  The stacked kernels do
 per row exactly the arithmetic of a single solve, so every start
@@ -361,17 +360,6 @@ class _Solves:
         return cls(offdiag, values, vectors, k,
                    np.conj(v[:, rs[:, 0]]) * offdiag * v[:, rs[:, 1]])
 
-    @staticmethod
-    def joined(parts: list["_Solves"]) -> "_Solves":
-        """The rows of ``parts`` in order as one stack; real vectors
-        join complex ones exactly, as they are assigned into them."""
-        if len(parts) == 1:
-            return parts[0]
-        return _Solves(*(np.concatenate([getattr(p, f) for p in parts])
-                         for f in ("offdiag", "values", "vectors")),
-                       parts[0].k,
-                       np.concatenate([p.products for p in parts]))
-
     def take(self, rows) -> "_Solves":
         return _Solves(self.offdiag[rows], self.values[rows],
                        self.vectors[rows], self.k, self.products[rows])
@@ -660,23 +648,25 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
     phase = np.full(count, _START)
     held_in = np.full(count, -1)     # round of a start's solve row,
     held_at = np.zeros_like(held_in)  # and its row there
-    rounds: list[_Solves] = []       # the solves of the rounds held
+    rounds: list = []                # the solves of the rounds held
     while (r := np.flatnonzero(phase < _OK)).size:
         off = _offdiag_at(base, chart, trial[r])
-        real = np.all(off.imag == 0.0, axis=1)
-        cut = int(np.count_nonzero(real))
-        if 0 < cut < len(r):
-            order = np.argsort(~real, kind="stable")
-            r, off = r[order], off[order]
-        paths = [(lo, _Solves.at(graph, off[lo:hi], *eigh_stack(
-            graph, base.diag, off[lo:hi]), k))
-            for lo, hi in ((0, cut), (cut, len(r))) if lo < hi]
-        s = _Solves.joined([p for _, p in paths])
-        values = s.values
-        # ``simple_positions`` at k: only k itself within the tolerance
-        tol = tol_degeneracy * np.maximum(1.0, np.abs(values).max(axis=1))
-        near = np.abs(values[:, max(k - 2, 0):k + 1] - values[:, k - 1:k])
-        simple = np.count_nonzero(near <= tol[:, None], axis=1) == 1
+        real = np.all(off.imag == 0.0, axis=1)  # first, on the real path
+        order, cut = np.argsort(~real, kind="stable"), np.count_nonzero(real)
+        r, off = r[order], off[order]
+        spans = [(lo, hi) for lo, hi in ((0, cut), (cut, len(r))) if lo < hi]
+        paths = [_Solves.at(graph, off[lo:hi], *eigh_stack(
+            graph, base.diag, off[lo:hi]), k) for lo, hi in spans]
+        s = paths[0] if len(paths) == 1 else _Solves(off, *(np.concatenate(
+            [getattr(p, f) for p in paths]) for f in ("values", "vectors")),
+            k, np.concatenate([p.products for p in paths]))
+        # ``simple_positions`` at k alone: the gaps to its neighbours,
+        # which also hold the gap of an ascending spectrum to the rest
+        w = s.values
+        tol = tol_degeneracy * np.maximum(1.0, np.abs(w).max(axis=1))
+        near = np.abs(w[:, max(k - 2, 0):k + 1] - w[:, k - 1:k])
+        near[:, min(k - 1, 1)] = np.inf
+        simple = ~np.any(near <= tol[:, None], axis=1)
         gn = (-2.0 * s.products.imag)[:, idx]
         sq = _squares(gn)
         at = phase[r]
@@ -685,11 +675,10 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
         kept = np.flatnonzero(final & simple
                               & (np.sqrt(sq) < np.sqrt(_squares(g[r]))))
         x[r[kept]] = trial[r[kept]]
+        held_in[r[kept]], held_at[r[kept]] = len(rounds), kept
         degenerate = np.flatnonzero(~final & ~simple)
-        w = values[degenerate]
         x[r[degenerate]] = trial[r[degenerate]]
-        aux[r[degenerate]] = np.min(
-            np.abs(np.delete(w, k - 1, axis=1) - w[:, k - 1:k]), axis=1)
+        aux[r[degenerate]] = near[degenerate].min(axis=1)
         rejected = (simple & (at == _LINE)
                     & ~(sq < f0[r] * (1.0 - 0.25 * t[r]) + 1e-300))
         back = r[rejected]
@@ -707,8 +696,8 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
             i = r[moved]
             J = np.concatenate([  # each path's Hessians on its own vectors
                 _hessian(p.take(rows - lo), chart, tol_degeneracy)
-                for lo, p in paths if (rows := moved[
-                    (moved >= lo) & (moved < lo + len(p.values))]).size])
+                for (lo, hi), p in zip(spans, paths)
+                if (rows := moved[(moved >= lo) & (moved < hi)]).size])
             newton[i] += 1
             delta[i] = _lstsq(J, -g[i])
             t[i] = 1.0
@@ -716,18 +705,16 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
             phase[i] = np.where(done, _FINAL, _LINE)
             aux[i[done]] = np.sqrt(_squares(delta[i[done]]))
             f0[i[~done]] = _squares(g[i[~done]])
-            kept = np.append(kept, moved[done])
-        if kept.size:
-            held_in[r[kept]], held_at[r[kept]] = len(rounds), kept
-            rounds.append(s)
+            held_in[i[done]], held_at[i[done]] = len(rounds), moved[done]
+        rounds.append(s if np.any(held_in[r] == len(rounds)) else None)
         live = r[phase[r] < _OK]
         trial[live] = np.mod(x[live] + t[live, None] * delta[live], TWO_PI)
     c = np.complex128
     solves = _Solves(np.zeros((count, m), c), np.zeros((count, n)),
                      np.zeros((count, n, n), c), k, np.zeros((count, m), c))
-    for j, s in enumerate(rounds):
+    for j in np.unique(held_in[held_in >= 0]).tolist():
         mine = np.flatnonzero(held_in == j)
-        solves.put(mine, s.take(held_at[mine]))
+        solves.put(mine, rounds[j].take(held_at[mine]))
     return phase, x, aux, solves
 
 

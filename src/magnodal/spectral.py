@@ -7,12 +7,10 @@ positive.  Real symmetric input takes the real code path, so its
 eigenvectors have exactly zero imaginary part.
 
 Eigenvalue positions ``k`` are 1-based throughout the library, matching
-the usual counting of the spectrum from the bottom.  This module is the
-package's one gateway to LAPACK: every dense eigensolve runs through
-``eigh_dense``, or ``eigvalsh_dense`` for spectra alone, and ``_lstsq``
-is the one least-squares step of the Newton solvers in ``morse`` and
-``linkage``.  Each calls the gufunc that ``np.linalg`` runs, with its
-bits and error handling, without the wrapper's cost per call.
+the usual counting of the spectrum from the bottom.  The module is the
+package's gateway to LAPACK: ``eigh_dense`` (``eigvalsh_dense`` for
+spectra alone) is its one dense eigensolve and ``_lstsq`` the one
+least-squares step of the Newton solvers in ``morse`` and ``linkage``.
 """
 
 from __future__ import annotations
@@ -70,50 +68,47 @@ def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
     The complex factor is ``conj(a) / hypot(a.real, a.imag)``, which has
     the bits of the per-column scalar ``conj(a) / abs(a)``, signed zeros
     included; the array ``np.abs`` and a multiplication by ``1 / hypot``
-    do not.  The pivots are indexed directly in the stack flattened to
-    three axes.
+    do not.
     """
     if vectors.size == 0:
         return vectors.copy()
     flat = vectors.reshape(-1, *vectors.shape[-2:])
-    cols = np.arange(flat.shape[2])
-    a = flat[np.arange(len(flat))[:, None],
-             np.argmax(np.abs(flat), axis=1), cols]
-    a = a.reshape(*vectors.shape[:-2], 1, len(cols))
+    a = flat[np.arange(len(flat))[:, None], np.argmax(np.abs(flat), axis=1),
+             np.arange(flat.shape[2])].reshape(*vectors.shape[:-2], 1, -1)
     if vectors.dtype.kind == "c":
         return vectors * (np.conj(a) / np.hypot(a.real, a.imag))
     return np.where(a < 0.0, -vectors, vectors)
 
 
-#: The LAPACK gufuncs that ``np.linalg.eigh``, ``eigvalsh`` and ``lstsq``
-#: run, looked up once.  They are private to numpy, which fixes the floor
-#: in ``pyproject.toml``.
+#: The gufuncs of ``np.linalg.eigh``, ``eigvalsh`` and ``lstsq``, called
+#: directly; private to numpy, which fixes the floor in ``pyproject.toml``.
 _EIGH, _EIGVALSH, _LSTSQ = (_umath_linalg.eigh_lo, _umath_linalg.eigvalsh_lo,
                             _umath_linalg.lstsq)
 
 
-def _eigh_failed(err, flag):
-    raise EigenSolverError("dense eigensolve failed: Eigenvalues did not "
-                           "converge")
+def _raising(error: type, message: str) -> np.errstate:
+    """The error handling of ``np.linalg``, raising ``error(message)``
+    when the solver fails, as a decorator."""
+    def failed(err, flag):
+        raise error(message)
+    return np.errstate(call=failed, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
 
 
-#: The error handling of ``np.linalg.eigh``, as a decorator.
-_solver_errors = np.errstate(call=_eigh_failed, invalid="call",
-                             over="ignore", divide="ignore", under="ignore")
+_solver_errors = _raising(EigenSolverError, "dense eigensolve failed: "
+                          "Eigenvalues did not converge")
 
 
 @_solver_errors
 def eigh_dense(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvector columns of a dense Hermitian
     matrix, or of each matrix in a stack along the leading axes, with the
-    bits of ``np.linalg.eigh``.
-
-    Identical input bits produce identical output bits, which the
-    sweep-style computations rely on.  A solver failure, as on a NaN or
-    infinite entry, raises ``EigenSolverError``.
+    bits of ``np.linalg.eigh``, so identical input bits give identical
+    output bits, which the sweep-style computations rely on.  A solver
+    failure, such as on a NaN or infinite entry, raises ``EigenSolverError``.
     """
-    return _EIGH(dense, signature="D->dD" if dense.dtype.kind == "c"
-                 else "d->dd")
+    c = "D" if dense.dtype.kind == "c" else "d"
+    return _EIGH(dense, signature=f"{c}->d{c}")
 
 
 @_solver_errors
@@ -138,10 +133,8 @@ def eigh_stack(graph: Graph, diag: np.ndarray, offdiag: np.ndarray
     return values, _normalize_phases(vectors)
 
 
-def _lstsq_failed(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
+@_raising(np.linalg.LinAlgError,
+          "SVD did not converge in Linear Least Squares")
 def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least-squares solutions ``x[i]`` of ``a[i] x = b[i]`` for a stack
     ``a`` (S, m, n) and ``b`` (S, m), shape (S, n).
@@ -151,10 +144,8 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bits of ``np.linalg.lstsq(a[i], b[i], rcond=None)[0]``.
     """
     m, n = a.shape[-2:]
-    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        x, _, _, _ = _LSTSQ(a, b[..., None], np.finfo(np.float64).eps
-                            * max(m, n), signature="ddd->ddid")
+    x, _, _, _ = _LSTSQ(a, b[..., None], np.finfo(np.float64).eps
+                        * max(m, n), signature="ddd->ddid")
     return x[..., 0]
 
 

@@ -95,28 +95,32 @@ def _raising(error: type, message: str) -> np.errstate:
                        divide="ignore", under="ignore")
 
 
-_solver_errors = _raising(EigenSolverError, "dense eigensolve failed: "
-                          "Eigenvalues did not converge")
+@_raising(EigenSolverError,
+          "dense eigensolve failed: Eigenvalues did not converge")
+def _eigensolve(gufunc, dense: np.ndarray, real: str, complex_: str):
+    """``gufunc`` on ``dense`` through the loop its dtype picks.  LAPACK
+    fails on some NaN or infinite entries and returns NaNs for others,
+    so they are refused first."""
+    if not np.isfinite(dense).all():
+        raise EigenSolverError("dense eigensolve failed: non-finite entry")
+    return gufunc(dense, signature=complex_ if dense.dtype.kind == "c"
+                  else real)
 
 
-@_solver_errors
 def eigh_dense(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvector columns of a dense Hermitian
     matrix, or of each matrix in a stack along the leading axes, with the
     bits of ``np.linalg.eigh``, so identical input bits give identical
     output bits, which the sweep-style computations rely on.  A solver
-    failure, such as on a NaN or infinite entry, raises ``EigenSolverError``.
+    failure or a NaN or infinite entry raises ``EigenSolverError``.
     """
-    c = "D" if dense.dtype.kind == "c" else "d"
-    return _EIGH(dense, signature=f"{c}->d{c}")
+    return _eigensolve(_EIGH, dense, "d->dd", "D->dD")
 
 
-@_solver_errors
 def eigvalsh_dense(dense: np.ndarray) -> np.ndarray:
     """``eigh_dense``'s eigenvalues alone, with the bits of
     ``np.linalg.eigvalsh``."""
-    return _EIGVALSH(dense, signature="D->d" if dense.dtype.kind == "c"
-                     else "d->d")
+    return _eigensolve(_EIGVALSH, dense, "d->d", "D->d")
 
 
 def eigh_stack(graph: Graph, diag: np.ndarray, offdiag: np.ndarray

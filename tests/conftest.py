@@ -33,6 +33,9 @@ ranks and witness.  ``scalar_sample_configuration`` is the linkage
 sampler oracle, solving each Newton step with ``np.linalg.lstsq``.
 ``scalar_is_generic`` visits the signed length sums one at a time, and
 ``recursive_dumps`` is the serializer that recurses once per leaf.
+``take_along_axis_phases`` is the phase normalization that gathers its
+pivots with ``np.take_along_axis``, the pivot oracle of
+``spectral._normalize_phases``.
 """
 
 from dataclasses import dataclass
@@ -386,6 +389,18 @@ def scalar_report(coords, h, es, k: int, chart, origin: str, *,
 
 def same_bits(a, b) -> bool:
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def take_along_axis_phases(vectors: np.ndarray) -> np.ndarray:
+    """``spectral._normalize_phases`` with its pivots gathered by
+    ``np.take_along_axis`` over the leading axes."""
+    if vectors.size == 0:
+        return vectors.copy()
+    i = np.argmax(np.abs(vectors), axis=-2)
+    a = np.take_along_axis(vectors, i[..., None, :], axis=-2)
+    if np.iscomplexobj(vectors):
+        return vectors * (np.conj(a) / np.hypot(a.real, a.imag))
+    return np.where(a < 0.0, -vectors, vectors)
 
 
 def _offgraph_units(g: Graph) -> list[np.ndarray]:

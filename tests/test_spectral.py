@@ -1,17 +1,23 @@
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_graphs
-from magnodal.errors import NonSimpleEigenvalueError
+from conftest import same_bits, small_graphs, take_along_axis_phases
+from magnodal.errors import EigenSolverError, NonSimpleEigenvalueError
+from magnodal.families import complete_graph
 from magnodal.graphs import Graph, num_components
 from magnodal.operators import GaugePhase, SupportedMatrix, gauge_transform
+from magnodal.morse import RANK_TOL, _morse_indices
 from magnodal.spectral import (
     EigenSystem,
     _normalize_phases,
     eigh,
+    eigh_dense,
     eigh_stack,
+    eigvalsh_dense,
     is_nowhere_vanishing,
     multiplicity,
     pseudo_inverse_apply,
@@ -151,6 +157,152 @@ class TestStackedSolve:
             assert normalize_by_columns(V).tobytes() == S.tobytes()
             assert _normalize_phases(V).tobytes() == S.tobytes()
 
+
+
+class TestPivotOracle:
+    """``_normalize_phases`` indexes its pivots directly; it gives the
+    bits of the ``np.take_along_axis`` version it replaced."""
+
+    @pytest.mark.parametrize("shape", [
+        (5, 5), (1, 1), (3, 2), (4, 3, 3), (2, 3, 4, 4), (0, 0),
+        (0, 3, 3), (3, 0, 0), (2, 0, 4, 4)])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_random_stacks(self, shape, complex_entries):
+        rng = np.random.default_rng(sum(shape) + 10 * len(shape))
+        v = rng.normal(size=shape)  # about half the real pivots negative
+        if complex_entries:
+            v = v + 1j * rng.normal(size=shape)
+        got, want = _normalize_phases(v), take_along_axis_phases(v)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert same_bits(got, want)
+
+    def test_negative_real_pivots_flip_their_columns(self):
+        v = np.array([[[-3.0, 0.5], [1.0, -2.0]], [[0.25, 4.0], [-0.5, 1.0]]])
+        got = _normalize_phases(v[None])[0]
+        assert same_bits(got, take_along_axis_phases(v))
+        assert same_bits(got, np.array([[[3.0, -0.5], [-1.0, 2.0]],
+                                        [[-0.25, 4.0], [0.5, 1.0]]]))
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_first_largest_entry_wins_a_tie(self, complex_entries):
+        # every column holds two entries of exactly the same modulus
+        if complex_entries:
+            cols = [[0.625j, -0.625, 0.125], [0.375 + 0.5j, 0.625, -0.25],
+                    [0.0, -0.5 - 0.0j, 0.5j]]
+        else:
+            cols = [[0.5, -0.5, 0.1], [-0.5, 0.5, 0.1], [0.2, -0.6, 0.6]]
+        v = np.array(cols).T
+        first = [0, 0, 1]
+        for stack in (v, v[None], np.stack([v, -v])[None]):
+            got = _normalize_phases(stack)
+            assert same_bits(got, take_along_axis_phases(stack))
+            pivots = got.reshape(-1, 3, 3)[:, first, [0, 1, 2]]
+            assert np.all(pivots.real > 0.0)
+            assert np.all(np.abs(pivots.imag) <= 1e-16)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_signed_zeros(self, complex_entries):
+        z = -0.0
+        if complex_entries:
+            v = np.array([[complex(z, 0.5), complex(0.75, z), complex(z, z)],
+                          [complex(-0.5, z), complex(0.0, -0.25), 1.0],
+                          [complex(z, -0.25), complex(-0.75, 0.0),
+                           complex(0.0, z)]])
+        else:
+            v = np.array([[z, 0.0, -0.75], [-0.5, z, 0.25], [0.0, -0.25, z]])
+        for stack in (v, np.stack([v, v.T]), np.stack([v, -v])[:, None]):
+            assert same_bits(_normalize_phases(stack),
+                             take_along_axis_phases(stack))
+
+
+def broken_stack(value, complex_entries: bool) -> np.ndarray:
+    """Three Hermitian 4x4 matrices; the middle one holds ``value`` in
+    a symmetric pair of entries."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3, 4, 4))
+    if complex_entries:
+        a = a + 1j * rng.normal(size=(3, 4, 4))
+    a = a + np.conj(a.swapaxes(1, 2))
+    a[1, 2, 0] = a[1, 0, 2] = value
+    return a
+
+
+BROKEN = [(value, complex_entries) for value in (np.nan, np.inf, -np.inf)
+          for complex_entries in (False, True)]
+
+
+class TestGatewayFailures:
+    """LAPACK fails on a NaN or infinite entry, and every solve through
+    the gateway raises ``EigenSolverError`` for it, stacked or alone."""
+
+    @pytest.mark.parametrize("value,complex_entries", BROKEN)
+    def test_dense_solves(self, value, complex_entries):
+        a = broken_stack(value, complex_entries)
+        for solve in (eigh_dense, eigvalsh_dense):
+            for dense in (a, a[1], a[None]):
+                with pytest.raises(EigenSolverError):
+                    solve(dense)
+        assert eigh_dense(a[::2])[0].shape == (2, 4)  # the others solve
+
+    @pytest.mark.parametrize("value,complex_entries", BROKEN)
+    def test_eigh_and_eigh_stack(self, value, complex_entries):
+        g = complete_graph(4)
+        off = np.ones((3, g.num_edges),
+                      dtype=np.complex128 if complex_entries else float)
+        if complex_entries:
+            off *= np.exp(0.5j)
+        off[1, 2] = value
+        with pytest.raises(EigenSolverError):
+            eigh_stack(g, np.zeros(4), off)
+        with pytest.raises(EigenSolverError):
+            eigh(SupportedMatrix(g, np.zeros(4), off[1]))
+        with pytest.raises(EigenSolverError):
+            eigh(SupportedMatrix(g, np.zeros(4), off[0]),
+                 dense=broken_stack(value, complex_entries)[1])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value,complex_entries", BROKEN)
+    def test_morse_indices(self, value, complex_entries):
+        with pytest.raises(EigenSolverError):
+            _morse_indices(broken_stack(value, complex_entries), RANK_TOL)
+
+    def test_failures_raise_under_optimized_mode(self):
+        from test_nodal import run_optimized
+
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from magnodal.errors import EigenSolverError
+            from magnodal.families import complete_graph
+            from magnodal.morse import RANK_TOL, _morse_indices
+            from magnodal.operators import SupportedMatrix
+            from magnodal.spectral import (eigh, eigh_dense, eigh_stack,
+                                           eigvalsh_dense)
+
+            if not sys.flags.optimize:
+                sys.exit(2)
+            g = complete_graph(4)
+            raised = 0
+            for value in (np.nan, np.inf):
+                for dtype in (float, complex):
+                    a = np.ones((2, 4, 4), dtype=dtype)
+                    a[1, 2, 0] = a[1, 0, 2] = value
+                    off = np.ones((2, g.num_edges), dtype=dtype)
+                    off[1, 0] = value
+                    for call in (lambda: eigh_dense(a),
+                                 lambda: eigvalsh_dense(a),
+                                 lambda: eigh(SupportedMatrix(
+                                     g, np.zeros(4), off[1])),
+                                 lambda: eigh_stack(g, np.zeros(4), off),
+                                 lambda: _morse_indices(a, RANK_TOL)):
+                        try:
+                            call()
+                        except EigenSolverError:
+                            raised += 1
+            sys.exit(0 if raised == 20 else 1)
+        """)
+        run = run_optimized(script)
+        assert run.returncode == 0, run.stderr
 
 class TestMultiplicity:
     def test_distinct(self):

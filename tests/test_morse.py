@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (eigenvalue_at, gradient_fd, hessian_eigenvalue_fd,
-                      same_bits, scalar_report)
+                      same_bits, scalar_report, small_graphs)
 from magnodal.errors import (
     AdmissibilityError,
     InternalCrossCheckError,
@@ -23,8 +25,11 @@ from magnodal.families import (
     random_operator,
     strong_diagonal_fixture,
 )
-from magnodal.graphs import Graph, OneForm, cycle_basis_from_forest
+from magnodal.graphs import (Graph, OneForm, betti_number,
+                             cycle_basis_from_forest, num_components)
 from magnodal.morse import (
+    HESSIAN_SYM_TOL,
+    TWO_PI,
     GaugeChart,
     TorusPoint,
     critical_scan,
@@ -50,9 +55,11 @@ from magnodal.spectral import (
     VANISH_TOL,
     EigenSystem,
     eigh,
+    eigh_stack,
     is_nowhere_vanishing,
     multiplicity,
     pseudo_inverse_apply,
+    simple_positions,
 )
 
 
@@ -633,6 +640,34 @@ OUTCOMES = {"_OK": "ok", "_DEGENERATE": "degenerate", "_STUCK": "stuck",
             "_MAXITER": "maxiter"}
 
 
+def check_against_oracle(base, chart, k, points, polished):
+    """Every start of ``_polish``'s result ``polished`` against the
+    scalar oracle: outcome, coordinates, auxiliary number and, for a
+    converged start, its row of the solve stack, bit for bit."""
+    import conftest
+    import magnodal.morse as morse
+
+    status, xs, auxs, solves = polished
+    want = [conftest.scalar_polish(base, chart, k, p, scan_gtol(base),
+                                   DEGENERACY_TOL) for p in points]
+    names = {getattr(morse, code): name for code, name in OUTCOMES.items()}
+    assert len(status) == len(xs) == len(auxs) == len(want)
+    assert len(solves.values) == len(want) and solves.k == k
+    for i, (status0, x0, aux0, s0) in enumerate(want):
+        assert names[status[i]] == status0
+        assert same_bits(xs[i], x0)
+        assert same_bits(auxs[i], aux0)
+        assert (s0 is not None) == (status0 == "ok")
+        if s0 is not None:
+            # the stack is complex; a real-path solve sits in it exactly
+            assert same_bits(solves.offdiag[i], s0.h.offdiag)
+            assert same_bits(solves.values[i], s0.es.values)
+            assert same_bits(solves.vectors[i],
+                             s0.es.vectors.astype(np.complex128))
+            assert same_bits(solves.products[i], s0.products)
+    return {r[0] for r in want}
+
+
 class TestLockstepPolish:
     """The lockstep polish follows the scalar oracle bit for bit: the
     outcome, the coordinates, the auxiliary number and, for a converged
@@ -647,7 +682,6 @@ class TestLockstepPolish:
         ("strong-C3", 2, 16),
     ])
     def test_matches_the_scalar_oracle(self, monkeypatch, case, k, starts):
-        import conftest
         import magnodal.morse as morse
 
         h = {"strong-K5": strong_diagonal_fixture(complete_graph(5)),
@@ -658,33 +692,119 @@ class TestLockstepPolish:
         base, chart = abs_part(h), gauge_chart(h.graph)
         points = scan_starts(chart, starts, 0)
         stacks = count_stacks(monkeypatch, morse)
-        status, xs, auxs, solves = morse._polish(
-            base, chart, k, points, scan_gtol(base), DEGENERACY_TOL)
+        polished = morse._polish(base, chart, k, points, scan_gtol(base),
+                                 DEGENERACY_TOL)
         monkeypatch.undo()
-        want = [conftest.scalar_polish(base, chart, k, p, scan_gtol(base),
-                                       DEGENERACY_TOL) for p in points]
-        names = {getattr(morse, code): name for code, name in OUTCOMES.items()}
-        assert len(status) == len(xs) == len(auxs) == len(want)
-        assert len(solves.values) == len(want) and solves.k == k
-        for i, (status0, x0, aux0, s0) in enumerate(want):
-            assert names[status[i]] == status0
-            assert same_bits(xs[i], x0)
-            assert same_bits(auxs[i], aux0)
-            assert (s0 is not None) == (status0 == "ok")
-            if s0 is not None:
-                # the stack is complex; a real-path solve sits in it exactly
-                assert same_bits(solves.offdiag[i], s0.h.offdiag)
-                assert same_bits(solves.values[i], s0.es.values)
-                assert same_bits(solves.vectors[i],
-                                 s0.es.vectors.astype(np.complex128))
-                assert same_bits(solves.products[i], s0.products)
-        statuses = {r[0] for r in want}
+        statuses = check_against_oracle(base, chart, k, points, polished)
         if case == "random-K5-seed0" and k == 2:
             assert "stuck" in statuses
         if case == "ring-C4":
             # a Halton start at pi is a real operator among complex ones
             assert {"real", "complex"} <= {path for path, _ in stacks}
             assert "degenerate" in statuses
+
+    @pytest.mark.parametrize("case,k", [("strong-C3", 2), ("ring-C3", 1)])
+    def test_a_round_holds_both_solver_paths(self, monkeypatch, case, k):
+        """Newton trials on a triangle land exactly on 0 or pi, so later
+        rounds hold real-path rows beside complex ones.  Such a round
+        is still one round: each path gets its own stacked solve and
+        Hessians, and every round with a moved start makes exactly one
+        least-squares call."""
+        import magnodal.morse as morse
+
+        h = {"strong-C3": strong_diagonal_fixture(cycle_graph(3)),
+             "ring-C3": ring_op(3)}[case]
+        base, chart = abs_part(h), gauge_chart(h.graph)
+        points = scan_starts(chart, 4, 0)
+        stacks = count_stacks(monkeypatch, morse)
+        log = record_calls(monkeypatch, (morse, "_offdiag_at"),
+                           (morse, "eigh_stack"), (morse, "_hessian"),
+                           (morse, "_lstsq"))
+        polished = morse._polish(base, chart, k, points, scan_gtol(base),
+                                 DEGENERACY_TOL)
+        monkeypatch.undo()
+        paths, rounds = iter(path for path, _ in stacks), []
+        for name in log:
+            if name == "_offdiag_at":
+                rounds.append([])
+            else:
+                rounds[-1].append(next(paths) if name == "eigh_stack"
+                                  else name)
+        mixed = [i for i, r in enumerate(rounds)
+                 if sorted(r[:2]) == ["complex", "real"]]
+        assert [i for i in mixed if i > 0]  # past the Halton start at pi
+        assert all(r[:2] == ["real", "complex"] for r in map(
+            rounds.__getitem__, mixed))  # the real rows come first
+        assert all(r.count("_lstsq") == ("_hessian" in r) for r in rounds)
+        assert any(r.count("_hessian") == 2 for r in rounds)
+        check_against_oracle(base, chart, k, points, polished)
+
+
+@st.composite
+def real_operators(draw, max_n=6):
+    """A small connected real operator with at least one cycle, and its
+    gauge chart."""
+    g = draw(small_graphs(max_n).filter(
+        lambda g: g.n and num_components(g) == 1 and betti_number(g)))
+    diag = draw(st.lists(st.floats(-2.0, 2.0), min_size=g.n,
+                         max_size=g.n))
+    off = draw(st.lists(st.floats(0.2, 2.0) | st.floats(-2.0, -0.2),
+                        min_size=g.num_edges, max_size=g.num_edges))
+    return SupportedMatrix(g, np.array(diag), np.array(off) + 0j), \
+        gauge_chart(g)
+
+
+class TestConjugationSymmetry:
+    """Conjugation ``x -> -x`` maps the operator at chart point ``x`` to
+    its complex conjugate, so ``lambda_k`` is even: the same spectrum, a
+    negated gradient and the same Hessian.  On the exact conjugate the
+    stacked solves give the spectrum bit for bit and the gradient
+    negated exactly; at ``-x mod 2 pi``, whose phases round on their
+    own, the spectra agree to rounding and, where ``lambda_k`` keeps a
+    clear gap, so do the gradients.  The Hessians agree within
+    ``HESSIAN_SYM_TOL`` on both."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(real_operators(), st.data())
+    def test_stacked_solves_at_conjugate_points(self, op, data):
+        import magnodal.morse as morse
+
+        base, chart = op
+        g, idx = base.graph, chart.nonforest_indices
+        k = data.draw(st.integers(1, g.n))
+        x = np.array(data.draw(st.lists(
+            st.lists(st.floats(0.0, TWO_PI, exclude_max=True)
+                     | st.sampled_from([0.0, np.pi]),
+                     min_size=chart.dim, max_size=chart.dim),
+            min_size=1, max_size=4)))
+        off = morse._offdiag_at(base, chart, x)
+
+        def solve(offdiag):
+            values, vectors = eigh_stack(g, base.diag, offdiag)
+            s = morse._Solves.at(g, offdiag, values, vectors, k)
+            return s, -2.0 * s.products.imag[:, idx]
+
+        (a, ga), (c, gc) = solve(off), solve(np.conj(off))
+        b, gb = solve(morse._offdiag_at(base, chart, np.mod(-x, TWO_PI)))
+        scale = max(1.0, base.norm_fro)
+        assert same_bits(c.values, a.values)
+        simple = simple_positions(a.values)[:, k - 1]
+        assert np.array_equal(gc[simple], -ga[simple])
+        np.testing.assert_allclose(b.values, a.values, rtol=0.0,
+                                   atol=1e-12 * scale)
+        w = a.values
+        gap = np.min(np.abs(np.delete(w, k - 1, axis=1) - w[:, k - 1:k]),
+                     axis=1, initial=np.inf)
+        rows = np.flatnonzero(gap > 1e-3 * scale)
+        np.testing.assert_allclose(gb[rows], -ga[rows], rtol=0.0,
+                                   atol=1e-9 * scale)
+        hess = [morse._hessian(s.take(rows), chart, DEGENERACY_TOL)
+                for s in (a, b, c)]
+        bound = HESSIAN_SYM_TOL * np.maximum(
+            1.0, np.max(np.abs(hess[0]), axis=(1, 2), initial=0.0))
+        for other in hess[1:]:
+            assert np.all(np.max(np.abs(other - hess[0]), axis=(1, 2),
+                                 initial=0.0) <= bound)
 
 
 class TestStackedLeastSquares:

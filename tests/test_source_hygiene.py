@@ -8,7 +8,9 @@ function and class must be loaded in its own module, imported by
 another, or exported from ``__init__``.  ``families.py``, the fixture
 module the tests draw on, is exempt, and so are the functions the
 benchmark's tracer wraps (``LAYERS`` in ``bench/tracing.py``), which
-the benchmark needs to exist.
+the benchmark needs to exist.  ``spectral`` is the package's one
+gateway to LAPACK's dense solvers: no other module calls
+``np.linalg.eigh``, ``eigvalsh`` or ``lstsq``.
 """
 
 import ast
@@ -67,6 +69,27 @@ def unreferenced_definitions(path: Path, trees: dict[Path, ast.Module],
             and node.name not in used]
 
 
+#: The ``np.linalg`` solvers that only ``spectral`` may call.
+GATEWAY_SOLVERS = {"eigh", "eigvalsh", "lstsq"}
+
+
+def solver_uses(tree: ast.Module) -> list[str]:
+    """References to ``linalg.eigh``, ``eigvalsh`` or ``lstsq`` through
+    any name bound to ``numpy.linalg``, and imports of them from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in GATEWAY_SOLVERS \
+                and getattr(node.value, "attr",
+                            getattr(node.value, "id", None)) == "linalg":
+            found.append(f"linalg.{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.endswith("linalg"):
+            found += [f"{alias.name} (line {node.lineno})"
+                      for alias in node.names
+                      if alias.name in GATEWAY_SOLVERS]
+    return found
+
+
 def bare_asserts(tree: ast.Module) -> list[int]:
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Assert)]
@@ -83,6 +106,13 @@ def test_no_bare_assert(path):
 
 
 @pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "spectral.py"],
+    ids=lambda p: p.name)
+def test_only_spectral_calls_the_dense_solvers(path):
+    assert solver_uses(parse(path)) == []
+
+
+@pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "families.py"],
     ids=lambda p: p.name)
 def test_every_definition_is_used(path):
@@ -95,6 +125,13 @@ def test_checks_catch_what_they_look_for():
     tree = ast.parse("import os\nfrom x import y as z\nassert z\n")
     assert unused_imports(tree) == ["os (line 1)"]
     assert bare_asserts(tree) == [3]
+    assert solver_uses(ast.parse(
+        "import numpy as np\nfrom numpy import linalg\n"
+        "from numpy.linalg import lstsq, norm\n"
+        "np.linalg.eigh(a)\nlinalg.eigvalsh(a)\nnp.linalg.svd(a)\n"
+        "'''np.linalg.eigh in a docstring'''\n")) == [
+        "lstsq (line 3)", "linalg.eigh (line 4)", "linalg.eigvalsh (line 5)"]
+    assert solver_uses(parse(PACKAGE / "spectral.py")) == []
     assert MODULES and all(p.name != "__init__.py" for p in MODULES)
     a, b = Path("a.py"), Path("b.py")
     trees = {a: ast.parse("def f(): pass\ndef g(): pass\n"

@@ -86,25 +86,22 @@ _EIGH, _EIGVALSH, _LSTSQ = (_umath_linalg.eigh_lo, _umath_linalg.eigvalsh_lo,
                             _umath_linalg.lstsq)
 
 
-def _raising(error: type, message: str) -> np.errstate:
-    """The error handling of ``np.linalg``, raising ``error(message)``
-    when the solver fails, as a decorator."""
-    def failed(err, flag):
-        raise error(message)
-    return np.errstate(call=failed, invalid="call", over="ignore",
-                       divide="ignore", under="ignore")
+def _eigh_failed(err, flag):
+    raise EigenSolverError("dense eigensolve failed: Eigenvalues did not "
+                           "converge")
 
 
-@_raising(EigenSolverError,
-          "dense eigensolve failed: Eigenvalues did not converge")
 def _eigensolve(gufunc, dense: np.ndarray, real: str, complex_: str):
-    """``gufunc`` on ``dense`` through the loop its dtype picks.  LAPACK
-    fails on some NaN or infinite entries and returns NaNs for others,
-    so they are refused first."""
+    """``gufunc`` on ``dense`` through the loop its dtype picks, with
+    ``np.linalg.eigh``'s error handling.  LAPACK fails on some NaN or
+    infinite entries and returns NaNs for others, so they are refused
+    first."""
     if not np.isfinite(dense).all():
         raise EigenSolverError("dense eigensolve failed: non-finite entry")
-    return gufunc(dense, signature=complex_ if dense.dtype.kind == "c"
-                  else real)
+    with np.errstate(call=_eigh_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return gufunc(dense, signature=complex_ if dense.dtype.kind == "c"
+                      else real)
 
 
 def eigh_dense(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,8 +134,10 @@ def eigh_stack(graph: Graph, diag: np.ndarray, offdiag: np.ndarray
     return values, _normalize_phases(vectors)
 
 
-@_raising(np.linalg.LinAlgError,
-          "SVD did not converge in Linear Least Squares")
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
 def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least-squares solutions ``x[i]`` of ``a[i] x = b[i]`` for a stack
     ``a`` (S, m, n) and ``b`` (S, m), shape (S, n).
@@ -148,8 +147,10 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bits of ``np.linalg.lstsq(a[i], b[i], rcond=None)[0]``.
     """
     m, n = a.shape[-2:]
-    x, _, _, _ = _LSTSQ(a, b[..., None], np.finfo(np.float64).eps
-                        * max(m, n), signature="ddd->ddid")
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x, _, _, _ = _LSTSQ(a, b[..., None], np.finfo(np.float64).eps
+                            * max(m, n), signature="ddd->ddid")
     return x[..., 0]
 
 

@@ -646,9 +646,8 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
     aux = np.zeros(count)            # Newton decrement or eigenvalue gap
     newton = np.zeros(count, dtype=np.int64)
     phase = np.full(count, _START)
-    held_in = np.full(count, -1)     # round of a start's solve row,
-    held_at = np.zeros_like(held_in)  # and its row there
-    rounds: list = []                # the solves of the rounds held
+    held_in, held_at = np.full(count, -1), np.zeros(count, dtype=np.int64)
+    rounds: list = []  # each round's solves, if a start holds a row there
     while (r := np.flatnonzero(phase < _OK)).size:
         off = _offdiag_at(base, chart, trial[r])
         real = np.all(off.imag == 0.0, axis=1)  # first, on the real path

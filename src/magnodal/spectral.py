@@ -92,10 +92,9 @@ def _eigh_failed(err, flag):
 
 
 def _eigensolve(gufunc, dense: np.ndarray, real: str, complex_: str):
-    """``gufunc`` on ``dense`` through the loop its dtype picks, with
-    ``np.linalg.eigh``'s error handling.  LAPACK fails on some NaN or
-    infinite entries and returns NaNs for others, so they are refused
-    first."""
+    """``gufunc`` on ``dense``, with ``np.linalg.eigh``'s loop choice and
+    error handling; a NaN or infinite entry, on which LAPACK may fail or
+    return NaNs, is refused first."""
     if not np.isfinite(dense).all():
         raise EigenSolverError("dense eigensolve failed: non-finite entry")
     with np.errstate(call=_eigh_failed, invalid="call", over="ignore",

@@ -260,6 +260,19 @@ class TestGatewayFailures:
             eigh(SupportedMatrix(g, np.zeros(4), off[0]),
                  dense=broken_stack(value, complex_entries)[1])
 
+    def test_nan_results_are_refused_too(self):
+        """On this matrix ``np.linalg.eigh`` reports no failure and
+        returns NaNs; the gateway refuses it."""
+        a = np.ones((4, 4)) - np.eye(4)
+        a[1, 0] = a[0, 1] = np.inf
+        assert np.isnan(np.linalg.eigvalsh(a)).all()
+        for solve in (eigh_dense, eigvalsh_dense):
+            with pytest.raises(EigenSolverError, match="non-finite"):
+                solve(a)
+        with pytest.raises(EigenSolverError, match="non-finite"):
+            eigh_stack(complete_graph(4), np.zeros(4),
+                       np.array([[np.inf, 1, 1, 1, 1, 1]]))
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("value,complex_entries", BROKEN)
     def test_morse_indices(self, value, complex_entries):

@@ -630,10 +630,11 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
     has its own stacked eigensolve, edge products and Newton Hessians.
     The simplicity check at k, the gradients, the phase decisions
     (masks over the round) and the one least-squares call (``_lstsq``)
-    run once per round.  A start notes the round and row of its solve
-    on entering its final check and when its final step is kept, and
-    the solve stack is gathered from those rows at the end.  So each
-    start follows the one-start trajectory bit for bit.
+    run once per round.  A start notes the round of its solve on
+    entering its final check and when its final step is kept; the round
+    keeps the rows so noted, and the solve stack is gathered from them
+    at the end.  So each start follows the one-start trajectory bit for
+    bit.
     """
     graph, idx = base.graph, chart.nonforest_indices
     count, n, m = len(starts), graph.n, graph.num_edges
@@ -647,10 +648,10 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
     newton = np.zeros(count, dtype=np.int64)
     phase = np.full(count, _START)
     held_in, held_at = np.full(count, -1), np.zeros(count, dtype=np.int64)
-    rounds: list = []  # each round's solves, if a start holds a row there
+    rounds: list = []  # each round's solves of the starts held there
     while (r := np.flatnonzero(phase < _OK)).size:
         off = _offdiag_at(base, chart, trial[r])
-        real = np.all(off.imag == 0.0, axis=1)  # first, on the real path
+        real = np.all(off.imag == 0.0, axis=1)  # on the real path, first
         order, cut = np.argsort(~real, kind="stable"), np.count_nonzero(real)
         r, off = r[order], off[order]
         spans = [(lo, hi) for lo, hi in ((0, cut), (cut, len(r))) if lo < hi]
@@ -674,7 +675,7 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
         kept = np.flatnonzero(final & simple
                               & (np.sqrt(sq) < np.sqrt(_squares(g[r]))))
         x[r[kept]] = trial[r[kept]]
-        held_in[r[kept]], held_at[r[kept]] = len(rounds), kept
+        held_in[r[kept]] = len(rounds)
         degenerate = np.flatnonzero(~final & ~simple)
         x[r[degenerate]] = trial[r[degenerate]]
         aux[r[degenerate]] = near[degenerate].min(axis=1)
@@ -704,8 +705,10 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
             phase[i] = np.where(done, _FINAL, _LINE)
             aux[i[done]] = np.sqrt(_squares(delta[i[done]]))
             f0[i[~done]] = _squares(g[i[~done]])
-            held_in[i[done]], held_at[i[done]] = len(rounds), moved[done]
-        rounds.append(s if np.any(held_in[r] == len(rounds)) else None)
+            held_in[i[done]] = len(rounds)
+        hold = np.flatnonzero(held_in[r] == len(rounds))  # rows held here
+        held_at[r[hold]] = np.arange(hold.size)
+        rounds.append(s.take(hold) if hold.size else None)
         live = r[phase[r] < _OK]
         trial[live] = np.mod(x[live] + t[live, None] * delta[live], TWO_PI)
     c = np.complex128

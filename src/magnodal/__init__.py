@@ -87,12 +87,10 @@ from .nodal import (
 )
 from .morse import (
     CriticalPointReport,
-    GaugeChart,
     ScanResult,
     TorusPoint,
     critical_scan,
     eigenvalue_gradient,
-    gauge_chart,
     hessian_eigenvalue,
     hessian_frozen_form,
     is_critical,

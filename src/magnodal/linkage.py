@@ -30,16 +30,8 @@ from .errors import (
     VanishingEigenvectorError,
 )
 from .graphs import Graph, OneForm, induced_subgraph
-from .morse import (
-    CRITICAL_TOL,
-    RANK_TOL,
-    TorusPoint,
-    _classify,
-    _hessian_at,
-    gauge_chart,
-    morse_index,
-)
-from .nodal import _simple_eigen, nodal_surplus
+from .morse import RANK_TOL, TorusPoint, _classify, _hessian_at, morse_index
+from .nodal import PRODUCT_REAL_TOL, _simple_eigen, nodal_surplus
 from .operators import GaugePhase, SupportedMatrix, gauge_transform
 from .spectral import (
     DEGENERACY_TOL,
@@ -247,7 +239,7 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
         raise LinkageHypothesisError(
             f"eigenvalue {k} has multiplicity {exc.multiplicity}; the "
             f"analysis needs a simple eigenvalue", hypothesis=1) from exc
-    crit = _classify(s, CRITICAL_TOL, tol_vanish)
+    crit = _classify(s, PRODUCT_REAL_TOL, tol_vanish)
     if not crit.critical:
         raise NotCriticalError(
             f"gradient is nonzero (max imaginary product "
@@ -343,7 +335,7 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
                                 tol_vanish=tol_vanish)
     predicted = surplus_red + (2 if c < 0.0 else 0)
 
-    hess = _hessian_at(s, gauge_chart(g), tol_degeneracy)
+    hess = _hessian_at(s, tol_degeneracy)
     index, nullity = morse_index(hess, rank_tol)
     if nullity != dim:
         raise InternalCrossCheckError(

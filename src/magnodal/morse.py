@@ -30,13 +30,14 @@ loses nothing because the vertex-phase directions are in its kernel.
 
 The search polishes all of its starts in lockstep, one round per
 Newton trial: the trial operators of every live start form one stack,
-of which only the eigensolve, edge products and Hessians run once per
-solver path (real or complex); the simplicity check, gradients, line
-search and one stacked least-squares call run once over the round.
-It returns its outcomes as arrays and one solve stack, a row per start,
-from which the search reports take their rows.  The stacked kernels do
-per row exactly the arithmetic of a single solve, so every start
-follows its one-start trajectory bit for bit.
+of which only the eigensolve and edge products run once per solver
+path (real or complex); the rest of the round, Newton Hessians and one
+stacked least-squares call included, runs once over the stack.  It
+fills one solve stack as it goes, a row per start, from which the
+search reports take their rows.  The stacked kernels do per row
+exactly the arithmetic of a single solve, so every start follows its
+one-start trajectory bit for bit.  Every eigenvalue cluster is decided
+by ``spectral``'s one degeneracy test, ``cluster_mask``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from .errors import (
     VanishingEigenvectorError,
 )
 from .graphs import CycleBasis, Graph, OneForm, cycle_basis
-from .nodal import _count, _simple_eigen, _SimpleEigen, _stack_checks
+from .nodal import (PRODUCT_REAL_TOL, _count, _simple_eigen, _SimpleEigen,
+                    _stack_checks)
 from .operators import (
     FLUX_TOL,
     SupportedMatrix,
@@ -73,16 +75,13 @@ from .spectral import (
     EigenSystem,
     _check_k,
     _lstsq,
+    cluster_mask,
     eigh_stack,
     eigvalsh_dense,
     is_nowhere_vanishing,
-    multiplicity,
 )
 
 TWO_PI = 2.0 * np.pi
-
-#: Gradient entries below this times the matrix norm count as critical.
-CRITICAL_TOL = 1e-9
 
 #: Relative threshold separating zero Hessian eigenvalues from signed ones.
 RANK_TOL = 1e-7
@@ -95,34 +94,12 @@ HESSIAN_SYM_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class GaugeChart:
-    """Gauge slice data: cycle basis and non-forest coordinate positions."""
-
-    graph: Graph
-    basis: CycleBasis
-
-    @property
-    def nonforest_indices(self) -> np.ndarray:
-        """Edge positions of the chart coordinates, read-only; cached
-        with the cycle basis."""
-        return self.basis.nonforest_indices
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis.nonforest_edges)
-
-
-def gauge_chart(graph: Graph) -> GaugeChart:
-    return GaugeChart(graph, cycle_basis(graph))
-
-
-@dataclass(frozen=True, eq=False)
 class TorusPoint:
     """Point of the phase torus over a real base matrix.
 
     Stores the full vector of edge angles reduced modulo 2 pi.  A point
-    built from chart coordinates keeps its forest angles at zero and is
-    addressed through its non-forest coordinates.
+    built from gauge-slice coordinates keeps its forest angles at zero
+    and is addressed through its non-forest coordinates.
     """
 
     base: SupportedMatrix
@@ -142,13 +119,13 @@ class TorusPoint:
         return self.base.graph
 
     @classmethod
-    def from_coords(cls, base: SupportedMatrix, coords, chart: GaugeChart
-                    ) -> "TorusPoint":
+    def from_coords(cls, base: SupportedMatrix, coords) -> "TorusPoint":
+        basis = cycle_basis(base.graph)
         coords = np.asarray(coords, dtype=np.float64)
-        if coords.shape != (chart.dim,):
-            raise ValueError("coordinate vector length does not match the chart")
+        if coords.shape != (len(basis),):
+            raise ValueError("coordinate vector length does not match beta")
         angles = np.zeros(base.graph.num_edges)
-        angles[chart.nonforest_indices] = coords
+        angles[basis.nonforest_indices] = coords
         return cls(base, angles)
 
     @classmethod
@@ -171,8 +148,8 @@ class TorusPoint:
     def operator(self) -> SupportedMatrix:
         return magnetic_action(OneForm(self.graph, self.angles), self.base)
 
-    def coords(self, chart: GaugeChart) -> np.ndarray:
-        return self.angles[chart.nonforest_indices].copy()
+    def coords(self) -> np.ndarray:
+        return self.angles[cycle_basis(self.graph).nonforest_indices].copy()
 
     def conjugate(self) -> "TorusPoint":
         return TorusPoint(self.base, -self.angles)
@@ -192,12 +169,12 @@ def eigenvalue_gradient(p: TorusPoint, k: int, *,
                                           tol_degeneracy).gradient)
 
 
-def gradient_coords(p: TorusPoint, k: int, chart: GaugeChart, *,
+def gradient_coords(p: TorusPoint, k: int, *,
                     es: EigenSystem | None = None,
                     tol_degeneracy: float = DEGENERACY_TOL) -> np.ndarray:
     """Gradient restricted to the gauge-slice coordinates."""
     g = eigenvalue_gradient(p, k, es=es, tol_degeneracy=tol_degeneracy)
-    return g.values[chart.nonforest_indices].copy()
+    return g.values[cycle_basis(p.graph).nonforest_indices].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +186,7 @@ class CriticalityReport:
     vanishing: tuple[int, ...]
 
 
-def is_critical(p: TorusPoint, k: int, tol: float = CRITICAL_TOL, *,
+def is_critical(p: TorusPoint, k: int, tol: float = PRODUCT_REAL_TOL, *,
                 es: EigenSystem | None = None,
                 tol_degeneracy: float = DEGENERACY_TOL,
                 tol_vanish: float = VANISH_TOL) -> CriticalityReport:
@@ -296,7 +273,7 @@ class FrozenFormHessian:
 
 def hessian_frozen_form(p: TorusPoint, k: int, *,
                         es: EigenSystem | None = None,
-                        tol_critical: float = CRITICAL_TOL,
+                        tol_critical: float = PRODUCT_REAL_TOL,
                         tol_degeneracy: float = DEGENERACY_TOL
                         ) -> FrozenFormHessian:
     """Both Hessian blocks of the frozen form at a critical point."""
@@ -313,7 +290,6 @@ def hessian_frozen_form(p: TorusPoint, k: int, *,
 
 
 def hessian_eigenvalue(p: TorusPoint, k: int, *,
-                       chart: GaugeChart | None = None,
                        es: EigenSystem | None = None,
                        tol_degeneracy: float = DEGENERACY_TOL) -> np.ndarray:
     """Eigenvalue Hessian on the gauge-slice coordinates.
@@ -327,7 +303,6 @@ def hessian_eigenvalue(p: TorusPoint, k: int, *,
     symmetrized after an asymmetry check against ``HESSIAN_SYM_TOL``.
     """
     return _hessian_at(_simple_eigen(p.operator(), k, es, tol_degeneracy),
-                       chart if chart is not None else gauge_chart(p.graph),
                        tol_degeneracy)
 
 
@@ -369,39 +344,37 @@ class _Solves:
         self.vectors[rows], self.products[rows] = s.vectors, s.products
 
 
-def _hessian_at(s: _SimpleEigen, chart: GaugeChart, tol_degeneracy: float
-                ) -> np.ndarray:
+def _hessian_at(s: _SimpleEigen, tol_degeneracy: float) -> np.ndarray:
     """``hessian_eigenvalue`` at a simple eigenvalue: a stack of one."""
     return _hessian(_Solves.at(s.h.graph, s.h.offdiag[None],
                                s.es.values[None], s.es.vectors[None], s.k),
-                    chart, tol_degeneracy)[0]
+                    cycle_basis(s.h.graph), tol_degeneracy)[0]
 
 
-def _hessian(s: _Solves, chart: GaugeChart, tol_degeneracy: float
+def _hessian(s: _Solves, basis: CycleBasis, tol_degeneracy: float
              ) -> np.ndarray:
     """``hessian_eigenvalue`` of every row of a stack, shape (S, d, d).
 
     Each row sees the arithmetic of a single solve: the batched matrix
     products call the same BLAS kernel per row.
     """
-    count, k = len(s.values), s.k
-    if chart.dim == 0:
+    count, k, d = len(s.values), s.k, len(basis)
+    if d == 0:
         return np.zeros((count, 0, 0))
-    idx = chart.nonforest_indices
-    rs = chart.graph.endpoints[idx]
-    cols = np.arange(chart.dim)
+    idx = basis.nonforest_indices
+    rs = basis.graph.endpoints[idx]
+    cols = np.arange(d)
     v = s.vectors[:, :, k - 1]
-    lam = s.values[:, k - 1:k]
+    lam = s.values[:, k - 1]
     hrs = s.offdiag[:, idx]
-    W = np.zeros((count, chart.graph.n, chart.dim), dtype=np.complex128)
+    W = np.zeros((count, basis.graph.n, d), dtype=np.complex128)
     W[:, rs[:, 0], cols] = 1j * hrs * v[:, rs[:, 1]]
     W[:, rs[:, 1], cols] = -1j * np.conj(hrs) * v[:, rs[:, 0]]
-    # Pseudo-inverse of h - lam on every column at once; the cluster
-    # at lam is masked out exactly as in ``pseudo_inverse_apply``.
-    shift = s.values - lam
-    scale = np.maximum(1.0, np.max(np.abs(s.values), axis=1))
-    mask = np.abs(shift) > (tol_degeneracy * scale)[:, None]
-    inv = np.divide(1.0, shift, out=np.zeros_like(shift), where=mask)
+    # Pseudo-inverse of h - lam on every column at once, without the
+    # cluster at lam, as in ``pseudo_inverse_apply``.
+    shift = s.values - lam[:, None]
+    inv = np.divide(1.0, shift, out=np.zeros_like(shift),
+                    where=~cluster_mask(s.values, lam, tol_degeneracy))
     Vp = -s.vectors @ (inv[:, :, None]
                        * (s.vectors.conj().swapaxes(1, 2) @ W))
     H = 2.0 * np.real(Vp.conj().swapaxes(1, 2) @ W).swapaxes(1, 2)
@@ -513,24 +486,21 @@ def _halton(count: int, dim: int) -> np.ndarray:
             cand += 1
         return out
 
-    bases = primes(dim)
-    points = np.empty((count, dim))
-    for j, b in enumerate(bases):
-        for i in range(count):
-            f, r, x = 1.0, 0.0, i + 1
-            while x > 0:
-                f /= b
-                r += f * (x % b)
-                x //= b
-            points[i, j] = r
+    points = np.zeros((count, dim))
+    for j, b in enumerate(primes(dim)):
+        f, x = 1.0, np.arange(1, count + 1)
+        while x.any():  # one digit of every index; a spent one adds 0
+            f /= b
+            points[:, j] += f * (x % b)
+            x //= b
     return points
 
 
 def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
-                chart: GaugeChart, origin: str, *, tol_degeneracy: float,
+                basis: CycleBasis, origin: str, *, tol_degeneracy: float,
                 tol_vanish: float, rank_tol: float
                 ) -> list[CriticalPointReport]:
-    """One report per row of ``s``, the solve at chart coordinates
+    """One report per row of ``s``, the solve at gauge-slice coordinates
     ``coords`` (S, d) of an operator over ``base``.
 
     The admissibility kernel decides simplicity, vanishing entries and
@@ -545,24 +515,26 @@ def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
     scale = frobenius_norms(base.diag, s.offdiag)
     checks = _stack_checks(
         s.values, s.vectors[:, None, :, k - 1], s.products[:, None], [k - 1],
-        scale, chart.dim, tol_degeneracy=tol_degeneracy,
-        tol_vanish=tol_vanish, tol_real=CRITICAL_TOL)
+        scale, len(basis), tol_degeneracy=tol_degeneracy,
+        tol_vanish=tol_vanish)
     simple, flat = checks.simple[:, 0], checks.flat[:, 0]
     vanishing = checks.vanishing[:, 0]
     symmetric = simple & flat & ~np.any(vanishing, axis=1)
     if np.any(symmetric):
         _check_symmetry(base.graph, s.offdiag[symmetric],
-                        s.products[symmetric], scale[symmetric], CRITICAL_TOL)
+                        s.products[symmetric], scale[symmetric],
+                        PRODUCT_REAL_TOL)
     rows = np.flatnonzero(simple)
-    grad = (-2.0 * s.products[rows].imag)[:, chart.nonforest_indices]
+    grad = (-2.0 * s.products[rows].imag)[:, basis.nonforest_indices]
     gnorm = np.sqrt(_squares(grad))
     spectra, index, nullity = _morse_indices(
-        _hessian(s.take(rows), chart, tol_degeneracy), rank_tol)
+        _hessian(s.take(rows), basis, tol_degeneracy), rank_tol)
     points = [tuple(x) for x in coords.tolist()]
     reports: list = [None] * len(points)
-    for i in np.flatnonzero(~simple).tolist():
-        m, _ = multiplicity(EigenSystem(s.values[i], s.vectors[i]), k,
-                            tol_degeneracy)
+    bad = np.flatnonzero(~simple)
+    mult = np.count_nonzero(cluster_mask(s.values[bad], s.values[bad, k - 1],
+                                         tol_degeneracy), axis=1)
+    for i, m in zip(bad.tolist(), mult.tolist()):
         reports[i] = CriticalPointReport(points[i], k, "incorrigible", m, (),
                                          None, None, None, None, origin)
     for j, i in enumerate(rows.tolist()):
@@ -590,15 +562,15 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
-def _offdiag_at(base: SupportedMatrix, chart: GaugeChart, coords: np.ndarray
+def _offdiag_at(base: SupportedMatrix, basis: CycleBasis, coords: np.ndarray
                 ) -> np.ndarray:
-    """Edge entries (S, m) of the operators at chart coordinates (S, d).
+    """Edge entries (S, m) of the operators at slice coordinates (S, d).
 
     Row by row these are the bits of
-    ``TorusPoint.from_coords(base, coords[i], chart).operator().offdiag``.
+    ``TorusPoint.from_coords(base, coords[i]).operator().offdiag``.
     """
     angles = np.zeros((len(coords), base.graph.num_edges))
-    angles[:, chart.nonforest_indices] = coords
+    angles[:, basis.nonforest_indices] = coords
     return base.offdiag * unit_phases(np.mod(angles, TWO_PI))
 
 
@@ -606,7 +578,7 @@ def _offdiag_at(base: SupportedMatrix, chart: GaugeChart, coords: np.ndarray
 _START, _LINE, _FINAL, _OK, _DEGENERATE, _STUCK, _MAXITER = range(7)
 
 
-def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
+def _polish(base: SupportedMatrix, basis: CycleBasis, k: int,
             starts: np.ndarray, gtol: float, tol_degeneracy: float
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Solves]:
     """Drive the gauge-slice gradient to zero from every row of ``starts``.
@@ -625,18 +597,18 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
     error, and the decrement is what bounds it.
 
     The starts run in lockstep, one round per trial point of every live
-    start.  Only what depends on the solver path is split: the exactly
-    real operators come first and take the real path, and each path
-    has its own stacked eigensolve, edge products and Newton Hessians.
-    The simplicity check at k, the gradients, the phase decisions
-    (masks over the round) and the one least-squares call (``_lstsq``)
-    run once per round.  A start notes the round of its solve on
-    entering its final check and when its final step is kept; the round
-    keeps the rows so noted, and the solve stack is gathered from them
-    at the end.  So each start follows the one-start trajectory bit for
-    bit.
+    start.  Only the eigensolve and the edge products depend on the
+    solver path: the exactly real operators come first and take the
+    real path.  The simplicity check at k, the gradients, the phase
+    decisions (masks over the round), one stack of Newton Hessians and
+    one least-squares call (``_lstsq``) run once per round.  A real-path
+    row has real edge products, so its gradient is exactly zero: it
+    ends the search with a zero step whatever its Hessian's bits.  Each
+    round writes into the solve stack the solves it holds: that of a
+    start entering its final check, and that of a kept final step.  So
+    each start follows the one-start trajectory bit for bit.
     """
-    graph, idx = base.graph, chart.nonforest_indices
+    graph, idx = base.graph, basis.nonforest_indices
     count, n, m = len(starts), graph.n, graph.num_edges
     x = np.mod(starts, TWO_PI)       # current point, then the outcome's
     trial = x.copy()                 # point solved in the next round
@@ -647,26 +619,24 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
     aux = np.zeros(count)            # Newton decrement or eigenvalue gap
     newton = np.zeros(count, dtype=np.int64)
     phase = np.full(count, _START)
-    held_in, held_at = np.full(count, -1), np.zeros(count, dtype=np.int64)
-    rounds: list = []  # each round's solves of the starts held there
+    c = np.complex128
+    solves = _Solves(np.zeros((count, m), c), np.zeros((count, n)),
+                     np.zeros((count, n, n), c), k, np.zeros((count, m), c))
     while (r := np.flatnonzero(phase < _OK)).size:
-        off = _offdiag_at(base, chart, trial[r])
+        off = _offdiag_at(base, basis, trial[r])
         real = np.all(off.imag == 0.0, axis=1)  # on the real path, first
         order, cut = np.argsort(~real, kind="stable"), np.count_nonzero(real)
         r, off = r[order], off[order]
-        spans = [(lo, hi) for lo, hi in ((0, cut), (cut, len(r))) if lo < hi]
         paths = [_Solves.at(graph, off[lo:hi], *eigh_stack(
-            graph, base.diag, off[lo:hi]), k) for lo, hi in spans]
+            graph, base.diag, off[lo:hi]), k)
+            for lo, hi in ((0, cut), (cut, len(r))) if lo < hi]
         s = paths[0] if len(paths) == 1 else _Solves(off, *(np.concatenate(
             [getattr(p, f) for p in paths]) for f in ("values", "vectors")),
             k, np.concatenate([p.products for p in paths]))
-        # ``simple_positions`` at k alone: the gaps to its neighbours,
-        # which also hold the gap of an ascending spectrum to the rest
         w = s.values
-        tol = tol_degeneracy * np.maximum(1.0, np.abs(w).max(axis=1))
-        near = np.abs(w[:, max(k - 2, 0):k + 1] - w[:, k - 1:k])
-        near[:, min(k - 1, 1)] = np.inf
-        simple = ~np.any(near <= tol[:, None], axis=1)
+        others = cluster_mask(w, w[:, k - 1], tol_degeneracy)
+        others[:, k - 1] = False  # the rest of the cluster at lambda_k
+        simple = ~np.any(others, axis=1)
         gn = (-2.0 * s.products.imag)[:, idx]
         sq = _squares(gn)
         at = phase[r]
@@ -675,10 +645,12 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
         kept = np.flatnonzero(final & simple
                               & (np.sqrt(sq) < np.sqrt(_squares(g[r]))))
         x[r[kept]] = trial[r[kept]]
-        held_in[r[kept]] = len(rounds)
         degenerate = np.flatnonzero(~final & ~simple)
         x[r[degenerate]] = trial[r[degenerate]]
-        aux[r[degenerate]] = near[degenerate].min(axis=1)
+        # the nearest other eigenvalue, which lies in the cluster
+        aux[r[degenerate]] = np.min(
+            np.abs(w[degenerate] - w[degenerate, k - 1:k]), axis=1,
+            where=others[degenerate], initial=np.inf)
         rejected = (simple & (at == _LINE)
                     & ~(sq < f0[r] * (1.0 - 0.25 * t[r]) + 1e-300))
         back = r[rejected]
@@ -691,36 +663,25 @@ def _polish(base: SupportedMatrix, chart: GaugeChart, k: int,
         maxed = newton[a] == 60
         phase[r[final]], phase[r[degenerate]] = _OK, _DEGENERATE
         phase[stuck], phase[a[maxed]] = _STUCK, _MAXITER
-        moved = accepted[~maxed]
+        moved, held = accepted[~maxed], kept  # held: final solves so far
         if moved.size:
             i = r[moved]
-            J = np.concatenate([  # each path's Hessians on its own vectors
-                _hessian(p.take(rows - lo), chart, tol_degeneracy)
-                for (lo, hi), p in zip(spans, paths)
-                if (rows := moved[(moved >= lo) & (moved < hi)]).size])
             newton[i] += 1
-            delta[i] = _lstsq(J, -g[i])
+            delta[i] = _lstsq(_hessian(s.take(moved), basis, tol_degeneracy),
+                              -g[i])
             t[i] = 1.0
             done = np.max(np.abs(g[i]), axis=1) <= gtol
             phase[i] = np.where(done, _FINAL, _LINE)
             aux[i[done]] = np.sqrt(_squares(delta[i[done]]))
             f0[i[~done]] = _squares(g[i[~done]])
-            held_in[i[done]] = len(rounds)
-        hold = np.flatnonzero(held_in[r] == len(rounds))  # rows held here
-        held_at[r[hold]] = np.arange(hold.size)
-        rounds.append(s.take(hold) if hold.size else None)
+            held = np.concatenate([kept, moved[done]])
+        solves.put(r[held], s.take(held))
         live = r[phase[r] < _OK]
         trial[live] = np.mod(x[live] + t[live, None] * delta[live], TWO_PI)
-    c = np.complex128
-    solves = _Solves(np.zeros((count, m), c), np.zeros((count, n)),
-                     np.zeros((count, n, n), c), k, np.zeros((count, m), c))
-    for j in np.unique(held_in[held_in >= 0]).tolist():
-        mine = np.flatnonzero(held_in == j)
-        solves.put(mine, rounds[j].take(held_at[mine]))
     return phase, x, aux, solves
 
 
-def _symmetry_points(base: SupportedMatrix, chart: GaugeChart
+def _symmetry_points(base: SupportedMatrix, basis: CycleBasis
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray]:
     """Bits (C, d), edge entries (C, m), eigenvalues (C, n) and
@@ -735,7 +696,7 @@ def _symmetry_points(base: SupportedMatrix, chart: GaugeChart
     ``SIGNING_CAP``.  The operators are real, and one stacked real
     solve covers them all.
     """
-    d = chart.dim
+    d = len(basis)
     classes = gauge_classes_of_signings(base)
     bits = (np.arange(classes.num_classes)[:, None]
             >> np.arange(d - 1, -1, -1)) & 1
@@ -763,18 +724,18 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
         raise ValueError("critical_scan expects a real base matrix")
     _check_k(k, h.graph.n)
     base = abs_part(h)
-    chart = gauge_chart(h.graph)
-    beta = chart.dim
+    basis = cycle_basis(h.graph)
+    beta = len(basis)
 
     tols = dict(tol_degeneracy=tol_degeneracy, tol_vanish=tol_vanish,
                 rank_tol=rank_tol)
-    bits, off, values, vectors = _symmetry_points(base, chart)
+    bits, off, values, vectors = _symmetry_points(base, basis)
     known = np.where(bits == 1, np.pi, 0.0)
     # the base matrix, the first point, sets the gradient tolerance
     gtol = 1e-10 * max(1.0, float(np.max(np.abs(values[0]))))
     reports = _reports_at(known, base,
                           _Solves.at(base.graph, off, values, vectors, k),
-                          chart, "symmetry-enumeration", **tols)
+                          basis, "symmetry-enumeration", **tols)
     incorrigible: list[tuple[tuple[float, ...], float]] = []
 
     unconverged = 0
@@ -785,7 +746,7 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
         rng = np.random.default_rng(seed)
         random_starts = rng.uniform(0.0, TWO_PI, size=(starts, beta))
         status, xs, auxs, solves = _polish(
-            base, chart, k, np.vstack([grid, random_starts]), gtol,
+            base, basis, k, np.vstack([grid, random_starts]), gtol,
             tol_degeneracy)
         attempted = len(status)
         unconverged = int(np.count_nonzero(status > _DEGENERATE))
@@ -832,7 +793,7 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
     if primaries:
         search = _reports_at(np.mod(found_x[primaries], TWO_PI), base,
                              solves.take([found[i] for i in primaries]),
-                             chart, "search", **tols)
+                             basis, "search", **tols)
         for rep, partner in zip(search, partners):
             if partner is not None:
                 rep = replace(rep, conjugate_of=tuple(
@@ -898,15 +859,15 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
     if not h.is_real:
         raise ValueError("verification expects a real matrix")
     base = abs_part(h)
-    graph, chart = h.graph, gauge_chart(h.graph)
+    graph, basis = h.graph, cycle_basis(h.graph)
     n = graph.n
-    bits, off, values, vectors = _symmetry_points(base, chart)
+    bits, off, values, vectors = _symmetry_points(base, basis)
     solves = [_Solves.at(graph, off, values, vectors, k)
               for k in range(1, n + 1)]
     checks = _stack_checks(
         values, vectors.swapaxes(1, 2),
         np.stack([s.products for s in solves], axis=1), np.arange(n),
-        base.norm_fro, chart.dim, tol_degeneracy=tol_degeneracy,
+        base.norm_fro, len(basis), tol_degeneracy=tol_degeneracy,
         tol_vanish=tol_vanish)
     admissible, surplus = ~checks.failed, checks.surplus
     classes = [tuple(b) for b in bits.tolist()]
@@ -925,7 +886,7 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
         except AdmissibilityError as exc:  # degenerate products
             reasons[c, j] = str(exc)
     index, nullity = np.zeros_like(surplus), np.zeros_like(surplus)
-    hessians = [_hessian(s.take(rows), chart, tol_degeneracy)
+    hessians = [_hessian(s.take(rows), basis, tol_degeneracy)
                 for s, rows in zip(solves, admissible.T) if np.any(rows)]
     if hessians:
         # k-major, as the stacks: the transposed masks take them in order

@@ -445,8 +445,13 @@ def normalized_distribution(dist: SurplusDistribution) -> NormalizedSurplus:
 
     ``sigma`` is the root mean square deviation from ``beta/2``, so the
     second moment of the result is 1 by construction; the first moment
-    is 0 exactly when the counts are symmetric about ``beta/2``.
+    is 0 exactly when the counts are symmetric about ``beta/2``.  An
+    empty histogram, such as one whose every signing was skipped, has no
+    distribution to normalize.
     """
+    if dist.n_samples == 0:
+        raise DegenerateDistributionError(
+            "distribution has no samples; nothing to normalize")
     beta = dist.betti
     s = np.arange(beta + 1, dtype=np.float64)
     p = dist.probs

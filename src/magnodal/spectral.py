@@ -11,6 +11,8 @@ the usual counting of the spectrum from the bottom.  The module is the
 package's gateway to LAPACK: ``eigh_dense`` (``eigvalsh_dense`` for
 spectra alone) is its one dense eigensolve and ``_lstsq`` the one
 least-squares step of the Newton solvers in ``morse`` and ``linkage``.
+Its ``cluster_mask`` is the package's one degeneracy test, behind every
+multiplicity, simplicity check and pseudo-inverse.
 """
 
 from __future__ import annotations
@@ -163,23 +165,35 @@ def eigh(h: SupportedMatrix, dense: np.ndarray | None = None) -> EigenSystem:
     return EigenSystem(values, vectors)
 
 
+def _cluster_tol(values: np.ndarray, tol_rel: float) -> np.ndarray:
+    """``tol_rel * max(1, max |eigenvalue|)`` per spectrum (..., n)."""
+    return tol_rel * np.maximum(1.0, np.abs(values).max(axis=-1, initial=0.0))
+
+
+def cluster_mask(values: np.ndarray, lam, tol_rel: float = DEGENERACY_TOL
+                 ) -> np.ndarray:
+    """Which eigenvalues of each spectrum ``values`` (..., n) lie within
+    ``tol_rel * max(1, max |eigenvalue|)`` of its ``lam`` (...,).
+
+    Rounded subtraction is monotone, so in an ascending spectrum those
+    near one of its own eigenvalues form a contiguous run, and the
+    nearest other eigenvalue is a neighbour.
+    """
+    lam = np.asarray(lam)[..., None]
+    return np.abs(values - lam) <= _cluster_tol(values, tol_rel)[..., None]
+
+
 def multiplicity(es: EigenSystem, k: int, tol_rel: float = DEGENERACY_TOL
                  ) -> tuple[int, int]:
     """Cluster size and 1-based start index of the cluster containing k.
 
-    The cluster is the maximal run of eigenvalues within
-    ``tol_rel * max(1, spectral norm)`` of the k-th one.
+    The cluster is the run of eigenvalues that ``cluster_mask`` puts
+    within tolerance of the k-th one.
     """
     _check_k(k, es.n)
-    tol = tol_rel * es.spectral_scale
-    lam = es.values[k - 1]
-    lo = k - 1
-    while lo > 0 and abs(es.values[lo - 1] - lam) <= tol:
-        lo -= 1
-    hi = k - 1
-    while hi + 1 < es.n and abs(es.values[hi + 1] - lam) <= tol:
-        hi += 1
-    return hi - lo + 1, lo + 1
+    cluster = cluster_mask(es.values, es.values[k - 1], tol_rel)
+    return (int(np.count_nonzero(cluster)),
+            k - int(np.count_nonzero(cluster[:k - 1])))
 
 
 def simple_positions(values: np.ndarray, tol_rel: float = DEGENERACY_TOL
@@ -188,10 +202,10 @@ def simple_positions(values: np.ndarray, tol_rel: float = DEGENERACY_TOL
     spectra ``values`` (S, n): whether ``multiplicity`` gives 1, for
     every row and position at once.
 
-    A position is simple when both neighbours lie farther than
-    ``tol_rel * max(1, max |eigenvalue|)`` of its row away.
+    A position is simple when both neighbours lie beyond
+    ``cluster_mask``'s cut of its row.
     """
-    tol = tol_rel * np.maximum(1.0, np.abs(values).max(axis=-1))
+    tol = _cluster_tol(values, tol_rel)
     close = np.abs(values[..., 1:] - values[..., :-1]) <= tol[..., None]
     simple = np.ones(values.shape, dtype=bool)
     simple[..., 1:] &= ~close
@@ -216,8 +230,7 @@ def pseudo_inverse_apply(h: SupportedMatrix, lam: float, x: np.ndarray,
     """
     if es is None:
         es = eigh(h)
-    tol = tol_rel * es.spectral_scale
-    mask = np.abs(es.values - lam) > tol
+    mask = ~cluster_mask(es.values, lam, tol_rel)
     coeffs = es.vectors.conj().T @ x
     scaled = np.zeros_like(coeffs)
     scaled[mask] = coeffs[mask] / (es.values[mask] - lam)

@@ -19,6 +19,9 @@ which the array build must agree bit for bit, and ``lose_a_root_path``
 plants the fault that its boundary check must catch.
 ``complex_class_products`` is the class sum's complex product oracle:
 the real products ``nodal._signed_products`` must give the same checks.
+``multiplicity_by_walk`` is the degeneracy oracle: it grows the cluster
+of the k-th eigenvalue one neighbour at a time, against which
+``spectral.cluster_mask`` and ``multiplicity`` must agree.
 ``scalar_polish`` is the Newton oracle: one start at a time, one
 ``eigh`` per trial point, against which the lockstep ``morse._polish``
 must agree bit for bit, on each start's outcome and on the row of its
@@ -49,10 +52,9 @@ from magnodal.errors import (CapExceededError, EmptyConfigurationError,
 import magnodal.graphs as graphs
 from magnodal.graphs import Chain, CycleBasis, Graph, boundary, cycle_basis
 from magnodal.linkage import GENERICITY_TOL, LENGTH_CAP
-from magnodal.morse import (CRITICAL_TOL, TWO_PI, CriticalPointReport,
-                            GaugeChart, TorusPoint, _classify, _hessian_at,
-                            gauge_chart, morse_index)
-from magnodal.nodal import _simple_eigen, edge_products
+from magnodal.morse import (TWO_PI, CriticalPointReport, TorusPoint,
+                            _classify, _hessian_at, morse_index)
+from magnodal.nodal import PRODUCT_REAL_TOL, _simple_eigen, edge_products
 from magnodal.operators import SupportedMatrix, signs_for_index
 from magnodal.serialize import _escape, format_float
 from magnodal.spectral import DEGENERACY_TOL, eigh
@@ -189,13 +191,10 @@ def gradient_fd(p: TorusPoint, k: int, step: float = 1e-5) -> np.ndarray:
 
 
 def hessian_eigenvalue_fd(p: TorusPoint, k: int, *,
-                          chart: GaugeChart | None = None,
                           step: float = 1e-4) -> np.ndarray:
     """Central-difference Hessian over the gauge-slice coordinates."""
-    if chart is None:
-        chart = gauge_chart(p.graph)
-    dim = chart.dim
-    idx = chart.nonforest_indices
+    idx = cycle_basis(p.graph).nonforest_indices
+    dim = len(idx)
 
     def value(offsets: np.ndarray) -> float:
         delta = np.zeros(p.graph.num_edges)
@@ -310,8 +309,21 @@ def eigenvalue_gap(es, k: int) -> float:
     return float(min(gaps)) if gaps else float("inf")
 
 
-def scalar_polish(base, chart, k: int, start, gtol: float,
-                  tol_degeneracy: float):
+def multiplicity_by_walk(values, k: int, tol_rel: float) -> tuple[int, int]:
+    """Cluster size and 1-based start of the k-th eigenvalue's cluster
+    in the ascending spectrum ``values``, grown one neighbour at a time
+    while the next one lies within the cut of the k-th."""
+    tol = tol_rel * max(1.0, float(np.max(np.abs(values))))
+    lam = values[k - 1]
+    lo = hi = k - 1
+    while lo > 0 and abs(values[lo - 1] - lam) <= tol:
+        lo -= 1
+    while hi + 1 < len(values) and abs(values[hi + 1] - lam) <= tol:
+        hi += 1
+    return hi - lo + 1, lo + 1
+
+
+def scalar_polish(base, k: int, start, gtol: float, tol_degeneracy: float):
     """One start of ``morse._polish``, run on its own.
 
     Damped Newton steps on the gauge-slice gradient with the analytic
@@ -322,10 +334,10 @@ def scalar_polish(base, chart, k: int, start, gtol: float,
     solve its row of the lockstep's solve stack holds (``None``
     otherwise).
     """
-    idx = chart.nonforest_indices
+    idx = cycle_basis(base.graph).nonforest_indices
 
     def solve(coords):
-        h = TorusPoint.from_coords(base, coords, chart).operator()
+        h = TorusPoint.from_coords(base, coords).operator()
         es = eigh(h)
         try:
             return _simple_eigen(h, k, es, tol_degeneracy)
@@ -338,7 +350,7 @@ def scalar_polish(base, chart, k: int, start, gtol: float,
         return "degenerate", x, s, None
     for _ in range(60):
         g = s.gradient[idx]
-        J = _hessian_at(s, chart, tol_degeneracy)
+        J = _hessian_at(s, tol_degeneracy)
         delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
         if float(np.max(np.abs(g))) <= gtol:
             xn = np.mod(x + delta, TWO_PI)
@@ -366,9 +378,9 @@ def scalar_polish(base, chart, k: int, start, gtol: float,
     return "maxiter", x, 0.0, None
 
 
-def scalar_report(coords, h, es, k: int, chart, origin: str, *,
+def scalar_report(coords, h, es, k: int, origin: str, *,
                   tol_degeneracy: float, tol_vanish: float, rank_tol: float):
-    """The report ``morse._reports_at`` gives at chart ``coords``, from
+    """The report ``morse._reports_at`` gives at gauge-slice ``coords``, from
     the operator ``h`` there and its eigensystem ``es``, built alone."""
     coords = tuple(float(c) for c in coords)
     try:
@@ -377,9 +389,10 @@ def scalar_report(coords, h, es, k: int, chart, origin: str, *,
         return CriticalPointReport(coords, k, "incorrigible",
                                    exc.multiplicity, (), None, None, None,
                                    None, origin)
-    report = _classify(s, CRITICAL_TOL, tol_vanish)
-    gnorm = float(np.linalg.norm(s.gradient[chart.nonforest_indices]))
-    hess = _hessian_at(s, chart, tol_degeneracy)
+    report = _classify(s, PRODUCT_REAL_TOL, tol_vanish)
+    gnorm = float(np.linalg.norm(
+        s.gradient[cycle_basis(h.graph).nonforest_indices]))
+    hess = _hessian_at(s, tol_degeneracy)
     spectrum = tuple(float(x) for x in np.linalg.eigvalsh(hess)) \
         if hess.size else ()
     index, nullity = morse_index(hess, rank_tol)

@@ -34,7 +34,6 @@ from magnodal import (
     eigenvalue_gradient,
     eigh,
     find_edge_separated_pair,
-    gauge_chart,
     gauge_classes_of_signings,
     hessian_eigenvalue,
     is_generic,
@@ -175,13 +174,13 @@ def test_criterion_04_index_equals_surplus():
         if table.num_ok != total or table.num_skipped != 0:
             failures.append(
                 f"K{n} table ok={table.num_ok} skipped={table.num_skipped}")
-        chart = gauge_chart(h.graph)
         base = abs_part(h)
-        for parities in itertools.product((0.0, np.pi), repeat=chart.dim):
-            p = TorusPoint.from_coords(base, np.array(parities), chart)
+        for parities in itertools.product((0.0, np.pi),
+                                          repeat=betti_number(h.graph)):
+            p = TorusPoint.from_coords(base, np.array(parities))
             for k in range(1, n + 1):
-                a = hessian_eigenvalue(p, k, chart=chart)
-                f = hessian_eigenvalue_fd(p, k, chart=chart)
+                a = hessian_eigenvalue(p, k)
+                f = hessian_eigenvalue_fd(p, k)
                 rel = np.linalg.norm(a - f) / max(1.0, np.linalg.norm(a))
                 if rel > 1e-4:
                     failures.append(f"K{n} hessian fd rel {rel:.2e} at k={k}")
@@ -245,8 +244,7 @@ def test_criterion_07_perfect_morse_count():
     t0 = time.monotonic()
     failures = []
     h = strong_diagonal_fixture(complete_graph(3), eta=100.0)
-    chart = gauge_chart(h.graph)
-    assert chart.dim == 1
+    assert betti_number(h.graph) == 1
     base = abs_part(h)
     for k in (1, 2, 3):
         scan = critical_scan(h, k, starts=24, seed=0)
@@ -261,10 +259,10 @@ def test_criterion_07_perfect_morse_count():
     ts = np.arange(0.0, 2 * np.pi, 1e-3)
     grads = np.empty((3, ts.size))
     for i, t in enumerate(ts):
-        p = TorusPoint.from_coords(base, np.array([t]), chart)
+        p = TorusPoint.from_coords(base, np.array([t]))
         es = eigh(p.operator())
         for j, k in enumerate((1, 2, 3)):
-            grads[j, i] = gradient_coords(p, k, chart, es=es)[0]
+            grads[j, i] = gradient_coords(p, k, es=es)[0]
 
     def dist_to_roots(t):
         return min(abs((t - r + np.pi) % (2 * np.pi) - np.pi)

@@ -33,7 +33,7 @@ from magnodal.linkage import (
     sample_configuration,
     solvability_and_connectivity,
 )
-from magnodal.morse import TorusPoint, critical_scan, gauge_chart
+from magnodal.morse import TorusPoint, critical_scan
 from magnodal.operators import SupportedMatrix, abs_part
 from magnodal.spectral import eigh
 
@@ -468,13 +468,12 @@ class TestAnalyzeExceptional:
         for seed in (0, 1):
             h = random_operator(complete_graph(5),
                                 np.random.default_rng(seed))
-            base, chart = abs_part(h), gauge_chart(h.graph)
+            base = abs_part(h)
             for k in (2, 3):
                 for r in critical_scan(h, k, starts=4, seed=0).reports:
                     if r.origin != "search":
                         continue
-                    p = TorusPoint.from_coords(base, np.array(r.coords),
-                                               chart)
+                    p = TorusPoint.from_coords(base, np.array(r.coords))
                     try:
                         analyze_exceptional(p, k)
                     except (LinkageHypothesisError, AdmissibilityError,
@@ -487,11 +486,11 @@ class TestAnalyzeExceptional:
         """A manifold sample where the eigenvalue nearest lambda sits at
         another position reports that, not a shift-coefficient sign."""
         h = random_operator(complete_graph(5), np.random.default_rng(0))
-        base, chart = abs_part(h), gauge_chart(h.graph)
+        base = abs_part(h)
         for r in critical_scan(h, 2, starts=4, seed=0).reports:
             if r.origin != "search":
                 continue
-            p = TorusPoint.from_coords(base, np.array(r.coords), chart)
+            p = TorusPoint.from_coords(base, np.array(r.coords))
             try:
                 analyze_exceptional(p, 2)
             except LinkageHypothesisError as exc:

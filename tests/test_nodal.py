@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -862,3 +863,14 @@ class TestNormalizedDistribution:
                                                         5))
         with pytest.raises(DegenerateDistributionError):
             normalized_distribution(SurplusDistribution(0, np.array([4]), 4))
+        # every signing of a zero-diagonal K4 is skipped: no samples
+        k4 = complete_graph(4)
+        zero = SupportedMatrix(k4, np.zeros(4),
+                               -np.ones(k4.num_edges, dtype=np.complex128))
+        empty = average_surplus_distribution(zero, skip_inadmissible=True)
+        assert empty.n_samples == 0 and empty.skipped == 64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDistributionError,
+                               match="no samples"):
+                normalized_distribution(empty)

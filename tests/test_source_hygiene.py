@@ -10,7 +10,9 @@ module the tests draw on, is exempt, and so are the functions the
 benchmark's tracer wraps (``LAYERS`` in ``bench/tracing.py``), which
 the benchmark needs to exist.  ``spectral`` is the package's one
 gateway to LAPACK's dense solvers: no other module calls
-``np.linalg.eigh``, ``eigvalsh`` or ``lstsq``.
+``np.linalg.eigh``, ``eigvalsh`` or ``lstsq``.  It also holds the one
+degeneracy test, ``cluster_mask``: elsewhere ``tol_degeneracy`` is only
+passed on, never part of arithmetic or a comparison.
 """
 
 import ast
@@ -90,6 +92,23 @@ def solver_uses(tree: ast.Module) -> list[str]:
     return found
 
 
+def degeneracy_cuts(tree: ast.Module) -> list[str]:
+    """Lines where ``tol_degeneracy``, as a name or an attribute, is an
+    operand of arithmetic or a comparison; an argument of a call inside
+    one is passed on, not cut."""
+    def operands(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, ast.Call):
+                yield child
+                yield from operands(child)
+
+    return [f"line {line}" for line in sorted({
+        node.lineno for op in ast.walk(tree)
+        if isinstance(op, (ast.BinOp, ast.Compare)) for node in operands(op)
+        if getattr(node, "id", getattr(node, "attr", None))
+        == "tol_degeneracy"})]
+
+
 def bare_asserts(tree: ast.Module) -> list[int]:
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Assert)]
@@ -113,6 +132,13 @@ def test_only_spectral_calls_the_dense_solvers(path):
 
 
 @pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "spectral.py"],
+    ids=lambda p: p.name)
+def test_only_spectral_cuts_at_the_degeneracy_tolerance(path):
+    assert degeneracy_cuts(parse(path)) == []
+
+
+@pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "families.py"],
     ids=lambda p: p.name)
 def test_every_definition_is_used(path):
@@ -132,6 +158,12 @@ def test_checks_catch_what_they_look_for():
         "'''np.linalg.eigh in a docstring'''\n")) == [
         "lstsq (line 3)", "linalg.eigh (line 4)", "linalg.eigvalsh (line 5)"]
     assert solver_uses(parse(PACKAGE / "spectral.py")) == []
+    assert degeneracy_cuts(ast.parse(
+        "f(x, tol_degeneracy)\ng(tol_degeneracy=tol_degeneracy)\n"
+        "t = (tol_degeneracy * s)[:, None]\n"
+        "ok = abs(d) <= args.tol_degeneracy\n"
+        "h(1 + k(tol_degeneracy))\nn = [1, tol_degeneracy] + x\n")) \
+        == ["line 3", "line 4", "line 6"]
     assert MODULES and all(p.name != "__init__.py" for p in MODULES)
     a, b = Path("a.py"), Path("b.py")
     trees = {a: ast.parse("def f(): pass\ndef g(): pass\n"

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import same_bits, small_graphs, take_along_axis_phases
+from conftest import (multiplicity_by_walk, same_bits, small_graphs,
+                      take_along_axis_phases)
 from magnodal.errors import EigenSolverError, NonSimpleEigenvalueError
 from magnodal.families import complete_graph
 from magnodal.graphs import Graph, num_components
 from magnodal.operators import GaugePhase, SupportedMatrix, gauge_transform
 from magnodal.morse import RANK_TOL, _morse_indices
 from magnodal.spectral import (
+    DEGENERACY_TOL,
     EigenSystem,
     _normalize_phases,
+    cluster_mask,
     eigh,
     eigh_dense,
     eigh_stack,
@@ -375,13 +378,22 @@ class TestMultiplicity:
         values = rng.uniform(-2.0, 2.0, size=(300, 1)) \
             + np.cumsum(steps, axis=1)
         values[::3] *= 50.0
+        # gaps exactly at the cut, which is 1e-8 here
+        values = np.vstack([values, [-1.0, -0.5, 0.0, 1e-8, 2e-8, 1.0]])
         simple = simple_positions(values)
         assert simple.shape == values.shape
-        for row, flags in zip(values, simple):
+        walks = [[multiplicity_by_walk(row, k, DEGENERACY_TOL)
+                  for k in range(1, 7)] for row in values]
+        for row, flags, walk in zip(values, simple, walks):
             es = EigenSystem(row, np.eye(len(row)))
-            assert flags.tolist() == [multiplicity(es, k)[0] == 1
-                                      for k in range(1, len(row) + 1)]
+            assert [multiplicity(es, k) for k in range(1, 7)] == walk
+            assert flags.tolist() == [m == 1 for m, _ in walk]
+        for k in range(1, 7):  # the stacked test, a whole stack at once
+            assert np.count_nonzero(cluster_mask(values, values[:, k - 1]),
+                                    axis=1).tolist() \
+                == [walk[k - 1][0] for walk in walks]
         assert 0 < np.count_nonzero(~simple) < simple.size
+        assert max(m for walk in walks for m, _ in walk) >= 3
 
 
 class TestVanishing:

@@ -29,9 +29,9 @@ from .errors import (
     NotCriticalError,
     VanishingEigenvectorError,
 )
-from .graphs import Graph, OneForm, induced_subgraph
-from .morse import RANK_TOL, TorusPoint, _classify, _hessian_at, morse_index
-from .nodal import PRODUCT_REAL_TOL, _simple_eigen, nodal_surplus
+from .graphs import Graph, OneForm, cycle_basis, induced_subgraph
+from .morse import RANK_TOL, TorusPoint, _classify, _hessian, morse_index
+from .nodal import PRODUCT_REAL_TOL, _checked, nodal_surplus
 from .operators import GaugePhase, SupportedMatrix, gauge_transform
 from .spectral import (
     DEGENERACY_TOL,
@@ -233,18 +233,21 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
     vertex, or more than one).  ``es`` is the eigensystem of
     ``p.operator()`` when the caller has solved it.
     """
+    h = p.operator()
     try:
-        s = _simple_eigen(p.operator(), k, es, tol_degeneracy)
+        s, checks = _checked(h, k, es, tol_degeneracy=tol_degeneracy,
+                             tol_vanish=tol_vanish)
     except NonSimpleEigenvalueError as exc:
         raise LinkageHypothesisError(
             f"eigenvalue {k} has multiplicity {exc.multiplicity}; the "
             f"analysis needs a simple eigenvalue", hypothesis=1) from exc
-    crit = _classify(s, PRODUCT_REAL_TOL, tol_vanish)
+    crit = _classify(h, s, checks, PRODUCT_REAL_TOL)
     if not crit.critical:
         raise NotCriticalError(
             f"gradient is nonzero (max imaginary product "
             f"{crit.max_imag_product:.3e}); not a critical point")
-    h, es, v, lam = s.h, s.es, s.v, s.lam
+    es = EigenSystem(s.values[0], s.vectors[0])
+    v, lam = es.vector(k), es.value(k)
     vanishing = list(crit.vanishing)
     if len(vanishing) == 0:
         raise VanishingEigenvectorError(
@@ -335,7 +338,7 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
                                 tol_vanish=tol_vanish)
     predicted = surplus_red + (2 if c < 0.0 else 0)
 
-    hess = _hessian_at(s, tol_degeneracy)
+    hess = _hessian(s, cycle_basis(g), tol_degeneracy)[0]
     index, nullity = morse_index(hess, rank_tol)
     if nullity != dim:
         raise InternalCrossCheckError(

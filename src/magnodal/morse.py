@@ -12,17 +12,17 @@ Each phase decides its points at once: ``nodal``'s admissibility
 kernel, ``_stack_checks``, gives simplicity, vanishing entries,
 criticality and surplus for a whole stack, so the index check decides
 every (class, k) pair together and a scan classifies its symmetry
-points, and then its search reports, as one stack each.  Only the
-pairs the kernel rejects go back through the scalar ``_simple_eigen``
-and ``_count``, which word the skip reasons.  The Hessians are
+points, and then its search reports, as one stack each.  The index
+check words its skip reasons from the kernel's masks too, through
+``_StackChecks.error``, with no second solve.  The Hessians are
 assembled as stacks too: one for a scan's symmetry points, one for its
 search reports, and one per k for an index check; the Morse indices of
 each phase come from one stacked eigensolve of its Hessians.
 
-Every derivative starts from one solve at the point, ``nodal``'s
-``_simple_eigen``: the operator, its eigensystem, the simple k-th
-eigenpair and the edge products.  The eigenvalue Hessian is assembled
-from first-order eigenvector responses through the spectral
+Every derivative at a single point starts from ``nodal``'s checked
+solve of a stack of one, ``_checked``, which raises the kernel's error
+when the k-th eigenvalue is not simple.  The eigenvalue Hessian is
+assembled from first-order eigenvector responses through the spectral
 pseudo-inverse; second-order perturbation theory makes it valid at
 every simple eigenvalue, so the critical-point search uses it as its
 Newton Jacobian.  Restricting the full torus Hessian to the gauge slice
@@ -47,7 +47,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    AdmissibilityError,
     GraphMismatchError,
     InternalCrossCheckError,
     NonSimpleEigenvalueError,
@@ -55,8 +54,8 @@ from .errors import (
     VanishingEigenvectorError,
 )
 from .graphs import CycleBasis, Graph, OneForm, cycle_basis
-from .nodal import (PRODUCT_REAL_TOL, _count, _simple_eigen, _SimpleEigen,
-                    _stack_checks)
+from .nodal import (PRODUCT_REAL_TOL, _checked, _Solves, _stack_checks,
+                    _StackChecks)
 from .operators import (
     FLUX_TOL,
     SupportedMatrix,
@@ -78,7 +77,6 @@ from .spectral import (
     cluster_mask,
     eigh_stack,
     eigvalsh_dense,
-    is_nowhere_vanishing,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -165,8 +163,8 @@ def eigenvalue_gradient(p: TorusPoint, k: int, *,
     point and ``v`` its k-th eigenvector.  Undefined at a degenerate
     eigenvalue; such a point is a candidate non-smooth critical point.
     """
-    return OneForm(p.graph, _simple_eigen(p.operator(), k, es,
-                                          tol_degeneracy).gradient)
+    s, _ = _checked(p.operator(), k, es, tol_degeneracy=tol_degeneracy)
+    return OneForm(p.graph, -2.0 * s.products[0].imag)
 
 
 def gradient_coords(p: TorusPoint, k: int, *,
@@ -199,27 +197,40 @@ def is_critical(p: TorusPoint, k: int, tol: float = PRODUCT_REAL_TOL, *,
     action makes the operator real, and ``exceptional`` when instead
     the eigenvector vanishes somewhere.
     """
+    h = p.operator()
     try:
-        s = _simple_eigen(p.operator(), k, es, tol_degeneracy)
+        s, checks = _checked(h, k, es, tol_degeneracy=tol_degeneracy,
+                             tol_real=tol, tol_vanish=tol_vanish)
     except NonSimpleEigenvalueError as exc:
         return CriticalityReport(True, "incorrigible", exc.multiplicity,
                                  float("nan"), ())
-    return _classify(s, tol, tol_vanish)
+    return _classify(h, s, checks, tol)
 
 
-def _classify(s: _SimpleEigen, tol: float, tol_vanish: float
-              ) -> CriticalityReport:
-    """``is_critical`` at a simple eigenvalue."""
-    worst = s.max_imag_product
-    _, vanishing = is_nowhere_vanishing(s.v, tol_vanish)
-    if not s.is_flat(tol):
-        return CriticalityReport(False, "smooth-regular", 1, worst,
-                                 tuple(vanishing))
-    if not vanishing:
-        _check_symmetry(s.h.graph, s.h.offdiag[None], s.products[None],
-                        np.array([s.h.norm_fro]), tol)
-        return CriticalityReport(True, "symmetry", 1, worst, ())
-    return CriticalityReport(True, "exceptional", 1, worst, tuple(vanishing))
+def _classify(h: SupportedMatrix, s: _Solves, checks: _StackChecks,
+              tol: float) -> CriticalityReport:
+    """``is_critical`` at a simple eigenvalue, from the checked solve
+    ``s`` of ``h`` and its ``checks`` at realness tolerance ``tol``."""
+    kind = _kinds(h.graph, s, np.array([h.norm_fro]), checks, tol)[0]
+    return CriticalityReport(
+        kind != "smooth-regular", kind, 1,
+        float(np.max(np.abs(s.products.imag), initial=0.0)),
+        tuple(np.flatnonzero(checks.vanishing[0, 0]).tolist()))
+
+
+def _kinds(graph: Graph, s: _Solves, scale: np.ndarray,
+           checks: _StackChecks, tol: float) -> list[str]:
+    """Kind of each row of ``s`` at a simple eigenvalue, from its
+    ``checks`` at realness tolerance ``tol``, with ``_check_symmetry``
+    run on the ``symmetry`` rows, whose norms are in ``scale`` (S,)."""
+    flat = checks.flat[:, 0]
+    symmetric = checks.simple[:, 0] & flat \
+        & ~np.any(checks.vanishing[:, 0], axis=1)
+    if np.any(symmetric):
+        _check_symmetry(graph, s.offdiag[symmetric], s.products[symmetric],
+                        scale[symmetric], tol)
+    return np.where(flat, np.where(symmetric, "symmetry", "exceptional"),
+                    "smooth-regular").tolist()
 
 
 def _check_symmetry(graph: Graph, offdiag: np.ndarray, products: np.ndarray,
@@ -277,16 +288,20 @@ def hessian_frozen_form(p: TorusPoint, k: int, *,
                         tol_degeneracy: float = DEGENERACY_TOL
                         ) -> FrozenFormHessian:
     """Both Hessian blocks of the frozen form at a critical point."""
-    s = _simple_eigen(p.operator(), k, es, tol_degeneracy)
-    if not s.is_flat(tol_critical):
+    h = p.operator()
+    s, checks = _checked(h, k, es, tol_degeneracy=tol_degeneracy,
+                         tol_real=tol_critical)
+    if not checks.flat[0, 0]:
         raise NotCriticalError(
-            f"edge products have imaginary part {s.max_imag_product:.3e}; "
-            f"the frozen-form Hessian needs a critical point")
-    dense = s.h.to_dense() - s.lam * np.eye(s.h.graph.n)
-    block = np.conj(s.v)[:, None] * dense * s.v[None, :]
+            f"edge products have imaginary part "
+            f"{np.max(np.abs(s.products.imag)):.3e}; the frozen-form "
+            f"Hessian needs a critical point")
+    v = s.vectors[0, :, k - 1]
+    dense = h.to_dense() - float(s.values[0, k - 1]) * np.eye(h.graph.n)
+    block = np.conj(v)[:, None] * dense * v[None, :]
     gauge_block = 2.0 * block.real
     gauge_block = 0.5 * (gauge_block + gauge_block.T)
-    return FrozenFormHessian(-2.0 * s.products.real, gauge_block)
+    return FrozenFormHessian(-2.0 * s.products[0].real, gauge_block)
 
 
 def hessian_eigenvalue(p: TorusPoint, k: int, *,
@@ -302,53 +317,8 @@ def hessian_eigenvalue(p: TorusPoint, k: int, *,
     directions pick up the diagonal frozen-form term.  The result is
     symmetrized after an asymmetry check against ``HESSIAN_SYM_TOL``.
     """
-    return _hessian_at(_simple_eigen(p.operator(), k, es, tol_degeneracy),
-                       tol_degeneracy)
-
-
-@dataclass(frozen=True, eq=False)
-class _Solves:
-    """Solves of a stack of operators on one graph, one per row.
-
-    ``offdiag`` (S, m) holds each operator's edge entries, ``values``
-    (S, n) and ``vectors`` (S, n, n) its ascending eigenvalues and
-    phase-normalized eigenvector columns, and ``products`` (S, m) the
-    edge products of its k-th eigenvector.  A stacked solve has the
-    vectors of its solver path, real for real operators and complex
-    otherwise; the complex solve stack of ``_polish`` holds both.
-    """
-
-    offdiag: np.ndarray
-    values: np.ndarray
-    vectors: np.ndarray
-    k: int
-    products: np.ndarray
-
-    @classmethod
-    def at(cls, graph: Graph, offdiag: np.ndarray, values: np.ndarray,
-           vectors: np.ndarray, k: int) -> "_Solves":
-        """The solves of the operators with edge entries ``offdiag``,
-        with the edge products of their k-th eigenvectors, each row
-        computed as ``edge_products`` computes it for one operator."""
-        rs = graph.endpoints
-        v = vectors[:, :, k - 1]
-        return cls(offdiag, values, vectors, k,
-                   np.conj(v[:, rs[:, 0]]) * offdiag * v[:, rs[:, 1]])
-
-    def take(self, rows) -> "_Solves":
-        return _Solves(self.offdiag[rows], self.values[rows],
-                       self.vectors[rows], self.k, self.products[rows])
-
-    def put(self, rows, s: "_Solves") -> None:
-        self.offdiag[rows], self.values[rows] = s.offdiag, s.values
-        self.vectors[rows], self.products[rows] = s.vectors, s.products
-
-
-def _hessian_at(s: _SimpleEigen, tol_degeneracy: float) -> np.ndarray:
-    """``hessian_eigenvalue`` at a simple eigenvalue: a stack of one."""
-    return _hessian(_Solves.at(s.h.graph, s.h.offdiag[None],
-                               s.es.values[None], s.es.vectors[None], s.k),
-                    cycle_basis(s.h.graph), tol_degeneracy)[0]
+    s, _ = _checked(p.operator(), k, es, tol_degeneracy=tol_degeneracy)
+    return _hessian(s, cycle_basis(p.graph), tol_degeneracy)[0]
 
 
 def _hessian(s: _Solves, basis: CycleBasis, tol_degeneracy: float
@@ -513,17 +483,10 @@ def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
     """
     k = s.k
     scale = frobenius_norms(base.diag, s.offdiag)
-    checks = _stack_checks(
-        s.values, s.vectors[:, None, :, k - 1], s.products[:, None], [k - 1],
-        scale, len(basis), tol_degeneracy=tol_degeneracy,
-        tol_vanish=tol_vanish)
-    simple, flat = checks.simple[:, 0], checks.flat[:, 0]
-    vanishing = checks.vanishing[:, 0]
-    symmetric = simple & flat & ~np.any(vanishing, axis=1)
-    if np.any(symmetric):
-        _check_symmetry(base.graph, s.offdiag[symmetric],
-                        s.products[symmetric], scale[symmetric],
-                        PRODUCT_REAL_TOL)
+    checks = s.checks(scale, len(basis), tol_degeneracy=tol_degeneracy,
+                      tol_vanish=tol_vanish)
+    simple, vanishing = checks.simple[:, 0], checks.vanishing[:, 0]
+    kinds = _kinds(base.graph, s, scale, checks, PRODUCT_REAL_TOL)
     rows = np.flatnonzero(simple)
     grad = (-2.0 * s.products[rows].imag)[:, basis.nonforest_indices]
     gnorm = np.sqrt(_squares(grad))
@@ -532,16 +495,12 @@ def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
     points = [tuple(x) for x in coords.tolist()]
     reports: list = [None] * len(points)
     bad = np.flatnonzero(~simple)
-    mult = np.count_nonzero(cluster_mask(s.values[bad], s.values[bad, k - 1],
-                                         tol_degeneracy), axis=1)
-    for i, m in zip(bad.tolist(), mult.tolist()):
+    for i, m in zip(bad.tolist(), checks.multiplicity(bad, 0).tolist()):
         reports[i] = CriticalPointReport(points[i], k, "incorrigible", m, (),
                                          None, None, None, None, origin)
     for j, i in enumerate(rows.tolist()):
-        kind = ("smooth-regular" if not flat[i] else
-                "symmetry" if symmetric[i] else "exceptional")
         reports[i] = CriticalPointReport(
-            points[i], k, kind, 1,
+            points[i], k, kinds[i], 1,
             tuple(np.flatnonzero(vanishing[i]).tolist()), float(gnorm[j]),
             tuple(spectra[j].tolist()), int(index[j]), int(nullity[j]),
             origin)
@@ -849,9 +808,9 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
     nodal surplus; a violation raises, at the first failing pair in
     class-major order.  Inadmissible pairs are recorded as skipped with
     the reason.  One admissibility kernel call decides every pair from
-    the stacked solve of the symmetry points; only the pairs it rejects
-    run through the scalar checks, which word the skip reasons and raise
-    the bound check's error.  The Hessians are assembled as one stack
+    the stacked solve of the symmetry points, and its masks word the
+    skip reasons and the bound check's error, which is raised at the
+    first pair out of bounds.  The Hessians are assembled as one stack
     per k, and their indices come from one stacked solve.  A beta over
     ``SIGNING_CAP`` raises ``CapExceededError`` before anything is
     solved.
@@ -870,21 +829,17 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
         base.norm_fro, len(basis), tol_degeneracy=tol_degeneracy,
         tol_vanish=tol_vanish)
     admissible, surplus = ~checks.failed, checks.surplus
+    if np.any(checks.out_of_bounds):
+        raise checks.error(graph, *np.argwhere(checks.out_of_bounds)[0])
     classes = [tuple(b) for b in bits.tolist()]
     reasons = {}
     for c, j in np.argwhere(~admissible).tolist():
-        try:
-            s = _simple_eigen(SupportedMatrix(graph, base.diag, off[c]), j + 1,
-                              EigenSystem(values[c], vectors[c]),
-                              tol_degeneracy)
-            surplus[c, j] = _count(s, tol_vanish) - j
-            admissible[c, j] = True
-        except NonSimpleEigenvalueError as exc:
-            reasons[c, j] = f"multiplicity {exc.multiplicity}"
-        except VanishingEigenvectorError as exc:
-            reasons[c, j] = f"vanishes at {list(exc.vertices)}"
-        except AdmissibilityError as exc:  # degenerate products
-            reasons[c, j] = str(exc)
+        exc = checks.error(graph, c, j)
+        reasons[c, j] = (
+            f"multiplicity {exc.multiplicity}"
+            if isinstance(exc, NonSimpleEigenvalueError) else
+            f"vanishes at {list(exc.vertices)}"
+            if isinstance(exc, VanishingEigenvectorError) else str(exc))
     index, nullity = np.zeros_like(surplus), np.zeros_like(surplus)
     hessians = [_hessian(s.take(rows), basis, tol_degeneracy)
                 for s, rows in zip(solves, admissible.T) if np.any(rows)]

@@ -8,33 +8,26 @@ number of independent cycles.  Averaging the surplus over all signings
 of a real matrix gives the distribution the rest of the library keeps
 poking at from different directions.
 
+Every admissibility decision of the package comes from one kernel,
+``_stack_checks``, run on ``_Solves``, the solves of a stack of
+operators.  It decides for every row and eigenvalue position at once
+whether the eigenvalue is simple, which eigenvector entries vanish,
+whether the edge products are real and which are too close to zero to
+carry a sign, and its masks word every error (``_StackChecks.error``).
+A single operator is a stack of one (``_checked``).
+
 Switching-equivalent signings share their spectrum and nodal counts,
 so the average solves one representative per switching class, the
 member that leaves the spanning forest unflipped, and weights it by the
 class size.  The sweep, ``_surplus_counts``, solves the
-representatives in chunks of ``SWEEP_CHUNK``, each built from its class
-ids and solved by one stacked eigensolve, and runs the admissibility
-kernel, ``_stack_checks``, on every signing and eigenvalue position of
-the chunk at once: ``nodal_count``'s checks as masks over the stack,
-with its tolerances and comparisons.  The sum runs in real arithmetic:
-its products ``v_r (h_rs * sign) v_s`` carry the bits of the real parts
-of the complex ones (every imaginary factor is an exact zero and a sign
-flip is exact), up to the signs of zeros, which no check reads.  The
-Morse module's index check and scan reports run the same kernel on
-their stacks of symmetry points and search points, with complex
-products.  A signing enters the histogram only when every eigenvalue
-position is admissible; with ``skip_inadmissible`` the others are
-dropped whole and counted, so the counts always sum to the sample
-count.  Errors come from the scalar code: the first failing
-signing is solved again on its own and ``nodal_count`` raises, so it
-stays the one place that words them and the oracle the kernel is
-tested against.
-
-Every scalar decision at one eigenvalue position starts from one solve,
-``_simple_eigen``: the operator, its eigensystem, the simple k-th
-eigenpair and the edge products.  ``nodal_count`` runs its checks on
-that object, and the Morse module takes its gradients and Hessians
-from the same object.
+representatives in chunks of ``SWEEP_CHUNK``, each by one stacked
+eigensolve and one kernel call.  The sum runs in real arithmetic: its
+products ``v_r (h_rs * sign) v_s`` carry the bits of the real parts of
+the complex ones (every imaginary factor is an exact zero and a sign
+flip is exact), up to the signs of zeros, which no check reads.  A
+signing enters the histogram only when every eigenvalue position is
+admissible; with ``skip_inadmissible`` the others are dropped whole
+and counted, so the counts always sum to the sample count.
 """
 
 from __future__ import annotations
@@ -52,10 +45,11 @@ from .errors import (
     EdgeProductNotRealError,
     InadmissibleSigningError,
     InternalCrossCheckError,
+    MagnodalError,
     NonSimpleEigenvalueError,
     VanishingEigenvectorError,
 )
-from .graphs import betti_number, num_components
+from .graphs import Graph, betti_number
 from .operators import (
     SIGNING_CAP,
     SupportedMatrix,
@@ -65,10 +59,9 @@ from .spectral import (
     DEGENERACY_TOL,
     VANISH_TOL,
     EigenSystem,
+    cluster_mask,
     eigh,
     eigh_dense,
-    is_nowhere_vanishing,
-    multiplicity,
     simple_positions,
 )
 
@@ -89,29 +82,48 @@ def edge_products(h: SupportedMatrix, v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _SimpleEigen:
-    """One solve: operator, simple k-th eigenpair and edge products."""
+class _Solves:
+    """Solves of a stack of operators on one graph, one per row.
 
-    h: SupportedMatrix
-    es: EigenSystem
+    ``offdiag`` (S, m) holds each operator's edge entries, ``values``
+    (S, n) and ``vectors`` (S, n, n) its ascending eigenvalues and
+    phase-normalized eigenvector columns, and ``products`` (S, m) the
+    edge products of its k-th eigenvector.  A stacked solve has the
+    vectors of its solver path, real for real operators and complex
+    otherwise; the complex solve stack of the Newton polish holds both.
+    """
+
+    offdiag: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
     k: int
-    v: np.ndarray
-    lam: float
     products: np.ndarray
 
-    @property
-    def gradient(self) -> np.ndarray:
-        """Eigenvalue derivative along each edge angle."""
-        return -2.0 * self.products.imag
+    @classmethod
+    def at(cls, graph: Graph, offdiag: np.ndarray, values: np.ndarray,
+           vectors: np.ndarray, k: int) -> "_Solves":
+        """The solves of the operators with edge entries ``offdiag``,
+        with the edge products of their k-th eigenvectors, each row
+        computed as ``edge_products`` computes it for one operator."""
+        rs = graph.endpoints
+        v = vectors[:, :, k - 1]
+        return cls(offdiag, values, vectors, k,
+                   np.conj(v[:, rs[:, 0]]) * offdiag * v[:, rs[:, 1]])
 
-    @property
-    def max_imag_product(self) -> float:
-        return float(np.max(np.abs(self.products.imag))) \
-            if self.products.size else 0.0
+    def take(self, rows) -> "_Solves":
+        return _Solves(self.offdiag[rows], self.values[rows],
+                       self.vectors[rows], self.k, self.products[rows])
 
-    def is_flat(self, tol: float) -> bool:
-        """Criticality: every edge product real within ``tol * norm``."""
-        return self.max_imag_product <= tol * self.h.norm_fro
+    def put(self, rows, s: "_Solves") -> None:
+        self.offdiag[rows], self.values[rows] = s.offdiag, s.values
+        self.vectors[rows], self.products[rows] = s.vectors, s.products
+
+    def checks(self, scale, beta: int, **tols) -> "_StackChecks":
+        """The kernel at position k of every row, at norm ``scale``."""
+        k = self.k
+        return _stack_checks(self.values, self.vectors[:, None, :, k - 1],
+                             self.products[:, None], [k - 1], scale, beta,
+                             **tols)
 
 
 def _signed_products(h: SupportedMatrix, vectors: np.ndarray,
@@ -123,18 +135,130 @@ def _signed_products(h: SupportedMatrix, vectors: np.ndarray,
             * vectors[..., rs[:, 1]])
 
 
-def _simple_eigen(h: SupportedMatrix, k: int, es: EigenSystem | None,
-                  tol_degeneracy: float) -> _SimpleEigen:
-    """Solve ``h`` (or take ``es``); the k-th eigenvalue must be simple."""
+@dataclass(frozen=True, eq=False)
+class _StackChecks:
+    """The kernel's checks of ``values`` (S, n) and ``products``
+    (S, K, m) at the 0-based ``positions`` (K,).
+
+    ``simple`` and ``flat`` (S, K) mark a simple eigenvalue and real
+    edge products, ``vanishing`` (S, K, n) the vanishing eigenvector
+    entries, ``unresolved`` (S, K, m) the products too close to zero to
+    carry a sign, and ``surplus`` (S, K) is the positive-product count
+    minus ``k - 1``.
+    """
+
+    values: np.ndarray
+    products: np.ndarray
+    positions: np.ndarray
+    tol_degeneracy: float
+    simple: np.ndarray
+    vanishing: np.ndarray
+    flat: np.ndarray
+    unresolved: np.ndarray
+    surplus: np.ndarray
+    beta: int
+
+    @cached_property
+    def inadmissible(self) -> np.ndarray:
+        """Pairs on which ``nodal_count`` raises an ``AdmissibilityError``."""
+        return (~self.simple | self.vanishing.any(axis=2) | ~self.flat
+                | self.unresolved.any(axis=2))
+
+    @cached_property
+    def out_of_bounds(self) -> np.ndarray:
+        """Admissible pairs whose surplus lies outside ``[0, beta]``."""
+        return ~self.inadmissible & ((self.surplus < 0)
+                                     | (self.surplus > self.beta))
+
+    @property
+    def failed(self) -> np.ndarray:
+        return self.inadmissible | self.out_of_bounds
+
+    def multiplicity(self, rows, col: int):
+        """``spectral.multiplicity`` at position ``col`` of ``rows``."""
+        values = self.values[rows]
+        return np.count_nonzero(cluster_mask(
+            values, values[..., self.positions[col]], self.tol_degeneracy),
+            axis=-1)
+
+    def error(self, graph: Graph, row: int, col: int) -> MagnodalError | None:
+        """The error of the pair (``row``, ``col``) on ``graph``, or
+        ``None`` when it passes: that of its first failing check, in
+        the order of the masks; a failed bound is internal."""
+        k = int(self.positions[col]) + 1
+        if not self.simple[row, col]:
+            m = int(self.multiplicity(row, col))
+            return NonSimpleEigenvalueError(
+                f"eigenvalue {k} has multiplicity {m}; it must be simple",
+                k=k, multiplicity=m)
+        vanishing = np.flatnonzero(self.vanishing[row, col]).tolist()
+        if vanishing:
+            return VanishingEigenvectorError(
+                f"eigenvector {k} vanishes at vertices {vanishing}",
+                vertices=vanishing)
+        if not self.flat[row, col]:
+            worst = float(np.max(np.abs(self.products[row, col].imag)))
+            return EdgeProductNotRealError(
+                f"edge products for eigenvector {k} are not real "
+                f"(max imaginary part {worst:.3e}); the matrix is not at a "
+                f"critical point")
+        unresolved = np.flatnonzero(self.unresolved[row, col]).tolist()
+        if unresolved:
+            bad = [graph.edges[i] for i in unresolved]
+            return DegenerateEdgeProductError(
+                f"edge products too close to zero on edges {bad}", edges=bad)
+        if self.out_of_bounds[row, col]:
+            count, beta = int(self.surplus[row, col]) + k - 1, self.beta
+            return InternalCrossCheckError(
+                f"nodal count {count} violates the bounds "
+                f"[{k - 1}, {k - 1 + beta}] for k={k}, beta={beta}")
+        return None
+
+
+def _stack_checks(values: np.ndarray, vectors: np.ndarray,
+                  products: np.ndarray, positions, scale, beta: int, *,
+                  tol_degeneracy: float = DEGENERACY_TOL,
+                  tol_vanish: float = VANISH_TOL,
+                  tol_real: float = PRODUCT_REAL_TOL,
+                  tol_product: float = PRODUCT_DEGENERATE_TOL
+                  ) -> _StackChecks:
+    """The admissibility kernel, the one place where the vanishing,
+    realness and product tolerances cut.
+
+    ``values`` (S, n) are the ascending spectra of S operators,
+    ``vectors`` (S, K, n) and ``products`` (S, K, m) the eigenvectors and
+    edge products at the 0-based ``positions`` (K,), and ``scale`` the
+    Frobenius norm, one for all rows or one per row.  Real ``products``
+    pass the realness check without a test.
+    """
+    positions = np.asarray(positions)
+    scale = np.asarray(scale, dtype=np.float64)[..., None, None]
+    flat = (~(np.abs(products.imag) > tol_real * scale).any(axis=2)
+            if np.iscomplexobj(products)
+            else np.ones(products.shape[:2], dtype=bool))
+    return _StackChecks(
+        values, products, positions, tol_degeneracy,
+        simple_positions(values, tol_degeneracy)[:, positions],
+        np.abs(vectors) < tol_vanish,
+        flat,
+        np.abs(products.real) < tol_product * scale,
+        np.count_nonzero(products.real > 0.0, axis=2) - positions,
+        beta)
+
+
+def _checked(h: SupportedMatrix, k: int, es: EigenSystem | None, **tols
+             ) -> tuple[_Solves, _StackChecks]:
+    """The solve of ``h`` (from ``es`` when given) as a stack of one,
+    and the kernel's checks at k, which raise when the k-th eigenvalue
+    is not simple; a ``k`` outside ``1..n`` raises ``ValueError``."""
     if es is None:
         es = eigh(h)
-    m, _ = multiplicity(es, k, tol_degeneracy)
-    if m != 1:
-        raise NonSimpleEigenvalueError(
-            f"eigenvalue {k} has multiplicity {m}; it must be simple",
-            k=k, multiplicity=m)
-    v = es.vector(k)
-    return _SimpleEigen(h, es, k, v, es.value(k), edge_products(h, v))
+    s = _Solves(h.offdiag[None], es.values[None], es.vectors[None], k,
+                edge_products(h, es.vector(k))[None])
+    checks = s.checks(h.norm_fro, betti_number(h.graph), **tols)
+    if not checks.simple[0, 0]:
+        raise checks.error(h.graph, 0, 0)
+    return s, checks
 
 
 def nodal_count(h: SupportedMatrix, k: int, *,
@@ -147,41 +271,16 @@ def nodal_count(h: SupportedMatrix, k: int, *,
 
     The eigenvalue must be simple, the eigenvector nowhere vanishing,
     and every edge product real and bounded away from zero; each
-    failure raises its own error type.  On a connected graph the count
-    lands in ``[k - 1, k - 1 + beta]``.
+    failure raises its own error type.  The count lands in
+    ``[k - 1, k - 1 + beta]``, or ``InternalCrossCheckError`` is raised.
     """
-    return _count(_simple_eigen(h, k, es, tol_degeneracy), tol_vanish,
-                  tol_real, tol_product)
-
-
-def _count(s: _SimpleEigen, tol_vanish: float,
-           tol_real: float = PRODUCT_REAL_TOL,
-           tol_product: float = PRODUCT_DEGENERATE_TOL) -> int:
-    """``nodal_count`` at a simple eigenvalue."""
-    h, k, products = s.h, s.k, s.products
-    ok, vanishing = is_nowhere_vanishing(s.v, tol_vanish)
-    if not ok:
-        raise VanishingEigenvectorError(
-            f"eigenvector {k} vanishes at vertices {vanishing}",
-            vertices=vanishing)
-    if not s.is_flat(tol_real):
-        raise EdgeProductNotRealError(
-            f"edge products for eigenvector {k} are not real "
-            f"(max imaginary part {s.max_imag_product:.3e}); the matrix is "
-            f"not at a critical point")
-    small = np.abs(products.real) < tol_product * h.norm_fro
-    if np.any(small):
-        bad = [h.graph.edges[i] for i in np.nonzero(small)[0]]
-        raise DegenerateEdgeProductError(
-            f"edge products too close to zero on edges {bad}", edges=bad)
-    count = int(np.count_nonzero(products.real > 0.0))
-    if num_components(h.graph) == 1:
-        beta = betti_number(h.graph)
-        if not k - 1 <= count <= k - 1 + beta:
-            raise InternalCrossCheckError(
-                f"nodal count {count} violates the bounds "
-                f"[{k - 1}, {k - 1 + beta}] for k={k}, beta={beta}")
-    return count
+    _, checks = _checked(h, k, es, tol_degeneracy=tol_degeneracy,
+                         tol_vanish=tol_vanish, tol_real=tol_real,
+                         tol_product=tol_product)
+    error = checks.error(h.graph, 0, 0)
+    if error is not None:
+        raise error
+    return int(checks.surplus[0, 0]) + k - 1
 
 
 def nodal_surplus(h: SupportedMatrix, k: int, **kwargs) -> int:
@@ -209,6 +308,10 @@ class SurplusDistribution:
 
     @property
     def probs(self) -> np.ndarray:
+        """Exact ratios of the counts; an empty histogram has none."""
+        if self.n_samples == 0:
+            raise DegenerateDistributionError(
+                "distribution has no samples; probabilities are undefined")
         return self.counts / float(self.n_samples)
 
     @property
@@ -239,92 +342,6 @@ def surplus_distribution(h: SupportedMatrix, **kwargs) -> SurplusDistribution:
 SWEEP_CHUNK = 256
 
 
-def _signing_histogram(h: SupportedMatrix, signs, kwargs) -> np.ndarray:
-    """Surplus histogram of one signing of ``h``, one ``nodal_count`` per k.
-
-    Raises ``InadmissibleSigningError`` with the signing's signs, the
-    first failing k and the reason when some k is not admissible.
-    """
-    hs = SupportedMatrix(h.graph, h.diag, h.offdiag * np.asarray(signs))
-    es = eigh(hs)
-    local = np.zeros(betti_number(h.graph) + 1, dtype=np.int64)
-    for k in range(1, h.graph.n + 1):
-        try:
-            local[nodal_surplus(hs, k, es=es, **kwargs)] += 1
-        except AdmissibilityError as exc:
-            pattern = tuple(int(s) for s in signs)
-            raise InadmissibleSigningError(
-                f"signing with pattern {pattern} is inadmissible at k={k}: "
-                f"{exc}", signs=pattern, k=k, reason=str(exc)) from exc
-    return local
-
-
-@dataclass(frozen=True, eq=False)
-class _StackChecks:
-    """``nodal_count``'s checks at every row and position of a stack.
-
-    ``simple``, ``flat`` and ``resolved`` are (S, K) masks: a simple
-    eigenvalue, edge products real within ``tol_real`` and away from
-    zero by ``tol_product`` times the scale.  ``vanishing`` (S, K, n)
-    marks the eigenvector entries below ``tol_vanish``, and ``surplus``
-    (S, K) is the positive-product count minus ``k - 1``.
-    """
-
-    simple: np.ndarray
-    vanishing: np.ndarray
-    flat: np.ndarray
-    resolved: np.ndarray
-    surplus: np.ndarray
-    beta: int
-
-    @cached_property
-    def inadmissible(self) -> np.ndarray:
-        """Pairs on which ``nodal_count`` raises an ``AdmissibilityError``."""
-        return (~self.simple | self.vanishing.any(axis=2) | ~self.flat
-                | ~self.resolved)
-
-    @cached_property
-    def out_of_bounds(self) -> np.ndarray:
-        """Admissible pairs whose surplus lies outside ``[0, beta]``."""
-        return ~self.inadmissible & ((self.surplus < 0)
-                                     | (self.surplus > self.beta))
-
-    @property
-    def failed(self) -> np.ndarray:
-        return self.inadmissible | self.out_of_bounds
-
-
-def _stack_checks(values: np.ndarray, vectors: np.ndarray,
-                  products: np.ndarray, positions, scale, beta: int, *,
-                  tol_degeneracy: float = DEGENERACY_TOL,
-                  tol_vanish: float = VANISH_TOL,
-                  tol_real: float = PRODUCT_REAL_TOL,
-                  tol_product: float = PRODUCT_DEGENERATE_TOL
-                  ) -> _StackChecks:
-    """The admissibility kernel: ``nodal_count``'s checks, stacked.
-
-    ``values`` (S, n) are the ascending spectra of S operators,
-    ``vectors`` (S, K, n) and ``products`` (S, K, m) the eigenvectors and
-    edge products at the 0-based ``positions`` (K,), and ``scale`` the
-    Frobenius norm, one for all rows or one per row.  Each check uses
-    ``nodal_count``'s tolerance and comparison, so a pair fails here
-    exactly when the scalar check raises, except that the bound check
-    runs on disconnected graphs too.  Real ``products`` are real by
-    construction, so they pass the realness check without a test.
-    """
-    scale = np.asarray(scale, dtype=np.float64)[..., None, None]
-    flat = (~(np.abs(products.imag) > tol_real * scale).any(axis=2)
-            if np.iscomplexobj(products)
-            else np.ones(products.shape[:2], dtype=bool))
-    return _StackChecks(
-        simple_positions(values, tol_degeneracy)[:, positions],
-        np.abs(vectors) < tol_vanish,
-        flat,
-        ~(np.abs(products.real) < tol_product * scale).any(axis=2),
-        np.count_nonzero(products.real > 0.0, axis=2) - np.asarray(positions),
-        beta)
-
-
 def _surplus_counts(h: SupportedMatrix, chunks, weight: int,
                     skip_inadmissible: bool, *,
                     tol_degeneracy: float = DEGENERACY_TOL,
@@ -335,15 +352,13 @@ def _surplus_counts(h: SupportedMatrix, chunks, weight: int,
     """Weighted surplus histogram over the sign-row blocks ``chunks`` of ``h``.
 
     Each block of signed matrices of the real ``h`` is solved by one
-    stacked eigensolve, and ``_stack_checks`` runs ``nodal_count``'s
-    checks on the real products for every signing and k at once.  A
-    signing's surpluses enter the total times ``weight`` only when
-    every k passes.  A signing that fails an admissibility check is
-    either counted as ``weight`` skipped signings or, when not skipping
-    and it is the first failing row, re-run through ``nodal_count``,
-    which raises the error; a surplus outside ``[0, beta]`` is re-run
-    even when skipping, so the bound check's ``InternalCrossCheckError``
-    stays the scalar one.
+    stacked eigensolve and checked by one kernel call on its real
+    products.  A signing's surpluses enter the total times ``weight``
+    only when every k passes.  A signing that fails is counted as
+    ``weight`` skipped signings or, when not skipping, the first one
+    raises ``InadmissibleSigningError`` at its first failing k.  A
+    surplus out of bounds there raises the bound check's error even when
+    skipping.  Both errors are worded from the block's masks.
     """
     tols = dict(tol_degeneracy=tol_degeneracy, tol_vanish=tol_vanish,
                 tol_real=tol_real, tol_product=tol_product)
@@ -364,17 +379,18 @@ def _surplus_counts(h: SupportedMatrix, chunks, weight: int,
                                h.norm_fro, beta, **tols)
         failed = checks.failed
         failing = failed.any(axis=1)
-        if skip_inadmissible:
-            first = np.argmax(failed, axis=1)
-            rerun = checks.out_of_bounds[np.arange(len(rows)), first]
-        else:
-            rerun = failing
-        if rerun.any():
-            signs = rows[np.argmax(rerun)]
-            _signing_histogram(h, signs, tols)  # raises the scalar error
-            raise InternalCrossCheckError(
-                f"the stacked checks reject the signing with pattern "
-                f"{tuple(int(s) for s in signs)}, which nodal_count accepts")
+        first = np.argmax(failed, axis=1)
+        raising = (checks.out_of_bounds[np.arange(len(rows)), first]
+                   if skip_inadmissible else failing)
+        if raising.any():
+            i = int(np.argmax(raising))
+            error = checks.error(h.graph, i, int(first[i]))
+            if not isinstance(error, AdmissibilityError):
+                raise error
+            k, pattern = int(first[i]) + 1, tuple(int(s) for s in rows[i])
+            raise InadmissibleSigningError(
+                f"signing with pattern {pattern} is inadmissible at k={k}: "
+                f"{error}", signs=pattern, k=k, reason=str(error)) from error
         skipped += weight * int(np.count_nonzero(failing))
         counts += weight * np.bincount(checks.surplus[~failing].ravel(),
                                        minlength=beta + 1)
@@ -397,15 +413,15 @@ def average_surplus_distribution(h: SupportedMatrix, *,
     are exact ratios; ``cap`` bounds beta, and a graph whose
     ``n * 2^|E|`` samples overflow the int64 counts is refused too.  A
     signing counts only when every eigenvalue position is admissible.
-    Without ``skip_inadmissible`` the first failing class is re-run
-    through ``nodal_count``, and ``InadmissibleSigningError`` carries
-    its representative's signs, k and reason.
+    Without ``skip_inadmissible`` the first failing class raises
+    ``InadmissibleSigningError``, which carries its representative's
+    signs, k and reason.
     With it, failing classes are dropped whole and their signings
     counted in ``skipped``; the result then averages over the admissible
     signings only, a deliberate departure from the all-signings average,
     and ``n_samples`` is ``(2^|E| - skipped) * n``.  When every signing
     is skipped the counts are all zero, ``n_samples`` is 0 and the
-    probabilities and moments are undefined.
+    probabilities and moments raise ``DegenerateDistributionError``.
     """
     if not h.is_real:
         raise ValueError("the signing average is defined for real matrices")

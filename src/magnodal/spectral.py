@@ -44,11 +44,6 @@ class EigenSystem:
     def n(self) -> int:
         return len(self.values)
 
-    @property
-    def spectral_scale(self) -> float:
-        """Scale used by relative tolerances, ``max(1, max |eigenvalue|)``."""
-        return max(1.0, float(np.max(np.abs(self.values))) if self.n else 0.0)
-
     def value(self, k: int) -> float:
         _check_k(k, self.n)
         return float(self.values[k - 1])

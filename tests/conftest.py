@@ -39,6 +39,12 @@ sampler oracle, solving each Newton step with ``np.linalg.lstsq``.
 ``take_along_axis_phases`` is the phase normalization that gathers its
 pivots with ``np.take_along_axis``, the pivot oracle of
 ``spectral._normalize_phases``.
+``simple_eigen``, ``scalar_count``, ``scalar_nodal_count``,
+``signing_histogram`` and ``scalar_classify`` are the admissibility
+oracle: the scalar checks, one operator and one eigenvalue position at
+a time, each with its own comparison, that the package ran before its
+one stacked kernel, ``nodal._stack_checks``.  The kernel must agree
+with them on every outcome, error type, message and attribute.
 """
 
 from dataclasses import dataclass
@@ -47,17 +53,25 @@ from typing import Iterator
 import numpy as np
 from hypothesis import strategies as st
 
-from magnodal.errors import (CapExceededError, EmptyConfigurationError,
-                             InternalCrossCheckError, NonSimpleEigenvalueError)
+from magnodal.errors import (AdmissibilityError, CapExceededError,
+                             DegenerateEdgeProductError,
+                             EdgeProductNotRealError, EmptyConfigurationError,
+                             InadmissibleSigningError,
+                             InternalCrossCheckError, NonSimpleEigenvalueError,
+                             VanishingEigenvectorError)
 import magnodal.graphs as graphs
-from magnodal.graphs import Chain, CycleBasis, Graph, boundary, cycle_basis
+from magnodal.graphs import (Chain, CycleBasis, Graph, betti_number, boundary,
+                             cycle_basis, num_components)
 from magnodal.linkage import GENERICITY_TOL, LENGTH_CAP
-from magnodal.morse import (TWO_PI, CriticalPointReport, TorusPoint,
-                            _classify, _hessian_at, morse_index)
-from magnodal.nodal import PRODUCT_REAL_TOL, _simple_eigen, edge_products
+from magnodal.morse import (TWO_PI, CriticalityReport, CriticalPointReport,
+                            TorusPoint, _check_symmetry, _hessian,
+                            morse_index)
+from magnodal.nodal import (PRODUCT_DEGENERATE_TOL, PRODUCT_REAL_TOL, _Solves,
+                            edge_products)
 from magnodal.operators import SupportedMatrix, signs_for_index
 from magnodal.serialize import _escape, format_float
-from magnodal.spectral import DEGENERACY_TOL, eigh
+from magnodal.spectral import (DEGENERACY_TOL, VANISH_TOL, EigenSystem, eigh,
+                               is_nowhere_vanishing, multiplicity)
 from magnodal.transversality import (TRANSVERSALITY_RANK_TOL,
                                      TransversalityReport, codim_stratum,
                                      eigenspace_basis)
@@ -323,6 +337,133 @@ def multiplicity_by_walk(values, k: int, tol_rel: float) -> tuple[int, int]:
     return hi - lo + 1, lo + 1
 
 
+@dataclass(frozen=True, eq=False)
+class SimpleEigen:
+    """One scalar solve: operator, simple k-th eigenpair and edge products."""
+
+    h: SupportedMatrix
+    es: EigenSystem
+    k: int
+    v: np.ndarray
+    lam: float
+    products: np.ndarray
+
+    @property
+    def gradient(self) -> np.ndarray:
+        """Eigenvalue derivative along each edge angle."""
+        return -2.0 * self.products.imag
+
+    @property
+    def max_imag_product(self) -> float:
+        return float(np.max(np.abs(self.products.imag))) \
+            if self.products.size else 0.0
+
+    def is_flat(self, tol: float) -> bool:
+        """Criticality: every edge product real within ``tol * norm``."""
+        return self.max_imag_product <= tol * self.h.norm_fro
+
+    @property
+    def stack(self) -> _Solves:
+        """The solve as the stack of one that the Hessian assembly takes."""
+        return _Solves.at(self.h.graph, self.h.offdiag[None],
+                          self.es.values[None], self.es.vectors[None], self.k)
+
+
+def simple_eigen(h: SupportedMatrix, k: int, es: EigenSystem | None,
+                 tol_degeneracy: float) -> SimpleEigen:
+    """Solve ``h`` (or take ``es``); the k-th eigenvalue must be simple."""
+    if es is None:
+        es = eigh(h)
+    m, _ = multiplicity(es, k, tol_degeneracy)
+    if m != 1:
+        raise NonSimpleEigenvalueError(
+            f"eigenvalue {k} has multiplicity {m}; it must be simple",
+            k=k, multiplicity=m)
+    v = es.vector(k)
+    return SimpleEigen(h, es, k, v, es.value(k), edge_products(h, v))
+
+
+def scalar_count(s: SimpleEigen, tol_vanish: float,
+                 tol_real: float = PRODUCT_REAL_TOL,
+                 tol_product: float = PRODUCT_DEGENERATE_TOL) -> int:
+    """The nodal count at a simple eigenvalue, one check at a time; the
+    bound check runs on connected graphs only."""
+    h, k, products = s.h, s.k, s.products
+    ok, vanishing = is_nowhere_vanishing(s.v, tol_vanish)
+    if not ok:
+        raise VanishingEigenvectorError(
+            f"eigenvector {k} vanishes at vertices {vanishing}",
+            vertices=vanishing)
+    if not s.is_flat(tol_real):
+        raise EdgeProductNotRealError(
+            f"edge products for eigenvector {k} are not real "
+            f"(max imaginary part {s.max_imag_product:.3e}); the matrix is "
+            f"not at a critical point")
+    small = np.abs(products.real) < tol_product * h.norm_fro
+    if np.any(small):
+        bad = [h.graph.edges[i] for i in np.nonzero(small)[0]]
+        raise DegenerateEdgeProductError(
+            f"edge products too close to zero on edges {bad}", edges=bad)
+    count = int(np.count_nonzero(products.real > 0.0))
+    if num_components(h.graph) == 1:
+        beta = betti_number(h.graph)
+        if not k - 1 <= count <= k - 1 + beta:
+            raise InternalCrossCheckError(
+                f"nodal count {count} violates the bounds "
+                f"[{k - 1}, {k - 1 + beta}] for k={k}, beta={beta}")
+    return count
+
+
+def scalar_nodal_count(h: SupportedMatrix, k: int, *,
+                       es: EigenSystem | None = None,
+                       tol_degeneracy: float = DEGENERACY_TOL,
+                       tol_vanish: float = VANISH_TOL,
+                       tol_real: float = PRODUCT_REAL_TOL,
+                       tol_product: float = PRODUCT_DEGENERATE_TOL) -> int:
+    """``nodal.nodal_count`` through the scalar checks."""
+    return scalar_count(simple_eigen(h, k, es, tol_degeneracy), tol_vanish,
+                        tol_real, tol_product)
+
+
+def scalar_nodal_surplus(h: SupportedMatrix, k: int, **kwargs) -> int:
+    return scalar_nodal_count(h, k, **kwargs) - (k - 1)
+
+
+def signing_histogram(h: SupportedMatrix, signs, kwargs) -> np.ndarray:
+    """Surplus histogram of one signing of ``h``, one scalar count per k.
+
+    Raises ``InadmissibleSigningError`` with the signing's signs, the
+    first failing k and the reason when some k is not admissible.
+    """
+    hs = SupportedMatrix(h.graph, h.diag, h.offdiag * np.asarray(signs))
+    es = eigh(hs)
+    local = np.zeros(betti_number(h.graph) + 1, dtype=np.int64)
+    for k in range(1, h.graph.n + 1):
+        try:
+            local[scalar_nodal_surplus(hs, k, es=es, **kwargs)] += 1
+        except AdmissibilityError as exc:
+            pattern = tuple(int(s) for s in signs)
+            raise InadmissibleSigningError(
+                f"signing with pattern {pattern} is inadmissible at k={k}: "
+                f"{exc}", signs=pattern, k=k, reason=str(exc)) from exc
+    return local
+
+
+def scalar_classify(s: SimpleEigen, tol: float, tol_vanish: float
+                    ) -> CriticalityReport:
+    """``morse.is_critical`` at a simple eigenvalue, one check at a time."""
+    worst = s.max_imag_product
+    _, vanishing = is_nowhere_vanishing(s.v, tol_vanish)
+    if not s.is_flat(tol):
+        return CriticalityReport(False, "smooth-regular", 1, worst,
+                                 tuple(vanishing))
+    if not vanishing:
+        _check_symmetry(s.h.graph, s.h.offdiag[None], s.products[None],
+                        np.array([s.h.norm_fro]), tol)
+        return CriticalityReport(True, "symmetry", 1, worst, ())
+    return CriticalityReport(True, "exceptional", 1, worst, tuple(vanishing))
+
+
 def scalar_polish(base, k: int, start, gtol: float, tol_degeneracy: float):
     """One start of ``morse._polish``, run on its own.
 
@@ -340,7 +481,7 @@ def scalar_polish(base, k: int, start, gtol: float, tol_degeneracy: float):
         h = TorusPoint.from_coords(base, coords).operator()
         es = eigh(h)
         try:
-            return _simple_eigen(h, k, es, tol_degeneracy)
+            return simple_eigen(h, k, es, tol_degeneracy)
         except NonSimpleEigenvalueError:
             return eigenvalue_gap(es, k)
 
@@ -350,7 +491,7 @@ def scalar_polish(base, k: int, start, gtol: float, tol_degeneracy: float):
         return "degenerate", x, s, None
     for _ in range(60):
         g = s.gradient[idx]
-        J = _hessian_at(s, tol_degeneracy)
+        J = _hessian(s.stack, cycle_basis(base.graph), tol_degeneracy)[0]
         delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
         if float(np.max(np.abs(g))) <= gtol:
             xn = np.mod(x + delta, TWO_PI)
@@ -384,15 +525,15 @@ def scalar_report(coords, h, es, k: int, origin: str, *,
     the operator ``h`` there and its eigensystem ``es``, built alone."""
     coords = tuple(float(c) for c in coords)
     try:
-        s = _simple_eigen(h, k, es, tol_degeneracy)
+        s = simple_eigen(h, k, es, tol_degeneracy)
     except NonSimpleEigenvalueError as exc:
         return CriticalPointReport(coords, k, "incorrigible",
                                    exc.multiplicity, (), None, None, None,
                                    None, origin)
-    report = _classify(s, PRODUCT_REAL_TOL, tol_vanish)
+    report = scalar_classify(s, PRODUCT_REAL_TOL, tol_vanish)
     gnorm = float(np.linalg.norm(
         s.gradient[cycle_basis(h.graph).nonforest_indices]))
-    hess = _hessian_at(s, tol_degeneracy)
+    hess = _hessian(s.stack, cycle_basis(h.graph), tol_degeneracy)[0]
     spectrum = tuple(float(x) for x in np.linalg.eigvalsh(hess)) \
         if hess.size else ()
     index, nullity = morse_index(hess, rank_tol)

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (eigenvalue_at, gradient_fd, hessian_eigenvalue_fd,
-                      same_bits, scalar_report, small_graphs)
+                      same_bits, scalar_nodal_surplus, scalar_report,
+                      small_graphs)
 from magnodal.errors import (
     AdmissibilityError,
     InternalCrossCheckError,
@@ -569,18 +570,18 @@ class TestCriticalScan:
 
     def test_search_reports_take_the_polish_solves(self, monkeypatch):
         """A search report is classified from the polish's solve as it
-        stands: no simplicity check and no edge products of its own.
-        Each report phase makes two stacked degeneracy tests, one for
-        its Hessians' pseudo-inverse and one for its incorrigible rows,
-        and none per row."""
+        stands: no solve and no edge products of its own.  Each report
+        phase makes two stacked degeneracy tests, one for its Hessians'
+        pseudo-inverse and one for the multiplicities of its
+        incorrigible rows, and none per row."""
         import magnodal.morse as morse
         import magnodal.nodal as nodal
 
         inside = []
         for module, name in ((morse, "cluster_mask"),
-                             (nodal, "multiplicity"),
+                             (nodal, "cluster_mask"),
                              (nodal, "edge_products"),
-                             (morse, "_simple_eigen")):
+                             (nodal, "eigh")):
             def counting(*args, _name=name, _inner=getattr(module, name),
                          **kwargs):
                 inside.append((_name, len(args[0])) if _name == "cluster_mask"
@@ -927,42 +928,27 @@ class TestOneOperatorPerSolve:
         assert counts == {"eigh": 0, "magnetic_action": 0}
 
     def test_verify_index_checks_each_pair_once(self, monkeypatch):
-        """One kernel call decides every (class, k) pair at once; only
-        the skipped pairs run the scalar checks, one call each."""
+        """One kernel call decides every (class, k) pair at once, and its
+        masks word the skip reasons: after the one stacked solve of the
+        symmetry points and the kernel call, no pair is solved, checked,
+        counted for multiplicity or gets its edge products again, the
+        skipped ones included."""
         import magnodal.morse as morse
         import magnodal.nodal as nodal
+        import magnodal.spectral as spectral
 
         for case, skipped in VERIFY_SKIPS:
             h = verify_fixture(case)
             with monkeypatch.context() as m:
-                kernel = record_calls(m, (morse, "_stack_checks"))
-                counts = count_calls(m, morse, "_simple_eigen", "_count")
-                vanishing = count_calls(m, nodal, "is_nowhere_vanishing")
+                events = record_calls(
+                    m, (morse, "_stack_checks"), (nodal, "_stack_checks"),
+                    (nodal, "eigh"), (spectral, "eigh"),
+                    (spectral, "eigh_dense"), (spectral, "multiplicity"),
+                    (nodal, "edge_products"))
                 t = verify_index_equals_surplus(h)
             assert t.num_skipped == skipped
-            assert kernel == ["_stack_checks"]
-            assert counts["_simple_eigen"] == skipped
-            assert counts["_count"] == vanishing["is_nowhere_vanishing"] \
-                == skipped - sum("multiplicity" in r.reason for r in t.rows)
-
-    def test_verify_index_solves_each_pair_once(self, monkeypatch):
-        """The pairs share the stacked solve of the symmetry points: no
-        pair is checked for simplicity or gets its edge products on its
-        own unless the kernel rejects it."""
-        import magnodal.morse as morse
-        import magnodal.nodal as nodal
-
-        names = ("multiplicity", "edge_products")
-        for case, skipped in VERIFY_SKIPS:
-            with monkeypatch.context() as m:
-                counts = [count_calls(m, module, *(
-                    n for n in names if hasattr(module, n)))
-                    for module in (morse, nodal)]
-                t = verify_index_equals_surplus(verify_fixture(case))
-            total = {n: sum(c.get(n, 0) for c in counts) for n in names}
-            simple = sum("multiplicity" not in r.reason for r in t.rows
-                         if r.status == "skipped")
-            assert total == {"multiplicity": skipped, "edge_products": simple}
+            assert all(r.reason for r in t.rows if r.status == "skipped")
+            assert events == ["eigh_dense", "_stack_checks"]
 
 
 class TestStackedHessians:
@@ -1104,8 +1090,8 @@ class TestStackedReports:
 def verify_rows_oracle(h, tol_vanish):
     """Skip decisions of ``verify_index_equals_surplus`` as three checks.
 
-    Multiplicity, then vanishing entries, then ``nodal_surplus``: the
-    order the checks ran in before ``nodal_surplus`` alone decided.
+    Multiplicity, then vanishing entries, then the scalar oracle's
+    surplus: the order the checks ran in before one kernel decided.
     """
     base = abs_part(h)
     rows = []
@@ -1123,7 +1109,8 @@ def verify_rows_oracle(h, tol_vanish):
                 rows.append((bits, k, "skipped", f"vanishes at {vanishing}"))
                 continue
             try:
-                surplus = nodal_surplus(hs, k, es=es, tol_vanish=tol_vanish)
+                surplus = scalar_nodal_surplus(hs, k, es=es,
+                                               tol_vanish=tol_vanish)
             except AdmissibilityError as exc:
                 rows.append((bits, k, "skipped", str(exc)))
                 continue

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (classes_by_enumeration, complex_class_products,
-                      enumerate_signings)
+                      enumerate_signings, scalar_nodal_surplus,
+                      signing_histogram, small_graphs)
 import magnodal
 import magnodal.nodal as nodal
 from magnodal.errors import (
@@ -37,7 +38,7 @@ from magnodal.families import (
     star_graph,
     strong_diagonal_fixture,
 )
-from magnodal.graphs import Graph, betti_number
+from magnodal.graphs import Graph, betti_number, num_components
 from magnodal.nodal import (
     NormalizedSurplus,
     SurplusDistribution,
@@ -418,11 +419,12 @@ def scalar_sweep(name, by_classes=False, pre_signed=False, tols=()):
 
     Visits every signing of the fixture in enumeration order, or each
     switching-class representative in class-id order, with the
-    tolerances ``tols`` (keyword, value pairs).  Returns the counts, the
-    number of inadmissible rows, and the first one's signs, k and error.
+    tolerances ``tols`` (keyword, value pairs), through the scalar
+    checks of ``signing_histogram``.  Returns the counts, the number of
+    inadmissible rows, and the first one's signs, k and error.
     """
     h = sweep_fixture(name, pre_signed)
-    m, n, beta = h.graph.num_edges, h.graph.n, betti_number(h.graph)
+    m, beta = h.graph.num_edges, betti_number(h.graph)
     if by_classes:
         rows = classes_by_enumeration(h.graph).representatives
     else:
@@ -431,18 +433,14 @@ def scalar_sweep(name, by_classes=False, pre_signed=False, tols=()):
     counts = [0] * (beta + 1)
     skipped, first = 0, None
     for signs in rows:
-        hs = SupportedMatrix(h.graph, h.diag, h.offdiag * np.array(signs))
-        es = eigh(hs)
-        local = [0] * (beta + 1)
         try:
-            for k in range(1, n + 1):
-                local[nodal_surplus(hs, k, es=es, **dict(tols))] += 1
-        except AdmissibilityError as exc:
+            local = signing_histogram(h, signs, dict(tols))
+        except InadmissibleSigningError as exc:
             skipped += 1
             if first is None:
-                first = (signs, k, exc)
+                first = (signs, exc.k, exc.__cause__)
             continue
-        counts = [a + b for a, b in zip(counts, local)]
+        counts = [a + int(b) for a, b in zip(counts, local)]
     return counts, skipped, first
 
 
@@ -593,6 +591,18 @@ class TestSweepAgainstScalarOracle:
         assert d.counts.tolist() == [0, 0, 0, 0]
         assert d.skipped == 64 and d.n_samples == 0
 
+    def test_empty_histogram_has_no_moments(self):
+        """With no samples the probabilities and moments raise, where
+        dividing by zero gave NaN with a ``RuntimeWarning``."""
+        d = average_surplus_distribution(zero_diagonal_k4(),
+                                         skip_inadmissible=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in ("probs", "mean", "variance"):
+                with pytest.raises(DegenerateDistributionError,
+                                   match="no samples"):
+                    getattr(d, name)
+
     def test_strong_k5_sweep_is_stacked(self, monkeypatch):
         import magnodal.spectral as spectral
 
@@ -626,9 +636,14 @@ def planted_graphs(draw):
     return Graph(n, tuple(sorted(edges)))
 
 
+#: Any graph on one to five vertices, disconnected ones included.
+ANY_GRAPHS = small_graphs(5).filter(lambda g: g.n > 0)
+
+
 @st.composite
-def planted_operators(draw):
-    """A small connected operator, some of whose signings fail checks.
+def planted_operators(draw, graphs=planted_graphs()):
+    """A small operator, connected unless ``graphs`` draws otherwise,
+    some of whose signings fail checks.
 
     Diagonals and couplings are drawn partly from a few repeated values
     (equal diagonals and couplings plant degenerate eigenvalues and
@@ -636,7 +651,7 @@ def planted_operators(draw):
     products) and partly with a complex phase (products that are not
     real).
     """
-    g = draw(planted_graphs())
+    g = draw(graphs)
     number = PLANTED_NUMBER
     diag = draw(st.lists(st.sampled_from([0.0, 1.0]) | number,
                          min_size=g.n, max_size=g.n))
@@ -649,11 +664,12 @@ def planted_operators(draw):
 
 
 @st.composite
-def real_planted_operators(draw):
-    """A small connected real operator, as the class sum solves them:
-    all-zero or repeated diagonals, couplings of +-1 and exact zeros
-    (degenerate products), and some real couplings of other sizes."""
-    g = draw(planted_graphs())
+def real_planted_operators(draw, graphs=planted_graphs()):
+    """A small real operator, connected unless ``graphs`` draws
+    otherwise, as the class sum solves them: all-zero or repeated
+    diagonals, couplings of +-1 and exact zeros (degenerate products),
+    and some real couplings of other sizes."""
+    g = draw(graphs)
     diag = draw(st.just([0.0] * g.n) | st.lists(
         st.sampled_from([0.0, 1.0]) | PLANTED_NUMBER, min_size=g.n,
         max_size=g.n))
@@ -670,19 +686,32 @@ CHECK_ERRORS = (
     (lambda c: ~c.simple, NonSimpleEigenvalueError),
     (lambda c: np.any(c.vanishing, axis=2), VanishingEigenvectorError),
     (lambda c: ~c.flat, EdgeProductNotRealError),
-    (lambda c: ~c.resolved, DegenerateEdgeProductError),
+    (lambda c: np.any(c.unresolved, axis=2), DegenerateEdgeProductError),
     (lambda c: c.out_of_bounds, InternalCrossCheckError),
 )
 
 
+def error_fields(exc) -> tuple:
+    """Type, message and attributes of an error, for comparing two."""
+    return (type(exc), str(exc), *(getattr(exc, name, None) for name in
+                                   ("k", "multiplicity", "vertices", "edges")))
+
+
 @settings(max_examples=300, deadline=None)
-@given(planted_operators() | real_planted_operators(), st.data())
+@given(planted_operators() | real_planted_operators()
+       | planted_operators(ANY_GRAPHS) | real_planted_operators(ANY_GRAPHS),
+       st.data())
 def test_admissibility_kernel_matches_nodal_count(h, data):
-    """Every (signing, k) of the kernel against scalar ``nodal_count``:
-    the same pass or fail, error class and surplus, and so the same
-    first failing pair; passing surpluses lie in ``[0, beta]``.  On a
-    real operator the class sum's real products give the masks and
-    surpluses of the complex ones, and so the same errors."""
+    """Every (signing, k) of the kernel against the scalar oracle: the
+    same pass or fail and surplus, and the same error, with its type,
+    message, ``k``, ``multiplicity``, ``vertices`` and ``edges``, from
+    the kernel's masks and from ``nodal_count`` alike; passing
+    surpluses lie in ``[0, beta]``.  On a disconnected graph the
+    kernel's bound check runs, and the oracle's does not; no pair may
+    get that far there, since a simple eigenvalue's eigenvector lives
+    on one component and vanishes on the others.  On a real operator
+    the class sum's real products give the masks and surpluses of the
+    complex ones, and so the same errors."""
     m, n, beta = h.graph.num_edges, h.graph.n, betti_number(h.graph)
     rows = np.array(data.draw(st.lists(
         st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m),
@@ -704,23 +733,37 @@ def test_admissibility_kernel_matches_nodal_count(h, data):
         assert np.array_equal(signed, products.real)
         real = nodal._stack_checks(values, vectors, signed, np.arange(n),
                                    h.norm_fro, beta, **tols)
-        for mask in ("simple", "vanishing", "flat", "resolved", "surplus",
+        for mask in ("simple", "vanishing", "flat", "unresolved", "surplus",
                      "inadmissible", "out_of_bounds", "failed"):
             assert np.array_equal(getattr(real, mask), getattr(checks, mask))
+        for row in range(len(rows)):
+            for k in range(1, n + 1):
+                a, b = (c.error(h.graph, row, k - 1) for c in (real, checks))
+                assert (a is None and b is None) \
+                    or error_fields(a) == error_fields(b)
+    if num_components(h.graph) > 1:
+        assert checks.inadmissible.all()
     for row, signs in enumerate(rows):
         hs = SupportedMatrix(h.graph, h.diag, h.offdiag * signs)
         es = eigh(hs)
         for k in range(1, n + 1):
             expected = next((error for check, error in CHECK_ERRORS
                              if check(checks)[row, k - 1]), None)
+            got = checks.error(h.graph, row, k - 1)
+            assert (got is None) == (expected is None)
             try:
-                surplus = nodal_surplus(hs, k, es=es, **tols)
+                surplus = scalar_nodal_surplus(hs, k, es=es, **tols)
             except (AdmissibilityError, InternalCrossCheckError) as exc:
                 assert checks.failed[row, k - 1]
                 assert type(exc) is expected
+                assert error_fields(got) == error_fields(exc)
+                with pytest.raises(type(exc)) as err:
+                    nodal_surplus(hs, k, es=es, **tols)
+                assert error_fields(err.value) == error_fields(exc)
                 continue
             assert not checks.failed[row, k - 1] and expected is None
             assert checks.surplus[row, k - 1] == surplus
+            assert nodal_surplus(hs, k, es=es, **tols) == surplus
             assert 0 <= surplus <= beta
 
 
@@ -747,16 +790,25 @@ class TestStackedSolveFallback:
         assert calls == 1  # no signing is solved again on its own
 
 
-def test_rejection_the_scalar_path_does_not_share_is_internal(monkeypatch):
+def test_sweep_errors_are_worded_from_the_kernel_masks(monkeypatch):
+    """The class sum words its error from the products it checked, with
+    no second solve: zeroed products name every edge, though the
+    signing solved alone has none too close to zero."""
     original = nodal._signed_products
 
     def zero_when_stacked(h, v, rows):
         return original(h, v, rows) * 0.0
 
     monkeypatch.setattr(nodal, "_signed_products", zero_when_stacked)
-    with pytest.raises(InternalCrossCheckError, match="nodal_count accepts"):
-        average_surplus_distribution(
-            strong_diagonal_fixture(complete_graph(3)))
+    h = strong_diagonal_fixture(complete_graph(3))
+    assert nodal_count(h, 1) == 0
+    with pytest.raises(InadmissibleSigningError) as err:
+        average_surplus_distribution(h)
+    reason = "edge products too close to zero on edges [(0, 1), (0, 2), (1, 2)]"
+    assert str(err.value) == (f"signing with pattern (1, 1, 1) is "
+                              f"inadmissible at k=1: {reason}")
+    assert err.value.reason == reason
+    assert err.value.__cause__.edges == h.graph.edges
 
 
 def run_optimized(script):

@@ -12,7 +12,10 @@ the benchmark needs to exist.  ``spectral`` is the package's one
 gateway to LAPACK's dense solvers: no other module calls
 ``np.linalg.eigh``, ``eigvalsh`` or ``lstsq``.  It also holds the one
 degeneracy test, ``cluster_mask``: elsewhere ``tol_degeneracy`` is only
-passed on, never part of arithmetic or a comparison.
+passed on, never part of arithmetic or a comparison.  Likewise the
+vanishing, product and realness tolerances (``tol_vanish``,
+``tol_product`` and ``tol_real``) cut only in ``nodal._stack_checks``,
+the one admissibility kernel.
 """
 
 import ast
@@ -92,21 +95,30 @@ def solver_uses(tree: ast.Module) -> list[str]:
     return found
 
 
-def degeneracy_cuts(tree: ast.Module) -> list[str]:
-    """Lines where ``tol_degeneracy``, as a name or an attribute, is an
-    operand of arithmetic or a comparison; an argument of a call inside
-    one is passed on, not cut."""
+#: The tolerances that only ``nodal._stack_checks`` may cut at.
+ADMISSIBILITY_TOLS = {"tol_vanish", "tol_product", "tol_real"}
+
+
+def tolerance_cuts(tree: ast.Module, names=frozenset({"tol_degeneracy"}),
+                   inside: str | None = None) -> list[str]:
+    """Lines where one of ``names``, as a name or an attribute, is an
+    operand of arithmetic or a comparison outside the functions named
+    ``inside``; an argument of a call inside one is passed on, not
+    cut."""
     def operands(node):
         for child in ast.iter_child_nodes(node):
             if not isinstance(child, ast.Call):
                 yield child
                 yield from operands(child)
 
+    exempt = {id(node) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == inside
+              for node in ast.walk(f)}
     return [f"line {line}" for line in sorted({
         node.lineno for op in ast.walk(tree)
-        if isinstance(op, (ast.BinOp, ast.Compare)) for node in operands(op)
-        if getattr(node, "id", getattr(node, "attr", None))
-        == "tol_degeneracy"})]
+        if isinstance(op, (ast.BinOp, ast.Compare)) and id(op) not in exempt
+        for node in operands(op)
+        if getattr(node, "id", getattr(node, "attr", None)) in names})]
 
 
 def bare_asserts(tree: ast.Module) -> list[int]:
@@ -135,7 +147,14 @@ def test_only_spectral_calls_the_dense_solvers(path):
     "path", [p for p in MODULES if p.name != "spectral.py"],
     ids=lambda p: p.name)
 def test_only_spectral_cuts_at_the_degeneracy_tolerance(path):
-    assert degeneracy_cuts(parse(path)) == []
+    assert tolerance_cuts(parse(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_kernel_cuts_at_the_admissibility_tolerances(path):
+    assert tolerance_cuts(parse(path), ADMISSIBILITY_TOLS,
+                          "_stack_checks" if path.name == "nodal.py"
+                          else None) == []
 
 
 @pytest.mark.parametrize(
@@ -158,12 +177,27 @@ def test_checks_catch_what_they_look_for():
         "'''np.linalg.eigh in a docstring'''\n")) == [
         "lstsq (line 3)", "linalg.eigh (line 4)", "linalg.eigvalsh (line 5)"]
     assert solver_uses(parse(PACKAGE / "spectral.py")) == []
-    assert degeneracy_cuts(ast.parse(
+    assert tolerance_cuts(ast.parse(
         "f(x, tol_degeneracy)\ng(tol_degeneracy=tol_degeneracy)\n"
         "t = (tol_degeneracy * s)[:, None]\n"
         "ok = abs(d) <= args.tol_degeneracy\n"
         "h(1 + k(tol_degeneracy))\nn = [1, tol_degeneracy] + x\n")) \
         == ["line 3", "line 4", "line 6"]
+    kernel = (
+        "def _stack_checks(v, p, s, tol_vanish, tol_real, tol_product):\n"
+        "    flat = abs(p.imag) > tol_real * s\n"
+        "    return abs(v) < tol_vanish, p < (tol_product * s)[..., None]\n"
+        "def count(v, tol_vanish):\n"
+        "    f(v, tol_vanish=tol_vanish)\n"
+        "    return abs(v) < tol_vanish\n"
+        "x = s.tol_real + tol_degeneracy * 2\n"
+        "ok = tol_product >= 0.0\n")
+    assert tolerance_cuts(ast.parse(kernel), ADMISSIBILITY_TOLS,
+                          "_stack_checks") == ["line 6", "line 7", "line 8"]
+    assert tolerance_cuts(ast.parse(kernel), ADMISSIBILITY_TOLS) \
+        == ["line 2", "line 3", "line 6", "line 7", "line 8"]
+    assert tolerance_cuts(ast.parse(kernel), inside="_stack_checks") \
+        == ["line 7"]
     assert MODULES and all(p.name != "__init__.py" for p in MODULES)
     a, b = Path("a.py"), Path("b.py")
     trees = {a: ast.parse("def f(): pass\ndef g(): pass\n"

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .graphs import Graph, OneForm, cycle_basis, induced_subgraph
 from .morse import RANK_TOL, TorusPoint, _classify, _hessian, morse_index
-from .nodal import PRODUCT_REAL_TOL, _checked, nodal_surplus
+from .nodal import _checked, nodal_surplus
 from .operators import GaugePhase, SupportedMatrix, gauge_transform
 from .spectral import (
     DEGENERACY_TOL,
@@ -234,6 +234,7 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
     ``p.operator()`` when the caller has solved it.
     """
     h = p.operator()
+    es = eigh(h) if es is None else es
     try:
         s, checks = _checked(h, k, es, tol_degeneracy=tol_degeneracy,
                              tol_vanish=tol_vanish)
@@ -241,12 +242,11 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
         raise LinkageHypothesisError(
             f"eigenvalue {k} has multiplicity {exc.multiplicity}; the "
             f"analysis needs a simple eigenvalue", hypothesis=1) from exc
-    crit = _classify(h, s, checks, PRODUCT_REAL_TOL)
+    crit = _classify(h, s, checks)
     if not crit.critical:
         raise NotCriticalError(
             f"gradient is nonzero (max imaginary product "
             f"{crit.max_imag_product:.3e}); not a critical point")
-    es = EigenSystem(s.values[0], s.vectors[0])
     v, lam = es.vector(k), es.value(k)
     vanishing = list(crit.vanishing)
     if len(vanishing) == 0:

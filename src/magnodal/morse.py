@@ -204,31 +204,31 @@ def is_critical(p: TorusPoint, k: int, tol: float = PRODUCT_REAL_TOL, *,
     except NonSimpleEigenvalueError as exc:
         return CriticalityReport(True, "incorrigible", exc.multiplicity,
                                  float("nan"), ())
-    return _classify(h, s, checks, tol)
+    return _classify(h, s, checks)
 
 
-def _classify(h: SupportedMatrix, s: _Solves, checks: _StackChecks,
-              tol: float) -> CriticalityReport:
+def _classify(h: SupportedMatrix, s: _Solves, checks: _StackChecks
+              ) -> CriticalityReport:
     """``is_critical`` at a simple eigenvalue, from the checked solve
-    ``s`` of ``h`` and its ``checks`` at realness tolerance ``tol``."""
-    kind = _kinds(h.graph, s, np.array([h.norm_fro]), checks, tol)[0]
+    ``s`` of ``h`` and its ``checks``."""
+    kind = _kinds(s, np.array([h.norm_fro]), checks)[0]
     return CriticalityReport(
         kind != "smooth-regular", kind, 1,
         float(np.max(np.abs(s.products.imag), initial=0.0)),
         tuple(np.flatnonzero(checks.vanishing[0, 0]).tolist()))
 
 
-def _kinds(graph: Graph, s: _Solves, scale: np.ndarray,
-           checks: _StackChecks, tol: float) -> list[str]:
+def _kinds(s: _Solves, scale: np.ndarray, checks: _StackChecks) -> list[str]:
     """Kind of each row of ``s`` at a simple eigenvalue, from its
-    ``checks`` at realness tolerance ``tol``, with ``_check_symmetry``
-    run on the ``symmetry`` rows, whose norms are in ``scale`` (S,)."""
+    ``checks``, with ``_check_symmetry`` run on the ``symmetry`` rows,
+    whose norms are in ``scale`` (S,)."""
     flat = checks.flat[:, 0]
     symmetric = checks.simple[:, 0] & flat \
         & ~np.any(checks.vanishing[:, 0], axis=1)
     if np.any(symmetric):
-        _check_symmetry(graph, s.offdiag[symmetric], s.products[symmetric],
-                        scale[symmetric], tol)
+        _check_symmetry(checks.graph, s.offdiag[symmetric],
+                        s.products[symmetric], scale[symmetric],
+                        checks.tol_real)
     return np.where(flat, np.where(symmetric, "symmetry", "exceptional"),
                     "smooth-regular").tolist()
 
@@ -483,10 +483,10 @@ def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
     """
     k = s.k
     scale = frobenius_norms(base.diag, s.offdiag)
-    checks = s.checks(scale, len(basis), tol_degeneracy=tol_degeneracy,
+    checks = s.checks(base.graph, scale, tol_degeneracy=tol_degeneracy,
                       tol_vanish=tol_vanish)
     simple, vanishing = checks.simple[:, 0], checks.vanishing[:, 0]
-    kinds = _kinds(base.graph, s, scale, checks, PRODUCT_REAL_TOL)
+    kinds = _kinds(s, scale, checks)
     rows = np.flatnonzero(simple)
     grad = (-2.0 * s.products[rows].imag)[:, basis.nonforest_indices]
     gnorm = np.sqrt(_squares(grad))
@@ -826,15 +826,15 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
     checks = _stack_checks(
         values, vectors.swapaxes(1, 2),
         np.stack([s.products for s in solves], axis=1), np.arange(n),
-        base.norm_fro, len(basis), tol_degeneracy=tol_degeneracy,
+        base.norm_fro, graph, tol_degeneracy=tol_degeneracy,
         tol_vanish=tol_vanish)
     admissible, surplus = ~checks.failed, checks.surplus
     if np.any(checks.out_of_bounds):
-        raise checks.error(graph, *np.argwhere(checks.out_of_bounds)[0])
+        raise checks.error(*np.argwhere(checks.out_of_bounds)[0])
     classes = [tuple(b) for b in bits.tolist()]
     reasons = {}
     for c, j in np.argwhere(~admissible).tolist():
-        exc = checks.error(graph, c, j)
+        exc = checks.error(c, j)
         reasons[c, j] = (
             f"multiplicity {exc.multiplicity}"
             if isinstance(exc, NonSimpleEigenvalueError) else

@@ -14,20 +14,17 @@ operators.  It decides for every row and eigenvalue position at once
 whether the eigenvalue is simple, which eigenvector entries vanish,
 whether the edge products are real and which are too close to zero to
 carry a sign, and its masks word every error (``_StackChecks.error``).
-A single operator is a stack of one (``_checked``).
+A single operator is a stack of one (``_checked``).  The surplus bounds
+are a theorem on connected graphs; on a disconnected graph a count
+outside them is inadmissible, not an internal fault.
 
-Switching-equivalent signings share their spectrum and nodal counts,
-so the average solves one representative per switching class, the
-member that leaves the spanning forest unflipped, and weights it by the
-class size.  The sweep, ``_surplus_counts``, solves the
-representatives in chunks of ``SWEEP_CHUNK``, each by one stacked
-eigensolve and one kernel call.  The sum runs in real arithmetic: its
-products ``v_r (h_rs * sign) v_s`` carry the bits of the real parts of
-the complex ones (every imaginary factor is an exact zero and a sign
-flip is exact), up to the signs of zeros, which no check reads.  A
-signing enters the histogram only when every eigenvalue position is
-admissible; with ``skip_inadmissible`` the others are dropped whole
-and counted, so the counts always sum to the sample count.
+The signing average solves one representative per switching class, the
+member that leaves the spanning forest unflipped, in chunks of
+``SWEEP_CHUNK``, each by one stacked eigensolve and one kernel call
+(``_surplus_counts``).  It runs in real arithmetic: its products
+``v_r (h_rs * sign) v_s`` carry the bits of the real parts of the
+complex ones (every imaginary factor is an exact zero and a sign flip
+is exact), up to the signs of zeros, which no check reads.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from .errors import (
     NonSimpleEigenvalueError,
     VanishingEigenvectorError,
 )
-from .graphs import Graph, betti_number
+from .graphs import Graph, betti_number, num_components
 from .operators import (
     SIGNING_CAP,
     SupportedMatrix,
@@ -118,11 +115,11 @@ class _Solves:
         self.offdiag[rows], self.values[rows] = s.offdiag, s.values
         self.vectors[rows], self.products[rows] = s.vectors, s.products
 
-    def checks(self, scale, beta: int, **tols) -> "_StackChecks":
+    def checks(self, graph: Graph, scale, **tols) -> "_StackChecks":
         """The kernel at position k of every row, at norm ``scale``."""
         k = self.k
         return _stack_checks(self.values, self.vectors[:, None, :, k - 1],
-                             self.products[:, None], [k - 1], scale, beta,
+                             self.products[:, None], [k - 1], scale, graph,
                              **tols)
 
 
@@ -138,37 +135,44 @@ def _signed_products(h: SupportedMatrix, vectors: np.ndarray,
 @dataclass(frozen=True, eq=False)
 class _StackChecks:
     """The kernel's checks of ``values`` (S, n) and ``products``
-    (S, K, m) at the 0-based ``positions`` (K,).
+    (S, K, m) at the 0-based ``positions`` (K,) of operators on ``graph``.
 
-    ``simple`` and ``flat`` (S, K) mark a simple eigenvalue and real
-    edge products, ``vanishing`` (S, K, n) the vanishing eigenvector
-    entries, ``unresolved`` (S, K, m) the products too close to zero to
-    carry a sign, and ``surplus`` (S, K) is the positive-product count
-    minus ``k - 1``.
+    ``simple`` and ``flat`` (S, K) mark a simple eigenvalue and edge
+    products real within ``tol_real``, ``vanishing`` (S, K, n) the
+    vanishing eigenvector entries, ``unresolved`` (S, K, m) the products
+    too close to zero to carry a sign, and ``surplus`` (S, K) is the
+    positive-product count minus ``k - 1``.
     """
 
     values: np.ndarray
     products: np.ndarray
     positions: np.ndarray
+    graph: Graph
+    beta: int
     tol_degeneracy: float
+    tol_real: float
     simple: np.ndarray
     vanishing: np.ndarray
     flat: np.ndarray
     unresolved: np.ndarray
     surplus: np.ndarray
-    beta: int
+
+    @cached_property
+    def unbounded(self) -> np.ndarray:
+        """Pairs whose surplus lies outside ``[0, beta]``."""
+        return (self.surplus < 0) | (self.surplus > self.beta)
 
     @cached_property
     def inadmissible(self) -> np.ndarray:
         """Pairs on which ``nodal_count`` raises an ``AdmissibilityError``."""
         return (~self.simple | self.vanishing.any(axis=2) | ~self.flat
-                | self.unresolved.any(axis=2))
+                | self.unresolved.any(axis=2)
+                | self.unbounded & (num_components(self.graph) > 1))
 
     @cached_property
     def out_of_bounds(self) -> np.ndarray:
         """Admissible pairs whose surplus lies outside ``[0, beta]``."""
-        return ~self.inadmissible & ((self.surplus < 0)
-                                     | (self.surplus > self.beta))
+        return ~self.inadmissible & self.unbounded
 
     @property
     def failed(self) -> np.ndarray:
@@ -181,10 +185,10 @@ class _StackChecks:
             values, values[..., self.positions[col]], self.tol_degeneracy),
             axis=-1)
 
-    def error(self, graph: Graph, row: int, col: int) -> MagnodalError | None:
-        """The error of the pair (``row``, ``col``) on ``graph``, or
-        ``None`` when it passes: that of its first failing check, in
-        the order of the masks; a failed bound is internal."""
+    def error(self, row: int, col: int) -> MagnodalError | None:
+        """The error of the pair (``row``, ``col``), or ``None`` when it
+        passes: that of its first failing check, in the order of the
+        masks; a failed bound is internal only on a connected graph."""
         k = int(self.positions[col]) + 1
         if not self.simple[row, col]:
             m = int(self.multiplicity(row, col))
@@ -204,19 +208,23 @@ class _StackChecks:
                 f"critical point")
         unresolved = np.flatnonzero(self.unresolved[row, col]).tolist()
         if unresolved:
-            bad = [graph.edges[i] for i in unresolved]
+            bad = [self.graph.edges[i] for i in unresolved]
             return DegenerateEdgeProductError(
                 f"edge products too close to zero on edges {bad}", edges=bad)
-        if self.out_of_bounds[row, col]:
+        if self.unbounded[row, col]:
             count, beta = int(self.surplus[row, col]) + k - 1, self.beta
+            bounds = f"[{k - 1}, {k - 1 + beta}] for k={k}, beta={beta}"
+            if num_components(self.graph) > 1:
+                return AdmissibilityError(
+                    f"nodal count {count} lies outside the bounds {bounds}, "
+                    f"which hold on connected graphs only")
             return InternalCrossCheckError(
-                f"nodal count {count} violates the bounds "
-                f"[{k - 1}, {k - 1 + beta}] for k={k}, beta={beta}")
+                f"nodal count {count} violates the bounds {bounds}")
         return None
 
 
 def _stack_checks(values: np.ndarray, vectors: np.ndarray,
-                  products: np.ndarray, positions, scale, beta: int, *,
+                  products: np.ndarray, positions, scale, graph: Graph, *,
                   tol_degeneracy: float = DEGENERACY_TOL,
                   tol_vanish: float = VANISH_TOL,
                   tol_real: float = PRODUCT_REAL_TOL,
@@ -225,11 +233,11 @@ def _stack_checks(values: np.ndarray, vectors: np.ndarray,
     """The admissibility kernel, the one place where the vanishing,
     realness and product tolerances cut.
 
-    ``values`` (S, n) are the ascending spectra of S operators,
-    ``vectors`` (S, K, n) and ``products`` (S, K, m) the eigenvectors and
-    edge products at the 0-based ``positions`` (K,), and ``scale`` the
-    Frobenius norm, one for all rows or one per row.  Real ``products``
-    pass the realness check without a test.
+    ``values`` (S, n) are the ascending spectra of S operators on
+    ``graph``, ``vectors`` (S, K, n) and ``products`` (S, K, m) the
+    eigenvectors and edge products at the 0-based ``positions`` (K,),
+    and ``scale`` the Frobenius norm, one for all rows or one per row.
+    Real ``products`` pass the realness check without a test.
     """
     positions = np.asarray(positions)
     scale = np.asarray(scale, dtype=np.float64)[..., None, None]
@@ -237,13 +245,13 @@ def _stack_checks(values: np.ndarray, vectors: np.ndarray,
             if np.iscomplexobj(products)
             else np.ones(products.shape[:2], dtype=bool))
     return _StackChecks(
-        values, products, positions, tol_degeneracy,
+        values, products, positions, graph, betti_number(graph),
+        tol_degeneracy, tol_real,
         simple_positions(values, tol_degeneracy)[:, positions],
         np.abs(vectors) < tol_vanish,
         flat,
         np.abs(products.real) < tol_product * scale,
-        np.count_nonzero(products.real > 0.0, axis=2) - positions,
-        beta)
+        np.count_nonzero(products.real > 0.0, axis=2) - positions)
 
 
 def _checked(h: SupportedMatrix, k: int, es: EigenSystem | None, **tols
@@ -255,9 +263,9 @@ def _checked(h: SupportedMatrix, k: int, es: EigenSystem | None, **tols
         es = eigh(h)
     s = _Solves(h.offdiag[None], es.values[None], es.vectors[None], k,
                 edge_products(h, es.vector(k))[None])
-    checks = s.checks(h.norm_fro, betti_number(h.graph), **tols)
+    checks = s.checks(h.graph, h.norm_fro, **tols)
     if not checks.simple[0, 0]:
-        raise checks.error(h.graph, 0, 0)
+        raise checks.error(0, 0)
     return s, checks
 
 
@@ -271,13 +279,14 @@ def nodal_count(h: SupportedMatrix, k: int, *,
 
     The eigenvalue must be simple, the eigenvector nowhere vanishing,
     and every edge product real and bounded away from zero; each
-    failure raises its own error type.  The count lands in
-    ``[k - 1, k - 1 + beta]``, or ``InternalCrossCheckError`` is raised.
+    failure raises its own error type.  The count lands in ``[k - 1,
+    k - 1 + beta]``, or ``InternalCrossCheckError`` is raised on a
+    connected graph and ``AdmissibilityError`` on a disconnected one.
     """
     _, checks = _checked(h, k, es, tol_degeneracy=tol_degeneracy,
                          tol_vanish=tol_vanish, tol_real=tol_real,
                          tol_product=tol_product)
-    error = checks.error(h.graph, 0, 0)
+    error = checks.error(0, 0)
     if error is not None:
         raise error
     return int(checks.surplus[0, 0]) + k - 1
@@ -322,9 +331,7 @@ class SurplusDistribution:
     @property
     def variance(self) -> float:
         s = np.arange(self.betti + 1)
-        p = self.probs
-        mu = float(np.dot(s, p))
-        return float(np.dot((s - mu) ** 2, p))
+        return float(np.dot((s - self.mean) ** 2, self.probs))
 
 
 def surplus_distribution(h: SupportedMatrix, **kwargs) -> SurplusDistribution:
@@ -343,25 +350,19 @@ SWEEP_CHUNK = 256
 
 
 def _surplus_counts(h: SupportedMatrix, chunks, weight: int,
-                    skip_inadmissible: bool, *,
-                    tol_degeneracy: float = DEGENERACY_TOL,
-                    tol_vanish: float = VANISH_TOL,
-                    tol_real: float = PRODUCT_REAL_TOL,
-                    tol_product: float = PRODUCT_DEGENERATE_TOL
+                    skip_inadmissible: bool, **tols
                     ) -> tuple[np.ndarray, int]:
     """Weighted surplus histogram over the sign-row blocks ``chunks`` of ``h``.
 
     Each block of signed matrices of the real ``h`` is solved by one
-    stacked eigensolve and checked by one kernel call on its real
-    products.  A signing's surpluses enter the total times ``weight``
-    only when every k passes.  A signing that fails is counted as
-    ``weight`` skipped signings or, when not skipping, the first one
-    raises ``InadmissibleSigningError`` at its first failing k.  A
-    surplus out of bounds there raises the bound check's error even when
-    skipping.  Both errors are worded from the block's masks.
+    stacked eigensolve and checked by one kernel call, at the tolerances
+    ``tols``, on its real products.  A signing's surpluses count
+    ``weight`` times only when every k passes.  A signing that fails is
+    counted as ``weight`` skipped signings or, when not skipping, the
+    first one raises ``InadmissibleSigningError`` at its first failing
+    k.  A surplus out of bounds there raises the bound check's error
+    even when skipping.  Both errors are worded from the block's masks.
     """
-    tols = dict(tol_degeneracy=tol_degeneracy, tol_vanish=tol_vanish,
-                tol_real=tol_real, tol_product=tol_product)
     n, beta = h.graph.n, betti_number(h.graph)
     rs = h.graph.endpoints
     base = h.to_dense()
@@ -376,7 +377,7 @@ def _surplus_counts(h: SupportedMatrix, chunks, weight: int,
         vectors = vectors.swapaxes(1, 2)  # (signing, k, vertex)
         checks = _stack_checks(values, vectors,
                                _signed_products(h, vectors, rows), position,
-                               h.norm_fro, beta, **tols)
+                               h.norm_fro, h.graph, **tols)
         failed = checks.failed
         failing = failed.any(axis=1)
         first = np.argmax(failed, axis=1)
@@ -384,7 +385,7 @@ def _surplus_counts(h: SupportedMatrix, chunks, weight: int,
                    if skip_inadmissible else failing)
         if raising.any():
             i = int(np.argmax(raising))
-            error = checks.error(h.graph, i, int(first[i]))
+            error = checks.error(i, int(first[i]))
             if not isinstance(error, AdmissibilityError):
                 raise error
             k, pattern = int(first[i]) + 1, tuple(int(s) for s in rows[i])

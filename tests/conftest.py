@@ -43,8 +43,10 @@ pivots with ``np.take_along_axis``, the pivot oracle of
 ``signing_histogram`` and ``scalar_classify`` are the admissibility
 oracle: the scalar checks, one operator and one eigenvalue position at
 a time, each with its own comparison, that the package ran before its
-one stacked kernel, ``nodal._stack_checks``.  The kernel must agree
-with them on every outcome, error type, message and attribute.
+one stacked kernel, ``nodal._stack_checks``, except that a count
+outside the bounds on a disconnected graph is inadmissible instead of
+passing.  The kernel must agree with them on every outcome, error type,
+message and attribute.
 """
 
 from dataclasses import dataclass
@@ -386,8 +388,10 @@ def simple_eigen(h: SupportedMatrix, k: int, es: EigenSystem | None,
 def scalar_count(s: SimpleEigen, tol_vanish: float,
                  tol_real: float = PRODUCT_REAL_TOL,
                  tol_product: float = PRODUCT_DEGENERATE_TOL) -> int:
-    """The nodal count at a simple eigenvalue, one check at a time; the
-    bound check runs on connected graphs only."""
+    """The nodal count at a simple eigenvalue, one check at a time.  A
+    count outside the bounds is an internal fault on a connected graph
+    and inadmissible on a disconnected one, where the bounds need not
+    hold."""
     h, k, products = s.h, s.k, s.products
     ok, vanishing = is_nowhere_vanishing(s.v, tol_vanish)
     if not ok:
@@ -405,12 +409,15 @@ def scalar_count(s: SimpleEigen, tol_vanish: float,
         raise DegenerateEdgeProductError(
             f"edge products too close to zero on edges {bad}", edges=bad)
     count = int(np.count_nonzero(products.real > 0.0))
-    if num_components(h.graph) == 1:
-        beta = betti_number(h.graph)
-        if not k - 1 <= count <= k - 1 + beta:
+    beta = betti_number(h.graph)
+    if not k - 1 <= count <= k - 1 + beta:
+        bounds = f"[{k - 1}, {k - 1 + beta}] for k={k}, beta={beta}"
+        if num_components(h.graph) == 1:
             raise InternalCrossCheckError(
-                f"nodal count {count} violates the bounds "
-                f"[{k - 1}, {k - 1 + beta}] for k={k}, beta={beta}")
+                f"nodal count {count} violates the bounds {bounds}")
+        raise AdmissibilityError(
+            f"nodal count {count} lies outside the bounds {bounds}, which "
+            f"hold on connected graphs only")
     return count
 
 

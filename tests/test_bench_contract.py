@@ -4,6 +4,12 @@ The benchmark imports package names directly, so a missing one breaks
 every job; its tracer wraps the functions listed in ``LAYERS`` and
 skips a missing one without a word.  Both are read here with ``ast``,
 without importing or running the benchmark.
+
+The benchmark's oracle counts nodal surpluses with ``nodal_surplus``,
+which runs the same admissibility kernel as the jobs it checks.  The
+last test runs the oracle on a sample of every workload's jobs twice,
+once with the scalar admissibility oracle of ``conftest`` in its place,
+and the two predictions must agree.
 """
 
 import ast
@@ -12,6 +18,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from conftest import scalar_nodal_surplus
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SCRIPTS = sorted(BENCH.glob("*.py"))
@@ -68,3 +76,22 @@ def test_traced_functions_exist():
                if not callable(getattr(
                    importlib.import_module(f"magnodal.{layer}"), fn, None))]
     assert missing == []
+
+
+#: Jobs of each workload, at seed 0, whose predictions are compared:
+#: every tenth of the sweeps, which are slow to predict, and all others.
+ORACLE_SAMPLE = {"sweep": slice(None, None, 10),
+                 "classes": slice(None, None, 10), "torus": slice(None)}
+
+
+@pytest.mark.parametrize("workload", sorted(ORACLE_SAMPLE))
+def test_oracle_agrees_with_the_scalar_checks(workload, tmp_path,
+                                              monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    oracles = importlib.import_module("oracles")
+    jobs = importlib.import_module("jobs").build_jobs(workload, 0,
+                                                      str(tmp_path))
+    sample = jobs[ORACLE_SAMPLE[workload]]
+    kernel = [oracles.expected(job) for job in sample]
+    monkeypatch.setattr(oracles, "nodal_surplus", scalar_nodal_surplus)
+    assert [oracles.expected(job) for job in sample] == kernel

@@ -687,6 +687,7 @@ CHECK_ERRORS = (
     (lambda c: np.any(c.vanishing, axis=2), VanishingEigenvectorError),
     (lambda c: ~c.flat, EdgeProductNotRealError),
     (lambda c: np.any(c.unresolved, axis=2), DegenerateEdgeProductError),
+    (lambda c: c.unbounded & c.inadmissible, AdmissibilityError),
     (lambda c: c.out_of_bounds, InternalCrossCheckError),
 )
 
@@ -706,24 +707,24 @@ def test_admissibility_kernel_matches_nodal_count(h, data):
     same pass or fail and surplus, and the same error, with its type,
     message, ``k``, ``multiplicity``, ``vertices`` and ``edges``, from
     the kernel's masks and from ``nodal_count`` alike; passing
-    surpluses lie in ``[0, beta]``.  On a disconnected graph the
-    kernel's bound check runs, and the oracle's does not; no pair may
-    get that far there, since a simple eigenvalue's eigenvector lives
-    on one component and vanishes on the others.  On a real operator
-    the class sum's real products give the masks and surpluses of the
+    surpluses lie in ``[0, beta]``.  A vanishing tolerance of 0 sees no
+    exact zero, so on a disconnected graph an eigenvector living on one
+    component can reach the bound check; a surplus outside the bounds is
+    then inadmissible, never an internal fault.  On a real operator the
+    class sum's real products give the masks and surpluses of the
     complex ones, and so the same errors."""
     m, n, beta = h.graph.num_edges, h.graph.n, betti_number(h.graph)
     rows = np.array(data.draw(st.lists(
         st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m),
         min_size=1, max_size=4)), dtype=np.int8)
     tols = dict(tol_degeneracy=data.draw(st.sampled_from([1e-8, 0.02])),
-                tol_vanish=data.draw(st.sampled_from([1e-8, 0.02])),
+                tol_vanish=data.draw(st.sampled_from([0.0, 1e-8, 0.02])),
                 tol_product=data.draw(st.sampled_from([1e-12, 2e-3])))
     values, vectors = eigh_stack(h.graph, h.diag, h.offdiag * rows)
     vectors = vectors.swapaxes(1, 2)  # (signing, k, vertex)
     checks = nodal._stack_checks(
         values, vectors, complex_class_products(h, vectors, rows),
-        np.arange(n), h.norm_fro, beta, **tols)
+        np.arange(n), h.norm_fro, h.graph, **tols)
     if h.is_real:
         # the real parts of the complex products, bit for bit up to the
         # signs of zeros, which array_equal does not see
@@ -732,24 +733,24 @@ def test_admissibility_kernel_matches_nodal_count(h, data):
         assert signed.dtype == np.float64 and not products.imag.any()
         assert np.array_equal(signed, products.real)
         real = nodal._stack_checks(values, vectors, signed, np.arange(n),
-                                   h.norm_fro, beta, **tols)
+                                   h.norm_fro, h.graph, **tols)
         for mask in ("simple", "vanishing", "flat", "unresolved", "surplus",
-                     "inadmissible", "out_of_bounds", "failed"):
+                     "unbounded", "inadmissible", "out_of_bounds", "failed"):
             assert np.array_equal(getattr(real, mask), getattr(checks, mask))
         for row in range(len(rows)):
             for k in range(1, n + 1):
-                a, b = (c.error(h.graph, row, k - 1) for c in (real, checks))
+                a, b = (c.error(row, k - 1) for c in (real, checks))
                 assert (a is None and b is None) \
                     or error_fields(a) == error_fields(b)
     if num_components(h.graph) > 1:
-        assert checks.inadmissible.all()
+        assert not checks.out_of_bounds.any()
     for row, signs in enumerate(rows):
         hs = SupportedMatrix(h.graph, h.diag, h.offdiag * signs)
         es = eigh(hs)
         for k in range(1, n + 1):
             expected = next((error for check, error in CHECK_ERRORS
                              if check(checks)[row, k - 1]), None)
-            got = checks.error(h.graph, row, k - 1)
+            got = checks.error(row, k - 1)
             assert (got is None) == (expected is None)
             try:
                 surplus = scalar_nodal_surplus(hs, k, es=es, **tols)
@@ -765,6 +766,38 @@ def test_admissibility_kernel_matches_nodal_count(h, data):
             assert checks.surplus[row, k - 1] == surplus
             assert nodal_surplus(hs, k, es=es, **tols) == surplus
             assert 0 <= surplus <= beta
+
+
+def test_unbounded_count_on_a_disconnected_graph_is_inadmissible():
+    """A triangle and an isolated vertex with the lowest diagonal: at a
+    vanishing tolerance of 0 the triangle's eigenvectors, exactly 0 on
+    the isolated vertex, pass every other check, and their counts miss
+    the bounds of the whole graph.  That is an ``AdmissibilityError``,
+    which the sweep skips and reports like any other, not an internal
+    fault; at the default tolerance the vanishing entry decides first."""
+    g = Graph(4, ((0, 1), (0, 2), (1, 2)))
+    h = SupportedMatrix(g, np.array([0.0, 0.3, 0.7, -5.0]),
+                        np.full(3, -1.0 + 0j))
+    for k, count in ((2, 0), (4, 2)):
+        with pytest.raises(AdmissibilityError) as err:
+            nodal_count(h, k, tol_vanish=0.0)
+        assert type(err.value) is AdmissibilityError
+        assert str(err.value) == (
+            f"nodal count {count} lies outside the bounds [{k - 1}, {k}] "
+            f"for k={k}, beta=1, which hold on connected graphs only")
+        with pytest.raises(VanishingEigenvectorError):
+            nodal_count(h, k)
+    assert nodal_count(h, 3, tol_vanish=0.0) == 2
+    # with no product cut either, the sweep's k=1, the isolated vertex's
+    # eigenvector, passes, and its k=2 reaches the bound check
+    tols = dict(tol_vanish=0.0, tol_product=0.0)
+    with pytest.raises(InadmissibleSigningError) as err:
+        average_surplus_distribution(h, **tols)
+    assert err.value.k == 2 and err.value.reason == (
+        "nodal count 0 lies outside the bounds [1, 2] for k=2, beta=1, "
+        "which hold on connected graphs only")
+    d = average_surplus_distribution(h, skip_inadmissible=True, **tols)
+    assert d.skipped == 8 and d.n_samples == 0
 
 
 class TestStackedSolveFallback:

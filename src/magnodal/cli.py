@@ -44,6 +44,7 @@ from .graphs import betti_number, graph_from_json
 from .linkage import analyze_exceptional, build_exceptional_fixture
 from .morse import TorusPoint, critical_scan, verify_index_equals_surplus
 from .nodal import (
+    _every_position,
     average_surplus_distribution,
     nodal_count,
     normalized_distribution,
@@ -270,21 +271,22 @@ def cmd_nodal_dist(args) -> None:
               ("magnodal/nodal", ["k", "status", "nodal_count", "surplus"],
                [[args.k, "ok", count, surplus]]))
         return
-    es = eigh(h)
+    checks = _every_position(h, tol_degeneracy=args.tol_degeneracy,
+                             tol_vanish=args.tol_vanish)
     rows = []
     histogram = [0] * (betti_number(h.graph) + 1)
     admissible = 0
     for k in range(1, h.graph.n + 1):
-        try:
-            count = nodal_count(h, k, es=es,
-                                tol_degeneracy=args.tol_degeneracy,
-                                tol_vanish=args.tol_vanish)
-        except AdmissibilityError as exc:
+        exc = checks.error(0, k - 1)
+        if exc is not None:
+            if not isinstance(exc, AdmissibilityError):
+                raise exc
             rows.append({"k": k, "status": "inadmissible",
                          "reason": str(exc), "nodal_count": None,
                          "surplus": None})
             continue
-        surplus = count - (k - 1)
+        surplus = int(checks.surplus[0, k - 1])
+        count = surplus + k - 1
         histogram[surplus] += 1
         admissible += 1
         rows.append({"k": k, "status": "ok", "reason": "",

@@ -7,17 +7,17 @@ the quotient: one angle per independent cycle.  Eigenvalues become
 functions of those coordinates, and this module computes their
 gradients, Hessians, Morse indices, and critical points.  The scan and
 the index check visit the ``2^beta`` symmetry points, coordinates in
-{0, pi}, through one stacked real eigensolve, kept as stacked arrays.
-Each phase decides its points at once: ``nodal``'s admissibility
-kernel, ``_stack_checks``, gives simplicity, vanishing entries,
-criticality and surplus for a whole stack, so the index check decides
-every (class, k) pair together and a scan classifies its symmetry
-points, and then its search reports, as one stack each.  The index
-check words its skip reasons from the kernel's masks too, through
-``_StackChecks.error``, with no second solve.  The Hessians are
-assembled as stacks too: one for a scan's symmetry points, one for its
-search reports, and one per k for an index check; the Morse indices of
-each phase come from one stacked eigensolve of its Hessians.
+{0, pi}, which are the switching-class representatives of the signing
+average: ``nodal``'s class-block solve gives them in blocks of
+``nodal.SWEEP_CHUNK``, one stacked real eigensolve each.  ``nodal``'s
+admissibility kernel, ``_stack_checks``, gives simplicity, vanishing
+entries, criticality and surplus for a whole stack, so the index check
+decides every (class, k) pair of a block together, and a scan
+classifies each block of symmetry points, and then its search reports,
+as one stack.  The index check words its skip reasons from the
+kernel's masks, through ``_StackChecks.error``, with no second solve.
+Each such stack assembles its Hessians as one stack (per k, in the
+index check), and their Morse indices come from one stacked solve.
 
 Every derivative at a single point starts from ``nodal``'s checked
 solve of a stack of one, ``_checked``, which raises the kernel's error
@@ -47,15 +47,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    AdmissibilityError,
     GraphMismatchError,
     InternalCrossCheckError,
     NonSimpleEigenvalueError,
     NotCriticalError,
     VanishingEigenvectorError,
 )
-from .graphs import CycleBasis, Graph, OneForm, cycle_basis
-from .nodal import (PRODUCT_REAL_TOL, _checked, _Solves, _stack_checks,
-                    _StackChecks)
+from .graphs import CycleBasis, Graph, OneForm, cycle_basis, num_components
+from .nodal import (PRODUCT_REAL_TOL, _blocks, _checked, _class_checks,
+                    _solve_classes, _Solves, _StackChecks)
 from .operators import (
     FLUX_TOL,
     SupportedMatrix,
@@ -640,28 +641,22 @@ def _polish(base: SupportedMatrix, basis: CycleBasis, k: int,
     return phase, x, aux, solves
 
 
-def _symmetry_points(base: SupportedMatrix, basis: CycleBasis
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                np.ndarray]:
-    """Bits (C, d), edge entries (C, m), eigenvalues (C, n) and
-    eigenvectors (C, n, n) of the ``C = 2^beta`` symmetry classes.
+def _symmetry_blocks(base: SupportedMatrix, basis: CycleBasis):
+    """Per block of at most ``nodal.SWEEP_CHUNK`` symmetry points, their
+    bits (S, d) and their solve by ``nodal._solve_classes``.
 
-    The gauge-slice points have coordinate ``pi`` where the bit is 1
-    and 0 elsewhere, in ``itertools.product`` order (the last bit varies
-    fastest); the first is the base matrix itself.  Each is the
-    forest-gauge representative of the switching class whose id has
-    bit ``j`` set where coordinate ``j`` is ``pi``, so the signs come
-    from ``gauge_classes_of_signings``, which refuses a beta over
-    ``SIGNING_CAP``.  The operators are real, and one stacked real
-    solve covers them all.
+    A point has coordinate ``pi`` where its bit is 1, in
+    ``itertools.product`` order (the last bit varies fastest); the first
+    is the base matrix.  It is the representative of the switching class
+    whose id has bit ``j`` set where coordinate ``j`` is ``pi``.
+    ``gauge_classes_of_signings`` refuses a beta over ``SIGNING_CAP``
+    before the first block is solved.
     """
     d = len(basis)
     classes = gauge_classes_of_signings(base)
-    bits = (np.arange(classes.num_classes)[:, None]
-            >> np.arange(d - 1, -1, -1)) & 1
-    off = base.offdiag * classes.rows(bits @ (1 << np.arange(d)))
-    values, vectors = eigh_stack(base.graph, base.diag, off)
-    return bits, off, values, vectors
+    for points in _blocks(classes.num_classes):
+        bits = (points[:, None] >> np.arange(d - 1, -1, -1)) & 1
+        yield bits, _solve_classes(base, classes, bits @ (1 << np.arange(d)))
 
 
 def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
@@ -671,13 +666,13 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
     """Enumerate symmetry points and search for further critical points.
 
     All ``2**beta`` symmetry classes are visited exactly (coordinates
-    in {0, pi}); on top of that a low-discrepancy grid and ``starts``
-    seeded random starts are polished toward gradient zeros.  Found
-    points are deduplicated against each other and against conjugate
-    partners.  The search side is best effort only and the coverage
-    note says so.  A ``k`` outside ``1..n`` raises ``ValueError``, and
-    a beta over ``SIGNING_CAP`` raises ``CapExceededError``, before
-    anything is solved.
+    in {0, pi}), in blocks of ``nodal.SWEEP_CHUNK``; on top of that a
+    low-discrepancy grid and ``starts`` seeded random starts are
+    polished toward gradient zeros.  Found points are deduplicated
+    against each other and against conjugate partners.  The search side
+    is best effort only and the coverage note says so.  A ``k`` outside
+    ``1..n`` raises ``ValueError``, and a beta over ``SIGNING_CAP``
+    raises ``CapExceededError``, before anything is solved.
     """
     if not h.is_real:
         raise ValueError("critical_scan expects a real base matrix")
@@ -688,13 +683,16 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
 
     tols = dict(tol_degeneracy=tol_degeneracy, tol_vanish=tol_vanish,
                 rank_tol=rank_tol)
-    bits, off, values, vectors = _symmetry_points(base, basis)
-    known = np.where(bits == 1, np.pi, 0.0)
-    # the base matrix, the first point, sets the gradient tolerance
-    gtol = 1e-10 * max(1.0, float(np.max(np.abs(values[0]))))
-    reports = _reports_at(known, base,
-                          _Solves.at(base.graph, off, values, vectors, k),
-                          basis, "symmetry-enumeration", **tols)
+    reports, known = [], []
+    for bits, (_, off, values, vectors) in _symmetry_blocks(base, basis):
+        if not known:
+            # the base matrix, the first point, sets the gradient tolerance
+            gtol = 1e-10 * max(1.0, float(np.max(np.abs(values[0]))))
+        known.append(np.where(bits == 1, np.pi, 0.0))
+        reports += _reports_at(
+            known[-1], base, _Solves.at(base.graph, off, values, vectors, k),
+            basis, "symmetry-enumeration", **tols)
+    known = np.concatenate(known)
     incorrigible: list[tuple[tuple[float, ...], float]] = []
 
     unconverged = 0
@@ -806,64 +804,68 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
     coordinates in {0, pi}.  For each admissible pair (class, k) the
     eigenvalue Hessian must be nondegenerate with index equal to the
     nodal surplus; a violation raises, at the first failing pair in
-    class-major order.  Inadmissible pairs are recorded as skipped with
-    the reason.  One admissibility kernel call decides every pair from
-    the stacked solve of the symmetry points, and its masks word the
-    skip reasons and the bound check's error, which is raised at the
-    first pair out of bounds.  The Hessians are assembled as one stack
-    per k, and their indices come from one stacked solve.  A beta over
-    ``SIGNING_CAP`` raises ``CapExceededError`` before anything is
-    solved.
+    class-major order, ``InternalCrossCheckError`` on a connected graph
+    and ``AdmissibilityError`` on a disconnected one, where the identity
+    is no theorem.  Inadmissible pairs are recorded as skipped with the
+    reason.  The classes are solved in blocks of ``nodal.SWEEP_CHUNK``.
+    One admissibility kernel call decides every pair of a block, and its
+    masks word the skip reasons and the bound check's error, raised at
+    the block's first pair out of bounds.  A block's Hessians are
+    assembled as one stack per k, and their indices come from one
+    stacked solve.  A beta over ``SIGNING_CAP`` raises
+    ``CapExceededError`` before anything is solved.
     """
     if not h.is_real:
         raise ValueError("verification expects a real matrix")
     base = abs_part(h)
     graph, basis = h.graph, cycle_basis(h.graph)
-    n = graph.n
-    bits, off, values, vectors = _symmetry_points(base, basis)
-    solves = [_Solves.at(graph, off, values, vectors, k)
-              for k in range(1, n + 1)]
-    checks = _stack_checks(
-        values, vectors.swapaxes(1, 2),
-        np.stack([s.products for s in solves], axis=1), np.arange(n),
-        base.norm_fro, graph, tol_degeneracy=tol_degeneracy,
-        tol_vanish=tol_vanish)
-    admissible, surplus = ~checks.failed, checks.surplus
-    if np.any(checks.out_of_bounds):
-        raise checks.error(*np.argwhere(checks.out_of_bounds)[0])
-    classes = [tuple(b) for b in bits.tolist()]
-    reasons = {}
-    for c, j in np.argwhere(~admissible).tolist():
-        exc = checks.error(c, j)
-        reasons[c, j] = (
-            f"multiplicity {exc.multiplicity}"
-            if isinstance(exc, NonSimpleEigenvalueError) else
-            f"vanishes at {list(exc.vertices)}"
-            if isinstance(exc, VanishingEigenvectorError) else str(exc))
-    index, nullity = np.zeros_like(surplus), np.zeros_like(surplus)
-    hessians = [_hessian(s.take(rows), basis, tol_degeneracy)
-                for s, rows in zip(solves, admissible.T) if np.any(rows)]
-    if hessians:
-        # k-major, as the stacks: the transposed masks take them in order
-        _, index.T[admissible.T], nullity.T[admissible.T] = _morse_indices(
-            np.concatenate(hessians), rank_tol)
-    wrong = admissible & ((nullity != 0) | (index != surplus))
-    if np.any(wrong):
-        c, j = np.unravel_index(np.argmax(wrong), wrong.shape)
-        if nullity[c, j] != 0:
-            raise InternalCrossCheckError(
-                f"Hessian at class {classes[c]}, k={j + 1} is degenerate "
-                f"(nullity {nullity[c, j]}); the index comparison needs a "
-                f"nondegenerate critical point")
-        raise InternalCrossCheckError(
-            f"Morse index {index[c, j]} differs from nodal surplus "
-            f"{surplus[c, j]} at class {classes[c]}, k={j + 1}")
+    fault, scope = ((InternalCrossCheckError, "")
+                    if num_components(graph) == 1 else
+                    (AdmissibilityError, "; the index-surplus identity "
+                     "holds on connected graphs only"))
     rows = []
-    for c, (b, ok, sc, ic, nc) in enumerate(zip(
-            classes, admissible.tolist(), surplus.tolist(), index.tolist(),
-            nullity.tolist())):
-        rows += [VerifyRow(b, j + 1, "ok", surplus=sj, index=ij, nullity=nj)
-                 if okj else VerifyRow(b, j + 1, "skipped",
-                                       reason=reasons[c, j])
-                 for j, (okj, sj, ij, nj) in enumerate(zip(ok, sc, ic, nc))]
+    for bits, (signs, off, values, vectors) in _symmetry_blocks(base, basis):
+        checks = _class_checks(base, signs, values, vectors,
+                               tol_degeneracy=tol_degeneracy,
+                               tol_vanish=tol_vanish)
+        admissible, surplus = ~checks.failed, checks.surplus
+        if np.any(checks.out_of_bounds):
+            raise checks.error(*np.argwhere(checks.out_of_bounds)[0])
+        classes = [tuple(b) for b in bits.tolist()]
+        reasons = {}
+        for c, j in np.argwhere(~admissible).tolist():
+            exc = checks.error(c, j)
+            reasons[c, j] = (
+                f"multiplicity {exc.multiplicity}"
+                if isinstance(exc, NonSimpleEigenvalueError) else
+                f"vanishes at {list(exc.vertices)}"
+                if isinstance(exc, VanishingEigenvectorError) else str(exc))
+        index, nullity = np.zeros_like(surplus), np.zeros_like(surplus)
+        hessians = [_hessian(_Solves.at(graph, off, values, vectors, j + 1)
+                             .take(col), basis, tol_degeneracy)
+                    for j, col in enumerate(admissible.T) if np.any(col)]
+        if hessians:
+            # k-major, as the stacks; the transposed masks keep that order
+            _, index.T[admissible.T], nullity.T[admissible.T] = \
+                _morse_indices(np.concatenate(hessians), rank_tol)
+        wrong = admissible & ((nullity != 0) | (index != surplus))
+        if np.any(wrong):
+            c, j = np.unravel_index(np.argmax(wrong), wrong.shape)
+            if nullity[c, j] != 0:
+                raise fault(
+                    f"Hessian at class {classes[c]}, k={j + 1} is degenerate "
+                    f"(nullity {nullity[c, j]}); the index comparison needs "
+                    f"a nondegenerate critical point{scope}")
+            raise fault(
+                f"Morse index {index[c, j]} differs from nodal surplus "
+                f"{surplus[c, j]} at class {classes[c]}, k={j + 1}{scope}")
+        for c, (b, ok, sc, ic, nc) in enumerate(zip(
+                classes, admissible.tolist(), surplus.tolist(),
+                index.tolist(), nullity.tolist())):
+            rows += [VerifyRow(b, j + 1, "ok", surplus=sj, index=ij,
+                               nullity=nj)
+                     if okj else VerifyRow(b, j + 1, "skipped",
+                                           reason=reasons[c, j])
+                     for j, (okj, sj, ij, nj) in enumerate(
+                         zip(ok, sc, ic, nc))]
     return IndexSurplusTable(tuple(rows))

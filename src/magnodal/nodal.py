@@ -19,12 +19,13 @@ are a theorem on connected graphs; on a disconnected graph a count
 outside them is inadmissible, not an internal fault.
 
 The signing average solves one representative per switching class, the
-member that leaves the spanning forest unflipped, in chunks of
-``SWEEP_CHUNK``, each by one stacked eigensolve and one kernel call
-(``_surplus_counts``).  It runs in real arithmetic: its products
-``v_r (h_rs * sign) v_s`` carry the bits of the real parts of the
-complex ones (every imaginary factor is an exact zero and a sign flip
-is exact), up to the signs of zeros, which no check reads.
+member that leaves the spanning forest unflipped, in blocks of
+``SWEEP_CHUNK``, each by one stacked eigensolve (``_solve_classes``, as
+``morse`` solves the symmetry points) and one kernel call at every
+position.  It runs in real arithmetic: its products ``v_r (h_rs *
+sign) v_s`` carry the bits of the real parts of the complex ones (every
+imaginary factor is an exact zero and a sign flip is exact), up to the
+signs of zeros, which no check reads.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ from .errors import (
 from .graphs import Graph, betti_number, num_components
 from .operators import (
     SIGNING_CAP,
+    SigningClasses,
     SupportedMatrix,
+    dense_matrices,
     gauge_classes_of_signings,
 )
 from .spectral import (
@@ -84,10 +87,10 @@ class _Solves:
 
     ``offdiag`` (S, m) holds each operator's edge entries, ``values``
     (S, n) and ``vectors`` (S, n, n) its ascending eigenvalues and
-    phase-normalized eigenvector columns, and ``products`` (S, m) the
-    edge products of its k-th eigenvector.  A stacked solve has the
-    vectors of its solver path, real for real operators and complex
-    otherwise; the complex solve stack of the Newton polish holds both.
+    eigenvector columns, and ``products`` (S, m) the edge products of
+    its k-th eigenvector.  A stacked solve has the vectors of its solver
+    path, real for real operators and complex otherwise; the complex
+    solve stack of the Newton polish holds both.
     """
 
     offdiag: np.ndarray
@@ -334,50 +337,78 @@ class SurplusDistribution:
         return float(np.dot((s - self.mean) ** 2, self.probs))
 
 
-def surplus_distribution(h: SupportedMatrix, **kwargs) -> SurplusDistribution:
-    """Surplus histogram over all eigenvalue positions of one matrix."""
+def _every_position(h: SupportedMatrix, **tols) -> _StackChecks:
+    """The kernel at every eigenvalue position of ``h``, a stack of one,
+    from one solve and one kernel call."""
     es = eigh(h)
+    v = es.vectors.T  # (k, vertex)
+    return _stack_checks(es.values[None], v[None], edge_products(h, v)[None],
+                         np.arange(h.graph.n), h.norm_fro, h.graph, **tols)
+
+
+def surplus_distribution(h: SupportedMatrix, **kwargs) -> SurplusDistribution:
+    """Surplus histogram over all eigenvalue positions of one matrix; the
+    first failing position raises its error."""
+    checks = _every_position(h, **kwargs)
+    if checks.failed.any():
+        raise checks.error(0, int(np.argmax(checks.failed[0])))
     beta = betti_number(h.graph)
-    counts = np.zeros(beta + 1, dtype=np.int64)
-    for k in range(1, h.graph.n + 1):
-        counts[nodal_surplus(h, k, es=es, **kwargs)] += 1
-    return SurplusDistribution(beta, counts, h.graph.n)
+    return SurplusDistribution(
+        beta, np.bincount(checks.surplus[0], minlength=beta + 1), h.graph.n)
 
 
-#: Signings per stacked eigensolve.  A chunk holds ``SWEEP_CHUNK * n * n``
+#: Switching classes per stacked eigensolve, in the class sum and at
+#: the symmetry points of ``morse``.  A block holds ``SWEEP_CHUNK * n * n``
 #: floats of matrices and as many of eigenvectors, so it stays small.
 SWEEP_CHUNK = 256
 
 
-def _surplus_counts(h: SupportedMatrix, chunks, weight: int,
-                    skip_inadmissible: bool, **tols
-                    ) -> tuple[np.ndarray, int]:
-    """Weighted surplus histogram over the sign-row blocks ``chunks`` of ``h``.
+def _blocks(total: int):
+    """Consecutive blocks of at most ``SWEEP_CHUNK`` of ``range(total)``."""
+    return (np.arange(lo, min(lo + SWEEP_CHUNK, total))
+            for lo in range(0, total, SWEEP_CHUNK))
 
-    Each block of signed matrices of the real ``h`` is solved by one
-    stacked eigensolve and checked by one kernel call, at the tolerances
-    ``tols``, on its real products.  A signing's surpluses count
-    ``weight`` times only when every k passes.  A signing that fails is
-    counted as ``weight`` skipped signings or, when not skipping, the
-    first one raises ``InadmissibleSigningError`` at its first failing
-    k.  A surplus out of bounds there raises the bound check's error
-    even when skipping.  Both errors are worded from the block's masks.
+
+def _solve_classes(h: SupportedMatrix, classes: SigningClasses, ids):
+    """Sign rows and real edge entries (S, m), eigenvalues (S, n) and
+    eigenvector columns (S, n, n) of the representatives of the classes
+    ``ids`` of the real ``h``, from one stacked real eigensolve.  No
+    phase is normalized: flipping a real eigenvector changes no bit of
+    its edge products, checks or Hessian."""
+    rows = classes.rows(ids)
+    offdiag = h.offdiag.real * rows
+    return (rows, offdiag,
+            *eigh_dense(dense_matrices(h.graph, h.diag, offdiag)))
+
+
+def _class_checks(h: SupportedMatrix, rows: np.ndarray, values: np.ndarray,
+                  vectors: np.ndarray, **tols) -> _StackChecks:
+    """The kernel at every position of the solves of ``h`` signed by
+    ``rows``, on their real products."""
+    vectors = vectors.swapaxes(1, 2)  # (class, k, vertex)
+    return _stack_checks(values, vectors, _signed_products(h, vectors, rows),
+                         np.arange(h.graph.n), h.norm_fro, h.graph, **tols)
+
+
+def _surplus_counts(h: SupportedMatrix, classes: SigningClasses,
+                    skip_inadmissible: bool, **tols) -> tuple[np.ndarray, int]:
+    """Surplus histogram of the signings of ``h`` over its ``classes``,
+    solved in id order, a block at a time.
+
+    Each block is checked at the tolerances ``tols``.  A class's
+    surpluses count ``class_size`` times only when every k passes.  A
+    class that fails is counted as ``class_size`` skipped signings or,
+    when not skipping, the first one raises ``InadmissibleSigningError``
+    at its first failing k.  A surplus out of bounds there raises the
+    bound check's error even when skipping.  Both errors are worded from
+    the block's masks.
     """
-    n, beta = h.graph.n, betti_number(h.graph)
-    rs = h.graph.endpoints
-    base = h.to_dense()
-    position = np.arange(n)
+    beta, weight = betti_number(h.graph), classes.class_size
     counts = np.zeros(beta + 1, dtype=np.int64)
     skipped = 0
-    for rows in chunks:
-        dense = np.repeat(base[None], len(rows), axis=0)
-        dense[:, rs[:, 0], rs[:, 1]] *= rows
-        dense[:, rs[:, 1], rs[:, 0]] *= rows
-        values, vectors = eigh_dense(dense)
-        vectors = vectors.swapaxes(1, 2)  # (signing, k, vertex)
-        checks = _stack_checks(values, vectors,
-                               _signed_products(h, vectors, rows), position,
-                               h.norm_fro, h.graph, **tols)
+    for ids in _blocks(classes.num_classes):
+        rows, _, values, vectors = _solve_classes(h, classes, ids)
+        checks = _class_checks(h, rows, values, vectors, **tols)
         failed = checks.failed
         failing = failed.any(axis=1)
         first = np.argmax(failed, axis=1)
@@ -431,11 +462,8 @@ def average_surplus_distribution(h: SupportedMatrix, *,
     if n << m > np.iinfo(np.int64).max:
         raise CapExceededError(
             f"{n} vertices times 2^{m} signings overflow the int64 counts")
-    total = classes.num_classes
-    chunks = (classes.rows(np.arange(i, min(i + SWEEP_CHUNK, total)))
-              for i in range(0, total, SWEEP_CHUNK))
-    counts, skipped = _surplus_counts(h, chunks, classes.class_size,
-                                      skip_inadmissible, **kwargs)
+    counts, skipped = _surplus_counts(h, classes, skip_inadmissible,
+                                      **kwargs)
     return SurplusDistribution(betti_number(h.graph), counts,
                                ((1 << m) - skipped) * n, skipped=skipped)
 

@@ -10,6 +10,7 @@ import pytest
 from conftest import lose_a_root_path
 from magnodal import __version__, cli
 from magnodal.cli import _build_parser, main
+from magnodal.errors import AdmissibilityError
 from magnodal.families import (
     complete_graph,
     cycle_graph,
@@ -38,6 +39,13 @@ def triangle_op():
     g = cycle_graph(3)
     return SupportedMatrix(g, np.array([0.1, 0.2, 0.3]),
                            -np.ones(3, dtype=np.complex128))
+
+
+def disconnected_op():
+    """A triangle and an isolated vertex with the lowest diagonal."""
+    g = Graph(4, ((0, 1), (0, 2), (1, 2)))
+    return SupportedMatrix(g, np.array([0.0, 0.3, 0.7, -5.0]),
+                           np.full(3, -1.0 + 0j))
 
 
 def half_admissible_op():
@@ -120,6 +128,49 @@ class TestNodalDist:
         code, _, err = run(capsys, ["nodal-dist", "--op", op, "--k", "2"])
         assert code == 2
         assert "precondition" in err
+
+
+    @pytest.mark.parametrize("case", ["triangle", "zero-diagonal-C3",
+                                      "random-K5", "disconnected"])
+    def test_one_kernel_call_decides_every_position(self, tmp_path, capsys,
+                                                    monkeypatch, case):
+        """The table comes from one kernel call at every position, and
+        each row is what ``nodal_count`` gives at its k alone."""
+        import magnodal.nodal as nodal
+
+        h, flags = {
+            "triangle": (triangle_op(), []),
+            "zero-diagonal-C3": (SupportedMatrix(
+                cycle_graph(3), np.zeros(3),
+                -np.ones(3, dtype=np.complex128)), []),
+            "random-K5": (random_operator(complete_graph(5),
+                                          np.random.default_rng(0)), []),
+            # every check fails at some k, the bound included
+            "disconnected": (disconnected_op(), ["--tol-vanish", "0"]),
+        }[case]
+        positions = []
+        inner = nodal._stack_checks
+
+        def counting(*args, **kwargs):
+            positions.append(args[3].tolist())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(nodal, "_stack_checks", counting)
+        code, out, _ = run(capsys, ["nodal-dist", "--op",
+                                    write_op(tmp_path, h), *flags])
+        assert code == 0
+        assert positions == [list(range(h.graph.n))]
+        monkeypatch.undo()
+        tol_vanish = 0.0 if flags else 1e-8
+        for row in json.loads(out)["rows"]:
+            try:
+                count = nodal.nodal_count(h, row["k"], tol_vanish=tol_vanish)
+            except AdmissibilityError as exc:
+                assert (row["status"], row["reason"]) \
+                    == ("inadmissible", str(exc))
+                continue
+            assert (row["status"], row["nodal_count"], row["surplus"]) \
+                == ("ok", count, count - row["k"] + 1)
 
 
 class TestAvgDist:
@@ -411,13 +462,23 @@ class TestVerifyIndex:
         assert payload["ok"] == 6 and payload["skipped"] == 0
         assert "verified 6 rows" in err
 
+    def test_disconnected_graph_mismatch_exits_2(self, tmp_path, capsys):
+        op = write_op(tmp_path, disconnected_op())
+        code, out, err = run(capsys, ["verify-index", "--op", op,
+                                      "--tol-vanish", "0"])
+        assert code == 2 and out == ""
+        assert err == ("precondition not met: Morse index 1 differs from "
+                       "nodal surplus 0 at class (0,), k=2; the "
+                       "index-surplus identity holds on connected graphs "
+                       "only\n")
+
 
 @pytest.mark.parametrize("argv", [["critical-scan", "--k", "1"],
                                   ["verify-index"]])
 def test_beta_over_the_cap_exits_4_before_any_solve(tmp_path, capsys,
                                                     monkeypatch, argv):
-    # K8 carries beta 21; uncapped, its 2^21 symmetry points would be
-    # solved as one stack
+    # K8 carries beta 21; uncapped, its 2^21 symmetry points would all
+    # be solved
     op = write_op(tmp_path, strong_diagonal_fixture(complete_graph(8)))
 
     import magnodal.spectral as spectral

@@ -638,18 +638,27 @@ def oracle_solve_count(monkeypatch, base, k, start):
 
 
 def count_stacks(monkeypatch, module):
-    """Record ``(path, rows)`` for each stacked solve (one ``eigh_dense``
-    call through ``eigh_stack``) that ``module`` makes."""
+    """Record ``(path, rows)`` for each stacked solve that ``module``
+    makes: one ``eigh_dense`` call through ``eigh_stack``, or through
+    ``nodal``'s class-block solve at the symmetry points."""
+    import magnodal.nodal as nodal
+
     stacks = []
-    inner = module.eigh_stack
+    inner, solve = module.eigh_stack, nodal.eigh_dense
+
+    def path(dense):
+        return "complex" if np.iscomplexobj(dense) else "real", len(dense)
 
     def recording(graph, diag, offdiag):
-        dense = dense_matrices(graph, diag, offdiag)
-        stacks.append(("complex" if np.iscomplexobj(dense) else "real",
-                       len(dense)))
+        stacks.append(path(dense_matrices(graph, diag, offdiag)))
         return inner(graph, diag, offdiag)
 
+    def recording_block(dense):
+        stacks.append(path(dense))
+        return solve(dense)
+
     monkeypatch.setattr(module, "eigh_stack", recording)
+    monkeypatch.setattr(nodal, "eigh_dense", recording_block)
     return stacks
 
 
@@ -941,8 +950,9 @@ class TestOneOperatorPerSolve:
             h = verify_fixture(case)
             with monkeypatch.context() as m:
                 events = record_calls(
-                    m, (morse, "_stack_checks"), (nodal, "_stack_checks"),
-                    (nodal, "eigh"), (spectral, "eigh"),
+                    m, (nodal, "_stack_checks"), (nodal, "eigh"),
+                    (spectral, "eigh"), (morse, "eigh_stack"),
+                    (nodal, "eigh_dense"),
                     (spectral, "eigh_dense"), (spectral, "multiplicity"),
                     (nodal, "edge_products"))
                 t = verify_index_equals_surplus(h)
@@ -1171,10 +1181,10 @@ class TestVerifyIndexSurplus:
     def test_first_failing_pair_in_class_order_is_named(self, monkeypatch):
         """Two pairs get a wrong surplus; the error names the one that
         comes first class by class, not k by k."""
-        import magnodal.morse as morse
+        import magnodal.nodal as nodal
 
         h = strong_diagonal_fixture(complete_graph(4))
-        inner = morse._stack_checks
+        inner = nodal._stack_checks
 
         def wrong(*args, **kwargs):
             checks = inner(*args, **kwargs)
@@ -1184,7 +1194,7 @@ class TestVerifyIndexSurplus:
             surplus[1, 0] += 1  # class (0, 0, 1), k=1
             return replace(checks, surplus=surplus)
 
-        monkeypatch.setattr(morse, "_stack_checks", wrong)
+        monkeypatch.setattr(nodal, "_stack_checks", wrong)
         with pytest.raises(InternalCrossCheckError) as err:
             verify_index_equals_surplus(h)
         assert str(err.value) == ("Morse index 1 differs from nodal surplus "
@@ -1197,3 +1207,140 @@ class TestVerifyIndexSurplus:
         assert str(err.value) == (
             "Hessian at class (0, 0, 0), k=1 is degenerate (nullity 3); the "
             "index comparison needs a nondegenerate critical point")
+
+    def test_disconnected_graph_mismatch_is_inadmissible(self):
+        """A triangle and an isolated vertex with the lowest diagonal: at
+        a vanishing tolerance of 0 the triangle's eigenvectors pass the
+        checks, and their surpluses, counted against the whole
+        spectrum, miss the Morse indices.  Index equals surplus is a
+        theorem on connected graphs only, so that is an
+        ``AdmissibilityError``, not an internal fault."""
+        g = Graph(4, ((0, 1), (0, 2), (1, 2)))
+        h = SupportedMatrix(g, np.array([0.0, 0.3, 0.7, -5.0]),
+                            np.full(3, -1.0 + 0j))
+        with pytest.raises(AdmissibilityError) as err:
+            verify_index_equals_surplus(h, tol_vanish=0.0)
+        assert type(err.value) is AdmissibilityError
+        assert str(err.value) == (
+            "Morse index 1 differs from nodal surplus 0 at class (0,), k=2; "
+            "the index-surplus identity holds on connected graphs only")
+        # at the default tolerance the vanishing entries skip every pair
+        assert verify_index_equals_surplus(h).num_skipped == 8
+
+
+#: ``nodal.SWEEP_CHUNK`` values: every class alone, and two that divide
+#: no ``2^beta``.
+SMALL_CHUNKS = (1, 3, 7)
+
+
+def block_fixture(case):
+    """The strong and random fixtures of the scan and index tests."""
+    if case.startswith("random-K5-seed"):
+        return random_operator(complete_graph(5),
+                               np.random.default_rng(int(case[-1])))
+    return {"strong-K4": lambda: strong_diagonal_fixture(complete_graph(4)),
+            "strong-K5-eta10": lambda: strong_diagonal_fixture(
+                complete_graph(5), eta=10.0)}.get(
+        case, lambda: verify_fixture(case))()
+
+
+def verify_outcome(h):
+    """The index table as plain data, or the error's type and message."""
+    try:
+        t = verify_index_equals_surplus(h)
+    except (AdmissibilityError, InternalCrossCheckError) as exc:
+        return type(exc), str(exc)
+    return [vars(r) for r in t.rows]
+
+
+def scan_outcome(h, k):
+    sr = critical_scan(h, k, starts=4, seed=0)
+    return ([payload_bits(r) for r in sr.reports],
+            sr.incorrigible_candidates, sr.coverage, sr.starts_attempted,
+            sr.unconverged)
+
+
+class TestClassBlocks:
+    """The symmetry points are solved in blocks of ``nodal.SWEEP_CHUNK``
+    classes; no block size changes a bit of a scan or an index check."""
+
+    @pytest.mark.parametrize("case", [
+        "strong-K4", "strong-K5", "ring-C4", "zero-diagonal-P3",
+        *(f"random-K5-seed{s}" for s in range(3))])
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+    def test_verify_index_does_not_see_the_block_size(self, monkeypatch,
+                                                      chunk, case):
+        import magnodal.nodal as nodal
+
+        h = block_fixture(case)
+        want = verify_outcome(h)
+        monkeypatch.setattr(nodal, "SWEEP_CHUNK", chunk)
+        assert verify_outcome(h) == want
+
+    @pytest.mark.parametrize("case,k", [
+        ("strong-K5-eta10", 2), ("ring-C4", 1),
+        *((f"random-K5-seed{s}", 2) for s in range(3))])
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+    def test_critical_scan_does_not_see_the_block_size(self, monkeypatch,
+                                                       chunk, case, k):
+        import magnodal.nodal as nodal
+
+        h = block_fixture(case)
+        want = scan_outcome(h, k)
+        monkeypatch.setattr(nodal, "SWEEP_CHUNK", chunk)
+        assert scan_outcome(h, k) == want
+
+    @pytest.mark.parametrize("fault", ["index", "bound"])
+    @pytest.mark.parametrize("chunk", (*SMALL_CHUNKS, 256))
+    def test_first_failure_in_a_later_block(self, monkeypatch, chunk, fault):
+        """A wrong surplus planted at class 40 of strong K5, in a later
+        block for every small chunk, raises the same error class and
+        message whatever the block size."""
+        import magnodal.nodal as nodal
+
+        monkeypatch.setattr(nodal, "SWEEP_CHUNK", chunk)
+        inner, seen = nodal._stack_checks, [0]
+
+        def planting(*args, **kwargs):
+            checks = inner(*args, **kwargs)
+            row, seen[0] = 40 - seen[0], seen[0] + len(checks.surplus)
+            if not 0 <= row < len(checks.surplus):
+                return checks
+            surplus = checks.surplus.copy()
+            surplus[row, 1] = surplus[row, 1] + 1 if fault == "index" else 7
+            return replace(checks, surplus=surplus)
+
+        monkeypatch.setattr(nodal, "_stack_checks", planting)
+        with pytest.raises(InternalCrossCheckError) as err:
+            verify_index_equals_surplus(
+                strong_diagonal_fixture(complete_graph(5)))
+        assert str(err.value) == {
+            "index": "Morse index 3 differs from nodal surplus 4 at class "
+                     "(1, 0, 1, 0, 0, 0), k=2",
+            "bound": "nodal count 8 violates the bounds [1, 7] for k=2, "
+                     "beta=6"}[fault]
+
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+    def test_verify_index_stacks_stay_within_a_block(self, monkeypatch,
+                                                     chunk):
+        """No eigensolve or Hessian stack of an index check holds more
+        than a block of classes; a block's Morse indices, one stacked
+        solve over its n Hessian stacks, hold at most n blocks."""
+        import magnodal.morse as morse
+        import magnodal.nodal as nodal
+
+        monkeypatch.setattr(nodal, "SWEEP_CHUNK", chunk)
+        sizes = {"eigh_dense": [], "_hessian": [], "eigvalsh_dense": []}
+        for module, name in ((nodal, "eigh_dense"), (morse, "_hessian"),
+                             (morse, "eigvalsh_dense")):
+            def recording(a, *args, _name=name,
+                          _inner=getattr(module, name), **kwargs):
+                sizes[_name].append(len(a.values if _name == "_hessian"
+                                        else a))
+                return _inner(a, *args, **kwargs)
+            monkeypatch.setattr(module, name, recording)
+        h = strong_diagonal_fixture(complete_graph(5))
+        assert verify_index_equals_surplus(h).num_ok == 320
+        assert sum(sizes["eigh_dense"]) == 2 ** 6
+        assert max(sizes["eigh_dense"]) == max(sizes["_hessian"]) == chunk
+        assert max(sizes["eigvalsh_dense"]) <= h.graph.n * chunk

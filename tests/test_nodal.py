@@ -262,6 +262,29 @@ class TestSingleMatrixDistribution:
         assert d.counts.tolist() == [2, 1]
         assert d.n_samples == 3
 
+    def test_one_kernel_call_decides_every_position(self, monkeypatch):
+        """One kernel call per operator; the first failing position
+        raises the error ``nodal_count`` raises there."""
+        positions = []
+        inner = nodal._stack_checks
+
+        def counting(*args, **kwargs):
+            positions.append(args[3].tolist())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(nodal, "_stack_checks", counting)
+        d = surplus_distribution(strong_diagonal_fixture(complete_graph(5)))
+        assert d.n_samples == 5 and positions == [[0, 1, 2, 3, 4]]
+        zero = SupportedMatrix(cycle_graph(3), np.zeros(3),
+                               -np.ones(3, dtype=np.complex128))
+        with pytest.raises(NonSimpleEigenvalueError) as err:
+            surplus_distribution(zero)
+        assert positions[1:] == [[0, 1, 2]]
+        monkeypatch.undo()
+        with pytest.raises(NonSimpleEigenvalueError) as want:
+            nodal_count(zero, 2)
+        assert error_fields(err.value) == error_fields(want.value)
+
 
 class TestAveragedDistribution:
     def test_triangle_binomial_exact(self):

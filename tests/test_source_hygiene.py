@@ -15,7 +15,9 @@ degeneracy test, ``cluster_mask``: elsewhere ``tol_degeneracy`` is only
 passed on, never part of arithmetic or a comparison.  Likewise the
 vanishing, product and realness tolerances (``tol_vanish``,
 ``tol_product`` and ``tol_real``) cut only in ``nodal._stack_checks``,
-the one admissibility kernel.
+the one admissibility kernel.  ``SigningClasses.rows`` is called in
+one function only, ``nodal._solve_classes``, the class-block solve that
+the class sum, the index check and the scan share.
 """
 
 import ast
@@ -121,6 +123,27 @@ def tolerance_cuts(tree: ast.Module, names=frozenset({"tol_degeneracy"}),
         if getattr(node, "id", getattr(node, "attr", None)) in names})]
 
 
+def method_callers(trees: dict[Path, ast.Module], method: str
+                   ) -> list[str]:
+    """``module.function`` for each call of a method named ``method``,
+    after the innermost function around it; ``module`` alone outside
+    any function."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        elif isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Attribute) and node.func.attr == method:
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path, tree in sorted(trees.items()):
+        visit(tree, path.stem)
+    return found
+
+
 def bare_asserts(tree: ast.Module) -> list[int]:
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Assert)]
@@ -166,6 +189,11 @@ def test_every_definition_is_used(path):
     assert unreferenced_definitions(path, trees, traced) == []
 
 
+def test_one_function_builds_class_sign_rows():
+    trees = {p: parse(p) for p in MODULES}
+    assert method_callers(trees, "rows") == ["nodal._solve_classes"]
+
+
 def test_checks_catch_what_they_look_for():
     tree = ast.parse("import os\nfrom x import y as z\nassert z\n")
     assert unused_imports(tree) == ["os (line 1)"]
@@ -205,3 +233,9 @@ def test_checks_catch_what_they_look_for():
              b: ast.parse("from .a import g\nfrom a import C\n")}
     assert unreferenced_definitions(a, trees) == ["C (line 3)"]
     assert unreferenced_definitions(a, trees, ("C",)) == []
+    trees = {a: ast.parse("def f(c):\n    def g():\n        c.rows(1)\n"
+                          "    return c.rows(2), c.rows, rows(3)\n"
+                          "class C:\n    def m(self):\n"
+                          "        self.rows = self.x.rows([])\n"),
+             b: ast.parse("x = classes.rows(ids)\n")}
+    assert method_callers(trees, "rows") == ["a.g", "a.f", "a.m", "b"]

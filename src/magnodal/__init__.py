@@ -40,12 +40,10 @@ from .graphs import (
     Graph,
     OneForm,
     betti_number,
-    bfs_forest,
     boundary,
     coboundary,
     connected_components,
     cycle_basis,
-    cycle_basis_from_forest,
     graph_from_json,
     graph_to_json,
     induced_subgraph,
@@ -60,7 +58,6 @@ from .operators import (
     gauge_classes_of_signings,
     gauge_transform,
     is_gauge_equiv_to_symmetry,
-    is_properly_supported,
     magnetic_action,
     operator_from_json,
     operator_to_json,
@@ -72,7 +69,6 @@ from .spectral import (
     eigh,
     is_nowhere_vanishing,
     multiplicity,
-    pseudo_inverse_apply,
     resolvent_coefficient,
 )
 from .nodal import (
@@ -114,7 +110,5 @@ from .transversality import (
     eigenspace_basis,
     find_edge_separated_pair,
     is_transverse_at,
-    projects_surjectively,
-    splits_graph,
-    support_of_eigenspace,
+    support_components,
 )

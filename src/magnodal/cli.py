@@ -44,19 +44,18 @@ from .graphs import betti_number, graph_from_json
 from .linkage import analyze_exceptional, build_exceptional_fixture
 from .morse import TorusPoint, critical_scan, verify_index_equals_surplus
 from .nodal import (
-    _every_position,
     average_surplus_distribution,
     nodal_count,
     normalized_distribution,
+    position_checks,
 )
 from .operators import operator_from_json, operator_to_json
 from .serialize import csv_cell, dumps_canonical, write_csv, write_json
 from .spectral import DEGENERACY_TOL, VANISH_TOL, eigh
 from .transversality import (
-    SUPPORT_TOL,
-    _separated_pair,
-    _support_components,
+    find_edge_separated_pair,
     is_transverse_at,
+    support_components,
 )
 
 
@@ -271,7 +270,10 @@ def cmd_nodal_dist(args) -> None:
               ("magnodal/nodal", ["k", "status", "nodal_count", "surplus"],
                [[args.k, "ok", count, surplus]]))
         return
-    checks = _every_position(h, tol_degeneracy=args.tol_degeneracy,
+    es = eigh(h)
+    checks = position_checks(h, h.offdiag[None], es.values[None],
+                             es.vectors[None],
+                             tol_degeneracy=args.tol_degeneracy,
                              tol_vanish=args.tol_vanish)
     rows = []
     histogram = [0] * (betti_number(h.graph) + 1)
@@ -439,9 +441,9 @@ def cmd_linkage_analyze(args) -> None:
 def cmd_transversality_check(args) -> None:
     h = _load_operator(args)
     report = is_transverse_at(h, args.k, tol_degeneracy=args.tol_degeneracy)
-    support, comps = _support_components(h.graph, report.basis, SUPPORT_TOL)
+    support, comps = support_components(h.graph, report.basis)
     splitting = len(comps) > 1
-    pair = _separated_pair(h.graph, report.basis, comps, SUPPORT_TOL)
+    pair = find_edge_separated_pair(report.basis, comps)
     payload = {
         "k": args.k,
         "multiplicity": report.multiplicity,

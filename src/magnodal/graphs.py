@@ -9,7 +9,8 @@ A graph owns one spanning forest: the breadth-first walk runs once per
 graph and is cached.  It gives the parent of each vertex and its root
 path, the signed chain from the root of its tree down to the vertex.
 The fundamental cycle basis is built from it once per graph and cached
-too, with the canonical positions of its non-forest edges.  The components, the cycle basis and the gauge witness of
+too, with the canonical positions of its non-forest edges.  The
+components, the cycle basis and the gauge witness of
 ``operators.is_gauge_equiv_to_symmetry`` all read it, so they are
 deterministic for a given graph.
 """
@@ -86,9 +87,6 @@ class Graph:
         """The cycle basis over ``spanning_forest``, built and checked
         once per graph."""
         return _checked_cycle_basis(self)
-
-    def has_edge(self, r: int, s: int) -> bool:
-        return (min(r, s), max(r, s)) in self.edge_index
 
     def index_of(self, r: int, s: int) -> int:
         return self.edge_index[(min(r, s), max(r, s))]
@@ -227,18 +225,6 @@ def boundary(xi: Chain) -> np.ndarray:
     return out
 
 
-def bfs_forest(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[int]]:
-    """Breadth-first spanning forest.
-
-    Returns the canonical forest edges and a fresh parent array with -1
-    at roots.  Roots are the smallest vertex of each component and
-    neighbors are visited in ascending order, so the forest is a
-    deterministic function of the graph.
-    """
-    forest = g.spanning_forest
-    return forest.edges, list(forest.parent)
-
-
 def _bfs_walk(g: Graph) -> SpanningForest:
     """The one breadth-first walk behind ``Graph.spanning_forest``."""
     parent = [-1] * g.n
@@ -296,12 +282,6 @@ def _fundamental_cycles(g: Graph, forest: tuple[tuple[int, int], ...],
                       tuple(Chain(g, c) for c in coeffs))
 
 
-def cycle_basis_from_forest(g: Graph, forest: tuple[tuple[int, int], ...],
-                            parent: list[int]) -> CycleBasis:
-    """Fundamental cycles of the non-forest edges over a given forest."""
-    return _fundamental_cycles(g, forest, _root_paths(g, parent))
-
-
 def cycle_basis(g: Graph) -> CycleBasis:
     """Deterministic fundamental cycle basis from the graph's BFS forest.
 
@@ -343,6 +323,14 @@ def _is_number(x) -> bool:
             and abs(x) <= sys.float_info.max)
 
 
+def _is_vertex_pair(e) -> bool:
+    """A JSON pair ``[r, s]`` of integers (``json`` reads ``true`` as a
+    bool, which Python counts as an int)."""
+    return (isinstance(e, (list, tuple)) and len(e) == 2
+            and not any(isinstance(x, bool) or not isinstance(x, int)
+                        for x in e))
+
+
 def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [[r, s] for (r, s) in g.edges]}
 
@@ -365,8 +353,7 @@ def graph_from_json(obj) -> Graph:
         raise SchemaError("'edges' must be a list of [r, s] pairs")
     pairs = []
     for e in edges:
-        if (not isinstance(e, (list, tuple)) or len(e) != 2
-                or any(isinstance(x, bool) or not isinstance(x, int) for x in e)):
+        if not _is_vertex_pair(e):
             raise SchemaError(f"edge entry {e!r} is not a pair of integers")
         pairs.append((e[0], e[1]))
     try:

@@ -38,9 +38,9 @@ from .spectral import (
     VANISH_TOL,
     EigenSystem,
     _lstsq,
-    _resolvent_sum,
     eigh,
     multiplicity,
+    resolvent_coefficient,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -320,7 +320,7 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
             "bar lengths are not generic; hypothesis (2) fails",
             hypothesis=2) from exc
 
-    c = _resolvent_sum(es, k, v0)
+    c = resolvent_coefficient(h, k, v0, tol_degeneracy, es)
     if abs(c) <= shift_tol:
         raise LinkageHypothesisError(
             f"spectral shift coefficient {c:.3e} is degenerate; "
@@ -399,19 +399,19 @@ def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
         hq = SupportedMatrix(g, rotated.diag, off)
         esq = eigh(hq)
         kq = int(np.argmin(np.abs(esq.values - lam))) + 1
-        mq, _ = multiplicity(esq, kq, tol_degeneracy)
-        if mq != 1:
+        try:
+            cq = resolvent_coefficient(hq, kq, v0, tol_degeneracy, esq)
+        except NonSimpleEigenvalueError as exc:
             raise LinkageHypothesisError(
                 f"sampled manifold point {i} has a degenerate eigenvalue; "
                 f"hypothesis (3) quantifies over the manifold and fails",
-                hypothesis=3)
+                hypothesis=3) from exc
         if kq != k:
             config = ", ".join(f"{a:.6g}" for a in theta)
             raise LinkageHypothesisError(
                 f"eigenvalue leaves position k={k} along the manifold "
                 f"(sample {i}: position {kq}, configuration [{config}]); "
                 f"hypothesis (3) fails", hypothesis=3)
-        cq = _resolvent_sum(esq, kq, v0)
         if abs(cq) <= shift_tol or (cq < 0) != (c_ref < 0):
             raise LinkageHypothesisError(
                 f"shift coefficient changes sign or degenerates along the "
@@ -503,10 +503,12 @@ def build_exceptional_fixture(degree: int, seed: int = 0, *,
         hp = point.operator()
         es = eigh(hp)
         k = int(np.argmin(np.abs(es.values - lam))) + 1
-        m, _ = multiplicity(es, k)
-        if m != 1 or abs(es.value(k) - lam) > 1e-9 * max(1.0, h.norm_fro):
+        if abs(es.value(k) - lam) > 1e-9 * max(1.0, h.norm_fro):
             continue
-        c = _resolvent_sum(es, k, 0)
+        try:
+            c = resolvent_coefficient(hp, k, 0, es=es)
+        except NonSimpleEigenvalueError:
+            continue
         if abs(c) <= 10 * SHIFT_COEFF_TOL:
             continue
         full_vec = np.zeros(g.n)

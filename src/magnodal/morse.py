@@ -14,10 +14,12 @@ admissibility kernel, ``_stack_checks``, gives simplicity, vanishing
 entries, criticality and surplus for a whole stack, so the index check
 decides every (class, k) pair of a block together, and a scan
 classifies each block of symmetry points, and then its search reports,
-as one stack.  The index check words its skip reasons from the
-kernel's masks, through ``_StackChecks.error``, with no second solve.
-Each such stack assembles its Hessians as one stack (per k, in the
-index check), and their Morse indices come from one stacked solve.
+as one stack.  The index check enters the kernel at every position
+through ``nodal.position_checks`` and words its skip reasons from the
+kernel's masks, through ``_StackChecks.error``, with no second solve;
+its Hessians read the edge products the kernel checked.  Each such
+stack assembles its Hessians as one stack (per k, in the index check),
+and their Morse indices come from one stacked solve.
 
 Every derivative at a single point starts from ``nodal``'s checked
 solve of a stack of one, ``_checked``, which raises the kernel's error
@@ -55,8 +57,8 @@ from .errors import (
     VanishingEigenvectorError,
 )
 from .graphs import CycleBasis, Graph, OneForm, cycle_basis, num_components
-from .nodal import (PRODUCT_REAL_TOL, _blocks, _checked, _class_checks,
-                    _solve_classes, _Solves, _StackChecks)
+from .nodal import (PRODUCT_REAL_TOL, _blocks, _checked, _solve_classes,
+                    _Solves, _StackChecks, position_checks)
 from .operators import (
     FLUX_TOL,
     SupportedMatrix,
@@ -342,7 +344,7 @@ def _hessian(s: _Solves, basis: CycleBasis, tol_degeneracy: float
     W[:, rs[:, 0], cols] = 1j * hrs * v[:, rs[:, 1]]
     W[:, rs[:, 1], cols] = -1j * np.conj(hrs) * v[:, rs[:, 0]]
     # Pseudo-inverse of h - lam on every column at once, without the
-    # cluster at lam, as in ``pseudo_inverse_apply``.
+    # cluster at lam.
     shift = s.values - lam[:, None]
     inv = np.divide(1.0, shift, out=np.zeros_like(shift),
                     where=~cluster_mask(s.values, lam, tol_degeneracy))
@@ -818,16 +820,16 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
     if not h.is_real:
         raise ValueError("verification expects a real matrix")
     base = abs_part(h)
-    graph, basis = h.graph, cycle_basis(h.graph)
+    basis = cycle_basis(h.graph)
     fault, scope = ((InternalCrossCheckError, "")
-                    if num_components(graph) == 1 else
+                    if num_components(h.graph) == 1 else
                     (AdmissibilityError, "; the index-surplus identity "
                      "holds on connected graphs only"))
     rows = []
-    for bits, (signs, off, values, vectors) in _symmetry_blocks(base, basis):
-        checks = _class_checks(base, signs, values, vectors,
-                               tol_degeneracy=tol_degeneracy,
-                               tol_vanish=tol_vanish)
+    for bits, (_, off, values, vectors) in _symmetry_blocks(base, basis):
+        checks = position_checks(base, off, values, vectors,
+                                 tol_degeneracy=tol_degeneracy,
+                                 tol_vanish=tol_vanish)
         admissible, surplus = ~checks.failed, checks.surplus
         if np.any(checks.out_of_bounds):
             raise checks.error(*np.argwhere(checks.out_of_bounds)[0])
@@ -841,8 +843,10 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
                 f"vanishes at {list(exc.vertices)}"
                 if isinstance(exc, VanishingEigenvectorError) else str(exc))
         index, nullity = np.zeros_like(surplus), np.zeros_like(surplus)
-        hessians = [_hessian(_Solves.at(graph, off, values, vectors, j + 1)
-                             .take(col), basis, tol_degeneracy)
+        # each k's Hessians read the products its checks were made on
+        hessians = [_hessian(_Solves(off, values, vectors, j + 1,
+                                     checks.products[:, j]).take(col),
+                             basis, tol_degeneracy)
                     for j, col in enumerate(admissible.T) if np.any(col)]
         if hessians:
             # k-major, as the stacks; the transposed masks keep that order

@@ -1,7 +1,8 @@
 """Nodal edge counts and surplus statistics over signings.
 
 The nodal count of an eigenvector is the number of edges on which the
-product ``conj(v_r) h_rs v_s`` is positive.  At real matrices, and more
+product ``conj(v_r) h_rs v_s`` is positive; ``edge_products`` is the one
+place these products are formed.  At real matrices, and more
 generally at critical points of the eigenvalue, these products are
 real; the count then exceeds ``k - 1`` by a surplus between 0 and the
 number of independent cycles.  Averaging the surplus over all signings
@@ -14,18 +15,20 @@ operators.  It decides for every row and eigenvalue position at once
 whether the eigenvalue is simple, which eigenvector entries vanish,
 whether the edge products are real and which are too close to zero to
 carry a sign, and its masks word every error (``_StackChecks.error``).
-A single operator is a stack of one (``_checked``).  The surplus bounds
-are a theorem on connected graphs; on a disconnected graph a count
-outside them is inadmissible, not an internal fault.
+A single operator is a stack of one (``_checked``), and every caller
+that checks all positions at once enters it through
+``position_checks``.  The surplus bounds are a theorem on connected
+graphs; on a disconnected graph a count outside them is inadmissible,
+not an internal fault.
 
 The signing average solves one representative per switching class, the
 member that leaves the spanning forest unflipped, in blocks of
 ``SWEEP_CHUNK``, each by one stacked eigensolve (``_solve_classes``, as
-``morse`` solves the symmetry points) and one kernel call at every
-position.  It runs in real arithmetic: its products ``v_r (h_rs *
-sign) v_s`` carry the bits of the real parts of the complex ones (every
-imaginary factor is an exact zero and a sign flip is exact), up to the
-signs of zeros, which no check reads.
+``morse`` solves the symmetry points) and one ``position_checks`` call.
+It runs in real arithmetic: its products ``v_r (h_rs * sign) v_s``
+carry the bits of the real parts of the complex ones (every imaginary
+factor is an exact zero and a sign flip is exact), up to the signs of
+zeros, which no check reads.
 """
 
 from __future__ import annotations
@@ -72,13 +75,20 @@ PRODUCT_REAL_TOL = 1e-9
 PRODUCT_DEGENERATE_TOL = 1e-12
 
 
-def edge_products(h: SupportedMatrix, v: np.ndarray) -> np.ndarray:
-    """The complex products ``conj(v_r) h_rs v_s`` per canonical edge.
+def edge_products(graph: Graph, offdiag: np.ndarray, v: np.ndarray
+                  ) -> np.ndarray:
+    """The products ``conj(v_r) h_rs v_s`` per canonical edge of
+    ``graph``, for the edge entries ``offdiag`` (..., m) of ``h`` and
+    the vectors ``v`` (..., n), whose leading axes broadcast.
 
-    ``v`` may stack vectors along leading axes; the vertex axis is last.
+    The one place the package forms them.  Real vectors are not
+    conjugated, so real entries give real products.
     """
-    rs = h.graph.endpoints
-    return np.conj(v[..., rs[:, 0]]) * h.offdiag * v[..., rs[:, 1]]
+    rs = graph.endpoints
+    head = v[..., rs[:, 0]]
+    if np.iscomplexobj(head):
+        head = np.conj(head)
+    return head * offdiag * v[..., rs[:, 1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,12 +113,9 @@ class _Solves:
     def at(cls, graph: Graph, offdiag: np.ndarray, values: np.ndarray,
            vectors: np.ndarray, k: int) -> "_Solves":
         """The solves of the operators with edge entries ``offdiag``,
-        with the edge products of their k-th eigenvectors, each row
-        computed as ``edge_products`` computes it for one operator."""
-        rs = graph.endpoints
-        v = vectors[:, :, k - 1]
+        with the edge products of their k-th eigenvectors."""
         return cls(offdiag, values, vectors, k,
-                   np.conj(v[:, rs[:, 0]]) * offdiag * v[:, rs[:, 1]])
+                   edge_products(graph, offdiag, vectors[:, :, k - 1]))
 
     def take(self, rows) -> "_Solves":
         return _Solves(self.offdiag[rows], self.values[rows],
@@ -124,15 +131,6 @@ class _Solves:
         return _stack_checks(self.values, self.vectors[:, None, :, k - 1],
                              self.products[:, None], [k - 1], scale, graph,
                              **tols)
-
-
-def _signed_products(h: SupportedMatrix, vectors: np.ndarray,
-                     rows: np.ndarray) -> np.ndarray:
-    """Real edge products of the real ``h`` signed by each row of ``rows``
-    (S, m), for the real eigenvectors ``vectors`` (S, K, n)."""
-    rs = h.graph.endpoints
-    return (vectors[..., rs[:, 0]] * (h.offdiag.real * rows)[:, None, :]
-            * vectors[..., rs[:, 1]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,8 +262,8 @@ def _checked(h: SupportedMatrix, k: int, es: EigenSystem | None, **tols
     is not simple; a ``k`` outside ``1..n`` raises ``ValueError``."""
     if es is None:
         es = eigh(h)
-    s = _Solves(h.offdiag[None], es.values[None], es.vectors[None], k,
-                edge_products(h, es.vector(k))[None])
+    s = _Solves.at(h.graph, h.offdiag[None], es.values[None],
+                   es.vectors[None], k)
     checks = s.checks(h.graph, h.norm_fro, **tols)
     if not checks.simple[0, 0]:
         raise checks.error(0, 0)
@@ -337,19 +335,26 @@ class SurplusDistribution:
         return float(np.dot((s - self.mean) ** 2, self.probs))
 
 
-def _every_position(h: SupportedMatrix, **tols) -> _StackChecks:
-    """The kernel at every eigenvalue position of ``h``, a stack of one,
-    from one solve and one kernel call."""
-    es = eigh(h)
-    v = es.vectors.T  # (k, vertex)
-    return _stack_checks(es.values[None], v[None], edge_products(h, v)[None],
+def position_checks(h: SupportedMatrix, offdiag: np.ndarray,
+                    values: np.ndarray, vectors: np.ndarray, **tols
+                    ) -> _StackChecks:
+    """The kernel at every eigenvalue position of a stack of operators
+    with the diagonal and the norm of ``h``: edge entries ``offdiag``
+    (S, m), eigenvalues ``values`` (S, n) and eigenvector columns
+    ``vectors`` (S, n, n).  The one kernel entry of every caller that
+    checks all positions: a single operator, a class block."""
+    vectors = vectors.swapaxes(1, 2)  # (row, k, vertex)
+    return _stack_checks(values, vectors,
+                         edge_products(h.graph, offdiag[:, None], vectors),
                          np.arange(h.graph.n), h.norm_fro, h.graph, **tols)
 
 
 def surplus_distribution(h: SupportedMatrix, **kwargs) -> SurplusDistribution:
     """Surplus histogram over all eigenvalue positions of one matrix; the
     first failing position raises its error."""
-    checks = _every_position(h, **kwargs)
+    es = eigh(h)
+    checks = position_checks(h, h.offdiag[None], es.values[None],
+                             es.vectors[None], **kwargs)
     if checks.failed.any():
         raise checks.error(0, int(np.argmax(checks.failed[0])))
     beta = betti_number(h.graph)
@@ -381,15 +386,6 @@ def _solve_classes(h: SupportedMatrix, classes: SigningClasses, ids):
             *eigh_dense(dense_matrices(h.graph, h.diag, offdiag)))
 
 
-def _class_checks(h: SupportedMatrix, rows: np.ndarray, values: np.ndarray,
-                  vectors: np.ndarray, **tols) -> _StackChecks:
-    """The kernel at every position of the solves of ``h`` signed by
-    ``rows``, on their real products."""
-    vectors = vectors.swapaxes(1, 2)  # (class, k, vertex)
-    return _stack_checks(values, vectors, _signed_products(h, vectors, rows),
-                         np.arange(h.graph.n), h.norm_fro, h.graph, **tols)
-
-
 def _surplus_counts(h: SupportedMatrix, classes: SigningClasses,
                     skip_inadmissible: bool, **tols) -> tuple[np.ndarray, int]:
     """Surplus histogram of the signings of ``h`` over its ``classes``,
@@ -407,8 +403,8 @@ def _surplus_counts(h: SupportedMatrix, classes: SigningClasses,
     counts = np.zeros(beta + 1, dtype=np.int64)
     skipped = 0
     for ids in _blocks(classes.num_classes):
-        rows, _, values, vectors = _solve_classes(h, classes, ids)
-        checks = _class_checks(h, rows, values, vectors, **tols)
+        rows, offdiag, values, vectors = _solve_classes(h, classes, ids)
+        checks = position_checks(h, offdiag, values, vectors, **tols)
         failed = checks.failed
         failing = failed.any(axis=1)
         first = np.argmax(failed, axis=1)

@@ -25,8 +25,8 @@ from .errors import (
     NotProperlySupportedError,
     SchemaError,
 )
-from .graphs import (Graph, OneForm, _is_number, coboundary, cycle_basis,
-                     graph_from_json, graph_to_json)
+from .graphs import (Graph, OneForm, _is_number, _is_vertex_pair,
+                     coboundary, cycle_basis, graph_from_json, graph_to_json)
 
 TWO_PI = 2.0 * np.pi
 
@@ -70,27 +70,6 @@ class SupportedMatrix:
     @cached_property
     def norm_fro(self) -> float:
         return float(frobenius_norms(self.diag, self.offdiag))
-
-    @classmethod
-    def from_dense(cls, graph: Graph, m, atol: float = 0.0) -> "SupportedMatrix":
-        """Read a dense Hermitian array back onto the support.
-
-        Entries off the support and Hermitian defects larger than
-        ``atol`` are rejected.
-        """
-        m = np.asarray(m)
-        if m.shape != (graph.n, graph.n):
-            raise ValueError("dense array shape does not match the graph")
-        if np.max(np.abs(m - m.conj().T)) > atol:
-            raise ValueError("dense array is not Hermitian within tolerance")
-        support = set(graph.edges)
-        for r in range(graph.n):
-            for s in range(r + 1, graph.n):
-                if (r, s) not in support and abs(m[r, s]) > atol:
-                    raise ValueError(f"nonzero entry at non-edge ({r}, {s})")
-        diag = np.real(np.diag(m))
-        off = np.array([m[r, s] for (r, s) in graph.edges], dtype=np.complex128)
-        return cls(graph, diag, off)
 
 
 def frobenius_norms(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
@@ -146,11 +125,6 @@ def unit_phases(values: np.ndarray) -> np.ndarray:
     w[rem == 0.0] = 1.0
     w[rem == np.pi] = -1.0
     return w
-
-
-def is_properly_supported(h: SupportedMatrix) -> bool:
-    """True when every edge carries a nonzero off-diagonal entry."""
-    return bool(np.all(np.abs(h.offdiag) > 0.0))
 
 
 def magnetic_action(alpha: OneForm, h: SupportedMatrix) -> SupportedMatrix:
@@ -344,7 +318,7 @@ def operator_from_json(obj) -> SupportedMatrix:
         if not isinstance(item, dict) or not {"edge", "re", "im"} <= set(item):
             raise SchemaError("each off-diagonal entry needs 'edge', 're', 'im'")
         e = item["edge"]
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
+        if not _is_vertex_pair(e):
             raise SchemaError(f"bad edge reference {e!r}")
         key = (min(e), max(e))
         if key not in g.edge_index:

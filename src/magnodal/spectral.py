@@ -215,23 +215,6 @@ def is_nowhere_vanishing(v: np.ndarray, tol: float = VANISH_TOL
     return not vanishing, vanishing
 
 
-def pseudo_inverse_apply(h: SupportedMatrix, lam: float, x: np.ndarray,
-                         tol_rel: float = DEGENERACY_TOL,
-                         es: EigenSystem | None = None) -> np.ndarray:
-    """Apply the spectral pseudo-inverse of ``h - lam I`` to a vector.
-
-    Eigenvalues within the cluster tolerance of ``lam`` are excluded,
-    so the result is orthogonal to the eigenspace at ``lam``.
-    """
-    if es is None:
-        es = eigh(h)
-    mask = ~cluster_mask(es.values, lam, tol_rel)
-    coeffs = es.vectors.conj().T @ x
-    scaled = np.zeros_like(coeffs)
-    scaled[mask] = coeffs[mask] / (es.values[mask] - lam)
-    return es.vectors @ scaled
-
-
 def resolvent_coefficient(h: SupportedMatrix, k: int, vertex: int,
                           tol_rel: float = DEGENERACY_TOL,
                           es: EigenSystem | None = None) -> float:
@@ -250,12 +233,6 @@ def resolvent_coefficient(h: SupportedMatrix, k: int, vertex: int,
             f"simple eigenvalue", k=k, multiplicity=m)
     if not 0 <= vertex < es.n:
         raise ValueError(f"vertex {vertex} out of range")
-    return _resolvent_sum(es, k, vertex)
-
-
-def _resolvent_sum(es: EigenSystem, k: int, vertex: int) -> float:
-    """``resolvent_coefficient``'s sum, for callers that have checked
-    that the k-th eigenvalue is simple."""
     lam = es.values[k - 1]
     total = 0.0
     for j in range(es.n):

@@ -94,53 +94,24 @@ def eigenspace_basis(h: SupportedMatrix, k: int,
     return EigenspaceBasis(eigenvalue=lam, k_first=k, dim=m, vectors=vecs)
 
 
-def support_of_eigenspace(basis: EigenspaceBasis,
-                          tol: float = SUPPORT_TOL) -> tuple[int, ...]:
-    """Vertices where the eigenspace does not vanish.
+def support_components(g: Graph, basis: EigenspaceBasis,
+                       tol: float = SUPPORT_TOL
+                       ) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Vertices where the eigenspace does not vanish, and the components
+    of the subgraph they induce, in the original vertex labels.
 
     A vertex belongs to the support when its row of the basis matrix
     has norm above the tolerance; for an orthonormal basis this equals
     the norm of the projection of the coordinate vector onto the
-    eigenspace, so the answer does not depend on the basis choice.
+    eigenspace, so the answer does not depend on the basis choice.  The
+    support splits the graph when it has more than one component.
     """
     norms = np.linalg.norm(basis.vectors, axis=1)
-    return tuple(int(i) for i in np.nonzero(norms > tol)[0])
-
-
-def _support_components(g: Graph, basis: EigenspaceBasis, tol: float
-                        ) -> tuple[tuple[int, ...], list[list[int]]]:
-    """The eigenspace support and the components of the subgraph it
-    induces, in the original vertex labels."""
-    supp = support_of_eigenspace(basis, tol)
+    supp = tuple(int(i) for i in np.nonzero(norms > tol)[0])
     if not supp:
         return supp, []
     sub, _ = induced_subgraph(g, supp)
     return supp, [[supp[i] for i in comp] for comp in connected_components(sub)]
-
-
-def splits_graph(g: Graph, basis: EigenspaceBasis,
-                 tol: float = SUPPORT_TOL) -> bool:
-    """True when the support induces a disconnected subgraph."""
-    supp, comps = _support_components(g, basis, tol)
-    if not supp:
-        raise ValueError("eigenspace support is empty")
-    return len(comps) > 1
-
-
-def projects_surjectively(basis: EigenspaceBasis, edge: tuple[int, int],
-                          tol: float = TRANSVERSALITY_RANK_TOL) -> bool:
-    """Rank-2 projection of a multiplicity-2 eigenspace onto an edge.
-
-    Stated for multiplicity 2 only; other dimensions are rejected.
-    """
-    if basis.dim != 2:
-        raise ValueError(
-            f"edge projection criterion applies to multiplicity 2, got "
-            f"{basis.dim}")
-    r, s = edge
-    block = basis.vectors[[r, s], :]
-    sv = np.linalg.svd(block, compute_uv=False)
-    return bool(sv[-1] > tol)
 
 
 def _pairs(n: int, skip=()) -> np.ndarray:
@@ -272,31 +243,23 @@ def is_transverse_at(h: SupportedMatrix, k: int, *,
     )
 
 
-def find_edge_separated_pair(g: Graph, basis: EigenspaceBasis,
+def find_edge_separated_pair(basis: EigenspaceBasis, comps: list[list[int]],
                              tol: float = SUPPORT_TOL
                              ) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigenvectors supported on different components of the support.
 
-    Computes the components of the subgraph induced on the eigenspace
-    support, intersects the eigenspace with the vectors vanishing off
-    each component, and returns one unit vector from each of the first
-    two components carrying a nonzero intersection.  Such a pair spans
-    no common edge.  Returns None when fewer than two components carry
-    eigenvectors; this component-wise search is the only strategy
-    tried.
+    Intersects the eigenspace with the vectors vanishing off each of
+    the support components ``comps`` (from ``support_components``) and
+    returns one unit vector from each of the first two components
+    carrying a nonzero intersection.  Such a pair spans no common edge.
+    Returns None when fewer than two components carry eigenvectors;
+    this component-wise search is the only strategy tried.
     """
-    return _separated_pair(g, basis, _support_components(g, basis, tol)[1],
-                           tol)
-
-
-def _separated_pair(g: Graph, basis: EigenspaceBasis, comps: list[list[int]],
-                    tol: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """``find_edge_separated_pair`` over the support components ``comps``."""
     if len(comps) < 2:
         return None
     found: list[np.ndarray] = []
     for comp in comps:
-        outside = [r for r in range(g.n) if r not in comp]
+        outside = [r for r in range(len(basis.vectors)) if r not in comp]
         rows = basis.vectors[outside, :]
         _, sv, vh = np.linalg.svd(rows, full_matrices=True)
         full = np.concatenate([sv, np.zeros(basis.dim - sv.size)])

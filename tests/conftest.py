@@ -17,8 +17,9 @@ paths in ``graphs``.  ``cycle_basis_by_loop`` builds the same cycles
 from the root paths one at a time, each checked by ``boundary``, against
 which the array build must agree bit for bit, and ``lose_a_root_path``
 plants the fault that its boundary check must catch.
-``complex_class_products`` is the class sum's complex product oracle:
-the real products ``nodal._signed_products`` must give the same checks.
+``complex_products`` is the complex product oracle: on real entries
+and vectors, the real products of ``nodal.edge_products`` must give
+the same checks.
 ``multiplicity_by_walk`` is the degeneracy oracle: it grows the cluster
 of the k-th eigenvalue one neighbour at a time, against which
 ``spectral.cluster_mask`` and ``multiplicity`` must agree.
@@ -36,6 +37,11 @@ ranks and witness.  ``scalar_sample_configuration`` is the linkage
 sampler oracle, solving each Newton step with ``np.linalg.lstsq``.
 ``scalar_is_generic`` visits the signed length sums one at a time, and
 ``recursive_dumps`` is the serializer that recurses once per leaf.
+``pseudo_inverse_apply``, ``cycle_basis_from_forest`` and
+``projects_surjectively`` are references that the package has no
+caller for: one pseudo-inverse column of the Hessian assembly, the
+cycle basis over another spanning forest, and the edge projection
+criterion for a multiplicity-2 eigenspace.
 ``take_along_axis_phases`` is the phase normalization that gathers its
 pivots with ``np.take_along_axis``, the pivot oracle of
 ``spectral._normalize_phases``.
@@ -72,11 +78,12 @@ from magnodal.nodal import (PRODUCT_DEGENERATE_TOL, PRODUCT_REAL_TOL, _Solves,
                             edge_products)
 from magnodal.operators import SupportedMatrix, signs_for_index
 from magnodal.serialize import _escape, format_float
-from magnodal.spectral import (DEGENERACY_TOL, VANISH_TOL, EigenSystem, eigh,
-                               is_nowhere_vanishing, multiplicity)
+from magnodal.spectral import (DEGENERACY_TOL, VANISH_TOL, EigenSystem,
+                               cluster_mask, eigh, is_nowhere_vanishing,
+                               multiplicity)
 from magnodal.transversality import (TRANSVERSALITY_RANK_TOL,
-                                     TransversalityReport, codim_stratum,
-                                     eigenspace_basis)
+                                     EigenspaceBasis, TransversalityReport,
+                                     codim_stratum, eigenspace_basis)
 
 ACCEPTANCE_RESULTS: list[tuple[int, str, str, str]] = []
 
@@ -310,12 +317,44 @@ def lose_a_root_path(monkeypatch) -> None:
     monkeypatch.setattr(graphs, "_root_paths", wrong)
 
 
-def complex_class_products(h: SupportedMatrix, vectors: np.ndarray,
-                           rows: np.ndarray) -> np.ndarray:
-    """Complex edge products of the signed operators ``h * rows`` (S, m)
-    for eigenvectors ``vectors`` (S, K, n): ``edge_products`` of ``h``
-    times the signs."""
-    return edge_products(h, vectors) * rows[:, None, :]
+def complex_products(graph: Graph, offdiag: np.ndarray,
+                     vectors: np.ndarray) -> np.ndarray:
+    """``nodal.edge_products`` with the entries and vectors cast to
+    complex first, so the products are formed in complex arithmetic."""
+    r, s = graph.endpoints.T
+    v = vectors.astype(np.complex128)
+    return np.conj(v[..., r]) * offdiag.astype(np.complex128) * v[..., s]
+
+
+def pseudo_inverse_apply(h: SupportedMatrix, lam: float, x: np.ndarray,
+                         es: EigenSystem | None = None) -> np.ndarray:
+    """The spectral pseudo-inverse of ``h - lam I`` applied to ``x``:
+    the eigenvalues in the cluster at ``lam`` are left out, so the
+    result is orthogonal to the eigenspace there."""
+    es = eigh(h) if es is None else es
+    keep = ~cluster_mask(es.values, lam, DEGENERACY_TOL)
+    coeffs = es.vectors.conj().T @ x
+    scaled = np.zeros_like(coeffs)
+    scaled[keep] = coeffs[keep] / (es.values[keep] - lam)
+    return es.vectors @ scaled
+
+
+def cycle_basis_from_forest(g: Graph, forest, parent) -> CycleBasis:
+    """The fundamental cycles of ``g`` over the spanning forest
+    ``forest`` with the parent array ``parent``."""
+    return graphs._fundamental_cycles(g, forest,
+                                      graphs._root_paths(g, parent))
+
+
+def projects_surjectively(basis: EigenspaceBasis, edge: tuple[int, int],
+                          tol: float = TRANSVERSALITY_RANK_TOL) -> bool:
+    """Whether a multiplicity-2 eigenspace projects onto the two
+    coordinates of ``edge`` with rank 2; other dimensions raise."""
+    if basis.dim != 2:
+        raise ValueError(f"edge projection criterion applies to "
+                         f"multiplicity 2, got {basis.dim}")
+    sv = np.linalg.svd(basis.vectors[list(edge), :], compute_uv=False)
+    return bool(sv[-1] > tol)
 
 
 def eigenvalue_gap(es, k: int) -> float:
@@ -382,7 +421,8 @@ def simple_eigen(h: SupportedMatrix, k: int, es: EigenSystem | None,
             f"eigenvalue {k} has multiplicity {m}; it must be simple",
             k=k, multiplicity=m)
     v = es.vector(k)
-    return SimpleEigen(h, es, k, v, es.value(k), edge_products(h, v))
+    return SimpleEigen(h, es, k, v, es.value(k),
+                      edge_products(h.graph, h.offdiag, v))
 
 
 def scalar_count(s: SimpleEigen, tol_vanish: float,
@@ -569,7 +609,7 @@ def _offgraph_units(g: Graph) -> list[np.ndarray]:
     units = []
     for r in range(g.n):
         for s in range(r + 1, g.n):
-            if g.has_edge(r, s):
+            if (r, s) in g.edge_index:
                 continue
             e = np.zeros((g.n, g.n), dtype=np.complex128)
             e[r, s] = 1.0

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import (class_id, cycle_masks, enumerate_signings,
                       forest_mask, gradient_fd, hessian_eigenvalue_fd,
-                      index_of, record_criterion)
+                      index_of, projects_surjectively, record_criterion)
 from magnodal import (
     AdmissibilityError,
     InadmissibleSigningError,
@@ -41,9 +41,8 @@ from magnodal import (
     magnetic_action,
     multiplicity,
     nodal_count,
-    projects_surjectively,
     solvability_and_connectivity,
-    splits_graph,
+    support_components,
     verify_index_equals_surplus,
 )
 from magnodal.cli import main as cli_main
@@ -406,9 +405,10 @@ def test_criterion_10_transversality_agreement():
         rep = is_transverse_at(h, k)
         basis = eigenspace_basis(h, k)
         surjective = any(projects_surjectively(basis, e) for e in g.edges)
-        if (surjective or not splits_graph(g, basis)) and not rep.transverse:
+        _, comps = support_components(g, basis)
+        if (surjective or len(comps) < 2) and not rep.transverse:
             failures.append("sufficient condition met but not transverse")
-        pair = find_edge_separated_pair(g, basis)
+        pair = find_edge_separated_pair(basis, comps)
         if pair is not None:
             u, v = pair
             if rep.transverse:
@@ -438,7 +438,9 @@ def test_criterion_10_transversality_agreement():
                 m, k0 = multiplicity(es, k, 1e-8)
                 if m == 2:
                     doubles += 1
-                    if splits_graph(g, eigenspace_basis(hp, k0, es=es)):
+                    _, comps = support_components(
+                        g, eigenspace_basis(hp, k0, es=es))
+                    if len(comps) > 1:
                         failures.append(
                             f"splitting double eigenspace on n={n} t={t}")
                 k = k0 + m

@@ -368,6 +368,18 @@ class TestInputErrors:
         code, _, err = run(capsys, ["spectrum", "--op", str(path)])
         assert code == 3
 
+    @pytest.mark.parametrize("edge", [[None, 1], [[0], 1], [True, 0]])
+    def test_edge_reference_must_be_integers(self, tmp_path, capsys, edge):
+        """An edge reference is a pair of integers, as a graph edge is:
+        no crash on a non-number, and ``true`` is not vertex 1."""
+        doc = operator_to_json(triangle_op())
+        doc["offdiag"][0]["edge"] = edge
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["spectrum", "--op", str(path)])
+        assert (code, out) == (3, "")
+        assert f"bad edge reference {edge!r}" in err
+
     def test_graph_mismatch(self, tmp_path, capsys):
         op = write_op(tmp_path, triangle_op())
         gpath = write_graph(tmp_path, cycle_graph(4))
@@ -575,13 +587,15 @@ class TestTransversalityCheck:
     def test_support_is_found_once(self, tmp_path, capsys, monkeypatch):
         import magnodal.transversality as transversality
 
-        counts = {"support_of_eigenspace": 0, "connected_components": 0}
+        counts = {"support_components": 0, "connected_components": 0}
         for name in counts:
             def counting(*args, _name=name,
                          _inner=getattr(transversality, name), **kwargs):
                 counts[_name] += 1
                 return _inner(*args, **kwargs)
-            monkeypatch.setattr(transversality, name, counting)
+            for module in (cli, transversality):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
         h, k = two_triangle_join()
         op = write_op(tmp_path, h)
         code, out, _ = run(capsys, ["transversality-check", "--op", op,
@@ -590,7 +604,7 @@ class TestTransversalityCheck:
         payload = json.loads(out)
         assert payload["splits_graph"] is True
         assert payload["edge_separated_pair"] is not None
-        assert counts == {"support_of_eigenspace": 1,
+        assert counts == {"support_components": 1,
                           "connected_components": 1}
 
 

@@ -48,7 +48,7 @@ class TestCompleteMinusMatching:
     def test_default_removal(self):
         g = complete_minus_matching(4, 1)
         assert g.num_edges == 5
-        assert not g.has_edge(0, 1)
+        assert (0, 1) not in g.edge_index
         assert betti_number(g) == 2
 
     def test_zero_removed_is_complete(self):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (cycle_basis_by_lca, cycle_basis_by_loop,
-                      lose_a_root_path, small_graphs)
+                      cycle_basis_from_forest, lose_a_root_path,
+                      small_graphs)
 import magnodal
 from magnodal.errors import (
     GraphMismatchError,
@@ -22,12 +23,10 @@ from magnodal.graphs import (
     Graph,
     OneForm,
     betti_number,
-    bfs_forest,
     boundary,
     coboundary,
     connected_components,
     cycle_basis,
-    cycle_basis_from_forest,
     graph_from_json,
     graph_to_json,
     induced_subgraph,
@@ -65,8 +64,6 @@ class TestGraph:
     def test_adjacency_and_lookup(self):
         g = c3()
         assert g.adjacency == ((1, 2), (0, 2), (0, 1))
-        assert g.has_edge(2, 0)
-        assert not Graph(3, ((0, 1),)).has_edge(1, 2)
         assert g.index_of(2, 1) == g.index_of(1, 2)
 
     def test_components_and_betti(self):
@@ -108,13 +105,10 @@ class TestGraph:
         monkeypatch.setattr(graphs, "_bfs_walk", counting)
         g = k4()
         for _ in range(3):
-            bfs_forest(g)
+            assert g.spanning_forest.parent == (-1, 0, 0, 0)
             cycle_basis(g)
             connected_components(g)
         assert walks == 1
-        forest, parent = bfs_forest(g)
-        parent[1] = 3
-        assert bfs_forest(g) == (forest, [-1, 0, 0, 0])
 
     def test_one_cycle_basis_per_graph(self, monkeypatch):
         import magnodal.graphs as graphs
@@ -210,8 +204,9 @@ class TestCyclesAgainstLca:
     @given(st.data())
     def test_bfs_and_custom_forests(self, data):
         g = data.draw(small_graphs(9))
+        forest = g.spanning_forest
         assert same_basis(cycle_basis(g),
-                          cycle_basis_by_lca(g, *bfs_forest(g)))
+                          cycle_basis_by_lca(g, forest.edges, forest.parent))
         order = data.draw(st.permutations(range(g.num_edges)))
         forest, parent = kruskal_forest(g, order)
         assert same_basis(cycle_basis_from_forest(g, forest, parent),
@@ -225,7 +220,7 @@ def random_graph(rng, n: int, p: float) -> Graph:
 
 def forest_of(g: Graph) -> Graph:
     """The graph's BFS spanning forest as a graph of its own (beta 0)."""
-    return Graph(g.n, bfs_forest(g)[0])
+    return Graph(g.n, g.spanning_forest.edges)
 
 
 class TestArrayBuildAgainstLoop:
@@ -329,11 +324,9 @@ class TestFormsAndChains:
 
 class TestForestAndCycles:
     def test_bfs_forest_deterministic(self):
-        g = k4()
-        forest, parent = bfs_forest(g)
-        assert forest == ((0, 1), (0, 2), (0, 3))
-        assert parent == [-1, 0, 0, 0]
-        assert bfs_forest(g) == (forest, parent)
+        forest = k4().spanning_forest
+        assert forest.edges == ((0, 1), (0, 2), (0, 3))
+        assert forest.parent == (-1, 0, 0, 0)
 
     def test_tree_has_empty_basis(self):
         g = Graph(4, ((0, 1), (1, 2), (1, 3)))

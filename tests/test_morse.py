@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (eigenvalue_at, gradient_fd, hessian_eigenvalue_fd,
-                      same_bits, scalar_nodal_surplus, scalar_report,
-                      small_graphs)
+from conftest import (cycle_basis_from_forest, eigenvalue_at, gradient_fd,
+                      hessian_eigenvalue_fd, pseudo_inverse_apply, same_bits,
+                      scalar_nodal_surplus, scalar_report, small_graphs)
 from magnodal.errors import (
     AdmissibilityError,
     InternalCrossCheckError,
@@ -23,11 +23,12 @@ from magnodal.families import (
     cycle_graph,
     degenerate_ring_fixture,
     path_graph,
+    random_connected_graph,
     random_operator,
     strong_diagonal_fixture,
 )
 from magnodal.graphs import (Graph, OneForm, betti_number, cycle_basis,
-                             cycle_basis_from_forest, num_components)
+                             num_components)
 from magnodal.morse import (
     HESSIAN_SYM_TOL,
     TWO_PI,
@@ -57,7 +58,6 @@ from magnodal.spectral import (
     eigh_stack,
     is_nowhere_vanishing,
     multiplicity,
-    pseudo_inverse_apply,
     simple_positions,
 )
 
@@ -810,6 +810,36 @@ def real_operators(draw, max_n=6):
         cycle_basis(g)
 
 
+def conjugate_pairs(h: SupportedMatrix, k: int, starts: int):
+    """``(coords, partner, radius)`` for each search report of
+    ``critical_scan(h, k)`` that names a ``conjugate_of`` partner.
+
+    ``radius`` is the scan's dedup radius for the pair, the larger of
+    the two points' ``max(DEDUP_TOL, 10 * Newton decrement)``, read off
+    the polish outcomes of the points' starts."""
+    import magnodal.morse as morse
+
+    polished = []
+    original = morse._polish
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(morse, "_polish",
+                  lambda *args: polished.append(original(*args))
+                  or polished[-1])
+        reports = critical_scan(h, k, starts=starts, seed=0).reports
+    pairs = [(np.array(r.coords), np.array(r.conjugate_of))
+             for r in reports if r.conjugate_of is not None]
+    if not pairs:
+        return []
+    status, xs, aux, _ = polished[0]
+    landed = status == morse._OK
+    radius = np.maximum(morse.DEDUP_TOL, 10.0 * aux)
+
+    def radius_at(x):  # the first start that landed there is the kept one
+        return radius[np.argmax(landed & np.all(xs == x, axis=1))]
+
+    return [(x, y, max(radius_at(x), radius_at(y))) for x, y in pairs]
+
+
 class TestConjugationSymmetry:
     """Conjugation ``x -> -x`` maps the operator at slice point ``x`` to
     its complex conjugate, so ``lambda_k`` is even: the same spectrum, a
@@ -861,6 +891,37 @@ class TestConjugationSymmetry:
         for other in hess[1:]:
             assert np.all(np.max(np.abs(other - hess[0]), axis=(1, 2),
                                  initial=0.0) <= bound)
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 5), st.data())
+    def test_scan_pairs_conjugate_search_reports(self, seed, n, data):
+        """On random operators with a few cycles, a search report's
+        ``conjugate_of`` partner lies within the scan's dedup radius of
+        ``-coords mod 2 pi``, and ``lambda_k`` agrees at the two points
+        within ``1e-12 * max(1, ||h||_F)``.  About a quarter of the
+        examples pair a report."""
+        import magnodal.morse as morse
+
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(
+            n, data.draw(st.integers(n + 1, n * (n - 1) // 2)), rng)
+        base = abs_part(random_operator(g, rng))
+        k = data.draw(st.integers(1, n))
+        bound = 1e-12 * max(1.0, base.norm_fro)
+        for x, y, radius in conjugate_pairs(base, k, starts=4):
+            assert morse._torus_distance(np.mod(-x, TWO_PI), y) <= radius
+            lam = [eigh(TorusPoint.from_coords(base, c).operator()).value(k)
+                   for c in (x, y)]
+            assert abs(lam[0] - lam[1]) <= bound
+
+    def test_scans_do_pair_conjugate_search_reports(self):
+        """The property above is not vacuous: a random K5 scan pairs
+        search reports at k = 1 and 3."""
+        h = abs_part(random_operator(complete_graph(5),
+                                     np.random.default_rng(0)))
+        assert [len(conjugate_pairs(h, k, starts=4)) for k in (1, 3)] \
+            == [1, 1]
 
 
 class TestStackedLeastSquares:
@@ -939,9 +1000,10 @@ class TestOneOperatorPerSolve:
     def test_verify_index_checks_each_pair_once(self, monkeypatch):
         """One kernel call decides every (class, k) pair at once, and its
         masks word the skip reasons: after the one stacked solve of the
-        symmetry points and the kernel call, no pair is solved, checked,
-        counted for multiplicity or gets its edge products again, the
-        skipped ones included."""
+        symmetry points, their one product call and the kernel call, no
+        pair is solved, checked, counted for multiplicity or gets its
+        edge products again, the skipped ones included: the Hessians
+        read the products the kernel checked."""
         import magnodal.morse as morse
         import magnodal.nodal as nodal
         import magnodal.spectral as spectral
@@ -958,7 +1020,7 @@ class TestOneOperatorPerSolve:
                 t = verify_index_equals_surplus(h)
             assert t.num_skipped == skipped
             assert all(r.reason for r in t.rows if r.status == "skipped")
-            assert events == ["eigh_dense", "_stack_checks"]
+            assert events == ["eigh_dense", "edge_products", "_stack_checks"]
 
 
 class TestStackedHessians:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (classes_by_enumeration, complex_class_products,
+from conftest import (classes_by_enumeration, complex_products,
                       enumerate_signings, scalar_nodal_surplus,
                       signing_histogram, small_graphs)
 import magnodal
@@ -106,14 +106,15 @@ class TestEdgeProducts:
     def test_empty_graph(self):
         h = SupportedMatrix(Graph(2, ()), np.array([1.0, 2.0]),
                             np.zeros(0, dtype=np.complex128))
-        assert edge_products(h, np.array([1.0, 1.0])).shape == (0,)
+        assert edge_products(h.graph, h.offdiag,
+                             np.array([1.0, 1.0])).shape == (0,)
 
     def test_single_edge_value(self):
         g = path_graph(2)
         h = SupportedMatrix(g, np.zeros(2),
                             np.array([-2.0], dtype=np.complex128))
         v = np.array([3.0, 5.0])
-        assert edge_products(h, v)[0] == pytest.approx(-30.0)
+        assert edge_products(g, h.offdiag, v)[0] == pytest.approx(-30.0)
 
     def test_complex_conjugation_order(self):
         g = path_graph(2)
@@ -121,7 +122,26 @@ class TestEdgeProducts:
                             np.array([1j], dtype=np.complex128))
         v = np.array([1.0 + 1.0j, 1.0])
         # conj(v_0) * h_01 * v_1 = (1 - i) * i = i + 1
-        assert edge_products(h, v)[0] == pytest.approx(1.0 + 1.0j)
+        assert edge_products(g, h.offdiag, v)[0] == pytest.approx(1.0 + 1.0j)
+
+    def test_stacks_broadcast_and_real_input_stays_real(self):
+        """Entries (S, 1, m) against vectors (S, K, n) give (S, K, m),
+        each product the bits of its own scalar one; real entries and
+        vectors give real products."""
+        rng = np.random.default_rng(3)
+        g = complete_graph(4)
+        off = rng.normal(size=(2, g.num_edges))
+        v = rng.normal(size=(2, 3, g.n))
+        p = edge_products(g, off[:, None], v)
+        assert p.dtype == np.float64 and p.shape == (2, 3, g.num_edges)
+        for i in range(2):
+            for k in range(3):
+                for e, (r, s) in enumerate(g.edges):
+                    assert p[i, k, e] == v[i, k, r] * off[i, e] * v[i, k, s]
+        z = edge_products(g, off + 0j, v[:, 0] + 1j * v[:, 1])
+        assert z.dtype == np.complex128
+        assert np.array_equal(z, complex_products(g, off, v[:, 0]
+                                                  + 1j * v[:, 1]))
 
 
 class TestNodalCount:
@@ -561,8 +581,7 @@ class TestSweepAgainstScalarOracle:
             return d.counts.tolist(), d.skipped, d.n_samples
 
         real = outcome()
-        monkeypatch.setattr(nodal, "_signed_products",
-                            complex_class_products)
+        monkeypatch.setattr(nodal, "edge_products", complex_products)
         assert real == outcome()
 
     def test_class_sum_runs_in_real_arithmetic(self, monkeypatch):
@@ -746,13 +765,15 @@ def test_admissibility_kernel_matches_nodal_count(h, data):
     values, vectors = eigh_stack(h.graph, h.diag, h.offdiag * rows)
     vectors = vectors.swapaxes(1, 2)  # (signing, k, vertex)
     checks = nodal._stack_checks(
-        values, vectors, complex_class_products(h, vectors, rows),
+        values, vectors,
+        complex_products(h.graph, (h.offdiag * rows)[:, None], vectors),
         np.arange(n), h.norm_fro, h.graph, **tols)
     if h.is_real:
         # the real parts of the complex products, bit for bit up to the
         # signs of zeros, which array_equal does not see
-        products = complex_class_products(h, vectors, rows)
-        signed = nodal._signed_products(h, vectors, rows)
+        products = checks.products
+        signed = edge_products(h.graph, (h.offdiag.real * rows)[:, None],
+                               vectors)
         assert signed.dtype == np.float64 and not products.imag.any()
         assert np.array_equal(signed, products.real)
         real = nodal._stack_checks(values, vectors, signed, np.arange(n),
@@ -850,12 +871,13 @@ def test_sweep_errors_are_worded_from_the_kernel_masks(monkeypatch):
     """The class sum words its error from the products it checked, with
     no second solve: zeroed products name every edge, though the
     signing solved alone has none too close to zero."""
-    original = nodal._signed_products
+    original = nodal.edge_products
 
-    def zero_when_stacked(h, v, rows):
-        return original(h, v, rows) * 0.0
+    def zero_when_stacked(graph, offdiag, v):
+        products = original(graph, offdiag, v)
+        return products * 0.0 if v.ndim == 3 else products
 
-    monkeypatch.setattr(nodal, "_signed_products", zero_when_stacked)
+    monkeypatch.setattr(nodal, "edge_products", zero_when_stacked)
     h = strong_diagonal_fixture(complete_graph(3))
     assert nodal_count(h, 1) == 0
     with pytest.raises(InadmissibleSigningError) as err:
@@ -890,7 +912,8 @@ def test_bound_check_survives_optimized_mode():
         h = SupportedMatrix(cycle_graph(3), np.array([0.1, 0.2, 0.3]),
                             -np.ones(3, dtype=np.complex128))
         # three positive products at k=1 break the bound [0, beta] = [0, 1]
-        nodal.edge_products = lambda h, v: np.ones(3, dtype=np.complex128)
+        nodal.edge_products = lambda g, off, v: np.ones(
+            v.shape[:-1] + (3,), dtype=np.complex128)
         try:
             nodal.nodal_count(h, 1)
         except InternalCrossCheckError:
@@ -918,10 +941,8 @@ def test_sweep_bound_check_survives_optimized_mode():
         # positive products on all three edges at k=1 of the identity
         # signing break the bound [0, beta] = [0, 1], in the stacked
         # checks and in nodal_count alike
-        nodal.edge_products = lambda h, v: np.ones(v.shape[:-1] + (3,),
-                                                   dtype=np.complex128)
-        nodal._signed_products = lambda h, v, rows: np.ones(v.shape[:-1]
-                                                            + (3,))
+        nodal.edge_products = lambda g, off, v: np.ones(v.shape[:-1]
+                                                        + (3,))
         for skip in (False, True):
             try:
                 nodal.average_surplus_distribution(h, skip_inadmissible=skip)

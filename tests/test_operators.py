@@ -25,7 +25,6 @@ from magnodal.operators import (
     gauge_classes_of_signings,
     gauge_transform,
     is_gauge_equiv_to_symmetry,
-    is_properly_supported,
     magnetic_action,
     operator_from_json,
     operator_to_json,
@@ -58,14 +57,14 @@ def random_op(g, rng, complex_entries=False):
 
 
 class TestSupportedMatrix:
-    def test_dense_round_trip(self):
+    def test_dense_layout(self):
         rng = np.random.default_rng(0)
         h = random_op(k4(), rng, complex_entries=True)
         dense = h.to_dense()
         assert np.max(np.abs(dense - dense.conj().T)) == 0.0
-        back = SupportedMatrix.from_dense(k4(), dense)
-        assert np.array_equal(back.diag, h.diag)
-        assert np.array_equal(back.offdiag, h.offdiag)
+        assert np.array_equal(np.diag(dense).real, h.diag)
+        r, s = h.graph.endpoints.T
+        assert np.array_equal(dense[r, s], h.offdiag)
 
     def test_real_flag_is_exact(self):
         assert c3_op().is_real
@@ -73,18 +72,6 @@ class TestSupportedMatrix:
 
     def test_real_dense_dtype(self):
         assert c3_op().to_dense().dtype == np.float64
-
-    def test_from_dense_rejects_off_support(self):
-        g = Graph(3, ((0, 1), (1, 2)))
-        m = np.zeros((3, 3))
-        m[0, 2] = m[2, 0] = 1.0
-        with pytest.raises(ValueError):
-            SupportedMatrix.from_dense(g, m)
-
-    def test_from_dense_rejects_non_hermitian(self):
-        m = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(ValueError):
-            SupportedMatrix.from_dense(Graph(2, ((0, 1),)), m)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -97,12 +84,6 @@ class TestSupportedMatrix:
         h = random_op(k4(), rng, complex_entries=True)
         assert h.norm_fro == pytest.approx(
             float(np.linalg.norm(h.to_dense(), "fro")), rel=1e-14)
-
-    def test_proper_support(self):
-        assert is_properly_supported(c3_op())
-        assert not is_properly_supported(c3_op(off=(-1.0, 0.0, -1.0)))
-        assert is_properly_supported(
-            SupportedMatrix(Graph(2), np.zeros(2), np.zeros(0, dtype=complex)))
 
 
 class TestPhaseActions:

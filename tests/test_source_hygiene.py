@@ -17,7 +17,11 @@ vanishing, product and realness tolerances (``tol_vanish``,
 ``tol_product`` and ``tol_real``) cut only in ``nodal._stack_checks``,
 the one admissibility kernel.  ``SigningClasses.rows`` is called in
 one function only, ``nodal._solve_classes``, the class-block solve that
-the class sum, the index check and the scan share.
+the class sum, the index check and the scan share, and in ``nodal``
+only ``edge_products``, the one product formula, reads an edge's
+``endpoints``.  ``cli`` imports no ``_``-prefixed name from another
+package module: what the commands need is public.  The "Public API"
+section of ``README.md`` lists every name the package exports, once.
 """
 
 import ast
@@ -30,6 +34,7 @@ from test_bench_contract import layers
 
 PACKAGE = Path(magnodal.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def parse(path: Path) -> ast.Module:
@@ -123,18 +128,16 @@ def tolerance_cuts(tree: ast.Module, names=frozenset({"tol_degeneracy"}),
         if getattr(node, "id", getattr(node, "attr", None)) in names})]
 
 
-def method_callers(trees: dict[Path, ast.Module], method: str
-                   ) -> list[str]:
-    """``module.function`` for each call of a method named ``method``,
-    after the innermost function around it; ``module`` alone outside
-    any function."""
+def locations(trees: dict[Path, ast.Module], match) -> list[str]:
+    """``module.function`` for each node that ``match`` accepts, after
+    the innermost function around it; ``module`` alone outside any
+    function."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{where.split('.')[0]}.{node.name}"
-        elif isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute) and node.func.attr == method:
+        elif match(node):
             found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -142,6 +145,45 @@ def method_callers(trees: dict[Path, ast.Module], method: str
     for path, tree in sorted(trees.items()):
         visit(tree, path.stem)
     return found
+
+
+def method_callers(trees: dict[Path, ast.Module], method: str
+                   ) -> list[str]:
+    """Where a method named ``method`` is called."""
+    return locations(trees, lambda node: isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == method)
+
+
+def attribute_readers(trees: dict[Path, ast.Module], attr: str
+                      ) -> list[str]:
+    """Where an attribute named ``attr`` is read."""
+    return locations(trees, lambda node: isinstance(node, ast.Attribute)
+                     and node.attr == attr
+                     and isinstance(node.ctx, ast.Load))
+
+
+def private_imports(tree: ast.Module) -> list[str]:
+    """``_``-prefixed names, dunders aside, that relative imports bind
+    from other package modules."""
+    return [f"{alias.name} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")
+            and not alias.name.endswith("__")]
+
+
+def exported_names(tree: ast.Module) -> set[str]:
+    """Names that the package ``__init__`` binds by importing them."""
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def public_api_names(readme: str) -> list[str]:
+    """The first code span of each bullet line in the "Public API"
+    section of the README, up to the next section."""
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    return [line.split("`")[1] for line in section.splitlines()
+            if line.startswith("- `")]
 
 
 def bare_asserts(tree: ast.Module) -> list[int]:
@@ -194,6 +236,21 @@ def test_one_function_builds_class_sign_rows():
     assert method_callers(trees, "rows") == ["nodal._solve_classes"]
 
 
+def test_one_function_forms_edge_products():
+    trees = {PACKAGE / "nodal.py": parse(PACKAGE / "nodal.py")}
+    assert attribute_readers(trees, "endpoints") == ["nodal.edge_products"]
+
+
+def test_cli_imports_only_public_names():
+    assert private_imports(parse(PACKAGE / "cli.py")) == []
+
+
+def test_readme_lists_every_export_once():
+    names = public_api_names(README.read_text(encoding="utf-8"))
+    assert len(names) == len(set(names))
+    assert set(names) == exported_names(parse(PACKAGE / "__init__.py"))
+
+
 def test_checks_catch_what_they_look_for():
     tree = ast.parse("import os\nfrom x import y as z\nassert z\n")
     assert unused_imports(tree) == ["os (line 1)"]
@@ -239,3 +296,22 @@ def test_checks_catch_what_they_look_for():
                           "        self.rows = self.x.rows([])\n"),
              b: ast.parse("x = classes.rows(ids)\n")}
     assert method_callers(trees, "rows") == ["a.g", "a.f", "a.m", "b"]
+    trees = {a: ast.parse("def edge_products(g, o, v):\n"
+                          "    return v[g.endpoints[:, 0]] * o\n"
+                          "class S:\n    def at(self, g):\n"
+                          "        rs = g.endpoints\n"
+                          "        self.endpoints = rs\n"
+                          "x = graph.endpoints\n")}
+    assert attribute_readers(trees, "endpoints") \
+        == ["a.edge_products", "a.at", "a"]
+    assert private_imports(ast.parse(
+        "from . import __version__\nfrom .nodal import (_every_position,\n"
+        "    nodal_count)\nfrom .spectral import eigh, _check_k\n"
+        "from numpy import _core\n")) \
+        == ["_every_position (line 2)", "_check_k (line 4)"]
+    assert exported_names(ast.parse(
+        "from .a import (b, c as d)\nimport e\nx = 1\n"
+        "def f():\n    from .g import h\n")) == {"b", "d"}
+    assert public_api_names(
+        "# t\n- `no`\n## Public API\n\nText `x`.\n\n- `a` - one.\n"
+        "- `b` - two `c`.\n  - `d`\n## Next\n- `e`\n") == ["a", "b"]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (multiplicity_by_walk, same_bits, small_graphs,
-                      take_along_axis_phases)
+from conftest import (multiplicity_by_walk, pseudo_inverse_apply, same_bits,
+                      small_graphs, take_along_axis_phases)
 from magnodal.errors import EigenSolverError, NonSimpleEigenvalueError
 from magnodal.families import complete_graph
 from magnodal.graphs import Graph, num_components
@@ -23,7 +23,6 @@ from magnodal.spectral import (
     eigvalsh_dense,
     is_nowhere_vanishing,
     multiplicity,
-    pseudo_inverse_apply,
     resolvent_coefficient,
     simple_positions,
 )

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import same_bits, scalar_transverse
+from conftest import projects_surjectively, same_bits, scalar_transverse
 from magnodal.errors import InternalCrossCheckError, StratumAmbiguousError
 from magnodal.families import (
     complete_graph,
@@ -28,9 +28,7 @@ from magnodal.transversality import (
     eigenspace_basis,
     find_edge_separated_pair,
     is_transverse_at,
-    projects_surjectively,
-    splits_graph,
-    support_of_eigenspace,
+    support_components,
 )
 
 
@@ -82,47 +80,58 @@ class TestEigenspaceBasis:
             eigenspace_basis(h, k + 1)
 
 
+def support(basis):
+    """The support of ``basis``, on a graph without edges."""
+    return support_components(Graph(len(basis.vectors)), basis)[0]
+
+
+def splits(g, basis):
+    return len(support_components(g, basis)[1]) > 1
+
+
+def separated_pair(g, basis):
+    return find_edge_separated_pair(basis, support_components(g, basis)[1])
+
+
 class TestSupport:
     def test_coordinate_vector(self):
         b = manual_basis(np.array([[1.0], [0.0], [0.0]]))
-        assert support_of_eigenspace(b) == (0,)
+        assert support(b) == (0,)
 
     def test_plus_minus_pair(self):
         r = 1 / np.sqrt(2)
         b = manual_basis(np.array([[r, r], [r, -r], [0.0, 0.0]]))
-        assert support_of_eigenspace(b) == (0, 1)
+        assert support(b) == (0, 1)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(9)
         q, _ = np.linalg.qr(rng.normal(size=(5, 2)))
         c, s = np.cos(0.7), np.sin(0.7)
         rot = np.array([[c, -s], [s, c]])
-        assert support_of_eigenspace(manual_basis(q)) \
-            == support_of_eigenspace(manual_basis(q @ rot))
+        assert support(manual_basis(q)) == support(manual_basis(q @ rot))
 
     def test_join_fixture_avoids_shared_vertex(self):
         h, k = two_triangle_join()
         b = eigenspace_basis(h, k)
-        assert support_of_eigenspace(b) == (1, 2, 3, 4)
+        assert support(b) == (1, 2, 3, 4)
 
 
 class TestSplitsGraph:
     def test_join_fixture_splits(self):
         h, k = two_triangle_join()
-        assert splits_graph(h.graph, eigenspace_basis(h, k))
+        assert splits(h.graph, eigenspace_basis(h, k))
 
     def test_nowhere_vanishing_does_not_split(self):
         h = strong_diagonal_fixture(cycle_graph(3))
-        assert not splits_graph(h.graph, eigenspace_basis(h, 1))
+        assert not splits(h.graph, eigenspace_basis(h, 1))
 
     def test_ring_cluster_does_not_split(self):
         h, k = degenerate_ring_fixture(4)
-        assert not splits_graph(h.graph, eigenspace_basis(h, k))
+        assert not splits(h.graph, eigenspace_basis(h, k))
 
-    def test_empty_support_rejected(self):
+    def test_empty_support_has_no_components(self):
         b = manual_basis(np.zeros((3, 1)))
-        with pytest.raises(ValueError):
-            splits_graph(path_graph(3), b)
+        assert support_components(path_graph(3), b) == ((), [])
 
 
 class TestProjectsSurjectively:
@@ -208,7 +217,7 @@ class TestEdgeSeparatedPair:
     def test_join_fixture_pair(self):
         h, k = two_triangle_join()
         b = eigenspace_basis(h, k)
-        pair = find_edge_separated_pair(h.graph, b)
+        pair = separated_pair(h.graph, b)
         assert pair is not None
         u, v = pair
         assert np.linalg.norm(u) == pytest.approx(1.0)
@@ -229,7 +238,7 @@ class TestEdgeSeparatedPair:
     def test_manual_path_construction(self):
         g = path_graph(3)
         b = manual_basis(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
-        pair = find_edge_separated_pair(g, b)
+        pair = separated_pair(g, b)
         assert pair is not None
         u, v = pair
         vecs = sorted([tuple(np.round(np.abs(u), 12)),
@@ -238,13 +247,11 @@ class TestEdgeSeparatedPair:
 
     def test_connected_support_gives_none(self):
         h, k = degenerate_ring_fixture(4)
-        assert find_edge_separated_pair(h.graph,
-                                        eigenspace_basis(h, k)) is None
+        assert separated_pair(h.graph, eigenspace_basis(h, k)) is None
 
     def test_single_component_simple(self):
         h = strong_diagonal_fixture(cycle_graph(3))
-        assert find_edge_separated_pair(h.graph,
-                                        eigenspace_basis(h, 1)) is None
+        assert separated_pair(h.graph, eigenspace_basis(h, 1)) is None
 
 
 @functools.cache

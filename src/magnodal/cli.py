@@ -399,6 +399,8 @@ def cmd_verify_index(args) -> None:
 
 def cmd_linkage_analyze(args) -> None:
     if args.emit_fixture is not None:
+        if any(x is not None for x in (args.op, args.k, args.graph)):
+            raise _UsageError("--emit-fixture excludes --op, --k and --graph")
         fx = build_exceptional_fixture(args.emit_fixture, seed=args.seed)
         point, k, es = fx.point, fx.k, fx.es
         if args.out:

@@ -204,10 +204,7 @@ def coboundary(g: Graph, f) -> OneForm:
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (g.n,):
         raise ValueError("vertex function length does not match n")
-    vals = np.empty(g.num_edges)
-    for i, (r, s) in enumerate(g.edges):
-        vals[i] = f[s] - f[r]
-    return OneForm(g, vals)
+    return OneForm(g, f[g.endpoints[:, 1]] - f[g.endpoints[:, 0]])
 
 
 def integrate(alpha: OneForm, xi: Chain) -> float:

@@ -29,7 +29,8 @@ from .errors import (
     NotCriticalError,
     VanishingEigenvectorError,
 )
-from .graphs import Graph, OneForm, cycle_basis, induced_subgraph
+from .families import complete_graph
+from .graphs import OneForm, cycle_basis, induced_subgraph
 from .morse import RANK_TOL, TorusPoint, _classify, _hessian, morse_index
 from .nodal import _checked, nodal_surplus
 from .operators import GaugePhase, SupportedMatrix, gauge_transform
@@ -193,13 +194,15 @@ def _closure(vals: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ExceptionalAnalysis:
-    """Full analysis of an exceptional critical point."""
+    """Full analysis of an exceptional critical point: the vanishing
+    vertex, the eigenvalue's position in the reduced block (that vertex
+    removed), the bar lengths and angles in ascending neighbour order
+    and their closure residual, the shift coefficient, the predicted
+    manifold dimension, connectivity and Morse-Bott index with the
+    reduced surplus behind it, the numerical Hessian's index and
+    nullity, and the number of manifold samples checked."""
 
     vanishing_vertex: int
-    diag_entry: float
-    coupling: np.ndarray
-    reduced: SupportedMatrix
-    vertex_map: dict[int, int]
     k_reduced: int
     lengths: LinkageLengths
     link_angles: np.ndarray
@@ -269,30 +272,26 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
     w = (v * np.exp(-1j * phases)).real
 
     g = p.graph
-    others = [u for u in range(g.n) if u != v0]
-    neighbors = sorted(g.adjacency[v0])
+    neighbors = np.array(g.adjacency[v0])
     if len(neighbors) < 3:
         raise AdmissibilityError(
             f"vanishing vertex has degree {len(neighbors)}; the linkage "
             f"analysis needs degree at least 3")
-    sub, vmap = induced_subgraph(g, others)
+    sub, _ = induced_subgraph(g, np.delete(np.arange(g.n), v0))
 
-    # Row of the vanishing vertex: entries are stored for the canonical
-    # orientation, so flip by conjugation where needed.
-    row = rotated.offdiag[[g.index_of(v0, u) for u in neighbors]]
-    coupling = np.where(np.array(neighbors) > v0, row, np.conj(row))
+    # Row of the vanishing vertex in ascending neighbour order; entries
+    # are stored for the canonical orientation, so conjugate where u < v0.
+    at_v0 = np.any(g.endpoints == v0, axis=1)
+    row = rotated.offdiag[at_v0]
+    coupling = np.where(neighbors > v0, row, np.conj(row))
 
-    sub_edges = [(r, s) for (r, s) in g.edges if r != v0 and s != v0]
-    sub_off = np.array([rotated.offdiag[g.index_of(r, s)]
-                        for (r, s) in sub_edges], dtype=np.complex128)
+    sub_off = rotated.offdiag[~at_v0]
     imag_worst = float(np.max(np.abs(sub_off.imag))) if sub_off.size else 0.0
     if imag_worst > 1e-8 * scale:
         raise InternalCrossCheckError(
             f"reduced block should be real after rotation; found imaginary "
             f"part {imag_worst:.3e}")
-    reduced = SupportedMatrix(sub,
-                              np.array([rotated.diag[u] for u in others]),
-                              sub_off.real.astype(np.complex128))
+    reduced = SupportedMatrix(sub, np.delete(rotated.diag, v0), sub_off.real)
 
     es_sub = eigh(reduced)
     k_red = int(np.argmin(np.abs(es_sub.values - lam))) + 1
@@ -351,10 +350,6 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
 
     return ExceptionalAnalysis(
         vanishing_vertex=v0,
-        diag_entry=float(rotated.diag[v0]),
-        coupling=coupling,
-        reduced=reduced,
-        vertex_map=vmap,
         k_reduced=k_red,
         lengths=lengths,
         link_angles=angles,
@@ -385,17 +380,16 @@ def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
     whole manifold.
     """
     g = rotated.graph
+    at_v0 = np.any(g.endpoints == v0, axis=1)
     checked = 0
     for i in range(count):
         theta = sample_configuration(lengths, seed=seed + 17 * i + 1)
+        # New bar vectors M_j exp(i theta_j); the stored entry is
+        # h_{v0,u} when v0 < u and its conjugate otherwise, and the
+        # eigenvector is real positive at u.
+        value = lengths.lengths * np.exp(1j * theta) / w[neighbors]
         off = rotated.offdiag.copy()
-        for j, u in enumerate(neighbors):
-            idx = g.index_of(v0, u)
-            # New bar vector M_j exp(i theta_j); the stored entry is
-            # h_{v0,u} when v0 < u and its conjugate otherwise, and the
-            # eigenvector is real positive at u.
-            value = lengths.lengths[j] * np.exp(1j * theta[j]) / w[u]
-            off[idx] = value if v0 < u else np.conj(value)
+        off[at_v0] = np.where(neighbors > v0, value, np.conj(value))
         hq = SupportedMatrix(g, rotated.diag, off)
         esq = eigh(hq)
         kq = int(np.argmin(np.abs(esq.values - lam))) + 1
@@ -427,7 +421,6 @@ class ExceptionalFixture:
     ``es`` is the eigensystem of ``point.operator()``."""
 
     h: SupportedMatrix
-    alpha: OneForm
     k: int
     point: TorusPoint
     es: EigenSystem
@@ -450,19 +443,15 @@ def build_exceptional_fixture(degree: int, seed: int = 0, *,
     """
     if degree < 3:
         raise ValueError("the construction needs degree at least 3")
-    size = degree
-    g_edges = [(0, u) for u in range(1, degree + 1)]
-    g_edges += [(r, s) for r in range(1, size + 1)
-                for s in range(r + 1, size + 1)]
-    g = Graph(size + 1, tuple(g_edges))
-    sub_edges = [(r, s) for (r, s) in g.edges if r != 0]
-    sub = Graph(size, tuple((r - 1, s - 1) for (r, s) in sub_edges))
+    # Canonical order puts the joining edges (0, u) first.
+    g = complete_graph(degree + 1)
+    sub, _ = induced_subgraph(g, range(1, degree + 1))
 
     rng = np.random.default_rng(seed)
     for attempt in range(max_attempts):
-        diag_sub = rng.uniform(0.0, 1.0, size=size)
-        off_sub = -rng.uniform(1.0, 2.0, size=len(sub_edges))
-        reduced = SupportedMatrix(sub, diag_sub, off_sub.astype(np.complex128))
+        diag_sub = rng.uniform(0.0, 1.0, size=degree)
+        off_sub = -rng.uniform(1.0, 2.0, size=sub.num_edges)
+        reduced = SupportedMatrix(sub, diag_sub, off_sub)
         es_sub = eigh(reduced)
         m_sub, _ = multiplicity(es_sub, 1)
         if m_sub != 1:
@@ -476,7 +465,7 @@ def build_exceptional_fixture(degree: int, seed: int = 0, *,
 
         b = rng.uniform(0.5, 1.5, size=degree) * rng.choice([-1.0, 1.0],
                                                             size=degree)
-        lengths = LinkageLengths(np.abs(b) * vpos[:degree])
+        lengths = LinkageLengths(np.abs(b) * vpos)
         try:
             if solvability_and_connectivity(lengths).kind == "empty":
                 continue
@@ -485,21 +474,12 @@ def build_exceptional_fixture(degree: int, seed: int = 0, *,
         theta = sample_configuration(lengths, seed=seed + attempt)
 
         a = float(rng.uniform(0.0, 1.0))
-        diag = np.concatenate([[a], diag_sub])
-        off = np.empty(g.num_edges, dtype=np.complex128)
-        alpha_vals = np.zeros(g.num_edges)
-        sub_pos = {e: i for i, e in enumerate(sub_edges)}
-        for i, (r, s) in enumerate(g.edges):
-            if r == 0:
-                u = s
-                off[i] = b[u - 1]
-                # Twist so the bar vector b_u * v_u lands at theta.
-                alpha_vals[i] = theta[u - 1] - (0.0 if b[u - 1] > 0 else np.pi)
-            else:
-                off[i] = off_sub[sub_pos[(r, s)]]
-        h = SupportedMatrix(g, diag, off)
-        alpha = OneForm(g, alpha_vals)
-        point = TorusPoint.from_operator(h, alpha)
+        h = SupportedMatrix(g, np.concatenate([[a], diag_sub]),
+                            np.concatenate([b, off_sub]))
+        # Twist so each bar vector b_u * v_u lands at theta.
+        twist = np.concatenate([theta - np.where(b > 0, 0.0, np.pi),
+                                np.zeros(sub.num_edges)])
+        point = TorusPoint.from_operator(h, OneForm(g, twist))
         hp = point.operator()
         es = eigh(hp)
         k = int(np.argmin(np.abs(es.values - lam))) + 1
@@ -517,7 +497,7 @@ def build_exceptional_fixture(degree: int, seed: int = 0, *,
                                      - lam * full_vec))
         if resid > 1e-9 * max(1.0, h.norm_fro):
             continue
-        return ExceptionalFixture(h, alpha, k, point, es, lam, 0, degree)
+        return ExceptionalFixture(h, k, point, es, lam, 0, degree)
     raise RuntimeError(
         f"could not build an admissible fixture of degree {degree} after "
         f"{max_attempts} attempts")

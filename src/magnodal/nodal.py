@@ -62,6 +62,7 @@ from .spectral import (
     DEGENERACY_TOL,
     VANISH_TOL,
     EigenSystem,
+    _check_k,
     cluster_mask,
     eigh,
     eigh_dense,
@@ -260,6 +261,7 @@ def _checked(h: SupportedMatrix, k: int, es: EigenSystem | None, **tols
     """The solve of ``h`` (from ``es`` when given) as a stack of one,
     and the kernel's checks at k, which raise when the k-th eigenvalue
     is not simple; a ``k`` outside ``1..n`` raises ``ValueError``."""
+    _check_k(k, h.graph.n)
     if es is None:
         es = eigh(h)
     s = _Solves.at(h.graph, h.offdiag[None], es.values[None],
@@ -402,7 +404,8 @@ def _surplus_counts(h: SupportedMatrix, classes: SigningClasses,
     beta, weight = betti_number(h.graph), classes.class_size
     counts = np.zeros(beta + 1, dtype=np.int64)
     skipped = 0
-    for ids in _blocks(classes.num_classes):
+    # a vertex-less operator has no positions, so nothing to count
+    for ids in _blocks(classes.num_classes if h.graph.n else 0):
         rows, offdiag, values, vectors = _solve_classes(h, classes, ids)
         checks = position_checks(h, offdiag, values, vectors, **tols)
         failed = checks.failed

@@ -307,6 +307,18 @@ class TestAvgDist:
         csv_rows = (tmp_path / "run.csv").read_text().splitlines()[2:]
         assert [row.split(",")[2] for row in csv_rows] == [""] * 4
 
+    def test_vertexless_operator_has_no_moments(self, tmp_path, capsys):
+        op = tmp_path / "empty.json"
+        op.write_text('{"graph": {"n": 0, "edges": []}, "diag": [], '
+                      '"offdiag": []}')
+        code, out, err = run(capsys, ["avg-dist", "--op", str(op)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["counts"] == [0] and payload["n_samples"] == 0
+        assert payload["skipped_signings"] == 0
+        assert payload["mean"] is None and payload["variance"] is None
+        assert "moments undefined" in err
+
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "avg_dist_golden.json")
                     .read_text())
@@ -526,6 +538,22 @@ class TestLinkageAnalyze:
         assert again["vanishing_vertex"] == 0
         assert again["manifold_dimension"] == 0
         assert again["predicted_index"] == payload["predicted_index"]
+
+    @pytest.mark.parametrize("extra", [
+        ["--op", "OP"], ["--k", "1"], ["--graph", "GRAPH"],
+        ["--op", "OP", "--k", "1"]], ids=lambda x: "+".join(x[::2]))
+    def test_emit_fixture_excludes_an_operator(self, tmp_path, capsys,
+                                               extra):
+        paths = {"OP": write_op(tmp_path, triangle_op()),
+                 "GRAPH": write_graph(tmp_path, cycle_graph(3))}
+        stem = str(tmp_path / "run")
+        code, out, err = run(capsys, [
+            "linkage-analyze", "--emit-fixture", "3", "--out", stem,
+            *(paths.get(a, a) for a in extra)])
+        assert code == 3 and out == ""
+        assert "usage error: --emit-fixture excludes --op, --k and " \
+            "--graph" in err
+        assert not list(tmp_path.glob("run*"))
 
     def test_degree_two_vanishing_exits_2(self, tmp_path, capsys):
         g = path_graph(3)

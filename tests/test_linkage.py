@@ -24,6 +24,7 @@ from magnodal.families import (
     random_operator,
     strong_diagonal_fixture,
 )
+from magnodal.graphs import Graph
 import magnodal.linkage as linkage
 from magnodal.linkage import (
     LinkageLengths,
@@ -45,6 +46,19 @@ def brute_force_generic(lengths, tol=1e-9):
         if abs(float(np.dot(signs, vals))) <= cut:
             return False
     return True
+
+
+def relabelled(h, perm):
+    """``h`` with vertex u renamed ``perm[u]``; an edge whose endpoints
+    change order stores the conjugate entry."""
+    rs = np.asarray(perm)[h.graph.endpoints]
+    g = Graph(h.graph.n, tuple(map(tuple, rs)))
+    off = np.empty(g.num_edges, dtype=np.complex128)
+    off[[g.edge_index[(min(r, s), max(r, s))] for r, s in rs]] = np.where(
+        rs[:, 0] < rs[:, 1], h.offdiag, np.conj(h.offdiag))
+    diag = np.empty(g.n)
+    diag[perm] = h.diag
+    return SupportedMatrix(g, diag, off)
 
 
 def sampled_four_bar_components(lengths, samples=20000):
@@ -383,15 +397,37 @@ class TestAnalyzeExceptional:
         assert not any(solved)
         for field in dataclasses.fields(given):
             a, b = getattr(given, field.name), getattr(fresh, field.name)
-            if field.name == "reduced":
-                assert same_bits(a.diag, b.diag)
-                assert same_bits(a.offdiag, b.offdiag)
-            elif field.name == "lengths":
+            if field.name == "lengths":
                 assert same_bits(a.lengths, b.lengths)
             elif isinstance(a, (np.ndarray, float)):
                 assert same_bits(a, b), field.name
             else:
                 assert a == b, field.name
+
+    @pytest.mark.parametrize("degree", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_relabelled_fixture_agrees(self, degree, seed):
+        """Moving the vanishing vertex from 0 to the middle and to the
+        end puts neighbours below it, whose row entries are stored
+        conjugated, and changes nothing but its label."""
+        fx = build_exceptional_fixture(degree, seed=seed)
+        h = fx.point.operator()
+        want = analyze_exceptional(TorusPoint.from_operator(h), fx.k)
+        for v0 in ((degree + 1) // 2, degree):
+            perm = (np.arange(degree + 1) + v0) % (degree + 1)
+            got = analyze_exceptional(
+                TorusPoint.from_operator(relabelled(h, perm)), fx.k)
+            assert got.vanishing_vertex == v0
+            for name in ("k_reduced", "manifold_dimension",
+                         "surplus_reduced", "morse_index_predicted",
+                         "hessian_index", "hessian_nullity",
+                         "manifold_samples_checked", "connectivity"):
+                assert getattr(got, name) == getattr(want, name), name
+            np.testing.assert_allclose(np.sort(got.lengths.lengths),
+                                       np.sort(want.lengths.lengths),
+                                       rtol=0, atol=1e-9)
+            assert got.shift_coefficient \
+                == pytest.approx(want.shift_coefficient, rel=0, abs=1e-9)
 
     def test_fixture_eigensystem_is_the_point_solve(self):
         fx = build_exceptional_fixture(4, seed=0)

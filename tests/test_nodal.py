@@ -39,6 +39,15 @@ from magnodal.families import (
     strong_diagonal_fixture,
 )
 from magnodal.graphs import Graph, betti_number, num_components
+from magnodal.linkage import analyze_exceptional
+from magnodal.morse import (
+    TorusPoint,
+    eigenvalue_gradient,
+    gradient_coords,
+    hessian_eigenvalue,
+    hessian_frozen_form,
+    is_critical,
+)
 from magnodal.nodal import (
     NormalizedSurplus,
     SurplusDistribution,
@@ -238,6 +247,22 @@ class TestNodalCountErrors:
         assert tuple(err.value.edges) == ((0, 1),)
 
 
+@pytest.mark.parametrize("k", [0, -1, 5])
+@pytest.mark.parametrize("func", [
+    nodal_count, nodal_surplus, eigenvalue_gradient, gradient_coords,
+    hessian_eigenvalue, hessian_frozen_form, is_critical,
+    analyze_exceptional], ids=lambda f: f.__name__)
+def test_single_point_functions_reject_k_outside_range(func, k):
+    """A position outside 1..n raises ValueError before anything is read
+    at it: k = 0 and -1 would index lambda_n and k = n + 1 run past the
+    spectrum."""
+    h = strong_diagonal_fixture(complete_graph(4))
+    arg = h if func in (nodal_count, nodal_surplus) \
+        else TorusPoint.from_operator(h)
+    with pytest.raises(ValueError, match=rf"k={k} outside 1\.\.4"):
+        func(arg, k)
+
+
 class TestNodalSurplus:
     def test_triangle_surpluses(self):
         h = triangle_op()
@@ -335,6 +360,15 @@ class TestAveragedDistribution:
                             np.array([np.exp(0.3j)]))
         with pytest.raises(ValueError):
             average_surplus_distribution(h)
+
+    def test_vertexless_operator_has_no_samples(self):
+        # (2^0 - 0 skipped) signings times n = 0 positions
+        h = SupportedMatrix(Graph(0), np.zeros(0), np.zeros(0))
+        d = average_surplus_distribution(h)
+        assert d.counts.tolist() == [0]
+        assert d.n_samples == 0 and d.skipped == 0
+        with pytest.raises(DegenerateDistributionError):
+            d.probs
 
     def test_edge_cap(self):
         h = strong_diagonal_fixture(complete_graph(8))

@@ -19,9 +19,11 @@ the one admissibility kernel.  ``SigningClasses.rows`` is called in
 one function only, ``nodal._solve_classes``, the class-block solve that
 the class sum, the index check and the scan share, and in ``nodal``
 only ``edge_products``, the one product formula, reads an edge's
-``endpoints``.  ``cli`` imports no ``_``-prefixed name from another
-package module: what the commands need is public.  The "Public API"
-section of ``README.md`` lists every name the package exports, once.
+``endpoints``.  Outside ``graphs`` no module looks an edge up one at a
+time through ``Graph.index_of``: edge arrays are selected by masks.
+``cli`` imports no ``_``-prefixed name from another package module:
+what the commands need is public.  The "Public API" section of
+``README.md`` lists every name the package exports, once.
 """
 
 import ast
@@ -155,6 +157,13 @@ def method_callers(trees: dict[Path, ast.Module], method: str
                      and node.func.attr == method)
 
 
+def callers_outside(trees: dict[Path, ast.Module], method: str,
+                    module: str) -> list[str]:
+    """Where a method named ``method`` is called outside ``module``."""
+    return [where for where in method_callers(trees, method)
+            if where.split(".")[0] != module]
+
+
 def attribute_readers(trees: dict[Path, ast.Module], attr: str
                       ) -> list[str]:
     """Where an attribute named ``attr`` is read."""
@@ -241,6 +250,11 @@ def test_one_function_forms_edge_products():
     assert attribute_readers(trees, "endpoints") == ["nodal.edge_products"]
 
 
+def test_only_graphs_looks_up_single_edges():
+    trees = {p: parse(p) for p in MODULES}
+    assert callers_outside(trees, "index_of", "graphs") == []
+
+
 def test_cli_imports_only_public_names():
     assert private_imports(parse(PACKAGE / "cli.py")) == []
 
@@ -296,6 +310,10 @@ def test_checks_catch_what_they_look_for():
                           "        self.rows = self.x.rows([])\n"),
              b: ast.parse("x = classes.rows(ids)\n")}
     assert method_callers(trees, "rows") == ["a.g", "a.f", "a.m", "b"]
+    trees = {a: ast.parse("def f(g, v):\n    return g.index_of(v, 0)\n"
+                          "i = g.index_of(1, 2)\nj = g.edge_index[(1, 2)]\n"),
+             Path("graphs.py"): ast.parse("def h(g):\n    g.index_of(0, 1)\n")}
+    assert callers_outside(trees, "index_of", "graphs") == ["a.f", "a"]
     trees = {a: ast.parse("def edge_products(g, o, v):\n"
                           "    return v[g.endpoints[:, 0]] * o\n"
                           "class S:\n    def at(self, g):\n"

@@ -313,11 +313,13 @@ def cmd_avg_dist(args) -> None:
     beta = dist.betti
     symmetric = bool(np.all(dist.counts == dist.counts[::-1]))
     if dist.n_samples == 0:
-        # every signing was skipped: the average has no samples
+        # no vertex, or every signing skipped: the average has no samples
         probs = [None] * (beta + 1)
         mean = variance = deviation = None
-        print(f"no admissible signings ({dist.skipped} skipped); "
-              f"moments undefined", file=sys.stderr)
+        reason = ("no eigenvalue positions (the graph has no vertices)"
+                  if h.graph.n == 0 else
+                  f"no admissible signings ({dist.skipped} skipped)")
+        print(f"{reason}; moments undefined", file=sys.stderr)
     else:
         binom = np.array([math.comb(beta, s) for s in range(beta + 1)],
                          dtype=np.float64) / float(2 ** beta)

@@ -7,9 +7,10 @@ values; both are tied to a specific graph instance.
 
 A graph owns one spanning forest: the breadth-first walk runs once per
 graph and is cached.  It gives the parent of each vertex and its root
-path, the signed chain from the root of its tree down to the vertex.
-The fundamental cycle basis is built from it once per graph and cached
-too, with the canonical positions of its non-forest edges.  The
+path, the signed chain from the root of its tree down to the vertex,
+both filled in the same walk.  The fundamental cycle basis is built
+from it once per graph and cached too, as one coefficient array with
+the canonical positions of its non-forest edges.  The
 components, the cycle basis and the gauge witness of
 ``operators.is_gauge_equiv_to_symmetry`` all read it, so they are
 deterministic for a given graph.
@@ -148,25 +149,35 @@ class SpanningForest:
 class CycleBasis:
     """Spanning forest plus one fundamental cycle per non-forest edge.
 
-    ``cycles[i]`` is the fundamental cycle of ``nonforest_edges[i]``,
-    oriented so the non-forest edge itself carries coefficient +1.
+    Row ``i`` of the read-only ``coeffs`` (beta, |E|) is the fundamental
+    cycle of the edge at canonical position ``nonforest_indices[i]``,
+    oriented so that edge carries coefficient +1.  ``cycles`` gives the
+    rows as ``Chain``s, built on first read.
     """
 
     graph: Graph
     forest_edges: tuple[tuple[int, int], ...]
-    nonforest_edges: tuple[tuple[int, int], ...]
-    cycles: tuple[Chain, ...]
+    nonforest_indices: np.ndarray
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        idx = np.array(self.nonforest_indices, dtype=np.int64).reshape(-1)
+        c = np.array(self.coeffs, dtype=np.int64).reshape(
+            len(idx), self.graph.num_edges)
+        for name, a in (("nonforest_indices", idx), ("coeffs", c)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
-        return len(self.cycles)
+        return len(self.coeffs)
 
     @cached_property
-    def nonforest_indices(self) -> np.ndarray:
-        """Canonical edge positions of ``nonforest_edges``, read-only."""
-        idx = np.array([self.graph.edge_index[e]
-                        for e in self.nonforest_edges], dtype=np.int64)
-        idx.setflags(write=False)
-        return idx
+    def nonforest_edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self.graph.edges[i] for i in self.nonforest_indices)
+
+    @cached_property
+    def cycles(self) -> tuple[Chain, ...]:
+        return tuple(Chain(self.graph, c) for c in self.coeffs)
 
 
 def _require_same_graph(a: Graph, b: Graph) -> None:
@@ -223,43 +234,30 @@ def boundary(xi: Chain) -> np.ndarray:
 
 
 def _bfs_walk(g: Graph) -> SpanningForest:
-    """The one breadth-first walk behind ``Graph.spanning_forest``."""
+    """The one breadth-first walk behind ``Graph.spanning_forest``: a
+    vertex's root path is its parent's plus the edge to it, and the
+    parent is reached first."""
     parent = [-1] * g.n
     seen = [False] * g.n
+    up = np.zeros((g.n, g.num_edges), dtype=np.int64)
     forest: list[tuple[int, int]] = []
     for root in range(g.n):
         if seen[root]:
             continue
         seen[root] = True
         queue = [root]
-        while queue:
-            u = queue.pop(0)
+        for u in queue:  # the loop reaches what it appends
             for w in g.adjacency[u]:
                 if not seen[w]:
                     seen[w] = True
                     parent[w] = u
-                    forest.append((min(u, w), max(u, w)))
+                    e = (min(u, w), max(u, w))
+                    forest.append(e)
+                    up[w] = up[u]
+                    up[w, g.edge_index[e]] = 1 if u < w else -1
                     queue.append(w)
-    return SpanningForest(tuple(sorted(forest)), tuple(parent),
-                          _root_paths(g, parent))
-
-
-def _root_paths(g: Graph, parent) -> np.ndarray:
-    """Read-only root path of every vertex of the forest ``parent``."""
-    up = np.zeros((g.n, g.num_edges), dtype=np.int64)
-    done = [p == -1 for p in parent]
-    for v in range(g.n):
-        path = []
-        while not done[v]:
-            path.append(v)
-            v = parent[v]
-        for w in reversed(path):
-            u = parent[w]
-            up[w] = up[u]
-            up[w, g.index_of(u, w)] += 1 if u < w else -1
-            done[w] = True
     up.setflags(write=False)
-    return up
+    return SpanningForest(tuple(sorted(forest)), tuple(parent), up)
 
 
 def _fundamental_cycles(g: Graph, forest: tuple[tuple[int, int], ...],
@@ -275,14 +273,14 @@ def _fundamental_cycles(g: Graph, forest: tuple[tuple[int, int], ...],
     incidence[np.arange(g.num_edges)[:, None], g.endpoints] = [-1, 1]
     if np.any(coeffs @ incidence):
         raise InternalCrossCheckError("fundamental cycle has nonzero boundary")
-    return CycleBasis(g, forest, tuple(g.edges[i] for i in idx),
-                      tuple(Chain(g, c) for c in coeffs))
+    return CycleBasis(g, forest, idx, coeffs)
 
 
 def cycle_basis(g: Graph) -> CycleBasis:
     """Deterministic fundamental cycle basis from the graph's BFS forest.
 
-    The basis is cached with the graph; its chains are read-only.
+    The basis is cached with the graph; its arrays and chains are
+    read-only.
     """
     return g.fundamental_cycles
 

@@ -25,6 +25,12 @@ The signing average solves one representative per switching class, the
 member that leaves the spanning forest unflipped, in blocks of
 ``SWEEP_CHUNK``, each by one stacked eigensolve (``_solve_classes``, as
 ``morse`` solves the symmetry points) and one ``position_checks`` call.
+That call lays the block's eigenvectors out vertex-major once, so
+``edge_products`` gathers whole blocks and returns the products
+edge-major; every mask then has its vertex or edge axis outermost, and
+the per-pair verdicts and positive counts reduce over it in long runs,
+into machine-word counts that cannot wrap.  A block in which every pair
+passes goes into the histogram with one ``bincount``.
 It runs in real arithmetic: its products ``v_r (h_rs * sign) v_s``
 carry the bits of the real parts of the complex ones (every imaginary
 factor is an exact zero and a sign flip is exact), up to the signs of
@@ -83,13 +89,19 @@ def edge_products(graph: Graph, offdiag: np.ndarray, v: np.ndarray
     the vectors ``v`` (..., n), whose leading axes broadcast.
 
     The one place the package forms them.  Real vectors are not
-    conjugated, so real entries give real products.
+    conjugated, so real entries give real products.  The gather runs on
+    the vertex axis moved first, so a stack laid out vertex-major in
+    memory copies whole blocks, and the products come back laid out
+    edge-major.
     """
     rs = graph.endpoints
-    head = v[..., rs[:, 0]]
+    offdiag = np.asarray(offdiag)
+    pad = offdiag.ndim - v.ndim
+    v, offdiag = v[(None,) * pad].T, offdiag[(None,) * -pad].T
+    head = v[rs[:, 0]]
     if np.iscomplexobj(head):
         head = np.conj(head)
-    return head * offdiag * v[..., rs[:, 1]]
+    return (head * offdiag * v[rs[:, 1]]).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,9 +179,11 @@ class _StackChecks:
     @cached_property
     def inadmissible(self) -> np.ndarray:
         """Pairs on which ``nodal_count`` raises an ``AdmissibilityError``."""
-        return (~self.simple | self.vanishing.any(axis=2) | ~self.flat
-                | self.unresolved.any(axis=2)
-                | self.unbounded & (num_components(self.graph) > 1))
+        bad = (~self.simple | self.vanishing.any(axis=2) | ~self.flat
+               | self.unresolved.any(axis=2))
+        if num_components(self.graph) > 1:
+            bad |= self.unbounded
+        return bad
 
     @cached_property
     def out_of_bounds(self) -> np.ndarray:
@@ -178,7 +192,7 @@ class _StackChecks:
 
     @property
     def failed(self) -> np.ndarray:
-        return self.inadmissible | self.out_of_bounds
+        return self.inadmissible | self.unbounded
 
     def multiplicity(self, rows, col: int):
         """``spectral.multiplicity`` at position ``col`` of ``rows``."""
@@ -318,13 +332,16 @@ class SurplusDistribution:
         if int(c.sum()) != self.n_samples:
             raise ValueError("counts do not sum to the sample count")
 
-    @property
+    @cached_property
     def probs(self) -> np.ndarray:
-        """Exact ratios of the counts; an empty histogram has none."""
+        """Exact ratios of the counts, read-only and divided once; an
+        empty histogram has none."""
         if self.n_samples == 0:
             raise DegenerateDistributionError(
                 "distribution has no samples; probabilities are undefined")
-        return self.counts / float(self.n_samples)
+        p = self.counts / float(self.n_samples)
+        p.setflags(write=False)
+        return p
 
     @property
     def mean(self) -> float:
@@ -345,7 +362,9 @@ def position_checks(h: SupportedMatrix, offdiag: np.ndarray,
     (S, m), eigenvalues ``values`` (S, n) and eigenvector columns
     ``vectors`` (S, n, n).  The one kernel entry of every caller that
     checks all positions: a single operator, a class block."""
-    vectors = vectors.swapaxes(1, 2)  # (row, k, vertex)
+    # (row, k, vertex), laid out vertex-major: the gather copies whole
+    # blocks, and the masks reduce over their outermost axis
+    vectors = np.ascontiguousarray(vectors.transpose(1, 2, 0)).T
     return _stack_checks(values, vectors,
                          edge_products(h.graph, offdiag[:, None], vectors),
                          np.arange(h.graph.n), h.norm_fro, h.graph, **tols)
@@ -409,6 +428,10 @@ def _surplus_counts(h: SupportedMatrix, classes: SigningClasses,
         rows, offdiag, values, vectors = _solve_classes(h, classes, ids)
         checks = position_checks(h, offdiag, values, vectors, **tols)
         failed = checks.failed
+        if not failed.any():
+            counts += weight * np.bincount(checks.surplus.ravel("K"),
+                                           minlength=beta + 1)
+            continue
         failing = failed.any(axis=1)
         first = np.argmax(failed, axis=1)
         raising = (checks.out_of_bounds[np.arange(len(rows)), first]

@@ -182,10 +182,9 @@ def flux_defects(graph: Graph, phases: np.ndarray) -> np.ndarray:
     Each flux is summed as ``integrate`` sums it: the batched products
     run one dot product per row and cycle.
     """
-    basis = cycle_basis(graph)
-    if not basis.cycles:
+    coeffs = cycle_basis(graph).coeffs.astype(np.float64)
+    if not len(coeffs):
         return np.zeros(len(phases))
-    coeffs = np.array([c.coeffs for c in basis.cycles], dtype=np.float64)
     flux = np.matmul(phases[:, None, None, :], coeffs[:, :, None])[..., 0, 0]
     rem = np.mod(flux, np.pi)
     return np.max(np.minimum(rem, np.pi - rem), axis=1)
@@ -248,7 +247,7 @@ def gauge_classes_of_signings(h: SupportedMatrix, cap: int = SIGNING_CAP
     if not h.is_real:
         raise ValueError("signing classes are defined for real matrices")
     basis = cycle_basis(h.graph)
-    beta = len(basis.cycles)
+    beta = len(basis)
     if beta > cap:
         raise CapExceededError(
             f"class enumeration over beta {beta} exceeds the cap of {cap}")

@@ -16,7 +16,11 @@ cycle through the lowest common ancestor, independent of the root
 paths in ``graphs``.  ``cycle_basis_by_loop`` builds the same cycles
 from the root paths one at a time, each checked by ``boundary``, against
 which the array build must agree bit for bit, and ``lose_a_root_path``
-plants the fault that its boundary check must catch.
+plants the fault that its boundary check must catch, through the one
+breadth-first walk.  ``root_paths`` is the root-path oracle: each
+vertex's path follows its parent's, in any order of the parent array,
+against which the walk's paths must agree and over which
+``cycle_basis_from_forest`` builds custom forests.
 ``complex_products`` is the complex product oracle: on real entries
 and vectors, the real products of ``nodal.edge_products`` must give
 the same checks.
@@ -53,9 +57,16 @@ one stacked kernel, ``nodal._stack_checks``, except that a count
 outside the bounds on a disconnected graph is inadmissible instead of
 passing.  The kernel must agree with them on every outcome, error type,
 message and attribute.
+``last_axis_products`` and ``reduction_checks`` are the layout oracle:
+the edge products gathered along the last axis, and the kernel's masks
+reduced along their last axis with ``any`` and ``np.count_nonzero``, as
+the kernel ran before its vertex- and edge-major layout.  Its fields,
+verdicts and errors must agree with them bit for bit.
 """
 
+import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -75,12 +86,12 @@ from magnodal.morse import (TWO_PI, CriticalityReport, CriticalPointReport,
                             TorusPoint, _check_symmetry, _hessian,
                             morse_index)
 from magnodal.nodal import (PRODUCT_DEGENERATE_TOL, PRODUCT_REAL_TOL, _Solves,
-                            edge_products)
+                            _StackChecks, edge_products)
 from magnodal.operators import SupportedMatrix, signs_for_index
 from magnodal.serialize import _escape, format_float
 from magnodal.spectral import (DEGENERACY_TOL, VANISH_TOL, EigenSystem,
                                cluster_mask, eigh, is_nowhere_vanishing,
-                               multiplicity)
+                               multiplicity, simple_positions)
 from magnodal.transversality import (TRANSVERSALITY_RANK_TOL,
                                      EigenspaceBasis, TransversalityReport,
                                      codim_stratum, eigenspace_basis)
@@ -282,8 +293,9 @@ def cycle_basis_by_lca(g: Graph, forest, parent) -> CycleBasis:
             v = parent[v]
         for v in reversed(down):
             add_step(parent[v], v)
-        cycles.append(Chain(g, coeffs))
-    return CycleBasis(g, tuple(forest), nonforest, tuple(cycles))
+        cycles.append(coeffs)
+    return CycleBasis(g, tuple(forest), [g.edge_index[e] for e in nonforest],
+                      np.reshape(cycles, (len(nonforest), g.num_edges)))
 
 
 def cycle_basis_by_loop(g: Graph, forest, up) -> CycleBasis:
@@ -296,25 +308,27 @@ def cycle_basis_by_loop(g: Graph, forest, up) -> CycleBasis:
     for (r, s) in nonforest:
         coeffs = up[r] - up[s]
         coeffs[g.index_of(r, s)] += 1
-        chain = Chain(g, coeffs)
-        if np.any(boundary(chain)):
+        if np.any(boundary(Chain(g, coeffs))):
             raise InternalCrossCheckError(
                 "fundamental cycle has nonzero boundary")
-        cycles.append(chain)
-    return CycleBasis(g, tuple(forest), nonforest, tuple(cycles))
+        cycles.append(coeffs)
+    return CycleBasis(g, tuple(forest), [g.edge_index[e] for e in nonforest],
+                      np.reshape(cycles, (len(nonforest), g.num_edges)))
 
 
 def lose_a_root_path(monkeypatch) -> None:
-    """Make every spanning forest built from now on forget the root path
-    of its last vertex, so a cycle through that vertex has a boundary."""
-    original = graphs._root_paths
+    """Make every spanning forest walked from now on forget the root
+    path of its last vertex, so a cycle through that vertex has a
+    boundary."""
+    original = graphs._bfs_walk
 
-    def wrong(g, parent):
-        up = original(g, parent).copy()
+    def wrong(g):
+        forest = original(g)
+        up = forest.up.copy()
         up[-1] = 0
-        return up
+        return dataclasses.replace(forest, up=up)
 
-    monkeypatch.setattr(graphs, "_root_paths", wrong)
+    monkeypatch.setattr(graphs, "_bfs_walk", wrong)
 
 
 def complex_products(graph: Graph, offdiag: np.ndarray,
@@ -324,6 +338,60 @@ def complex_products(graph: Graph, offdiag: np.ndarray,
     r, s = graph.endpoints.T
     v = vectors.astype(np.complex128)
     return np.conj(v[..., r]) * offdiag.astype(np.complex128) * v[..., s]
+
+
+def last_axis_products(graph: Graph, offdiag: np.ndarray,
+                       v: np.ndarray) -> np.ndarray:
+    """``nodal.edge_products`` as it gathered before it moved the vertex
+    axis first: the vertex axis indexed last, in the layout that the
+    strides of ``v`` give."""
+    rs = graph.endpoints
+    head = v[..., rs[:, 0]]
+    if np.iscomplexobj(head):
+        head = np.conj(head)
+    return head * offdiag * v[..., rs[:, 1]]
+
+
+@dataclass(frozen=True, eq=False)
+class ReducedChecks(_StackChecks):
+    """``nodal._StackChecks`` with its verdicts as it formed them before:
+    the bound masked into ``inadmissible`` on every graph, and
+    ``failed`` as the inadmissible or out-of-bounds pairs."""
+
+    @cached_property
+    def inadmissible(self) -> np.ndarray:
+        return (~self.simple | self.vanishing.any(axis=2) | ~self.flat
+                | self.unresolved.any(axis=2)
+                | self.unbounded & (num_components(self.graph) > 1))
+
+    @property
+    def failed(self) -> np.ndarray:
+        return self.inadmissible | self.out_of_bounds
+
+
+def reduction_checks(values, vectors, products, positions, scale,
+                     graph: Graph, *, tol_degeneracy: float = DEGENERACY_TOL,
+                     tol_vanish: float = VANISH_TOL,
+                     tol_real: float = PRODUCT_REAL_TOL,
+                     tol_product: float = PRODUCT_DEGENERATE_TOL
+                     ) -> ReducedChecks:
+    """``nodal._stack_checks`` on the last-axis layout of
+    ``last_axis_products``, where ``any`` and ``np.count_nonzero``
+    reduce the masks along short rows; the kernel cuts and counts the
+    same way, so what this holds it to is its layout and verdicts."""
+    positions = np.asarray(positions)
+    scale = np.asarray(scale, dtype=np.float64)[..., None, None]
+    flat = (~(np.abs(products.imag) > tol_real * scale).any(axis=2)
+            if np.iscomplexobj(products)
+            else np.ones(products.shape[:2], dtype=bool))
+    return ReducedChecks(
+        values, products, positions, graph, betti_number(graph),
+        tol_degeneracy, tol_real,
+        simple_positions(values, tol_degeneracy)[:, positions],
+        np.abs(vectors) < tol_vanish,
+        flat,
+        np.abs(products.real) < tol_product * scale,
+        np.count_nonzero(products.real > 0.0, axis=2) - positions)
 
 
 def pseudo_inverse_apply(h: SupportedMatrix, lam: float, x: np.ndarray,
@@ -339,11 +407,28 @@ def pseudo_inverse_apply(h: SupportedMatrix, lam: float, x: np.ndarray,
     return es.vectors @ scaled
 
 
+def root_paths(g: Graph, parent) -> np.ndarray:
+    """Root path of every vertex of the forest ``parent`` (-1 at roots),
+    each vertex after its parent in any order of the parent array."""
+    up = np.zeros((g.n, g.num_edges), dtype=np.int64)
+    done = [p == -1 for p in parent]
+    for v in range(g.n):
+        path = []
+        while not done[v]:
+            path.append(v)
+            v = parent[v]
+        for w in reversed(path):
+            u = parent[w]
+            up[w] = up[u]
+            up[w, g.index_of(u, w)] += 1 if u < w else -1
+            done[w] = True
+    return up
+
+
 def cycle_basis_from_forest(g: Graph, forest, parent) -> CycleBasis:
-    """The fundamental cycles of ``g`` over the spanning forest
-    ``forest`` with the parent array ``parent``."""
-    return graphs._fundamental_cycles(g, forest,
-                                      graphs._root_paths(g, parent))
+    """The array build of the fundamental cycles of ``g`` over the
+    spanning forest ``forest`` with the parent array ``parent``."""
+    return graphs._fundamental_cycles(g, forest, root_paths(g, parent))
 
 
 def projects_surjectively(basis: EigenspaceBasis, edge: tuple[int, int],

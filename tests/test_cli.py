@@ -319,8 +319,28 @@ class TestAvgDist:
         assert payload["mean"] is None and payload["variance"] is None
         assert "moments undefined" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--classes"],
+                                       ["--skip-inadmissible"]])
+    def test_vertexless_operator_names_the_missing_positions(
+            self, tmp_path, capsys, extra):
+        """Nothing is skipped on a graph without vertices: its one
+        signing has no eigenvalue position, and the note says so."""
+        op = tmp_path / "empty.json"
+        op.write_text('{"graph": {"n": 0, "edges": []}, "diag": [], '
+                      '"offdiag": []}')
+        code, out, err = run(capsys, ["avg-dist", "--op", str(op), *extra])
+        assert code == 0
+        assert json.loads(out) == {
+            "averaged_over": ("admissible signings only" if extra
+                              == ["--skip-inadmissible"] else "all signings"),
+            "betti": 0, "binomial_l1_deviation": None, "counts": [0],
+            "mean": None, "n_samples": 0, "skipped_signings": 0,
+            "symmetric_counts": True, "variance": None}
+        assert err == ("no eigenvalue positions (the graph has no "
+                       "vertices); moments undefined\n")
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "avg_dist_golden.json")
+
+GOLDEN =json.loads((Path(__file__).parent / "data" / "avg_dist_golden.json")
                     .read_text())
 
 

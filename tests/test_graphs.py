@@ -1,3 +1,4 @@
+import collections
 import os
 import subprocess
 import sys
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (cycle_basis_by_lca, cycle_basis_by_loop,
-                      cycle_basis_from_forest, lose_a_root_path,
-                      small_graphs)
+                      cycle_basis_from_forest, lose_a_root_path, root_paths,
+                      same_bits, small_graphs)
 import magnodal
 from magnodal.errors import (
     GraphMismatchError,
@@ -223,6 +224,54 @@ def forest_of(g: Graph) -> Graph:
     return Graph(g.n, g.spanning_forest.edges)
 
 
+def bfs_parents(g: Graph) -> list[int]:
+    """Parents of a breadth-first walk with a first-in first-out queue
+    from each unvisited vertex in turn, the oracle of the walk's order."""
+    parent, seen = [-1] * g.n, [False] * g.n
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = collections.deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in g.adjacency[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = u
+                    queue.append(w)
+    return parent
+
+
+class TestOneWalk:
+    """One walk gives the parents in breadth-first order, the forest
+    edges and the root paths; the basis is one read-only array."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(9))
+    def test_walk_against_the_queue_and_the_parent_paths(self, g):
+        forest = g.spanning_forest
+        assert list(forest.parent) == bfs_parents(g)
+        assert forest.edges == tuple(sorted(
+            (min(p, v), max(p, v)) for v, p in enumerate(forest.parent)
+            if p != -1))
+        assert forest.up.dtype == np.int64 and not forest.up.flags.writeable
+        assert same_bits(forest.up, root_paths(g, forest.parent))
+
+    def test_basis_is_one_array_with_chains_on_first_read(self):
+        g = complete_graph(6)
+        basis = cycle_basis(g)
+        assert basis.coeffs.shape == (betti_number(g), g.num_edges)
+        assert basis.coeffs.dtype == basis.nonforest_indices.dtype == np.int64
+        assert not basis.coeffs.flags.writeable
+        assert not basis.nonforest_indices.flags.writeable
+        assert "cycles" not in vars(basis)
+        chains = basis.cycles
+        assert basis.cycles is chains and len(chains) == len(basis)
+        assert all(np.array_equal(c.coeffs, row)
+                   for c, row in zip(chains, basis.coeffs, strict=True))
+
+
 class TestArrayBuildAgainstLoop:
     """The array-built basis against the one-cycle-at-a-time loop over
     the same root paths: forest edges, non-forest edges and coefficient
@@ -420,6 +469,7 @@ class TestCycleBasisChecks:
 
     def test_nonzero_boundary_survives_optimized_mode(self):
         script = textwrap.dedent("""
+            import dataclasses
             import sys
             import magnodal.graphs as graphs
             from magnodal.errors import InternalCrossCheckError
@@ -427,14 +477,15 @@ class TestCycleBasisChecks:
 
             if not sys.flags.optimize:
                 sys.exit(2)
-            original = graphs._root_paths
+            original = graphs._bfs_walk
 
-            def wrong(g, parent):
-                up = original(g, parent).copy()
+            def wrong(g):
+                forest = original(g)
+                up = forest.up.copy()
                 up[-1] = 0
-                return up
+                return dataclasses.replace(forest, up=up)
 
-            graphs._root_paths = wrong
+            graphs._bfs_walk = wrong
             try:
                 graphs.cycle_basis(complete_graph(4))
             except InternalCrossCheckError as exc:

@@ -1,6 +1,7 @@
 """Nodal counts, surplus statistics, and signing averages."""
 
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (classes_by_enumeration, complex_products,
-                      enumerate_signings, scalar_nodal_surplus,
-                      signing_histogram, small_graphs)
+                      enumerate_signings, last_axis_products,
+                      reduction_checks, same_bits, scalar_nodal_count,
+                      scalar_nodal_surplus, signing_histogram, small_graphs)
 import magnodal
 import magnodal.nodal as nodal
 from magnodal.errors import (
@@ -49,6 +51,8 @@ from magnodal.morse import (
     is_critical,
 )
 from magnodal.nodal import (
+    PRODUCT_DEGENERATE_TOL,
+    PRODUCT_REAL_TOL,
     NormalizedSurplus,
     SurplusDistribution,
     average_surplus_distribution,
@@ -60,11 +64,13 @@ from magnodal.nodal import (
 )
 from magnodal.operators import (
     GaugePhase,
+    SigningClasses,
     SupportedMatrix,
     gauge_classes_of_signings,
     gauge_transform,
+    operator_to_json,
 )
-from magnodal.spectral import eigh, eigh_stack
+from magnodal.spectral import DEGENERACY_TOL, VANISH_TOL, eigh, eigh_stack
 
 
 def triangle_op():
@@ -846,6 +852,93 @@ def test_admissibility_kernel_matches_nodal_count(h, data):
             assert 0 <= surplus <= beta
 
 
+#: The kernel's fields and verdicts, each compared bit for bit.
+CHECK_FIELDS = ("values", "products", "positions", "simple", "vanishing",
+                "flat", "unresolved", "surplus", "unbounded", "inadmissible",
+                "out_of_bounds", "failed")
+
+
+def assert_same_checks(new, old):
+    """Every field, verdict and error of two kernel results agree."""
+    for name in CHECK_FIELDS:
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert same_bits(a, b), name
+    assert (new.graph, new.beta, new.tol_degeneracy, new.tol_real) \
+        == (old.graph, old.beta, old.tol_degeneracy, old.tol_real)
+    for row, col in np.ndindex(new.surplus.shape):
+        a, b = new.error(row, col), old.error(row, col)
+        assert (a is None) == (b is None)
+        assert a is None or error_fields(a) == error_fields(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_operators() | real_planted_operators()
+       | planted_operators(ANY_GRAPHS) | real_planted_operators(ANY_GRAPHS),
+       st.data())
+def test_kernel_layout_matches_the_reduction_oracle(h, data):
+    """The vertex-first gather and the reductions over the masks'
+    outermost axis against ``conftest.reduction_checks``, the kernel as
+    it reduced along the last axis of C-ordered masks: every field and
+    verdict bit for bit and every error with its type, message and
+    attributes, on real and complex stacks, at one position (K = 1) and
+    at all of them (K = n), with eigenvector entries planted at 0.5, 1
+    and 2 times the vanishing cut and edge products (and, on complex
+    stacks, their imaginary parts) at those multiples of their cuts."""
+    g, n, m = h.graph, h.graph.n, h.graph.num_edges
+    rows = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m),
+        min_size=1, max_size=4)), dtype=np.int8)
+    off = (h.offdiag.real if h.is_real else h.offdiag) * rows
+    values, vectors = eigh_stack(g, h.diag, off)
+    assert np.iscomplexobj(vectors) != h.is_real
+    factor, sign = st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([-1, 1])
+    somewhere = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, n - 1),
+                          st.integers(0, n - 1), factor, sign)
+    for row, vertex, col, f, sg in data.draw(st.lists(somewhere,
+                                                      max_size=3)):
+        vectors[row, vertex, col] = sg * f * VANISH_TOL
+    tols = dict(tol_degeneracy=data.draw(st.sampled_from([DEGENERACY_TOL,
+                                                          0.02])),
+                tol_vanish=data.draw(st.sampled_from([VANISH_TOL, 0.02])),
+                tol_product=data.draw(st.sampled_from(
+                    [PRODUCT_DEGENERATE_TOL, 2e-3])))
+    if data.draw(st.booleans()):
+        positions = np.arange(n)
+        new = nodal.position_checks(h, off, values, vectors, **tols)
+        flipped = vectors.swapaxes(1, 2)  # (row, k, vertex)
+        products = last_axis_products(g, off[:, None], flipped)
+    else:
+        k = data.draw(st.integers(1, n))
+        positions = [k - 1]
+        new = nodal._Solves.at(g, off, values, vectors, k).checks(
+            g, h.norm_fro, **tols)
+        flipped = vectors[:, None, :, k - 1]
+        products = last_axis_products(g, off, vectors[:, :, k - 1])[:, None]
+    old = reduction_checks(values, flipped, products, positions, h.norm_fro,
+                           g, **tols)
+    assert_same_checks(new, old)
+    if not m:
+        return
+    planted = np.copy(new.products, order="K")  # the kernel's layout
+    products = products.copy()
+    for row, col, e, f, sg, imag in data.draw(st.lists(st.tuples(
+            st.integers(0, len(rows) - 1), st.integers(0, len(positions) - 1),
+            st.integers(0, m - 1), factor, sign, st.booleans()),
+            min_size=1, max_size=3)):
+        if imag and np.iscomplexobj(products):
+            value = products[row, col, e].real \
+                + 1j * sg * f * PRODUCT_REAL_TOL * h.norm_fro
+        else:
+            value = sg * f * tols["tol_product"] * h.norm_fro
+        planted[row, col, e] = products[row, col, e] = value
+    assert_same_checks(
+        nodal._stack_checks(values, flipped, planted, positions, h.norm_fro,
+                            g, **tols),
+        reduction_checks(values, flipped, products, positions, h.norm_fro, g,
+                         **tols))
+
+
 def test_unbounded_count_on_a_disconnected_graph_is_inadmissible():
     """A triangle and an isolated vertex with the lowest diagonal: at a
     vanishing tolerance of 0 the triangle's eigenvectors, exactly 0 on
@@ -1037,3 +1130,59 @@ class TestNormalizedDistribution:
             with pytest.raises(DegenerateDistributionError,
                                match="no samples"):
                 normalized_distribution(empty)
+
+
+@functools.cache
+def wide_path_operator() -> SupportedMatrix:
+    """A path on 306 vertices (307 is prime, so no eigenvector of the
+    path vanishes) with three weak chords: 308 edges, beta 3, and every
+    position of every signing admissible, with nodal counts past 255."""
+    n = 306
+    g = Graph(n, tuple((i, i + 1) for i in range(n - 1))
+              + ((0, 150), (40, 260), (99, 299)))
+    chord = g.endpoints[:, 1] - g.endpoints[:, 0] > 1
+    return SupportedMatrix(g, np.zeros(n),
+                           np.where(chord, -1e-3, -1.0).astype(np.complex128))
+
+
+class TestCountsPastOneByte:
+    """Per-pair counts above 255 against the scalar count, which sums
+    in Python integers: an 8-bit accumulator would wrap them."""
+
+    def test_surplus_distribution(self):
+        h = wide_path_operator()
+        es = eigh(h)
+        counts = [scalar_nodal_count(h, k, es=es)
+                  for k in range(1, h.graph.n + 1)]
+        assert max(counts) > 255
+        expected = np.bincount([c - k for k, c in enumerate(counts)],
+                               minlength=4)
+        assert surplus_distribution(h).counts.tolist() == expected.tolist()
+
+    def test_nodal_dist(self, tmp_path, capsys):
+        from magnodal.cli import main
+
+        h = wide_path_operator()
+        op = tmp_path / "wide.json"
+        op.write_text(json.dumps(operator_to_json(h)))
+        assert main(["nodal-dist", "--op", str(op)]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        es = eigh(h)
+        assert [(r["status"], r["nodal_count"]) for r in rows] == [
+            ("ok", scalar_nodal_count(h, k, es=es))
+            for k in range(1, h.graph.n + 1)]
+
+    def test_class_sum(self):
+        """The class sum behind ``avg-dist`` with unit class sizes: the
+        histogram of the 8 representatives, one scalar count at a time.
+        ``avg-dist`` itself refuses the graph, whose ``n * 2^|E|``
+        samples overflow its int64 counts, before any count."""
+        h = wide_path_operator()
+        classes = gauge_classes_of_signings(h)
+        unit = SigningClasses(h.graph, classes.nonforest, 1)
+        counts, skipped = nodal._surplus_counts(h, unit, False)
+        expected = sum(signing_histogram(h, signs, {})
+                       for signs in unit.rows(np.arange(8)))
+        assert skipped == 0 and counts.tolist() == expected.tolist()
+        with pytest.raises(CapExceededError, match="overflow the int64"):
+            average_surplus_distribution(h)

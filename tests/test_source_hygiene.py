@@ -21,7 +21,9 @@ the class sum, the index check and the scan share, and in ``nodal``
 only ``edge_products``, the one product formula, reads an edge's
 ``endpoints``.  Outside ``graphs`` no module looks an edge up one at a
 time through ``Graph.index_of``: edge arrays are selected by masks.
-``cli`` imports no ``_``-prefixed name from another package module:
+No module reads ``CycleBasis.cycles``: the package takes a basis as
+its one coefficient array, so no per-cycle ``Chain`` comes back into a
+hot path.  ``cli`` imports no ``_``-prefixed name from another package module:
 what the commands need is public.  The "Public API" section of
 ``README.md`` lists every name the package exports, once.
 """
@@ -250,6 +252,11 @@ def test_one_function_forms_edge_products():
     assert attribute_readers(trees, "endpoints") == ["nodal.edge_products"]
 
 
+def test_no_module_reads_cycles_as_chains():
+    trees = {p: parse(p) for p in PACKAGE.glob("*.py")}
+    assert attribute_readers(trees, "cycles") == []
+
+
 def test_only_graphs_looks_up_single_edges():
     trees = {p: parse(p) for p in MODULES}
     assert callers_outside(trees, "index_of", "graphs") == []
@@ -322,6 +329,12 @@ def test_checks_catch_what_they_look_for():
                           "x = graph.endpoints\n")}
     assert attribute_readers(trees, "endpoints") \
         == ["a.edge_products", "a.at", "a"]
+    trees = {a: ast.parse("def flux(b):\n"
+                          "    return [c.coeffs for c in b.cycles]\n"
+                          "class B:\n    @property\n"
+                          "    def cycles(self):\n        return ()\n"
+                          "n = len(cycle_basis(g).cycles)\nb.cycles = ()\n")}
+    assert attribute_readers(trees, "cycles") == ["a.flux", "a"]
     assert private_imports(ast.parse(
         "from . import __version__\nfrom .nodal import (_every_position,\n"
         "    nodal_count)\nfrom .spectral import eigh, _check_k\n"

@@ -44,6 +44,8 @@ from .graphs import betti_number, graph_from_json
 from .linkage import analyze_exceptional, build_exceptional_fixture
 from .morse import TorusPoint, critical_scan, verify_index_equals_surplus
 from .nodal import (
+    PRODUCT_DEGENERATE_TOL,
+    PRODUCT_REAL_TOL,
     average_surplus_distribution,
     nodal_count,
     normalized_distribution,
@@ -227,6 +229,8 @@ def _emit(args, payload: dict, csv_spec=None) -> None:
         "tolerances": {
             "degeneracy": getattr(args, "tol_degeneracy", DEGENERACY_TOL),
             "vanish": getattr(args, "tol_vanish", VANISH_TOL),
+            "product": PRODUCT_DEGENERATE_TOL,
+            "real": PRODUCT_REAL_TOL,
         },
         "results": payload,
         "wall_time_s": round(time.monotonic() - args._t0, 3),
@@ -323,7 +327,7 @@ def cmd_avg_dist(args) -> None:
     else:
         binom = np.array([math.comb(beta, s) for s in range(beta + 1)],
                          dtype=np.float64) / float(2 ** beta)
-        probs = [float(p) for p in dist.probs]
+        probs = dist.probs.tolist()
         mean, variance = dist.mean, dist.variance
         deviation = float(np.sum(np.abs(dist.probs - binom)))
         print(f"mean {mean:.12g}  variance {variance:.12g}  "
@@ -331,7 +335,7 @@ def cmd_avg_dist(args) -> None:
               file=sys.stderr)
     payload = {
         "betti": beta,
-        "counts": [int(c) for c in dist.counts],
+        "counts": dist.counts.tolist(),
         "n_samples": dist.n_samples,
         "skipped_signings": dist.skipped,
         "mean": mean,

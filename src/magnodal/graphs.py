@@ -6,21 +6,26 @@ A chain assigns integer coefficients to edges, a one-form assigns real
 values; both are tied to a specific graph instance.
 
 A graph owns one spanning forest: the breadth-first walk runs once per
-graph and is cached.  It gives the parent of each vertex and its root
-path, the signed chain from the root of its tree down to the vertex,
-both filled in the same walk.  The fundamental cycle basis is built
-from it once per graph and cached too, as one coefficient array with
-the canonical positions of its non-forest edges.  The
-components, the cycle basis and the gauge witness of
-``operators.is_gauge_equiv_to_symmetry`` all read it, so they are
-deterministic for a given graph.
+graph and is cached.  It gives the parent of each vertex, the order
+in which the walk reached them and the canonical positions of the
+non-forest edges, all filled in the same walk; the root paths (the
+signed chain from the root of a vertex's tree down to the vertex) are
+filled in that order on first read.  The fundamental cycle basis is
+built from it once per graph, on first read, and cached too, as one
+coefficient array with the walk's non-forest positions; only the
+modules that read the coefficients build it.  The components, the
+switching classes, the cycle basis and the gauge witness of
+``operators.is_gauge_equiv_to_symmetry`` all read the forest, so they
+are deterministic for a given graph.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -35,12 +40,14 @@ class Graph:
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) \
+                or self.n < 0:
             raise ValueError(f"vertex count must be a nonnegative int, got {self.n!r}")
         canon = set()
         for e in self.edges:
             r, s = e
-            r, s = int(r), int(s)
+            if type(r) is not int or type(s) is not int:
+                r, s = _vertex(r), _vertex(s)
             if r == s:
                 raise ValueError(f"self-loop at vertex {r} is not allowed")
             if not (0 <= r < self.n and 0 <= s < self.n):
@@ -65,6 +72,15 @@ class Graph:
         return rs
 
     @cached_property
+    def dense_positions(self) -> np.ndarray:
+        """Read-only ``(2, num_edges)`` flat positions ``r*n + s`` and
+        ``s*n + r`` of the pairs in ``edges`` in a row-major ``n`` by
+        ``n`` array."""
+        pos = (self.endpoints @ [[self.n, 1], [1, self.n]]).T
+        pos.setflags(write=False)
+        return pos
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuple per vertex."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
@@ -86,7 +102,7 @@ class Graph:
     @cached_property
     def fundamental_cycles(self) -> "CycleBasis":
         """The cycle basis over ``spanning_forest``, built and checked
-        once per graph."""
+        on first read, once per graph."""
         return _checked_cycle_basis(self)
 
     def index_of(self, r: int, s: int) -> int:
@@ -132,17 +148,39 @@ class OneForm:
 
 @dataclass(frozen=True, eq=False)
 class SpanningForest:
-    """Forest edges, parent array (-1 at roots) and root paths.
+    """Forest edges, parent array (-1 at roots), an order of the
+    vertices that puts each after its parent, the canonical positions
+    of the non-forest edges and, on first read, the root paths.
 
     Row ``v`` of the read-only ``up`` is the chain of tree edges from
     the root of ``v``'s tree down to ``v``.  The fundamental cycle of a
     non-forest edge ``(r, s)`` is ``e_rs + up[r] - up[s]``: the shared
-    part of the two root paths cancels.
+    part of the two root paths cancels.  ``nonforest`` is a read-only
+    int64 array in ascending order, one entry per independent cycle.
     """
 
+    graph: Graph
     edges: tuple[tuple[int, int], ...]
     parent: tuple[int, ...]
-    up: np.ndarray
+    order: tuple[int, ...]
+    nonforest: np.ndarray
+
+    @cached_property
+    def up(self) -> np.ndarray:
+        """Root paths, filled in ``order``: a vertex's root path is its
+        parent's plus the edge to it."""
+        g, parent = self.graph, self.parent
+        up = np.zeros((g.n, g.num_edges), dtype=np.int64)
+        for w in self.order:
+            u = parent[w]
+            if u != -1:
+                up[w] = up[u]
+                if u < w:
+                    up[w, g.edge_index[u, w]] = 1
+                else:
+                    up[w, g.edge_index[w, u]] = -1
+        up.setflags(write=False)
+        return up
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +190,9 @@ class CycleBasis:
     Row ``i`` of the read-only ``coeffs`` (beta, |E|) is the fundamental
     cycle of the edge at canonical position ``nonforest_indices[i]``,
     oriented so that edge carries coefficient +1.  ``cycles`` gives the
-    rows as ``Chain``s, built on first read.
+    rows as ``Chain``s, built on first read.  A ``nonforest_indices``
+    that is already a read-only int64 vector is kept as given, so the
+    basis of the graph's own forest holds the forest's array.
     """
 
     graph: Graph
@@ -161,7 +201,10 @@ class CycleBasis:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        idx = np.array(self.nonforest_indices, dtype=np.int64).reshape(-1)
+        idx = self.nonforest_indices
+        if not (isinstance(idx, np.ndarray) and idx.dtype == np.int64
+                and idx.ndim == 1 and not idx.flags.writeable):
+            idx = np.array(idx, dtype=np.int64).reshape(-1)
         c = np.array(self.coeffs, dtype=np.int64).reshape(
             len(idx), self.graph.num_edges)
         for name, a in (("nonforest_indices", idx), ("coeffs", c)):
@@ -234,13 +277,15 @@ def boundary(xi: Chain) -> np.ndarray:
 
 
 def _bfs_walk(g: Graph) -> SpanningForest:
-    """The one breadth-first walk behind ``Graph.spanning_forest``: a
-    vertex's root path is its parent's plus the edge to it, and the
-    parent is reached first."""
+    """The one breadth-first walk behind ``Graph.spanning_forest``: each
+    vertex is reached after its parent, and each forest edge is marked
+    as the walk takes it."""
+    index = g.edge_index
     parent = [-1] * g.n
     seen = [False] * g.n
-    up = np.zeros((g.n, g.num_edges), dtype=np.int64)
+    off_forest = [True] * g.num_edges
     forest: list[tuple[int, int]] = []
+    order: list[int] = []
     for root in range(g.n):
         if seen[root]:
             continue
@@ -251,21 +296,23 @@ def _bfs_walk(g: Graph) -> SpanningForest:
                 if not seen[w]:
                     seen[w] = True
                     parent[w] = u
-                    e = (min(u, w), max(u, w))
+                    e = (u, w) if u < w else (w, u)
+                    off_forest[index[e]] = False
                     forest.append(e)
-                    up[w] = up[u]
-                    up[w, g.edge_index[e]] = 1 if u < w else -1
                     queue.append(w)
-    up.setflags(write=False)
-    return SpanningForest(tuple(sorted(forest)), tuple(parent), up)
+        order += queue
+    nonforest = np.fromiter(compress(range(g.num_edges), off_forest),
+                            dtype=np.int64)
+    nonforest.setflags(write=False)
+    return SpanningForest(g, tuple(sorted(forest)), tuple(parent),
+                          tuple(order), nonforest)
 
 
-def _fundamental_cycles(g: Graph, forest: tuple[tuple[int, int], ...],
-                        up: np.ndarray) -> CycleBasis:
-    """One cycle ``e_rs + up[r] - up[s]`` per non-forest edge ``(r, s)``,
-    built as one array, whose boundaries one incidence product checks."""
-    forest_set = set(forest)
-    idx = np.flatnonzero([e not in forest_set for e in g.edges])
+def _fundamental_cycles(g: Graph, forest: SpanningForest) -> CycleBasis:
+    """One cycle ``e_rs + up[r] - up[s]`` per non-forest edge ``(r, s)``
+    of ``forest``, built as one array, whose boundaries one incidence
+    product checks."""
+    idx, up = forest.nonforest, forest.up
     r, s = g.endpoints[idx].T
     coeffs = up[r] - up[s]
     coeffs[np.arange(len(idx)), idx] += 1
@@ -273,7 +320,7 @@ def _fundamental_cycles(g: Graph, forest: tuple[tuple[int, int], ...],
     incidence[np.arange(g.num_edges)[:, None], g.endpoints] = [-1, 1]
     if np.any(coeffs @ incidence):
         raise InternalCrossCheckError("fundamental cycle has nonzero boundary")
-    return CycleBasis(g, forest, idx, coeffs)
+    return CycleBasis(g, forest.edges, idx, coeffs)
 
 
 def cycle_basis(g: Graph) -> CycleBasis:
@@ -287,16 +334,15 @@ def cycle_basis(g: Graph) -> CycleBasis:
 
 def _checked_cycle_basis(g: Graph) -> CycleBasis:
     """The one build behind ``Graph.fundamental_cycles``."""
-    forest = g.spanning_forest
-    basis = _fundamental_cycles(g, forest.edges, forest.up)
+    basis = _fundamental_cycles(g, g.spanning_forest)
     if len(basis) != betti_number(g):
         raise InternalCrossCheckError(
             "cycle basis size does not match the Betti number")
     return basis
 
 
-def induced_subgraph(g: Graph, vertices) -> tuple[Graph, dict[int, int]]:
-    """Subgraph on a vertex subset, with the old-to-new vertex map.
+def induced_subgraph(g: Graph, vertices) -> Graph:
+    """Subgraph on a vertex subset.
 
     Vertices are renumbered by ascending original label.
     """
@@ -309,7 +355,19 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, dict[int, int]]:
     remap = {v: i for i, v in enumerate(vs)}
     keep = set(vs)
     edges = [(remap[r], remap[s]) for (r, s) in g.edges if r in keep and s in keep]
-    return Graph(len(vs), tuple(edges)), remap
+    return Graph(len(vs), tuple(edges))
+
+
+def _vertex(x) -> int:
+    """An edge endpoint as an ``int``: Python and numpy integers pass,
+    a bool or a float is refused."""
+    if isinstance(x, bool):
+        raise ValueError(f"edge endpoint {x!r} is not an integer vertex")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(
+            f"edge endpoint {x!r} is not an integer vertex") from None
 
 
 def _is_number(x) -> bool:
@@ -321,9 +379,11 @@ def _is_number(x) -> bool:
 def _is_vertex_pair(e) -> bool:
     """A JSON pair ``[r, s]`` of integers (``json`` reads ``true`` as a
     bool, which Python counts as an int)."""
-    return (isinstance(e, (list, tuple)) and len(e) == 2
-            and not any(isinstance(x, bool) or not isinstance(x, int)
-                        for x in e))
+    if not isinstance(e, (list, tuple)) or len(e) != 2:
+        return False
+    r, s = e
+    return (isinstance(r, int) and not isinstance(r, bool)
+            and isinstance(s, int) and not isinstance(s, bool))
 
 
 def graph_to_json(g: Graph) -> dict:

@@ -277,7 +277,7 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
         raise AdmissibilityError(
             f"vanishing vertex has degree {len(neighbors)}; the linkage "
             f"analysis needs degree at least 3")
-    sub, _ = induced_subgraph(g, np.delete(np.arange(g.n), v0))
+    sub = induced_subgraph(g, np.delete(np.arange(g.n), v0))
 
     # Row of the vanishing vertex in ascending neighbour order; entries
     # are stored for the canonical orientation, so conjugate where u < v0.
@@ -445,7 +445,7 @@ def build_exceptional_fixture(degree: int, seed: int = 0, *,
         raise ValueError("the construction needs degree at least 3")
     # Canonical order puts the joining edges (0, u) first.
     g = complete_graph(degree + 1)
-    sub, _ = induced_subgraph(g, range(1, degree + 1))
+    sub = induced_subgraph(g, range(1, degree + 1))
 
     rng = np.random.default_rng(seed)
     for attempt in range(max_attempts):

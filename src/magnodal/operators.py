@@ -22,11 +22,13 @@ import numpy as np
 from .errors import (
     CapExceededError,
     GraphMismatchError,
+    InternalCrossCheckError,
     NotProperlySupportedError,
     SchemaError,
 )
 from .graphs import (Graph, OneForm, _is_number, _is_vertex_pair,
-                     coboundary, cycle_basis, graph_from_json, graph_to_json)
+                     betti_number, coboundary, cycle_basis, graph_from_json,
+                     graph_to_json)
 
 TWO_PI = 2.0 * np.pi
 
@@ -87,17 +89,18 @@ def dense_matrices(graph: Graph, diag: np.ndarray, offdiag: np.ndarray
 
     The dtype is real when every entry is real (floating-zero imaginary
     parts, as ``SupportedMatrix.is_real`` decides) and complex otherwise.
+    Each row is filled flat: the diagonal through a stride of ``n + 1``
+    and the edges at ``Graph.dense_positions``.
     """
-    real = not offdiag.imag.any()
-    n = graph.n
-    rs = graph.endpoints
-    dense = np.zeros((len(offdiag), n, n),
+    real = offdiag.dtype.kind != "c" or not offdiag.imag.any()
+    n, (upper, lower) = graph.n, graph.dense_positions
+    dense = np.zeros((len(offdiag), n * n),
                      dtype=np.float64 if real else np.complex128)
-    dense[:, np.arange(n), np.arange(n)] = diag
-    upper = offdiag.real if real else offdiag
-    dense[:, rs[:, 0], rs[:, 1]] = upper
-    dense[:, rs[:, 1], rs[:, 0]] = upper if real else np.conj(offdiag)
-    return dense
+    dense[:, ::n + 1] = diag
+    entries = offdiag.real if real else offdiag
+    dense[:, upper] = entries
+    dense[:, lower] = entries if real else np.conj(offdiag)
+    return dense.reshape(len(offdiag), n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,8 +207,9 @@ class SigningClasses:
     """Switching classes of the signings of a real matrix, in the forest
     gauge.
 
-    The id of a class packs the sign parity around fundamental cycle
-    ``j`` of ``cycle_basis`` into bit ``j``; the ids are exactly
+    The id of a class packs the sign parity around cycle ``j`` of
+    ``cycle_basis``, the fundamental cycle of the non-forest edge
+    ``nonforest[j]``, into bit ``j``; the ids are exactly
     ``0 .. 2^beta - 1``.  Class ``c`` is represented by the signing that
     keeps every forest edge unflipped and flips the non-forest edge of
     cycle ``j`` (``nonforest[j]`` in canonical edge order) exactly when
@@ -242,16 +246,20 @@ def gauge_classes_of_signings(h: SupportedMatrix, cap: int = SIGNING_CAP
     each class has exactly one member that leaves the forest unflipped,
     and that member is its representative.  Nothing is enumerated up
     front; ``cap`` bounds beta.  The classes depend on the graph only,
-    so zero entries are allowed.
+    so zero entries are allowed.  They read the non-forest positions off
+    the graph's spanning forest; no cycle is built.
     """
     if not h.is_real:
         raise ValueError("signing classes are defined for real matrices")
-    basis = cycle_basis(h.graph)
-    beta = len(basis)
+    nonforest = h.graph.spanning_forest.nonforest
+    beta = len(nonforest)
+    if beta != betti_number(h.graph):
+        raise InternalCrossCheckError(
+            "non-forest edge count does not match the Betti number")
     if beta > cap:
         raise CapExceededError(
             f"class enumeration over beta {beta} exceeds the cap of {cap}")
-    return SigningClasses(graph=h.graph, nonforest=basis.nonforest_indices,
+    return SigningClasses(graph=h.graph, nonforest=nonforest,
                           class_size=1 << (h.graph.num_edges - beta))
 
 
@@ -311,29 +319,30 @@ def operator_from_json(obj) -> SupportedMatrix:
     entries = obj["offdiag"]
     if not isinstance(entries, list):
         raise SchemaError("'offdiag' must be a list")
-    off = np.zeros(g.num_edges, dtype=np.complex128)
+    index = g.edge_index
+    off = [0j] * g.num_edges
     seen = set()
     for item in entries:
-        if not isinstance(item, dict) or not {"edge", "re", "im"} <= set(item):
+        if not (isinstance(item, dict)
+                and "edge" in item and "re" in item and "im" in item):
             raise SchemaError("each off-diagonal entry needs 'edge', 're', 'im'")
         e = item["edge"]
         if not _is_vertex_pair(e):
             raise SchemaError(f"bad edge reference {e!r}")
-        key = (min(e), max(e))
-        if key not in g.edge_index:
+        r, s = e
+        i = index.get((r, s) if r <= s else (s, r))
+        if i is None:
             raise SchemaError(f"edge {e!r} is not in the graph")
-        if key in seen:
+        if i in seen:
             raise SchemaError(f"edge {e!r} listed twice")
-        seen.add(key)
+        seen.add(i)
         re, im = item["re"], item["im"]
         if not (_is_number(re) and _is_number(im)):
             raise SchemaError(
                 f"entry for edge {e!r} must have finite numeric re/im")
         value = complex(float(re), float(im))
-        if tuple(e) != key:
-            value = value.conjugate()
-        off[g.edge_index[key]] = value
+        off[i] = value.conjugate() if r > s else value
     if len(seen) != g.num_edges:
-        missing = [e for e in g.edges if e not in seen]
+        missing = [e for i, e in enumerate(g.edges) if i not in seen]
         raise SchemaError(f"missing off-diagonal entries for edges {missing}")
-    return SupportedMatrix(g, np.asarray(diag, dtype=np.float64), off)
+    return SupportedMatrix(g, diag, off)

@@ -110,7 +110,7 @@ def support_components(g: Graph, basis: EigenspaceBasis,
     supp = tuple(int(i) for i in np.nonzero(norms > tol)[0])
     if not supp:
         return supp, []
-    sub, _ = induced_subgraph(g, supp)
+    sub = induced_subgraph(g, supp)
     return supp, [[supp[i] for i in comp] for comp in connected_components(sub)]
 
 

@@ -16,11 +16,13 @@ cycle through the lowest common ancestor, independent of the root
 paths in ``graphs``.  ``cycle_basis_by_loop`` builds the same cycles
 from the root paths one at a time, each checked by ``boundary``, against
 which the array build must agree bit for bit, and ``lose_a_root_path``
-plants the fault that its boundary check must catch, through the one
-breadth-first walk.  ``root_paths`` is the root-path oracle: each
+plants the fault that its boundary check must catch, through the
+forest's root paths.  ``root_paths`` is the root-path oracle: each
 vertex's path follows its parent's, in any order of the parent array,
-against which the walk's paths must agree and over which
-``cycle_basis_from_forest`` builds custom forests.
+against which the forest's paths must agree.
+``cycle_basis_from_forest`` builds the basis of a custom forest, its
+non-forest positions found by set difference and its root paths
+filled by depth.
 ``complex_products`` is the complex product oracle: on real entries
 and vectors, the real products of ``nodal.edge_products`` must give
 the same checks.
@@ -62,9 +64,16 @@ the edge products gathered along the last axis, and the kernel's masks
 reduced along their last axis with ``any`` and ``np.count_nonzero``, as
 the kernel ran before its vertex- and edge-major layout.  Its fields,
 verdicts and errors must agree with them bit for bit.
+``dense_by_fancy_index``, ``operator_by_items`` and
+``nonforest_by_set_difference`` are the set-up oracles, each the
+version the package ran before its one-pass rewrite: the dense stack
+filled through two-axis fancy indices, the operator document parsed
+one numpy item assignment per entry, and the non-forest positions as
+the edges the forest leaves out.  ``dense_matrices``,
+``operator_from_json`` (the same bits or the same ``SchemaError``
+message) and ``SpanningForest.nonforest`` must agree with them.
 """
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -79,8 +88,10 @@ from magnodal.errors import (AdmissibilityError, CapExceededError,
                              InternalCrossCheckError, NonSimpleEigenvalueError,
                              VanishingEigenvectorError)
 import magnodal.graphs as graphs
-from magnodal.graphs import (Chain, CycleBasis, Graph, betti_number, boundary,
-                             cycle_basis, num_components)
+from magnodal.errors import SchemaError
+from magnodal.graphs import (Chain, CycleBasis, Graph, _is_number,
+                             betti_number, boundary, cycle_basis,
+                             graph_from_json, num_components)
 from magnodal.linkage import GENERICITY_TOL, LENGTH_CAP
 from magnodal.morse import (TWO_PI, CriticalityReport, CriticalPointReport,
                             TorusPoint, _check_symmetry, _hessian,
@@ -317,18 +328,17 @@ def cycle_basis_by_loop(g: Graph, forest, up) -> CycleBasis:
 
 
 def lose_a_root_path(monkeypatch) -> None:
-    """Make every spanning forest walked from now on forget the root
-    path of its last vertex, so a cycle through that vertex has a
+    """Make every spanning forest read from now on forget the root path
+    of its last vertex, so a cycle through that vertex has a
     boundary."""
-    original = graphs._bfs_walk
+    original = graphs.SpanningForest.up.func
 
-    def wrong(g):
-        forest = original(g)
-        up = forest.up.copy()
+    def wrong(forest):
+        up = original(forest).copy()
         up[-1] = 0
-        return dataclasses.replace(forest, up=up)
+        return up
 
-    monkeypatch.setattr(graphs, "_bfs_walk", wrong)
+    monkeypatch.setattr(graphs.SpanningForest, "up", property(wrong))
 
 
 def complex_products(graph: Graph, offdiag: np.ndarray,
@@ -428,7 +438,96 @@ def root_paths(g: Graph, parent) -> np.ndarray:
 def cycle_basis_from_forest(g: Graph, forest, parent) -> CycleBasis:
     """The array build of the fundamental cycles of ``g`` over the
     spanning forest ``forest`` with the parent array ``parent``."""
-    return graphs._fundamental_cycles(g, forest, root_paths(g, parent))
+    return graphs._fundamental_cycles(g, graphs.SpanningForest(
+        g, tuple(forest), tuple(parent), by_depth(parent),
+        nonforest_by_set_difference(g, forest)))
+
+
+def by_depth(parent) -> tuple[int, ...]:
+    """The vertices of the forest ``parent`` (-1 at roots), roots first
+    and each after its parent."""
+    def depth(v):
+        d = 0
+        while parent[v] != -1:
+            v, d = parent[v], d + 1
+        return d
+
+    return tuple(sorted(range(len(parent)), key=depth))
+
+
+def nonforest_by_set_difference(g: Graph, forest) -> np.ndarray:
+    """Canonical positions of the edges that the spanning forest with
+    the edges ``forest`` leaves out."""
+    forest_set = set(forest)
+    return np.flatnonzero([e not in forest_set for e in g.edges])
+
+
+def dense_by_fancy_index(graph: Graph, diag: np.ndarray,
+                         offdiag: np.ndarray) -> np.ndarray:
+    """``operators.dense_matrices`` filled through ``(row, col)`` index
+    pairs on an ``(S, n, n)`` stack."""
+    real = not offdiag.imag.any()
+    n = graph.n
+    rs = graph.endpoints
+    dense = np.zeros((len(offdiag), n, n),
+                     dtype=np.float64 if real else np.complex128)
+    dense[:, np.arange(n), np.arange(n)] = diag
+    upper = offdiag.real if real else offdiag
+    dense[:, rs[:, 0], rs[:, 1]] = upper
+    dense[:, rs[:, 1], rs[:, 0]] = upper if real else np.conj(offdiag)
+    return dense
+
+
+def is_vertex_pair_by_any(e) -> bool:
+    """``graphs._is_vertex_pair`` with one generator over both ends."""
+    return (isinstance(e, (list, tuple)) and len(e) == 2
+            and not any(isinstance(x, bool) or not isinstance(x, int)
+                        for x in e))
+
+
+def operator_by_items(obj) -> SupportedMatrix:
+    """``operators.operator_from_json`` with one numpy item assignment
+    per entry, a set of canonical pairs for the entries seen, and a
+    membership test before each edge lookup."""
+    if not isinstance(obj, dict):
+        raise SchemaError("operator document must be a JSON object")
+    for key in ("graph", "diag", "offdiag"):
+        if key not in obj:
+            raise SchemaError(f"operator document needs key '{key}'")
+    g = graph_from_json(obj["graph"])
+    diag = obj["diag"]
+    if (not isinstance(diag, list) or len(diag) != g.n
+            or not all(_is_number(x) for x in diag)):
+        raise SchemaError("'diag' must be a list of n finite numbers")
+    entries = obj["offdiag"]
+    if not isinstance(entries, list):
+        raise SchemaError("'offdiag' must be a list")
+    off = np.zeros(g.num_edges, dtype=np.complex128)
+    seen = set()
+    for item in entries:
+        if not isinstance(item, dict) or not {"edge", "re", "im"} <= set(item):
+            raise SchemaError("each off-diagonal entry needs 'edge', 're', 'im'")
+        e = item["edge"]
+        if not is_vertex_pair_by_any(e):
+            raise SchemaError(f"bad edge reference {e!r}")
+        key = (min(e), max(e))
+        if key not in g.edge_index:
+            raise SchemaError(f"edge {e!r} is not in the graph")
+        if key in seen:
+            raise SchemaError(f"edge {e!r} listed twice")
+        seen.add(key)
+        re, im = item["re"], item["im"]
+        if not (_is_number(re) and _is_number(im)):
+            raise SchemaError(
+                f"entry for edge {e!r} must have finite numeric re/im")
+        value = complex(float(re), float(im))
+        if tuple(e) != key:
+            value = value.conjugate()
+        off[g.edge_index[key]] = value
+    if len(seen) != g.num_edges:
+        missing = [e for e in g.edges if e not in seen]
+        raise SchemaError(f"missing off-diagonal entries for edges {missing}")
+    return SupportedMatrix(g, np.asarray(diag, dtype=np.float64), off)
 
 
 def projects_surjectively(basis: EigenspaceBasis, edge: tuple[int, int],

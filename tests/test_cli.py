@@ -476,8 +476,8 @@ class TestCriticalScan:
         built = []
         original = graphs._fundamental_cycles
 
-        def counting(g, forest, up):
-            built.append(original(g, forest, up))
+        def counting(g, forest):
+            built.append(original(g, forest))
             return built[-1]
 
         monkeypatch.setattr(graphs, "_fundamental_cycles", counting)
@@ -840,7 +840,8 @@ class TestSubcommandOptions:
         expected = own - {"out", "tol_degeneracy", "tol_vanish"}
         assert set(record["config"]) == expected | {"command"}
         assert record["config"]["command"] == command
-        assert set(record["tolerances"]) == {"degeneracy", "vanish"}
+        assert set(record["tolerances"]) \
+            == {"degeneracy", "vanish", "product", "real"}
 
 
 class TestNonFiniteInput:

@@ -6,12 +6,13 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (cycle_basis_by_lca, cycle_basis_by_loop,
-                      cycle_basis_from_forest, lose_a_root_path, root_paths,
-                      same_bits, small_graphs)
+                      cycle_basis_from_forest, lose_a_root_path,
+                      nonforest_by_set_difference, root_paths, same_bits,
+                      small_graphs)
 import magnodal
 from magnodal.errors import (
     GraphMismatchError,
@@ -61,6 +62,23 @@ class TestGraph:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             Graph(-1)
+
+    @pytest.mark.parametrize("n", [True, False, 3.0])
+    def test_vertex_count_must_be_an_int(self, n):
+        with pytest.raises(ValueError, match="vertex count"):
+            Graph(n, ())
+
+    @pytest.mark.parametrize("edge", [(True, 2), (0, False), (0, 2.0),
+                                      (1.5, 2), (np.bool_(True), 2),
+                                      (0, np.float64(2.0)), ("0", 2)])
+    def test_endpoints_must_be_integers(self, edge):
+        with pytest.raises(ValueError, match="integer vertex"):
+            Graph(3, ((0, 1), edge))
+
+    def test_numpy_integer_endpoints(self):
+        g = Graph(3, ((np.int64(2), np.int32(0)), (np.intp(1), 2)))
+        assert g == Graph(3, ((0, 2), (1, 2)))
+        assert all(type(v) is int for e in g.edges for v in e)
 
     def test_adjacency_and_lookup(self):
         g = c3()
@@ -117,9 +135,9 @@ class TestGraph:
         built = []
         original = graphs._fundamental_cycles
 
-        def counting(g, forest, up):
+        def counting(g, forest):
             built.append(g)
-            return original(g, forest, up)
+            return original(g, forest)
 
         monkeypatch.setattr(graphs, "_fundamental_cycles", counting)
         g = k4()
@@ -244,19 +262,40 @@ def bfs_parents(g: Graph) -> list[int]:
 
 
 class TestOneWalk:
-    """One walk gives the parents in breadth-first order, the forest
-    edges and the root paths; the basis is one read-only array."""
+    """One walk gives the parents in breadth-first order, the walk's
+    order and the forest edges, and the root paths follow on first
+    read; the basis is one read-only array."""
 
     @settings(max_examples=200, deadline=None)
     @given(small_graphs(9))
     def test_walk_against_the_queue_and_the_parent_paths(self, g):
         forest = g.spanning_forest
         assert list(forest.parent) == bfs_parents(g)
+        at = {v: i for i, v in enumerate(forest.order)}
+        assert sorted(forest.order) == list(range(g.n))
+        assert all(at[p] < at[v] for v, p in enumerate(forest.parent)
+                   if p != -1)
+        assert "up" not in vars(forest)
         assert forest.edges == tuple(sorted(
             (min(p, v), max(p, v)) for v, p in enumerate(forest.parent)
             if p != -1))
         assert forest.up.dtype == np.int64 and not forest.up.flags.writeable
         assert same_bits(forest.up, root_paths(g, forest.parent))
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(9))
+    @example(Graph(0))
+    @example(Graph(3))
+    @example(Graph(4, ((0, 1), (1, 2), (1, 3))))
+    @example(Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4))))
+    def test_nonforest_against_the_set_difference(self, g):
+        nonforest = g.spanning_forest.nonforest
+        assert nonforest.dtype == np.int64 and nonforest.ndim == 1
+        assert not nonforest.flags.writeable
+        assert nonforest.tolist() == nonforest_by_set_difference(
+            g, g.spanning_forest.edges).tolist()
+        assert len(nonforest) == betti_number(g)
+        assert cycle_basis(g).nonforest_indices is nonforest
 
     def test_basis_is_one_array_with_chains_on_first_read(self):
         g = complete_graph(6)
@@ -420,25 +459,25 @@ class TestForestAndCycles:
 
 class TestInducedSubgraph:
     def test_c3_pair(self):
-        sub, remap = induced_subgraph(c3(), [0, 1])
+        sub = induced_subgraph(c3(), [0, 1])
         assert sub.n == 2 and sub.edges == ((0, 1),)
-        assert remap == {0: 0, 1: 1}
 
     def test_identity(self):
         g = c3()
-        sub, _ = induced_subgraph(g, range(3))
-        assert sub == g
+        assert induced_subgraph(g, range(3)) == g
 
     def test_star_minus_center(self):
         g = Graph(4, ((0, 1), (0, 2), (0, 3)))
-        sub, _ = induced_subgraph(g, [1, 2, 3])
+        sub = induced_subgraph(g, [1, 2, 3])
         assert sub.n == 3 and sub.edges == ()
 
     def test_relabeling(self):
-        g = Graph(5, ((1, 3), (3, 4)))
-        sub, remap = induced_subgraph(g, [4, 3, 1])
-        assert remap == {1: 0, 3: 1, 4: 2}
-        assert sub.edges == ((0, 1), (1, 2))
+        # vertices 1, 3, 4 become 0, 1, 2 in ascending order, whatever
+        # order they are given in; the edge (0, 1) leaves with vertex 0
+        g = Graph(5, ((0, 1), (1, 3), (3, 4), (1, 4)))
+        sub = induced_subgraph(g, [4, 3, 1])
+        assert sub == Graph(3, ((0, 1), (1, 2), (0, 2)))
+        assert sub.edges == ((0, 1), (0, 2), (1, 2))
 
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError):
@@ -469,7 +508,6 @@ class TestCycleBasisChecks:
 
     def test_nonzero_boundary_survives_optimized_mode(self):
         script = textwrap.dedent("""
-            import dataclasses
             import sys
             import magnodal.graphs as graphs
             from magnodal.errors import InternalCrossCheckError
@@ -477,15 +515,14 @@ class TestCycleBasisChecks:
 
             if not sys.flags.optimize:
                 sys.exit(2)
-            original = graphs._bfs_walk
+            original = graphs.SpanningForest.up.func
 
-            def wrong(g):
-                forest = original(g)
-                up = forest.up.copy()
+            def wrong(forest):
+                up = original(forest).copy()
                 up[-1] = 0
-                return dataclasses.replace(forest, up=up)
+                return up
 
-            graphs._bfs_walk = wrong
+            graphs.SpanningForest.up = property(wrong)
             try:
                 graphs.cycle_basis(complete_graph(4))
             except InternalCrossCheckError as exc:

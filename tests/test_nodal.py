@@ -351,6 +351,15 @@ class TestAveragedDistribution:
         assert d.counts.tolist() == [32, 96, 96, 32]
         assert d.mean == 1.5 and d.variance == 0.75
 
+    def test_builds_no_cycle_basis(self):
+        # the classes read the forest's non-forest positions; no cycle
+        # coefficient or root path is read, so none is built
+        h = strong_diagonal_fixture(complete_graph(5))
+        average_surplus_distribution(h)
+        assert "spanning_forest" in h.graph.__dict__
+        assert "fundamental_cycles" not in h.graph.__dict__
+        assert "up" not in h.graph.spanning_forest.__dict__
+
     def test_class_weighted_agrees_with_full(self):
         # every one of the 2^6 signings, each solved on its own
         h = strong_diagonal_fixture(complete_graph(4))

@@ -1,27 +1,33 @@
+import copy
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (class_id, classes_by_enumeration, cycle_masks,
-                      enumerate_signings, forest_mask, index_of, signs_of,
-                      small_graphs)
+                      dense_by_fancy_index, enumerate_signings, forest_mask,
+                      index_of, is_vertex_pair_by_any, operator_by_items,
+                      same_bits, signs_of, small_graphs)
 from magnodal.errors import (
     CapExceededError,
     GraphMismatchError,
+    InternalCrossCheckError,
     NotProperlySupportedError,
     SchemaError,
 )
 from magnodal.families import (complete_minus_matching, path_graph,
                                random_connected_graph)
-from magnodal.graphs import Graph, OneForm, betti_number, num_components
+from magnodal.graphs import (Graph, OneForm, _is_vertex_pair, betti_number,
+                             num_components)
 from magnodal.operators import (
     FLUX_TOL,
     GaugePhase,
     SupportedMatrix,
     abs_part,
+    dense_matrices,
     gauge_classes_of_signings,
     gauge_transform,
     is_gauge_equiv_to_symmetry,
@@ -227,6 +233,13 @@ class TestSigningClasses:
         masks = cycle_masks(c3())
         ids = [class_id(masks, index) for index in range(8)]
         assert sorted(ids) == [0, 0, 0, 0, 1, 1, 1, 1]
+
+    def test_betti_cross_check(self, monkeypatch):
+        import magnodal.operators as operators
+
+        monkeypatch.setattr(operators, "betti_number", lambda g: 0)
+        with pytest.raises(InternalCrossCheckError, match="Betti"):
+            gauge_classes_of_signings(c3_op())
 
     def test_k4_eight_classes_of_eight(self):
         classes = gauge_classes_of_signings(
@@ -489,3 +502,126 @@ class TestOperatorJson:
             with pytest.raises(SchemaError):
                 operator_from_json(doc)
         operator_from_json(good)
+
+
+class TestDenseAgainstFancyIndex:
+    """The flat scatter of ``dense_matrices`` against the two-axis fancy
+    index it replaced: the same dtype, shape and bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(6), st.integers(0, 4),
+           st.sampled_from(["real", "complex zero imaginary", "complex"]),
+           st.integers(0, 2 ** 32 - 1))
+    @example(Graph(0), 3, "complex", 0)
+    @example(Graph(1), 2, "real", 0)
+    @example(Graph(3), 2, "complex", 0)
+    @example(k4(), 0, "real", 0)
+    @example(k4(), 0, "complex", 0)
+    def test_same_bits(self, g, stack, kind, seed):
+        rng = np.random.default_rng(seed)
+        diag = rng.normal(size=g.n)
+        off = rng.normal(size=(stack, g.num_edges))
+        off[rng.random(off.shape) < 0.2] = -0.0
+        if kind != "real":
+            off = off.astype(np.complex128)
+        if kind == "complex":
+            off += 1j * rng.normal(size=off.shape)
+        got = dense_matrices(g, diag, off)
+        want = dense_by_fancy_index(g, diag, off)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert same_bits(got, want)
+
+
+#: Edits of a valid operator document, each one entry's or key's worth.
+JSON_EDITS = ("reverse", "duplicate", "duplicate reversed", "bool vertex",
+              "nan", "drop key", "non-dict", "drop entry", "foreign edge",
+              "shuffle")
+
+
+def edit_document(doc: dict, edit: str, rng) -> None:
+    """Apply ``edit`` in place at positions drawn from ``rng``.  A
+    document that has lost a key is left as it is, and an entry edit
+    picks an entry that an earlier edit left whole."""
+    if len(doc) < 3:
+        return
+    entries = doc["offdiag"]
+    whole = [j for j, item in enumerate(entries)
+             if isinstance(item, dict) and len(item) == 3]
+    i = whole[int(rng.integers(len(whole)))] if whole else None
+
+    def reversed_entry(item):
+        r, s = item["edge"]
+        return {"edge": [s, r], "re": item["re"], "im": -item["im"]}
+
+    if edit == "shuffle":
+        rng.shuffle(entries)
+    elif edit == "foreign edge":
+        n = doc["graph"]["n"]
+        entries.append({"edge": [0, n], "re": 1.0, "im": 0.0})
+    elif edit == "nan":
+        where = [("diag", j) for j in range(len(doc["diag"]))] + [
+            (key, j) for j in whole for key in ("re", "im")]
+        if where:
+            key, j = where[int(rng.integers(len(where)))]
+            if key == "diag":
+                doc["diag"][j] = float("nan")
+            else:
+                entries[j][key] = float("nan")
+    elif edit == "drop key":
+        keys = [("doc", k) for k in ("graph", "diag", "offdiag")] + [
+            ("entry", k) for k in ("edge", "re", "im") if i is not None]
+        where, key = keys[int(rng.integers(len(keys)))]
+        (doc if where == "doc" else entries[i]).pop(key)
+    elif i is None:
+        return
+    elif edit == "reverse":
+        entries[i] = reversed_entry(entries[i])
+    elif edit == "duplicate":
+        entries.append(dict(entries[i]))
+    elif edit == "duplicate reversed":
+        entries.append(reversed_entry(entries[i]))
+    elif edit == "bool vertex":
+        entries[i]["edge"][int(rng.integers(2))] = bool(rng.integers(2))
+    elif edit == "non-dict":
+        entries[i] = [entries[i]["edge"], entries[i]["re"]]
+    elif edit == "drop entry":
+        entries.pop(i)
+
+
+def parse_outcome(parse, doc):
+    """The parsed operator's graph and bits, or the error's message."""
+    try:
+        h = parse(copy.deepcopy(doc))
+    except SchemaError as exc:
+        return "SchemaError", str(exc)
+    return h.graph, h.diag.tobytes(), h.offdiag.tobytes()
+
+
+class TestOperatorJsonAgainstItems:
+    """The one-pass ``operator_from_json`` against the item-by-item parse
+    it replaced: the same bits, or the same ``SchemaError`` message
+    (which one wins when several apply included)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(small_graphs(5), st.integers(0, 2 ** 32 - 1),
+           st.lists(st.sampled_from(JSON_EDITS), max_size=3))
+    @example(Graph(0), 0, [])
+    @example(Graph(2), 0, ["drop key"])
+    def test_same_outcome(self, g, seed, edits):
+        rng = np.random.default_rng(seed)
+        h = random_op(g, rng, complex_entries=bool(seed & 1))
+        doc = json.loads(json.dumps(operator_to_json(h)))
+        for edit in edits:
+            edit_document(doc, edit, rng)
+        assert parse_outcome(operator_from_json, doc) \
+            == parse_outcome(operator_by_items, doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(
+        st.one_of(st.integers(-2, 2), st.booleans(), st.none(),
+                  st.floats(allow_nan=True), st.text(max_size=1)),
+        lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                st.tuples(inner, inner)),
+        max_leaves=4))
+    def test_vertex_pairs(self, e):
+        assert _is_vertex_pair(e) == is_vertex_pair_by_any(e)

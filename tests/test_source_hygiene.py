@@ -23,7 +23,11 @@ only ``edge_products``, the one product formula, reads an edge's
 time through ``Graph.index_of``: edge arrays are selected by masks.
 No module reads ``CycleBasis.cycles``: the package takes a basis as
 its one coefficient array, so no per-cycle ``Chain`` comes back into a
-hot path.  ``cli`` imports no ``_``-prefixed name from another package module:
+hot path.  Only the readers of that array, ``morse``, ``linkage`` and
+``operators.flux_defects``, call ``cycle_basis``, and only
+``graphs.cycle_basis`` reads ``Graph.fundamental_cycles``: the
+switching classes, and so the class sum, read the spanning forest
+alone and never build a basis.  ``cli`` imports no ``_``-prefixed name from another package module:
 what the commands need is public.  The "Public API" section of
 ``README.md`` lists every name the package exports, once.
 """
@@ -159,6 +163,25 @@ def method_callers(trees: dict[Path, ast.Module], method: str
                      and node.func.attr == method)
 
 
+def function_callers(trees: dict[Path, ast.Module], name: str
+                     ) -> list[str]:
+    """Where a function or method named ``name`` is called."""
+    return locations(trees, lambda node: isinstance(node, ast.Call)
+                     and getattr(node.func, "id",
+                                 getattr(node.func, "attr", None)) == name)
+
+
+#: The modules and functions that read cycle basis coefficients.
+BASIS_READERS = ("morse", "linkage", "operators.flux_defects")
+
+
+def basis_builders(trees: dict[Path, ast.Module]) -> list[str]:
+    """Callers of ``cycle_basis`` outside ``BASIS_READERS``."""
+    return [where for where in function_callers(trees, "cycle_basis")
+            if where not in BASIS_READERS
+            and where.split(".")[0] not in BASIS_READERS]
+
+
 def callers_outside(trees: dict[Path, ast.Module], method: str,
                     module: str) -> list[str]:
     """Where a method named ``method`` is called outside ``module``."""
@@ -257,6 +280,14 @@ def test_no_module_reads_cycles_as_chains():
     assert attribute_readers(trees, "cycles") == []
 
 
+def test_only_coefficient_readers_build_a_cycle_basis():
+    trees = {p: parse(p) for p in MODULES}
+    assert basis_builders(trees) == []
+    assert "operators.flux_defects" in function_callers(trees, "cycle_basis")
+    assert attribute_readers(trees, "fundamental_cycles") \
+        == ["graphs.cycle_basis"]
+
+
 def test_only_graphs_looks_up_single_edges():
     trees = {p: parse(p) for p in MODULES}
     assert callers_outside(trees, "index_of", "graphs") == []
@@ -335,6 +366,19 @@ def test_checks_catch_what_they_look_for():
                           "    def cycles(self):\n        return ()\n"
                           "n = len(cycle_basis(g).cycles)\nb.cycles = ()\n")}
     assert attribute_readers(trees, "cycles") == ["a.flux", "a"]
+    trees = {Path("nodal.py"): ast.parse(
+        "def _surplus_counts(h):\n    return cycle_basis(h.graph)\n"),
+        Path("operators.py"): ast.parse(
+        "def flux_defects(g):\n    return graphs.cycle_basis(g).coeffs\n"
+        "def gauge_classes_of_signings(h):\n"
+        "    return len(cycle_basis(h.graph))\n"),
+        Path("morse.py"): ast.parse(
+        "def f(g):\n    return cycle_basis(g)\nb = cycle_basis(g)\n")}
+    assert function_callers(trees, "cycle_basis") == [
+        "morse.f", "morse", "nodal._surplus_counts",
+        "operators.flux_defects", "operators.gauge_classes_of_signings"]
+    assert basis_builders(trees) == [
+        "nodal._surplus_counts", "operators.gauge_classes_of_signings"]
     assert private_imports(ast.parse(
         "from . import __version__\nfrom .nodal import (_every_position,\n"
         "    nodal_count)\nfrom .spectral import eigh, _check_k\n"

@@ -1,6 +1,8 @@
 """Command-line experiment harness.
 
 Thin wrappers over the library operations plus result persistence.
+The library decides every precondition of a computation and raises
+its error; a command checks only its own options.
 Every run emits a record carrying the config echo, tolerances, and the
 results payload; identical configs reproduce the results payload
 byte-for-byte.  Exit codes: 0 success, 2 precondition of the
@@ -47,7 +49,6 @@ from .nodal import (
     PRODUCT_DEGENERATE_TOL,
     PRODUCT_REAL_TOL,
     average_surplus_distribution,
-    nodal_count,
     normalized_distribution,
     position_checks,
 )
@@ -222,7 +223,8 @@ def _config_echo(args) -> dict:
 
 
 def _emit(args, payload: dict, csv_spec=None) -> None:
-    """Write the run record and optional CSV table, echo to stdout."""
+    """Write the run record and optional CSV table, echo to stdout; the
+    table's rows, maybe a generator, are read once, if printed or written."""
     record = {
         "artifact": {"name": "magnodal", "version": __version__},
         "config": _config_echo(args),
@@ -236,17 +238,18 @@ def _emit(args, payload: dict, csv_spec=None) -> None:
         "wall_time_s": round(time.monotonic() - args._t0, 3),
     }
     if args.out:
-        stem = _stem(args.out)
-        write_json(stem + ".json", record)
-        if csv_spec is not None:
-            write_csv(stem + ".csv", *csv_spec)
-    if csv_spec is not None and args.format == "csv":
-        _, header, rows = csv_spec
-        print(",".join(header))
-        for row in rows:
-            print(",".join(csv_cell(x) for x in row))
-    else:
-        print(dumps_canonical(payload))
+        write_json(_stem(args.out) + ".json", record)
+    if csv_spec is not None and (args.out or args.format == "csv"):
+        schema, header, rows = csv_spec
+        rows = list(rows)
+        if args.out:
+            write_csv(_stem(args.out) + ".csv", schema, header, rows)
+        if args.format == "csv":
+            print(",".join(header))
+            for row in rows:
+                print(",".join(csv_cell(x) for x in row))
+            return
+    print(dumps_canonical(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -259,33 +262,23 @@ def cmd_spectrum(args) -> None:
     payload = {"eigenvalues": [float(x) for x in es.values]}
     _emit(args, payload,
           ("magnodal/spectrum", ["k", "eigenvalue"],
-           [[k + 1, float(x)] for k, x in enumerate(es.values)]))
+           ([k + 1, float(x)] for k, x in enumerate(es.values))))
 
 
 def cmd_nodal_dist(args) -> None:
     h = _load_operator(args)
-    if args.k is not None:
-        count = nodal_count(h, args.k, tol_degeneracy=args.tol_degeneracy,
-                            tol_vanish=args.tol_vanish)
-        surplus = count - (args.k - 1)
-        payload = {"k": args.k, "nodal_count": count, "surplus": surplus,
-                   "betti": betti_number(h.graph)}
-        _emit(args, payload,
-              ("magnodal/nodal", ["k", "status", "nodal_count", "surplus"],
-               [[args.k, "ok", count, surplus]]))
-        return
     es = eigh(h)
     checks = position_checks(h, h.offdiag[None], es.values[None],
                              es.vectors[None],
                              tol_degeneracy=args.tol_degeneracy,
                              tol_vanish=args.tol_vanish)
-    rows = []
-    histogram = [0] * (betti_number(h.graph) + 1)
-    admissible = 0
-    for k in range(1, h.graph.n + 1):
+    beta = betti_number(h.graph)
+    rows, histogram = [], [0] * (beta + 1)
+    for k in range(1, h.graph.n + 1) if args.k is None else [args.k]:
         exc = checks.error(0, k - 1)
         if exc is not None:
-            if not isinstance(exc, AdmissibilityError):
+            # the position --k asks for must pass; a table lists failures
+            if args.k is not None or not isinstance(exc, AdmissibilityError):
                 raise exc
             rows.append({"k": k, "status": "inadmissible",
                          "reason": str(exc), "nodal_count": None,
@@ -294,23 +287,20 @@ def cmd_nodal_dist(args) -> None:
         surplus = int(checks.surplus[0, k - 1])
         count = surplus + k - 1
         histogram[surplus] += 1
-        admissible += 1
         rows.append({"k": k, "status": "ok", "reason": "",
                      "nodal_count": count, "surplus": surplus})
-    payload = {"betti": betti_number(h.graph), "rows": rows,
-               "surplus_histogram": histogram, "admissible": admissible}
+    payload = ({"betti": beta, "rows": rows, "surplus_histogram": histogram,
+                "admissible": sum(histogram)} if args.k is None else
+               {"k": k, "nodal_count": count, "surplus": surplus,
+                "betti": beta})
     _emit(args, payload,
           ("magnodal/nodal", ["k", "status", "nodal_count", "surplus"],
-           [[r["k"], r["status"], r["nodal_count"], r["surplus"]]
-            for r in rows]))
+           ([r["k"], r["status"], r["nodal_count"], r["surplus"]]
+            for r in rows)))
 
 
 def cmd_avg_dist(args) -> None:
     h = _load_operator(args)
-    if not h.is_real:
-        raise AdmissibilityError(
-            "the signing average is stated for real matrices; this operator "
-            "has complex entries")
     dist = average_surplus_distribution(
         h, skip_inadmissible=args.skip_inadmissible,
         tol_degeneracy=args.tol_degeneracy, tol_vanish=args.tol_vanish)
@@ -347,15 +337,11 @@ def cmd_avg_dist(args) -> None:
     }
     _emit(args, payload,
           ("magnodal/avg-dist", ["surplus", "count", "prob"],
-           [[s, int(dist.counts[s]), probs[s]] for s in range(beta + 1)]))
+           ([s, int(dist.counts[s]), probs[s]] for s in range(beta + 1))))
 
 
 def cmd_critical_scan(args) -> None:
     h = _load_operator(args)
-    if not h.is_real:
-        raise AdmissibilityError(
-            "the scan sweeps the torus over a real base matrix; this "
-            "operator has complex entries")
     result = critical_scan(h, args.k, starts=args.starts, seed=args.seed,
                            tol_degeneracy=args.tol_degeneracy,
                            tol_vanish=args.tol_vanish)
@@ -372,17 +358,13 @@ def cmd_critical_scan(args) -> None:
     _emit(args, payload,
           ("magnodal/critical-scan",
            ["classification", "morse_index", "nullity", "origin", "coords"],
-           [[r.classification, r.morse_index, r.nullity, r.origin,
+           ([r.classification, r.morse_index, r.nullity, r.origin,
              ";".join("%.6f" % c for c in r.coords)]
-            for r in result.reports]))
+            for r in result.reports)))
 
 
 def cmd_verify_index(args) -> None:
     h = _load_operator(args)
-    if not h.is_real:
-        raise AdmissibilityError(
-            "index-versus-surplus verification runs over the signings of a "
-            "real matrix; this operator has complex entries")
     table = verify_index_equals_surplus(h, tol_degeneracy=args.tol_degeneracy,
                                         tol_vanish=args.tol_vanish)
     payload = {
@@ -399,8 +381,8 @@ def cmd_verify_index(args) -> None:
     _emit(args, payload,
           ("magnodal/verify-index",
            ["class", "k", "status", "surplus", "index", "reason"],
-           [[";".join(map(str, r.class_parities)) or "-", r.k, r.status,
-             r.surplus, r.index, r.reason] for r in table.rows]))
+           ([";".join(map(str, r.class_parities)) or "-", r.k, r.status,
+             r.surplus, r.index, r.reason] for r in table.rows)))
 
 
 def cmd_linkage_analyze(args) -> None:
@@ -577,9 +559,9 @@ def cmd_clt_experiment(args) -> None:
           ("magnodal/clt-trend",
            ["beta", "samples", "resampled", "ks_to_normal", "mean_abs_mean",
             "mean_abs_variance_dev"],
-           [[row["beta"], row["samples"], row["resampled"],
+           ([row["beta"], row["samples"], row["resampled"],
              row["ks_to_normal"], row["mean_abs_mean"],
-             row["mean_abs_variance_dev"]] for row in trend]))
+             row["mean_abs_variance_dev"]] for row in trend)))
 
 
 # ---------------------------------------------------------------------------

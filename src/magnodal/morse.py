@@ -449,6 +449,20 @@ def _torus_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.max(np.minimum(d, TWO_PI - d), axis=-1)
 
 
+def _first_of_clusters(xs: np.ndarray, radii: np.ndarray,
+                       known: np.ndarray) -> list[int]:
+    """Indices of the first landing point of each cluster among the rows
+    of ``xs`` (S, d): a row is dropped within its radius in ``radii`` (S,)
+    of a ``known`` point, or within the larger radius of a kept row."""
+    kept: list[int] = []
+    for i, (x, radius) in enumerate(zip(xs, radii.tolist())):
+        if not (np.any(_torus_distance(x, known) <= radius)
+                or np.any(_torus_distance(x, xs[kept])
+                          <= np.maximum(radius, radii[kept]))):
+            kept.append(i)
+    return kept
+
+
 def _halton(count: int, dim: int) -> np.ndarray:
     """First ``count`` points of the Halton sequence in ``[0, 1)^dim``."""
     def primes(k: int) -> list[int]:
@@ -672,13 +686,17 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
     low-discrepancy grid and ``starts`` seeded random starts are
     polished toward gradient zeros.  Found points are deduplicated
     against each other and against conjugate partners.  The search side
-    is best effort only and the coverage note says so.  A ``k`` outside
-    ``1..n`` raises ``ValueError``, and a beta over ``SIGNING_CAP``
-    raises ``CapExceededError``, before anything is solved.
+    is best effort only and the coverage note says so.  A complex ``h``
+    (``AdmissibilityError``), a ``k`` outside ``1..n`` (``ValueError``),
+    a zero edge entry (``NotProperlySupportedError``) and a beta over
+    ``SIGNING_CAP`` (``CapExceededError``) raise before anything is solved.
     """
     if not h.is_real:
-        raise ValueError("critical_scan expects a real base matrix")
+        raise AdmissibilityError(
+            "the scan sweeps the torus over a real base matrix; this "
+            "operator has complex entries")
     _check_k(k, h.graph.n)
+    entry_phases(h.offdiag)  # refuses a zero edge entry, which has no phase
     base = abs_part(h)
     basis = cycle_basis(h.graph)
     beta = len(basis)
@@ -695,11 +713,7 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
             known[-1], base, _Solves.at(base.graph, off, values, vectors, k),
             basis, "symmetry-enumeration", **tols)
     known = np.concatenate(known)
-    incorrigible: list[tuple[tuple[float, ...], float]] = []
-
-    unconverged = 0
-    attempted = 0
-    found: list[int] = []  # the starts whose landing points are kept
+    incorrigible, unconverged, attempted = [], 0, 0
     if beta > 0:
         grid = _halton(min(128, max(8, 2 ** beta)), beta) * TWO_PI
         rng = np.random.default_rng(seed)
@@ -709,55 +723,34 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
             tol_degeneracy)
         attempted = len(status)
         unconverged = int(np.count_nonzero(status > _DEGENERATE))
-        # Landing points kept so far, each compared against in one array
-        # operation per start.
-        stuck_x = np.empty((attempted, beta))
-        found_x = np.empty((attempted, beta))
-        found_r = np.empty(attempted)
-        degenerate = status == _DEGENERATE
-        for x, gap in zip(xs[degenerate], auxs[degenerate].tolist()):
-            if np.all(_torus_distance(x, stuck_x[:len(incorrigible)])
-                      > DEDUP_TOL):
-                stuck_x[len(incorrigible)] = x
-                incorrigible.append((tuple(float(c) for c in x), gap))
-        for i in np.flatnonzero(status == _OK).tolist():
-            x, radius = xs[i], max(DEDUP_TOL, 10.0 * float(auxs[i]))
-            if np.any(_torus_distance(x, known) <= radius):
+        stuck = np.flatnonzero(status == _DEGENERATE)
+        stuck = stuck[_first_of_clusters(
+            xs[stuck], np.full(stuck.size, DEDUP_TOL), known[:0])]
+        incorrigible = list(zip(map(tuple, xs[stuck].tolist()),
+                                auxs[stuck].tolist()))
+        ok = np.flatnonzero(status == _OK)
+        # a NaN decrement gives the radius DEDUP_TOL
+        radii = np.fmax(DEDUP_TOL, 10.0 * auxs[ok])
+        kept = _first_of_clusters(xs[ok], radii, known)
+        found, fx, fr = ok[kept], xs[ok[kept]], radii[kept]
+        # pair conjugates; the one found first is the primary report
+        consumed = np.zeros(len(found), dtype=bool)
+        primaries, partners = [], []
+        for i in range(len(found)):
+            if consumed[i]:
                 continue
-            nf = len(found)
-            if np.any(_torus_distance(x, found_x[:nf])
-                      <= np.maximum(radius, found_r[:nf])):
-                continue
-            found_x[nf], found_r[nf] = x, radius
-            found.append(i)
-
-    # Pair conjugate search points; the one found first is the primary
-    # report.
-    nf = len(found)
-    consumed = np.zeros(nf, dtype=bool)
-    primaries, partners = [], []
-    for i in range(nf):
-        if consumed[i]:
-            continue
-        close = (_torus_distance(np.mod(-found_x[i], TWO_PI),
-                                 found_x[i + 1:nf])
-                 <= np.maximum(found_r[i], found_r[i + 1:nf])) \
-            & ~consumed[i + 1:]
-        partner = None
-        if np.any(close):
-            partner = i + 1 + int(np.argmax(close))
+            close = (_torus_distance(np.mod(-fx[i], TWO_PI), fx[i + 1:])
+                     <= np.maximum(fr[i], fr[i + 1:])) & ~consumed[i + 1:]
+            partner = i + 1 + np.flatnonzero(close)[:1]  # the first, if any
             consumed[partner] = True
-        primaries.append(i)
-        partners.append(partner)
-    if primaries:
-        search = _reports_at(np.mod(found_x[primaries], TWO_PI), base,
-                             solves.take([found[i] for i in primaries]),
-                             basis, "search", **tols)
-        for rep, partner in zip(search, partners):
-            if partner is not None:
-                rep = replace(rep, conjugate_of=tuple(
-                    float(c) for c in found_x[partner]))
-            reports.append(rep)
+            primaries.append(i)
+            partners.append(partner)
+        if primaries:
+            search = _reports_at(np.mod(fx[primaries], TWO_PI), base,
+                                 solves.take(found[primaries]), basis,
+                                 "search", **tols)
+            reports += [replace(r, conjugate_of=tuple(fx[p[0]].tolist()))
+                        if p.size else r for r, p in zip(search, partners)]
 
     coverage = (f"symmetry classes enumerated exactly (2^{beta}); search used "
                 f"{attempted} polished starts, {unconverged} unconverged; "
@@ -795,6 +788,14 @@ class IndexSurplusTable:
         return sum(1 for r in self.rows if r.status == "skipped")
 
 
+def _skip_reason(exc: AdmissibilityError) -> str:
+    """The reason a verification row gives for a pair failing with ``exc``."""
+    return (f"multiplicity {exc.multiplicity}"
+            if isinstance(exc, NonSimpleEigenvalueError) else
+            f"vanishes at {list(exc.vertices)}"
+            if isinstance(exc, VanishingEigenvectorError) else str(exc))
+
+
 def verify_index_equals_surplus(h: SupportedMatrix, *,
                                 tol_degeneracy: float = DEGENERACY_TOL,
                                 tol_vanish: float = VANISH_TOL,
@@ -814,11 +815,14 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
     masks word the skip reasons and the bound check's error, raised at
     the block's first pair out of bounds.  A block's Hessians are
     assembled as one stack per k, and their indices come from one
-    stacked solve.  A beta over ``SIGNING_CAP`` raises
-    ``CapExceededError`` before anything is solved.
+    stacked solve.  A complex ``h`` raises ``AdmissibilityError``, and
+    a beta over ``SIGNING_CAP`` raises ``CapExceededError``, before
+    anything is solved.
     """
     if not h.is_real:
-        raise ValueError("verification expects a real matrix")
+        raise AdmissibilityError(
+            "index-versus-surplus verification runs over the signings of a "
+            "real matrix; this operator has complex entries")
     base = abs_part(h)
     basis = cycle_basis(h.graph)
     fault, scope = ((InternalCrossCheckError, "")
@@ -834,14 +838,6 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
         if np.any(checks.out_of_bounds):
             raise checks.error(*np.argwhere(checks.out_of_bounds)[0])
         classes = [tuple(b) for b in bits.tolist()]
-        reasons = {}
-        for c, j in np.argwhere(~admissible).tolist():
-            exc = checks.error(c, j)
-            reasons[c, j] = (
-                f"multiplicity {exc.multiplicity}"
-                if isinstance(exc, NonSimpleEigenvalueError) else
-                f"vanishes at {list(exc.vertices)}"
-                if isinstance(exc, VanishingEigenvectorError) else str(exc))
         index, nullity = np.zeros_like(surplus), np.zeros_like(surplus)
         # each k's Hessians read the products its checks were made on
         hessians = [_hessian(_Solves(off, values, vectors, j + 1,
@@ -868,8 +864,8 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
                 index.tolist(), nullity.tolist())):
             rows += [VerifyRow(b, j + 1, "ok", surplus=sj, index=ij,
                                nullity=nj)
-                     if okj else VerifyRow(b, j + 1, "skipped",
-                                           reason=reasons[c, j])
+                     if okj else VerifyRow(b, j + 1, "skipped", reason=(
+                         _skip_reason(checks.error(c, j))))
                      for j, (okj, sj, ij, nj) in enumerate(
                          zip(ok, sc, ic, nc))]
     return IndexSurplusTable(tuple(rows))

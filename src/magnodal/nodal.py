@@ -475,10 +475,12 @@ def average_surplus_distribution(h: SupportedMatrix, *,
     signings only, a deliberate departure from the all-signings average,
     and ``n_samples`` is ``(2^|E| - skipped) * n``.  When every signing
     is skipped the counts are all zero, ``n_samples`` is 0 and the
-    probabilities and moments raise ``DegenerateDistributionError``.
+    probabilities and moments raise ``DegenerateDistributionError``.  A
+    complex ``h`` raises ``AdmissibilityError``.
     """
     if not h.is_real:
-        raise ValueError("the signing average is defined for real matrices")
+        raise AdmissibilityError("the signing average is stated for real "
+                                 "matrices; this operator has complex entries")
     m, n = h.graph.num_edges, h.graph.n
     classes = gauge_classes_of_signings(h, cap=cap)
     if n << m > np.iinfo(np.int64).max:

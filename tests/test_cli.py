@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import lose_a_root_path
+from conftest import lose_a_root_path, referee_nodal
 from magnodal import __version__, cli
 from magnodal.cli import _build_parser, main
 from magnodal.errors import AdmissibilityError
@@ -15,6 +15,7 @@ from magnodal.families import (
     complete_graph,
     cycle_graph,
     path_graph,
+    random_connected_graph,
     random_operator,
     strong_diagonal_fixture,
     two_triangle_join,
@@ -52,6 +53,38 @@ def half_admissible_op():
     g = Graph(3, ((0, 1), (0, 2), (1, 2)))
     return SupportedMatrix(g, np.array([0.0, 1.5, 5.0]),
                            np.array([-1.0, 0.5, -1.0], dtype=np.complex128))
+
+
+def nodal_fixtures() -> dict[str, SupportedMatrix]:
+    """Operators whose positions pass, or fail each check of, the
+    admissibility kernel: strong and zero diagonals, random couplings
+    at diagonal spreads 0 and 1, a degenerate ring, complex entries off
+    a critical point and a disconnected graph."""
+    rng = np.random.default_rng(5)
+    ops = {
+        "strong-K4": strong_diagonal_fixture(complete_graph(4)),
+        "strong-K5": strong_diagonal_fixture(complete_graph(5)),
+        "ring-C4": SupportedMatrix(cycle_graph(4), np.zeros(4),
+                                   -np.ones(4, dtype=np.complex128)),
+        "zero-diagonal-K4": SupportedMatrix(
+            complete_graph(4), np.zeros(4), -np.ones(6, dtype=np.complex128)),
+        "zero-diagonal-P3": SupportedMatrix(
+            path_graph(3), np.zeros(3), -np.ones(2, dtype=np.complex128)),
+        "triangle": triangle_op(),
+        "complex-C3": SupportedMatrix(
+            cycle_graph(3), np.array([0.0, 1.0, 2.0]),
+            np.exp(1j * np.array([0.3, 0.5, 0.7]))),
+        "disconnected": disconnected_op(),
+    }
+    for n in (5, 6, 7):
+        for i in range(4):
+            ops[f"random-n{n}-{i}"] = random_operator(
+                random_connected_graph(n, n + 1 + i, rng), rng,
+                diag_spread=float(i % 2))
+    return ops
+
+
+NODAL_FIXTURES = nodal_fixtures()
 
 
 def run(capsys, argv):
@@ -156,8 +189,13 @@ class TestNodalDist:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(nodal, "_stack_checks", counting)
-        code, out, _ = run(capsys, ["nodal-dist", "--op",
-                                    write_op(tmp_path, h), *flags])
+        op = write_op(tmp_path, h)
+        code, _, _ = run(capsys, ["nodal-dist", "--op", op, *flags, "--k",
+                                  "1"])
+        assert code in (0, 2)
+        assert positions == [list(range(h.graph.n))]
+        positions.clear()
+        code, out, _ = run(capsys, ["nodal-dist", "--op", op, *flags])
         assert code == 0
         assert positions == [list(range(h.graph.n))]
         monkeypatch.undo()
@@ -171,6 +209,140 @@ class TestNodalDist:
                 continue
             assert (row["status"], row["nodal_count"], row["surplus"]) \
                 == ("ok", count, count - row["k"] + 1)
+
+
+    @pytest.mark.parametrize("flags", [[], ["--tol-vanish", "0"]],
+                             ids=["default", "tol-vanish-0"])
+    @pytest.mark.parametrize("case", NODAL_FIXTURES)
+    def test_single_position_is_the_table_row(self, tmp_path, capsys, case,
+                                               flags):
+        """``--k`` reports the row the table gives at that k: its count,
+        or its reason as the precondition error (exit 2)."""
+        h = NODAL_FIXTURES[case]
+        op = write_op(tmp_path, h)
+        code, out, err = run(capsys, ["nodal-dist", "--op", op, *flags])
+        assert (code, err) == (0, "")
+        table = json.loads(out)
+        for row in table["rows"]:
+            code, out, err = run(capsys, ["nodal-dist", "--op", op,
+                                          "--k", str(row["k"]), *flags])
+            if row["status"] == "ok":
+                assert (code, err) == (0, "")
+                assert json.loads(out) == {
+                    "k": row["k"], "nodal_count": row["nodal_count"],
+                    "surplus": row["surplus"], "betti": table["betti"]}
+            else:
+                assert (code, out) == (2, "")
+                assert err == f"precondition not met: {row['reason']}\n"
+
+    @pytest.mark.parametrize("case", [
+        name for name, h in NODAL_FIXTURES.items()
+        if h.graph.n <= 6 and h.is_real])
+    def test_admitted_surpluses_match_the_fifty_digit_referee(
+            self, tmp_path, capsys, case):
+        h = NODAL_FIXTURES[case]
+        ref = referee_nodal(h)
+        code, out, _ = run(capsys, ["nodal-dist", "--op",
+                                    write_op(tmp_path, h)])
+        assert code == 0
+        admitted = [(r["k"], r["surplus"]) for r in json.loads(out)["rows"]
+                    if r["status"] == "ok"]
+        assert admitted or case == "disconnected"  # vanishing everywhere
+        assert admitted == [(k, ref.surplus[k - 1]) for k, _ in admitted]
+        scale = max(1.0, h.norm_fro)
+        assert np.allclose(np.linalg.eigvalsh(h.to_dense()),
+                           [float(x) for x in ref.values],
+                           rtol=0.0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("case,k,csv", [
+        ("triangle", None, "1,ok,0,0\n2,ok,2,1\n3,ok,2,0\n"),
+        ("triangle", 2, "2,ok,2,1\n"),
+        ("zero-diagonal-C3", None,
+         "1,ok,0,0\n2,inadmissible,,\n3,inadmissible,,\n"),
+    ])
+    def test_csv_table_printed_written_or_both(self, tmp_path, capsys, case,
+                                               k, csv):
+        """The table is the same printed, written, or both at once."""
+        h = (triangle_op() if case == "triangle" else SupportedMatrix(
+            cycle_graph(3), np.zeros(3), -np.ones(3, dtype=np.complex128)))
+        argv = ["nodal-dist", "--op", write_op(tmp_path, h)]
+        argv += [] if k is None else ["--k", str(k)]
+        table = "k,status,nodal_count,surplus\n" + csv
+        printed = run(capsys, [*argv, "--format", "csv"])
+        written = run(capsys, [*argv, "--out", str(tmp_path / "w")])
+        both = run(capsys, [*argv, "--out", str(tmp_path / "b"),
+                            "--format", "csv"])
+        assert printed == both == (0, table, "")
+        assert written[:2] == run(capsys, argv)[:2]
+        for stem in ("w", "b"):
+            assert (tmp_path / f"{stem}.csv").read_text() \
+                == "# schema: magnodal/nodal v1\n" + table
+            record = json.loads((tmp_path / f"{stem}.json").read_text())
+            assert record["results"] == json.loads(written[1])
+
+
+class TestRealOnly:
+    """The library refuses a complex operator; the command prints its
+    sentence, after its own ``--k`` range check."""
+
+    @pytest.mark.parametrize("argv,sentence", [
+        (["avg-dist"], "the signing average is stated for real matrices; "
+         "this operator has complex entries"),
+        (["critical-scan", "--k", "2"], "the scan sweeps the torus over a "
+         "real base matrix; this operator has complex entries"),
+        (["verify-index"], "index-versus-surplus verification runs over the "
+         "signings of a real matrix; this operator has complex entries"),
+    ], ids=["avg-dist", "critical-scan", "verify-index"])
+    def test_complex_operator_exits_2(self, tmp_path, capsys, argv,
+                                      sentence):
+        h = SupportedMatrix(cycle_graph(3), np.array([0.0, 1.0, 2.0]),
+                            np.exp(1j * np.array([0.3, 0.5, 0.7])))
+        op = write_op(tmp_path, h)
+        assert run(capsys, [*argv, "--op", op]) \
+            == (2, "", f"precondition not met: {sentence}\n")
+
+    def test_k_range_is_checked_first(self, tmp_path, capsys):
+        h = SupportedMatrix(path_graph(2), np.zeros(2),
+                            np.array([np.exp(0.4j)]))
+        code, out, err = run(capsys, ["critical-scan", "--op",
+                                      write_op(tmp_path, h), "--k", "3"])
+        assert (code, out) == (3, "")
+        assert err.startswith("usage error: --k 3 is outside 1..2")
+
+
+class TestEmit:
+    """``_emit`` reads a command's CSV rows once, and only when the table
+    is printed or written."""
+
+    def emit(self, tmp_path, capsys, out, fmt):
+        reads = []
+
+        def rows():
+            reads.append(1)
+            yield [1, 0.5]
+            yield [2, None]
+
+        args = _build_parser().parse_args(
+            ["spectrum", "--op", "x", "--format", fmt,
+             *(["--out", str(tmp_path / out)] if out else [])])
+        args._t0 = 0.0
+        cli._emit(args, {"a": 1}, ("magnodal/test", ["k", "x"], rows()))
+        return len(reads), capsys.readouterr().out
+
+    def test_json_alone_reads_no_row(self, tmp_path, capsys):
+        assert self.emit(tmp_path, capsys, None, "json") \
+            == (0, '{\n  "a": 1\n}\n')
+
+    @pytest.mark.parametrize("out,fmt", [(None, "csv"), ("w", "json"),
+                                         ("b", "csv")])
+    def test_rows_read_once(self, tmp_path, capsys, out, fmt):
+        reads, printed = self.emit(tmp_path, capsys, out, fmt)
+        assert reads == 1
+        table = "k,x\n1,0.5\n2,\n"
+        assert printed == (table if fmt == "csv" else '{\n  "a": 1\n}\n')
+        if out:
+            assert (tmp_path / f"{out}.csv").read_text() \
+                == "# schema: magnodal/test v1\n" + table
 
 
 class TestAvgDist:
@@ -495,6 +667,33 @@ class TestCriticalScan:
         op = write_op(tmp_path, h)
         code, _, _ = run(capsys, ["critical-scan", "--op", op, "--k", "1"])
         assert code == 2
+
+    def test_zero_edge_entry_is_refused_before_any_eigensolve(
+            self, tmp_path, capsys, monkeypatch):
+        """A zero edge entry has no phase: the scan refuses it, with the
+        words ``linkage-analyze`` uses, before it solves anything."""
+        import magnodal.spectral as spectral
+
+        h = strong_diagonal_fixture(complete_graph(4))
+        offdiag = h.offdiag.copy()
+        offdiag[2] = 0.0
+        op = write_op(tmp_path, SupportedMatrix(h.graph, h.diag, offdiag))
+        refusal = ("precondition not met: phase recovery needs a nonzero "
+                   "entry on every edge\n")
+        solves = []
+        inner = spectral._eigensolve
+
+        def counting(*args):
+            solves.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(spectral, "_eigensolve", counting)
+        for k in range(1, 5):
+            assert run(capsys, ["critical-scan", "--op", op, "--k", str(k),
+                                "--starts", "4"]) == (2, "", refusal)
+        assert solves == []
+        assert run(capsys, ["linkage-analyze", "--op", op, "--k", "1"]) \
+            == (2, "", refusal)
 
 
 class TestVerifyIndex:

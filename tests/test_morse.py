@@ -405,6 +405,69 @@ class TestHalton:
         assert morse._halton(0, 4).shape == (0, 4)
 
 
+def scalar_torus_distance(a, b) -> float:
+    """Max-metric torus distance of two points, one coordinate at a time."""
+    return max(min(abs(float(np.mod(x - y, TWO_PI))),
+                   TWO_PI - abs(float(np.mod(x - y, TWO_PI))))
+               for x, y in zip(a, b))
+
+
+class TestLandingFilter:
+    """The scan's one landing-point filter keeps what its two greedy
+    loops kept, one point at a time: a degenerate landing farther than
+    ``DEDUP_TOL`` from every kept one, and a converged landing outside
+    its radius of every symmetry point and outside the larger of the two
+    radii of every kept landing."""
+
+    @staticmethod
+    def landings(rng, count: int, d: int) -> np.ndarray:
+        """Clusters of spreads below and above ``DEDUP_TOL``, one of them
+        across the seam at 0 = 2 pi."""
+        centres = rng.uniform(0.0, TWO_PI, size=(4, d))
+        centres[0] = 0.0
+        spread = rng.choice([1e-8, 1e-6, 1e-4], size=(count, 1))
+        return np.mod(centres[rng.integers(0, 4, count)]
+                      + spread * rng.normal(size=(count, d)), TWO_PI)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_degenerate_rule(self, seed):
+        import magnodal.morse as morse
+
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 5))
+        xs = self.landings(rng, 60, d)
+        kept = []
+        for i, x in enumerate(xs):
+            if all(scalar_torus_distance(x, xs[j]) > morse.DEDUP_TOL
+                   for j in kept):
+                kept.append(i)
+        assert 1 < len(kept) < len(xs)
+        assert morse._first_of_clusters(
+            xs, np.full(len(xs), morse.DEDUP_TOL), np.empty((0, d))) == kept
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_converged_rule(self, seed):
+        import magnodal.morse as morse
+
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 5))
+        xs = self.landings(rng, 60, d)
+        known = np.vstack([xs[:2] + 1e-7, rng.uniform(0, TWO_PI, (3, d))])
+        decrements = 10.0 ** rng.uniform(-9, -4, len(xs))
+        radii = np.fmax(morse.DEDUP_TOL, 10.0 * decrements)
+        kept = []
+        for i, x in enumerate(xs):
+            radius = max(morse.DEDUP_TOL, 10.0 * float(decrements[i]))
+            if any(scalar_torus_distance(x, y) <= radius for y in known):
+                continue
+            if any(scalar_torus_distance(x, xs[j]) <= max(radius, radii[j])
+                   for j in kept):
+                continue
+            kept.append(i)
+        assert 1 < len(kept) < len(xs) - 2
+        assert morse._first_of_clusters(xs, radii, known) == kept
+
+
 class TestCriticalScan:
     @pytest.mark.parametrize("k", [0, 5])
     def test_k_outside_the_spectrum_raises_before_any_solve(self, monkeypatch,
@@ -452,8 +515,12 @@ class TestCriticalScan:
     def test_complex_matrix_rejected(self):
         g = path_graph(2)
         h = SupportedMatrix(g, np.zeros(2), np.array([1j]))
-        with pytest.raises(ValueError):
+        with pytest.raises(AdmissibilityError) as err:
             critical_scan(h, 1)
+        assert type(err.value) is AdmissibilityError
+        assert str(err.value) == ("the scan sweeps the torus over a real "
+                                  "base matrix; this operator has complex "
+                                  "entries")
 
     @pytest.mark.parametrize("h", [
         strong_diagonal_fixture(complete_graph(4), eta=10.0),
@@ -1237,8 +1304,12 @@ class TestVerifyIndexSurplus:
     def test_complex_matrix_rejected(self):
         g = path_graph(2)
         h = SupportedMatrix(g, np.zeros(2), np.array([1j]))
-        with pytest.raises(ValueError):
+        with pytest.raises(AdmissibilityError) as err:
             verify_index_equals_surplus(h)
+        assert type(err.value) is AdmissibilityError
+        assert str(err.value) == ("index-versus-surplus verification runs "
+                                  "over the signings of a real matrix; this "
+                                  "operator has complex entries")
 
     def test_first_failing_pair_in_class_order_is_named(self, monkeypatch):
         """Two pairs get a wrong surplus; the error names the one that

@@ -373,8 +373,12 @@ class TestAveragedDistribution:
         g = path_graph(2)
         h = SupportedMatrix(g, np.zeros(2),
                             np.array([np.exp(0.3j)]))
-        with pytest.raises(ValueError):
+        with pytest.raises(AdmissibilityError) as err:
             average_surplus_distribution(h)
+        assert type(err.value) is AdmissibilityError
+        assert str(err.value) == ("the signing average is stated for real "
+                                  "matrices; this operator has complex "
+                                  "entries")
 
     def test_vertexless_operator_has_no_samples(self):
         # (2^0 - 0 skipped) signings times n = 0 positions

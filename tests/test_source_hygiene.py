@@ -28,8 +28,11 @@ hot path.  Only the readers of that array, ``morse``, ``linkage`` and
 ``graphs.cycle_basis`` reads ``Graph.fundamental_cycles``: the
 switching classes, and so the class sum, read the spanning forest
 alone and never build a basis.  ``cli`` imports no ``_``-prefixed name from another package module:
-what the commands need is public.  The "Public API" section of
-``README.md`` lists every name the package exports, once.
+what the commands need is public.  ``cli`` reads no ``is_real`` and
+imports no ``nodal_count``: the library decides every precondition,
+such as the real-only one, and a command's count at one position comes
+from the one kernel call that checks every position.  The "Public API"
+section of ``README.md`` lists every name the package exports, once.
 """
 
 import ast
@@ -206,6 +209,19 @@ def private_imports(tree: ast.Module) -> list[str]:
             and not alias.name.endswith("__")]
 
 
+def library_decisions(tree: ast.Module) -> list[str]:
+    """Reads of ``.is_real`` and imports of ``nodal_count``: the
+    decisions a command leaves to the library."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "is_real":
+            found.append(f"is_real (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and any(
+                alias.name == "nodal_count" for alias in node.names):
+            found.append(f"nodal_count (line {node.lineno})")
+    return found
+
+
 def exported_names(tree: ast.Module) -> set[str]:
     """Names that the package ``__init__`` binds by importing them."""
     return {alias.asname or alias.name for node in tree.body
@@ -297,6 +313,10 @@ def test_cli_imports_only_public_names():
     assert private_imports(parse(PACKAGE / "cli.py")) == []
 
 
+def test_cli_leaves_preconditions_and_single_counts_to_the_library():
+    assert library_decisions(parse(PACKAGE / "cli.py")) == []
+
+
 def test_readme_lists_every_export_once():
     names = public_api_names(README.read_text(encoding="utf-8"))
     assert len(names) == len(set(names))
@@ -384,6 +404,11 @@ def test_checks_catch_what_they_look_for():
         "    nodal_count)\nfrom .spectral import eigh, _check_k\n"
         "from numpy import _core\n")) \
         == ["_every_position (line 2)", "_check_k (line 4)"]
+    assert library_decisions(ast.parse(
+        "from .nodal import (nodal_count,\n    position_checks)\n"
+        "if not h.is_real:\n    raise E()\nx = h.real + h.is_real_part\n"
+        "import nodal_count\n")) == ["nodal_count (line 1)",
+                                    "is_real (line 3)"]
     assert exported_names(ast.parse(
         "from .a import (b, c as d)\nimport e\nx = 1\n"
         "def f():\n    from .g import h\n")) == {"b", "d"}

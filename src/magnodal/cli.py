@@ -3,17 +3,19 @@
 Thin wrappers over the library operations plus result persistence.
 The library decides every precondition of a computation and raises
 its error; a command checks only its own options.
-Every run emits a record carrying the config echo, tolerances, and the
-results payload; identical configs reproduce the results payload
-byte-for-byte.  Exit codes: 0 success, 2 precondition of the
-underlying statement unmet, 3 input/schema/usage error, 4 enumeration
-cap exceeded, 1 internal failure.
+A run with ``--out`` writes a record, built only then, carrying the
+config echo, tolerances and results payload; identical configs
+reproduce the results payload byte-for-byte.  Exit codes: 0 success,
+2 precondition of the underlying statement unmet, 3 input/schema/usage
+error, 4 enumeration cap exceeded, 1 internal failure.
 
 ``main`` builds the argument parser on its first call and reuses it for
 every later call in the process.  The parser holds no per-run state:
 ``parse_args`` returns a fresh namespace each time, every default is
 immutable, the value parsers are pure functions, usage errors raise
 instead of being stored, and help text is formatted when it is printed.
+An argv that starts with a command name goes straight to its
+subparser; any other argv takes the full parse.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ def _build_parser() -> _Parser:
                      description="magnetic nodal-statistics laboratory")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, for main's dispatch
     tol_defaults = {"degeneracy": DEGENERACY_TOL, "vanish": VANISH_TOL}
 
     def command(name, func, help, *, op="required", k=None, seed=False,
@@ -224,21 +227,21 @@ def _config_echo(args) -> dict:
 
 def _emit(args, payload: dict, csv_spec=None) -> None:
     """Write the run record and optional CSV table, echo to stdout; the
-    table's rows, maybe a generator, are read once, if printed or written."""
-    record = {
-        "artifact": {"name": "magnodal", "version": __version__},
-        "config": _config_echo(args),
-        "tolerances": {
-            "degeneracy": getattr(args, "tol_degeneracy", DEGENERACY_TOL),
-            "vanish": getattr(args, "tol_vanish", VANISH_TOL),
-            "product": PRODUCT_DEGENERATE_TOL,
-            "real": PRODUCT_REAL_TOL,
-        },
-        "results": payload,
-        "wall_time_s": round(time.monotonic() - args._t0, 3),
-    }
+    record is built only for ``--out``, and the table's rows, maybe a
+    generator, are read once, if printed or written."""
     if args.out:
-        write_json(_stem(args.out) + ".json", record)
+        write_json(_stem(args.out) + ".json", {
+            "artifact": {"name": "magnodal", "version": __version__},
+            "config": _config_echo(args),
+            "tolerances": {
+                "degeneracy": getattr(args, "tol_degeneracy", DEGENERACY_TOL),
+                "vanish": getattr(args, "tol_vanish", VANISH_TOL),
+                "product": PRODUCT_DEGENERATE_TOL,
+                "real": PRODUCT_REAL_TOL,
+            },
+            "results": payload,
+            "wall_time_s": round(time.monotonic() - args._t0, 3),
+        })
     if csv_spec is not None and (args.out or args.format == "csv"):
         schema, header, rows = csv_spec
         rows = list(rows)
@@ -569,7 +572,11 @@ def cmd_clt_experiment(args) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        parser = _parser()
+        sub = parser.commands.get(argv[0]) if argv else None
+        args = (parser.parse_args(argv) if sub is None else
+                sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
         args._t0 = time.monotonic()
         args.func(args)
         return 0

@@ -91,8 +91,8 @@ class Graph:
 
     @cached_property
     def component_count(self) -> int:
-        """Number of connected components, found once per graph."""
-        return len(connected_components(self))
+        """Number of connected components: the forest walk's roots."""
+        return self.spanning_forest.parent.count(-1)
 
     @cached_property
     def spanning_forest(self) -> "SpanningForest":
@@ -372,8 +372,8 @@ def _vertex(x) -> int:
 
 def _is_number(x) -> bool:
     """A finite JSON number that fits a float (``json`` reads NaN too)."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and abs(x) <= sys.float_info.max)
+    return (type(x) is not bool and isinstance(x, (int, float))
+            and -sys.float_info.max <= x <= sys.float_info.max)
 
 
 def _is_vertex_pair(e) -> bool:

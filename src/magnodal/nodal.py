@@ -252,18 +252,20 @@ def _stack_checks(values: np.ndarray, vectors: np.ndarray,
     ``values`` (S, n) are the ascending spectra of S operators on
     ``graph``, ``vectors`` (S, K, n) and ``products`` (S, K, m) the
     eigenvectors and edge products at the 0-based ``positions`` (K,),
-    and ``scale`` the Frobenius norm, one for all rows or one per row.
+    strictly ascending, so K = n means every position, and ``scale`` the
+    Frobenius norm, one for all rows or one per row.
     Real ``products`` pass the realness check without a test.
     """
     positions = np.asarray(positions)
     scale = np.asarray(scale, dtype=np.float64)[..., None, None]
+    simple = simple_positions(values, tol_degeneracy)
     flat = (~(np.abs(products.imag) > tol_real * scale).any(axis=2)
             if np.iscomplexobj(products)
             else np.ones(products.shape[:2], dtype=bool))
     return _StackChecks(
         values, products, positions, graph, betti_number(graph),
         tol_degeneracy, tol_real,
-        simple_positions(values, tol_degeneracy)[:, positions],
+        simple if len(positions) == values.shape[1] else simple[:, positions],
         np.abs(vectors) < tol_vanish,
         flat,
         np.abs(products.real) < tol_product * scale,
@@ -324,7 +326,7 @@ class SurplusDistribution:
     skipped: int = 0
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64).copy()
+        c = np.array(self.counts, dtype=np.int64)
         if c.shape != (self.betti + 1,):
             raise ValueError("count vector must have beta + 1 entries")
         c.setflags(write=False)
@@ -343,7 +345,7 @@ class SurplusDistribution:
         p.setflags(write=False)
         return p
 
-    @property
+    @cached_property
     def mean(self) -> float:
         s = np.arange(self.betti + 1)
         return float(np.dot(s, self.probs))
@@ -418,11 +420,16 @@ def _surplus_counts(h: SupportedMatrix, classes: SigningClasses,
     when not skipping, the first one raises ``InadmissibleSigningError``
     at its first failing k.  A surplus out of bounds there raises the
     bound check's error even when skipping.  Both errors are worded from
-    the block's masks.
+    the block's masks.  Every product on a zero edge entry is a zero:
+    when the kernel leaves one unresolved, skipping drops every class.
     """
     beta, weight = betti_number(h.graph), classes.class_size
     counts = np.zeros(beta + 1, dtype=np.int64)
     skipped = 0
+    if skip_inadmissible and not h.offdiag.all() and _stack_checks(
+            np.zeros((1, 1)), np.ones((1, 1, 1)), np.zeros((1, 1, 1)), [0],
+            h.norm_fro, h.graph, **tols).unresolved.all():
+        return counts, weight * classes.num_classes
     # a vertex-less operator has no positions, so nothing to count
     for ids in _blocks(classes.num_classes if h.graph.n else 0):
         rows, offdiag, values, vectors = _solve_classes(h, classes, ids)

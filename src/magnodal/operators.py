@@ -49,8 +49,8 @@ class SupportedMatrix:
     offdiag: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.diag, dtype=np.float64).copy()
-        o = np.asarray(self.offdiag, dtype=np.complex128).copy()
+        d = np.array(self.diag, dtype=np.float64)
+        o = np.array(self.offdiag, dtype=np.complex128)
         if d.shape != (self.graph.n,):
             raise ValueError("diagonal length does not match the vertex count")
         if o.shape != (self.graph.num_edges,):

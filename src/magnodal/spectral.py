@@ -201,10 +201,10 @@ def simple_positions(values: np.ndarray, tol_rel: float = DEGENERACY_TOL
     ``cluster_mask``'s cut of its row.
     """
     tol = _cluster_tol(values, tol_rel)
-    close = np.abs(values[..., 1:] - values[..., :-1]) <= tol[..., None]
+    apart = ~(np.abs(values[..., 1:] - values[..., :-1]) <= tol[..., None])
     simple = np.ones(values.shape, dtype=bool)
-    simple[..., 1:] &= ~close
-    simple[..., :-1] &= ~close
+    simple[..., 1:] &= apart
+    simple[..., :-1] &= apart
     return simple
 
 

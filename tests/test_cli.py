@@ -512,6 +512,54 @@ class TestAvgDist:
                        "vertices); moments undefined\n")
 
 
+    def test_zero_edge_entry_skips_every_signing_unsolved(
+            self, tmp_path, capsys, monkeypatch):
+        """Every product on a zero edge entry is a zero, too close to
+        zero to carry a sign: skipping drops all 64 signings of
+        strong-diagonal K4 before any eigensolve, with the bytes that
+        solving every class gave.  Without skipping, and in
+        ``verify-index``, the classes are still solved, and each message
+        comes from the first failing check."""
+        import magnodal.spectral as spectral
+
+        h = strong_diagonal_fixture(complete_graph(4))
+        offdiag = h.offdiag.copy()
+        offdiag[2] = 0.0  # edge (0, 3)
+        op = write_op(tmp_path, SupportedMatrix(h.graph, h.diag, offdiag))
+        solves = []
+        inner = spectral._EIGH
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_EIGH", counting)
+        skipped = "no admissible signings (64 skipped); moments undefined\n"
+        for extra in ([], ["--classes"]):
+            assert run(capsys, ["avg-dist", "--op", op, "--skip-inadmissible",
+                                *extra]) == (0, (
+                '{\n  "averaged_over": "admissible signings only",\n'
+                '  "betti": 3,\n  "binomial_l1_deviation": null,\n'
+                '  "counts": [\n    0,\n    0,\n    0,\n    0\n  ],\n'
+                '  "mean": null,\n  "n_samples": 0,\n'
+                '  "skipped_signings": 64,\n  "symmetric_counts": true,\n'
+                '  "variance": null\n}\n'), skipped)
+        assert run(capsys, ["avg-dist", "--op", op, "--skip-inadmissible",
+                            "--format", "csv"]) \
+            == (0, "surplus,count,prob\n0,0,\n1,0,\n2,0,\n3,0,\n", skipped)
+        assert solves == []
+        assert run(capsys, ["avg-dist", "--op", op]) == (2, "", (
+            "precondition not met: signing with pattern (1, 1, 1, 1, 1, 1) "
+            "is inadmissible at k=1: edge products too close to zero on "
+            "edges [(0, 3)]\n"))
+        assert len(solves) == 1
+        code, out, err = run(capsys, ["verify-index", "--op", op])
+        assert (code, err) == (0, "verified 0 rows, skipped 32\n")
+        assert {r["reason"] for r in json.loads(out)["rows"]} \
+            == {"edge products too close to zero on edges [(0, 3)]"}
+        assert len(solves) > 1
+
+
 GOLDEN =json.loads((Path(__file__).parent / "data" / "avg_dist_golden.json")
                     .read_text())
 
@@ -1203,3 +1251,141 @@ class TestParserReuse:
                 main(argv)
             assert reused.value.code == 0
             assert capsys.readouterr() == expected
+
+
+def dispatch_corpus() -> list[list[str]]:
+    """Argvs for the dispatch check: every subcommand alone, with each
+    of its options, with all of them, after ``-h`` and before
+    ``--version``; help and version before a command; and an empty
+    argv, an unknown command, an unknown, abbreviated, joined or
+    extra option, ``--``, a missing ``--op`` and refused values."""
+    op = ["--op", "op.json"]
+    corpus = [[], ["no-such-command"], ["--version"], ["-h"],
+              ["--version", "avg-dist"], ["-h", "avg-dist"],
+              ["avg-dist", *op, "--bogus"], ["avg-dist", *op, "--skip"],
+              ["avg-dist", *op, "--ver"], ["avg-dist", "--op=op.json"],
+              ["avg-dist", *op, "extra"], ["avg-dist", *op, "--", "x"],
+              ["nodal-dist", *op, "--k", "0"],
+              ["avg-dist", *op, "--tol-vanish", "nan"]]
+    for command, flags in sorted(OPTIONS.items()):
+        corpus += [[command], [command, "-h"], [command, "--version"]]
+        every = [command]
+        for flag in sorted(flags):
+            value = [VALUES[flag]] if flag in VALUES else []
+            corpus.append([command, flag, *value])
+            every += [flag, *value]
+        corpus.append(every)
+    return corpus
+
+
+class TestDispatch:
+    """``main`` hands an argv that starts with a command name straight
+    to that command's subparser, and every other argv to the full parse;
+    both give the namespace, usage error or exit of the full parse."""
+
+    @pytest.mark.parametrize("argv", dispatch_corpus(),
+                             ids=lambda argv: " ".join(argv) or "empty")
+    def test_same_outcome_as_the_full_parse(self, capsys, monkeypatch,
+                                            argv):
+        seen = []
+
+        def record(args):
+            seen.append(vars(args))
+
+        def parser():
+            """A fresh parser whose commands record their namespace."""
+            p = _build_parser()
+            for sub in p.commands.values():
+                sub.set_defaults(func=record)
+            return p
+
+        try:
+            expected = ("namespace", vars(parser().parse_args(argv)))
+        except cli._UsageError as exc:
+            expected = ("usage error", f"usage error: {exc}\n")
+        except SystemExit as exc:
+            expected = ("exit", exc.code, capsys.readouterr())
+        assert capsys.readouterr() == ("", "")
+        monkeypatch.setattr(cli, "_parser", parser)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            got = ("exit", exc.code, capsys.readouterr())
+        else:
+            out, err = capsys.readouterr()
+            if code == 0:
+                assert (out, err) == ("", "")
+                got = ("namespace", {key: value for key, value
+                                     in seen.pop().items() if key != "_t0"})
+            else:
+                assert (code, out) == (3, "")
+                got = ("usage error", err)
+        assert got == expected
+        assert seen == []
+
+    def test_corpus_takes_every_path(self):
+        commands = set(OPTIONS)
+        corpus = dispatch_corpus()
+        assert {argv[0] for argv in corpus if argv} \
+            == commands | {"no-such-command", "--version", "-h"}
+        assert sum(len(argv) == 1 and argv[0] in commands
+                   for argv in corpus) == len(commands)
+
+
+#: The records of three runs on ``triangle_op`` with ``--out``, less
+#: ``wall_time_s``, as the commands wrote them when the record was built
+#: on every run; ``op`` is the operator path.
+RECORDS = {
+    "spectrum": (["spectrum"], {
+        "config": {"command": "spectrum", "format": "json", "graph": None},
+        "results": {"eigenvalues": [-1.8022213994821232, 1.1433863496634347,
+                                    1.2588350498186887]}}),
+    "avg-dist": (["avg-dist", "--skip-inadmissible"], {
+        "config": {"classes": False, "command": "avg-dist",
+                   "format": "json", "graph": None,
+                   "skip_inadmissible": True},
+        "results": {"averaged_over": "admissible signings only", "betti": 1,
+                    "binomial_l1_deviation": 0, "counts": [12, 12],
+                    "mean": 0.5, "n_samples": 24, "skipped_signings": 0,
+                    "symmetric_counts": True, "variance": 0.25}}),
+    "verify-index": (["verify-index", "--format", "csv"], {
+        "config": {"command": "verify-index", "format": "csv",
+                   "graph": None},
+        "results": {"ok": 6, "skipped": 0, "rows": [
+            {"class": [c], "index": index, "k": k, "nullity": 0,
+             "reason": "", "status": "ok", "surplus": index}
+            for c, k, index in [(0, 1, 1), (0, 2, 0), (0, 3, 1),
+                                (1, 1, 0), (1, 2, 1), (1, 3, 0)]]}}),
+}
+
+
+class TestRunRecord:
+    """``_emit`` builds the run record only for ``--out``."""
+
+    def test_no_record_without_out(self, tmp_path, capsys, monkeypatch):
+        def refuse(args):
+            raise AssertionError("run record built without --out")
+
+        monkeypatch.setattr(cli, "_config_echo", refuse)
+        for command in sorted(OPTIONS):
+            for fmt in (["--format", "csv"] if "--format" in OPTIONS[command]
+                        else []), []:
+                code, out, _ = run(capsys, [*minimal_argv(tmp_path, command),
+                                            *fmt])
+                assert code == 0 and out
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_record_is_unchanged(self, tmp_path, capsys, name):
+        argv, expected = RECORDS[name]
+        op = write_op(tmp_path, triangle_op())
+        stem = tmp_path / "run"
+        code, out, _ = run(capsys, [*argv, "--op", op, "--out", str(stem)])
+        assert code == 0
+        record = json.loads((tmp_path / "run.json").read_text())
+        assert record.pop("wall_time_s") >= 0
+        assert record == {
+            "artifact": {"name": "magnodal", "version": __version__},
+            "config": {**expected["config"], "op": op},
+            "results": expected["results"],
+            "tolerances": {"degeneracy": 1e-08, "product": 1e-12,
+                           "real": 1e-09, "vanish": 1e-08}}

@@ -110,6 +110,27 @@ class TestGraph:
     def test_components_match_union_find(self, g):
         assert connected_components(g) == union_find_components(g)
 
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(9))
+    @example(Graph(0))
+    @example(Graph(5))
+    @example(Graph(6, ((0, 4), (1, 4), (2, 5))))
+    @example(Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (5, 6))))
+    def test_component_count_reads_the_walk(self, g):
+        """The count of the forest walk's roots, for vertex-less,
+        edgeless, forest and disconnected graphs alike."""
+        assert g.component_count == len(connected_components(g))
+
+    def test_component_count_lists_no_component(self, monkeypatch):
+        import magnodal.graphs as graphs
+
+        def refuse(g):
+            raise AssertionError("components listed for a count")
+
+        monkeypatch.setattr(graphs, "connected_components", refuse)
+        g = Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (5, 6)))
+        assert num_components(g) == 3 and betti_number(g) == 1
+
     def test_one_forest_walk_per_graph(self, monkeypatch):
         import magnodal.graphs as graphs
 

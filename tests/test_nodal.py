@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from conftest import (classes_by_enumeration, complex_products,
                       enumerate_signings, last_axis_products,
-                      reduction_checks, same_bits, scalar_nodal_count,
-                      scalar_nodal_surplus, signing_histogram, small_graphs)
+                      reduction_checks, referee_nodal, same_bits,
+                      scalar_nodal_count, scalar_nodal_surplus,
+                      signing_histogram, small_graphs)
 import magnodal
 import magnodal.nodal as nodal
 from magnodal.errors import (
@@ -33,12 +34,15 @@ from magnodal.errors import (
 )
 from magnodal.families import (
     complete_graph,
+    complete_minus_matching,
     cycle_graph,
+    matching_family_for_betti,
     path_graph,
     random_connected_graph,
     random_operator,
     star_graph,
     strong_diagonal_fixture,
+    surplus_probe_operator,
 )
 from magnodal.graphs import Graph, betti_number, num_components
 from magnodal.linkage import analyze_exceptional
@@ -680,6 +684,31 @@ class TestSweepAgainstScalarOracle:
         assert counts == [0, 0, 0, 0] and skipped == 1 << 6
         assert isinstance(exc, DegenerateEdgeProductError)
 
+    @pytest.mark.parametrize("tol_product", [0.0, PRODUCT_DEGENERATE_TOL])
+    def test_zero_entry_is_decided_before_solving(self, monkeypatch,
+                                                  tol_product):
+        """Skipping drops every class of a zero-entry operator unsolved
+        exactly when the kernel leaves a zero product unresolved; at a
+        zero product tolerance the classes are solved, and both count
+        as the per-signing oracle does."""
+        import magnodal.spectral as spectral
+
+        tols = (("tol_product", tol_product),)
+        counts, skipped, _ = scalar_sweep("zero-entry-K4", tols=tols)
+        solves = []
+        inner = spectral._EIGH
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_EIGH", counting)
+        d = average_surplus_distribution(zero_entry_k4(),
+                                         skip_inadmissible=True,
+                                         tol_product=tol_product)
+        assert (d.counts.tolist(), d.skipped) == (counts, skipped)
+        assert bool(solves) == (tol_product == 0.0)
+
     def test_every_signing_skipped(self):
         d = average_surplus_distribution(zero_diagonal_k4(),
                                          skip_inadmissible=True)
@@ -714,6 +743,55 @@ class TestSweepAgainstScalarOracle:
             strong_diagonal_fixture(complete_graph(5)))
         assert d.n_samples == 1024 * 5
         assert calls <= -(-(2 ** 6) // nodal.SWEEP_CHUNK)  # 2^beta classes
+
+
+def referee_operators() -> dict[str, SupportedMatrix]:
+    """Strong-diagonal K4 and K5, and surplus-probe operators on
+    complete-minus-matching graphs of beta 4 and 5."""
+    rng = np.random.default_rng(28)
+    ops = {"strong-K4": strong_diagonal_fixture(complete_graph(4)),
+           "strong-K5": strong_diagonal_fixture(complete_graph(5))}
+    for beta in (4, 5):
+        g = complete_minus_matching(*matching_family_for_betti(beta), rng=rng)
+        ops[f"probe-cmm-beta{beta}"] = surplus_probe_operator(g, rng)
+    return ops
+
+
+REFEREE_OPERATORS = referee_operators()
+
+
+@pytest.mark.parametrize("name", sorted(REFEREE_OPERATORS))
+def test_class_sum_matches_the_fifty_digit_referee(monkeypatch, name):
+    """Every surplus the class sum admits is the 50-digit referee's
+    surplus of that class's representative, at every k, and the
+    histogram counts the referee's surpluses of the admitted classes."""
+    h = REFEREE_OPERATORS[name]
+    beta = betti_number(h.graph)
+    blocks = []
+    inner = nodal.position_checks
+
+    def recording(op, offdiag, *args, **kwargs):
+        checks = inner(op, offdiag, *args, **kwargs)
+        blocks.append((offdiag, checks))
+        return checks
+
+    monkeypatch.setattr(nodal, "position_checks", recording)
+    d = average_surplus_distribution(h, skip_inadmissible=True)
+    expected = np.zeros(beta + 1, dtype=np.int64)
+    solved = admitted = 0
+    for offdiag, checks in blocks:
+        for row, failed, surplus in zip(offdiag, checks.failed,
+                                        checks.surplus):
+            ref = referee_nodal(SupportedMatrix(h.graph, h.diag, row))
+            ks = np.flatnonzero(~failed)
+            assert surplus[ks].tolist() == [ref.surplus[k] for k in ks]
+            if not failed.any():
+                expected += np.bincount(ref.surplus, minlength=beta + 1)
+            solved += 1
+            admitted += len(ks)
+    assert solved == 2 ** beta and admitted > 0
+    assert d.counts.tolist() == (expected * 2 ** (h.graph.num_edges - beta)
+                                 ).tolist()
 
 
 PLANTED_NUMBER = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)

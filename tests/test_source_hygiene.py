@@ -31,8 +31,11 @@ alone and never build a basis.  ``cli`` imports no ``_``-prefixed name from anot
 what the commands need is public.  ``cli`` reads no ``is_real`` and
 imports no ``nodal_count``: the library decides every precondition,
 such as the real-only one, and a command's count at one position comes
-from the one kernel call that checks every position.  The "Public API"
-section of ``README.md`` lists every name the package exports, once.
+from the one kernel call that checks every position.  Only
+``transversality``, which needs the vertex lists, calls
+``connected_components``: a component count is the number of roots of
+the spanning forest's walk.  The "Public API" section of ``README.md``
+lists every name the package exports, once.
 """
 
 import ast
@@ -185,6 +188,12 @@ def basis_builders(trees: dict[Path, ast.Module]) -> list[str]:
             and where.split(".")[0] not in BASIS_READERS]
 
 
+def component_listers(trees: dict[Path, ast.Module]) -> list[str]:
+    """Callers of ``connected_components`` outside ``transversality``."""
+    return [where for where in function_callers(trees, "connected_components")
+            if where.split(".")[0] != "transversality"]
+
+
 def callers_outside(trees: dict[Path, ast.Module], method: str,
                     module: str) -> list[str]:
     """Where a method named ``method`` is called outside ``module``."""
@@ -304,6 +313,13 @@ def test_only_coefficient_readers_build_a_cycle_basis():
         == ["graphs.cycle_basis"]
 
 
+def test_only_transversality_lists_components():
+    trees = {p: parse(p) for p in MODULES}
+    assert component_listers(trees) == []
+    assert "transversality.support_components" in function_callers(
+        trees, "connected_components")
+
+
 def test_only_graphs_looks_up_single_edges():
     trees = {p: parse(p) for p in MODULES}
     assert callers_outside(trees, "index_of", "graphs") == []
@@ -399,6 +415,14 @@ def test_checks_catch_what_they_look_for():
         "operators.flux_defects", "operators.gauge_classes_of_signings"]
     assert basis_builders(trees) == [
         "nodal._surplus_counts", "operators.gauge_classes_of_signings"]
+    trees = {Path("graphs.py"): ast.parse(
+        "class Graph:\n    def component_count(self):\n"
+        "        return len(connected_components(self))\n"),
+        Path("transversality.py"): ast.parse(
+        "def support_components(g):\n    return connected_components(g)\n"),
+        Path("nodal.py"): ast.parse(
+        "n = len(graphs.connected_components(g))\n")}
+    assert component_listers(trees) == ["graphs.component_count", "nodal"]
     assert private_imports(ast.parse(
         "from . import __version__\nfrom .nodal import (_every_position,\n"
         "    nodal_count)\nfrom .spectral import eigh, _check_k\n"

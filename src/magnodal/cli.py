@@ -307,8 +307,8 @@ def cmd_avg_dist(args) -> None:
     dist = average_surplus_distribution(
         h, skip_inadmissible=args.skip_inadmissible,
         tol_degeneracy=args.tol_degeneracy, tol_vanish=args.tol_vanish)
-    beta = dist.betti
-    symmetric = bool(np.all(dist.counts == dist.counts[::-1]))
+    beta, counts = dist.betti, dist.counts.tolist()
+    symmetric = counts == counts[::-1]
     if dist.n_samples == 0:
         # no vertex, or every signing skipped: the average has no samples
         probs = [None] * (beta + 1)
@@ -318,17 +318,16 @@ def cmd_avg_dist(args) -> None:
                   f"no admissible signings ({dist.skipped} skipped)")
         print(f"{reason}; moments undefined", file=sys.stderr)
     else:
-        binom = np.array([math.comb(beta, s) for s in range(beta + 1)],
-                         dtype=np.float64) / float(2 ** beta)
+        binom = [math.comb(beta, s) / 2 ** beta for s in range(beta + 1)]
         probs = dist.probs.tolist()
         mean, variance = dist.mean, dist.variance
-        deviation = float(np.sum(np.abs(dist.probs - binom)))
+        deviation = float(np.add.reduce(np.abs(dist.probs - binom)))
         print(f"mean {mean:.12g}  variance {variance:.12g}  "
               f"symmetric {symmetric}  binomial L1 {deviation:.3e}",
               file=sys.stderr)
     payload = {
         "betti": beta,
-        "counts": dist.counts.tolist(),
+        "counts": counts,
         "n_samples": dist.n_samples,
         "skipped_signings": dist.skipped,
         "mean": mean,
@@ -340,7 +339,7 @@ def cmd_avg_dist(args) -> None:
     }
     _emit(args, payload,
           ("magnodal/avg-dist", ["surplus", "count", "prob"],
-           ([s, int(dist.counts[s]), probs[s]] for s in range(beta + 1))))
+           map(list, zip(range(beta + 1), counts, probs))))
 
 
 def cmd_critical_scan(args) -> None:

@@ -25,7 +25,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {r} is not allowed")
             if not (0 <= r < self.n and 0 <= s < self.n):
                 raise ValueError(f"edge ({r}, {s}) out of range for n={self.n}")
-            canon.add((min(r, s), max(r, s)))
+            canon.add((r, s) if r < s else (s, r))
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
     @property
@@ -67,7 +67,8 @@ class Graph:
     @cached_property
     def endpoints(self) -> np.ndarray:
         """Read-only ``(num_edges, 2)`` array of the pairs in ``edges``."""
-        rs = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        rs = np.fromiter(chain.from_iterable(self.edges), np.intp,
+                         2 * len(self.edges)).reshape(-1, 2)
         rs.setflags(write=False)
         return rs
 
@@ -370,20 +371,28 @@ def _vertex(x) -> int:
             f"edge endpoint {x!r} is not an integer vertex") from None
 
 
-def _is_number(x) -> bool:
-    """A finite JSON number that fits a float (``json`` reads NaN too)."""
-    return (type(x) is not bool and isinstance(x, (int, float))
-            and -sys.float_info.max <= x <= sys.float_info.max)
+def _are_numbers(*xs) -> bool:
+    """Whether each of ``xs`` is a finite JSON number that fits a float
+    (``json`` reads NaN too); one call for a whole list."""
+    top = sys.float_info.max
+    for x in xs:
+        if (type(x) is bool or not isinstance(x, (int, float))
+                or not -top <= x <= top):
+            return False
+    return True
 
 
-def _is_vertex_pair(e) -> bool:
-    """A JSON pair ``[r, s]`` of integers (``json`` reads ``true`` as a
-    bool, which Python counts as an int)."""
-    if not isinstance(e, (list, tuple)) or len(e) != 2:
-        return False
-    r, s = e
-    return (isinstance(r, int) and not isinstance(r, bool)
-            and isinstance(s, int) and not isinstance(s, bool))
+def _are_vertex_pairs(*es) -> bool:
+    """Whether each of ``es`` is a JSON pair ``[r, s]`` of integers, not
+    bools (which Python counts as ints); one call for a whole list."""
+    for e in es:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            return False
+        r, s = e
+        if (not isinstance(r, int) or isinstance(r, bool)
+                or not isinstance(s, int) or isinstance(s, bool)):
+            return False
+    return True
 
 
 def graph_to_json(g: Graph) -> dict:
@@ -406,12 +415,10 @@ def graph_from_json(obj) -> Graph:
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise SchemaError("'edges' must be a list of [r, s] pairs")
-    pairs = []
-    for e in edges:
-        if not _is_vertex_pair(e):
-            raise SchemaError(f"edge entry {e!r} is not a pair of integers")
-        pairs.append((e[0], e[1]))
+    if not _are_vertex_pairs(*edges):
+        e = next(e for e in edges if not _are_vertex_pairs(e))
+        raise SchemaError(f"edge entry {e!r} is not a pair of integers")
     try:
-        return Graph(n, tuple(pairs))
+        return Graph(n, tuple(map(tuple, edges)))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc

@@ -28,9 +28,9 @@ member that leaves the spanning forest unflipped, in blocks of
 That call lays the block's eigenvectors out vertex-major once, so
 ``edge_products`` gathers whole blocks and returns the products
 edge-major; every mask then has its vertex or edge axis outermost, and
-the per-pair verdicts and positive counts reduce over it in long runs,
-into machine-word counts that cannot wrap.  A block in which every pair
-passes goes into the histogram with one ``bincount``.
+the verdicts (one pass per mask) and positive counts reduce over it in
+long runs, into machine-word counts that cannot wrap.  A block in which
+every pair passes goes into the histogram with one ``bincount``.
 It runs in real arithmetic: its products ``v_r (h_rs * sign) v_s``
 carry the bits of the real parts of the complex ones (every imaginary
 factor is an exact zero and a sign flip is exact), up to the signs of
@@ -99,7 +99,7 @@ def edge_products(graph: Graph, offdiag: np.ndarray, v: np.ndarray
     pad = offdiag.ndim - v.ndim
     v, offdiag = v[(None,) * pad].T, offdiag[(None,) * -pad].T
     head = v[rs[:, 0]]
-    if np.iscomplexobj(head):
+    if head.dtype.kind == "c":
         head = np.conj(head)
     return (head * offdiag * v[rs[:, 1]]).T
 
@@ -146,7 +146,7 @@ class _Solves:
                              **tols)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)  # a frozen one sets each field through a call
 class _StackChecks:
     """The kernel's checks of ``values`` (S, n) and ``products``
     (S, K, m) at the 0-based ``positions`` (K,) of operators on ``graph``.
@@ -171,16 +171,19 @@ class _StackChecks:
     unresolved: np.ndarray
     surplus: np.ndarray
 
-    @cached_property
+    @property
     def unbounded(self) -> np.ndarray:
-        """Pairs whose surplus lies outside ``[0, beta]``."""
-        return (self.surplus < 0) | (self.surplus > self.beta)
+        """Pairs whose surplus lies outside ``[0, beta]`` (read unsigned)."""
+        return self.surplus.view(np.uintp) > self.beta
 
-    @cached_property
+    @property
     def inadmissible(self) -> np.ndarray:
         """Pairs on which ``nodal_count`` raises an ``AdmissibilityError``."""
-        bad = (~self.simple | self.vanishing.any(axis=2) | ~self.flat
-               | self.unresolved.any(axis=2))
+        bad = ~self.simple
+        bad |= np.logical_or.reduce(self.vanishing, axis=2)
+        if self.products.dtype.kind == "c":
+            bad |= ~self.flat
+        bad |= np.logical_or.reduce(self.unresolved, axis=2)
         if num_components(self.graph) > 1:
             bad |= self.unbounded
         return bad
@@ -190,7 +193,7 @@ class _StackChecks:
         """Admissible pairs whose surplus lies outside ``[0, beta]``."""
         return ~self.inadmissible & self.unbounded
 
-    @property
+    @cached_property
     def failed(self) -> np.ndarray:
         return self.inadmissible | self.unbounded
 
@@ -253,14 +256,15 @@ def _stack_checks(values: np.ndarray, vectors: np.ndarray,
     ``graph``, ``vectors`` (S, K, n) and ``products`` (S, K, m) the
     eigenvectors and edge products at the 0-based ``positions`` (K,),
     strictly ascending, so K = n means every position, and ``scale`` the
-    Frobenius norm, one for all rows or one per row.
-    Real ``products`` pass the realness check without a test.
+    Frobenius norm, one for all rows or one per row.  Real ``products``
+    pass the realness check untested; the verdicts (``inadmissible``,
+    ``failed``) are formed on first read, one array pass per mask.
     """
-    positions = np.asarray(positions)
+    positions = np.asarray(positions, dtype=np.intp)
     scale = np.asarray(scale, dtype=np.float64)[..., None, None]
     simple = simple_positions(values, tol_degeneracy)
     flat = (~(np.abs(products.imag) > tol_real * scale).any(axis=2)
-            if np.iscomplexobj(products)
+            if products.dtype.kind == "c"
             else np.ones(products.shape[:2], dtype=bool))
     return _StackChecks(
         values, products, positions, graph, betti_number(graph),
@@ -269,7 +273,7 @@ def _stack_checks(values: np.ndarray, vectors: np.ndarray,
         np.abs(vectors) < tol_vanish,
         flat,
         np.abs(products.real) < tol_product * scale,
-        np.count_nonzero(products.real > 0.0, axis=2) - positions)
+        np.add.reduce(products.real > 0.0, axis=2, dtype=np.intp) - positions)
 
 
 def _checked(h: SupportedMatrix, k: int, es: EigenSystem | None, **tols
@@ -331,7 +335,7 @@ class SurplusDistribution:
             raise ValueError("count vector must have beta + 1 entries")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
-        if int(c.sum()) != self.n_samples:
+        if int(np.add.reduce(c)) != self.n_samples:
             raise ValueError("counts do not sum to the sample count")
 
     @cached_property
@@ -347,12 +351,12 @@ class SurplusDistribution:
 
     @cached_property
     def mean(self) -> float:
-        s = np.arange(self.betti + 1)
-        return float(np.dot(s, self.probs))
+        # the surplus values as the floats ``np.dot`` would cast them to
+        return float(np.dot(np.arange(self.betti + 1.0), self.probs))
 
     @property
     def variance(self) -> float:
-        s = np.arange(self.betti + 1)
+        s = np.arange(self.betti + 1.0)
         return float(np.dot((s - self.mean) ** 2, self.probs))
 
 
@@ -435,7 +439,7 @@ def _surplus_counts(h: SupportedMatrix, classes: SigningClasses,
         rows, offdiag, values, vectors = _solve_classes(h, classes, ids)
         checks = position_checks(h, offdiag, values, vectors, **tols)
         failed = checks.failed
-        if not failed.any():
+        if not np.logical_or.reduce(failed, axis=None):
             counts += weight * np.bincount(checks.surplus.ravel("K"),
                                            minlength=beta + 1)
             continue
@@ -490,7 +494,7 @@ def average_surplus_distribution(h: SupportedMatrix, *,
                                  "matrices; this operator has complex entries")
     m, n = h.graph.num_edges, h.graph.n
     classes = gauge_classes_of_signings(h, cap=cap)
-    if n << m > np.iinfo(np.int64).max:
+    if n << m >= 1 << 63:
         raise CapExceededError(
             f"{n} vertices times 2^{m} signings overflow the int64 counts")
     counts, skipped = _surplus_counts(h, classes, skip_inadmissible,

@@ -26,7 +26,7 @@ from .errors import (
     NotProperlySupportedError,
     SchemaError,
 )
-from .graphs import (Graph, OneForm, _is_number, _is_vertex_pair,
+from .graphs import (Graph, OneForm, _are_numbers, _are_vertex_pairs,
                      betti_number, coboundary, cycle_basis, graph_from_json,
                      graph_to_json)
 
@@ -63,7 +63,7 @@ class SupportedMatrix:
     @cached_property
     def is_real(self) -> bool:
         """True when every off-diagonal imaginary part is floating zero."""
-        return bool(np.all(self.offdiag.imag == 0.0))
+        return not np.logical_or.reduce(self.offdiag.imag)
 
     def to_dense(self) -> np.ndarray:
         """Dense array, real dtype when the matrix is real."""
@@ -71,15 +71,17 @@ class SupportedMatrix:
 
     @cached_property
     def norm_fro(self) -> float:
-        return float(frobenius_norms(self.diag, self.offdiag))
+        """The Frobenius norm, of a real matrix from its real parts."""
+        return float(frobenius_norms(
+            self.diag, self.offdiag.real if self.is_real else self.offdiag))
 
 
 def frobenius_norms(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     """Frobenius norm of the matrix with diagonal ``diag`` and edge
     entries ``offdiag``, or of each one when ``offdiag`` stacks rows
     (S, m); a row gets the bits of its matrix's ``norm_fro``."""
-    return np.sqrt(np.sum(diag ** 2)
-                   + 2.0 * np.sum(np.abs(offdiag) ** 2, axis=-1))
+    return np.sqrt(np.add.reduce(diag ** 2)
+                   + 2.0 * np.add.reduce(np.abs(offdiag) ** 2, axis=-1))
 
 
 def dense_matrices(graph: Graph, diag: np.ndarray, offdiag: np.ndarray
@@ -97,9 +99,11 @@ def dense_matrices(graph: Graph, diag: np.ndarray, offdiag: np.ndarray
     dense = np.zeros((len(offdiag), n * n),
                      dtype=np.float64 if real else np.complex128)
     dense[:, ::n + 1] = diag
-    entries = offdiag.real if real else offdiag
-    dense[:, upper] = entries
-    dense[:, lower] = entries if real else np.conj(offdiag)
+    if real:
+        dense[:, graph.dense_positions] = offdiag.real[:, None]
+    else:
+        dense[:, upper] = offdiag
+        dense[:, lower] = np.conj(offdiag)
     return dense.reshape(len(offdiag), n, n)
 
 
@@ -229,10 +233,13 @@ class SigningClasses:
 
     def rows(self, ids) -> np.ndarray:
         """Int8 signs (len(ids), |E|) of the representatives of ``ids``."""
-        ids = np.asarray(ids, dtype=np.int64)
-        rows = np.ones((len(ids), self.graph.num_edges), dtype=np.int8)
-        rows[:, self.nonforest] = \
-            1 - 2 * ((ids[:, None] >> np.arange(len(self.nonforest))) & 1)
+        # the bits of each id, least significant first, as int8
+        octets = np.ascontiguousarray(ids, dtype="<i8").view(np.uint8) \
+            .reshape(-1, 8)
+        bits = np.unpackbits(octets, axis=1, count=len(self.nonforest),
+                             bitorder="little").view(np.int8)
+        rows = np.ones((len(octets), self.graph.num_edges), dtype=np.int8)
+        rows[:, self.nonforest] = 1 - 2 * bits
         return rows
 
 
@@ -314,35 +321,33 @@ def operator_from_json(obj) -> SupportedMatrix:
     g = graph_from_json(obj["graph"])
     diag = obj["diag"]
     if (not isinstance(diag, list) or len(diag) != g.n
-            or not all(_is_number(x) for x in diag)):
+            or not _are_numbers(*diag)):
         raise SchemaError("'diag' must be a list of n finite numbers")
     entries = obj["offdiag"]
     if not isinstance(entries, list):
         raise SchemaError("'offdiag' must be a list")
     index = g.edge_index
-    off = [0j] * g.num_edges
-    seen = set()
+    off = [None] * g.num_edges  # None until the edge's entry is read
     for item in entries:
         if not (isinstance(item, dict)
                 and "edge" in item and "re" in item and "im" in item):
             raise SchemaError("each off-diagonal entry needs 'edge', 're', 'im'")
         e = item["edge"]
-        if not _is_vertex_pair(e):
+        if not _are_vertex_pairs(e):
             raise SchemaError(f"bad edge reference {e!r}")
         r, s = e
         i = index.get((r, s) if r <= s else (s, r))
         if i is None:
             raise SchemaError(f"edge {e!r} is not in the graph")
-        if i in seen:
+        if off[i] is not None:
             raise SchemaError(f"edge {e!r} listed twice")
-        seen.add(i)
         re, im = item["re"], item["im"]
-        if not (_is_number(re) and _is_number(im)):
+        if not _are_numbers(re, im):
             raise SchemaError(
                 f"entry for edge {e!r} must have finite numeric re/im")
         value = complex(float(re), float(im))
         off[i] = value.conjugate() if r > s else value
-    if len(seen) != g.num_edges:
-        missing = [e for i, e in enumerate(g.edges) if i not in seen]
+    if None in off:
+        missing = [e for e, v in zip(g.edges, off) if v is None]
         raise SchemaError(f"missing off-diagonal entries for edges {missing}")
     return SupportedMatrix(g, diag, off)

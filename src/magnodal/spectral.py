@@ -92,7 +92,7 @@ def _eigensolve(gufunc, dense: np.ndarray, real: str, complex_: str):
     """``gufunc`` on ``dense``, with ``np.linalg.eigh``'s loop choice and
     error handling; a NaN or infinite entry, on which LAPACK may fail or
     return NaNs, is refused first."""
-    if not np.isfinite(dense).all():
+    if not np.logical_and.reduce(np.isfinite(dense), axis=None):
         raise EigenSolverError("dense eigensolve failed: non-finite entry")
     with np.errstate(call=_eigh_failed, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
@@ -162,7 +162,7 @@ def eigh(h: SupportedMatrix, dense: np.ndarray | None = None) -> EigenSystem:
 
 def _cluster_tol(values: np.ndarray, tol_rel: float) -> np.ndarray:
     """``tol_rel * max(1, max |eigenvalue|)`` per spectrum (..., n)."""
-    return tol_rel * np.maximum(1.0, np.abs(values).max(axis=-1, initial=0.0))
+    return tol_rel * np.maximum.reduce(np.abs(values), axis=-1, initial=1.0)
 
 
 def cluster_mask(values: np.ndarray, lam, tol_rel: float = DEGENERACY_TOL
@@ -197,15 +197,17 @@ def simple_positions(values: np.ndarray, tol_rel: float = DEGENERACY_TOL
     spectra ``values`` (S, n): whether ``multiplicity`` gives 1, for
     every row and position at once.
 
-    A position is simple when both neighbours lie beyond
-    ``cluster_mask``'s cut of its row.
+    A position is simple when neither neighbour lies within
+    ``cluster_mask``'s cut of its row.  An ascending spectrum reaches
+    its largest modulus at an end and has no negative gap.
     """
-    tol = _cluster_tol(values, tol_rel)
-    apart = ~(np.abs(values[..., 1:] - values[..., :-1]) <= tol[..., None])
-    simple = np.ones(values.shape, dtype=bool)
-    simple[..., 1:] &= apart
-    simple[..., :-1] &= apart
-    return simple
+    *stack, n = values.shape
+    tol = _cluster_tol(values[..., ::max(n - 1, 1)], tol_rel)
+    # gap i + 1 lies between positions i and i + 1; the outer two are none
+    close = np.zeros((*stack, n + 1), dtype=bool)
+    np.less_equal(values[..., 1:] - values[..., :-1], tol[..., None],
+                  out=close[..., 1:-1])
+    return ~(close[..., 1:] | close[..., :-1])
 
 
 def is_nowhere_vanishing(v: np.ndarray, tol: float = VANISH_TOL

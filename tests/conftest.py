@@ -62,8 +62,14 @@ message and attribute.
 ``last_axis_products`` and ``reduction_checks`` are the layout oracle:
 the edge products gathered along the last axis, and the kernel's masks
 reduced along their last axis with ``any`` and ``np.count_nonzero``, as
-the kernel ran before its vertex- and edge-major layout.  Its fields,
-verdicts and errors must agree with them bit for bit.
+the kernel ran before its vertex- and edge-major layout, with the
+simplicity test (``simple_by_gaps``: every modulus and every gap's
+``abs``) and the verdicts (the bound as two comparisons, ``failed``
+through ``inadmissible``) that it ran before its leaner pass.  Its
+fields, verdicts and errors must agree with them bit for bit.
+``avg_dist_tail`` is the moments oracle: ``cli.cmd_avg_dist``'s
+formulas from a histogram to its stderr line and payload, as the
+command ran them before it read the counts once as a list.
 ``dense_by_fancy_index``, ``operator_by_items`` and
 ``nonforest_by_set_difference`` are the set-up oracles, each the
 version the package ran before its one-pass rewrite: the dense stack
@@ -78,6 +84,8 @@ the eigenvalues, eigenvectors, edge-product signs and surplus at every
 k, independent of LAPACK and of the package's kernel.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -94,7 +102,7 @@ from magnodal.errors import (AdmissibilityError, CapExceededError,
                              VanishingEigenvectorError)
 import magnodal.graphs as graphs
 from magnodal.errors import SchemaError
-from magnodal.graphs import (Chain, CycleBasis, Graph, _is_number,
+from magnodal.graphs import (Chain, CycleBasis, Graph,
                              betti_number, boundary, cycle_basis,
                              graph_from_json, num_components)
 from magnodal.linkage import GENERICITY_TOL, LENGTH_CAP
@@ -107,7 +115,7 @@ from magnodal.operators import SupportedMatrix, signs_for_index
 from magnodal.serialize import _escape, format_float
 from magnodal.spectral import (DEGENERACY_TOL, VANISH_TOL, EigenSystem,
                                cluster_mask, eigh, is_nowhere_vanishing,
-                               multiplicity, simple_positions)
+                               multiplicity)
 from magnodal.transversality import (TRANSVERSALITY_RANK_TOL,
                                      EigenspaceBasis, TransversalityReport,
                                      codim_stratum, eigenspace_basis)
@@ -367,11 +375,27 @@ def last_axis_products(graph: Graph, offdiag: np.ndarray,
     return head * offdiag * v[..., rs[:, 1]]
 
 
-@dataclass(frozen=True, eq=False)
+def simple_by_gaps(values: np.ndarray, tol_rel: float) -> np.ndarray:
+    """``spectral.simple_positions`` as it decided before: the cut from
+    the largest modulus of the whole row, and each neighbour gap's
+    ``abs`` against it, masked into a row of ones on both sides."""
+    tol = tol_rel * np.maximum(1.0, np.abs(values).max(axis=-1, initial=0.0))
+    apart = ~(np.abs(values[..., 1:] - values[..., :-1]) <= tol[..., None])
+    simple = np.ones(values.shape, dtype=bool)
+    simple[..., 1:] &= apart
+    simple[..., :-1] &= apart
+    return simple
+
+
+@dataclass(eq=False)
 class ReducedChecks(_StackChecks):
     """``nodal._StackChecks`` with its verdicts as it formed them before:
-    the bound masked into ``inadmissible`` on every graph, and
-    ``failed`` as the inadmissible or out-of-bounds pairs."""
+    the bound as two comparisons, masked into ``inadmissible`` on every
+    graph, and ``failed`` as the inadmissible or out-of-bounds pairs."""
+
+    @cached_property
+    def unbounded(self) -> np.ndarray:
+        return (self.surplus < 0) | (self.surplus > self.beta)
 
     @cached_property
     def inadmissible(self) -> np.ndarray:
@@ -402,11 +426,54 @@ def reduction_checks(values, vectors, products, positions, scale,
     return ReducedChecks(
         values, products, positions, graph, betti_number(graph),
         tol_degeneracy, tol_real,
-        simple_positions(values, tol_degeneracy)[:, positions],
+        simple_by_gaps(values, tol_degeneracy)[:, positions],
         np.abs(vectors) < tol_vanish,
         flat,
         np.abs(products.real) < tol_product * scale,
         np.count_nonzero(products.real > 0.0, axis=2) - positions)
+
+
+def avg_dist_tail(dist, n_vertices: int, skip: bool
+                  ) -> tuple[str, dict, list[list]]:
+    """The stderr line, payload and CSV rows of ``avg-dist`` for the
+    histogram ``dist`` of an operator on ``n_vertices`` vertices, by
+    the formulas ``cli.cmd_avg_dist`` ran before it read the counts once
+    as a list: the moments from the exact ratios through ``np.dot`` and
+    the binomial L1 distance through ``np.sum``."""
+    beta = dist.betti
+    symmetric = bool(np.all(dist.counts == dist.counts[::-1]))
+    if dist.n_samples == 0:
+        probs = [None] * (beta + 1)
+        mean = variance = deviation = None
+        reason = ("no eigenvalue positions (the graph has no vertices)"
+                  if n_vertices == 0 else
+                  f"no admissible signings ({dist.skipped} skipped)")
+        line = f"{reason}; moments undefined"
+    else:
+        binom = np.array([math.comb(beta, s) for s in range(beta + 1)],
+                         dtype=np.float64) / float(2 ** beta)
+        p = dist.counts / float(dist.n_samples)
+        s = np.arange(beta + 1)
+        mean = float(np.dot(s, p))
+        variance = float(np.dot((s - mean) ** 2, p))
+        probs = p.tolist()
+        deviation = float(np.sum(np.abs(p - binom)))
+        line = (f"mean {mean:.12g}  variance {variance:.12g}  "
+                f"symmetric {symmetric}  binomial L1 {deviation:.3e}")
+    payload = {
+        "betti": beta,
+        "counts": dist.counts.tolist(),
+        "n_samples": dist.n_samples,
+        "skipped_signings": dist.skipped,
+        "mean": mean,
+        "variance": variance,
+        "symmetric_counts": symmetric,
+        "binomial_l1_deviation": deviation,
+        "averaged_over": ("admissible signings only" if skip
+                          else "all signings"),
+    }
+    return line, payload, [[s, int(dist.counts[s]), probs[s]]
+                           for s in range(beta + 1)]
 
 
 def pseudo_inverse_apply(h: SupportedMatrix, lam: float, x: np.ndarray,
@@ -488,6 +555,13 @@ def is_vertex_pair_by_any(e) -> bool:
     return (isinstance(e, (list, tuple)) and len(e) == 2
             and not any(isinstance(x, bool) or not isinstance(x, int)
                         for x in e))
+
+
+def _is_number(x) -> bool:
+    """``graphs._are_numbers`` of one value, as the package tested each
+    entry before: a finite JSON number that fits a float."""
+    return (type(x) is not bool and isinstance(x, (int, float))
+            and -sys.float_info.max <= x <= sys.float_info.max)
 
 
 def operator_by_items(obj) -> SupportedMatrix:

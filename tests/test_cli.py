@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import lose_a_root_path, referee_nodal
+from conftest import avg_dist_tail, lose_a_root_path, referee_nodal
 from magnodal import __version__, cli
 from magnodal.cli import _build_parser, main
 from magnodal.errors import AdmissibilityError
@@ -21,7 +21,9 @@ from magnodal.families import (
     two_triangle_join,
 )
 from magnodal.graphs import Graph, graph_to_json
-from magnodal.operators import SupportedMatrix, operator_to_json
+from magnodal.nodal import SurplusDistribution
+from magnodal.operators import SIGNING_CAP, SupportedMatrix, operator_to_json
+from magnodal.serialize import csv_cell, dumps_canonical
 
 
 def write_op(tmp_path, h, name="op.json"):
@@ -600,6 +602,57 @@ class TestAvgDistGolden:
         modes = {(c["op"], tuple(c["flags"])) for c in GOLDEN["cases"]}
         assert len(modes) == 16
         assert {c["exit"] for c in GOLDEN["cases"]} == {0, 2}
+
+
+def tail_histograms() -> dict[str, tuple[SurplusDistribution, int]]:
+    """Histograms for the moments tail, each with the vertex count of
+    its operator: beta 0, beta 20 at the cap, no samples (every signing
+    skipped, or no vertex), and asymmetric and symmetric counts."""
+    rng = np.random.default_rng(29)
+    wide = rng.integers(0, 1 << 40, size=21)
+    return {
+        "beta0": (SurplusDistribution(0, [12], 12), 3),
+        "beta20-cap": (SurplusDistribution(20, wide, int(wide.sum())), 21),
+        "all-skipped": (SurplusDistribution(3, [0] * 4, 0, skipped=64), 4),
+        "vertexless": (SurplusDistribution(0, [0], 0), 0),
+        "asymmetric": (SurplusDistribution(3, [5, 0, 7, 1], 13), 4),
+        "symmetric": (SurplusDistribution(4, [1, 4, 6, 4, 1], 16), 5),
+    }
+
+
+class TestAvgDistTail:
+    """The moments tail of ``avg-dist`` against ``conftest.avg_dist_tail``,
+    the formulas it ran before: the stderr line, the payload and the
+    CSV table, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(tail_histograms()))
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_matches_the_oracle(self, capsys, monkeypatch, name, skip, fmt):
+        dist, n = tail_histograms()[name]
+        h = SupportedMatrix(Graph(n), np.zeros(n), np.zeros(0))
+        monkeypatch.setattr(cli, "_load_operator", lambda args: h)
+        monkeypatch.setattr(cli, "average_surplus_distribution",
+                            lambda *args, **kwargs: dist)
+        argv = ["avg-dist", "--op", "unread.json", "--format", fmt]
+        code, out, err = run(capsys, argv + ["--skip-inadmissible"] * skip)
+        line, payload, rows = avg_dist_tail(dist, n, skip)
+        assert code == 0
+        assert err == line + "\n"
+        if fmt == "json":
+            assert out == dumps_canonical(payload) + "\n"
+        else:
+            assert out == "".join(
+                ",".join(map(csv_cell, row)) + "\n"
+                for row in [["surplus", "count", "prob"], *rows])
+
+    def test_cases_cover_the_edges(self):
+        cases = tail_histograms().values()
+        assert {d.betti for d, _ in cases} >= {0, SIGNING_CAP}
+        assert any(d.n_samples == 0 and n > 0 for d, n in cases)
+        assert any(n == 0 for _, n in cases)
+        assert any(d.counts.tolist() != d.counts.tolist()[::-1]
+                   for d, _ in cases)
 
 
 class TestInputErrors:

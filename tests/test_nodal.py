@@ -15,11 +15,14 @@ from hypothesis import strategies as st
 
 from conftest import (classes_by_enumeration, complex_products,
                       enumerate_signings, last_axis_products,
-                      reduction_checks, referee_nodal, same_bits,
+                      multiplicity_by_walk, reduction_checks, referee_nodal,
+                      same_bits,
                       scalar_nodal_count, scalar_nodal_surplus,
                       signing_histogram, small_graphs)
 import magnodal
+import magnodal.morse as morse
 import magnodal.nodal as nodal
+import magnodal.spectral as spectral
 from magnodal.errors import (
     AdmissibilityError,
     CapExceededError,
@@ -29,6 +32,7 @@ from magnodal.errors import (
     EigenSolverError,
     InadmissibleSigningError,
     InternalCrossCheckError,
+    MagnodalError,
     NonSimpleEigenvalueError,
     VanishingEigenvectorError,
 )
@@ -48,11 +52,13 @@ from magnodal.graphs import Graph, betti_number, num_components
 from magnodal.linkage import analyze_exceptional
 from magnodal.morse import (
     TorusPoint,
+    critical_scan,
     eigenvalue_gradient,
     gradient_coords,
     hessian_eigenvalue,
     hessian_frozen_form,
     is_critical,
+    verify_index_equals_surplus,
 )
 from magnodal.nodal import (
     PRODUCT_DEGENERATE_TOL,
@@ -1030,6 +1036,163 @@ def test_kernel_layout_matches_the_reduction_oracle(h, data):
                          **tols))
 
 
+def class_sum_by_scalars(h: SupportedMatrix, skip: bool, tols: dict):
+    """``nodal._surplus_counts`` by the scalar checks: every class
+    representative in id order through ``signing_histogram``, weighted
+    by the class size; the counts and skipped signings, or the error."""
+    classes = classes_by_enumeration(h.graph)
+    beta = betti_number(h.graph)
+    counts, skipped = np.zeros(beta + 1, dtype=np.int64), 0
+    for signs, size in zip(classes.representatives, classes.class_sizes):
+        try:
+            counts += size * signing_histogram(h, signs, tols)
+        except InadmissibleSigningError:
+            if not skip:
+                raise
+            skipped += size
+    return counts.tolist(), skipped
+
+
+def class_sum_outcome(count, *args, **kwargs):
+    try:
+        counts, skipped = count(*args, **kwargs)
+    except MagnodalError as exc:
+        return error_fields(exc)
+    return list(counts), skipped
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_planted_operators() | real_planted_operators(small_graphs(5)),
+       st.data())
+def test_kernel_at_the_cuts_matches_the_oracles(h, data):
+    """The leaner class-block pass against the oracles it replaced.
+
+    ``_surplus_counts`` against the scalar counts of every class
+    representative: the same counts and skips, or the same error with
+    its type, message and attributes, skipping or not.  On a class
+    block whose eigenvalue neighbours are planted at 0.5, 1 and 2 times
+    the ``cluster_mask`` cut, its eigenvector entries at those multiples
+    of the vanishing cut and its edge products at those multiples of
+    ``tol_product`` times the norm, ``_stack_checks`` against
+    ``conftest.reduction_checks``, field by field and error by error,
+    and every simplicity verdict against ``multiplicity_by_walk``.  The
+    graphs take in edgeless, vertex-less and disconnected ones, where a
+    vanishing tolerance of 0 lets a count leave its bounds."""
+    g, n, m = h.graph, h.graph.n, h.graph.num_edges
+    tols = dict(tol_degeneracy=data.draw(st.sampled_from([1e-8, 0.02])),
+                tol_vanish=data.draw(st.sampled_from([0.0, 1e-8, 0.02])),
+                tol_product=data.draw(st.sampled_from([1e-12, 2e-3])))
+    classes = gauge_classes_of_signings(h)
+    for skip in (False, True):
+        assert class_sum_outcome(nodal._surplus_counts, h, classes, skip,
+                                 **tols) \
+            == class_sum_outcome(class_sum_by_scalars, h, skip, tols)
+    if not n:
+        return
+    _, off, values, vectors = nodal._solve_classes(
+        h, classes, np.arange(classes.num_classes))
+    rows = len(off)
+    factor, sign = st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([-1, 1])
+    for row, j, f in data.draw(st.lists(st.tuples(
+            st.integers(0, rows - 1), st.integers(0, max(n - 2, 0)), factor),
+            max_size=3)):
+        if n > 1:
+            cut = tols["tol_degeneracy"] * max(1.0, np.abs(values[row]).max())
+            values[row, j + 1] = values[row, j] + f * cut
+            values[row].sort()
+    for row, vertex, col, f, sg in data.draw(st.lists(st.tuples(
+            st.integers(0, rows - 1), st.integers(0, n - 1),
+            st.integers(0, n - 1), factor, sign), max_size=3)):
+        vectors[row, vertex, col] = sg * f * tols["tol_vanish"]
+    layout = np.ascontiguousarray(vectors.transpose(1, 2, 0)).T
+    products = edge_products(g, off[:, None], layout)
+    for row, col, e, f, sg in data.draw(st.lists(st.tuples(
+            st.integers(0, rows - 1), st.integers(0, n - 1),
+            st.integers(0, max(m - 1, 0)), factor, sign), max_size=3)):
+        if m:
+            products[row, col, e] = sg * f * tols["tol_product"] * h.norm_fro
+    positions = np.arange(n)
+    new = nodal._stack_checks(values, layout, products, positions,
+                              h.norm_fro, g, **tols)
+    old = reduction_checks(values, vectors.swapaxes(1, 2),
+                           np.ascontiguousarray(products), positions,
+                           h.norm_fro, g, **tols)
+    assert_same_checks(new, old)
+    for row, j in np.ndindex(rows, n):
+        size, _ = multiplicity_by_walk(values[row], j + 1,
+                                       tols["tol_degeneracy"])
+        assert new.simple[row, j] == (size == 1)
+
+
+class TestOneSolveAndOneKernelCallPerClassBlock:
+    """Every class block, in the class sum, the index check and the
+    scan's symmetry points, makes one stacked eigensolve
+    (``spectral._EIGH``) and one kernel call (``nodal._stack_checks``),
+    in that order: no verdict-only pass beside the kernel, no fallback
+    to a second call, no second solve.  Blocks of 3 classes make several
+    blocks out of a few classes."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        seen = []
+        gufunc, kernel = spectral._EIGH, nodal._stack_checks
+
+        def solve(*args, **kwargs):
+            seen.append("solve")
+            return gufunc(*args, **kwargs)
+
+        def check(*args, **kwargs):
+            seen.append("check")
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_EIGH", solve)
+        monkeypatch.setattr(nodal, "_stack_checks", check)
+        monkeypatch.setattr(nodal, "SWEEP_CHUNK", 3)
+        return seen
+
+    @staticmethod
+    def blocks(h):
+        return -(-gauge_classes_of_signings(h).num_classes // 3)
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_class_sum(self, events, skip):
+        """Blocks that pass, and (half the classes of the second operator
+        fail) blocks that fail, skipped or raising."""
+        for h in (random_operator(random_connected_graph(
+                      6, 10, np.random.default_rng(3)),
+                      np.random.default_rng(4)),
+                  SupportedMatrix(complete_graph(4), np.array([0, 1, 1, 2.0]),
+                                  np.ones(6, dtype=np.complex128))):
+            events.clear()
+            try:
+                average_surplus_distribution(h, skip_inadmissible=skip)
+            except InadmissibleSigningError:
+                assert not skip and events
+                assert events == ["solve", "check"] * (len(events) // 2)
+                continue
+            assert events == ["solve", "check"] * self.blocks(h)
+
+    def test_index_check(self, events):
+        h = strong_diagonal_fixture(complete_graph(4))
+        verify_index_equals_surplus(h)
+        assert events == ["solve", "check"] * self.blocks(h)
+
+    def test_symmetry_points(self, events, monkeypatch):
+        blocks = morse._symmetry_blocks
+
+        def marked(*args):
+            for block in blocks(*args):
+                events.append("block")
+                yield block
+            events.append("done")
+
+        monkeypatch.setattr(morse, "_symmetry_blocks", marked)
+        h = strong_diagonal_fixture(complete_graph(4))
+        critical_scan(h, 2, starts=2, seed=0)
+        stage = events[:events.index("done")]
+        assert stage == ["solve", "block", "check"] * self.blocks(h)
+
+
 def test_unbounded_count_on_a_disconnected_graph_is_inadmissible():
     """A triangle and an isolated vertex with the lowest diagonal: at a
     vanishing tolerance of 0 the triangle's eigenvectors, exactly 0 on
@@ -1107,13 +1270,18 @@ def test_sweep_errors_are_worded_from_the_kernel_masks(monkeypatch):
     assert err.value.__cause__.edges == h.graph.edges
 
 
+def run_env() -> dict:
+    """The environment, with the package importable."""
+    src = os.path.dirname(os.path.dirname(magnodal.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_optimized(script):
     """Run ``script`` under ``python -O`` with the package importable."""
-    src = os.path.dirname(os.path.dirname(magnodal.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-O", "-c", script],
+                          env=run_env(), capture_output=True, text=True,
+                          timeout=120)
 
 
 def test_bound_check_survives_optimized_mode():
@@ -1140,6 +1308,58 @@ def test_bound_check_survives_optimized_mode():
     """)
     run = run_optimized(script)
     assert run.returncode == 0, run.stderr
+
+
+def test_kernel_verdicts_survive_optimized_mode():
+    """The class sum, every class block's masks and errors, and the
+    per-k counts print the same under ``python -O`` as without it."""
+    script = textwrap.dedent("""
+        import json, sys
+        import numpy as np
+        import magnodal.nodal as nodal
+        from magnodal.errors import MagnodalError
+        from magnodal.families import complete_graph, strong_diagonal_fixture
+        from magnodal.graphs import Graph
+        from magnodal.operators import (SupportedMatrix,
+                                        gauge_classes_of_signings)
+
+        k4 = complete_graph(4)
+        cases = [
+            (strong_diagonal_fixture(k4), {}),
+            (SupportedMatrix(k4, np.array([0, 1, 1, 2.0]), np.ones(6)), {}),
+            (SupportedMatrix(k4, np.zeros(4), np.r_[0.0, np.ones(5)]), {}),
+            (SupportedMatrix(Graph(4, ((0, 1), (0, 2), (1, 2))),
+                             np.array([0.1, 0.2, 0.3, -5.0]), -np.ones(3)),
+             {"tol_vanish": 0.0}),
+            (SupportedMatrix(Graph(0), np.zeros(0), np.zeros(0)), {}),
+        ]
+        out = []
+        for h, tols in cases:
+            classes = gauge_classes_of_signings(h)
+            for skip in (False, True):
+                try:
+                    counts, skipped = nodal._surplus_counts(h, classes, skip,
+                                                            **tols)
+                    out.append([counts.tolist(), skipped])
+                except MagnodalError as exc:
+                    out.append([type(exc).__name__, str(exc)])
+            if not h.graph.n:
+                continue
+            _, off, values, vectors = nodal._solve_classes(
+                h, classes, np.arange(classes.num_classes))
+            c = nodal.position_checks(h, off, values, vectors, **tols)
+            out.append([getattr(c, name).tobytes().hex() for name in (
+                "simple", "vanishing", "flat", "unresolved", "surplus",
+                "unbounded", "inadmissible", "out_of_bounds", "failed")])
+            out.append([repr(c.error(row, col)) for row, col
+                        in np.ndindex(c.surplus.shape)])
+        print(json.dumps(out))
+    """)
+    plain = subprocess.run([sys.executable, "-c", script], env=run_env(),
+                           capture_output=True, text=True, timeout=120)
+    run = run_optimized(script)
+    assert plain.returncode == 0 and run.returncode == 0, run.stderr
+    assert run.stdout == plain.stdout
 
 
 def test_sweep_bound_check_survives_optimized_mode():

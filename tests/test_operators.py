@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (class_id, classes_by_enumeration, cycle_masks,
                       dense_by_fancy_index, enumerate_signings, forest_mask,
-                      index_of, is_vertex_pair_by_any, operator_by_items,
+                      _is_number, index_of, is_vertex_pair_by_any,
+                      operator_by_items,
                       same_bits, signs_of, small_graphs)
 from magnodal.errors import (
     CapExceededError,
@@ -20,8 +21,8 @@ from magnodal.errors import (
 )
 from magnodal.families import (complete_minus_matching, path_graph,
                                random_connected_graph)
-from magnodal.graphs import (Graph, OneForm, _is_vertex_pair, betti_number,
-                             num_components)
+from magnodal.graphs import (Graph, OneForm, _are_numbers, _are_vertex_pairs,
+                             betti_number, num_components)
 from magnodal.operators import (
     FLUX_TOL,
     GaugePhase,
@@ -535,7 +536,8 @@ class TestDenseAgainstFancyIndex:
 #: Edits of a valid operator document, each one entry's or key's worth.
 JSON_EDITS = ("reverse", "duplicate", "duplicate reversed", "bool vertex",
               "nan", "drop key", "non-dict", "drop entry", "foreign edge",
-              "shuffle")
+              "shuffle", "bool number", "string number", "nested list",
+              "out of range", "short diag", "short edge")
 
 
 def edit_document(doc: dict, edit: str, rng) -> None:
@@ -546,7 +548,9 @@ def edit_document(doc: dict, edit: str, rng) -> None:
         return
     entries = doc["offdiag"]
     whole = [j for j, item in enumerate(entries)
-             if isinstance(item, dict) and len(item) == 3]
+             if isinstance(item, dict) and len(item) == 3
+             and is_vertex_pair_by_any(item["edge"])
+             and _is_number(item["re"]) and _is_number(item["im"])]
     i = whole[int(rng.integers(len(whole)))] if whole else None
 
     def reversed_entry(item):
@@ -572,8 +576,23 @@ def edit_document(doc: dict, edit: str, rng) -> None:
             ("entry", k) for k in ("edge", "re", "im") if i is not None]
         where, key = keys[int(rng.integers(len(keys)))]
         (doc if where == "doc" else entries[i]).pop(key)
+    elif edit == "short diag":
+        doc["diag"] = doc["diag"][:-1]
+    elif edit in ("bool number", "string number", "nested list",
+                  "out of range"):
+        where = [("diag", j) for j in range(len(doc["diag"]))] + [
+            (key, j) for j in whole for key in ("re", "im", "edge")]
+        if where:
+            key, j = where[int(rng.integers(len(where)))]
+            box = doc["diag"] if key == "diag" else entries[j]
+            at = j if key == "diag" else key
+            box[at] = {"bool number": True, "string number": "1.5",
+                       "nested list": [box[at]],
+                       "out of range": 2 ** 1024}[edit]
     elif i is None:
         return
+    elif edit == "short edge":
+        entries[i]["edge"] = entries[i]["edge"][:1]
     elif edit == "reverse":
         entries[i] = reversed_entry(entries[i])
     elif edit == "duplicate":
@@ -595,6 +614,133 @@ def parse_outcome(parse, doc):
     except SchemaError as exc:
         return "SchemaError", str(exc)
     return h.graph, h.diag.tobytes(), h.offdiag.tobytes()
+
+
+def malformed_base() -> dict:
+    return {"graph": {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]},
+            "diag": [1.0, 2.0, 3.0],
+            "offdiag": [{"edge": [0, 1], "re": 1.0, "im": 0.0},
+                        {"edge": [0, 2], "re": -1.0, "im": 0.5},
+                        {"edge": [1, 2], "re": 2.0, "im": 0.0}]}
+
+
+BIG = 2 ** 1024
+
+#: Malformed operator documents, each an edit of ``malformed_base()``,
+#: with the message that the package printed for it before its
+#: entries were validated a list at a time.
+MALFORMED = [
+    ('diag bool',
+     lambda d: d["diag"].__setitem__(1, True),
+     "'diag' must be a list of n finite numbers"),
+    ('diag nan',
+     lambda d: d["diag"].__setitem__(0, float("nan")),
+     "'diag' must be a list of n finite numbers"),
+    ('diag string',
+     lambda d: d["diag"].__setitem__(2, "3.0"),
+     "'diag' must be a list of n finite numbers"),
+    ('diag nested',
+     lambda d: d["diag"].__setitem__(0, [1.0]),
+     "'diag' must be a list of n finite numbers"),
+    ('diag out of range',
+     lambda d: d["diag"].__setitem__(0, BIG),
+     "'diag' must be a list of n finite numbers"),
+    ('diag short',
+     lambda d: d["diag"].pop(),
+     "'diag' must be a list of n finite numbers"),
+    ('graph bool vertex',
+     lambda d: d["graph"]["edges"].__setitem__(1, [0, True]),
+     'edge entry [0, True] is not a pair of integers'),
+    ('graph nested pair',
+     lambda d: d["graph"]["edges"].__setitem__(0, [[0], 1]),
+     'edge entry [[0], 1] is not a pair of integers'),
+    ('graph short pair',
+     lambda d: d["graph"]["edges"].__setitem__(2, [1]),
+     'edge entry [1] is not a pair of integers'),
+    ('graph long pair',
+     lambda d: d["graph"]["edges"].__setitem__(2, [1, 2, 0]),
+     'edge entry [1, 2, 0] is not a pair of integers'),
+    ('graph vertex out of range',
+     lambda d: d["graph"]["edges"].append([0, 5]),
+     'edge (0, 5) out of range for n=3'),
+    ('re bool',
+     lambda d: d["offdiag"][1].__setitem__("re", False),
+     'entry for edge [0, 2] must have finite numeric re/im'),
+    ('im nan',
+     lambda d: d["offdiag"][2].__setitem__("im", float("nan")),
+     'entry for edge [1, 2] must have finite numeric re/im'),
+    ('re string',
+     lambda d: d["offdiag"][0].__setitem__("re", "1"),
+     'entry for edge [0, 1] must have finite numeric re/im'),
+    ('im out of range',
+     lambda d: d["offdiag"][0].__setitem__("im", -BIG),
+     'entry for edge [0, 1] must have finite numeric re/im'),
+    ('re nested',
+     lambda d: d["offdiag"][1].__setitem__("re", [1.0]),
+     'entry for edge [0, 2] must have finite numeric re/im'),
+    ('edge nested',
+     lambda d: d["offdiag"][1].__setitem__("edge", [[0], 2]),
+     'bad edge reference [[0], 2]'),
+    ('edge bool',
+     lambda d: d["offdiag"][2].__setitem__("edge", [True, 2]),
+     'bad edge reference [True, 2]'),
+    ('edge short',
+     lambda d: d["offdiag"][0].__setitem__("edge", [0]),
+     'bad edge reference [0]'),
+    ('edge not in graph',
+     lambda d: d["offdiag"][0].__setitem__("edge", [0, 0]),
+     'edge [0, 0] is not in the graph'),
+    ('duplicate',
+     lambda d: d["offdiag"].append(dict(d["offdiag"][0])),
+     'edge [0, 1] listed twice'),
+    ('duplicate reversed',
+     lambda d: d["offdiag"].append({"edge": [2, 0], "re": 1.0, "im": 0.0}),
+     'edge [2, 0] listed twice'),
+    ('missing entry',
+     lambda d: d["offdiag"].pop(1),
+     'missing off-diagonal entries for edges [(0, 2)]'),
+    ('non-dict entry',
+     lambda d: d["offdiag"].__setitem__(1, [[0, 2], -1.0]),
+     "each off-diagonal entry needs 'edge', 're', 'im'"),
+    ('missing key',
+     lambda d: d["offdiag"][2].pop("im"),
+     "each off-diagonal entry needs 'edge', 're', 'im'"),
+    ('offdiag not a list',
+     lambda d: d.__setitem__("offdiag", {"edge": [0, 1]}),
+     "'offdiag' must be a list"),
+    ('bad number before bad edge',
+     lambda d: (d["offdiag"][0].__setitem__("re", True),
+                d["offdiag"][1].__setitem__("edge", [0, 9])),
+     'entry for edge [0, 1] must have finite numeric re/im'),
+    ('bad edge before bad number',
+     lambda d: (d["offdiag"][0].__setitem__("edge", [0, 9]),
+                d["offdiag"][1].__setitem__("re", True)),
+     'edge [0, 9] is not in the graph'),
+    ('duplicate before bad number',
+     lambda d: (d["offdiag"].insert(1, dict(d["offdiag"][0])),
+                d["offdiag"][2].__setitem__("im", "x")),
+     'edge [0, 1] listed twice'),
+    ('bad number before missing',
+     lambda d: (d["offdiag"].pop(2), d["offdiag"][0].__setitem__("im", None)),
+     'entry for edge [0, 1] must have finite numeric re/im'),
+    ('bad diag before bad entry',
+     lambda d: (d["diag"].__setitem__(0, None),
+                d["offdiag"].__setitem__(0, 7)),
+     "'diag' must be a list of n finite numbers"),
+]
+
+
+@pytest.mark.parametrize("edit, message", [c[1:] for c in MALFORMED],
+                         ids=[c[0] for c in MALFORMED])
+def test_malformed_documents_keep_their_messages(edit, message):
+    """Bool, NaN, string, nested-list and out-of-range entries, bad and
+    duplicate edges, wrong lengths, and two faults in one document: the
+    first in document order names the error, word for word."""
+    doc = malformed_base()
+    edit(doc)
+    with pytest.raises(SchemaError) as err:
+        operator_from_json(doc)
+    assert str(err.value) == message
 
 
 class TestOperatorJsonAgainstItems:
@@ -624,4 +770,16 @@ class TestOperatorJsonAgainstItems:
                                 st.tuples(inner, inner)),
         max_leaves=4))
     def test_vertex_pairs(self, e):
-        assert _is_vertex_pair(e) == is_vertex_pair_by_any(e)
+        assert _are_vertex_pairs(e) == is_vertex_pair_by_any(e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(-2, 2), st.integers(2 ** 1023, 2 ** 1025), st.booleans(),
+        st.none(), st.floats(allow_nan=True), st.text(max_size=1),
+        st.lists(st.integers(0, 2), max_size=3),
+        st.tuples(st.integers(-1, 2), st.integers(-1, 2) | st.booleans())),
+        max_size=4))
+    def test_lists_of_numbers_and_pairs(self, xs):
+        """One call decides a whole list as the per-entry tests did."""
+        assert _are_numbers(*xs) == all(map(_is_number, xs))
+        assert _are_vertex_pairs(*xs) == all(map(is_vertex_pair_by_any, xs))

@@ -99,7 +99,7 @@ def edge_products(graph: Graph, offdiag: np.ndarray, v: np.ndarray
     pad = offdiag.ndim - v.ndim
     v, offdiag = v[(None,) * pad].T, offdiag[(None,) * -pad].T
     head = v[rs[:, 0]]
-    if head.dtype.kind == "c":
+    if np.iscomplexobj(head):
         head = np.conj(head)
     return (head * offdiag * v[rs[:, 1]]).T
 
@@ -155,7 +155,9 @@ class _StackChecks:
     products real within ``tol_real``, ``vanishing`` (S, K, n) the
     vanishing eigenvector entries, ``unresolved`` (S, K, m) the products
     too close to zero to carry a sign, and ``surplus`` (S, K) is the
-    positive-product count minus ``k - 1``.
+    positive-product count minus ``k - 1``.  ``unbounded`` and
+    ``inadmissible`` are cached on first read, so no field is reassigned
+    after construction.
     """
 
     values: np.ndarray
@@ -171,29 +173,29 @@ class _StackChecks:
     unresolved: np.ndarray
     surplus: np.ndarray
 
-    @property
+    @cached_property
     def unbounded(self) -> np.ndarray:
         """Pairs whose surplus lies outside ``[0, beta]`` (read unsigned)."""
         return self.surplus.view(np.uintp) > self.beta
 
-    @property
+    @cached_property
     def inadmissible(self) -> np.ndarray:
         """Pairs on which ``nodal_count`` raises an ``AdmissibilityError``."""
         bad = ~self.simple
-        bad |= np.logical_or.reduce(self.vanishing, axis=2)
-        if self.products.dtype.kind == "c":
+        bad |= self.vanishing.any(axis=2)
+        if np.iscomplexobj(self.products):
             bad |= ~self.flat
-        bad |= np.logical_or.reduce(self.unresolved, axis=2)
+        bad |= self.unresolved.any(axis=2)
         if num_components(self.graph) > 1:
             bad |= self.unbounded
         return bad
 
-    @cached_property
+    @property
     def out_of_bounds(self) -> np.ndarray:
         """Admissible pairs whose surplus lies outside ``[0, beta]``."""
         return ~self.inadmissible & self.unbounded
 
-    @cached_property
+    @property
     def failed(self) -> np.ndarray:
         return self.inadmissible | self.unbounded
 
@@ -257,14 +259,15 @@ def _stack_checks(values: np.ndarray, vectors: np.ndarray,
     eigenvectors and edge products at the 0-based ``positions`` (K,),
     strictly ascending, so K = n means every position, and ``scale`` the
     Frobenius norm, one for all rows or one per row.  Real ``products``
-    pass the realness check untested; the verdicts (``inadmissible``,
-    ``failed``) are formed on first read, one array pass per mask.
+    pass the realness check untested; ``unbounded`` and ``inadmissible``
+    are formed once, on first read, one array pass per mask, and
+    ``failed`` and ``out_of_bounds`` from them.
     """
     positions = np.asarray(positions, dtype=np.intp)
     scale = np.asarray(scale, dtype=np.float64)[..., None, None]
     simple = simple_positions(values, tol_degeneracy)
     flat = (~(np.abs(products.imag) > tol_real * scale).any(axis=2)
-            if products.dtype.kind == "c"
+            if np.iscomplexobj(products)
             else np.ones(products.shape[:2], dtype=bool))
     return _StackChecks(
         values, products, positions, graph, betti_number(graph),
@@ -335,7 +338,7 @@ class SurplusDistribution:
             raise ValueError("count vector must have beta + 1 entries")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
-        if int(np.add.reduce(c)) != self.n_samples:
+        if int(c.sum()) != self.n_samples:
             raise ValueError("counts do not sum to the sample count")
 
     @cached_property
@@ -351,12 +354,12 @@ class SurplusDistribution:
 
     @cached_property
     def mean(self) -> float:
-        # the surplus values as the floats ``np.dot`` would cast them to
-        return float(np.dot(np.arange(self.betti + 1.0), self.probs))
+        s = np.arange(self.betti + 1)
+        return float(np.dot(s, self.probs))
 
     @property
     def variance(self) -> float:
-        s = np.arange(self.betti + 1.0)
+        s = np.arange(self.betti + 1)
         return float(np.dot((s - self.mean) ** 2, self.probs))
 
 
@@ -439,7 +442,7 @@ def _surplus_counts(h: SupportedMatrix, classes: SigningClasses,
         rows, offdiag, values, vectors = _solve_classes(h, classes, ids)
         checks = position_checks(h, offdiag, values, vectors, **tols)
         failed = checks.failed
-        if not np.logical_or.reduce(failed, axis=None):
+        if not failed.any():
             counts += weight * np.bincount(checks.surplus.ravel("K"),
                                            minlength=beta + 1)
             continue

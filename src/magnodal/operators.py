@@ -95,15 +95,15 @@ def dense_matrices(graph: Graph, diag: np.ndarray, offdiag: np.ndarray
     and the edges at ``Graph.dense_positions``.
     """
     real = offdiag.dtype.kind != "c" or not offdiag.imag.any()
-    n, (upper, lower) = graph.n, graph.dense_positions
+    n, pos = graph.n, graph.dense_positions
     dense = np.zeros((len(offdiag), n * n),
                      dtype=np.float64 if real else np.complex128)
     dense[:, ::n + 1] = diag
     if real:
-        dense[:, graph.dense_positions] = offdiag.real[:, None]
+        dense[:, pos] = offdiag.real[:, None]
     else:
-        dense[:, upper] = offdiag
-        dense[:, lower] = np.conj(offdiag)
+        dense[:, pos[0]] = offdiag
+        dense[:, pos[1]] = np.conj(offdiag)
     return dense.reshape(len(offdiag), n, n)
 
 
@@ -233,13 +233,10 @@ class SigningClasses:
 
     def rows(self, ids) -> np.ndarray:
         """Int8 signs (len(ids), |E|) of the representatives of ``ids``."""
-        # the bits of each id, least significant first, as int8
-        octets = np.ascontiguousarray(ids, dtype="<i8").view(np.uint8) \
-            .reshape(-1, 8)
-        bits = np.unpackbits(octets, axis=1, count=len(self.nonforest),
-                             bitorder="little").view(np.int8)
-        rows = np.ones((len(octets), self.graph.num_edges), dtype=np.int8)
-        rows[:, self.nonforest] = 1 - 2 * bits
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = np.ones((len(ids), self.graph.num_edges), dtype=np.int8)
+        rows[:, self.nonforest] = \
+            1 - 2 * ((ids[:, None] >> np.arange(len(self.nonforest))) & 1)
         return rows
 
 

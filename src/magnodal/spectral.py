@@ -92,7 +92,7 @@ def _eigensolve(gufunc, dense: np.ndarray, real: str, complex_: str):
     """``gufunc`` on ``dense``, with ``np.linalg.eigh``'s loop choice and
     error handling; a NaN or infinite entry, on which LAPACK may fail or
     return NaNs, is refused first."""
-    if not np.logical_and.reduce(np.isfinite(dense), axis=None):
+    if not np.isfinite(dense).all():
         raise EigenSolverError("dense eigensolve failed: non-finite entry")
     with np.errstate(call=_eigh_failed, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):

@@ -533,7 +533,8 @@ class TestDenseAgainstFancyIndex:
         assert same_bits(got, want)
 
 
-#: Edits of a valid operator document, each one entry's or key's worth.
+#: Edits of a valid operator document, each one entry's or key's worth;
+#: the type edits and ``short edge`` come last.
 JSON_EDITS = ("reverse", "duplicate", "duplicate reversed", "bool vertex",
               "nan", "drop key", "non-dict", "drop entry", "foreign edge",
               "shuffle", "bool number", "string number", "nested list",
@@ -542,15 +543,26 @@ JSON_EDITS = ("reverse", "duplicate", "duplicate reversed", "bool vertex",
 
 def edit_document(doc: dict, edit: str, rng) -> None:
     """Apply ``edit`` in place at positions drawn from ``rng``.  A
-    document that has lost a key is left as it is, and an entry edit
-    picks an entry that an earlier edit left whole."""
+    document that has lost a key is left as it is.  An entry edit picks
+    an entry that still has its three keys, so faults stack on one
+    entry; the type edits and ``short edge`` pick a valid entry, and a
+    reversal or ``bool vertex`` one whose edge is a list pair and whose
+    ``im`` is a number (every whole entry, before any type edit)."""
     if len(doc) < 3:
         return
     entries = doc["offdiag"]
     whole = [j for j, item in enumerate(entries)
-             if isinstance(item, dict) and len(item) == 3
-             and is_vertex_pair_by_any(item["edge"])
-             and _is_number(item["re"]) and _is_number(item["im"])]
+             if isinstance(item, dict) and len(item) == 3]
+    if edit in ("reverse", "duplicate reversed", "bool vertex"):
+        whole = [j for j in whole
+                 if isinstance(entries[j]["edge"], list)
+                 and len(entries[j]["edge"]) == 2
+                 and isinstance(entries[j]["im"], (int, float))]
+    elif edit in JSON_EDITS[10:]:
+        whole = [j for j in whole
+                 if is_vertex_pair_by_any(entries[j]["edge"])
+                 and _is_number(entries[j]["re"])
+                 and _is_number(entries[j]["im"])]
     i = whole[int(rng.integers(len(whole)))] if whole else None
 
     def reversed_entry(item):
@@ -624,7 +636,7 @@ def malformed_base() -> dict:
                         {"edge": [1, 2], "re": 2.0, "im": 0.0}]}
 
 
-BIG = 2 ** 1024
+BIG, NAN = 2 ** 1024, float("nan")
 
 #: Malformed operator documents, each an edit of ``malformed_base()``,
 #: with the message that the package printed for it before its
@@ -723,6 +735,22 @@ MALFORMED = [
     ('bad number before missing',
      lambda d: (d["offdiag"].pop(2), d["offdiag"][0].__setitem__("im", None)),
      'entry for edge [0, 1] must have finite numeric re/im'),
+    ('duplicate with nan',
+     lambda d: d["offdiag"].append({"edge": [0, 1], "re": NAN, "im": 0.0}),
+     'edge [0, 1] listed twice'),
+    ('reversed duplicate with nan',
+     lambda d: d["offdiag"].append({"edge": [1, 0], "re": 1.0, "im": NAN}),
+     'edge [1, 0] listed twice'),
+    ('duplicate with bool vertex',
+     lambda d: d["offdiag"].append({"edge": [True, 1], "re": 1.0, "im": 0.0}),
+     'bad edge reference [True, 1]'),
+    ('bool vertex and nan on one entry',
+     lambda d: d["offdiag"][1].update(edge=[0, True], im=NAN),
+     'bad edge reference [0, True]'),
+    ('nan entry then its duplicate',
+     lambda d: (d["offdiag"][2].__setitem__("re", NAN),
+                d["offdiag"].append(dict(d["offdiag"][2]))),
+     'entry for edge [1, 2] must have finite numeric re/im'),
     ('bad diag before bad entry',
      lambda d: (d["diag"].__setitem__(0, None),
                 d["offdiag"].__setitem__(0, 7)),

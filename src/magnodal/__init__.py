@@ -35,19 +35,16 @@ from .errors import (
     VanishingEigenvectorError,
 )
 from .graphs import (
-    Chain,
-    CycleBasis,
     Graph,
     OneForm,
+    SpanningForest,
     betti_number,
-    boundary,
     coboundary,
     connected_components,
     cycle_basis,
     graph_from_json,
     graph_to_json,
     induced_subgraph,
-    integrate,
     num_components,
 )
 from .operators import (

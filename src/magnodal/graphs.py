@@ -1,22 +1,22 @@
-"""Finite simple graphs with edge chains, one-forms and cycle bases.
+"""Finite simple graphs with one-forms and a spanning forest.
 
 Edges are stored canonically as pairs ``(r, s)`` with ``r < s``, sorted
 lexicographically.  Every array indexed "per edge" follows that order.
-A chain assigns integer coefficients to edges, a one-form assigns real
-values; both are tied to a specific graph instance.
+A one-form assigns a real value to each edge and is tied to a specific
+graph instance.
 
 A graph owns one spanning forest: the breadth-first walk runs once per
 graph and is cached.  It gives the parent of each vertex, the order
 in which the walk reached them and the canonical positions of the
-non-forest edges, all filled in the same walk; the root paths (the
-signed chain from the root of a vertex's tree down to the vertex) are
-filled in that order on first read.  The fundamental cycle basis is
-built from it once per graph, on first read, and cached too, as one
-coefficient array with the walk's non-forest positions; only the
-modules that read the coefficients build it.  The components, the
-switching classes, the cycle basis and the gauge witness of
-``operators.is_gauge_equiv_to_symmetry`` all read the forest, so they
-are deterministic for a given graph.
+non-forest edges, all filled in the same walk.  Those positions are at
+once the torus chart (one angle per independent cycle) and the bits of
+the switching classes.  The root paths (the signed chain from the root
+of a vertex's tree down to the vertex) are filled in the walk's order
+on first read, and the fundamental cycles are built from them, checked
+and cached on first read too, as one coefficient array; only the flux
+test reads it.  The components, the switching classes, the torus chart
+and the gauge witness of ``operators.is_gauge_equiv_to_symmetry`` all
+read the forest, so they are deterministic for a given graph.
 """
 
 from __future__ import annotations
@@ -100,30 +100,6 @@ class Graph:
         """The breadth-first spanning forest, walked once per graph."""
         return _bfs_walk(self)
 
-    @cached_property
-    def fundamental_cycles(self) -> "CycleBasis":
-        """The cycle basis over ``spanning_forest``, built and checked
-        on first read, once per graph."""
-        return _checked_cycle_basis(self)
-
-    def index_of(self, r: int, s: int) -> int:
-        return self.edge_index[(min(r, s), max(r, s))]
-
-
-@dataclass(frozen=True, eq=False)
-class Chain:
-    """Integer edge coefficients, one per canonical edge."""
-
-    graph: Graph
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.int64).copy()
-        if c.shape != (self.graph.num_edges,):
-            raise ValueError("chain length does not match the edge count")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
 
 @dataclass(frozen=True, eq=False)
 class OneForm:
@@ -151,13 +127,14 @@ class OneForm:
 class SpanningForest:
     """Forest edges, parent array (-1 at roots), an order of the
     vertices that puts each after its parent, the canonical positions
-    of the non-forest edges and, on first read, the root paths.
+    of the non-forest edges and, on first read, the root paths and the
+    fundamental cycles.
 
-    Row ``v`` of the read-only ``up`` is the chain of tree edges from
-    the root of ``v``'s tree down to ``v``.  The fundamental cycle of a
-    non-forest edge ``(r, s)`` is ``e_rs + up[r] - up[s]``: the shared
-    part of the two root paths cancels.  ``nonforest`` is a read-only
-    int64 array in ascending order, one entry per independent cycle.
+    ``nonforest`` is a read-only int64 array in ascending order, one
+    entry per independent cycle: the coordinates of the torus chart
+    and the bits of the switching classes.  Row ``v`` of the read-only
+    ``up`` is the chain of tree edges from the root of ``v``'s tree
+    down to ``v``.
     """
 
     graph: Graph
@@ -183,45 +160,32 @@ class SpanningForest:
         up.setflags(write=False)
         return up
 
-
-@dataclass(frozen=True, eq=False)
-class CycleBasis:
-    """Spanning forest plus one fundamental cycle per non-forest edge.
-
-    Row ``i`` of the read-only ``coeffs`` (beta, |E|) is the fundamental
-    cycle of the edge at canonical position ``nonforest_indices[i]``,
-    oriented so that edge carries coefficient +1.  ``cycles`` gives the
-    rows as ``Chain``s, built on first read.  A ``nonforest_indices``
-    that is already a read-only int64 vector is kept as given, so the
-    basis of the graph's own forest holds the forest's array.
-    """
-
-    graph: Graph
-    forest_edges: tuple[tuple[int, int], ...]
-    nonforest_indices: np.ndarray
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        idx = self.nonforest_indices
-        if not (isinstance(idx, np.ndarray) and idx.dtype == np.int64
-                and idx.ndim == 1 and not idx.flags.writeable):
-            idx = np.array(idx, dtype=np.int64).reshape(-1)
-        c = np.array(self.coeffs, dtype=np.int64).reshape(
-            len(idx), self.graph.num_edges)
-        for name, a in (("nonforest_indices", idx), ("coeffs", c)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
     @cached_property
     def nonforest_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.graph.edges[i] for i in self.nonforest_indices)
+        return tuple(self.graph.edges[i] for i in self.nonforest)
 
     @cached_property
-    def cycles(self) -> tuple[Chain, ...]:
-        return tuple(Chain(self.graph, c) for c in self.coeffs)
+    def coeffs(self) -> np.ndarray:
+        """Read-only fundamental cycles (beta, |E|): row ``i`` is the
+        cycle ``e_rs + up[r] - up[s]`` of the non-forest edge ``(r, s)``
+        at position ``nonforest[i]``, which carries coefficient +1; the
+        shared part of the two root paths cancels.  One incidence
+        product checks every boundary, and their number is checked
+        against the Betti number."""
+        g, idx, up = self.graph, self.nonforest, self.up
+        r, s = g.endpoints[idx].T
+        coeffs = up[r] - up[s]
+        coeffs[np.arange(len(idx)), idx] += 1
+        incidence = np.zeros((g.num_edges, g.n), dtype=np.int64)
+        incidence[np.arange(g.num_edges)[:, None], g.endpoints] = [-1, 1]
+        if np.any(coeffs @ incidence):
+            raise InternalCrossCheckError(
+                "fundamental cycle has nonzero boundary")
+        if len(coeffs) != betti_number(g):
+            raise InternalCrossCheckError(
+                "cycle basis size does not match the Betti number")
+        coeffs.setflags(write=False)
+        return coeffs
 
 
 def _require_same_graph(a: Graph, b: Graph) -> None:
@@ -262,21 +226,6 @@ def coboundary(g: Graph, f) -> OneForm:
     return OneForm(g, f[g.endpoints[:, 1]] - f[g.endpoints[:, 0]])
 
 
-def integrate(alpha: OneForm, xi: Chain) -> float:
-    """Pairing of a one-form with a chain, summed edge by edge."""
-    _require_same_graph(alpha.graph, xi.graph)
-    return float(np.dot(xi.coeffs.astype(np.float64), alpha.values))
-
-
-def boundary(xi: Chain) -> np.ndarray:
-    """Vertex boundary of a chain; zero exactly on cycles."""
-    out = np.zeros(xi.graph.n, dtype=np.int64)
-    for coeff, (r, s) in zip(xi.coeffs, xi.graph.edges):
-        out[s] += coeff
-        out[r] -= coeff
-    return out
-
-
 def _bfs_walk(g: Graph) -> SpanningForest:
     """The one breadth-first walk behind ``Graph.spanning_forest``: each
     vertex is reached after its parent, and each forest edge is marked
@@ -309,37 +258,10 @@ def _bfs_walk(g: Graph) -> SpanningForest:
                           tuple(order), nonforest)
 
 
-def _fundamental_cycles(g: Graph, forest: SpanningForest) -> CycleBasis:
-    """One cycle ``e_rs + up[r] - up[s]`` per non-forest edge ``(r, s)``
-    of ``forest``, built as one array, whose boundaries one incidence
-    product checks."""
-    idx, up = forest.nonforest, forest.up
-    r, s = g.endpoints[idx].T
-    coeffs = up[r] - up[s]
-    coeffs[np.arange(len(idx)), idx] += 1
-    incidence = np.zeros((g.num_edges, g.n), dtype=np.int64)
-    incidence[np.arange(g.num_edges)[:, None], g.endpoints] = [-1, 1]
-    if np.any(coeffs @ incidence):
-        raise InternalCrossCheckError("fundamental cycle has nonzero boundary")
-    return CycleBasis(g, forest.edges, idx, coeffs)
-
-
-def cycle_basis(g: Graph) -> CycleBasis:
-    """Deterministic fundamental cycle basis from the graph's BFS forest.
-
-    The basis is cached with the graph; its arrays and chains are
-    read-only.
-    """
-    return g.fundamental_cycles
-
-
-def _checked_cycle_basis(g: Graph) -> CycleBasis:
-    """The one build behind ``Graph.fundamental_cycles``."""
-    basis = _fundamental_cycles(g, g.spanning_forest)
-    if len(basis) != betti_number(g):
-        raise InternalCrossCheckError(
-            "cycle basis size does not match the Betti number")
-    return basis
+def cycle_basis(g: Graph) -> SpanningForest:
+    """The graph's spanning forest, whose ``coeffs`` are its checked
+    fundamental cycles."""
+    return g.spanning_forest
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:

@@ -30,7 +30,7 @@ from .errors import (
     VanishingEigenvectorError,
 )
 from .families import complete_graph
-from .graphs import OneForm, cycle_basis, induced_subgraph
+from .graphs import OneForm, induced_subgraph
 from .morse import RANK_TOL, TorusPoint, _classify, _hessian, morse_index
 from .nodal import _checked, nodal_surplus
 from .operators import GaugePhase, SupportedMatrix, gauge_transform
@@ -337,7 +337,7 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
                                 tol_vanish=tol_vanish)
     predicted = surplus_red + (2 if c < 0.0 else 0)
 
-    hess = _hessian(s, cycle_basis(g), tol_degeneracy)[0]
+    hess = _hessian(s, g.spanning_forest, tol_degeneracy)[0]
     index, nullity = morse_index(hess, rank_tol)
     if nullity != dim:
         raise InternalCrossCheckError(

@@ -3,7 +3,8 @@
 A real properly supported matrix spans a torus of operators, one angle
 per edge.  Vertex phases act on that torus, and a gauge slice that pins
 the angles of the graph's spanning forest to zero gives coordinates on
-the quotient: one angle per independent cycle.  Eigenvalues become
+the quotient: one angle per independent cycle, on the non-forest edges
+at the forest's ``nonforest`` positions.  Eigenvalues become
 functions of those coordinates, and this module computes their
 gradients, Hessians, Morse indices, and critical points.  The scan and
 the index check visit the ``2^beta`` symmetry points, coordinates in
@@ -56,7 +57,7 @@ from .errors import (
     NotCriticalError,
     VanishingEigenvectorError,
 )
-from .graphs import CycleBasis, Graph, OneForm, cycle_basis, num_components
+from .graphs import Graph, OneForm, SpanningForest, num_components
 from .nodal import (PRODUCT_REAL_TOL, _blocks, _checked, _solve_classes,
                     _Solves, _StackChecks, position_checks)
 from .operators import (
@@ -121,12 +122,12 @@ class TorusPoint:
 
     @classmethod
     def from_coords(cls, base: SupportedMatrix, coords) -> "TorusPoint":
-        basis = cycle_basis(base.graph)
+        idx = base.graph.spanning_forest.nonforest
         coords = np.asarray(coords, dtype=np.float64)
-        if coords.shape != (len(basis),):
+        if coords.shape != idx.shape:
             raise ValueError("coordinate vector length does not match beta")
         angles = np.zeros(base.graph.num_edges)
-        angles[basis.nonforest_indices] = coords
+        angles[idx] = coords
         return cls(base, angles)
 
     @classmethod
@@ -150,7 +151,7 @@ class TorusPoint:
         return magnetic_action(OneForm(self.graph, self.angles), self.base)
 
     def coords(self) -> np.ndarray:
-        return self.angles[cycle_basis(self.graph).nonforest_indices].copy()
+        return self.angles[self.graph.spanning_forest.nonforest].copy()
 
     def conjugate(self) -> "TorusPoint":
         return TorusPoint(self.base, -self.angles)
@@ -175,7 +176,7 @@ def gradient_coords(p: TorusPoint, k: int, *,
                     tol_degeneracy: float = DEGENERACY_TOL) -> np.ndarray:
     """Gradient restricted to the gauge-slice coordinates."""
     g = eigenvalue_gradient(p, k, es=es, tol_degeneracy=tol_degeneracy)
-    return g.values[cycle_basis(p.graph).nonforest_indices].copy()
+    return g.values[p.graph.spanning_forest.nonforest].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,26 +322,26 @@ def hessian_eigenvalue(p: TorusPoint, k: int, *,
     symmetrized after an asymmetry check against ``HESSIAN_SYM_TOL``.
     """
     s, _ = _checked(p.operator(), k, es, tol_degeneracy=tol_degeneracy)
-    return _hessian(s, cycle_basis(p.graph), tol_degeneracy)[0]
+    return _hessian(s, p.graph.spanning_forest, tol_degeneracy)[0]
 
 
-def _hessian(s: _Solves, basis: CycleBasis, tol_degeneracy: float
+def _hessian(s: _Solves, forest: SpanningForest, tol_degeneracy: float
              ) -> np.ndarray:
     """``hessian_eigenvalue`` of every row of a stack, shape (S, d, d).
 
     Each row sees the arithmetic of a single solve: the batched matrix
     products call the same BLAS kernel per row.
     """
-    count, k, d = len(s.values), s.k, len(basis)
+    graph, idx = forest.graph, forest.nonforest
+    count, k, d = len(s.values), s.k, len(idx)
     if d == 0:
         return np.zeros((count, 0, 0))
-    idx = basis.nonforest_indices
-    rs = basis.graph.endpoints[idx]
+    rs = graph.endpoints[idx]
     cols = np.arange(d)
     v = s.vectors[:, :, k - 1]
     lam = s.values[:, k - 1]
     hrs = s.offdiag[:, idx]
-    W = np.zeros((count, basis.graph.n, d), dtype=np.complex128)
+    W = np.zeros((count, graph.n, d), dtype=np.complex128)
     W[:, rs[:, 0], cols] = 1j * hrs * v[:, rs[:, 1]]
     W[:, rs[:, 1], cols] = -1j * np.conj(hrs) * v[:, rs[:, 0]]
     # Pseudo-inverse of h - lam on every column at once, without the
@@ -484,7 +485,7 @@ def _halton(count: int, dim: int) -> np.ndarray:
 
 
 def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
-                basis: CycleBasis, origin: str, *, tol_degeneracy: float,
+                forest: SpanningForest, origin: str, *, tol_degeneracy: float,
                 tol_vanish: float, rank_tol: float
                 ) -> list[CriticalPointReport]:
     """One report per row of ``s``, the solve at gauge-slice coordinates
@@ -505,10 +506,10 @@ def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
     simple, vanishing = checks.simple[:, 0], checks.vanishing[:, 0]
     kinds = _kinds(s, scale, checks)
     rows = np.flatnonzero(simple)
-    grad = (-2.0 * s.products[rows].imag)[:, basis.nonforest_indices]
+    grad = (-2.0 * s.products[rows].imag)[:, forest.nonforest]
     gnorm = np.sqrt(_squares(grad))
     spectra, index, nullity = _morse_indices(
-        _hessian(s.take(rows), basis, tol_degeneracy), rank_tol)
+        _hessian(s.take(rows), forest, tol_degeneracy), rank_tol)
     points = [tuple(x) for x in coords.tolist()]
     reports: list = [None] * len(points)
     bad = np.flatnonzero(~simple)
@@ -538,15 +539,15 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
-def _offdiag_at(base: SupportedMatrix, basis: CycleBasis, coords: np.ndarray
-                ) -> np.ndarray:
+def _offdiag_at(base: SupportedMatrix, forest: SpanningForest,
+                coords: np.ndarray) -> np.ndarray:
     """Edge entries (S, m) of the operators at slice coordinates (S, d).
 
     Row by row these are the bits of
     ``TorusPoint.from_coords(base, coords[i]).operator().offdiag``.
     """
     angles = np.zeros((len(coords), base.graph.num_edges))
-    angles[:, basis.nonforest_indices] = coords
+    angles[:, forest.nonforest] = coords
     return base.offdiag * unit_phases(np.mod(angles, TWO_PI))
 
 
@@ -554,7 +555,7 @@ def _offdiag_at(base: SupportedMatrix, basis: CycleBasis, coords: np.ndarray
 _START, _LINE, _FINAL, _OK, _DEGENERATE, _STUCK, _MAXITER = range(7)
 
 
-def _polish(base: SupportedMatrix, basis: CycleBasis, k: int,
+def _polish(base: SupportedMatrix, forest: SpanningForest, k: int,
             starts: np.ndarray, gtol: float, tol_degeneracy: float
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Solves]:
     """Drive the gauge-slice gradient to zero from every row of ``starts``.
@@ -584,7 +585,7 @@ def _polish(base: SupportedMatrix, basis: CycleBasis, k: int,
     start entering its final check, and that of a kept final step.  So
     each start follows the one-start trajectory bit for bit.
     """
-    graph, idx = base.graph, basis.nonforest_indices
+    graph, idx = base.graph, forest.nonforest
     count, n, m = len(starts), graph.n, graph.num_edges
     x = np.mod(starts, TWO_PI)       # current point, then the outcome's
     trial = x.copy()                 # point solved in the next round
@@ -599,7 +600,7 @@ def _polish(base: SupportedMatrix, basis: CycleBasis, k: int,
     solves = _Solves(np.zeros((count, m), c), np.zeros((count, n)),
                      np.zeros((count, n, n), c), k, np.zeros((count, m), c))
     while (r := np.flatnonzero(phase < _OK)).size:
-        off = _offdiag_at(base, basis, trial[r])
+        off = _offdiag_at(base, forest, trial[r])
         real = np.all(off.imag == 0.0, axis=1)  # on the real path, first
         order, cut = np.argsort(~real, kind="stable"), np.count_nonzero(real)
         r, off = r[order], off[order]
@@ -643,7 +644,7 @@ def _polish(base: SupportedMatrix, basis: CycleBasis, k: int,
         if moved.size:
             i = r[moved]
             newton[i] += 1
-            delta[i] = _lstsq(_hessian(s.take(moved), basis, tol_degeneracy),
+            delta[i] = _lstsq(_hessian(s.take(moved), forest, tol_degeneracy),
                               -g[i])
             t[i] = 1.0
             done = np.max(np.abs(g[i]), axis=1) <= gtol
@@ -657,7 +658,7 @@ def _polish(base: SupportedMatrix, basis: CycleBasis, k: int,
     return phase, x, aux, solves
 
 
-def _symmetry_blocks(base: SupportedMatrix, basis: CycleBasis):
+def _symmetry_blocks(base: SupportedMatrix, forest: SpanningForest):
     """Per block of at most ``nodal.SWEEP_CHUNK`` symmetry points, their
     bits (S, d) and their solve by ``nodal._solve_classes``.
 
@@ -668,7 +669,7 @@ def _symmetry_blocks(base: SupportedMatrix, basis: CycleBasis):
     ``gauge_classes_of_signings`` refuses a beta over ``SIGNING_CAP``
     before the first block is solved.
     """
-    d = len(basis)
+    d = len(forest.nonforest)
     classes = gauge_classes_of_signings(base)
     for points in _blocks(classes.num_classes):
         bits = (points[:, None] >> np.arange(d - 1, -1, -1)) & 1
@@ -698,20 +699,20 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
     _check_k(k, h.graph.n)
     entry_phases(h.offdiag)  # refuses a zero edge entry, which has no phase
     base = abs_part(h)
-    basis = cycle_basis(h.graph)
-    beta = len(basis)
+    forest = h.graph.spanning_forest
+    beta = len(forest.nonforest)
 
     tols = dict(tol_degeneracy=tol_degeneracy, tol_vanish=tol_vanish,
                 rank_tol=rank_tol)
     reports, known = [], []
-    for bits, (_, off, values, vectors) in _symmetry_blocks(base, basis):
+    for bits, (_, off, values, vectors) in _symmetry_blocks(base, forest):
         if not known:
             # the base matrix, the first point, sets the gradient tolerance
             gtol = 1e-10 * max(1.0, float(np.max(np.abs(values[0]))))
         known.append(np.where(bits == 1, np.pi, 0.0))
         reports += _reports_at(
             known[-1], base, _Solves.at(base.graph, off, values, vectors, k),
-            basis, "symmetry-enumeration", **tols)
+            forest, "symmetry-enumeration", **tols)
     known = np.concatenate(known)
     incorrigible, unconverged, attempted = [], 0, 0
     if beta > 0:
@@ -719,7 +720,7 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
         rng = np.random.default_rng(seed)
         random_starts = rng.uniform(0.0, TWO_PI, size=(starts, beta))
         status, xs, auxs, solves = _polish(
-            base, basis, k, np.vstack([grid, random_starts]), gtol,
+            base, forest, k, np.vstack([grid, random_starts]), gtol,
             tol_degeneracy)
         attempted = len(status)
         unconverged = int(np.count_nonzero(status > _DEGENERATE))
@@ -747,7 +748,7 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
             partners.append(partner)
         if primaries:
             search = _reports_at(np.mod(fx[primaries], TWO_PI), base,
-                                 solves.take(found[primaries]), basis,
+                                 solves.take(found[primaries]), forest,
                                  "search", **tols)
             reports += [replace(r, conjugate_of=tuple(fx[p[0]].tolist()))
                         if p.size else r for r, p in zip(search, partners)]
@@ -824,13 +825,13 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
             "index-versus-surplus verification runs over the signings of a "
             "real matrix; this operator has complex entries")
     base = abs_part(h)
-    basis = cycle_basis(h.graph)
+    forest = h.graph.spanning_forest
     fault, scope = ((InternalCrossCheckError, "")
                     if num_components(h.graph) == 1 else
                     (AdmissibilityError, "; the index-surplus identity "
                      "holds on connected graphs only"))
     rows = []
-    for bits, (_, off, values, vectors) in _symmetry_blocks(base, basis):
+    for bits, (_, off, values, vectors) in _symmetry_blocks(base, forest):
         checks = position_checks(base, off, values, vectors,
                                  tol_degeneracy=tol_degeneracy,
                                  tol_vanish=tol_vanish)
@@ -842,7 +843,7 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
         # each k's Hessians read the products its checks were made on
         hessians = [_hessian(_Solves(off, values, vectors, j + 1,
                                      checks.products[:, j]).take(col),
-                             basis, tol_degeneracy)
+                             forest, tol_degeneracy)
                     for j, col in enumerate(admissible.T) if np.any(col)]
         if hessians:
             # k-major, as the stacks; the transposed masks keep that order

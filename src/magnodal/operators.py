@@ -27,8 +27,7 @@ from .errors import (
     SchemaError,
 )
 from .graphs import (Graph, OneForm, _are_numbers, _are_vertex_pairs,
-                     betti_number, coboundary, cycle_basis, graph_from_json,
-                     graph_to_json)
+                     betti_number, coboundary, graph_from_json, graph_to_json)
 
 TWO_PI = 2.0 * np.pi
 
@@ -186,10 +185,10 @@ def flux_defects(graph: Graph, phases: np.ndarray) -> np.ndarray:
     around a fundamental cycle, per row of the stack ``phases`` (S, m);
     0 on a forest.
 
-    Each flux is summed as ``integrate`` sums it: the batched products
-    run one dot product per row and cycle.
+    The cycles are the coefficient rows of the graph's spanning forest;
+    the batched products run one dot product per row and cycle.
     """
-    coeffs = cycle_basis(graph).coeffs.astype(np.float64)
+    coeffs = graph.spanning_forest.coeffs.astype(np.float64)
     if not len(coeffs):
         return np.zeros(len(phases))
     flux = np.matmul(phases[:, None, None, :], coeffs[:, :, None])[..., 0, 0]
@@ -211,8 +210,8 @@ class SigningClasses:
     """Switching classes of the signings of a real matrix, in the forest
     gauge.
 
-    The id of a class packs the sign parity around cycle ``j`` of
-    ``cycle_basis``, the fundamental cycle of the non-forest edge
+    The id of a class packs the sign parity around cycle ``j`` of the
+    graph's spanning forest, the fundamental cycle of the non-forest edge
     ``nonforest[j]``, into bit ``j``; the ids are exactly
     ``0 .. 2^beta - 1``.  Class ``c`` is represented by the signing that
     keeps every forest edge unflipped and flips the non-forest edge of

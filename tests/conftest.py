@@ -14,15 +14,21 @@ the finite-difference oracles for the analytic Morse derivatives.
 ``cycle_basis_by_lca`` is the fundamental-cycle oracle: it walks each
 cycle through the lowest common ancestor, independent of the root
 paths in ``graphs``.  ``cycle_basis_by_loop`` builds the same cycles
-from the root paths one at a time, each checked by ``boundary``, against
-which the array build must agree bit for bit, and ``lose_a_root_path``
-plants the fault that its boundary check must catch, through the
-forest's root paths.  ``root_paths`` is the root-path oracle: each
-vertex's path follows its parent's, in any order of the parent array,
-against which the forest's paths must agree.
-``cycle_basis_from_forest`` builds the basis of a custom forest, its
-non-forest positions found by set difference and its root paths
-filled by depth.
+from the root paths one at a time, each checked by ``boundary``, the
+vertex boundary summed edge by edge, against which the array build of
+``SpanningForest.coeffs`` must agree bit for bit, and
+``lose_a_root_path`` plants the fault that its boundary check must
+catch, through the forest's root paths.  Each of the three cycle
+builders returns the non-forest positions and the coefficient array.
+``cycle_builds`` and ``forests_walked`` record the forests whose
+cycles are built and the forests walked, for the tests that pin which
+commands build the cycles.
+``root_paths`` is the root-path oracle: each vertex's path follows its
+parent's, in any order of the parent array, against which the forest's
+paths must agree.
+``custom_forest`` is a spanning forest other than the walk's, its
+non-forest positions found by set difference and its order by depth,
+and ``cycle_basis_from_forest`` builds its cycles.
 ``complex_products`` is the complex product oracle: on real entries
 and vectors, the real products of ``nodal.edge_products`` must give
 the same checks.
@@ -102,9 +108,8 @@ from magnodal.errors import (AdmissibilityError, CapExceededError,
                              VanishingEigenvectorError)
 import magnodal.graphs as graphs
 from magnodal.errors import SchemaError
-from magnodal.graphs import (Chain, CycleBasis, Graph,
-                             betti_number, boundary, cycle_basis,
-                             graph_from_json, num_components)
+from magnodal.graphs import (Graph, betti_number, graph_from_json,
+                             num_components)
 from magnodal.linkage import GENERICITY_TOL, LENGTH_CAP
 from magnodal.morse import (TWO_PI, CriticalityReport, CriticalPointReport,
                             TorusPoint, _check_symmetry, _hessian,
@@ -150,9 +155,9 @@ def small_graphs(max_n: int):
 
 
 def cycle_masks(g: Graph) -> list[int]:
-    """Edge bitmask of each fundamental cycle of ``cycle_basis(g)``."""
-    return [sum(1 << int(i) for i in np.flatnonzero(chain.coeffs))
-            for chain in cycle_basis(g).cycles]
+    """Edge bitmask of each fundamental cycle of the spanning forest."""
+    return [sum(1 << int(i) for i in np.flatnonzero(row))
+            for row in g.spanning_forest.coeffs]
 
 
 def class_id(masks: list[int], index: int) -> int:
@@ -183,8 +188,8 @@ class EnumeratedClasses:
 
 
 def forest_mask(g: Graph) -> int:
-    """Edge bitmask of the spanning forest of ``cycle_basis(g)``."""
-    return sum(1 << g.edge_index[e] for e in cycle_basis(g).forest_edges)
+    """Edge bitmask of the graph's spanning forest."""
+    return sum(1 << g.edge_index[e] for e in g.spanning_forest.edges)
 
 
 def classes_by_enumeration(g: Graph) -> EnumeratedClasses:
@@ -251,7 +256,7 @@ def gradient_fd(p: TorusPoint, k: int, step: float = 1e-5) -> np.ndarray:
 def hessian_eigenvalue_fd(p: TorusPoint, k: int, *,
                           step: float = 1e-4) -> np.ndarray:
     """Central-difference Hessian over the gauge-slice coordinates."""
-    idx = cycle_basis(p.graph).nonforest_indices
+    idx = p.graph.spanning_forest.nonforest
     dim = len(idx)
 
     def value(offsets: np.ndarray) -> float:
@@ -274,7 +279,8 @@ def hessian_eigenvalue_fd(p: TorusPoint, k: int, *,
     return H
 
 
-def cycle_basis_by_lca(g: Graph, forest, parent) -> CycleBasis:
+def cycle_basis_by_lca(g: Graph, forest, parent
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Fundamental cycles over a forest, each walked edge by edge.
 
     The cycle of a non-forest edge ``(r, s)`` steps from ``r`` to ``s``,
@@ -302,8 +308,7 @@ def cycle_basis_by_lca(g: Graph, forest, parent) -> CycleBasis:
         coeffs = np.zeros(g.num_edges, dtype=np.int64)
 
         def add_step(a: int, b: int) -> None:
-            i = g.index_of(a, b)
-            coeffs[i] += 1 if a < b else -1
+            coeffs[g.edge_index[min(a, b), max(a, b)]] += 1 if a < b else -1
 
         add_step(r, s)
         v = s
@@ -318,11 +323,11 @@ def cycle_basis_by_lca(g: Graph, forest, parent) -> CycleBasis:
         for v in reversed(down):
             add_step(parent[v], v)
         cycles.append(coeffs)
-    return CycleBasis(g, tuple(forest), [g.edge_index[e] for e in nonforest],
-                      np.reshape(cycles, (len(nonforest), g.num_edges)))
+    return basis_arrays(g, nonforest, cycles)
 
 
-def cycle_basis_by_loop(g: Graph, forest, up) -> CycleBasis:
+def cycle_basis_by_loop(g: Graph, forest, up
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Fundamental cycles ``e_rs + up[r] - up[s]`` over the root paths
     ``up``, one non-forest edge ``(r, s)`` at a time, each checked by
     ``boundary``."""
@@ -331,13 +336,31 @@ def cycle_basis_by_loop(g: Graph, forest, up) -> CycleBasis:
     cycles = []
     for (r, s) in nonforest:
         coeffs = up[r] - up[s]
-        coeffs[g.index_of(r, s)] += 1
-        if np.any(boundary(Chain(g, coeffs))):
+        coeffs[g.edge_index[r, s]] += 1
+        if np.any(boundary(g, coeffs)):
             raise InternalCrossCheckError(
                 "fundamental cycle has nonzero boundary")
         cycles.append(coeffs)
-    return CycleBasis(g, tuple(forest), [g.edge_index[e] for e in nonforest],
-                      np.reshape(cycles, (len(nonforest), g.num_edges)))
+    return basis_arrays(g, nonforest, cycles)
+
+
+def basis_arrays(g: Graph, nonforest, cycles
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical positions of the edges ``nonforest`` and the
+    cycles as one int64 array (beta, |E|)."""
+    return (np.array([g.edge_index[e] for e in nonforest], dtype=np.int64),
+            np.array(cycles, dtype=np.int64).reshape(len(nonforest),
+                                                     g.num_edges))
+
+
+def boundary(g: Graph, coeffs) -> np.ndarray:
+    """Vertex boundary of the edge chain ``coeffs``, summed edge by
+    edge; zero exactly on cycles."""
+    out = np.zeros(g.n, dtype=np.int64)
+    for coeff, (r, s) in zip(coeffs, g.edges):
+        out[s] += coeff
+        out[r] -= coeff
+    return out
 
 
 def lose_a_root_path(monkeypatch) -> None:
@@ -352,6 +375,35 @@ def lose_a_root_path(monkeypatch) -> None:
         return up
 
     monkeypatch.setattr(graphs.SpanningForest, "up", property(wrong))
+
+
+def cycle_builds(monkeypatch) -> list:
+    """Record every spanning forest whose ``coeffs`` are built from now
+    on, once per build."""
+    original = graphs.SpanningForest.coeffs.func
+    built = []
+
+    def counting(forest):
+        built.append(forest)
+        return original(forest)
+
+    coeffs = cached_property(counting)
+    coeffs.__set_name__(graphs.SpanningForest, "coeffs")
+    monkeypatch.setattr(graphs.SpanningForest, "coeffs", coeffs)
+    return built
+
+
+def forests_walked(monkeypatch) -> list:
+    """Record every spanning forest that a graph walks from now on."""
+    original = graphs._bfs_walk
+    walked = []
+
+    def recording(g):
+        walked.append(original(g))
+        return walked[-1]
+
+    monkeypatch.setattr(graphs, "_bfs_walk", recording)
+    return walked
 
 
 def complex_products(graph: Graph, offdiag: np.ndarray,
@@ -502,17 +554,26 @@ def root_paths(g: Graph, parent) -> np.ndarray:
         for w in reversed(path):
             u = parent[w]
             up[w] = up[u]
-            up[w, g.index_of(u, w)] += 1 if u < w else -1
+            up[w, g.edge_index[min(u, w), max(u, w)]] += 1 if u < w else -1
             done[w] = True
     return up
 
 
-def cycle_basis_from_forest(g: Graph, forest, parent) -> CycleBasis:
-    """The array build of the fundamental cycles of ``g`` over the
-    spanning forest ``forest`` with the parent array ``parent``."""
-    return graphs._fundamental_cycles(g, graphs.SpanningForest(
-        g, tuple(forest), tuple(parent), by_depth(parent),
-        nonforest_by_set_difference(g, forest)))
+def custom_forest(g: Graph, forest, parent) -> graphs.SpanningForest:
+    """The spanning forest of ``g`` with the edges ``forest`` and the
+    parent array ``parent``, in place of the walk's."""
+    return graphs.SpanningForest(g, tuple(forest), tuple(parent),
+                                 by_depth(parent),
+                                 nonforest_by_set_difference(g, forest))
+
+
+def cycle_basis_from_forest(g: Graph, forest, parent
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """The non-forest positions and the array build of the fundamental
+    cycles of ``g`` over the spanning forest ``forest`` with the parent
+    array ``parent``."""
+    other = custom_forest(g, forest, parent)
+    return other.nonforest, other.coeffs
 
 
 def by_depth(parent) -> tuple[int, ...]:
@@ -785,7 +846,7 @@ def scalar_polish(base, k: int, start, gtol: float, tol_degeneracy: float):
     solve its row of the lockstep's solve stack holds (``None``
     otherwise).
     """
-    idx = cycle_basis(base.graph).nonforest_indices
+    idx = base.graph.spanning_forest.nonforest
 
     def solve(coords):
         h = TorusPoint.from_coords(base, coords).operator()
@@ -801,7 +862,7 @@ def scalar_polish(base, k: int, start, gtol: float, tol_degeneracy: float):
         return "degenerate", x, s, None
     for _ in range(60):
         g = s.gradient[idx]
-        J = _hessian(s.stack, cycle_basis(base.graph), tol_degeneracy)[0]
+        J = _hessian(s.stack, base.graph.spanning_forest, tol_degeneracy)[0]
         delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
         if float(np.max(np.abs(g))) <= gtol:
             xn = np.mod(x + delta, TWO_PI)
@@ -842,8 +903,8 @@ def scalar_report(coords, h, es, k: int, origin: str, *,
                                    None, origin)
     report = scalar_classify(s, PRODUCT_REAL_TOL, tol_vanish)
     gnorm = float(np.linalg.norm(
-        s.gradient[cycle_basis(h.graph).nonforest_indices]))
-    hess = _hessian(s.stack, cycle_basis(h.graph), tol_degeneracy)[0]
+        s.gradient[h.graph.spanning_forest.nonforest]))
+    hess = _hessian(s.stack, h.graph.spanning_forest, tol_degeneracy)[0]
     spectrum = tuple(float(x) for x in np.linalg.eigvalsh(hess)) \
         if hess.size else ()
     index, nullity = morse_index(hess, rank_tol)

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import avg_dist_tail, lose_a_root_path, referee_nodal
+from conftest import (avg_dist_tail, cycle_builds, forests_walked,
+                      lose_a_root_path, referee_nodal)
 from magnodal import __version__, cli
 from magnodal.cli import _build_parser, main
 from magnodal.errors import AdmissibilityError
@@ -727,16 +728,7 @@ class TestCriticalScan:
         assert lines[1].split(",")[0] == "classification"
 
     def test_one_forest_walk_per_graph(self, tmp_path, capsys, monkeypatch):
-        import magnodal.graphs as graphs
-
-        walked = []
-        original = graphs._bfs_walk
-
-        def counting(g):
-            walked.append(g)
-            return original(g)
-
-        monkeypatch.setattr(graphs, "_bfs_walk", counting)
+        walked = forests_walked(monkeypatch)
         op = write_op(tmp_path, strong_diagonal_fixture(complete_graph(5)))
         code, _, _ = run(capsys, ["critical-scan", "--op", op, "--k", "2",
                                   "--starts", "4"])
@@ -744,23 +736,15 @@ class TestCriticalScan:
         assert len(walked) == 1
 
     def test_one_cycle_basis_per_graph(self, tmp_path, capsys, monkeypatch):
-        import magnodal.graphs as graphs
-
-        built = []
-        original = graphs._fundamental_cycles
-
-        def counting(g, forest):
-            built.append(original(g, forest))
-            return built[-1]
-
-        monkeypatch.setattr(graphs, "_fundamental_cycles", counting)
+        built = cycle_builds(monkeypatch)
         op = write_op(tmp_path, strong_diagonal_fixture(complete_graph(5)))
         code, _, _ = run(capsys, ["critical-scan", "--op", op, "--k", "2",
                                   "--starts", "4"])
         assert code == 0
         # one checked build of the six fundamental cycles of K5, on the
-        # one graph the operator file was read into
-        assert len(built) == 1 and len(built[0]) == 6
+        # forest of the one graph the operator file was read into, for
+        # the flux cross-check of the symmetry points
+        assert len(built) == 1 and built[0].coeffs.shape == (6, 10)
 
     def test_complex_operator_exits_2(self, tmp_path, capsys):
         g = path_graph(2)
@@ -805,6 +789,16 @@ class TestVerifyIndex:
         payload = json.loads(out)
         assert payload["ok"] == 6 and payload["skipped"] == 0
         assert "verified 6 rows" in err
+
+    def test_builds_no_cycle_basis(self, tmp_path, capsys, monkeypatch):
+        # the torus chart is the forest's non-forest positions; no cycle
+        # coefficient or root path is read, so none is built
+        walked = forests_walked(monkeypatch)
+        op = write_op(tmp_path, strong_diagonal_fixture(complete_graph(5)))
+        code, out, _ = run(capsys, ["verify-index", "--op", op])
+        assert code == 0 and json.loads(out)["ok"] > 0
+        assert len(walked) == 1
+        assert not {"coeffs", "up"} & walked[0].__dict__.keys()
 
     def test_disconnected_graph_mismatch_exits_2(self, tmp_path, capsys):
         op = write_op(tmp_path, disconnected_op())
@@ -858,6 +852,16 @@ class TestLinkageAnalyze:
         assert again["vanishing_vertex"] == 0
         assert again["manifold_dimension"] == 0
         assert again["predicted_index"] == payload["predicted_index"]
+
+    def test_builds_no_cycle_basis(self, capsys, monkeypatch):
+        # the Hessian's chart is the forest's non-forest positions; no
+        # graph that the fixture and its analysis walk builds its cycles
+        # or root paths
+        walked = forests_walked(monkeypatch)
+        code, _, _ = run(capsys, ["linkage-analyze", "--emit-fixture", "4",
+                                  "--seed", "0"])
+        assert code == 0 and walked
+        assert not any({"coeffs", "up"} & f.__dict__.keys() for f in walked)
 
     @pytest.mark.parametrize("extra", [
         ["--op", "OP"], ["--k", "1"], ["--graph", "GRAPH"],
@@ -1199,7 +1203,8 @@ def test_cycle_basis_failure_is_an_internal_error(tmp_path, capsys,
                                                   monkeypatch):
     op = write_op(tmp_path, triangle_op())
     lose_a_root_path(monkeypatch)
-    code, _, err = run(capsys, ["verify-index", "--op", op])
+    code, _, err = run(capsys, ["critical-scan", "--op", op, "--k", "1",
+                                "--starts", "0"])
     assert code == 1 and "internal check failed" in err
     assert "nonzero boundary" in err
 

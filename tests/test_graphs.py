@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (cycle_basis_by_lca, cycle_basis_by_loop,
-                      cycle_basis_from_forest, lose_a_root_path,
-                      nonforest_by_set_difference, root_paths, same_bits,
-                      small_graphs)
+from conftest import (boundary, cycle_basis_by_lca, cycle_basis_by_loop,
+                      cycle_basis_from_forest, cycle_builds, forests_walked,
+                      lose_a_root_path, nonforest_by_set_difference,
+                      root_paths, same_bits, small_graphs)
 import magnodal
 from magnodal.errors import (
     GraphMismatchError,
@@ -21,18 +21,15 @@ from magnodal.errors import (
 )
 from magnodal.families import complete_graph, random_connected_graph
 from magnodal.graphs import (
-    Chain,
     Graph,
     OneForm,
     betti_number,
-    boundary,
     coboundary,
     connected_components,
     cycle_basis,
     graph_from_json,
     graph_to_json,
     induced_subgraph,
-    integrate,
     num_components,
 )
 
@@ -83,7 +80,7 @@ class TestGraph:
     def test_adjacency_and_lookup(self):
         g = c3()
         assert g.adjacency == ((1, 2), (0, 2), (0, 1))
-        assert g.index_of(2, 1) == g.index_of(1, 2)
+        assert g.edge_index == {(0, 1): 0, (0, 2): 1, (1, 2): 2}
 
     def test_components_and_betti(self):
         g = Graph(5, ((0, 1), (1, 2), (0, 2), (3, 4)))
@@ -132,44 +129,27 @@ class TestGraph:
         assert num_components(g) == 3 and betti_number(g) == 1
 
     def test_one_forest_walk_per_graph(self, monkeypatch):
-        import magnodal.graphs as graphs
-
-        walks = 0
-        original = graphs._bfs_walk
-
-        def counting(g):
-            nonlocal walks
-            walks += 1
-            return original(g)
-
-        monkeypatch.setattr(graphs, "_bfs_walk", counting)
+        walked = forests_walked(monkeypatch)
         g = k4()
         for _ in range(3):
             assert g.spanning_forest.parent == (-1, 0, 0, 0)
-            cycle_basis(g)
+            g.spanning_forest.coeffs
             connected_components(g)
-        assert walks == 1
+        assert len(walked) == 1
 
     def test_one_cycle_basis_per_graph(self, monkeypatch):
-        import magnodal.graphs as graphs
-
-        built = []
-        original = graphs._fundamental_cycles
-
-        def counting(g, forest):
-            built.append(g)
-            return original(g, forest)
-
-        monkeypatch.setattr(graphs, "_fundamental_cycles", counting)
+        built = cycle_builds(monkeypatch)
         g = k4()
-        basis = cycle_basis(g)
-        assert all(cycle_basis(g) is basis for _ in range(3))
-        assert built == [g] and len(basis) == betti_number(g) == 3
-        # an equal but distinct graph builds and checks its own basis
-        assert cycle_basis(k4()) is not basis
-        assert len(built) == 2 and built[1] is not g
+        forest = g.spanning_forest
+        assert cycle_basis(g) is forest and built == []
+        coeffs = forest.coeffs
+        assert all(g.spanning_forest.coeffs is coeffs for _ in range(3))
+        assert built == [forest] and len(coeffs) == betti_number(g) == 3
+        # an equal but distinct graph builds and checks its own cycles
+        assert k4().spanning_forest.coeffs is not coeffs
+        assert len(built) == 2 and built[1].graph is not g
         with pytest.raises(ValueError):
-            basis.cycles[0].coeffs[0] = 5
+            coeffs[0, 0] = 5
 
 
 def union_find_components(g):
@@ -231,10 +211,10 @@ def kruskal_forest(g, order):
 
 
 def same_basis(a, b):
-    return (a.forest_edges == b.forest_edges
-            and a.nonforest_edges == b.nonforest_edges
-            and all(np.array_equal(x.coeffs, y.coeffs)
-                    for x, y in zip(a.cycles, b.cycles, strict=True)))
+    """Whether two (non-forest positions, coefficients) pairs agree in
+    dtype, shape and bits."""
+    return all(x.dtype == y.dtype == np.int64 and x.shape == y.shape
+               and same_bits(x, y) for x, y in zip(a, b, strict=True))
 
 
 class TestCyclesAgainstLca:
@@ -245,7 +225,7 @@ class TestCyclesAgainstLca:
     def test_bfs_and_custom_forests(self, data):
         g = data.draw(small_graphs(9))
         forest = g.spanning_forest
-        assert same_basis(cycle_basis(g),
+        assert same_basis((forest.nonforest, forest.coeffs),
                           cycle_basis_by_lca(g, forest.edges, forest.parent))
         order = data.draw(st.permutations(range(g.num_edges)))
         forest, parent = kruskal_forest(g, order)
@@ -316,20 +296,19 @@ class TestOneWalk:
         assert nonforest.tolist() == nonforest_by_set_difference(
             g, g.spanning_forest.edges).tolist()
         assert len(nonforest) == betti_number(g)
-        assert cycle_basis(g).nonforest_indices is nonforest
+        assert g.spanning_forest.nonforest_edges == tuple(
+            g.edges[i] for i in nonforest)
 
-    def test_basis_is_one_array_with_chains_on_first_read(self):
+    def test_basis_is_one_array_on_first_read(self):
         g = complete_graph(6)
-        basis = cycle_basis(g)
-        assert basis.coeffs.shape == (betti_number(g), g.num_edges)
-        assert basis.coeffs.dtype == basis.nonforest_indices.dtype == np.int64
-        assert not basis.coeffs.flags.writeable
-        assert not basis.nonforest_indices.flags.writeable
-        assert "cycles" not in vars(basis)
-        chains = basis.cycles
-        assert basis.cycles is chains and len(chains) == len(basis)
-        assert all(np.array_equal(c.coeffs, row)
-                   for c, row in zip(chains, basis.coeffs, strict=True))
+        forest = g.spanning_forest
+        assert "coeffs" not in vars(forest)
+        coeffs = forest.coeffs
+        assert forest.coeffs is coeffs
+        assert coeffs.shape == (betti_number(g), g.num_edges)
+        assert coeffs.dtype == forest.nonforest.dtype == np.int64
+        assert not coeffs.flags.writeable
+        assert not forest.nonforest.flags.writeable
 
 
 class TestArrayBuildAgainstLoop:
@@ -340,13 +319,8 @@ class TestArrayBuildAgainstLoop:
     @staticmethod
     def check(g):
         forest = g.spanning_forest
-        basis = cycle_basis(g)
-        expected = cycle_basis_by_loop(g, forest.edges, forest.up)
-        assert same_basis(basis, expected)
-        assert all(x.coeffs.dtype == y.coeffs.dtype == np.int64
-                   for x, y in zip(basis.cycles, expected.cycles))
-        assert basis.nonforest_indices.tolist() == [
-            g.edge_index[e] for e in expected.nonforest_edges]
+        assert same_basis((forest.nonforest, forest.coeffs),
+                          cycle_basis_by_loop(g, forest.edges, forest.up))
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_complete_graphs(self, n):
@@ -359,7 +333,7 @@ class TestArrayBuildAgainstLoop:
                          float(rng.uniform(0.1, 0.9)))
         self.check(g)
         self.check(forest_of(g))
-        assert len(cycle_basis(forest_of(g))) == 0
+        assert len(forest_of(g).spanning_forest.coeffs) == 0
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_connected_graphs(self, seed):
@@ -396,13 +370,11 @@ class TestFormsAndChains:
         with pytest.raises(ValueError):
             coboundary(c3(), [0.0, 1.0])
 
-    def test_integrate_and_boundary(self):
+    def test_boundary(self):
         g = c3()
         # cycle 0 -> 1 -> 2 -> 0 in canonical orientation terms
-        xi = Chain(g, [1, -1, 1])
-        assert np.all(boundary(xi) == 0)
-        alpha = OneForm(g, [0.3, 0.7, 0.1])
-        assert integrate(alpha, xi) == pytest.approx(0.3 - 0.7 + 0.1)
+        assert np.all(boundary(g, [1, -1, 1]) == 0)
+        assert boundary(g, [1, 0, 0]).tolist() == [-1, 1, 0]
 
     def test_oneform_add_neg(self):
         g = c3()
@@ -426,9 +398,9 @@ class TestFormsAndChains:
             g = Graph(n, tuple(edges))
             f = rng.uniform(-3.0, 3.0, size=n)
             df = coboundary(g, f)
-            for xi in cycle_basis(g).cycles:
-                bound = 1e-12 * max(1.0, float(np.max(np.abs(f))))
-                assert abs(integrate(df, xi)) <= bound * g.num_edges
+            flux = g.spanning_forest.coeffs @ df.values
+            bound = 1e-12 * max(1.0, float(np.max(np.abs(f))))
+            assert np.all(np.abs(flux) <= bound * g.num_edges)
 
 
 class TestForestAndCycles:
@@ -439,24 +411,24 @@ class TestForestAndCycles:
 
     def test_tree_has_empty_basis(self):
         g = Graph(4, ((0, 1), (1, 2), (1, 3)))
-        assert len(cycle_basis(g)) == 0
+        assert g.spanning_forest.coeffs.shape == (0, 3)
 
     def test_c3_single_cycle_uses_all_edges(self):
-        basis = cycle_basis(c3())
-        assert len(basis) == 1
-        assert np.all(basis.cycles[0].coeffs != 0)
+        coeffs = c3().spanning_forest.coeffs
+        assert len(coeffs) == 1
+        assert np.all(coeffs[0] != 0)
 
     def test_k4_three_cycles_zero_boundary(self):
-        basis = cycle_basis(k4())
-        assert len(basis) == 3
-        for xi in basis.cycles:
-            assert np.all(boundary(xi) == 0)
+        g = k4()
+        assert len(g.spanning_forest.coeffs) == 3
+        for row in g.spanning_forest.coeffs:
+            assert np.all(boundary(g, row) == 0)
 
     def test_nonforest_edge_carries_plus_one(self):
         g = c3()
-        basis = cycle_basis(g)
-        e = basis.nonforest_edges[0]
-        assert basis.cycles[0].coeffs[g.edge_index[e]] == 1
+        forest = g.spanning_forest
+        e = forest.nonforest_edges[0]
+        assert forest.coeffs[0, g.edge_index[e]] == 1
 
     def test_cycle_count_matches_betti_random(self):
         rng = np.random.default_rng(11)
@@ -465,17 +437,17 @@ class TestForestAndCycles:
             edges = [(r, s) for r in range(n) for s in range(r + 1, n)
                      if rng.random() < 0.5]
             g = Graph(n, tuple(edges))
-            assert len(cycle_basis(g)) == betti_number(g)
+            assert len(g.spanning_forest.coeffs) == betti_number(g)
 
     def test_custom_forest_accepted(self):
         g = k4()
         # path forest 0-1-2-3 instead of the BFS star at 0
         forest = ((0, 1), (1, 2), (2, 3))
         parent = [-1, 0, 1, 2]
-        basis = cycle_basis_from_forest(g, forest, parent)
-        assert len(basis) == 3
-        for xi in basis.cycles:
-            assert np.all(boundary(xi) == 0)
+        _, coeffs = cycle_basis_from_forest(g, forest, parent)
+        assert len(coeffs) == 3
+        for row in coeffs:
+            assert np.all(boundary(g, row) == 0)
 
 
 class TestInducedSubgraph:
@@ -525,7 +497,7 @@ class TestCycleBasisChecks:
     def test_nonzero_boundary(self, monkeypatch):
         lose_a_root_path(monkeypatch)
         with pytest.raises(InternalCrossCheckError, match="boundary"):
-            cycle_basis(k4())
+            k4().spanning_forest.coeffs
 
     def test_nonzero_boundary_survives_optimized_mode(self):
         script = textwrap.dedent("""
@@ -545,7 +517,7 @@ class TestCycleBasisChecks:
 
             graphs.SpanningForest.up = property(wrong)
             try:
-                graphs.cycle_basis(complete_graph(4))
+                complete_graph(4).spanning_forest.coeffs
             except InternalCrossCheckError as exc:
                 sys.exit(0 if "nonzero boundary" in str(exc) else 1)
             sys.exit(1)
@@ -562,4 +534,4 @@ class TestCycleBasisChecks:
 
         monkeypatch.setattr(graphs, "betti_number", lambda g: 0)
         with pytest.raises(InternalCrossCheckError, match="Betti"):
-            cycle_basis(k4())
+            k4().spanning_forest.coeffs

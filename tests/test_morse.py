@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cycle_basis_from_forest, eigenvalue_at, gradient_fd,
+from conftest import (custom_forest, eigenvalue_at, gradient_fd,
                       hessian_eigenvalue_fd, pseudo_inverse_apply, same_bits,
                       scalar_nodal_surplus, scalar_report, small_graphs)
 from magnodal.errors import (
@@ -27,8 +27,7 @@ from magnodal.families import (
     random_operator,
     strong_diagonal_fixture,
 )
-from magnodal.graphs import (Graph, OneForm, betti_number, cycle_basis,
-                             num_components)
+from magnodal.graphs import Graph, OneForm, betti_number, num_components
 from magnodal.morse import (
     HESSIAN_SYM_TOL,
     TWO_PI,
@@ -93,10 +92,10 @@ class TestTorusPoint:
 
     def test_from_coords_places_nonforest_angles(self):
         h = abs_part(triangle_base())
-        basis = cycle_basis(h.graph)
-        assert len(basis) == 1
+        nonforest = h.graph.spanning_forest.nonforest
+        assert len(nonforest) == 1
         p = TorusPoint.from_coords(h, [0.7])
-        nf = basis.nonforest_indices[0]
+        nf = nonforest[0]
         assert p.angles[nf] == pytest.approx(0.7)
         assert np.count_nonzero(p.angles) == 1
 
@@ -174,13 +173,13 @@ class TestGradient:
         h = abs_part(random_operator(complete_graph(4), rng))
         p = TorusPoint(h, rng.uniform(0, 2 * np.pi, size=6))
         full = eigenvalue_gradient(p, 1).values
-        idx = cycle_basis(h.graph).nonforest_indices
+        idx = h.graph.spanning_forest.nonforest
         np.testing.assert_allclose(gradient_coords(p, 1), full[idx])
 
     def test_tree_chart_is_empty(self):
         rng = np.random.default_rng(1)
         h = abs_part(random_operator(path_graph(4), rng))
-        assert len(cycle_basis(h.graph)) == 0
+        assert len(h.graph.spanning_forest.nonforest) == 0
         p = TorusPoint.from_operator(h)
         assert gradient_coords(p, 2).shape == (0,)
 
@@ -290,7 +289,7 @@ class TestHessian:
         # Reference assembly: one pseudo_inverse_apply per direction.
         rng = np.random.default_rng(11)
         h = abs_part(random_operator(complete_graph(5), rng))
-        edges = cycle_basis(h.graph).nonforest_edges
+        edges = h.graph.spanning_forest.nonforest_edges
         for _ in range(5):
             p = TorusPoint.from_coords(
                 h, rng.uniform(0, 2 * np.pi, size=len(edges)))
@@ -300,7 +299,7 @@ class TestHessian:
                 v, lam = es.vector(k), es.value(k)
                 W = np.zeros((5, len(edges)), dtype=np.complex128)
                 for j, (r, s) in enumerate(edges):
-                    hrs = op.offdiag[h.graph.index_of(r, s)]
+                    hrs = op.offdiag[h.graph.edge_index[r, s]]
                     W[r, j] = 1j * hrs * v[s]
                     W[s, j] = -1j * np.conj(hrs) * v[r]
                 Vp = np.column_stack([-pseudo_inverse_apply(op, lam, w, es=es)
@@ -308,7 +307,7 @@ class TestHessian:
                 ref = 2.0 * np.real(Vp.conj().T @ W).T
                 for j, (r, s) in enumerate(edges):
                     ref[j, j] -= 2.0 * np.real(
-                        np.conj(v[r]) * op.offdiag[h.graph.index_of(r, s)]
+                        np.conj(v[r]) * op.offdiag[h.graph.edge_index[r, s]]
                         * v[s])
                 ref = 0.5 * (ref + ref.T)
                 np.testing.assert_allclose(
@@ -334,9 +333,8 @@ class TestHessian:
         h = strong_diagonal_fixture(complete_graph(4))
         p = TorusPoint.from_operator(h)
         path_forest = ((0, 1), (1, 2), (2, 3))
-        other = cycle_basis_from_forest(h.graph, path_forest, [-1, 0, 1, 2])
-        assert sorted(cycle_basis(h.graph).forest_edges) \
-            != sorted(path_forest)
+        other = custom_forest(h.graph, path_forest, [-1, 0, 1, 2])
+        assert h.graph.spanning_forest.edges != path_forest
         op = p.operator()
         es = eigh(op)
         for k in range(1, 5):
@@ -585,7 +583,7 @@ class TestCriticalScan:
         base = abs_part(ring_op(4))
         stacks = count_stacks(monkeypatch, morse)
         status, x, gap, _ = morse._polish(
-            base, cycle_basis(base.graph), 2, np.array([[start]]), 1e-10,
+            base, base.graph.spanning_forest, 2, np.array([[start]]), 1e-10,
             1e-8)
         monkeypatch.undo()
         # the gap is the one a second solve at the same point would give
@@ -681,7 +679,7 @@ def scan_starts(base, starts, seed):
     """The start points ``critical_scan`` polishes, in its order."""
     import magnodal.morse as morse
 
-    beta = len(cycle_basis(base.graph))
+    beta = betti_number(base.graph)
     grid = morse._halton(min(128, max(8, 2 ** beta)), beta) * morse.TWO_PI
     rng = np.random.default_rng(seed)
     return np.vstack([grid, rng.uniform(0.0, morse.TWO_PI,
@@ -798,8 +796,8 @@ class TestLockstepPolish:
         base = abs_part(h)
         points = scan_starts(base, starts, 0)
         stacks = count_stacks(monkeypatch, morse)
-        polished = morse._polish(base, cycle_basis(h.graph), k, points,
-                                 scan_gtol(base), DEGENERACY_TOL)
+        polished = morse._polish(base, h.graph.spanning_forest, k,
+                                 points, scan_gtol(base), DEGENERACY_TOL)
         monkeypatch.undo()
         statuses = check_against_oracle(base, k, points, polished)
         if case == "random-K5-seed0" and k == 2:
@@ -840,8 +838,8 @@ class TestLockstepPolish:
 
         monkeypatch.setattr(morse, "_hessian", real_rows)
         monkeypatch.setattr(morse, "_lstsq", right_hand_sides)
-        polished = morse._polish(base, cycle_basis(h.graph), k, points,
-                                 scan_gtol(base), DEGENERACY_TOL)
+        polished = morse._polish(base, h.graph.spanning_forest, k,
+                                 points, scan_gtol(base), DEGENERACY_TOL)
         monkeypatch.undo()
         paths, rounds = iter(path for path, _ in stacks), []
         for name in log:
@@ -866,7 +864,7 @@ class TestLockstepPolish:
 @st.composite
 def real_operators(draw, max_n=6):
     """A small connected real operator with at least one cycle, and its
-    cycle basis."""
+    spanning forest."""
     g = draw(small_graphs(max_n).filter(
         lambda g: g.n and num_components(g) == 1 and betti_number(g)))
     diag = draw(st.lists(st.floats(-2.0, 2.0), min_size=g.n,
@@ -874,7 +872,7 @@ def real_operators(draw, max_n=6):
     off = draw(st.lists(st.floats(0.2, 2.0) | st.floats(-2.0, -0.2),
                         min_size=g.num_edges, max_size=g.num_edges))
     return SupportedMatrix(g, np.array(diag), np.array(off) + 0j), \
-        cycle_basis(g)
+        g.spanning_forest
 
 
 def conjugate_pairs(h: SupportedMatrix, k: int, starts: int):
@@ -922,15 +920,15 @@ class TestConjugationSymmetry:
     def test_stacked_solves_at_conjugate_points(self, op, data):
         import magnodal.morse as morse
 
-        base, basis = op
-        g, idx = base.graph, basis.nonforest_indices
+        base, forest = op
+        g, idx = base.graph, forest.nonforest
         k = data.draw(st.integers(1, g.n))
         x = np.array(data.draw(st.lists(
             st.lists(st.floats(0.0, TWO_PI, exclude_max=True)
                      | st.sampled_from([0.0, np.pi]),
-                     min_size=len(basis), max_size=len(basis)),
+                     min_size=len(idx), max_size=len(idx)),
             min_size=1, max_size=4)))
-        off = morse._offdiag_at(base, basis, x)
+        off = morse._offdiag_at(base, forest, x)
 
         def solve(offdiag):
             values, vectors = eigh_stack(g, base.diag, offdiag)
@@ -938,7 +936,7 @@ class TestConjugationSymmetry:
             return s, -2.0 * s.products.imag[:, idx]
 
         (a, ga), (c, gc) = solve(off), solve(np.conj(off))
-        b, gb = solve(morse._offdiag_at(base, basis, np.mod(-x, TWO_PI)))
+        b, gb = solve(morse._offdiag_at(base, forest, np.mod(-x, TWO_PI)))
         scale = max(1.0, base.norm_fro)
         assert same_bits(c.values, a.values)
         simple = simple_positions(a.values)[:, k - 1]
@@ -951,7 +949,7 @@ class TestConjugationSymmetry:
         rows = np.flatnonzero(gap > 1e-3 * scale)
         np.testing.assert_allclose(gb[rows], -ga[rows], rtol=0.0,
                                    atol=1e-9 * scale)
-        hess = [morse._hessian(s.take(rows), basis, DEGENERACY_TOL)
+        hess = [morse._hessian(s.take(rows), forest, DEGENERACY_TOL)
                 for s in (a, b, c)]
         bound = HESSIAN_SYM_TOL * np.maximum(
             1.0, np.max(np.abs(hess[0]), axis=(1, 2), initial=0.0))
@@ -1136,11 +1134,11 @@ class TestStackedHessians:
         from magnodal.operators import gauge_classes_of_signings
 
         h = strong_diagonal_fixture(complete_graph(5))
-        idx = cycle_basis(h.graph).nonforest_indices
+        idx = h.graph.spanning_forest.nonforest
         assert gauge_classes_of_signings(h).nonforest is idx
         assert not idx.flags.writeable
         assert [h.graph.edges[i] for i in idx] \
-            == list(cycle_basis(h.graph).nonforest_edges)
+            == list(h.graph.spanning_forest.nonforest_edges)
 
 
 #: ``verify_fixture`` cases and how many of their pairs are skipped.
@@ -1199,15 +1197,15 @@ class TestStackedReports:
         calls = []
         inner = morse._reports_at
 
-        def recording(coords, base, s, basis, origin, **kwargs):
-            got = inner(coords, base, s, basis, origin, **kwargs)
-            calls.append((coords, base, s, basis, origin, kwargs, list(got)))
+        def recording(coords, base, s, forest, origin, **kwargs):
+            got = inner(coords, base, s, forest, origin, **kwargs)
+            calls.append((coords, base, s, forest, origin, kwargs, list(got)))
             return got
 
         monkeypatch.setattr(morse, "_reports_at", recording)
         critical_scan(h, k, starts=4, seed=0)
         monkeypatch.undo()
-        for coords, base, s, basis, origin, kwargs, got in calls:
+        for coords, base, s, forest, origin, kwargs, got in calls:
             want = [scalar_report(
                 x, SupportedMatrix(base.graph, base.diag, s.offdiag[i]),
                 EigenSystem(s.values[i], s.vectors[i]), s.k, origin,
@@ -1217,7 +1215,7 @@ class TestStackedReports:
         kinds = {r.classification for r in calls[0][-1]}
         origins = [origin for *_, origin, _, _ in calls]
         if case == "tree-P3":
-            assert len(calls[0][3]) == 0
+            assert len(calls[0][3].nonforest) == 0
             assert origins == ["symmetry-enumeration"]
         elif case == "ring-C4":
             # one flux class is simple at k = 1, the other is not

@@ -367,8 +367,7 @@ class TestAveragedDistribution:
         h = strong_diagonal_fixture(complete_graph(5))
         average_surplus_distribution(h)
         assert "spanning_forest" in h.graph.__dict__
-        assert "fundamental_cycles" not in h.graph.__dict__
-        assert "up" not in h.graph.spanning_forest.__dict__
+        assert not {"coeffs", "up"} & h.graph.spanning_forest.__dict__.keys()
 
     def test_class_weighted_agrees_with_full(self):
         # every one of the 2^6 signings, each solved on its own

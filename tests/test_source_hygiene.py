@@ -20,15 +20,16 @@ one function only, ``nodal._solve_classes``, the class-block solve that
 the class sum, the index check and the scan share, and in ``nodal``
 only ``edge_products``, the one product formula, reads an edge's
 ``endpoints``.  Outside ``graphs`` no module looks an edge up one at a
-time through ``Graph.index_of``: edge arrays are selected by masks.
-No module reads ``CycleBasis.cycles``: the package takes a basis as
-its one coefficient array, so no per-cycle ``Chain`` comes back into a
-hot path.  Only the readers of that array, ``morse``, ``linkage`` and
-``operators.flux_defects``, call ``cycle_basis``, and only
-``graphs.cycle_basis`` reads ``Graph.fundamental_cycles``: the
-switching classes, and so the class sum, read the spanning forest
-alone and never build a basis.  ``cli`` imports no ``_``-prefixed name from another package module:
-what the commands need is public.  ``cli`` reads no ``is_real`` and
+time through an ``index_of``: edge arrays are selected by masks.  No
+module reads a ``cycles`` attribute: the package takes the fundamental
+cycles as one coefficient array, so no per-cycle object comes back
+into a hot path.  Only ``graphs``, their owner, and the flux test
+``operators.flux_defects`` read that array, ``SpanningForest.coeffs``,
+and no module calls ``cycle_basis``, which the benchmark reads: the
+torus chart of ``morse`` and ``linkage`` and the switching classes,
+and so the class sum, read ``Graph.spanning_forest``'s non-forest
+positions and never build a cycle.  ``cli`` imports no ``_``-prefixed
+name from another package module: what the commands need is public.  ``cli`` reads no ``is_real`` and
 imports no ``nodal_count``: the library decides every precondition,
 such as the real-only one, and a command's count at one position comes
 from the one kernel call that checks every position.  Only
@@ -177,15 +178,8 @@ def function_callers(trees: dict[Path, ast.Module], name: str
                                  getattr(node.func, "attr", None)) == name)
 
 
-#: The modules and functions that read cycle basis coefficients.
-BASIS_READERS = ("morse", "linkage", "operators.flux_defects")
-
-
-def basis_builders(trees: dict[Path, ast.Module]) -> list[str]:
-    """Callers of ``cycle_basis`` outside ``BASIS_READERS``."""
-    return [where for where in function_callers(trees, "cycle_basis")
-            if where not in BASIS_READERS
-            and where.split(".")[0] not in BASIS_READERS]
+#: The module and the function that read the cycle coefficients.
+COEFFICIENT_READERS = ("graphs", "operators.flux_defects")
 
 
 def component_listers(trees: dict[Path, ast.Module]) -> list[str]:
@@ -207,6 +201,13 @@ def attribute_readers(trees: dict[Path, ast.Module], attr: str
     return locations(trees, lambda node: isinstance(node, ast.Attribute)
                      and node.attr == attr
                      and isinstance(node.ctx, ast.Load))
+
+
+def coefficient_readers(trees: dict[Path, ast.Module]) -> list[str]:
+    """Reads of a ``coeffs`` attribute outside ``COEFFICIENT_READERS``."""
+    return [where for where in attribute_readers(trees, "coeffs")
+            if where not in COEFFICIENT_READERS
+            and where.split(".")[0] not in COEFFICIENT_READERS]
 
 
 def private_imports(tree: ast.Module) -> list[str]:
@@ -305,12 +306,15 @@ def test_no_module_reads_cycles_as_chains():
     assert attribute_readers(trees, "cycles") == []
 
 
-def test_only_coefficient_readers_build_a_cycle_basis():
+def test_only_the_flux_test_reads_cycle_coefficients():
     trees = {p: parse(p) for p in MODULES}
-    assert basis_builders(trees) == []
-    assert "operators.flux_defects" in function_callers(trees, "cycle_basis")
-    assert attribute_readers(trees, "fundamental_cycles") \
-        == ["graphs.cycle_basis"]
+    assert coefficient_readers(trees) == []
+    assert "operators.flux_defects" in attribute_readers(trees, "coeffs")
+
+
+def test_no_module_calls_cycle_basis():
+    trees = {p: parse(p) for p in MODULES}
+    assert function_callers(trees, "cycle_basis") == []
 
 
 def test_only_transversality_lists_components():
@@ -413,8 +417,18 @@ def test_checks_catch_what_they_look_for():
     assert function_callers(trees, "cycle_basis") == [
         "morse.f", "morse", "nodal._surplus_counts",
         "operators.flux_defects", "operators.gauge_classes_of_signings"]
-    assert basis_builders(trees) == [
-        "nodal._surplus_counts", "operators.gauge_classes_of_signings"]
+    trees = {Path("graphs.py"): ast.parse(
+        "class SpanningForest:\n    def coeffs(self):\n"
+        "        return self.up.coeffs\nn = len(g.spanning_forest.coeffs)\n"),
+        Path("morse.py"): ast.parse(
+        "def _hessian(s, forest):\n    return forest.coeffs\n"),
+        Path("nodal.py"): ast.parse("c = forest.coeffs\nforest.coeffs = c\n"),
+        Path("operators.py"): ast.parse(
+        "def flux_defects(g):\n    return g.spanning_forest.coeffs\n"
+        "def gauge_classes_of_signings(h):\n"
+        "    return len(h.graph.spanning_forest.coeffs)\n")}
+    assert coefficient_readers(trees) == [
+        "morse._hessian", "nodal", "operators.gauge_classes_of_signings"]
     trees = {Path("graphs.py"): ast.parse(
         "class Graph:\n    def component_count(self):\n"
         "        return len(connected_components(self))\n"),

@@ -9,18 +9,17 @@ functions of those coordinates, and this module computes their
 gradients, Hessians, Morse indices, and critical points.  The scan and
 the index check visit the ``2^beta`` symmetry points, coordinates in
 {0, pi}, which are the switching-class representatives of the signing
-average: ``nodal``'s class-block solve gives them in blocks of
-``nodal.SWEEP_CHUNK``, one stacked real eigensolve each.  ``nodal``'s
-admissibility kernel, ``_stack_checks``, gives simplicity, vanishing
-entries, criticality and surplus for a whole stack, so the index check
-decides every (class, k) pair of a block together, and a scan
-classifies each block of symmetry points, and then its search reports,
-as one stack.  The index check enters the kernel at every position
-through ``nodal.position_checks`` and words its skip reasons from the
-kernel's masks, through ``_StackChecks.error``, with no second solve;
-its Hessians read the edge products the kernel checked.  Each such
-stack assembles its Hessians as one stack (per k, in the index check),
-and their Morse indices come from one stacked solve.
+average.  Both walk the class sum's generator, ``nodal._class_blocks``,
+in symmetry-point order: per block one stacked real eigensolve, checked
+once at every position by ``nodal``'s admissibility kernel,
+``_stack_checks``, for simplicity, vanishing entries, criticality and
+surplus.  The index check decides every (class, k) pair of a block from
+those masks and words its skip reasons from them
+(``_StackChecks.error``), with no second solve; a scan reads each
+block's column at k, then checks its search reports at k alone, as one
+stack.  The Hessians read the edge products the kernel checked; each
+stack assembles them as one stack (per k, in the index check), and their
+Morse indices come from one stacked solve.
 
 Every derivative at a single point starts from ``nodal``'s checked
 solve of a stack of one, ``_checked``, which raises the kernel's error
@@ -58,8 +57,8 @@ from .errors import (
     VanishingEigenvectorError,
 )
 from .graphs import Graph, OneForm, SpanningForest, num_components
-from .nodal import (PRODUCT_REAL_TOL, _blocks, _checked, _solve_classes,
-                    _Solves, _StackChecks, position_checks)
+from .nodal import (PRODUCT_REAL_TOL, _checked, _class_blocks, _Solves,
+                    _StackChecks)
 from .operators import (
     FLUX_TOL,
     SupportedMatrix,
@@ -215,20 +214,21 @@ def _classify(h: SupportedMatrix, s: _Solves, checks: _StackChecks
               ) -> CriticalityReport:
     """``is_critical`` at a simple eigenvalue, from the checked solve
     ``s`` of ``h`` and its ``checks``."""
-    kind = _kinds(s, np.array([h.norm_fro]), checks)[0]
+    kind = _kinds(s, np.array([h.norm_fro]), checks, 0)[0]
     return CriticalityReport(
         kind != "smooth-regular", kind, 1,
         float(np.max(np.abs(s.products.imag), initial=0.0)),
         tuple(np.flatnonzero(checks.vanishing[0, 0]).tolist()))
 
 
-def _kinds(s: _Solves, scale: np.ndarray, checks: _StackChecks) -> list[str]:
-    """Kind of each row of ``s`` at a simple eigenvalue, from its
-    ``checks``, with ``_check_symmetry`` run on the ``symmetry`` rows,
-    whose norms are in ``scale`` (S,)."""
-    flat = checks.flat[:, 0]
-    symmetric = checks.simple[:, 0] & flat \
-        & ~np.any(checks.vanishing[:, 0], axis=1)
+def _kinds(s: _Solves, scale: np.ndarray, checks: _StackChecks, col: int
+           ) -> list[str]:
+    """Kind of each row of ``s`` at a simple eigenvalue, from column
+    ``col`` of its ``checks``, with ``_check_symmetry`` run on the
+    ``symmetry`` rows, whose norms are in ``scale`` (S,)."""
+    flat = checks.flat[:, col]
+    symmetric = checks.simple[:, col] & flat \
+        & ~np.any(checks.vanishing[:, col], axis=1)
     if np.any(symmetric):
         _check_symmetry(checks.graph, s.offdiag[symmetric],
                         s.products[symmetric], scale[symmetric],
@@ -485,7 +485,8 @@ def _halton(count: int, dim: int) -> np.ndarray:
 
 
 def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
-                forest: SpanningForest, origin: str, *, tol_degeneracy: float,
+                forest: SpanningForest, origin: str, *,
+                checks: _StackChecks | None = None, tol_degeneracy: float,
                 tol_vanish: float, rank_tol: float
                 ) -> list[CriticalPointReport]:
     """One report per row of ``s``, the solve at gauge-slice coordinates
@@ -493,18 +494,20 @@ def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
 
     The admissibility kernel decides simplicity, vanishing entries and
     criticality for every row at once, with ``is_critical``'s
-    tolerances.  A row whose k-th eigenvalue is not simple is
+    tolerances, in ``checks`` (at k among other positions) or else at k
+    and each row's norm.  A row whose k-th eigenvalue is not simple is
     ``incorrigible``; every other row is classified from those masks,
     and its symmetry cross-check, gradient norm and Hessian are stacked
     too: the Hessians are assembled as one stack, and their spectra,
     indices and nullities come from one stacked solve.
     """
-    k = s.k
-    scale = frobenius_norms(base.diag, s.offdiag)
-    checks = s.checks(base.graph, scale, tol_degeneracy=tol_degeneracy,
-                      tol_vanish=tol_vanish)
-    simple, vanishing = checks.simple[:, 0], checks.vanishing[:, 0]
-    kinds = _kinds(s, scale, checks)
+    k, scale = s.k, frobenius_norms(base.diag, s.offdiag)
+    if checks is None:
+        checks = s.checks(base.graph, scale, tol_degeneracy=tol_degeneracy,
+                          tol_vanish=tol_vanish)
+    col = int(np.searchsorted(checks.positions, k - 1))
+    simple, vanishing = checks.simple[:, col], checks.vanishing[:, col]
+    kinds = _kinds(s, scale, checks, col)
     rows = np.flatnonzero(simple)
     grad = (-2.0 * s.products[rows].imag)[:, forest.nonforest]
     gnorm = np.sqrt(_squares(grad))
@@ -513,7 +516,7 @@ def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
     points = [tuple(x) for x in coords.tolist()]
     reports: list = [None] * len(points)
     bad = np.flatnonzero(~simple)
-    for i, m in zip(bad.tolist(), checks.multiplicity(bad, 0).tolist()):
+    for i, m in zip(bad.tolist(), checks.multiplicity(bad, col).tolist()):
         reports[i] = CriticalPointReport(points[i], k, "incorrigible", m, (),
                                          None, None, None, None, origin)
     for j, i in enumerate(rows.tolist()):
@@ -658,22 +661,20 @@ def _polish(base: SupportedMatrix, forest: SpanningForest, k: int,
     return phase, x, aux, solves
 
 
-def _symmetry_blocks(base: SupportedMatrix, forest: SpanningForest):
-    """Per block of at most ``nodal.SWEEP_CHUNK`` symmetry points, their
-    bits (S, d) and their solve by ``nodal._solve_classes``.
+def _symmetry_blocks(base: SupportedMatrix, **tols):
+    """Per block of ``nodal._class_blocks`` over the symmetry points,
+    checked at the tolerances ``tols``, their bits (S, d) and the block.
 
     A point has coordinate ``pi`` where its bit is 1, in
-    ``itertools.product`` order (the last bit varies fastest); the first
-    is the base matrix.  It is the representative of the switching class
-    whose id has bit ``j`` set where coordinate ``j`` is ``pi``.
-    ``gauge_classes_of_signings`` refuses a beta over ``SIGNING_CAP``
-    before the first block is solved.
+    ``itertools.product`` order (the last bit varies fastest): the id
+    order of the classes with the non-forest edges listed backwards.
+    The first is the base matrix.  ``gauge_classes_of_signings`` refuses
+    a beta over ``SIGNING_CAP`` before the first block is solved.
     """
-    d = len(forest.nonforest)
     classes = gauge_classes_of_signings(base)
-    for points in _blocks(classes.num_classes):
-        bits = (points[:, None] >> np.arange(d - 1, -1, -1)) & 1
-        yield bits, _solve_classes(base, classes, bits @ (1 << np.arange(d)))
+    backwards = replace(classes, nonforest=classes.nonforest[::-1])
+    for block in _class_blocks(base, backwards, **tols):
+        yield (1 - block[0][:, classes.nonforest]) >> 1, block
 
 
 def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
@@ -705,14 +706,16 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
     tols = dict(tol_degeneracy=tol_degeneracy, tol_vanish=tol_vanish,
                 rank_tol=rank_tol)
     reports, known = [], []
-    for bits, (_, off, values, vectors) in _symmetry_blocks(base, forest):
+    for bits, (_, off, vectors, checks) in _symmetry_blocks(
+            base, tol_degeneracy=tol_degeneracy, tol_vanish=tol_vanish):
         if not known:
             # the base matrix, the first point, sets the gradient tolerance
-            gtol = 1e-10 * max(1.0, float(np.max(np.abs(values[0]))))
+            gtol = 1e-10 * max(1.0, float(np.max(np.abs(checks.values[0]))))
         known.append(np.where(bits == 1, np.pi, 0.0))
         reports += _reports_at(
-            known[-1], base, _Solves.at(base.graph, off, values, vectors, k),
-            forest, "symmetry-enumeration", **tols)
+            known[-1], base, _Solves(off, checks.values, vectors, k,
+                                     checks.products[:, k - 1]),
+            forest, "symmetry-enumeration", checks=checks, **tols)
     known = np.concatenate(known)
     incorrigible, unconverged, attempted = [], 0, 0
     if beta > 0:
@@ -831,17 +834,15 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
                     (AdmissibilityError, "; the index-surplus identity "
                      "holds on connected graphs only"))
     rows = []
-    for bits, (_, off, values, vectors) in _symmetry_blocks(base, forest):
-        checks = position_checks(base, off, values, vectors,
-                                 tol_degeneracy=tol_degeneracy,
-                                 tol_vanish=tol_vanish)
+    for bits, (_, off, vectors, checks) in _symmetry_blocks(
+            base, tol_degeneracy=tol_degeneracy, tol_vanish=tol_vanish):
         admissible, surplus = ~checks.failed, checks.surplus
         if np.any(checks.out_of_bounds):
             raise checks.error(*np.argwhere(checks.out_of_bounds)[0])
         classes = [tuple(b) for b in bits.tolist()]
         index, nullity = np.zeros_like(surplus), np.zeros_like(surplus)
         # each k's Hessians read the products its checks were made on
-        hessians = [_hessian(_Solves(off, values, vectors, j + 1,
+        hessians = [_hessian(_Solves(off, checks.values, vectors, j + 1,
                                      checks.products[:, j]).take(col),
                              forest, tol_degeneracy)
                     for j, col in enumerate(admissible.T) if np.any(col)]

@@ -22,10 +22,13 @@ graphs; on a disconnected graph a count outside them is inadmissible,
 not an internal fault.
 
 The signing average solves one representative per switching class, the
-member that leaves the spanning forest unflipped, in blocks of
-``SWEEP_CHUNK``, each by one stacked eigensolve (``_solve_classes``, as
-``morse`` solves the symmetry points) and one ``position_checks`` call.
-That call lays the block's eigenvectors out vertex-major once, so
+member that leaves the spanning forest unflipped.  ``_class_blocks`` is
+the package's one walk over the classes: per block of ``SWEEP_CHUNK``
+ids it builds the sign rows, makes one stacked real eigensolve and one
+``position_checks`` call, and yields the block checked at every
+position.  The class sum walks it in id order; ``morse``'s scan and
+index check walk it in symmetry-point order.  ``position_checks``
+lays the block's eigenvectors out vertex-major once, so
 ``edge_products`` gathers whole blocks and returns the products
 edge-major; every mask then has its vertex or edge axis outermost, and
 the verdicts (one pass per mask) and positive counts reduce over it in
@@ -392,28 +395,26 @@ def surplus_distribution(h: SupportedMatrix, **kwargs) -> SurplusDistribution:
         beta, np.bincount(checks.surplus[0], minlength=beta + 1), h.graph.n)
 
 
-#: Switching classes per stacked eigensolve, in the class sum and at
-#: the symmetry points of ``morse``.  A block holds ``SWEEP_CHUNK * n * n``
+#: Classes per block of ``_class_blocks``: it holds ``SWEEP_CHUNK * n * n``
 #: floats of matrices and as many of eigenvectors, so it stays small.
 SWEEP_CHUNK = 256
 
 
-def _blocks(total: int):
-    """Consecutive blocks of at most ``SWEEP_CHUNK`` of ``range(total)``."""
-    return (np.arange(lo, min(lo + SWEEP_CHUNK, total))
-            for lo in range(0, total, SWEEP_CHUNK))
-
-
-def _solve_classes(h: SupportedMatrix, classes: SigningClasses, ids):
-    """Sign rows and real edge entries (S, m), eigenvalues (S, n) and
-    eigenvector columns (S, n, n) of the representatives of the classes
-    ``ids`` of the real ``h``, from one stacked real eigensolve.  No
-    phase is normalized: flipping a real eigenvector changes no bit of
-    its edge products, checks or Hessian."""
-    rows = classes.rows(ids)
-    offdiag = h.offdiag.real * rows
-    return (rows, offdiag,
-            *eigh_dense(dense_matrices(h.graph, h.diag, offdiag)))
+def _class_blocks(h: SupportedMatrix, classes: SigningClasses, **tols):
+    """The package's one walk over the switching ``classes`` of the real
+    ``h``: per block of at most ``SWEEP_CHUNK`` ids, in id order, the
+    representatives' sign rows and real edge entries (S, m), eigenvector
+    columns (S, n, n) from one stacked real eigensolve, and the checks
+    at ``tols`` of one ``position_checks`` call, whose ``values`` are
+    the eigenvalues.  No sign is normalized: it changes no bit of what
+    is read from a real eigenvector."""
+    total = classes.num_classes
+    for lo in range(0, total, SWEEP_CHUNK):
+        rows = classes.rows(np.arange(lo, min(lo + SWEEP_CHUNK, total)))
+        offdiag = h.offdiag.real * rows
+        values, vectors = eigh_dense(dense_matrices(h.graph, h.diag, offdiag))
+        yield rows, offdiag, vectors, position_checks(h, offdiag, values,
+                                                      vectors, **tols)
 
 
 def _surplus_counts(h: SupportedMatrix, classes: SigningClasses,
@@ -437,10 +438,7 @@ def _surplus_counts(h: SupportedMatrix, classes: SigningClasses,
             np.zeros((1, 1)), np.ones((1, 1, 1)), np.zeros((1, 1, 1)), [0],
             h.norm_fro, h.graph, **tols).unresolved.all():
         return counts, weight * classes.num_classes
-    # a vertex-less operator has no positions, so nothing to count
-    for ids in _blocks(classes.num_classes if h.graph.n else 0):
-        rows, offdiag, values, vectors = _solve_classes(h, classes, ids)
-        checks = position_checks(h, offdiag, values, vectors, **tols)
+    for rows, _, _, checks in _class_blocks(h, classes, **tols):
         failed = checks.failed
         if not failed.any():
             counts += weight * np.bincount(checks.surplus.ravel("K"),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (custom_forest, eigenvalue_at, gradient_fd,
                       hessian_eigenvalue_fd, pseudo_inverse_apply, same_bits,
                       scalar_nodal_surplus, scalar_report, small_graphs)
+from test_nodal import COARSE_TOLERANCES
 from magnodal.errors import (
     AdmissibilityError,
     InternalCrossCheckError,
@@ -47,6 +48,8 @@ from magnodal.operators import (
     SupportedMatrix,
     abs_part,
     dense_matrices,
+    frobenius_norms,
+    gauge_classes_of_signings,
     is_gauge_equiv_to_symmetry,
 )
 from magnodal.spectral import (
@@ -1131,8 +1134,6 @@ class TestStackedHessians:
         assert events == ["_hessian"] * h.graph.n + ["eigvalsh_dense"]
 
     def test_chart_and_classes_share_the_nonforest_positions(self):
-        from magnodal.operators import gauge_classes_of_signings
-
         h = strong_diagonal_fixture(complete_graph(5))
         idx = h.graph.spanning_forest.nonforest
         assert gauge_classes_of_signings(h).nonforest is idx
@@ -1197,8 +1198,11 @@ class TestStackedReports:
         calls = []
         inner = morse._reports_at
 
-        def recording(coords, base, s, forest, origin, **kwargs):
-            got = inner(coords, base, s, forest, origin, **kwargs)
+        def recording(coords, base, s, forest, origin, checks=None,
+                      **kwargs):
+            got = inner(coords, base, s, forest, origin, checks=checks,
+                        **kwargs)
+            # the oracle builds each report alone, from its own checks
             calls.append((coords, base, s, forest, origin, kwargs, list(got)))
             return got
 
@@ -1475,3 +1479,61 @@ class TestClassBlocks:
         assert sum(sizes["eigh_dense"]) == 2 ** 6
         assert max(sizes["eigh_dense"]) == max(sizes["_hessian"]) == chunk
         assert max(sizes["eigvalsh_dense"]) <= h.graph.n * chunk
+
+    @pytest.mark.parametrize("case", [
+        "strong-K4", "strong-K5", "strong-K5-eta10", "ring-C4",
+        "zero-diagonal-P3", *(f"random-K5-seed{s}" for s in range(3))])
+    @pytest.mark.parametrize("tols", ["default", *sorted(COARSE_TOLERANCES)])
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+    def test_scan_column_is_the_single_position_check(self, monkeypatch,
+                                                      chunk, tols, case):
+        """Column ``k - 1`` of a symmetry block's checks, at the
+        operator's norm, decides as the check at k alone did, at each
+        row's norm: a signed real row's norm has the bits of the
+        operator's, so every mask is the same."""
+        import magnodal.morse as morse
+        import magnodal.nodal as nodal
+
+        monkeypatch.setattr(nodal, "SWEEP_CHUNK", chunk)
+        base = abs_part(block_fixture(case))
+        tols = dict(COARSE_TOLERANCES.get(tols, ()))
+        for _, (_, off, vectors, checks) in morse._symmetry_blocks(base,
+                                                                   **tols):
+            scale = frobenius_norms(base.diag, off)
+            assert same_bits(scale, np.full(len(off), base.norm_fro))
+            for k in range(1, base.graph.n + 1):
+                alone = nodal._Solves.at(base.graph, off, checks.values,
+                                         vectors, k).checks(
+                    base.graph, scale, **tols)
+                for name in ("simple", "vanishing", "flat", "unresolved",
+                             "surplus"):
+                    assert same_bits(getattr(checks, name)[:, k - 1],
+                                     getattr(alone, name)[:, 0]), name
+
+    @pytest.mark.parametrize("beta", [0, 1, 3, 7])
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+    def test_backwards_listing_walks_the_product_order(self, monkeypatch,
+                                                       chunk, beta):
+        """Block by block, the symmetry points come in
+        ``itertools.product`` order, and their sign rows are those of
+        the classes whose id has bit ``j`` set where coordinate ``j`` is
+        ``pi``."""
+        import magnodal.morse as morse
+        import magnodal.nodal as nodal
+
+        g = {0: path_graph(3), 1: cycle_graph(4), 3: complete_graph(4),
+             7: random_connected_graph(6, 12, np.random.default_rng(0))}[beta]
+        assert betti_number(g) == beta
+        h = strong_diagonal_fixture(g)
+        classes = gauge_classes_of_signings(h)
+        points = np.array(list(itertools.product([0, 1], repeat=beta)),
+                          dtype=np.int64).reshape(2 ** beta, beta)
+        monkeypatch.setattr(nodal, "SWEEP_CHUNK", chunk)
+        lo = 0
+        for bits, (rows, *_) in morse._symmetry_blocks(h):
+            want = points[lo:lo + chunk]
+            assert bits.tolist() == want.tolist()
+            assert same_bits(rows,
+                             classes.rows(want @ (1 << np.arange(beta))))
+            lo += len(want)
+        assert lo == 2 ** beta

@@ -1088,9 +1088,10 @@ def test_kernel_at_the_cuts_matches_the_oracles(h, data):
             == class_sum_outcome(class_sum_by_scalars, h, skip, tols)
     if not n:
         return
-    _, off, values, vectors = nodal._solve_classes(
-        h, classes, np.arange(classes.num_classes))
-    rows = len(off)
+    # one block: these graphs have fewer classes than ``SWEEP_CHUNK``
+    _, off, vectors, checks = next(nodal._class_blocks(h, classes, **tols))
+    values, rows = checks.values, len(off)
+    assert rows == classes.num_classes
     factor, sign = st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([-1, 1])
     for row, j, f in data.draw(st.lists(st.tuples(
             st.integers(0, rows - 1), st.integers(0, max(n - 2, 0)), factor),
@@ -1179,8 +1180,8 @@ class TestOneSolveAndOneKernelCallPerClassBlock:
     def test_symmetry_points(self, events, monkeypatch):
         blocks = morse._symmetry_blocks
 
-        def marked(*args):
-            for block in blocks(*args):
+        def marked(*args, **kwargs):
+            for block in blocks(*args, **kwargs):
                 events.append("block")
                 yield block
             events.append("done")
@@ -1188,8 +1189,9 @@ class TestOneSolveAndOneKernelCallPerClassBlock:
         monkeypatch.setattr(morse, "_symmetry_blocks", marked)
         h = strong_diagonal_fixture(complete_graph(4))
         critical_scan(h, 2, starts=2, seed=0)
+        # each block comes checked; the reports make no kernel call
         stage = events[:events.index("done")]
-        assert stage == ["solve", "block", "check"] * self.blocks(h)
+        assert stage == ["solve", "check", "block"] * self.blocks(h)
 
 
 def test_unbounded_count_on_a_disconnected_graph_is_inadmissible():
@@ -1344,9 +1346,7 @@ def test_kernel_verdicts_survive_optimized_mode():
                     out.append([type(exc).__name__, str(exc)])
             if not h.graph.n:
                 continue
-            _, off, values, vectors = nodal._solve_classes(
-                h, classes, np.arange(classes.num_classes))
-            c = nodal.position_checks(h, off, values, vectors, **tols)
+            (_, _, _, c), = nodal._class_blocks(h, classes, **tols)
             out.append([getattr(c, name).tobytes().hex() for name in (
                 "simple", "vanishing", "flat", "unresolved", "surplus",
                 "unbounded", "inadmissible", "out_of_bounds", "failed")])

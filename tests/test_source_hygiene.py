@@ -15,9 +15,11 @@ degeneracy test, ``cluster_mask``: elsewhere ``tol_degeneracy`` is only
 passed on, never part of arithmetic or a comparison.  Likewise the
 vanishing, product and realness tolerances (``tol_vanish``,
 ``tol_product`` and ``tol_real``) cut only in ``nodal._stack_checks``,
-the one admissibility kernel.  ``SigningClasses.rows`` is called in
-one function only, ``nodal._solve_classes``, the class-block solve that
-the class sum, the index check and the scan share, and in ``nodal``
+the one admissibility kernel.  ``SigningClasses.rows`` is called, and
+``SWEEP_CHUNK`` read, in one function only, ``nodal._class_blocks``,
+the one walk over switching classes, which the class sum, the index
+check and the scan share.  Its blocks come checked, so ``morse``
+refers to no ``position_checks``.  In ``nodal``
 only ``edge_products``, the one product formula, reads an edge's
 ``endpoints``.  Outside ``graphs`` no module looks an edge up one at a
 time through an ``index_of``: edge arrays are selected by masks.  No
@@ -232,6 +234,23 @@ def library_decisions(tree: ast.Module) -> list[str]:
     return found
 
 
+def name_readers(trees: dict[Path, ast.Module], name: str) -> list[str]:
+    """Where ``name`` is loaded, as a name or an attribute."""
+    return locations(trees, lambda node: isinstance(
+        getattr(node, "ctx", None), ast.Load)
+        and getattr(node, "id", getattr(node, "attr", None)) == name)
+
+
+def references(tree: ast.Module, name: str) -> list[int]:
+    """Lines that import ``name`` or load it as a name or an attribute."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and any(alias.name == name for alias in node.names)
+                   or isinstance(getattr(node, "ctx", None), ast.Load)
+                   and getattr(node, "id", getattr(node, "attr", None))
+                   == name})
+
+
 def exported_names(tree: ast.Module) -> set[str]:
     """Names that the package ``__init__`` binds by importing them."""
     return {alias.asname or alias.name for node in tree.body
@@ -293,7 +312,16 @@ def test_every_definition_is_used(path):
 
 def test_one_function_builds_class_sign_rows():
     trees = {p: parse(p) for p in MODULES}
-    assert method_callers(trees, "rows") == ["nodal._solve_classes"]
+    assert method_callers(trees, "rows") == ["nodal._class_blocks"]
+
+
+def test_one_function_reads_the_block_size():
+    trees = {p: parse(p) for p in PACKAGE.glob("*.py")}
+    assert set(name_readers(trees, "SWEEP_CHUNK")) == {"nodal._class_blocks"}
+
+
+def test_morse_takes_its_class_blocks_checked():
+    assert references(parse(PACKAGE / "morse.py"), "position_checks") == []
 
 
 def test_one_function_forms_edge_products():
@@ -388,6 +416,20 @@ def test_checks_catch_what_they_look_for():
                           "        self.rows = self.x.rows([])\n"),
              b: ast.parse("x = classes.rows(ids)\n")}
     assert method_callers(trees, "rows") == ["a.g", "a.f", "a.m", "b"]
+    trees = {Path("nodal.py"): ast.parse(
+        "SWEEP_CHUNK = 256\ndef _class_blocks(c):\n"
+        "    return range(0, c, SWEEP_CHUNK)\n"
+        "def _blocks(total):\n    return total // SWEEP_CHUNK\n"),
+        Path("morse.py"): ast.parse(
+        "from . import nodal\nn = nodal.SWEEP_CHUNK\n"
+        "nodal.SWEEP_CHUNK = 3\n")}
+    assert name_readers(trees, "SWEEP_CHUNK") == [
+        "morse", "nodal._class_blocks", "nodal._blocks"]
+    assert references(ast.parse(
+        "from .nodal import (_checked,\n    position_checks)\n"
+        "from . import nodal\nc = nodal.position_checks(h)\n"
+        "position_checks = None\nd = position_checks(h)\n"
+        "'position_checks in a string'\n"), "position_checks") == [1, 4, 6]
     trees = {a: ast.parse("def f(g, v):\n    return g.index_of(v, 0)\n"
                           "i = g.index_of(1, 2)\nj = g.edge_index[(1, 2)]\n"),
              Path("graphs.py"): ast.parse("def h(g):\n    g.index_of(0, 1)\n")}

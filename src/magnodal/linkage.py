@@ -58,6 +58,13 @@ _GENERIC_CHUNK = 1 << 13
 #: Spectral shift coefficients below this count as degenerate.
 SHIFT_COEFF_TOL = 1e-9
 
+#: Closed configurations the exceptional analysis checks along the
+#: critical manifold.
+MANIFOLD_SAMPLES = 4
+
+#: Random draws the fixture builder tries before it gives up.
+FIXTURE_ATTEMPTS = 60
+
 
 @dataclass(frozen=True, eq=False)
 class LinkageLengths:
@@ -69,6 +76,8 @@ class LinkageLengths:
         v = np.asarray(self.lengths, dtype=np.float64).copy()
         if v.ndim != 1 or v.size == 0:
             raise ValueError("lengths must be a nonempty vector")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("lengths must be finite")
         if np.any(v <= 0.0):
             raise ValueError("lengths must be strictly positive")
         v.setflags(write=False)
@@ -78,20 +87,20 @@ class LinkageLengths:
         return int(self.lengths.size)
 
 
-def is_generic(L: LinkageLengths, tol: float = GENERICITY_TOL,
-               cap: int = LENGTH_CAP) -> bool:
+def is_generic(L: LinkageLengths) -> bool:
     """No signed sum of the lengths vanishes within tolerance.
 
     Checks all sign choices up to a global flip, so ``2**(m-1)`` sums,
-    against ``tol`` times the largest length, one block of sign rows at
-    a time (bit i of the row index flips length i + 1).  Refuses length
-    sets beyond the cap.
+    against ``GENERICITY_TOL`` times the largest length, one block of
+    sign rows at a time (bit i of the row index flips length i + 1).
+    Refuses more than ``LENGTH_CAP`` lengths.
     """
     m = len(L)
-    if m > cap:
+    if m > LENGTH_CAP:
         raise CapExceededError(
-            f"genericity check over {m} lengths exceeds the cap of {cap}")
-    cut = tol * float(np.max(L.lengths))
+            f"genericity check over {m} lengths exceeds the cap of "
+            f"{LENGTH_CAP}")
+    cut = GENERICITY_TOL * float(np.max(L.lengths))
     rest = L.lengths[1:]
     for lo in range(0, 1 << (m - 1), _GENERIC_CHUNK):
         bits = np.arange(lo, min(lo + _GENERIC_CHUNK, 1 << (m - 1)))
@@ -220,18 +229,17 @@ class ExceptionalAnalysis:
 def analyze_exceptional(p: TorusPoint, k: int, *,
                         tol_degeneracy: float = DEGENERACY_TOL,
                         tol_vanish: float = VANISH_TOL,
-                        rank_tol: float = RANK_TOL,
-                        shift_tol: float = SHIFT_COEFF_TOL,
-                        manifold_samples: int = 4,
                         seed: int = 0,
                         es: EigenSystem | None = None) -> ExceptionalAnalysis:
     """Analyze a critical point vanishing at exactly one vertex.
 
     Verifies the three hypotheses (simple eigenvalue of the reduced
-    block, generic bar lengths, nondegenerate shift coefficient),
-    predicts the critical manifold dimension and Morse-Bott index from
-    the linkage data, and cross-checks both against the numerical
-    eigenvalue Hessian.  Any mismatch between prediction and numerics
+    block, generic bar lengths, a shift coefficient beyond
+    ``SHIFT_COEFF_TOL``, checked also at ``MANIFOLD_SAMPLES`` points of
+    the critical manifold), predicts the critical manifold dimension
+    and Morse-Bott index from the linkage data, and cross-checks both
+    against the numerical eigenvalue Hessian, whose nullity is cut at
+    ``morse.RANK_TOL``.  Any mismatch between prediction and numerics
     raises, as does a point outside the analyzer's scope (no vanishing
     vertex, or more than one).  ``es`` is the eigensystem of
     ``p.operator()`` when the caller has solved it.
@@ -320,17 +328,17 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
             hypothesis=2) from exc
 
     c = resolvent_coefficient(h, k, v0, tol_degeneracy, es)
-    if abs(c) <= shift_tol:
+    if abs(c) <= SHIFT_COEFF_TOL:
         raise LinkageHypothesisError(
             f"spectral shift coefficient {c:.3e} is degenerate; "
             f"hypothesis (3) fails", hypothesis=3)
 
     dim = len(neighbors) - 3
     samples_checked = 0
-    if dim > 0 and manifold_samples > 0:
+    if dim > 0:
         samples_checked = _check_manifold_samples(
-            rotated, v0, neighbors, lengths, w, k, lam, c, manifold_samples,
-            seed, tol_degeneracy, shift_tol)
+            rotated, v0, neighbors, lengths, w, k, lam, c, seed,
+            tol_degeneracy)
 
     surplus_red = nodal_surplus(reduced, k_red, es=es_sub,
                                 tol_degeneracy=tol_degeneracy,
@@ -338,7 +346,7 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
     predicted = surplus_red + (2 if c < 0.0 else 0)
 
     hess = _hessian(s, g.spanning_forest, tol_degeneracy)[0]
-    index, nullity = morse_index(hess, rank_tol)
+    index, nullity = morse_index(hess, RANK_TOL)
     if nullity != dim:
         raise InternalCrossCheckError(
             f"numerical Hessian nullity {nullity} differs from the predicted "
@@ -367,22 +375,22 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
 
 def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
                             lengths: LinkageLengths, w, k: int, lam, c_ref,
-                            count: int, seed: int, tol_degeneracy: float,
-                            shift_tol: float) -> int:
+                            seed: int, tol_degeneracy: float) -> int:
     """Spot-check the hypotheses along the critical manifold.
 
-    Rebuilds the operator at freshly sampled closed configurations,
-    working in the frame where the eigenvector is real: replacing the
-    phases of the vanishing-vertex row while keeping moduli stays on
-    the critical manifold.  Verifies the eigenvalue stays simple, stays
-    at position k, and that the shift coefficient keeps its sign.  A
+    Rebuilds the operator at ``MANIFOLD_SAMPLES`` freshly sampled
+    closed configurations, working in the frame where the eigenvector
+    is real: replacing the phases of the vanishing-vertex row while
+    keeping moduli stays on the critical manifold.  Verifies the
+    eigenvalue stays simple, stays at position k, and that the shift
+    coefficient keeps its sign and stays beyond ``SHIFT_COEFF_TOL``.  A
     finite sample only; this does not prove the hypotheses over the
     whole manifold.
     """
     g = rotated.graph
     at_v0 = np.any(g.endpoints == v0, axis=1)
     checked = 0
-    for i in range(count):
+    for i in range(MANIFOLD_SAMPLES):
         theta = sample_configuration(lengths, seed=seed + 17 * i + 1)
         # New bar vectors M_j exp(i theta_j); the stored entry is
         # h_{v0,u} when v0 < u and its conjugate otherwise, and the
@@ -406,7 +414,7 @@ def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
                 f"eigenvalue leaves position k={k} along the manifold "
                 f"(sample {i}: position {kq}, configuration [{config}]); "
                 f"hypothesis (3) fails", hypothesis=3)
-        if abs(cq) <= shift_tol or (cq < 0) != (c_ref < 0):
+        if abs(cq) <= SHIFT_COEFF_TOL or (cq < 0) != (c_ref < 0):
             raise LinkageHypothesisError(
                 f"shift coefficient changes sign or degenerates along the "
                 f"manifold (sample {i}: {cq:.3e}); hypothesis (3) fails",
@@ -429,8 +437,8 @@ class ExceptionalFixture:
     degree: int
 
 
-def build_exceptional_fixture(degree: int, seed: int = 0, *,
-                              max_attempts: int = 60) -> ExceptionalFixture:
+def build_exceptional_fixture(degree: int, seed: int = 0
+                              ) -> ExceptionalFixture:
     """Construct an exceptional critical point with prescribed degree.
 
     Joins a fresh vertex 0 to a complete graph by ``degree`` edges,
@@ -439,7 +447,8 @@ def build_exceptional_fixture(degree: int, seed: int = 0, *,
     generic linkage, and twists the joining edges so the bar vectors
     close up.  The resulting torus point has the complete block real,
     eigenvalue equal to the reduced bottom eigenvalue, and eigenvector
-    vanishing exactly at vertex 0.
+    vanishing exactly at vertex 0.  Raises ``RuntimeError`` when none of
+    ``FIXTURE_ATTEMPTS`` random draws gives one.
     """
     if degree < 3:
         raise ValueError("the construction needs degree at least 3")
@@ -448,7 +457,7 @@ def build_exceptional_fixture(degree: int, seed: int = 0, *,
     sub = induced_subgraph(g, range(1, degree + 1))
 
     rng = np.random.default_rng(seed)
-    for attempt in range(max_attempts):
+    for attempt in range(FIXTURE_ATTEMPTS):
         diag_sub = rng.uniform(0.0, 1.0, size=degree)
         off_sub = -rng.uniform(1.0, 2.0, size=sub.num_edges)
         reduced = SupportedMatrix(sub, diag_sub, off_sub)
@@ -456,9 +465,7 @@ def build_exceptional_fixture(degree: int, seed: int = 0, *,
         m_sub, _ = multiplicity(es_sub, 1)
         if m_sub != 1:
             continue
-        vpos = es_sub.vector(1).copy()
-        if vpos[int(np.argmax(np.abs(vpos)))] < 0:
-            vpos = -vpos
+        vpos = es_sub.vector(1)
         if np.any(vpos <= 1e-6):
             continue
         lam = es_sub.value(1)
@@ -500,4 +507,4 @@ def build_exceptional_fixture(degree: int, seed: int = 0, *,
         return ExceptionalFixture(h, k, point, es, lam, 0, degree)
     raise RuntimeError(
         f"could not build an admissible fixture of degree {degree} after "
-        f"{max_attempts} attempts")
+        f"{FIXTURE_ATTEMPTS} attempts")

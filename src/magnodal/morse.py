@@ -57,8 +57,7 @@ from .errors import (
     VanishingEigenvectorError,
 )
 from .graphs import Graph, OneForm, SpanningForest, num_components
-from .nodal import (PRODUCT_REAL_TOL, _checked, _class_blocks, _Solves,
-                    _StackChecks)
+from .nodal import _checked, _class_blocks, _Solves, _StackChecks
 from .operators import (
     FLUX_TOL,
     SupportedMatrix,
@@ -157,8 +156,7 @@ class TorusPoint:
 
 
 def eigenvalue_gradient(p: TorusPoint, k: int, *,
-                        es: EigenSystem | None = None,
-                        tol_degeneracy: float = DEGENERACY_TOL) -> OneForm:
+                        es: EigenSystem | None = None) -> OneForm:
     """Gradient of the k-th eigenvalue in the edge angles.
 
     The derivative along edge ``(r, s)`` is
@@ -166,15 +164,14 @@ def eigenvalue_gradient(p: TorusPoint, k: int, *,
     point and ``v`` its k-th eigenvector.  Undefined at a degenerate
     eigenvalue; such a point is a candidate non-smooth critical point.
     """
-    s, _ = _checked(p.operator(), k, es, tol_degeneracy=tol_degeneracy)
+    s, _ = _checked(p.operator(), k, es)
     return OneForm(p.graph, -2.0 * s.products[0].imag)
 
 
 def gradient_coords(p: TorusPoint, k: int, *,
-                    es: EigenSystem | None = None,
-                    tol_degeneracy: float = DEGENERACY_TOL) -> np.ndarray:
+                    es: EigenSystem | None = None) -> np.ndarray:
     """Gradient restricted to the gauge-slice coordinates."""
-    g = eigenvalue_gradient(p, k, es=es, tol_degeneracy=tol_degeneracy)
+    g = eigenvalue_gradient(p, k, es=es)
     return g.values[p.graph.spanning_forest.nonforest].copy()
 
 
@@ -187,23 +184,20 @@ class CriticalityReport:
     vanishing: tuple[int, ...]
 
 
-def is_critical(p: TorusPoint, k: int, tol: float = PRODUCT_REAL_TOL, *,
-                es: EigenSystem | None = None,
-                tol_degeneracy: float = DEGENERACY_TOL,
-                tol_vanish: float = VANISH_TOL) -> CriticalityReport:
+def is_critical(p: TorusPoint, k: int) -> CriticalityReport:
     """Criticality test with a coarse classification.
 
     A degenerate eigenvalue counts as critical and is reported as
     ``incorrigible`` (the eigenvalue is not smooth there).  A smooth
     point is critical when every edge product is real within
-    ``tol * norm``; it is then a ``symmetry`` point when some phase
-    action makes the operator real, and ``exceptional`` when instead
-    the eigenvector vanishes somewhere.
+    ``nodal.PRODUCT_REAL_TOL`` times the operator's norm; it is then a
+    ``symmetry`` point when some phase action makes the operator real,
+    and ``exceptional`` when instead the eigenvector vanishes
+    somewhere.  Every cut is the admissibility kernel's default.
     """
     h = p.operator()
     try:
-        s, checks = _checked(h, k, es, tol_degeneracy=tol_degeneracy,
-                             tol_real=tol, tol_vanish=tol_vanish)
+        s, checks = _checked(h, k, None)
     except NonSimpleEigenvalueError as exc:
         return CriticalityReport(True, "incorrigible", exc.multiplicity,
                                  float("nan"), ())
@@ -282,19 +276,14 @@ class FrozenFormHessian:
     def edge_block_index(self) -> int:
         return int(np.count_nonzero(self.edge_diag < 0.0))
 
-    def gauge_block_index(self, rank_tol: float = RANK_TOL) -> int:
-        return morse_index(self.gauge_block, rank_tol)[0]
+    def gauge_block_index(self) -> int:
+        return morse_index(self.gauge_block, RANK_TOL)[0]
 
 
-def hessian_frozen_form(p: TorusPoint, k: int, *,
-                        es: EigenSystem | None = None,
-                        tol_critical: float = PRODUCT_REAL_TOL,
-                        tol_degeneracy: float = DEGENERACY_TOL
-                        ) -> FrozenFormHessian:
+def hessian_frozen_form(p: TorusPoint, k: int) -> FrozenFormHessian:
     """Both Hessian blocks of the frozen form at a critical point."""
     h = p.operator()
-    s, checks = _checked(h, k, es, tol_degeneracy=tol_degeneracy,
-                         tol_real=tol_critical)
+    s, checks = _checked(h, k, None)
     if not checks.flat[0, 0]:
         raise NotCriticalError(
             f"edge products have imaginary part "
@@ -309,8 +298,7 @@ def hessian_frozen_form(p: TorusPoint, k: int, *,
 
 
 def hessian_eigenvalue(p: TorusPoint, k: int, *,
-                       es: EigenSystem | None = None,
-                       tol_degeneracy: float = DEGENERACY_TOL) -> np.ndarray:
+                       es: EigenSystem | None = None) -> np.ndarray:
     """Eigenvalue Hessian on the gauge-slice coordinates.
 
     Entry ``(i, j)`` couples unit angle directions on non-forest edges
@@ -321,8 +309,8 @@ def hessian_eigenvalue(p: TorusPoint, k: int, *,
     directions pick up the diagonal frozen-form term.  The result is
     symmetrized after an asymmetry check against ``HESSIAN_SYM_TOL``.
     """
-    s, _ = _checked(p.operator(), k, es, tol_degeneracy=tol_degeneracy)
-    return _hessian(s, p.graph.spanning_forest, tol_degeneracy)[0]
+    s, _ = _checked(p.operator(), k, es)
+    return _hessian(s, p.graph.spanning_forest, DEGENERACY_TOL)[0]
 
 
 def _hessian(s: _Solves, forest: SpanningForest, tol_degeneracy: float
@@ -487,8 +475,7 @@ def _halton(count: int, dim: int) -> np.ndarray:
 def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
                 forest: SpanningForest, origin: str, *,
                 checks: _StackChecks | None = None, tol_degeneracy: float,
-                tol_vanish: float, rank_tol: float
-                ) -> list[CriticalPointReport]:
+                tol_vanish: float) -> list[CriticalPointReport]:
     """One report per row of ``s``, the solve at gauge-slice coordinates
     ``coords`` (S, d) of an operator over ``base``.
 
@@ -499,7 +486,7 @@ def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
     ``incorrigible``; every other row is classified from those masks,
     and its symmetry cross-check, gradient norm and Hessian are stacked
     too: the Hessians are assembled as one stack, and their spectra,
-    indices and nullities come from one stacked solve.
+    indices and nullities, at ``RANK_TOL``, come from one stacked solve.
     """
     k, scale = s.k, frobenius_norms(base.diag, s.offdiag)
     if checks is None:
@@ -512,7 +499,7 @@ def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
     grad = (-2.0 * s.products[rows].imag)[:, forest.nonforest]
     gnorm = np.sqrt(_squares(grad))
     spectra, index, nullity = _morse_indices(
-        _hessian(s.take(rows), forest, tol_degeneracy), rank_tol)
+        _hessian(s.take(rows), forest, tol_degeneracy), RANK_TOL)
     points = [tuple(x) for x in coords.tolist()]
     reports: list = [None] * len(points)
     bad = np.flatnonzero(~simple)
@@ -679,8 +666,7 @@ def _symmetry_blocks(base: SupportedMatrix, **tols):
 
 def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
                   seed: int = 0, tol_degeneracy: float = DEGENERACY_TOL,
-                  tol_vanish: float = VANISH_TOL,
-                  rank_tol: float = RANK_TOL) -> ScanResult:
+                  tol_vanish: float = VANISH_TOL) -> ScanResult:
     """Enumerate symmetry points and search for further critical points.
 
     All ``2**beta`` symmetry classes are visited exactly (coordinates
@@ -703,11 +689,9 @@ def critical_scan(h: SupportedMatrix, k: int, *, starts: int = 64,
     forest = h.graph.spanning_forest
     beta = len(forest.nonforest)
 
-    tols = dict(tol_degeneracy=tol_degeneracy, tol_vanish=tol_vanish,
-                rank_tol=rank_tol)
+    tols = dict(tol_degeneracy=tol_degeneracy, tol_vanish=tol_vanish)
     reports, known = [], []
-    for bits, (_, off, vectors, checks) in _symmetry_blocks(
-            base, tol_degeneracy=tol_degeneracy, tol_vanish=tol_vanish):
+    for bits, (_, off, vectors, checks) in _symmetry_blocks(base, **tols):
         if not known:
             # the base matrix, the first point, sets the gradient tolerance
             gtol = 1e-10 * max(1.0, float(np.max(np.abs(checks.values[0]))))

@@ -94,20 +94,19 @@ def eigenspace_basis(h: SupportedMatrix, k: int,
     return EigenspaceBasis(eigenvalue=lam, k_first=k, dim=m, vectors=vecs)
 
 
-def support_components(g: Graph, basis: EigenspaceBasis,
-                       tol: float = SUPPORT_TOL
+def support_components(g: Graph, basis: EigenspaceBasis
                        ) -> tuple[tuple[int, ...], list[list[int]]]:
     """Vertices where the eigenspace does not vanish, and the components
     of the subgraph they induce, in the original vertex labels.
 
     A vertex belongs to the support when its row of the basis matrix
-    has norm above the tolerance; for an orthonormal basis this equals
+    has norm above ``SUPPORT_TOL``; for an orthonormal basis this equals
     the norm of the projection of the coordinate vector onto the
     eigenspace, so the answer does not depend on the basis choice.  The
     support splits the graph when it has more than one component.
     """
     norms = np.linalg.norm(basis.vectors, axis=1)
-    supp = tuple(int(i) for i in np.nonzero(norms > tol)[0])
+    supp = tuple(int(i) for i in np.nonzero(norms > SUPPORT_TOL)[0])
     if not supp:
         return supp, []
     sub = induced_subgraph(g, supp)
@@ -164,18 +163,19 @@ class TransversalityReport:
 
 def is_transverse_at(h: SupportedMatrix, k: int, *,
                      tol_degeneracy: float = DEGENERACY_TOL,
-                     rank_tol: float = TRANSVERSALITY_RANK_TOL,
                      es: EigenSystem | None = None) -> TransversalityReport:
     """Transversality of the graph family at one eigenvalue cluster.
 
     Kernel test: the real-linear map X -> (h - lambda) X on Hermitian
     matrices with zero diagonal and zero entries on edges must be
     injective, measured by its smallest singular value against
-    ``rank_tol`` times the operator norm scale.  Compression test: the
-    compressions of a basis of graph-supported Hermitian directions
-    onto the eigenspace must span all Hermitian forms there.  The two
-    are equivalent in exact arithmetic and both are always computed; a
-    disagreement raises instead of guessing which one to trust.
+    ``TRANSVERSALITY_RANK_TOL`` times the operator norm scale.
+    Compression test: the compressions of a basis of graph-supported
+    Hermitian directions onto the eigenspace must span all Hermitian
+    forms there, with rank cut at the same tolerance relative to the
+    largest singular value.  The two are equivalent in exact arithmetic
+    and both are always computed; a disagreement raises instead of
+    guessing which one to trust.
     """
     dense = h.to_dense()
     basis = eigenspace_basis(h, k, tol_degeneracy, es=es, dense=dense)
@@ -192,7 +192,7 @@ def is_transverse_at(h: SupportedMatrix, k: int, *,
         a = np.concatenate([y.real, y.imag], axis=1).T
         sv = np.linalg.svd(a, compute_uv=False)
         smallest = float(sv[-1])
-        cut = rank_tol * scale
+        cut = TRANSVERSALITY_RANK_TOL * scale
         kernel_dim = int(np.sum(sv <= cut))
         a_transverse = smallest > cut
     else:
@@ -221,7 +221,8 @@ def is_transverse_at(h: SupportedMatrix, k: int, *,
                            upper.real * np.sqrt(2.0),
                            upper.imag * np.sqrt(2.0)], axis=1)
     csv = np.linalg.svd(comp, compute_uv=False)
-    rank = int(np.sum(csv > rank_tol * max(1.0, float(csv[0]))))
+    rank = int(np.sum(csv > TRANSVERSALITY_RANK_TOL
+                      * max(1.0, float(csv[0]))))
     b_transverse = rank == m * m
 
     if a_transverse != b_transverse:
@@ -243,17 +244,17 @@ def is_transverse_at(h: SupportedMatrix, k: int, *,
     )
 
 
-def find_edge_separated_pair(basis: EigenspaceBasis, comps: list[list[int]],
-                             tol: float = SUPPORT_TOL
+def find_edge_separated_pair(basis: EigenspaceBasis, comps: list[list[int]]
                              ) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigenvectors supported on different components of the support.
 
     Intersects the eigenspace with the vectors vanishing off each of
     the support components ``comps`` (from ``support_components``) and
     returns one unit vector from each of the first two components
-    carrying a nonzero intersection.  Such a pair spans no common edge.
-    Returns None when fewer than two components carry eigenvectors;
-    this component-wise search is the only strategy tried.
+    carrying a nonzero intersection, both zero tests cut at
+    ``SUPPORT_TOL``.  Such a pair spans no common edge.  Returns None
+    when fewer than two components carry eigenvectors; this
+    component-wise search is the only strategy tried.
     """
     if len(comps) < 2:
         return None
@@ -263,10 +264,10 @@ def find_edge_separated_pair(basis: EigenspaceBasis, comps: list[list[int]],
         rows = basis.vectors[outside, :]
         _, sv, vh = np.linalg.svd(rows, full_matrices=True)
         full = np.concatenate([sv, np.zeros(basis.dim - sv.size)])
-        if full[-1] <= tol:
+        if full[-1] <= SUPPORT_TOL:
             vec = basis.vectors @ vh[-1].conj()
             nrm = float(np.linalg.norm(vec))
-            if nrm > tol:
+            if nrm > SUPPORT_TOL:
                 found.append(vec / nrm)
         if len(found) == 2:
             return found[0], found[1]

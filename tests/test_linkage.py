@@ -87,6 +87,11 @@ class TestLinkageLengths:
         with pytest.raises(ValueError):
             LinkageLengths(np.array([1.0, -0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finite_required(self, bad):
+        with pytest.raises(ValueError, match="lengths must be finite"):
+            LinkageLengths(np.array([bad, 1.0, 1.0]))
+
     def test_nonempty_required(self):
         with pytest.raises(ValueError):
             LinkageLengths(np.array([]))
@@ -540,3 +545,36 @@ class TestAnalyzeExceptional:
                                   "manifold (sample 0: position 1, "
                                   "configuration [0, ")
         assert "shift coefficient" not in message
+
+
+class TestCutsReadAtCallTime:
+    """Each cut of the genericity test, the exceptional analysis and the
+    fixture builder is one ``linkage`` constant, read at call time."""
+
+    def test_manifold_sample_count(self, monkeypatch):
+        fx = build_exceptional_fixture(4, seed=0)
+        monkeypatch.setattr(linkage, "MANIFOLD_SAMPLES", 1)
+        assert analyze_exceptional(fx.point, fx.k).manifold_samples_checked \
+            == 1
+
+    def test_shift_coefficient_cut(self, monkeypatch):
+        # the builder reads the cut too, so the fixture comes first
+        fx = build_exceptional_fixture(3, seed=0)
+        monkeypatch.setattr(linkage, "SHIFT_COEFF_TOL", 1e6)
+        with pytest.raises(LinkageHypothesisError) as err:
+            analyze_exceptional(fx.point, fx.k)
+        assert err.value.hypothesis == 3
+
+    def test_genericity_cut_and_cap(self, monkeypatch):
+        lengths = LinkageLengths(np.array([1.0, 1.0, 1.0]))
+        monkeypatch.setattr(linkage, "GENERICITY_TOL", 1.0)
+        assert not is_generic(lengths)
+        monkeypatch.undo()
+        monkeypatch.setattr(linkage, "LENGTH_CAP", 2)
+        with pytest.raises(CapExceededError, match="cap of 2"):
+            is_generic(lengths)
+
+    def test_fixture_attempts(self, monkeypatch):
+        monkeypatch.setattr(linkage, "FIXTURE_ATTEMPTS", 0)
+        with pytest.raises(RuntimeError, match="after 0 attempts"):
+            build_exceptional_fixture(3, seed=0)

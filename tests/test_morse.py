@@ -1213,7 +1213,8 @@ class TestStackedReports:
             want = [scalar_report(
                 x, SupportedMatrix(base.graph, base.diag, s.offdiag[i]),
                 EigenSystem(s.values[i], s.vectors[i]), s.k, origin,
-                **kwargs) for i, x in enumerate(coords)]
+                rank_tol=morse.RANK_TOL, **kwargs)
+                for i, x in enumerate(coords)]
             assert [payload_bits(r) for r in got] \
                 == [payload_bits(r) for r in want]
         kinds = {r.classification for r in calls[0][-1]}
@@ -1537,3 +1538,24 @@ class TestClassBlocks:
                              classes.rows(want @ (1 << np.arange(beta))))
             lo += len(want)
         assert lo == 2 ** beta
+
+
+class TestCutsReadAtCallTime:
+    """The Hessian-nullity cut is ``morse.RANK_TOL``, read when a scan
+    or a frozen form runs, not bound when the module loads."""
+
+    def test_scan_reads_the_rank_tolerance(self, monkeypatch):
+        import magnodal.morse as morse
+
+        h = strong_diagonal_fixture(complete_graph(4))
+        monkeypatch.setattr(morse, "RANK_TOL", 1.0)
+        reports = critical_scan(h, 2, starts=0).reports
+        assert reports and {r.nullity for r in reports} == {3}
+
+    def test_gauge_block_reads_the_rank_tolerance(self, monkeypatch):
+        import magnodal.morse as morse
+
+        ff = hessian_frozen_form(TorusPoint.from_operator(triangle_base()), 3)
+        assert ff.gauge_block_index() == 2
+        monkeypatch.setattr(morse, "RANK_TOL", 1.0)
+        assert ff.gauge_block_index() == 0

@@ -38,7 +38,11 @@ from the one kernel call that checks every position.  Only
 ``transversality``, which needs the vertex lists, calls
 ``connected_components``: a component count is the number of roots of
 the spanning forest's walk.  The "Public API" section of ``README.md``
-lists every name the package exports, once.
+lists every name the package exports, once.  Every defaulted parameter
+of a public function or method is passed, by keyword, by position or
+through a splat, by some call in ``src``, ``bench`` or ``tests``,
+matched by name: a cut that nothing sets is a module constant, read
+where it cuts.
 """
 
 import ast
@@ -51,7 +55,8 @@ from test_bench_contract import layers
 
 PACKAGE = Path(magnodal.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def parse(path: Path) -> ast.Module:
@@ -265,6 +270,68 @@ def public_api_names(readme: str) -> list[str]:
             if line.startswith("- `")]
 
 
+def public_options(tree: ast.Module, module: str
+                   ) -> list[tuple[str, str, str, int | None]]:
+    """``(where, function, parameter, position)`` for each defaulted
+    parameter of a public module-level function or a public method of a
+    public class.  ``position`` is the parameter's index among those a
+    call passes by position, ``self`` or ``cls`` aside, and None for a
+    keyword-only one.  Nested functions, such as ``cli``'s parser
+    helpers, are not public."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions = [(node, module, False)]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            functions = [(f, f"{module}.{node.name}", not any(
+                getattr(d, "id", None) == "staticmethod"
+                for d in f.decorator_list))
+                for f in node.body if isinstance(f, ast.FunctionDef)]
+        else:
+            continue
+        for f, where, bound in functions:
+            if f.name.startswith("_"):
+                continue
+            args = f.args
+            positional = (args.posonlyargs + args.args)[int(bound):]
+            first = len(positional) - len(args.defaults)
+            found += [(where, f.name, a.arg, i)
+                      for i, a in enumerate(positional) if i >= first]
+            found += [(where, f.name, a.arg, None)
+                      for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+    return found
+
+
+def passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` passes the parameter ``name`` at ``position``:
+    by keyword or a ``**`` splat, by position or a ``*`` splat."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    head = call.args[:position + 1]
+    return len(head) > position or any(isinstance(a, ast.Starred)
+                                       for a in head)
+
+
+def unset_options(trees: dict[Path, ast.Module], sources) -> list[str]:
+    """``public_options`` of ``trees`` that no call in the ``sources``
+    trees passes, a call being matched by the function's name."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in sources:
+        for node in ast.walk(source):
+            if isinstance(node, ast.Call):
+                calls.setdefault(getattr(node.func, "id", getattr(
+                    node.func, "attr", None)), []).append(node)
+    return [f"{where}.{function}({name}=)"
+            for path, tree in sorted(trees.items())
+            for where, function, name, position in public_options(
+                tree, path.stem)
+            if not any(passes(c, name, position)
+                       for c in calls.get(function, ()))]
+
+
 def bare_asserts(tree: ast.Module) -> list[int]:
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Assert)]
@@ -369,6 +436,13 @@ def test_readme_lists_every_export_once():
     names = public_api_names(README.read_text(encoding="utf-8"))
     assert len(names) == len(set(names))
     assert set(names) == exported_names(parse(PACKAGE / "__init__.py"))
+
+
+def test_every_public_option_is_passed():
+    trees = {p: parse(p) for p in MODULES}
+    sources = [parse(p) for folder in ("src", "bench", "tests")
+               for p in sorted((ROOT / folder).rglob("*.py"))]
+    assert unset_options(trees, sources) == []
 
 
 def test_checks_catch_what_they_look_for():
@@ -495,3 +569,16 @@ def test_checks_catch_what_they_look_for():
     assert public_api_names(
         "# t\n- `no`\n## Public API\n\nText `x`.\n\n- `a` - one.\n"
         "- `b` - two `c`.\n  - `d`\n## Next\n- `e`\n") == ["a", "b"]
+    trees = {a: ast.parse(
+        "def f(x, y=1, *, z=2, w=3):\n    pass\n"
+        "def g(y=1, z=2):\n    pass\n"
+        "def _h(q=1):\n    pass\n"
+        "class C:\n    def m(self, r=1, s=2):\n"
+        "        def inner(t=1):\n            pass\n"
+        "    @staticmethod\n    def n(u=1, v=2):\n        pass\n"
+        "class _D:\n    def m(self, v=1):\n        pass\n")}
+    sources = [ast.parse("f(0, 1, w=4)\nx.g(**opts)\nc.m(5)\n"),
+               ast.parse("C.n(*a)\ninner()\nk(z=0, s=1)\n")]
+    assert unset_options(trees, sources) == ["a.f(z=)", "a.C.m(s=)"]
+    assert unset_options(trees, sources[:1]) == [
+        "a.f(z=)", "a.C.m(s=)", "a.C.n(u=)", "a.C.n(v=)"]

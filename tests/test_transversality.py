@@ -365,3 +365,29 @@ class TestResidualCheck:
         with pytest.raises(InternalCrossCheckError,
                            match=re.escape(f"residual {first:.3e} exceeds")):
             eigenspace_basis(h, k, es=EigenSystem(es.values, vectors))
+
+
+class TestCutsReadAtCallTime:
+    """The rank and support cuts are ``transversality`` constants, read
+    at call time."""
+
+    def test_rank_cut(self, monkeypatch):
+        import magnodal.transversality as transversality
+
+        h = random_operator(path_graph(4), np.random.default_rng(3))
+        assert is_transverse_at(h, 1).transverse
+        monkeypatch.setattr(transversality, "TRANSVERSALITY_RANK_TOL", 1e6)
+        rep = is_transverse_at(h, 1)  # raises if the two tests disagree
+        assert not rep.transverse and rep.multiplicity == 1
+        assert rep.compression_rank == 0 and rep.kernel_dimension >= 1
+
+    def test_support_cut(self, monkeypatch):
+        import magnodal.transversality as transversality
+
+        h, k = random_join_fixture(np.random.default_rng(0))
+        basis = eigenspace_basis(h, k)
+        _, comps = support_components(h.graph, basis)
+        assert find_edge_separated_pair(basis, comps) is not None
+        monkeypatch.setattr(transversality, "SUPPORT_TOL", 2.0)
+        assert support_components(h.graph, basis) == ((), [])
+        assert find_edge_separated_pair(basis, comps) is None

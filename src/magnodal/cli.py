@@ -55,7 +55,7 @@ from .nodal import (
     position_checks,
 )
 from .operators import operator_from_json, operator_to_json
-from .serialize import csv_cell, dumps_canonical, write_csv, write_json
+from .serialize import csv_text, dumps_canonical, write_csv, write_json
 from .spectral import DEGENERACY_TOL, VANISH_TOL, eigh
 from .transversality import (
     find_edge_separated_pair,
@@ -248,9 +248,7 @@ def _emit(args, payload: dict, csv_spec=None) -> None:
         if args.out:
             write_csv(_stem(args.out) + ".csv", schema, header, rows)
         if args.format == "csv":
-            print(",".join(header))
-            for row in rows:
-                print(",".join(csv_cell(x) for x in row))
+            print(csv_text(header, rows), end="")
             return
     print(dumps_canonical(payload))
 
@@ -271,8 +269,8 @@ def cmd_spectrum(args) -> None:
 def cmd_nodal_dist(args) -> None:
     h = _load_operator(args)
     es = eigh(h)
-    checks = position_checks(h, h.offdiag[None], es.values[None],
-                             es.vectors[None],
+    checks = position_checks(h.graph, h.offdiag[None], es.values[None],
+                             es.vectors[None], h.norm_fro,
                              tol_degeneracy=args.tol_degeneracy,
                              tol_vanish=args.tol_vanish)
     beta = betti_number(h.graph)
@@ -392,7 +390,7 @@ def cmd_linkage_analyze(args) -> None:
         if any(x is not None for x in (args.op, args.k, args.graph)):
             raise _UsageError("--emit-fixture excludes --op, --k and --graph")
         fx = build_exceptional_fixture(args.emit_fixture, seed=args.seed)
-        point, k, es = fx.point, fx.k, fx.es
+        point, k = fx.point, fx.k
         if args.out:
             write_json(_stem(args.out) + ".fixture.json",
                        operator_to_json(point.operator()))
@@ -402,11 +400,11 @@ def cmd_linkage_analyze(args) -> None:
         if args.k is None:
             raise _UsageError("linkage-analyze needs --k")
         h = _load_operator(args)
-        point, k, es = TorusPoint.from_operator(h), args.k, None
+        point, k = TorusPoint.from_operator(h), args.k
     analysis = analyze_exceptional(point, k,
                                    tol_degeneracy=args.tol_degeneracy,
                                    tol_vanish=args.tol_vanish,
-                                   seed=args.seed, es=es)
+                                   seed=args.seed)
     payload = {
         "k": k,
         "vanishing_vertex": analysis.vanishing_vertex,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import morse
 from .errors import (
     AdmissibilityError,
     CapExceededError,
@@ -31,13 +32,12 @@ from .errors import (
 )
 from .families import complete_graph
 from .graphs import OneForm, induced_subgraph
-from .morse import RANK_TOL, TorusPoint, _classify, _hessian, morse_index
+from .morse import TorusPoint, _classify, _hessian, morse_index
 from .nodal import _checked, nodal_surplus
 from .operators import GaugePhase, SupportedMatrix, gauge_transform
 from .spectral import (
     DEGENERACY_TOL,
     VANISH_TOL,
-    EigenSystem,
     _lstsq,
     eigh,
     multiplicity,
@@ -87,26 +87,35 @@ class LinkageLengths:
         return int(self.lengths.size)
 
 
+def _unit_scaled(L: LinkageLengths) -> np.ndarray:
+    """The lengths divided by the power of two at their maximum, which
+    puts the largest in ``[1/2, 1)``: exact, so every verdict on them is
+    scale-free, and no sum of them overflows."""
+    return np.ldexp(L.lengths, -np.frexp(L.lengths.max())[1])
+
+
 def is_generic(L: LinkageLengths) -> bool:
     """No signed sum of the lengths vanishes within tolerance.
 
     Checks all sign choices up to a global flip, so ``2**(m-1)`` sums,
     against ``GENERICITY_TOL`` times the largest length, one block of
-    sign rows at a time (bit i of the row index flips length i + 1).
-    Refuses more than ``LENGTH_CAP`` lengths.
+    sign rows at a time (bit i of the row index flips length i + 1), on
+    the lengths scaled by a power of two (``_unit_scaled``).  Refuses
+    more than ``LENGTH_CAP`` lengths.
     """
     m = len(L)
     if m > LENGTH_CAP:
         raise CapExceededError(
             f"genericity check over {m} lengths exceeds the cap of "
             f"{LENGTH_CAP}")
-    cut = GENERICITY_TOL * float(np.max(L.lengths))
-    rest = L.lengths[1:]
+    v = _unit_scaled(L)
+    cut = GENERICITY_TOL * float(np.max(v))
+    rest = v[1:]
     for lo in range(0, 1 << (m - 1), _GENERIC_CHUNK):
         bits = np.arange(lo, min(lo + _GENERIC_CHUNK, 1 << (m - 1)))
         signs = 1.0 - 2.0 * ((bits[:, None] >> np.arange(m - 1)) & 1)
         # one dot product per sign row, with the bits of ``signs[i] @ rest``
-        sums = L.lengths[0] + (signs[:, None, :] @ rest[:, None])[:, 0, 0]
+        sums = v[0] + (signs[:, None, :] @ rest[:, None])[:, 0, 0]
         if np.any(np.abs(sums) <= cut):
             return False
     return True
@@ -133,12 +142,13 @@ def solvability_and_connectivity(L: LinkageLengths) -> LinkageTopology:
     than half the total, in which case there are two components
     exchanged by reflection.  Pairwise sums only grow with the lengths,
     so the three largest decide; their smallest pair is the second and
-    third largest.
+    third largest.  The sums are taken on the lengths scaled by a power
+    of two (``_unit_scaled``), so the verdict does not depend on scale.
     """
     if not is_generic(L):
         raise NonGenericLengthsError(
             "length set is not generic; the classification predicates can tie")
-    vals = np.sort(L.lengths)[::-1]
+    vals = np.sort(_unit_scaled(L))[::-1]
     total = float(np.sum(vals))
     if vals[0] > total - vals[0]:
         return LinkageTopology("empty", None)
@@ -153,11 +163,12 @@ def sample_configuration(L: LinkageLengths, seed: int = 0,
     """One closed configuration, normalized so the first angle is zero.
 
     Solves ``sum_r M_r exp(i theta_r) = 0`` by damped least squares
-    from seeded random starts.  Works for any solvable length set, not
-    only generic ones; an unsolvable set raises.
+    from seeded random starts, on the lengths scaled by a power of two
+    (``_unit_scaled``), which leaves the angles unchanged.  Works for any
+    solvable length set, not only generic ones; an unsolvable set raises.
     """
     m = len(L)
-    vals = L.lengths
+    vals = _unit_scaled(L)
     total = float(np.sum(vals))
     top = float(np.max(vals))
     if m == 1 or top > total - top + GENERICITY_TOL * total:
@@ -229,8 +240,7 @@ class ExceptionalAnalysis:
 def analyze_exceptional(p: TorusPoint, k: int, *,
                         tol_degeneracy: float = DEGENERACY_TOL,
                         tol_vanish: float = VANISH_TOL,
-                        seed: int = 0,
-                        es: EigenSystem | None = None) -> ExceptionalAnalysis:
+                        seed: int = 0) -> ExceptionalAnalysis:
     """Analyze a critical point vanishing at exactly one vertex.
 
     Verifies the three hypotheses (simple eigenvalue of the reduced
@@ -239,13 +249,12 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
     the critical manifold), predicts the critical manifold dimension
     and Morse-Bott index from the linkage data, and cross-checks both
     against the numerical eigenvalue Hessian, whose nullity is cut at
-    ``morse.RANK_TOL``.  Any mismatch between prediction and numerics
-    raises, as does a point outside the analyzer's scope (no vanishing
-    vertex, or more than one).  ``es`` is the eigensystem of
-    ``p.operator()`` when the caller has solved it.
+    ``morse.RANK_TOL``, read when it runs.  Any mismatch between
+    prediction and numerics raises, as does a point outside the
+    analyzer's scope (no vanishing vertex, or more than one).
     """
     h = p.operator()
-    es = eigh(h) if es is None else es
+    es = eigh(h)
     try:
         s, checks = _checked(h, k, es, tol_degeneracy=tol_degeneracy,
                              tol_vanish=tol_vanish)
@@ -327,7 +336,7 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
             "bar lengths are not generic; hypothesis (2) fails",
             hypothesis=2) from exc
 
-    c = resolvent_coefficient(h, k, v0, tol_degeneracy, es)
+    c = resolvent_coefficient(es, k, v0, tol_degeneracy)
     if abs(c) <= SHIFT_COEFF_TOL:
         raise LinkageHypothesisError(
             f"spectral shift coefficient {c:.3e} is degenerate; "
@@ -346,7 +355,7 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
     predicted = surplus_red + (2 if c < 0.0 else 0)
 
     hess = _hessian(s, g.spanning_forest, tol_degeneracy)[0]
-    index, nullity = morse_index(hess, RANK_TOL)
+    index, nullity = morse_index(hess, morse.RANK_TOL)
     if nullity != dim:
         raise InternalCrossCheckError(
             f"numerical Hessian nullity {nullity} differs from the predicted "
@@ -398,11 +407,10 @@ def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
         value = lengths.lengths * np.exp(1j * theta) / w[neighbors]
         off = rotated.offdiag.copy()
         off[at_v0] = np.where(neighbors > v0, value, np.conj(value))
-        hq = SupportedMatrix(g, rotated.diag, off)
-        esq = eigh(hq)
+        esq = eigh(SupportedMatrix(g, rotated.diag, off))
         kq = int(np.argmin(np.abs(esq.values - lam))) + 1
         try:
-            cq = resolvent_coefficient(hq, kq, v0, tol_degeneracy, esq)
+            cq = resolvent_coefficient(esq, kq, v0, tol_degeneracy)
         except NonSimpleEigenvalueError as exc:
             raise LinkageHypothesisError(
                 f"sampled manifold point {i} has a degenerate eigenvalue; "
@@ -425,13 +433,11 @@ def _check_manifold_samples(rotated: SupportedMatrix, v0: int, neighbors,
 
 @dataclass(frozen=True, eq=False)
 class ExceptionalFixture:
-    """A constructed operator with a known exceptional critical point;
-    ``es`` is the eigensystem of ``point.operator()``."""
+    """A constructed operator with a known exceptional critical point."""
 
     h: SupportedMatrix
     k: int
     point: TorusPoint
-    es: EigenSystem
     eigenvalue: float
     vanishing_vertex: int
     degree: int
@@ -493,7 +499,7 @@ def build_exceptional_fixture(degree: int, seed: int = 0
         if abs(es.value(k) - lam) > 1e-9 * max(1.0, h.norm_fro):
             continue
         try:
-            c = resolvent_coefficient(hp, k, 0, es=es)
+            c = resolvent_coefficient(es, k, 0)
         except NonSimpleEigenvalueError:
             continue
         if abs(c) <= 10 * SHIFT_COEFF_TOL:
@@ -504,7 +510,7 @@ def build_exceptional_fixture(degree: int, seed: int = 0
                                      - lam * full_vec))
         if resid > 1e-9 * max(1.0, h.norm_fro):
             continue
-        return ExceptionalFixture(h, k, point, es, lam, 0, degree)
+        return ExceptionalFixture(h, k, point, lam, 0, degree)
     raise RuntimeError(
         f"could not build an admissible fixture of degree {degree} after "
         f"{FIXTURE_ATTEMPTS} attempts")

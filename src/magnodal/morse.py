@@ -16,14 +16,16 @@ once at every position by ``nodal``'s admissibility kernel,
 surplus.  The index check decides every (class, k) pair of a block from
 those masks and words its skip reasons from them
 (``_StackChecks.error``), with no second solve; a scan reads each
-block's column at k, then checks its search reports at k alone, as one
-stack.  The Hessians read the edge products the kernel checked; each
-stack assembles them as one stack (per k, in the index check), and their
+block's column at k, then checks its search reports as one stack, at
+every position as a block is, and reads their column at k too.  The
+Hessians read the edge products the kernel checked; each stack
+assembles them as one stack (per k, in the index check), and their
 Morse indices come from one stacked solve.
 
-Every derivative at a single point starts from ``nodal``'s checked
-solve of a stack of one, ``_checked``, which raises the kernel's error
-when the k-th eigenvalue is not simple.  The eigenvalue Hessian is
+Every derivative at a single point solves the point's operator itself,
+through ``nodal``'s checked solve of a stack of one, ``_checked``, which
+raises the kernel's error when the k-th eigenvalue is not simple; no
+function takes an eigensystem from its caller.  The eigenvalue Hessian is
 assembled from first-order eigenvector responses through the spectral
 pseudo-inverse; second-order perturbation theory makes it valid at
 every simple eigenvalue, so the critical-point search uses it as its
@@ -44,7 +46,7 @@ by ``spectral``'s one degeneracy test, ``cluster_mask``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -73,7 +75,6 @@ from .operators import (
 from .spectral import (
     DEGENERACY_TOL,
     VANISH_TOL,
-    EigenSystem,
     _check_k,
     _lstsq,
     cluster_mask,
@@ -155,8 +156,7 @@ class TorusPoint:
         return TorusPoint(self.base, -self.angles)
 
 
-def eigenvalue_gradient(p: TorusPoint, k: int, *,
-                        es: EigenSystem | None = None) -> OneForm:
+def eigenvalue_gradient(p: TorusPoint, k: int) -> OneForm:
     """Gradient of the k-th eigenvalue in the edge angles.
 
     The derivative along edge ``(r, s)`` is
@@ -164,14 +164,13 @@ def eigenvalue_gradient(p: TorusPoint, k: int, *,
     point and ``v`` its k-th eigenvector.  Undefined at a degenerate
     eigenvalue; such a point is a candidate non-smooth critical point.
     """
-    s, _ = _checked(p.operator(), k, es)
+    s, _ = _checked(p.operator(), k)
     return OneForm(p.graph, -2.0 * s.products[0].imag)
 
 
-def gradient_coords(p: TorusPoint, k: int, *,
-                    es: EigenSystem | None = None) -> np.ndarray:
+def gradient_coords(p: TorusPoint, k: int) -> np.ndarray:
     """Gradient restricted to the gauge-slice coordinates."""
-    g = eigenvalue_gradient(p, k, es=es)
+    g = eigenvalue_gradient(p, k)
     return g.values[p.graph.spanning_forest.nonforest].copy()
 
 
@@ -197,7 +196,7 @@ def is_critical(p: TorusPoint, k: int) -> CriticalityReport:
     """
     h = p.operator()
     try:
-        s, checks = _checked(h, k, None)
+        s, checks = _checked(h, k)
     except NonSimpleEigenvalueError as exc:
         return CriticalityReport(True, "incorrigible", exc.multiplicity,
                                  float("nan"), ())
@@ -208,18 +207,19 @@ def _classify(h: SupportedMatrix, s: _Solves, checks: _StackChecks
               ) -> CriticalityReport:
     """``is_critical`` at a simple eigenvalue, from the checked solve
     ``s`` of ``h`` and its ``checks``."""
-    kind = _kinds(s, np.array([h.norm_fro]), checks, 0)[0]
+    kind = _kinds(s, np.array([h.norm_fro]), checks)[0]
     return CriticalityReport(
         kind != "smooth-regular", kind, 1,
         float(np.max(np.abs(s.products.imag), initial=0.0)),
-        tuple(np.flatnonzero(checks.vanishing[0, 0]).tolist()))
+        tuple(np.flatnonzero(checks.vanishing[0, s.k - 1]).tolist()))
 
 
-def _kinds(s: _Solves, scale: np.ndarray, checks: _StackChecks, col: int
+def _kinds(s: _Solves, scale: np.ndarray, checks: _StackChecks
            ) -> list[str]:
     """Kind of each row of ``s`` at a simple eigenvalue, from column
-    ``col`` of its ``checks``, with ``_check_symmetry`` run on the
+    ``k - 1`` of its ``checks``, with ``_check_symmetry`` run on the
     ``symmetry`` rows, whose norms are in ``scale`` (S,)."""
+    col = s.k - 1
     flat = checks.flat[:, col]
     symmetric = checks.simple[:, col] & flat \
         & ~np.any(checks.vanishing[:, col], axis=1)
@@ -283,8 +283,8 @@ class FrozenFormHessian:
 def hessian_frozen_form(p: TorusPoint, k: int) -> FrozenFormHessian:
     """Both Hessian blocks of the frozen form at a critical point."""
     h = p.operator()
-    s, checks = _checked(h, k, None)
-    if not checks.flat[0, 0]:
+    s, checks = _checked(h, k)
+    if not checks.flat[0, k - 1]:
         raise NotCriticalError(
             f"edge products have imaginary part "
             f"{np.max(np.abs(s.products.imag)):.3e}; the frozen-form "
@@ -297,8 +297,7 @@ def hessian_frozen_form(p: TorusPoint, k: int) -> FrozenFormHessian:
     return FrozenFormHessian(-2.0 * s.products[0].real, gauge_block)
 
 
-def hessian_eigenvalue(p: TorusPoint, k: int, *,
-                       es: EigenSystem | None = None) -> np.ndarray:
+def hessian_eigenvalue(p: TorusPoint, k: int) -> np.ndarray:
     """Eigenvalue Hessian on the gauge-slice coordinates.
 
     Entry ``(i, j)`` couples unit angle directions on non-forest edges
@@ -309,7 +308,7 @@ def hessian_eigenvalue(p: TorusPoint, k: int, *,
     directions pick up the diagonal frozen-form term.  The result is
     symmetrized after an asymmetry check against ``HESSIAN_SYM_TOL``.
     """
-    s, _ = _checked(p.operator(), k, es)
+    s, _ = _checked(p.operator(), k)
     return _hessian(s, p.graph.spanning_forest, DEGENERACY_TOL)[0]
 
 
@@ -406,21 +405,10 @@ class CriticalPointReport:
     conjugate_of: tuple[float, ...] | None = None
 
     def to_payload(self) -> dict:
-        return {
-            "coords": list(self.coords),
-            "k": self.k,
-            "classification": self.classification,
-            "multiplicity": self.multiplicity,
-            "vanishing": list(self.vanishing),
-            "gradient_norm": self.gradient_norm,
-            "hessian_eigenvalues": (None if self.hessian_eigenvalues is None
-                                    else list(self.hessian_eigenvalues)),
-            "morse_index": self.morse_index,
-            "nullity": self.nullity,
-            "origin": self.origin,
-            "conjugate_of": (None if self.conjugate_of is None
-                             else list(self.conjugate_of)),
-        }
+        """Every field by name, with tuples as lists."""
+        items = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: list(v) if isinstance(v, tuple) else v
+                for name, v in items}
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,20 +469,18 @@ def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
 
     The admissibility kernel decides simplicity, vanishing entries and
     criticality for every row at once, with ``is_critical``'s
-    tolerances, in ``checks`` (at k among other positions) or else at k
-    and each row's norm.  A row whose k-th eigenvalue is not simple is
-    ``incorrigible``; every other row is classified from those masks,
-    and its symmetry cross-check, gradient norm and Hessian are stacked
-    too: the Hessians are assembled as one stack, and their spectra,
+    tolerances, in ``checks`` or else at each row's norm, read at k.  A
+    row whose k-th eigenvalue is not simple is ``incorrigible``; every
+    other row is classified from those masks, and its symmetry
+    cross-check, gradient norm and Hessian are stacked too: the Hessians are assembled as one stack, and their spectra,
     indices and nullities, at ``RANK_TOL``, come from one stacked solve.
     """
     k, scale = s.k, frobenius_norms(base.diag, s.offdiag)
     if checks is None:
         checks = s.checks(base.graph, scale, tol_degeneracy=tol_degeneracy,
                           tol_vanish=tol_vanish)
-    col = int(np.searchsorted(checks.positions, k - 1))
-    simple, vanishing = checks.simple[:, col], checks.vanishing[:, col]
-    kinds = _kinds(s, scale, checks, col)
+    simple, vanishing = checks.simple[:, k - 1], checks.vanishing[:, k - 1]
+    kinds = _kinds(s, scale, checks)
     rows = np.flatnonzero(simple)
     grad = (-2.0 * s.products[rows].imag)[:, forest.nonforest]
     gnorm = np.sqrt(_squares(grad))
@@ -503,7 +489,7 @@ def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
     points = [tuple(x) for x in coords.tolist()]
     reports: list = [None] * len(points)
     bad = np.flatnonzero(~simple)
-    for i, m in zip(bad.tolist(), checks.multiplicity(bad, col).tolist()):
+    for i, m in zip(bad.tolist(), checks.multiplicity(bad, k - 1).tolist()):
         reports[i] = CriticalPointReport(points[i], k, "incorrigible", m, (),
                                          None, None, None, None, origin)
     for j, i in enumerate(rows.tolist()):

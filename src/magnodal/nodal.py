@@ -10,16 +10,19 @@ of a real matrix gives the distribution the rest of the library keeps
 poking at from different directions.
 
 Every admissibility decision of the package comes from one kernel,
-``_stack_checks``, run on ``_Solves``, the solves of a stack of
-operators.  It decides for every row and eigenvalue position at once
-whether the eigenvalue is simple, which eigenvector entries vanish,
-whether the edge products are real and which are too close to zero to
-carry a sign, and its masks word every error (``_StackChecks.error``).
-A single operator is a stack of one (``_checked``), and every caller
-that checks all positions at once enters it through
-``position_checks``.  The surplus bounds are a theorem on connected
-graphs; on a disconnected graph a count outside them is inadmissible,
-not an internal fault.
+``_stack_checks``, run on the solves of a stack of operators.  It
+decides for every row and every eigenvalue position at once whether
+the eigenvalue is simple, which eigenvector entries vanish, whether
+the edge products are real and which are too close to zero to carry a
+sign, and its masks word every error (``_StackChecks.error``); a
+caller at one position k reads column ``k - 1``.  Its one entry is
+``position_checks``: a class block, the scan's search points
+(``_Solves.checks``) and a single operator, solved as a stack of one
+(``_checked``), all go through it.  Only ``nodal_count`` takes an
+eigensystem from its caller; every other single-point computation of
+the package solves the operator it reads.  The surplus bounds are a
+theorem on connected graphs; on a disconnected graph a count outside
+them is inadmissible, not an internal fault.
 
 The signing average solves one representative per switching class, the
 member that leaves the spanning forest unflipped.  ``_class_blocks`` is
@@ -142,22 +145,22 @@ class _Solves:
         self.vectors[rows], self.products[rows] = s.vectors, s.products
 
     def checks(self, graph: Graph, scale, **tols) -> "_StackChecks":
-        """The kernel at position k of every row, at norm ``scale``."""
-        k = self.k
-        return _stack_checks(self.values, self.vectors[:, None, :, k - 1],
-                             self.products[:, None], [k - 1], scale, graph,
-                             **tols)
+        """The kernel at every position of every row, at norm ``scale``;
+        column ``k - 1`` checks this stack's ``products``."""
+        return position_checks(graph, self.offdiag, self.values,
+                               self.vectors, scale, **tols)
 
 
 @dataclass(eq=False)  # a frozen one sets each field through a call
 class _StackChecks:
     """The kernel's checks of ``values`` (S, n) and ``products``
-    (S, K, m) at the 0-based ``positions`` (K,) of operators on ``graph``.
+    (S, n, m) at every eigenvalue position of operators on ``graph``;
+    column ``k - 1`` holds position k.
 
-    ``simple`` and ``flat`` (S, K) mark a simple eigenvalue and edge
-    products real within ``tol_real``, ``vanishing`` (S, K, n) the
-    vanishing eigenvector entries, ``unresolved`` (S, K, m) the products
-    too close to zero to carry a sign, and ``surplus`` (S, K) is the
+    ``simple`` and ``flat`` (S, n) mark a simple eigenvalue and edge
+    products real within ``tol_real``, ``vanishing`` (S, n, n) the
+    vanishing eigenvector entries, ``unresolved`` (S, n, m) the products
+    too close to zero to carry a sign, and ``surplus`` (S, n) is the
     positive-product count minus ``k - 1``.  ``unbounded`` and
     ``inadmissible`` are cached on first read, so no field is reassigned
     after construction.
@@ -165,7 +168,6 @@ class _StackChecks:
 
     values: np.ndarray
     products: np.ndarray
-    positions: np.ndarray
     graph: Graph
     beta: int
     tol_degeneracy: float
@@ -203,17 +205,16 @@ class _StackChecks:
         return self.inadmissible | self.unbounded
 
     def multiplicity(self, rows, col: int):
-        """``spectral.multiplicity`` at position ``col`` of ``rows``."""
+        """``spectral.multiplicity`` at column ``col`` of ``rows``."""
         values = self.values[rows]
         return np.count_nonzero(cluster_mask(
-            values, values[..., self.positions[col]], self.tol_degeneracy),
-            axis=-1)
+            values, values[..., col], self.tol_degeneracy), axis=-1)
 
     def error(self, row: int, col: int) -> MagnodalError | None:
         """The error of the pair (``row``, ``col``), or ``None`` when it
         passes: that of its first failing check, in the order of the
         masks; a failed bound is internal only on a connected graph."""
-        k = int(self.positions[col]) + 1
+        k = col + 1
         if not self.simple[row, col]:
             m = int(self.multiplicity(row, col))
             return NonSimpleEigenvalueError(
@@ -248,7 +249,7 @@ class _StackChecks:
 
 
 def _stack_checks(values: np.ndarray, vectors: np.ndarray,
-                  products: np.ndarray, positions, scale, graph: Graph, *,
+                  products: np.ndarray, scale, graph: Graph, *,
                   tol_degeneracy: float = DEGENERACY_TOL,
                   tol_vanish: float = VANISH_TOL,
                   tol_real: float = PRODUCT_REAL_TOL,
@@ -258,44 +259,43 @@ def _stack_checks(values: np.ndarray, vectors: np.ndarray,
     realness and product tolerances cut.
 
     ``values`` (S, n) are the ascending spectra of S operators on
-    ``graph``, ``vectors`` (S, K, n) and ``products`` (S, K, m) the
-    eigenvectors and edge products at the 0-based ``positions`` (K,),
-    strictly ascending, so K = n means every position, and ``scale`` the
+    ``graph``, ``vectors`` (S, n, n) and ``products`` (S, n, m) the
+    eigenvectors and edge products at every position, and ``scale`` the
     Frobenius norm, one for all rows or one per row.  Real ``products``
     pass the realness check untested; ``unbounded`` and ``inadmissible``
     are formed once, on first read, one array pass per mask, and
     ``failed`` and ``out_of_bounds`` from them.
     """
-    positions = np.asarray(positions, dtype=np.intp)
     scale = np.asarray(scale, dtype=np.float64)[..., None, None]
-    simple = simple_positions(values, tol_degeneracy)
     flat = (~(np.abs(products.imag) > tol_real * scale).any(axis=2)
             if np.iscomplexobj(products)
             else np.ones(products.shape[:2], dtype=bool))
     return _StackChecks(
-        values, products, positions, graph, betti_number(graph),
-        tol_degeneracy, tol_real,
-        simple if len(positions) == values.shape[1] else simple[:, positions],
+        values, products, graph, betti_number(graph), tol_degeneracy,
+        tol_real, simple_positions(values, tol_degeneracy),
         np.abs(vectors) < tol_vanish,
         flat,
         np.abs(products.real) < tol_product * scale,
-        np.add.reduce(products.real > 0.0, axis=2, dtype=np.intp) - positions)
+        np.add.reduce(products.real > 0.0, axis=2, dtype=np.intp)
+        - np.arange(values.shape[1]))
 
 
-def _checked(h: SupportedMatrix, k: int, es: EigenSystem | None, **tols
-             ) -> tuple[_Solves, _StackChecks]:
+def _checked(h: SupportedMatrix, k: int, es: EigenSystem | None = None,
+             **tols) -> tuple[_Solves, _StackChecks]:
     """The solve of ``h`` (from ``es`` when given) as a stack of one,
-    and the kernel's checks at k, which raise when the k-th eigenvalue
-    is not simple; a ``k`` outside ``1..n`` raises ``ValueError``."""
+    with the products of its k-th eigenvector, and the kernel's checks
+    at every position.  Raises the kernel's error when the k-th
+    eigenvalue is not simple, and ``ValueError`` for a ``k`` outside
+    ``1..n``."""
     _check_k(k, h.graph.n)
     if es is None:
         es = eigh(h)
-    s = _Solves.at(h.graph, h.offdiag[None], es.values[None],
-                   es.vectors[None], k)
-    checks = s.checks(h.graph, h.norm_fro, **tols)
-    if not checks.simple[0, 0]:
-        raise checks.error(0, 0)
-    return s, checks
+    checks = position_checks(h.graph, h.offdiag[None], es.values[None],
+                             es.vectors[None], h.norm_fro, **tols)
+    if not checks.simple[0, k - 1]:
+        raise checks.error(0, k - 1)
+    return _Solves(h.offdiag[None], checks.values, es.vectors[None], k,
+                   checks.products[:, k - 1]), checks
 
 
 def nodal_count(h: SupportedMatrix, k: int, *,
@@ -315,10 +315,10 @@ def nodal_count(h: SupportedMatrix, k: int, *,
     _, checks = _checked(h, k, es, tol_degeneracy=tol_degeneracy,
                          tol_vanish=tol_vanish, tol_real=tol_real,
                          tol_product=tol_product)
-    error = checks.error(0, 0)
+    error = checks.error(0, k - 1)
     if error is not None:
         raise error
-    return int(checks.surplus[0, 0]) + k - 1
+    return int(checks.surplus[0, k - 1]) + k - 1
 
 
 def nodal_surplus(h: SupportedMatrix, k: int, **kwargs) -> int:
@@ -366,28 +366,27 @@ class SurplusDistribution:
         return float(np.dot((s - self.mean) ** 2, self.probs))
 
 
-def position_checks(h: SupportedMatrix, offdiag: np.ndarray,
-                    values: np.ndarray, vectors: np.ndarray, **tols
-                    ) -> _StackChecks:
+def position_checks(graph: Graph, offdiag: np.ndarray, values: np.ndarray,
+                    vectors: np.ndarray, scale, **tols) -> _StackChecks:
     """The kernel at every eigenvalue position of a stack of operators
-    with the diagonal and the norm of ``h``: edge entries ``offdiag``
-    (S, m), eigenvalues ``values`` (S, n) and eigenvector columns
-    ``vectors`` (S, n, n).  The one kernel entry of every caller that
-    checks all positions: a single operator, a class block."""
+    on ``graph``: edge entries ``offdiag`` (S, m), eigenvalues ``values``
+    (S, n), eigenvector columns ``vectors`` (S, n, n) and Frobenius norm
+    ``scale``, one for all rows or one per row.  The kernel's one entry:
+    a single operator, a class block, a stack of search points."""
     # (row, k, vertex), laid out vertex-major: the gather copies whole
     # blocks, and the masks reduce over their outermost axis
     vectors = np.ascontiguousarray(vectors.transpose(1, 2, 0)).T
     return _stack_checks(values, vectors,
-                         edge_products(h.graph, offdiag[:, None], vectors),
-                         np.arange(h.graph.n), h.norm_fro, h.graph, **tols)
+                         edge_products(graph, offdiag[:, None], vectors),
+                         scale, graph, **tols)
 
 
 def surplus_distribution(h: SupportedMatrix, **kwargs) -> SurplusDistribution:
     """Surplus histogram over all eigenvalue positions of one matrix; the
     first failing position raises its error."""
     es = eigh(h)
-    checks = position_checks(h, h.offdiag[None], es.values[None],
-                             es.vectors[None], **kwargs)
+    checks = position_checks(h.graph, h.offdiag[None], es.values[None],
+                             es.vectors[None], h.norm_fro, **kwargs)
     if checks.failed.any():
         raise checks.error(0, int(np.argmax(checks.failed[0])))
     beta = betti_number(h.graph)
@@ -413,8 +412,8 @@ def _class_blocks(h: SupportedMatrix, classes: SigningClasses, **tols):
         rows = classes.rows(np.arange(lo, min(lo + SWEEP_CHUNK, total)))
         offdiag = h.offdiag.real * rows
         values, vectors = eigh_dense(dense_matrices(h.graph, h.diag, offdiag))
-        yield rows, offdiag, vectors, position_checks(h, offdiag, values,
-                                                      vectors, **tols)
+        yield rows, offdiag, vectors, position_checks(
+            h.graph, offdiag, values, vectors, h.norm_fro, **tols)
 
 
 def _surplus_counts(h: SupportedMatrix, classes: SigningClasses,
@@ -434,9 +433,10 @@ def _surplus_counts(h: SupportedMatrix, classes: SigningClasses,
     beta, weight = betti_number(h.graph), classes.class_size
     counts = np.zeros(beta + 1, dtype=np.int64)
     skipped = 0
-    if skip_inadmissible and not h.offdiag.all() and _stack_checks(
-            np.zeros((1, 1)), np.ones((1, 1, 1)), np.zeros((1, 1, 1)), [0],
-            h.norm_fro, h.graph, **tols).unresolved.all():
+    n, m = h.graph.n, h.graph.num_edges
+    if skip_inadmissible and not h.offdiag.all() and position_checks(
+            h.graph, np.zeros((1, m)), np.zeros((1, n)), np.ones((1, n, n)),
+            h.norm_fro, **tols).unresolved.all():
         return counts, weight * classes.num_classes
     for rows, _, _, checks in _class_blocks(h, classes, **tols):
         failed = checks.failed

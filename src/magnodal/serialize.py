@@ -123,6 +123,17 @@ def csv_cell(value) -> str:
     return s
 
 
+def csv_text(header: list[str], rows: list[list]) -> str:
+    """The header line and one line per row, each ended by a newline;
+    a row whose width differs from the header's raises ``ValueError``."""
+    lines = [",".join(header)]
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError("row width does not match the header")
+        lines.append(",".join(csv_cell(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
 def write_csv(path: str, schema: str, header: list[str],
               rows: list[list]) -> None:
     """CSV with a leading schema comment line.
@@ -130,12 +141,6 @@ def write_csv(path: str, schema: str, header: list[str],
     The first line is ``# schema: <name> v<version>`` so downstream
     tools can dispatch on the layout without guessing from headers.
     """
-    lines = [f"# schema: {schema} v{SCHEMA_VERSION}"]
-    lines.append(",".join(header))
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError("row width does not match the header")
-        lines.append(",".join(csv_cell(x) for x in row))
+    text = f"# schema: {schema} v{SCHEMA_VERSION}\n" + csv_text(header, rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(text)

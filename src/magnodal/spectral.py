@@ -150,10 +150,9 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[..., 0]
 
 
-def eigh(h: SupportedMatrix, dense: np.ndarray | None = None) -> EigenSystem:
-    """Full eigensystem of a supported matrix, solved from ``dense``,
-    its ``to_dense()`` array, when the caller has built that already."""
-    values, vectors = eigh_dense(h.to_dense() if dense is None else dense)
+def eigh(h: SupportedMatrix) -> EigenSystem:
+    """Full eigensystem of a supported matrix."""
+    values, vectors = eigh_dense(h.to_dense())
     vectors = _normalize_phases(vectors)
     values.setflags(write=False)
     vectors.setflags(write=False)
@@ -217,17 +216,15 @@ def is_nowhere_vanishing(v: np.ndarray, tol: float = VANISH_TOL
     return not vanishing, vanishing
 
 
-def resolvent_coefficient(h: SupportedMatrix, k: int, vertex: int,
-                          tol_rel: float = DEGENERACY_TOL,
-                          es: EigenSystem | None = None) -> float:
-    """Spectral shift coefficient at a vertex for a simple eigenvalue.
+def resolvent_coefficient(es: EigenSystem, k: int, vertex: int,
+                          tol_rel: float = DEGENERACY_TOL) -> float:
+    """Spectral shift coefficient at a vertex for a simple eigenvalue of
+    the eigensystem ``es``.
 
     Equals ``sum_{j != k} |psi_j(vertex)|^2 / (lambda_k - lambda_j)``,
     which is the negated diagonal entry of the pseudo-inverse of
     ``h - lambda_k I`` at the vertex.
     """
-    if es is None:
-        es = eigh(h)
     m, _ = multiplicity(es, k, tol_rel)
     if m != 1:
         raise NonSimpleEigenvalueError(

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InternalCrossCheckError, StratumAmbiguousError
 from .graphs import Graph, connected_components, induced_subgraph
 from .operators import SupportedMatrix
-from .spectral import DEGENERACY_TOL, EigenSystem, eigh, multiplicity
+from .spectral import DEGENERACY_TOL, eigh, multiplicity
 
 #: Singular values below this (times the operator scale for the kernel
 #: test) count as zero.
@@ -62,18 +62,14 @@ class EigenspaceBasis:
 
 
 def eigenspace_basis(h: SupportedMatrix, k: int,
-                     tol_degeneracy: float = DEGENERACY_TOL,
-                     es: EigenSystem | None = None,
-                     dense: np.ndarray | None = None) -> EigenspaceBasis:
+                     tol_degeneracy: float = DEGENERACY_TOL
+                     ) -> EigenspaceBasis:
     """Eigenspace of the cluster containing the k-th eigenvalue.
 
     ``k`` must open its cluster; querying a later member is ambiguous
-    about which stratum is meant and raises.  ``dense`` is
-    ``h.to_dense()`` when the caller has built it.
+    about which stratum is meant and raises.
     """
-    dense = h.to_dense() if dense is None else dense
-    if es is None:
-        es = eigh(h, dense)
+    es = eigh(h)
     m, k0 = multiplicity(es, k, tol_degeneracy)
     if k0 != k:
         raise StratumAmbiguousError(
@@ -84,7 +80,7 @@ def eigenspace_basis(h: SupportedMatrix, k: int,
     lam = float(np.mean(cluster))
     width = float(cluster[-1] - cluster[0])
     budget = 1e-9 * max(1.0, h.norm_fro) + width
-    resid = np.linalg.norm(dense @ vecs - lam * vecs, axis=0)
+    resid = np.linalg.norm(h.to_dense() @ vecs - lam * vecs, axis=0)
     over = resid[resid > budget]
     if over.size:
         raise InternalCrossCheckError(
@@ -162,8 +158,8 @@ class TransversalityReport:
 
 
 def is_transverse_at(h: SupportedMatrix, k: int, *,
-                     tol_degeneracy: float = DEGENERACY_TOL,
-                     es: EigenSystem | None = None) -> TransversalityReport:
+                     tol_degeneracy: float = DEGENERACY_TOL
+                     ) -> TransversalityReport:
     """Transversality of the graph family at one eigenvalue cluster.
 
     Kernel test: the real-linear map X -> (h - lambda) X on Hermitian
@@ -177,14 +173,13 @@ def is_transverse_at(h: SupportedMatrix, k: int, *,
     and both are always computed; a disagreement raises instead of
     guessing which one to trust.
     """
-    dense = h.to_dense()
-    basis = eigenspace_basis(h, k, tol_degeneracy, es=es, dense=dense)
+    basis = eigenspace_basis(h, k, tol_degeneracy)
     m = basis.dim
     lam = basis.eigenvalue
     g = h.graph
     n = g.n
     scale = max(1.0, h.norm_fro)
-    shifted = dense - lam * np.eye(n)
+    shifted = h.to_dense() - lam * np.eye(n)
 
     pairs = _pairs(n, g.edge_index)
     if pairs.size:

@@ -460,8 +460,8 @@ class ReducedChecks(_StackChecks):
         return self.inadmissible | self.out_of_bounds
 
 
-def reduction_checks(values, vectors, products, positions, scale,
-                     graph: Graph, *, tol_degeneracy: float = DEGENERACY_TOL,
+def reduction_checks(values, vectors, products, scale, graph: Graph, *,
+                     tol_degeneracy: float = DEGENERACY_TOL,
                      tol_vanish: float = VANISH_TOL,
                      tol_real: float = PRODUCT_REAL_TOL,
                      tol_product: float = PRODUCT_DEGENERATE_TOL
@@ -470,19 +470,18 @@ def reduction_checks(values, vectors, products, positions, scale,
     ``last_axis_products``, where ``any`` and ``np.count_nonzero``
     reduce the masks along short rows; the kernel cuts and counts the
     same way, so what this holds it to is its layout and verdicts."""
-    positions = np.asarray(positions)
     scale = np.asarray(scale, dtype=np.float64)[..., None, None]
     flat = (~(np.abs(products.imag) > tol_real * scale).any(axis=2)
             if np.iscomplexobj(products)
             else np.ones(products.shape[:2], dtype=bool))
     return ReducedChecks(
-        values, products, positions, graph, betti_number(graph),
-        tol_degeneracy, tol_real,
-        simple_by_gaps(values, tol_degeneracy)[:, positions],
+        values, products, graph, betti_number(graph), tol_degeneracy,
+        tol_real, simple_by_gaps(values, tol_degeneracy),
         np.abs(vectors) < tol_vanish,
         flat,
         np.abs(products.real) < tol_product * scale,
-        np.count_nonzero(products.real > 0.0, axis=2) - positions)
+        np.count_nonzero(products.real > 0.0, axis=2)
+        - np.arange(values.shape[1]))
 
 
 def avg_dist_tail(dist, n_vertices: int, skip: bool
@@ -984,8 +983,7 @@ def scalar_transverse(h: SupportedMatrix, k: int, *,
     """``is_transverse_at`` one unit at a time, with the singular values
     of its kernel test (empty without off-graph directions) and of its
     compression test."""
-    es = eigh(h)
-    basis = eigenspace_basis(h, k, tol_degeneracy, es=es)
+    basis = eigenspace_basis(h, k, tol_degeneracy)
     m = basis.dim
     lam = basis.eigenvalue
     g = h.graph

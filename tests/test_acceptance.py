@@ -211,7 +211,7 @@ def test_criterion_05_gradient_correctness():
         if not simple:
             continue
         k = int(rng.choice(simple))
-        exact = eigenvalue_gradient(p, k, es=es).values
+        exact = eigenvalue_gradient(p, k).values
         norm = float(np.linalg.norm(exact))
         if norm < 1e-3:
             continue
@@ -237,7 +237,7 @@ def test_criterion_06_symmetry_criticality():
                 if multiplicity(es, k, 1e-8)[0] != 1:
                     continue
                 gnorm = float(np.linalg.norm(
-                    eigenvalue_gradient(p, k, es=es).values))
+                    eigenvalue_gradient(p, k).values))
                 if gnorm > 1e-10 * scale:
                     failures.append(f"{name} k={k}: |grad|={gnorm:.2e}")
                 checked += 1
@@ -264,9 +264,8 @@ def test_criterion_07_perfect_morse_count():
     grads = np.empty((3, ts.size))
     for i, t in enumerate(ts):
         p = TorusPoint.from_coords(base, np.array([t]))
-        es = eigh(p.operator())
         for j, k in enumerate((1, 2, 3)):
-            grads[j, i] = gradient_coords(p, k, es=es)[0]
+            grads[j, i] = gradient_coords(p, k)[0]
 
     def dist_to_roots(t):
         return min(abs((t - r + np.pi) % (2 * np.pi) - np.pi)
@@ -379,7 +378,7 @@ def test_criterion_10_transversality_agreement():
         if not simple:
             continue
         k = int(rng.choice(simple))
-        rep = is_transverse_at(h, k, es=es)
+        rep = is_transverse_at(h, k)
         if rep.multiplicity != 1 or not rep.transverse:
             failures.append(f"simple cluster not transverse n={n} k={k}")
         check_agreement(rep, f"m=1 n={n} k={k}")
@@ -439,7 +438,7 @@ def test_criterion_10_transversality_agreement():
                 if m == 2:
                     doubles += 1
                     _, comps = support_components(
-                        g, eigenspace_basis(hp, k0, es=es))
+                        g, eigenspace_basis(hp, k0))
                     if len(comps) > 1:
                         failures.append(
                             f"splitting double eigenspace on n={n} t={t}")

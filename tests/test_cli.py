@@ -184,11 +184,11 @@ class TestNodalDist:
             # every check fails at some k, the bound included
             "disconnected": (disconnected_op(), ["--tol-vanish", "0"]),
         }[case]
-        positions = []
+        stacks = []  # (rows, positions) of each kernel call's products
         inner = nodal._stack_checks
 
         def counting(*args, **kwargs):
-            positions.append(args[3].tolist())
+            stacks.append(args[2].shape[:2])
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(nodal, "_stack_checks", counting)
@@ -196,11 +196,11 @@ class TestNodalDist:
         code, _, _ = run(capsys, ["nodal-dist", "--op", op, *flags, "--k",
                                   "1"])
         assert code in (0, 2)
-        assert positions == [list(range(h.graph.n))]
-        positions.clear()
+        assert stacks == [(1, h.graph.n)]
+        stacks.clear()
         code, out, _ = run(capsys, ["nodal-dist", "--op", op, *flags])
         assert code == 0
-        assert positions == [list(range(h.graph.n))]
+        assert stacks == [(1, h.graph.n)]
         monkeypatch.undo()
         tol_vanish = 0.0 if flags else 1e-8
         for row in json.loads(out)["rows"]:
@@ -317,13 +317,13 @@ class TestEmit:
     """``_emit`` reads a command's CSV rows once, and only when the table
     is printed or written."""
 
-    def emit(self, tmp_path, capsys, out, fmt):
+    def emit(self, tmp_path, capsys, out, fmt, last=(2, None)):
         reads = []
 
         def rows():
             reads.append(1)
             yield [1, 0.5]
-            yield [2, None]
+            yield list(last)
 
         args = _build_parser().parse_args(
             ["spectrum", "--op", "x", "--format", fmt,
@@ -346,6 +346,16 @@ class TestEmit:
         if out:
             assert (tmp_path / f"{out}.csv").read_text() \
                 == "# schema: magnodal/test v1\n" + table
+
+    @pytest.mark.parametrize("out", [None, "b"])
+    @pytest.mark.parametrize("last", [(2,), (2, None, 3)])
+    def test_row_width_checked_when_printed(self, tmp_path, capsys, out,
+                                            last):
+        """Printed or written, a table is rendered by one function, which
+        refuses a row whose width differs from the header's."""
+        with pytest.raises(ValueError, match="row width"):
+            self.emit(tmp_path, capsys, out, "csv", last)
+        assert capsys.readouterr().out == ""
 
 
 class TestAvgDist:

@@ -314,7 +314,7 @@ class TestHessian:
                         * v[s])
                 ref = 0.5 * (ref + ref.T)
                 np.testing.assert_allclose(
-                    hessian_eigenvalue(p, k, es=es), ref,
+                    hessian_eigenvalue(p, k), ref,
                     rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
 
     def test_degenerate_raises(self):
@@ -638,8 +638,9 @@ class TestCriticalScan:
 
     def test_search_reports_take_the_polish_solves(self, monkeypatch):
         """A search report is classified from the polish's solve as it
-        stands: no solve and no edge products of its own.  Each report
-        phase makes two stacked degeneracy tests, one for its Hessians'
+        stands: no solve of its own, and one edge-product call, the
+        kernel's at every position of the stack.  Each report phase
+        makes two stacked degeneracy tests, one for its Hessians'
         pseudo-inverse and one for the multiplicities of its
         incorrigible rows, and none per row."""
         import magnodal.morse as morse
@@ -669,14 +670,16 @@ class TestCriticalScan:
         h = random_operator(complete_graph(5), np.random.default_rng(0))
         sr = critical_scan(h, 2, starts=4, seed=0)
         assert sum(r.origin == "search" for r in sr.reports) > 0
-        # the symmetry points, the search reports: the smooth rows, then
-        # the incorrigible ones
+        # the symmetry points, checked in their block, and the search
+        # reports, checked here: the smooth rows, then the incorrigible ones
         assert calls == [
-            [("cluster_mask", sum(r.classification != "incorrigible"
+            [*checked,
+             ("cluster_mask", sum(r.classification != "incorrigible"
                                   for r in sr.reports if r.origin == origin)),
              ("cluster_mask", sum(r.classification == "incorrigible"
                                   for r in sr.reports if r.origin == origin))]
-            for origin in ("symmetry-enumeration", "search")]
+            for origin, checked in (("symmetry-enumeration", []),
+                                    ("search", ["edge_products"]))]
 
 def scan_starts(base, starts, seed):
     """The start points ``critical_scan`` polishes, in its order."""
@@ -1488,10 +1491,11 @@ class TestClassBlocks:
     @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
     def test_scan_column_is_the_single_position_check(self, monkeypatch,
                                                       chunk, tols, case):
-        """Column ``k - 1`` of a symmetry block's checks, at the
-        operator's norm, decides as the check at k alone did, at each
-        row's norm: a signed real row's norm has the bits of the
-        operator's, so every mask is the same."""
+        """A symmetry block's checks, at the operator's norm, decide as
+        the checks of its solves at each row's norm, at every column: a
+        signed real row's norm has the bits of the operator's, so every
+        mask is the same.  Column ``k - 1`` of the products has the bits
+        of the products of the k-th eigenvectors alone."""
         import magnodal.morse as morse
         import magnodal.nodal as nodal
 
@@ -1503,13 +1507,14 @@ class TestClassBlocks:
             scale = frobenius_norms(base.diag, off)
             assert same_bits(scale, np.full(len(off), base.norm_fro))
             for k in range(1, base.graph.n + 1):
-                alone = nodal._Solves.at(base.graph, off, checks.values,
-                                         vectors, k).checks(
-                    base.graph, scale, **tols)
-                for name in ("simple", "vanishing", "flat", "unresolved",
-                             "surplus"):
-                    assert same_bits(getattr(checks, name)[:, k - 1],
-                                     getattr(alone, name)[:, 0]), name
+                solves = nodal._Solves.at(base.graph, off, checks.values,
+                                          vectors, k)
+                assert same_bits(checks.products[:, k - 1], solves.products)
+            per_row = solves.checks(base.graph, scale, **tols)
+            for name in ("simple", "vanishing", "flat", "unresolved",
+                         "surplus"):
+                assert same_bits(getattr(checks, name),
+                                 getattr(per_row, name)), name
 
     @pytest.mark.parametrize("beta", [0, 1, 3, 7])
     @pytest.mark.parametrize("chunk", SMALL_CHUNKS)

@@ -324,23 +324,24 @@ class TestSingleMatrixDistribution:
         assert d.n_samples == 3
 
     def test_one_kernel_call_decides_every_position(self, monkeypatch):
-        """One kernel call per operator; the first failing position
-        raises the error ``nodal_count`` raises there."""
-        positions = []
+        """One kernel call per operator, on a stack of one at every
+        position; the first failing position raises the error
+        ``nodal_count`` raises there."""
+        stacks = []  # (rows, positions) of each kernel call's products
         inner = nodal._stack_checks
 
         def counting(*args, **kwargs):
-            positions.append(args[3].tolist())
+            stacks.append(args[2].shape[:2])
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(nodal, "_stack_checks", counting)
         d = surplus_distribution(strong_diagonal_fixture(complete_graph(5)))
-        assert d.n_samples == 5 and positions == [[0, 1, 2, 3, 4]]
+        assert d.n_samples == 5 and stacks == [(1, 5)]
         zero = SupportedMatrix(cycle_graph(3), np.zeros(3),
                                -np.ones(3, dtype=np.complex128))
         with pytest.raises(NonSimpleEigenvalueError) as err:
             surplus_distribution(zero)
-        assert positions[1:] == [[0, 1, 2]]
+        assert stacks[1:] == [(1, 3)]
         monkeypatch.undo()
         with pytest.raises(NonSimpleEigenvalueError) as want:
             nodal_count(zero, 2)
@@ -903,7 +904,7 @@ def test_admissibility_kernel_matches_nodal_count(h, data):
     checks = nodal._stack_checks(
         values, vectors,
         complex_products(h.graph, (h.offdiag * rows)[:, None], vectors),
-        np.arange(n), h.norm_fro, h.graph, **tols)
+        h.norm_fro, h.graph, **tols)
     if h.is_real:
         # the real parts of the complex products, bit for bit up to the
         # signs of zeros, which array_equal does not see
@@ -912,8 +913,8 @@ def test_admissibility_kernel_matches_nodal_count(h, data):
                                vectors)
         assert signed.dtype == np.float64 and not products.imag.any()
         assert np.array_equal(signed, products.real)
-        real = nodal._stack_checks(values, vectors, signed, np.arange(n),
-                                   h.norm_fro, h.graph, **tols)
+        real = nodal._stack_checks(values, vectors, signed, h.norm_fro,
+                                   h.graph, **tols)
         for mask in ("simple", "vanishing", "flat", "unresolved", "surplus",
                      "unbounded", "inadmissible", "out_of_bounds", "failed"):
             assert np.array_equal(getattr(real, mask), getattr(checks, mask))
@@ -949,8 +950,8 @@ def test_admissibility_kernel_matches_nodal_count(h, data):
 
 
 #: The kernel's fields and verdicts, each compared bit for bit.
-CHECK_FIELDS = ("values", "products", "positions", "simple", "vanishing",
-                "flat", "unresolved", "surplus", "unbounded", "inadmissible",
+CHECK_FIELDS = ("values", "products", "simple", "vanishing", "flat",
+                "unresolved", "surplus", "unbounded", "inadmissible",
                 "out_of_bounds", "failed")
 
 
@@ -977,10 +978,10 @@ def test_kernel_layout_matches_the_reduction_oracle(h, data):
     outermost axis against ``conftest.reduction_checks``, the kernel as
     it reduced along the last axis of C-ordered masks: every field and
     verdict bit for bit and every error with its type, message and
-    attributes, on real and complex stacks, at one position (K = 1) and
-    at all of them (K = n), with eigenvector entries planted at 0.5, 1
-    and 2 times the vanishing cut and edge products (and, on complex
-    stacks, their imaginary parts) at those multiples of their cuts."""
+    attributes, on real and complex stacks, at one norm for all rows and
+    at one per row, with eigenvector entries planted at 0.5, 1 and 2
+    times the vanishing cut and edge products (and, on complex stacks,
+    their imaginary parts) at those multiples of their cuts."""
     g, n, m = h.graph, h.graph.n, h.graph.num_edges
     rows = np.array(data.draw(st.lists(
         st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m),
@@ -999,27 +1000,19 @@ def test_kernel_layout_matches_the_reduction_oracle(h, data):
                 tol_vanish=data.draw(st.sampled_from([VANISH_TOL, 0.02])),
                 tol_product=data.draw(st.sampled_from(
                     [PRODUCT_DEGENERATE_TOL, 2e-3])))
-    if data.draw(st.booleans()):
-        positions = np.arange(n)
-        new = nodal.position_checks(h, off, values, vectors, **tols)
-        flipped = vectors.swapaxes(1, 2)  # (row, k, vertex)
-        products = last_axis_products(g, off[:, None], flipped)
-    else:
-        k = data.draw(st.integers(1, n))
-        positions = [k - 1]
-        new = nodal._Solves.at(g, off, values, vectors, k).checks(
-            g, h.norm_fro, **tols)
-        flipped = vectors[:, None, :, k - 1]
-        products = last_axis_products(g, off, vectors[:, :, k - 1])[:, None]
-    old = reduction_checks(values, flipped, products, positions, h.norm_fro,
-                           g, **tols)
+    scale = (np.full(len(rows), h.norm_fro) if data.draw(st.booleans())
+             else h.norm_fro)
+    new = nodal.position_checks(g, off, values, vectors, scale, **tols)
+    flipped = vectors.swapaxes(1, 2)  # (row, k, vertex)
+    products = last_axis_products(g, off[:, None], flipped)
+    old = reduction_checks(values, flipped, products, scale, g, **tols)
     assert_same_checks(new, old)
     if not m:
         return
     planted = np.copy(new.products, order="K")  # the kernel's layout
     products = products.copy()
     for row, col, e, f, sg, imag in data.draw(st.lists(st.tuples(
-            st.integers(0, len(rows) - 1), st.integers(0, len(positions) - 1),
+            st.integers(0, len(rows) - 1), st.integers(0, n - 1),
             st.integers(0, m - 1), factor, sign, st.booleans()),
             min_size=1, max_size=3)):
         if imag and np.iscomplexobj(products):
@@ -1029,10 +1022,8 @@ def test_kernel_layout_matches_the_reduction_oracle(h, data):
             value = sg * f * tols["tol_product"] * h.norm_fro
         planted[row, col, e] = products[row, col, e] = value
     assert_same_checks(
-        nodal._stack_checks(values, flipped, planted, positions, h.norm_fro,
-                            g, **tols),
-        reduction_checks(values, flipped, products, positions, h.norm_fro, g,
-                         **tols))
+        nodal._stack_checks(values, flipped, planted, scale, g, **tols),
+        reduction_checks(values, flipped, products, scale, g, **tols))
 
 
 def class_sum_by_scalars(h: SupportedMatrix, skip: bool, tols: dict):
@@ -1111,12 +1102,11 @@ def test_kernel_at_the_cuts_matches_the_oracles(h, data):
             st.integers(0, max(m - 1, 0)), factor, sign), max_size=3)):
         if m:
             products[row, col, e] = sg * f * tols["tol_product"] * h.norm_fro
-    positions = np.arange(n)
-    new = nodal._stack_checks(values, layout, products, positions,
-                              h.norm_fro, g, **tols)
+    new = nodal._stack_checks(values, layout, products, h.norm_fro, g,
+                              **tols)
     old = reduction_checks(values, vectors.swapaxes(1, 2),
-                           np.ascontiguousarray(products), positions,
-                           h.norm_fro, g, **tols)
+                           np.ascontiguousarray(products), h.norm_fro, g,
+                           **tols)
     assert_same_checks(new, old)
     for row, j in np.ndindex(rows, n):
         size, _ = multiplicity_by_walk(values[row], j + 1,
@@ -1259,9 +1249,9 @@ def test_sweep_errors_are_worded_from_the_kernel_masks(monkeypatch):
         products = original(graph, offdiag, v)
         return products * 0.0 if v.ndim == 3 else products
 
-    monkeypatch.setattr(nodal, "edge_products", zero_when_stacked)
     h = strong_diagonal_fixture(complete_graph(3))
     assert nodal_count(h, 1) == 0
+    monkeypatch.setattr(nodal, "edge_products", zero_when_stacked)
     with pytest.raises(InadmissibleSigningError) as err:
         average_surplus_distribution(h)
     reason = "edge products too close to zero on edges [(0, 1), (0, 2), (1, 2)]"

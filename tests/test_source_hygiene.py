@@ -15,7 +15,13 @@ degeneracy test, ``cluster_mask``: elsewhere ``tol_degeneracy`` is only
 passed on, never part of arithmetic or a comparison.  Likewise the
 vanishing, product and realness tolerances (``tol_vanish``,
 ``tol_product`` and ``tol_real``) cut only in ``nodal._stack_checks``,
-the one admissibility kernel.  ``SigningClasses.rows`` is called, and
+the one admissibility kernel, which checks every eigenvalue position:
+it has no ``positions`` parameter or field, and ``position_checks`` is
+its one caller.  No public function or method takes both an operator
+(``SupportedMatrix`` or ``TorusPoint``) and an ``EigenSystem``: each
+solves the operator it reads, except ``nodal_count`` and
+``nodal_surplus``, which the benchmark's oracles hand an eigensystem.
+``SigningClasses.rows`` is called, and
 ``SWEEP_CHUNK`` read, in one function only, ``nodal._class_blocks``,
 the one walk over switching classes, which the class sum, the index
 check and the scan share.  Its blocks come checked, so ``morse``
@@ -270,36 +276,41 @@ def public_api_names(readme: str) -> list[str]:
             if line.startswith("- `")]
 
 
-def public_options(tree: ast.Module, module: str
-                   ) -> list[tuple[str, str, str, int | None]]:
-    """``(where, function, parameter, position)`` for each defaulted
-    parameter of a public module-level function or a public method of a
-    public class.  ``position`` is the parameter's index among those a
-    call passes by position, ``self`` or ``cls`` aside, and None for a
-    keyword-only one.  Nested functions, such as ``cli``'s parser
-    helpers, are not public."""
-    found = []
+def public_functions(tree: ast.Module, module: str):
+    """``(where, function, bound)`` for each public module-level function
+    and each public method of a public class; ``bound`` marks a method
+    that takes ``self`` or ``cls``.  Nested functions, such as ``cli``'s
+    parser helpers, are not public."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            functions = [(node, module, False)]
+            functions = [(module, node, False)]
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            functions = [(f, f"{module}.{node.name}", not any(
+            functions = [(f"{module}.{node.name}", f, not any(
                 getattr(d, "id", None) == "staticmethod"
                 for d in f.decorator_list))
                 for f in node.body if isinstance(f, ast.FunctionDef)]
         else:
             continue
-        for f, where, bound in functions:
-            if f.name.startswith("_"):
-                continue
-            args = f.args
-            positional = (args.posonlyargs + args.args)[int(bound):]
-            first = len(positional) - len(args.defaults)
-            found += [(where, f.name, a.arg, i)
-                      for i, a in enumerate(positional) if i >= first]
-            found += [(where, f.name, a.arg, None)
-                      for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                      if d is not None]
+        yield from (entry for entry in functions
+                    if not entry[1].name.startswith("_"))
+
+
+def public_options(tree: ast.Module, module: str
+                   ) -> list[tuple[str, str, str, int | None]]:
+    """``(where, function, parameter, position)`` for each defaulted
+    parameter of a ``public_functions`` entry.  ``position`` is the
+    parameter's index among those a call passes by position, ``self``
+    or ``cls`` aside, and None for a keyword-only one."""
+    found = []
+    for where, f, bound in public_functions(tree, module):
+        args = f.args
+        positional = (args.posonlyargs + args.args)[int(bound):]
+        first = len(positional) - len(args.defaults)
+        found += [(where, f.name, a.arg, i)
+                  for i, a in enumerate(positional) if i >= first]
+        found += [(where, f.name, a.arg, None)
+                  for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
     return found
 
 
@@ -330,6 +341,46 @@ def unset_options(trees: dict[Path, ast.Module], sources) -> list[str]:
                 tree, path.stem)
             if not any(passes(c, name, position)
                        for c in calls.get(function, ()))]
+
+
+#: The annotations that mark a parameter as an operator.
+OPERATOR_TYPES = {"SupportedMatrix", "TorusPoint"}
+
+
+def solve_handins(trees: dict[Path, ast.Module],
+                  exempt=("nodal_count", "nodal_surplus")) -> list[str]:
+    """Public functions, other than ``exempt``, with a parameter
+    annotated as an operator and one annotated as an ``EigenSystem``."""
+    found = []
+    for path, tree in sorted(trees.items()):
+        for where, f, _ in public_functions(tree, path.stem):
+            args = f.args
+            annotated = [{node.id for node in ast.walk(a.annotation)
+                          if isinstance(node, ast.Name)}
+                         for a in (*args.posonlyargs, *args.args,
+                                   *args.kwonlyargs, args.vararg, args.kwarg)
+                         if a is not None and a.annotation is not None]
+            if f.name not in exempt \
+                    and any(OPERATOR_TYPES & names for names in annotated) \
+                    and any("EigenSystem" in names for names in annotated):
+                found.append(f"{where}.{f.name}")
+    return found
+
+
+def parameters(tree: ast.Module, name: str) -> set[str]:
+    """The parameters of the functions and the annotated fields of the
+    classes named ``name``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            args = node.args
+            found |= {a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs)}
+        elif isinstance(node, ast.ClassDef) and node.name == name:
+            found |= {item.target.id for item in node.body
+                      if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)}
+    return found
 
 
 def bare_asserts(tree: ast.Module) -> list[int]:
@@ -389,6 +440,21 @@ def test_one_function_reads_the_block_size():
 
 def test_morse_takes_its_class_blocks_checked():
     assert references(parse(PACKAGE / "morse.py"), "position_checks") == []
+
+
+def test_the_kernel_checks_every_position_behind_one_entry():
+    trees = {p: parse(p) for p in PACKAGE.glob("*.py")}
+    nodal = trees[PACKAGE / "nodal.py"]
+    assert "positions" not in parameters(nodal, "_stack_checks")
+    assert "positions" not in parameters(nodal, "_StackChecks")
+    assert function_callers(trees, "_stack_checks") \
+        == ["nodal.position_checks"]
+
+
+def test_no_public_function_takes_an_operator_and_its_solve():
+    trees = {p: parse(p) for p in MODULES}
+    assert solve_handins(trees) == []
+    assert solve_handins(trees, ()) == ["nodal.nodal_count"]
 
 
 def test_one_function_forms_edge_products():
@@ -582,3 +648,30 @@ def test_checks_catch_what_they_look_for():
     assert unset_options(trees, sources) == ["a.f(z=)", "a.C.m(s=)"]
     assert unset_options(trees, sources[:1]) == [
         "a.f(z=)", "a.C.m(s=)", "a.C.n(u=)", "a.C.n(v=)"]
+    trees = {a: ast.parse(
+        "def f(h: SupportedMatrix, k: int, es: EigenSystem | None = None):"
+        "\n    pass\n"
+        "def g(p: TorusPoint, *, es: Optional[EigenSystem]):\n    pass\n"
+        "def nodal_count(h: SupportedMatrix, *, es: EigenSystem):\n    pass\n"
+        "def resolvent(es: EigenSystem, k: int):\n    pass\n"
+        "def _checked(h: SupportedMatrix, es: EigenSystem):\n    pass\n"
+        "class P:\n    def m(self, es: EigenSystem, *p: TorusPoint):\n"
+        "        pass\n"
+        "class _Q:\n    def m(self, h: SupportedMatrix, es: EigenSystem):\n"
+        "        pass\n")}
+    assert solve_handins(trees) == ["a.f", "a.g", "a.P.m"]
+    assert solve_handins(trees, ()) \
+        == ["a.f", "a.g", "a.nodal_count", "a.P.m"]
+    nodal = ast.parse(
+        "def _stack_checks(values, products, positions, *, tol=1):\n"
+        "    pass\n"
+        "def position_checks(graph, *, positions=None):\n"
+        "    return _stack_checks(1, 2, positions)\n"
+        "def _checked(h):\n    return nodal._stack_checks(1, 2, [0])\n"
+        "class _StackChecks:\n    values: object\n    positions: object\n"
+        "    def error(self, row, col):\n        k = col + 1\n")
+    assert parameters(nodal, "_stack_checks") \
+        == {"values", "products", "positions", "tol"}
+    assert parameters(nodal, "_StackChecks") == {"values", "positions"}
+    assert function_callers({Path("nodal.py"): nodal}, "_stack_checks") \
+        == ["nodal.position_checks", "nodal._checked"]

@@ -258,9 +258,6 @@ class TestGatewayFailures:
             eigh_stack(g, np.zeros(4), off)
         with pytest.raises(EigenSolverError):
             eigh(SupportedMatrix(g, np.zeros(4), off[1]))
-        with pytest.raises(EigenSolverError):
-            eigh(SupportedMatrix(g, np.zeros(4), off[0]),
-                 dense=broken_stack(value, complex_entries)[1])
 
     def test_nan_results_are_refused_too(self):
         """On this matrix ``np.linalg.eigh`` reports no failure and
@@ -445,7 +442,7 @@ class TestPseudoInverse:
 
 class TestResolventCoefficient:
     def test_two_level_closed_form(self):
-        assert resolvent_coefficient(diag_op([0.0, 1.0]), 2, 0) == \
+        assert resolvent_coefficient(eigh(diag_op([0.0, 1.0])), 2, 0) == \
             pytest.approx(1.0)
 
     def test_top_eigenvalue_nonnegative(self):
@@ -456,7 +453,7 @@ class TestResolventCoefficient:
             if multiplicity(es, 5)[0] != 1:
                 continue
             for vertex in range(5):
-                assert resolvent_coefficient(h, 5, vertex, es=es) >= 0.0
+                assert resolvent_coefficient(es, 5, vertex) >= 0.0
 
     def test_matches_pseudo_inverse_diagonal(self):
         rng = np.random.default_rng(9)
@@ -472,7 +469,7 @@ class TestResolventCoefficient:
                     e[vertex] = 1.0
                     diag_entry = np.real(
                         pseudo_inverse_apply(h, lam, e, es=es)[vertex])
-                    c = resolvent_coefficient(h, k, vertex, es=es)
+                    c = resolvent_coefficient(es, k, vertex)
                     assert c == pytest.approx(-diag_entry, abs=1e-10)
 
     def test_phase_invariance(self):
@@ -483,14 +480,14 @@ class TestResolventCoefficient:
         theta = rng.uniform(0, 2 * np.pi, 4)
         h2 = gauge_transform(GaugePhase(theta), h)
         for k in (1, 4):
-            a = resolvent_coefficient(h, k, 2)
-            b = resolvent_coefficient(h2, k, 2)
+            a = resolvent_coefficient(eigh(h), k, 2)
+            b = resolvent_coefficient(eigh(h2), k, 2)
             assert a == pytest.approx(b, rel=1e-10)
 
     def test_degenerate_rejected(self):
         with pytest.raises(NonSimpleEigenvalueError):
-            resolvent_coefficient(diag_op([0.0, 0.0, 1.0]), 1, 0)
+            resolvent_coefficient(eigh(diag_op([0.0, 0.0, 1.0])), 1, 0)
 
     def test_vertex_range(self):
         with pytest.raises(ValueError):
-            resolvent_coefficient(diag_op([0.0, 1.0]), 1, 5)
+            resolvent_coefficient(eigh(diag_op([0.0, 1.0])), 1, 5)

@@ -320,39 +320,28 @@ class TestAgainstScalarOracle:
         assert verdicts.count(False) >= 40 and verdicts.count(True) >= 150
 
 
-class TestOneDenseMatrix:
-    @pytest.mark.parametrize("case", [0, 40, 50, 120])
-    @pytest.mark.parametrize("given_es", [False, True])
-    def test_dense_matrix_is_built_once(self, monkeypatch, case, given_es):
-        """One ``dense_matrices`` call per check: the solve, the residual
-        check and the kernel test share the array."""
-        import magnodal.operators as operators
-        import magnodal.spectral as spectral
-
-        h, k = transversality_cases()[case]
-        es = eigh(h) if given_es else None
-        calls = []
-        for module in (operators, spectral):
-            def counting(*args, _inner=module.dense_matrices):
-                calls.append(args)
-                return _inner(*args)
-            monkeypatch.setattr(module, "dense_matrices", counting)
-        is_transverse_at(h, k, es=es)
-        assert len(calls) == 1
-
-
 class TestResidualCheck:
-    def test_wrong_vector_is_named(self):
+    """The residual check catches a solver whose vectors are wrong."""
+
+    @staticmethod
+    def solving(monkeypatch, values, vectors):
+        import magnodal.transversality as transversality
+
+        monkeypatch.setattr(transversality, "eigh",
+                            lambda h: EigenSystem(values, vectors))
+
+    def test_wrong_vector_is_named(self, monkeypatch):
         h, k = two_triangle_join()
         es = eigh(h)
         vectors = np.array(es.vectors)
         vectors[:, k] = np.roll(vectors[:, k], 1)
+        self.solving(monkeypatch, es.values, vectors)
         with pytest.raises(InternalCrossCheckError,
                            match=r"eigenvector residual \d\.\d{3}e[+-]\d+ "
                                  r"exceeds the cluster budget"):
-            eigenspace_basis(h, k, es=EigenSystem(es.values, vectors))
+            eigenspace_basis(h, k)
 
-    def test_first_failing_column_is_reported(self):
+    def test_first_failing_column_is_reported(self, monkeypatch):
         h, k = two_triangle_join()
         es = eigh(h)
         vectors = np.array(es.vectors)
@@ -362,9 +351,10 @@ class TestResidualCheck:
         lam = float(np.mean(es.values[k - 1:k + 1]))
         first = np.linalg.norm(dense @ vectors[:, k - 1]
                                - lam * vectors[:, k - 1])
+        self.solving(monkeypatch, es.values, vectors)
         with pytest.raises(InternalCrossCheckError,
                            match=re.escape(f"residual {first:.3e} exceeds")):
-            eigenspace_basis(h, k, es=EigenSystem(es.values, vectors))
+            eigenspace_basis(h, k)
 
 
 class TestCutsReadAtCallTime:

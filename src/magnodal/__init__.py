@@ -76,7 +76,6 @@ from .nodal import (
     nodal_count,
     nodal_surplus,
     normalized_distribution,
-    surplus_distribution,
 )
 from .morse import (
     CriticalPointReport,
@@ -85,7 +84,6 @@ from .morse import (
     critical_scan,
     eigenvalue_gradient,
     hessian_eigenvalue,
-    hessian_frozen_form,
     is_critical,
     morse_index,
     verify_index_equals_surplus,

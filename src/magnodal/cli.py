@@ -46,7 +46,7 @@ from .families import (
 )
 from .graphs import betti_number, graph_from_json
 from .linkage import analyze_exceptional, build_exceptional_fixture
-from .morse import TorusPoint, critical_scan, verify_index_equals_surplus
+from .morse import critical_scan, verify_index_equals_surplus
 from .nodal import (
     PRODUCT_DEGENERATE_TOL,
     PRODUCT_REAL_TOL,
@@ -390,18 +390,16 @@ def cmd_linkage_analyze(args) -> None:
         if any(x is not None for x in (args.op, args.k, args.graph)):
             raise _UsageError("--emit-fixture excludes --op, --k and --graph")
         fx = build_exceptional_fixture(args.emit_fixture, seed=args.seed)
-        point, k = fx.point, fx.k
+        h, k = fx.point.operator(), fx.k
         if args.out:
-            write_json(_stem(args.out) + ".fixture.json",
-                       operator_to_json(point.operator()))
+            write_json(_stem(args.out) + ".fixture.json", operator_to_json(h))
     else:
         if not args.op:
             raise _UsageError("linkage-analyze needs --op or --emit-fixture")
         if args.k is None:
             raise _UsageError("linkage-analyze needs --k")
-        h = _load_operator(args)
-        point, k = TorusPoint.from_operator(h), args.k
-    analysis = analyze_exceptional(point, k,
+        h, k = _load_operator(args), args.k
+    analysis = analyze_exceptional(h, k,
                                    tol_degeneracy=args.tol_degeneracy,
                                    tol_vanish=args.tol_vanish,
                                    seed=args.seed)

@@ -237,23 +237,25 @@ class ExceptionalAnalysis:
     manifold_samples_checked: int
 
 
-def analyze_exceptional(p: TorusPoint, k: int, *,
+def analyze_exceptional(h: SupportedMatrix, k: int, *,
                         tol_degeneracy: float = DEGENERACY_TOL,
                         tol_vanish: float = VANISH_TOL,
                         seed: int = 0) -> ExceptionalAnalysis:
-    """Analyze a critical point vanishing at exactly one vertex.
+    """Analyze the operator ``h`` at a critical point of its k-th
+    eigenvalue whose eigenvector vanishes at exactly one vertex.
 
-    Verifies the three hypotheses (simple eigenvalue of the reduced
-    block, generic bar lengths, a shift coefficient beyond
-    ``SHIFT_COEFF_TOL``, checked also at ``MANIFOLD_SAMPLES`` points of
-    the critical manifold), predicts the critical manifold dimension
-    and Morse-Bott index from the linkage data, and cross-checks both
-    against the numerical eigenvalue Hessian, whose nullity is cut at
-    ``morse.RANK_TOL``, read when it runs.  Any mismatch between
-    prediction and numerics raises, as does a point outside the
-    analyzer's scope (no vanishing vertex, or more than one).
+    ``h`` is read as given, real or complex; a ``TorusPoint`` passes
+    its ``operator()``.  Verifies the three hypotheses (simple
+    eigenvalue of the reduced block, generic bar lengths, a shift
+    coefficient beyond ``SHIFT_COEFF_TOL``, checked also at
+    ``MANIFOLD_SAMPLES`` points of the critical manifold), predicts the
+    critical manifold dimension and Morse-Bott index from the linkage
+    data, and cross-checks both against the numerical eigenvalue
+    Hessian, whose nullity is cut at ``morse.RANK_TOL``, read when it
+    runs.  Any mismatch between prediction and numerics raises, as does
+    a point outside the analyzer's scope (no vanishing vertex, or more
+    than one).
     """
-    h = p.operator()
     es = eigh(h)
     try:
         s, checks = _checked(h, k, es, tol_degeneracy=tol_degeneracy,
@@ -288,7 +290,7 @@ def analyze_exceptional(p: TorusPoint, k: int, *,
     rotated = gauge_transform(GaugePhase(phases), h)
     w = (v * np.exp(-1j * phases)).real
 
-    g = p.graph
+    g = h.graph
     neighbors = np.array(g.adjacency[v0])
     if len(neighbors) < 3:
         raise AdmissibilityError(

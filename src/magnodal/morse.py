@@ -55,7 +55,6 @@ from .errors import (
     GraphMismatchError,
     InternalCrossCheckError,
     NonSimpleEigenvalueError,
-    NotCriticalError,
     VanishingEigenvectorError,
 )
 from .graphs import Graph, OneForm, SpanningForest, num_components
@@ -256,45 +255,6 @@ def _check_symmetry(graph: Graph, offdiag: np.ndarray, products: np.ndarray,
             "critical point with a simple eigenvalue and nowhere-"
             "vanishing eigenvector must be phase-equivalent to a real "
             "matrix, but the cycle fluxes are not multiples of pi")
-
-
-@dataclass(frozen=True, eq=False)
-class FrozenFormHessian:
-    """Hessian blocks of the frozen-eigenvector quadratic form.
-
-    The form evaluates the operator at perturbed angles against the
-    unperturbed eigenvector.  Its Hessian splits into a diagonal edge
-    block and a vertex-phase block; the edge block's negative entries
-    reproduce the nodal count and the phase block's negative eigenvalue
-    count reproduces ``k - 1``.
-    """
-
-    edge_diag: np.ndarray
-    gauge_block: np.ndarray
-
-    @property
-    def edge_block_index(self) -> int:
-        return int(np.count_nonzero(self.edge_diag < 0.0))
-
-    def gauge_block_index(self) -> int:
-        return morse_index(self.gauge_block, RANK_TOL)[0]
-
-
-def hessian_frozen_form(p: TorusPoint, k: int) -> FrozenFormHessian:
-    """Both Hessian blocks of the frozen form at a critical point."""
-    h = p.operator()
-    s, checks = _checked(h, k)
-    if not checks.flat[0, k - 1]:
-        raise NotCriticalError(
-            f"edge products have imaginary part "
-            f"{np.max(np.abs(s.products.imag)):.3e}; the frozen-form "
-            f"Hessian needs a critical point")
-    v = s.vectors[0, :, k - 1]
-    dense = h.to_dense() - float(s.values[0, k - 1]) * np.eye(h.graph.n)
-    block = np.conj(v)[:, None] * dense * v[None, :]
-    gauge_block = 2.0 * block.real
-    gauge_block = 0.5 * (gauge_block + gauge_block.T)
-    return FrozenFormHessian(-2.0 * s.products[0].real, gauge_block)
 
 
 def hessian_eigenvalue(p: TorusPoint, k: int) -> np.ndarray:
@@ -772,15 +732,15 @@ def _skip_reason(exc: AdmissibilityError) -> str:
 
 def verify_index_equals_surplus(h: SupportedMatrix, *,
                                 tol_degeneracy: float = DEGENERACY_TOL,
-                                tol_vanish: float = VANISH_TOL,
-                                rank_tol: float = RANK_TOL
+                                tol_vanish: float = VANISH_TOL
                                 ) -> IndexSurplusTable:
     """Check Morse index equals nodal surplus over all symmetry classes.
 
     Every switching class is represented by the gauge-slice point with
     coordinates in {0, pi}.  For each admissible pair (class, k) the
-    eigenvalue Hessian must be nondegenerate with index equal to the
-    nodal surplus; a violation raises, at the first failing pair in
+    eigenvalue Hessian must be nondegenerate, its nullity cut at
+    ``RANK_TOL``, read when it runs, with index equal to the nodal
+    surplus; a violation raises, at the first failing pair in
     class-major order, ``InternalCrossCheckError`` on a connected graph
     and ``AdmissibilityError`` on a disconnected one, where the identity
     is no theorem.  Inadmissible pairs are recorded as skipped with the
@@ -819,7 +779,7 @@ def verify_index_equals_surplus(h: SupportedMatrix, *,
         if hessians:
             # k-major, as the stacks; the transposed masks keep that order
             _, index.T[admissible.T], nullity.T[admissible.T] = \
-                _morse_indices(np.concatenate(hessians), rank_tol)
+                _morse_indices(np.concatenate(hessians), RANK_TOL)
         wrong = admissible & ((nullity != 0) | (index != surplus))
         if np.any(wrong):
             c, j = np.unravel_index(np.argmax(wrong), wrong.shape)

@@ -381,19 +381,6 @@ def position_checks(graph: Graph, offdiag: np.ndarray, values: np.ndarray,
                          scale, graph, **tols)
 
 
-def surplus_distribution(h: SupportedMatrix, **kwargs) -> SurplusDistribution:
-    """Surplus histogram over all eigenvalue positions of one matrix; the
-    first failing position raises its error."""
-    es = eigh(h)
-    checks = position_checks(h.graph, h.offdiag[None], es.values[None],
-                             es.vectors[None], h.norm_fro, **kwargs)
-    if checks.failed.any():
-        raise checks.error(0, int(np.argmax(checks.failed[0])))
-    beta = betti_number(h.graph)
-    return SurplusDistribution(
-        beta, np.bincount(checks.surplus[0], minlength=beta + 1), h.graph.n)
-
-
 #: Classes per block of ``_class_blocks``: it holds ``SWEEP_CHUNK * n * n``
 #: floats of matrices and as many of eigenvectors, so it stays small.
 SWEEP_CHUNK = 256

@@ -10,7 +10,10 @@ so it stays independent of the forest-gauge rows that
 ``gauge_classes_of_signings`` builds from the class ids.
 ``enumerate_signings`` streams those signings as matrices, and
 ``eigenvalue_at``, ``gradient_fd`` and ``hessian_eigenvalue_fd`` are
-the finite-difference oracles for the analytic Morse derivatives.
+the finite-difference oracles for the analytic Morse derivatives, and
+``frozen_form_indices`` gives the two block indices of the
+frozen-eigenvector form, the nodal count and ``k - 1``, from
+``np.linalg.eigh``.
 ``cycle_basis_by_lca`` is the fundamental-cycle oracle: it walks each
 cycle through the lowest common ancestor, independent of the root
 paths in ``graphs``.  ``cycle_basis_by_loop`` builds the same cycles
@@ -111,9 +114,9 @@ from magnodal.errors import SchemaError
 from magnodal.graphs import (Graph, betti_number, graph_from_json,
                              num_components)
 from magnodal.linkage import GENERICITY_TOL, LENGTH_CAP
-from magnodal.morse import (TWO_PI, CriticalityReport, CriticalPointReport,
-                            TorusPoint, _check_symmetry, _hessian,
-                            morse_index)
+from magnodal.morse import (RANK_TOL, TWO_PI, CriticalityReport,
+                            CriticalPointReport, TorusPoint, _check_symmetry,
+                            _hessian, morse_index)
 from magnodal.nodal import (PRODUCT_DEGENERATE_TOL, PRODUCT_REAL_TOL, _Solves,
                             _StackChecks, edge_products)
 from magnodal.operators import SupportedMatrix, signs_for_index
@@ -277,6 +280,23 @@ def hessian_eigenvalue_fd(p: TorusPoint, k: int, *,
                 value(ei + ej) - value(ei - ej) - value(-ei + ej)
                 + value(-ei - ej)) / (4.0 * step ** 2)
     return H
+
+
+def frozen_form_indices(h: SupportedMatrix, k: int) -> tuple[int, int]:
+    """Indices of the two Hessian blocks of the frozen-eigenvector form
+    of ``h`` at its k-th eigenpair, from ``np.linalg.eigh``: the negative
+    entries of the diagonal edge block ``-2 Re(conj(v_r) h_rs v_s)``, and
+    the negative eigenvalues, beyond ``RANK_TOL`` times the largest
+    modulus, of the vertex-phase block ``2 Re(conj(v) (h - lambda) v)``."""
+    dense = h.to_dense()
+    values, vectors = np.linalg.eigh(dense)
+    v = vectors[:, k - 1]
+    shifted = dense - values[k - 1] * np.eye(h.graph.n)
+    block = np.conj(v)[:, None] * shifted * v[None, :]
+    r, s = h.graph.endpoints.T
+    w = np.linalg.eigvalsh(2.0 * block.real)
+    return (int(np.count_nonzero(-2.0 * block[r, s].real < 0.0)),
+            int(np.count_nonzero(w < -RANK_TOL * np.max(np.abs(w)))))
 
 
 def cycle_basis_by_lca(g: Graph, forest, parent

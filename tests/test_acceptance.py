@@ -301,7 +301,7 @@ def test_criterion_08_exceptional_analysis():
     failures = []
     for degree in (3, 4, 5):
         fx = build_exceptional_fixture(degree, seed=0)
-        an = analyze_exceptional(fx.point, fx.k)
+        an = analyze_exceptional(fx.point.operator(), fx.k)
         if an.hessian_nullity != degree - 3:
             failures.append(f"d={degree}: nullity {an.hessian_nullity}")
         if an.manifold_dimension != degree - 3:

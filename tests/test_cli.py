@@ -18,6 +18,7 @@ from magnodal.families import (
     path_graph,
     random_connected_graph,
     random_operator,
+    star_graph,
     strong_diagonal_fixture,
     two_triangle_join,
 )
@@ -156,6 +157,23 @@ class TestNodalDist:
         assert payload["surplus_histogram"] == [1, 0]
         statuses = [r["status"] for r in payload["rows"]]
         assert statuses == ["ok", "inadmissible", "inadmissible"]
+
+    def test_tree_histogram_concentrates_at_zero(self, tmp_path, capsys):
+        h = random_operator(star_graph(3), np.random.default_rng(7))
+        code, out, _ = run(capsys, ["nodal-dist", "--op",
+                                    write_op(tmp_path, h)])
+        payload = json.loads(out)
+        assert (code, payload["betti"]) == (0, 0)
+        assert payload["surplus_histogram"] == [4]
+        assert payload["admissible"] == 4
+
+    def test_triangle_histogram(self, tmp_path, capsys):
+        code, out, _ = run(capsys, ["nodal-dist", "--op",
+                                    write_op(tmp_path, triangle_op())])
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["surplus_histogram"] == [2, 1]
+        assert payload["admissible"] == 3
 
     def test_single_position_degenerate_exits_2(self, tmp_path, capsys):
         g = cycle_graph(3)
@@ -862,6 +880,23 @@ class TestLinkageAnalyze:
         assert again["vanishing_vertex"] == 0
         assert again["manifold_dimension"] == 0
         assert again["predicted_index"] == payload["predicted_index"]
+
+    @pytest.mark.parametrize("degree", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_reanalysis_reproduces_the_emitted_run(self, tmp_path, capsys,
+                                                   degree, seed):
+        """``--op`` analyzes the operator in the file as read: the
+        re-analysis of an emitted fixture prints the emitted run's
+        stdout and stderr byte for byte, float fields included."""
+        stem = str(tmp_path / "link")
+        emitted = run(capsys, ["linkage-analyze", "--emit-fixture",
+                               str(degree), "--seed", str(seed),
+                               "--out", stem])
+        assert emitted[0] == 0
+        k = json.loads(emitted[1])["k"]
+        assert run(capsys, ["linkage-analyze", "--op",
+                            stem + ".fixture.json", "--k", str(k),
+                            "--seed", str(seed)]) == emitted
 
     def test_builds_no_cycle_basis(self, capsys, monkeypatch):
         # the Hessian's chart is the forest's non-forest positions; no

@@ -352,7 +352,7 @@ class TestBuildFixture:
 class TestAnalyzeExceptional:
     def test_degree_three_isolated(self):
         fx = build_exceptional_fixture(3, seed=0)
-        an = analyze_exceptional(fx.point, fx.k)
+        an = analyze_exceptional(fx.point.operator(), fx.k)
         assert an.vanishing_vertex == 0
         assert an.manifold_dimension == 0
         assert an.hessian_nullity == 0
@@ -365,7 +365,7 @@ class TestAnalyzeExceptional:
 
     def test_degree_four_curve(self):
         fx = build_exceptional_fixture(4, seed=0)
-        an = analyze_exceptional(fx.point, fx.k)
+        an = analyze_exceptional(fx.point.operator(), fx.k)
         assert an.manifold_dimension == 1
         assert an.hessian_nullity == 1
         assert an.hessian_index == an.morse_index_predicted
@@ -374,7 +374,7 @@ class TestAnalyzeExceptional:
 
     def test_degree_five_surface(self):
         fx = build_exceptional_fixture(5, seed=0)
-        an = analyze_exceptional(fx.point, fx.k)
+        an = analyze_exceptional(fx.point.operator(), fx.k)
         assert an.manifold_dimension == 2
         assert an.hessian_nullity == 2
         assert an.hessian_index == an.morse_index_predicted
@@ -382,8 +382,8 @@ class TestAnalyzeExceptional:
 
     def test_conjugate_point_agrees(self):
         fx = build_exceptional_fixture(3, seed=0)
-        an = analyze_exceptional(fx.point, fx.k)
-        cn = analyze_exceptional(fx.point.conjugate(), fx.k)
+        an = analyze_exceptional(fx.point.operator(), fx.k)
+        cn = analyze_exceptional(fx.point.conjugate().operator(), fx.k)
         assert cn.hessian_index == an.hessian_index
         assert cn.manifold_dimension == an.manifold_dimension
         assert cn.shift_coefficient == pytest.approx(an.shift_coefficient,
@@ -392,29 +392,26 @@ class TestAnalyzeExceptional:
     def test_low_degree_vanishing_rejected(self):
         g = path_graph(3)
         h = SupportedMatrix(g, np.zeros(3), -np.ones(2, dtype=np.complex128))
-        p = TorusPoint.from_operator(h)
         with pytest.raises(AdmissibilityError) as err:
-            analyze_exceptional(p, 2)
+            analyze_exceptional(h, 2)
         assert "degree" in str(err.value)
 
     def test_nowhere_vanishing_rejected(self):
         h = strong_diagonal_fixture(cycle_graph(3))
-        p = TorusPoint.from_operator(h)
         with pytest.raises(VanishingEigenvectorError):
-            analyze_exceptional(p, 1)
+            analyze_exceptional(h, 1)
 
     def test_noncritical_rejected(self):
         h = abs_part(strong_diagonal_fixture(cycle_graph(3)))
         p = TorusPoint(h, np.array([0.8, 0.0, 0.0]))
         with pytest.raises(NotCriticalError):
-            analyze_exceptional(p, 1)
+            analyze_exceptional(p.operator(), 1)
 
     def test_degenerate_eigenvalue_rejected(self):
         g = cycle_graph(3)
         h = SupportedMatrix(g, np.zeros(3), -np.ones(3, dtype=np.complex128))
-        p = TorusPoint.from_operator(h)
         with pytest.raises(LinkageHypothesisError) as err:
-            analyze_exceptional(p, 2)
+            analyze_exceptional(h, 2)
         assert err.value.hypothesis == 1
 
     @pytest.mark.parametrize("degree", [3, 4, 5, 6])
@@ -425,11 +422,10 @@ class TestAnalyzeExceptional:
         conjugated, and changes nothing but its label."""
         fx = build_exceptional_fixture(degree, seed=seed)
         h = fx.point.operator()
-        want = analyze_exceptional(TorusPoint.from_operator(h), fx.k)
+        want = analyze_exceptional(h, fx.k)
         for v0 in ((degree + 1) // 2, degree):
             perm = (np.arange(degree + 1) + v0) % (degree + 1)
-            got = analyze_exceptional(
-                TorusPoint.from_operator(relabelled(h, perm)), fx.k)
+            got = analyze_exceptional(relabelled(h, perm), fx.k)
             assert got.vanishing_vertex == v0
             for name in ("k_reduced", "manifold_dimension",
                          "surplus_reduced", "morse_index_predicted",
@@ -456,7 +452,7 @@ class TestAnalyzeExceptional:
 
         monkeypatch.setattr(linkage, "is_generic", counting)
         for fx in fixtures:
-            analyze_exceptional(fx.point, fx.k)
+            analyze_exceptional(fx.point.operator(), fx.k)
         assert calls == len(fixtures)
 
     def test_nongeneric_lengths_fail_hypothesis_two(self, monkeypatch):
@@ -465,7 +461,7 @@ class TestAnalyzeExceptional:
         fx = build_exceptional_fixture(3, seed=0)
         monkeypatch.setattr(linkage, "is_generic", lambda lengths: False)
         with pytest.raises(LinkageHypothesisError) as err:
-            analyze_exceptional(fx.point, fx.k)
+            analyze_exceptional(fx.point.operator(), fx.k)
         assert err.value.hypothesis == 2
 
     def test_manifold_samples_match_scalar_sampler(self, monkeypatch):
@@ -507,7 +503,7 @@ class TestAnalyzeExceptional:
         for degree in (4, 5, 6):
             for seed in (0, 1):
                 fx = build_exceptional_fixture(degree, seed=seed)
-                analyze_exceptional(fx.point, fx.k, seed=seed)
+                analyze_exceptional(fx.point.operator(), fx.k, seed=seed)
         for seed in (0, 1):
             h = random_operator(complete_graph(5),
                                 np.random.default_rng(seed))
@@ -518,7 +514,7 @@ class TestAnalyzeExceptional:
                         continue
                     p = TorusPoint.from_coords(base, np.array(r.coords))
                     try:
-                        analyze_exceptional(p, k)
+                        analyze_exceptional(p.operator(), k)
                     except (LinkageHypothesisError, AdmissibilityError,
                             VanishingEigenvectorError):
                         pass
@@ -535,7 +531,7 @@ class TestAnalyzeExceptional:
                 continue
             p = TorusPoint.from_coords(base, np.array(r.coords))
             try:
-                analyze_exceptional(p, 2)
+                analyze_exceptional(p.operator(), 2)
             except LinkageHypothesisError as exc:
                 err = exc
                 break
@@ -556,15 +552,15 @@ class TestCutsReadAtCallTime:
     def test_manifold_sample_count(self, monkeypatch):
         fx = build_exceptional_fixture(4, seed=0)
         monkeypatch.setattr(linkage, "MANIFOLD_SAMPLES", 1)
-        assert analyze_exceptional(fx.point, fx.k).manifold_samples_checked \
-            == 1
+        an = analyze_exceptional(fx.point.operator(), fx.k)
+        assert an.manifold_samples_checked == 1
 
     def test_shift_coefficient_cut(self, monkeypatch):
         # the builder reads the cut too, so the fixture comes first
         fx = build_exceptional_fixture(3, seed=0)
         monkeypatch.setattr(linkage, "SHIFT_COEFF_TOL", 1e6)
         with pytest.raises(LinkageHypothesisError) as err:
-            analyze_exceptional(fx.point, fx.k)
+            analyze_exceptional(fx.point.operator(), fx.k)
         assert err.value.hypothesis == 3
 
     def test_genericity_cut_and_cap(self, monkeypatch):
@@ -585,7 +581,7 @@ class TestCutsReadAtCallTime:
         fx = build_exceptional_fixture(4, seed=0)
         monkeypatch.setattr(morse, "RANK_TOL", 1.0)
         with pytest.raises(InternalCrossCheckError, match="nullity"):
-            analyze_exceptional(fx.point, fx.k)
+            analyze_exceptional(fx.point.operator(), fx.k)
 
     def test_fixture_attempts(self, monkeypatch):
         monkeypatch.setattr(linkage, "FIXTURE_ATTEMPTS", 0)

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (custom_forest, eigenvalue_at, gradient_fd,
-                      hessian_eigenvalue_fd, pseudo_inverse_apply, same_bits,
-                      scalar_nodal_surplus, scalar_report, small_graphs)
+from conftest import (custom_forest, eigenvalue_at, frozen_form_indices,
+                      gradient_fd, hessian_eigenvalue_fd,
+                      pseudo_inverse_apply, same_bits, scalar_nodal_surplus,
+                      scalar_report, small_graphs)
 from test_nodal import COARSE_TOLERANCES
 from magnodal.errors import (
     AdmissibilityError,
     InternalCrossCheckError,
     NonSimpleEigenvalueError,
-    NotCriticalError,
     NotProperlySupportedError,
 )
 from magnodal.families import (
@@ -37,7 +37,6 @@ from magnodal.morse import (
     eigenvalue_gradient,
     gradient_coords,
     hessian_eigenvalue,
-    hessian_frozen_form,
     is_critical,
     morse_index,
     verify_index_equals_surplus,
@@ -231,29 +230,22 @@ class TestIsCritical:
 
 
 class TestFrozenForm:
+    """The frozen-eigenvector form's two blocks, by conftest's
+    ``frozen_form_indices``: the edge block's negative entries count the
+    nodal edges, and the vertex-phase block has index ``k - 1``."""
+
     def test_two_vertex_blocks(self):
         g = path_graph(2)
         h = SupportedMatrix(g, np.array([0.2, 0.9]),
                             np.array([-1.1], dtype=np.complex128))
-        p = TorusPoint.from_operator(h)
         for k in (1, 2):
-            ff = hessian_frozen_form(p, k)
-            assert ff.edge_block_index == nodal_count(h, k)
-            assert ff.gauge_block_index() == k - 1
+            assert frozen_form_indices(h, k) == (nodal_count(h, k), k - 1)
 
     def test_triangle_blocks(self):
         h = triangle_base()
-        p = TorusPoint.from_operator(h)
         for k, count in ((1, 0), (2, 2), (3, 2)):
-            ff = hessian_frozen_form(p, k)
-            assert ff.edge_block_index == count
-            assert ff.gauge_block_index() == k - 1
-
-    def test_needs_critical_point(self):
-        h = abs_part(triangle_base())
-        p = TorusPoint(h, np.array([1.2, 0.0, 0.0]))
-        with pytest.raises(NotCriticalError):
-            hessian_frozen_form(p, 1)
+            assert nodal_count(h, k) == count
+            assert frozen_form_indices(h, k) == (count, k - 1)
 
 
 class TestHessian:
@@ -1339,10 +1331,15 @@ class TestVerifyIndexSurplus:
         assert str(err.value) == ("Morse index 1 differs from nodal surplus "
                                   "2 at class (0, 0, 0), k=2")
 
-    def test_degenerate_hessian_message(self):
+    def test_degenerate_hessian_message(self, monkeypatch):
+        """The nullity cut is ``morse.RANK_TOL``, read when the check
+        runs: at 1 every Hessian eigenvalue is a nullity."""
+        import magnodal.morse as morse
+
+        monkeypatch.setattr(morse, "RANK_TOL", 1.0)
         with pytest.raises(InternalCrossCheckError) as err:
             verify_index_equals_surplus(
-                strong_diagonal_fixture(complete_graph(4)), rank_tol=1.0)
+                strong_diagonal_fixture(complete_graph(4)))
         assert str(err.value) == (
             "Hessian at class (0, 0, 0), k=1 is degenerate (nullity 3); the "
             "index comparison needs a nondegenerate critical point")
@@ -1547,7 +1544,7 @@ class TestClassBlocks:
 
 class TestCutsReadAtCallTime:
     """The Hessian-nullity cut is ``morse.RANK_TOL``, read when a scan
-    or a frozen form runs, not bound when the module loads."""
+    runs, not bound when the module loads."""
 
     def test_scan_reads_the_rank_tolerance(self, monkeypatch):
         import magnodal.morse as morse
@@ -1556,11 +1553,3 @@ class TestCutsReadAtCallTime:
         monkeypatch.setattr(morse, "RANK_TOL", 1.0)
         reports = critical_scan(h, 2, starts=0).reports
         assert reports and {r.nullity for r in reports} == {3}
-
-    def test_gauge_block_reads_the_rank_tolerance(self, monkeypatch):
-        import magnodal.morse as morse
-
-        ff = hessian_frozen_form(TorusPoint.from_operator(triangle_base()), 3)
-        assert ff.gauge_block_index() == 2
-        monkeypatch.setattr(morse, "RANK_TOL", 1.0)
-        assert ff.gauge_block_index() == 0

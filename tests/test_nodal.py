@@ -14,11 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (classes_by_enumeration, complex_products,
-                      enumerate_signings, last_axis_products,
-                      multiplicity_by_walk, reduction_checks, referee_nodal,
-                      same_bits,
+                      last_axis_products, multiplicity_by_walk,
+                      reduction_checks, referee_nodal, same_bits,
                       scalar_nodal_count, scalar_nodal_surplus,
-                      signing_histogram, small_graphs)
+                      signing_histogram, signs_of, small_graphs)
 import magnodal
 import magnodal.morse as morse
 import magnodal.nodal as nodal
@@ -56,7 +55,6 @@ from magnodal.morse import (
     eigenvalue_gradient,
     gradient_coords,
     hessian_eigenvalue,
-    hessian_frozen_form,
     is_critical,
     verify_index_equals_surplus,
 )
@@ -70,7 +68,6 @@ from magnodal.nodal import (
     nodal_count,
     nodal_surplus,
     normalized_distribution,
-    surplus_distribution,
 )
 from magnodal.operators import (
     GaugePhase,
@@ -266,14 +263,14 @@ class TestNodalCountErrors:
 @pytest.mark.parametrize("k", [0, -1, 5])
 @pytest.mark.parametrize("func", [
     nodal_count, nodal_surplus, eigenvalue_gradient, gradient_coords,
-    hessian_eigenvalue, hessian_frozen_form, is_critical,
-    analyze_exceptional], ids=lambda f: f.__name__)
+    hessian_eigenvalue, is_critical, analyze_exceptional],
+    ids=lambda f: f.__name__)
 def test_single_point_functions_reject_k_outside_range(func, k):
     """A position outside 1..n raises ValueError before anything is read
     at it: k = 0 and -1 would index lambda_n and k = n + 1 run past the
     spectrum."""
     h = strong_diagonal_fixture(complete_graph(4))
-    arg = h if func in (nodal_count, nodal_surplus) \
+    arg = h if func in (nodal_count, nodal_surplus, analyze_exceptional) \
         else TorusPoint.from_operator(h)
     with pytest.raises(ValueError, match=rf"k={k} outside 1\.\.4"):
         func(arg, k)
@@ -311,43 +308,6 @@ class TestSurplusDistributionClass:
             d.counts[0] = 5
 
 
-class TestSingleMatrixDistribution:
-    def test_tree_concentrates_at_zero(self):
-        rng = np.random.default_rng(7)
-        h = random_operator(star_graph(3), rng)
-        d = surplus_distribution(h)
-        assert d.betti == 0 and d.counts.tolist() == [4]
-
-    def test_triangle(self):
-        d = surplus_distribution(triangle_op())
-        assert d.counts.tolist() == [2, 1]
-        assert d.n_samples == 3
-
-    def test_one_kernel_call_decides_every_position(self, monkeypatch):
-        """One kernel call per operator, on a stack of one at every
-        position; the first failing position raises the error
-        ``nodal_count`` raises there."""
-        stacks = []  # (rows, positions) of each kernel call's products
-        inner = nodal._stack_checks
-
-        def counting(*args, **kwargs):
-            stacks.append(args[2].shape[:2])
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(nodal, "_stack_checks", counting)
-        d = surplus_distribution(strong_diagonal_fixture(complete_graph(5)))
-        assert d.n_samples == 5 and stacks == [(1, 5)]
-        zero = SupportedMatrix(cycle_graph(3), np.zeros(3),
-                               -np.ones(3, dtype=np.complex128))
-        with pytest.raises(NonSimpleEigenvalueError) as err:
-            surplus_distribution(zero)
-        assert stacks[1:] == [(1, 3)]
-        monkeypatch.undo()
-        with pytest.raises(NonSimpleEigenvalueError) as want:
-            nodal_count(zero, 2)
-        assert error_fields(err.value) == error_fields(want.value)
-
-
 class TestAveragedDistribution:
     def test_triangle_binomial_exact(self):
         h = strong_diagonal_fixture(complete_graph(3))
@@ -371,10 +331,11 @@ class TestAveragedDistribution:
         assert not {"coeffs", "up"} & h.graph.spanning_forest.__dict__.keys()
 
     def test_class_weighted_agrees_with_full(self):
-        # every one of the 2^6 signings, each solved on its own
+        # every one of the 2^6 signings, each solved and counted on its
+        # own by the scalar oracle
         h = strong_diagonal_fixture(complete_graph(4))
-        full = sum(surplus_distribution(hs).counts
-                   for hs in enumerate_signings(h))
+        full = sum(signing_histogram(h, signs_of(i, 6), {})
+                   for i in range(2 ** 6))
         classed = average_surplus_distribution(h)
         assert classed.counts.tolist() == full.tolist()
         assert classed.n_samples == 2 ** 6 * 4
@@ -751,28 +712,43 @@ class TestSweepAgainstScalarOracle:
         assert calls <= -(-(2 ** 6) // nodal.SWEEP_CHUNK)  # 2^beta classes
 
 
+def census_probe(beta: int) -> SupportedMatrix:
+    """The surplus probe on a complete-minus-matching graph of ``beta``,
+    graph and operator drawn from one ``default_rng(0)``."""
+    rng = np.random.default_rng(0)
+    g = complete_minus_matching(*matching_family_for_betti(beta), rng=rng)
+    return surplus_probe_operator(g, rng)
+
+
+def census_random() -> SupportedMatrix:
+    """A random operator on 8 vertices and 14 edges, graph and operator
+    drawn from one ``default_rng(0)``."""
+    rng = np.random.default_rng(0)
+    return random_operator(random_connected_graph(8, 14, rng), rng)
+
+
 def referee_operators() -> dict[str, SupportedMatrix]:
     """Strong-diagonal K4 and K5, and surplus-probe operators on
-    complete-minus-matching graphs of beta 4 and 5."""
+    complete-minus-matching graphs of beta 4 and 5; and the census
+    operators: the probe at beta 6 (n = 5, 320 pairs) and the random
+    operator on 8 vertices (beta 7, 1024 pairs)."""
     rng = np.random.default_rng(28)
     ops = {"strong-K4": strong_diagonal_fixture(complete_graph(4)),
            "strong-K5": strong_diagonal_fixture(complete_graph(5))}
     for beta in (4, 5):
         g = complete_minus_matching(*matching_family_for_betti(beta), rng=rng)
         ops[f"probe-cmm-beta{beta}"] = surplus_probe_operator(g, rng)
+    ops["census-probe-beta6"] = census_probe(6)
+    ops["census-random-n8-m14"] = census_random()
     return ops
 
 
 REFEREE_OPERATORS = referee_operators()
 
 
-@pytest.mark.parametrize("name", sorted(REFEREE_OPERATORS))
-def test_class_sum_matches_the_fifty_digit_referee(monkeypatch, name):
-    """Every surplus the class sum admits is the 50-digit referee's
-    surplus of that class's representative, at every k, and the
-    histogram counts the referee's surpluses of the admitted classes."""
-    h = REFEREE_OPERATORS[name]
-    beta = betti_number(h.graph)
+def recorded_class_sum(monkeypatch, h: SupportedMatrix):
+    """The class sum of ``h``, skipping inadmissible classes, with the
+    edge entries and checks of each block it walked."""
     blocks = []
     inner = nodal.position_checks
 
@@ -781,8 +757,20 @@ def test_class_sum_matches_the_fifty_digit_referee(monkeypatch, name):
         blocks.append((offdiag, checks))
         return checks
 
-    monkeypatch.setattr(nodal, "position_checks", recording)
-    d = average_surplus_distribution(h, skip_inadmissible=True)
+    with monkeypatch.context() as m:
+        m.setattr(nodal, "position_checks", recording)
+        d = average_surplus_distribution(h, skip_inadmissible=True)
+    return d, blocks
+
+
+@pytest.mark.parametrize("name", sorted(REFEREE_OPERATORS))
+def test_class_sum_matches_the_fifty_digit_referee(monkeypatch, name):
+    """The class sum admits every (class, k), each surplus the 50-digit
+    referee's surplus of that class's representative, and the histogram
+    counts the referee's surpluses."""
+    h = REFEREE_OPERATORS[name]
+    beta = betti_number(h.graph)
+    d, blocks = recorded_class_sum(monkeypatch, h)
     expected = np.zeros(beta + 1, dtype=np.int64)
     solved = admitted = 0
     for offdiag, checks in blocks:
@@ -791,13 +779,37 @@ def test_class_sum_matches_the_fifty_digit_referee(monkeypatch, name):
             ref = referee_nodal(SupportedMatrix(h.graph, h.diag, row))
             ks = np.flatnonzero(~failed)
             assert surplus[ks].tolist() == [ref.surplus[k] for k in ks]
-            if not failed.any():
-                expected += np.bincount(ref.surplus, minlength=beta + 1)
+            expected += np.bincount(ref.surplus, minlength=beta + 1)
             solved += 1
             admitted += len(ks)
-    assert solved == 2 ** beta and admitted > 0
+    assert solved == 2 ** beta and admitted == h.graph.n * 2 ** beta
     assert d.counts.tolist() == (expected * 2 ** (h.graph.num_edges - beta)
                                  ).tolist()
+
+
+def test_census_beta14_probe_rejects_one_class_the_referee_signs(
+        monkeypatch):
+    """The beta-14 probe rejects 1 of its 16384 classes, at k = 4, where
+    the product cut (1e-12 of the norm) refuses edge (1, 5) with
+    |product| / ||h||_F = 7.5e-13.  Every float64 edge-product sign at
+    that k is the referee's: the fixed cut rejects a resolved sign."""
+    h = census_probe(14)
+    d, blocks = recorded_class_sum(monkeypatch, h)
+    assert d.skipped == 2 ** (h.graph.num_edges - 14)
+    rejected = [(offdiag[i], checks, i) for offdiag, checks in blocks
+                for i in np.flatnonzero(checks.failed.any(axis=1))]
+    assert sum(len(offdiag) for offdiag, _ in blocks) == 2 ** 14
+    assert len(rejected) == 1
+    row, checks, i = rejected[0]
+    assert np.flatnonzero(checks.failed[i]).tolist() == [3]
+    error = checks.error(i, 3)
+    assert isinstance(error, DegenerateEdgeProductError)
+    assert list(error.edges) == [(1, 5)]
+    product = checks.products[i, 3, h.graph.edge_index[(1, 5)]]
+    assert abs(product) / h.norm_fro == pytest.approx(7.5e-13, rel=0.01)
+    ref = referee_nodal(SupportedMatrix(h.graph, h.diag, row))
+    assert np.sign(checks.products[i, 3]).astype(int).tolist() \
+        == ref.signs[3]
 
 
 PLANTED_NUMBER = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
@@ -1449,16 +1461,6 @@ class TestCountsPastOneByte:
     """Per-pair counts above 255 against the scalar count, which sums
     in Python integers: an 8-bit accumulator would wrap them."""
 
-    def test_surplus_distribution(self):
-        h = wide_path_operator()
-        es = eigh(h)
-        counts = [scalar_nodal_count(h, k, es=es)
-                  for k in range(1, h.graph.n + 1)]
-        assert max(counts) > 255
-        expected = np.bincount([c - k for k, c in enumerate(counts)],
-                               minlength=4)
-        assert surplus_distribution(h).counts.tolist() == expected.tolist()
-
     def test_nodal_dist(self, tmp_path, capsys):
         from magnodal.cli import main
 
@@ -1466,11 +1468,15 @@ class TestCountsPastOneByte:
         op = tmp_path / "wide.json"
         op.write_text(json.dumps(operator_to_json(h)))
         assert main(["nodal-dist", "--op", str(op)]) == 0
-        rows = json.loads(capsys.readouterr().out)["rows"]
+        payload = json.loads(capsys.readouterr().out)
         es = eigh(h)
-        assert [(r["status"], r["nodal_count"]) for r in rows] == [
-            ("ok", scalar_nodal_count(h, k, es=es))
-            for k in range(1, h.graph.n + 1)]
+        counts = [scalar_nodal_count(h, k, es=es)
+                  for k in range(1, h.graph.n + 1)]
+        assert max(counts) > 255
+        assert [(r["status"], r["nodal_count"]) for r in payload["rows"]] \
+            == [("ok", c) for c in counts]
+        assert payload["surplus_histogram"] == np.bincount(
+            [c - k for k, c in enumerate(counts)], minlength=4).tolist()
 
     def test_class_sum(self):
         """The class sum behind ``avg-dist`` with unit class sizes: the

@@ -48,7 +48,11 @@ lists every name the package exports, once.  Every defaulted parameter
 of a public function or method is passed, by keyword, by position or
 through a splat, by some call in ``src``, ``bench`` or ``tests``,
 matched by name: a cut that nothing sets is a module constant, read
-where it cuts.
+where it cuts.  The Hessian-nullity cut, ``morse.RANK_TOL``, is read
+when its readers run: only ``morse_index`` takes it as a parameter
+default, ``verify_index_equals_surplus`` has no ``rank_tol``, and
+``linkage`` reads it as ``morse.RANK_TOL``, so one patch of the
+constant reaches every reader.
 """
 
 import ast
@@ -383,6 +387,35 @@ def parameters(tree: ast.Module, name: str) -> set[str]:
     return found
 
 
+def default_readers(trees: dict[Path, ast.Module], name: str) -> list[str]:
+    """``module.function`` for each function, nested ones and methods
+    included, with a parameter default that reads ``name``, as a name
+    or an attribute: a default is bound when the module loads."""
+    return [f"{path.stem}.{f.name}" for path, tree in sorted(trees.items())
+            for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+            and any(getattr(node, "id", getattr(node, "attr", None)) == name
+                    for d in (*f.args.defaults, *f.args.kw_defaults)
+                    if d is not None for node in ast.walk(d))]
+
+
+def constant_reads(tree: ast.Module, name: str) -> list[str]:
+    """How ``tree`` reads ``name``: ``owner.name`` for an attribute of a
+    module name, ``name`` for a bare load and ``import name`` for an
+    import that binds it, in source order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(
+                alias.name == name for alias in node.names):
+            found.append((node.lineno, f"import {name}"))
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            owner = getattr(node.value, "id", "?")
+            found.append((node.lineno, f"{owner}.{name}"))
+        elif isinstance(node, ast.Name) and node.id == name \
+                and isinstance(node.ctx, ast.Load):
+            found.append((node.lineno, name))
+    return [read for _, read in sorted(found)]
+
+
 def bare_asserts(tree: ast.Module) -> list[int]:
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Assert)]
@@ -509,6 +542,15 @@ def test_every_public_option_is_passed():
     sources = [parse(p) for folder in ("src", "bench", "tests")
                for p in sorted((ROOT / folder).rglob("*.py"))]
     assert unset_options(trees, sources) == []
+
+
+def test_the_nullity_cut_is_read_when_it_runs():
+    trees = {p: parse(p) for p in MODULES}
+    assert default_readers(trees, "RANK_TOL") == ["morse.morse_index"]
+    assert "rank_tol" not in parameters(trees[PACKAGE / "morse.py"],
+                                        "verify_index_equals_surplus")
+    reads = constant_reads(trees[PACKAGE / "linkage.py"], "RANK_TOL")
+    assert reads and set(reads) == {"morse.RANK_TOL"}
 
 
 def test_checks_catch_what_they_look_for():
@@ -675,3 +717,19 @@ def test_checks_catch_what_they_look_for():
     assert parameters(nodal, "_StackChecks") == {"values", "positions"}
     assert function_callers({Path("nodal.py"): nodal}, "_stack_checks") \
         == ["nodal.position_checks", "nodal._checked"]
+    trees = {Path("morse.py"): ast.parse(
+        "RANK_TOL = 1e-7\n"
+        "def morse_index(h, rank_tol=RANK_TOL):\n    return rank_tol\n"
+        "def verify(h, *, tol=1.0, rank_tol: float = RANK_TOL):\n"
+        "    def inner(c=2 * RANK_TOL):\n        pass\n"
+        "    return morse_index(h, RANK_TOL)\n"),
+        Path("linkage.py"): ast.parse(
+        "class A:\n    def m(self, cut=morse.RANK_TOL):\n        pass\n"
+        "def f(h, cut=None):\n    return morse.RANK_TOL\n")}
+    assert default_readers(trees, "RANK_TOL") == [
+        "linkage.m", "morse.morse_index", "morse.verify", "morse.inner"]
+    assert constant_reads(ast.parse(
+        "from . import morse\nfrom .morse import RANK_TOL, morse_index\n"
+        "a = morse.RANK_TOL\nb = m.x.RANK_TOL * RANK_TOL\n"
+        "RANK_TOL = 1\n'RANK_TOL'\n"), "RANK_TOL") == [
+        "import RANK_TOL", "morse.RANK_TOL", "?.RANK_TOL", "RANK_TOL"]

@@ -54,7 +54,6 @@ from .operators import (
     abs_part,
     gauge_classes_of_signings,
     gauge_transform,
-    is_gauge_equiv_to_symmetry,
     magnetic_action,
     operator_from_json,
     operator_to_json,
@@ -84,7 +83,6 @@ from .morse import (
     critical_scan,
     eigenvalue_gradient,
     hessian_eigenvalue,
-    is_critical,
     morse_index,
     verify_index_equals_surplus,
 )

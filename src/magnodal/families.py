@@ -1,9 +1,10 @@
 """Graph and operator families used by the experiments.
 
 Standard graphs, random connected graphs, the strong-diagonal fixtures
-whose signings are all admissible, and the structured degenerate
-fixtures used by the transversality diagnostics.  Everything random
-takes an explicit generator; nothing here reads global state.
+whose signings are all admissible, and the randomized two-triangle join
+whose exact double eigenvalue the transversality diagnostics check.
+Everything random takes an explicit generator; nothing here reads
+global state.
 """
 
 from __future__ import annotations
@@ -13,11 +14,7 @@ import numpy as np
 from .errors import InternalCrossCheckError
 from .graphs import Graph, betti_number
 from .operators import SupportedMatrix
-from .spectral import eigh, multiplicity
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+from .spectral import eigh
 
 
 def cycle_graph(n: int) -> Graph:
@@ -29,10 +26,6 @@ def cycle_graph(n: int) -> Graph:
 def complete_graph(n: int) -> Graph:
     return Graph(n, tuple((r, s) for r in range(n)
                           for s in range(r + 1, n)))
-
-
-def star_graph(leaves: int) -> Graph:
-    return Graph(leaves + 1, tuple((0, i + 1) for i in range(leaves)))
 
 
 def complete_minus_matching(n: int, t: int,
@@ -164,23 +157,6 @@ def surplus_probe_operator(g: Graph, rng: np.random.Generator,
     return SupportedMatrix(g, diag, off)
 
 
-def two_triangle_join() -> tuple[SupportedMatrix, int]:
-    """Two triangles sharing a vertex, with a splitting double eigenvalue.
-
-    The negated adjacency matrix has a multiplicity-2 eigenvalue whose
-    eigenvectors live one per triangle and vanish at the shared vertex,
-    so their supports are edge-separated and the family fails to be
-    transverse there.  Returns the operator and the first index of the
-    cluster.
-    """
-    g = Graph(5, ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)))
-    h = SupportedMatrix(g, np.zeros(5),
-                        -np.ones(g.num_edges, dtype=np.complex128))
-    es = eigh(h)
-    k = _locate_cluster(h, es, expected=1.0, expected_dim=2)
-    return h, k
-
-
 def random_join_fixture(rng: np.random.Generator
                         ) -> tuple[SupportedMatrix, int]:
     """Randomized two-triangle join with an exact double eigenvalue.
@@ -210,30 +186,6 @@ def random_join_fixture(rng: np.random.Generator
     h = SupportedMatrix(g, diag, off)
     es = eigh(h)
     k = _locate_cluster(h, es, expected=lam, expected_dim=2)
-    return h, k
-
-
-def degenerate_ring_fixture(n: int = 4) -> tuple[SupportedMatrix, int]:
-    """Even ring with a non-splitting double eigenvalue.
-
-    The negated adjacency matrix of an even cycle has doubly degenerate
-    interior eigenvalues whose eigenspace is supported everywhere, so
-    the support stays connected and transversality holds.
-    """
-    if n % 2 != 0 or n < 4:
-        raise ValueError("the construction needs an even ring of length >= 4")
-    g = cycle_graph(n)
-    h = SupportedMatrix(g, np.zeros(n),
-                        -np.ones(n, dtype=np.complex128))
-    es = eigh(h)
-    interior = [j for j in range(1, n)
-                if abs(es.values[j] - es.values[j - 1]) < 1e-9]
-    k = interior[0]
-    m, k0 = multiplicity(es, k, 1e-8)
-    if m != 2 or k0 != k:
-        raise InternalCrossCheckError(
-            f"ring eigenvalue {k} has multiplicity {m} starting at {k0}, "
-            f"expected a double eigenvalue starting at {k}")
     return h, k
 
 

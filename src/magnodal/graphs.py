@@ -14,9 +14,8 @@ the switching classes.  The root paths (the signed chain from the root
 of a vertex's tree down to the vertex) are filled in the walk's order
 on first read, and the fundamental cycles are built from them, checked
 and cached on first read too, as one coefficient array; only the flux
-test reads it.  The components, the switching classes, the torus chart
-and the gauge witness of ``operators.is_gauge_equiv_to_symmetry`` all
-read the forest, so they are deterministic for a given graph.
+test reads it.  The components, the switching classes and the torus
+chart all read the forest, so they are deterministic for a given graph.
 """
 
 from __future__ import annotations

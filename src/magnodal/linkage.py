@@ -32,7 +32,7 @@ from .errors import (
 )
 from .families import complete_graph
 from .graphs import OneForm, induced_subgraph
-from .morse import TorusPoint, _classify, _hessian, morse_index
+from .morse import TorusPoint, _hessian, _kinds, morse_index
 from .nodal import _checked, nodal_surplus
 from .operators import GaugePhase, SupportedMatrix, gauge_transform
 from .spectral import (
@@ -264,13 +264,13 @@ def analyze_exceptional(h: SupportedMatrix, k: int, *,
         raise LinkageHypothesisError(
             f"eigenvalue {k} has multiplicity {exc.multiplicity}; the "
             f"analysis needs a simple eigenvalue", hypothesis=1) from exc
-    crit = _classify(h, s, checks)
-    if not crit.critical:
+    if _kinds(s, np.array([h.norm_fro]), checks)[0] == "smooth-regular":
         raise NotCriticalError(
             f"gradient is nonzero (max imaginary product "
-            f"{crit.max_imag_product:.3e}); not a critical point")
+            f"{np.max(np.abs(s.products.imag), initial=0.0):.3e}); not a "
+            f"critical point")
     v, lam = es.vector(k), es.value(k)
-    vanishing = list(crit.vanishing)
+    vanishing = np.flatnonzero(checks.vanishing[0, k - 1]).tolist()
     if len(vanishing) == 0:
         raise VanishingEigenvectorError(
             "eigenvector vanishes nowhere; this is a symmetry-type point, "

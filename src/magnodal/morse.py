@@ -173,51 +173,17 @@ def gradient_coords(p: TorusPoint, k: int) -> np.ndarray:
     return g.values[p.graph.spanning_forest.nonforest].copy()
 
 
-@dataclass(frozen=True, eq=False)
-class CriticalityReport:
-    critical: bool
-    kind: str
-    multiplicity: int
-    max_imag_product: float
-    vanishing: tuple[int, ...]
-
-
-def is_critical(p: TorusPoint, k: int) -> CriticalityReport:
-    """Criticality test with a coarse classification.
-
-    A degenerate eigenvalue counts as critical and is reported as
-    ``incorrigible`` (the eigenvalue is not smooth there).  A smooth
-    point is critical when every edge product is real within
-    ``nodal.PRODUCT_REAL_TOL`` times the operator's norm; it is then a
-    ``symmetry`` point when some phase action makes the operator real,
-    and ``exceptional`` when instead the eigenvector vanishes
-    somewhere.  Every cut is the admissibility kernel's default.
-    """
-    h = p.operator()
-    try:
-        s, checks = _checked(h, k)
-    except NonSimpleEigenvalueError as exc:
-        return CriticalityReport(True, "incorrigible", exc.multiplicity,
-                                 float("nan"), ())
-    return _classify(h, s, checks)
-
-
-def _classify(h: SupportedMatrix, s: _Solves, checks: _StackChecks
-              ) -> CriticalityReport:
-    """``is_critical`` at a simple eigenvalue, from the checked solve
-    ``s`` of ``h`` and its ``checks``."""
-    kind = _kinds(s, np.array([h.norm_fro]), checks)[0]
-    return CriticalityReport(
-        kind != "smooth-regular", kind, 1,
-        float(np.max(np.abs(s.products.imag), initial=0.0)),
-        tuple(np.flatnonzero(checks.vanishing[0, s.k - 1]).tolist()))
-
-
 def _kinds(s: _Solves, scale: np.ndarray, checks: _StackChecks
            ) -> list[str]:
     """Kind of each row of ``s`` at a simple eigenvalue, from column
     ``k - 1`` of its ``checks``, with ``_check_symmetry`` run on the
-    ``symmetry`` rows, whose norms are in ``scale`` (S,)."""
+    ``symmetry`` rows, whose norms are in ``scale`` (S,).
+
+    A row is critical when every edge product is real within the
+    checks' ``tol_real`` times its norm; it is then a ``symmetry`` point
+    when its eigenvector vanishes nowhere, and ``exceptional`` when it
+    vanishes somewhere.  Any other row is ``smooth-regular``.
+    """
     col = s.k - 1
     flat = checks.flat[:, col]
     symmetric = checks.simple[:, col] & flat \
@@ -428,12 +394,14 @@ def _reports_at(coords: np.ndarray, base: SupportedMatrix, s: _Solves,
     ``coords`` (S, d) of an operator over ``base``.
 
     The admissibility kernel decides simplicity, vanishing entries and
-    criticality for every row at once, with ``is_critical``'s
-    tolerances, in ``checks`` or else at each row's norm, read at k.  A
-    row whose k-th eigenvalue is not simple is ``incorrigible``; every
-    other row is classified from those masks, and its symmetry
-    cross-check, gradient norm and Hessian are stacked too: the Hessians are assembled as one stack, and their spectra,
-    indices and nullities, at ``RANK_TOL``, come from one stacked solve.
+    criticality for every row at once, at the tolerances ``tol_*`` and
+    the kernel's default realness cut, in ``checks`` or else at each
+    row's norm, read at k.  A row whose k-th eigenvalue is not simple is
+    ``incorrigible``; every other row is classified from those masks by
+    ``_kinds``, and its symmetry cross-check, gradient norm and Hessian
+    are stacked too: the Hessians are assembled as one stack, and their
+    spectra, indices and nullities, at ``RANK_TOL``, come from one
+    stacked solve.
     """
     k, scale = s.k, frobenius_norms(base.diag, s.offdiag)
     if checks is None:

@@ -266,28 +266,6 @@ def gauge_classes_of_signings(h: SupportedMatrix, cap: int = SIGNING_CAP
                           class_size=1 << (h.graph.num_edges - beta))
 
 
-def is_gauge_equiv_to_symmetry(h: SupportedMatrix, tol: float = FLUX_TOL
-                               ) -> tuple[bool, GaugePhase | None]:
-    """Decide whether some phase action makes the matrix real.
-
-    The obstruction is the flux of the entry phases around each
-    fundamental cycle: the matrix is equivalent to a real one exactly
-    when every flux is a multiple of pi within ``tol``.  On success a
-    witness phase vector is returned; applying ``gauge_transform`` with
-    it yields a matrix whose entries are real up to the flux residues.
-    """
-    alpha = phase_form(h)
-    if flux_defects(h.graph, alpha.values[None])[0] > tol:
-        return False, None
-
-    # Reduce each phase to its offset from the nearest multiple of pi
-    # and undo the offsets along each root path: every tree edge then
-    # cancels, and non-tree edges are multiples of pi up to the flux
-    # residues.
-    reduced = alpha.values - np.pi * np.round(alpha.values / np.pi)
-    return True, GaugePhase(-(h.graph.spanning_forest.up @ reduced))
-
-
 def operator_to_json(h: SupportedMatrix) -> dict:
     return {
         "graph": graph_to_json(h.graph),

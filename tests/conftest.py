@@ -4,6 +4,15 @@ The acceptance suite records one verdict per criterion; the terminal
 summary hook prints them as stable one-per-line output at the end of
 the run, whether or not output capture is active.
 
+``path_graph``, ``star_graph``, ``two_triangle_join`` and
+``degenerate_ring_fixture`` are test fixtures that no command builds:
+the path and the star, the two triangles sharing a vertex with a
+splitting double eigenvalue, and the even ring with a non-splitting
+one.  ``gauged_real`` is the flux-criterion oracle: from
+``phase_form``, ``flux_defects`` and ``gauge_transform`` it gauges an
+operator real when every cycle flux is a multiple of pi, and gives
+None otherwise.
+
 ``classes_by_enumeration`` is the switching-class oracle: it visits
 every one of the ``2^|E|`` signings and groups them by cycle parities,
 so it stays independent of the forest-gauge rows that
@@ -61,7 +70,8 @@ criterion for a multiplicity-2 eigenspace.
 pivots with ``np.take_along_axis``, the pivot oracle of
 ``spectral._normalize_phases``.
 ``simple_eigen``, ``scalar_count``, ``scalar_nodal_count``,
-``signing_histogram`` and ``scalar_classify`` are the admissibility
+``signing_histogram`` and ``scalar_classify`` (the kind of a critical
+point, which ``morse._kinds`` must give) are the admissibility
 oracle: the scalar checks, one operator and one eigenvalue position at
 a time, each with its own comparison, that the package ran before its
 one stacked kernel, ``nodal._stack_checks``, except that a count
@@ -111,15 +121,18 @@ from magnodal.errors import (AdmissibilityError, CapExceededError,
                              VanishingEigenvectorError)
 import magnodal.graphs as graphs
 from magnodal.errors import SchemaError
+from magnodal.families import _locate_cluster, cycle_graph
 from magnodal.graphs import (Graph, betti_number, graph_from_json,
                              num_components)
 from magnodal.linkage import GENERICITY_TOL, LENGTH_CAP
-from magnodal.morse import (RANK_TOL, TWO_PI, CriticalityReport,
-                            CriticalPointReport, TorusPoint, _check_symmetry,
-                            _hessian, morse_index)
+from magnodal.morse import (RANK_TOL, TWO_PI, CriticalPointReport,
+                            TorusPoint, _check_symmetry, _hessian,
+                            morse_index)
 from magnodal.nodal import (PRODUCT_DEGENERATE_TOL, PRODUCT_REAL_TOL, _Solves,
                             _StackChecks, edge_products)
-from magnodal.operators import SupportedMatrix, signs_for_index
+from magnodal.operators import (FLUX_TOL, GaugePhase, SupportedMatrix,
+                                flux_defects, gauge_transform, phase_form,
+                                signs_for_index)
 from magnodal.serialize import _escape, format_float
 from magnodal.spectral import (DEGENERACY_TOL, VANISH_TOL, EigenSystem,
                                cluster_mask, eigh, is_nowhere_vanishing,
@@ -155,6 +168,67 @@ def small_graphs(max_n: int):
                         max_size=len(pairs)).map(
             lambda keep: Graph(n, tuple(e for e, k in zip(pairs, keep) if k)))
     return st.integers(0, max_n).flatmap(on)
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def star_graph(leaves: int) -> Graph:
+    return Graph(leaves + 1, tuple((0, i + 1) for i in range(leaves)))
+
+
+def two_triangle_join() -> tuple[SupportedMatrix, int]:
+    """Two triangles sharing a vertex, with a splitting double eigenvalue.
+
+    The negated adjacency matrix has a multiplicity-2 eigenvalue whose
+    eigenvectors live one per triangle and vanish at the shared vertex,
+    so their supports are edge-separated and the family fails to be
+    transverse there.  Returns the operator and the first index of the
+    cluster.
+    """
+    g = Graph(5, ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)))
+    h = SupportedMatrix(g, np.zeros(5),
+                        -np.ones(g.num_edges, dtype=np.complex128))
+    return h, _locate_cluster(h, eigh(h), expected=1.0, expected_dim=2)
+
+
+def degenerate_ring_fixture(n: int = 4) -> tuple[SupportedMatrix, int]:
+    """Even ring with a non-splitting double eigenvalue.
+
+    The negated adjacency matrix of an even cycle has doubly degenerate
+    interior eigenvalues whose eigenspace is supported everywhere, so
+    the support stays connected and transversality holds.
+    """
+    if n % 2 != 0 or n < 4:
+        raise ValueError("the construction needs an even ring of length >= 4")
+    g = cycle_graph(n)
+    h = SupportedMatrix(g, np.zeros(n),
+                        -np.ones(n, dtype=np.complex128))
+    es = eigh(h)
+    interior = [j for j in range(1, n)
+                if abs(es.values[j] - es.values[j - 1]) < 1e-9]
+    k = interior[0]
+    m, k0 = multiplicity(es, k, 1e-8)
+    if m != 2 or k0 != k:
+        raise InternalCrossCheckError(
+            f"ring eigenvalue {k} has multiplicity {m} starting at {k0}, "
+            f"expected a double eigenvalue starting at {k}")
+    return h, k
+
+
+def gauged_real(h: SupportedMatrix) -> SupportedMatrix | None:
+    """``h`` under a vertex-phase action that makes it real, up to the
+    flux residues, or None when some cycle flux of its entry phases is
+    off a multiple of pi by more than ``FLUX_TOL``.  The witness undoes
+    each phase's offset from the nearest multiple of pi along the
+    forest's root paths, so every forest edge cancels."""
+    alpha = phase_form(h).values
+    if flux_defects(h.graph, alpha[None])[0] > FLUX_TOL:
+        return None
+    reduced = alpha - np.pi * np.round(alpha / np.pi)
+    return gauge_transform(
+        GaugePhase(-(h.graph.spanning_forest.up @ reduced)), h)
 
 
 def cycle_masks(g: Graph) -> list[int]:
@@ -840,18 +914,18 @@ def signing_histogram(h: SupportedMatrix, signs, kwargs) -> np.ndarray:
 
 
 def scalar_classify(s: SimpleEigen, tol: float, tol_vanish: float
-                    ) -> CriticalityReport:
-    """``morse.is_critical`` at a simple eigenvalue, one check at a time."""
+                    ) -> tuple[str, float, tuple[int, ...]]:
+    """``(kind, max imaginary product, vanishing vertices)`` of a simple
+    eigenvalue, one check at a time, as ``morse._kinds`` classifies it."""
     worst = s.max_imag_product
     _, vanishing = is_nowhere_vanishing(s.v, tol_vanish)
     if not s.is_flat(tol):
-        return CriticalityReport(False, "smooth-regular", 1, worst,
-                                 tuple(vanishing))
+        return "smooth-regular", worst, tuple(vanishing)
     if not vanishing:
         _check_symmetry(s.h.graph, s.h.offdiag[None], s.products[None],
                         np.array([s.h.norm_fro]), tol)
-        return CriticalityReport(True, "symmetry", 1, worst, ())
-    return CriticalityReport(True, "exceptional", 1, worst, tuple(vanishing))
+        return "symmetry", worst, ()
+    return "exceptional", worst, tuple(vanishing)
 
 
 def scalar_polish(base, k: int, start, gtol: float, tol_degeneracy: float):
@@ -920,14 +994,14 @@ def scalar_report(coords, h, es, k: int, origin: str, *,
         return CriticalPointReport(coords, k, "incorrigible",
                                    exc.multiplicity, (), None, None, None,
                                    None, origin)
-    report = scalar_classify(s, PRODUCT_REAL_TOL, tol_vanish)
+    kind, _, vanishing = scalar_classify(s, PRODUCT_REAL_TOL, tol_vanish)
     gnorm = float(np.linalg.norm(
         s.gradient[h.graph.spanning_forest.nonforest]))
     hess = _hessian(s.stack, h.graph.spanning_forest, tol_degeneracy)[0]
     spectrum = tuple(float(x) for x in np.linalg.eigvalsh(hess)) \
         if hess.size else ()
     index, nullity = morse_index(hess, rank_tol)
-    return CriticalPointReport(coords, k, report.kind, 1, report.vanishing,
+    return CriticalPointReport(coords, k, kind, 1, vanishing,
                                gnorm, spectrum, index, nullity, origin)
 
 

@@ -14,9 +14,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import (class_id, cycle_masks, enumerate_signings,
-                      forest_mask, gradient_fd, hessian_eigenvalue_fd,
-                      index_of, projects_surjectively, record_criterion)
+from conftest import (class_id, cycle_masks, degenerate_ring_fixture,
+                      enumerate_signings, forest_mask, gradient_fd,
+                      hessian_eigenvalue_fd, index_of, projects_surjectively,
+                      record_criterion, two_triangle_join)
 from magnodal import (
     AdmissibilityError,
     InadmissibleSigningError,
@@ -50,12 +51,10 @@ from magnodal.families import (
     complete_graph,
     complete_minus_matching,
     cycle_graph,
-    degenerate_ring_fixture,
     random_connected_graph,
     random_join_fixture,
     random_operator,
     strong_diagonal_fixture,
-    two_triangle_join,
 )
 from magnodal.morse import gradient_coords
 

@@ -8,19 +8,17 @@ import numpy as np
 import pytest
 
 from conftest import (avg_dist_tail, cycle_builds, forests_walked,
-                      lose_a_root_path, referee_nodal)
+                      lose_a_root_path, path_graph, referee_nodal, star_graph,
+                      two_triangle_join)
 from magnodal import __version__, cli
 from magnodal.cli import _build_parser, main
 from magnodal.errors import AdmissibilityError
 from magnodal.families import (
     complete_graph,
     cycle_graph,
-    path_graph,
     random_connected_graph,
     random_operator,
-    star_graph,
     strong_diagonal_fixture,
-    two_triangle_join,
 )
 from magnodal.graphs import Graph, graph_to_json
 from magnodal.nodal import SurplusDistribution

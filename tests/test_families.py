@@ -1,23 +1,25 @@
-"""Graph and operator families, including the degenerate fixtures."""
+"""Graph and operator families, including the degenerate fixtures.
+
+The path, the star, the two-triangle join and the degenerate ring are
+the test fixtures of ``conftest``; every other family is the package's.
+"""
 
 import numpy as np
 import pytest
 
+from conftest import (degenerate_ring_fixture, path_graph, star_graph,
+                      two_triangle_join)
 from magnodal.families import (
     complete_graph,
     complete_minus_matching,
     cycle_graph,
-    degenerate_ring_fixture,
     matching_family_for_betti,
-    path_graph,
     random_connected_graph,
     random_join_fixture,
     random_operator,
     random_regular_like_graph,
-    star_graph,
     strong_diagonal_fixture,
     surplus_probe_operator,
-    two_triangle_join,
 )
 from magnodal.graphs import betti_number, num_components
 from magnodal.spectral import eigh, multiplicity

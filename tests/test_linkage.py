@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import (same_bits, scalar_is_generic,
+from conftest import (path_graph, same_bits, scalar_is_generic,
                       scalar_sample_configuration)
 from magnodal.errors import (
     AdmissibilityError,
@@ -21,7 +21,6 @@ from magnodal.errors import (
 from magnodal.families import (
     complete_graph,
     cycle_graph,
-    path_graph,
     random_operator,
     strong_diagonal_fixture,
 )
@@ -36,6 +35,7 @@ from magnodal.linkage import (
     solvability_and_connectivity,
 )
 from magnodal.morse import TorusPoint, critical_scan
+from magnodal.nodal import edge_products
 from magnodal.operators import SupportedMatrix, abs_part
 from magnodal.spectral import eigh
 
@@ -404,8 +404,14 @@ class TestAnalyzeExceptional:
     def test_noncritical_rejected(self):
         h = abs_part(strong_diagonal_fixture(cycle_graph(3)))
         p = TorusPoint(h, np.array([0.8, 0.0, 0.0]))
-        with pytest.raises(NotCriticalError):
+        with pytest.raises(NotCriticalError) as err:
             analyze_exceptional(p.operator(), 1)
+        worst = np.max(np.abs(edge_products(
+            h.graph, p.operator().offdiag, eigh(p.operator()).vector(1)).imag))
+        assert worst > 0.0
+        assert str(err.value) == (
+            f"gradient is nonzero (max imaginary product {worst:.3e}); not "
+            f"a critical point")
 
     def test_degenerate_eigenvalue_rejected(self):
         g = cycle_graph(3)

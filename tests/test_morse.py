@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (custom_forest, eigenvalue_at, frozen_form_indices,
-                      gradient_fd, hessian_eigenvalue_fd,
-                      pseudo_inverse_apply, same_bits, scalar_nodal_surplus,
-                      scalar_report, small_graphs)
+from conftest import (custom_forest, degenerate_ring_fixture, eigenvalue_at,
+                      frozen_form_indices, gauged_real, gradient_fd,
+                      hessian_eigenvalue_fd, path_graph, pseudo_inverse_apply,
+                      same_bits, scalar_classify, scalar_nodal_surplus,
+                      scalar_report, simple_eigen, small_graphs)
 from test_nodal import COARSE_TOLERANCES
 from magnodal.errors import (
     AdmissibilityError,
@@ -21,35 +22,36 @@ from magnodal.errors import (
 )
 from magnodal.families import (
     complete_graph,
+    complete_minus_matching,
     cycle_graph,
-    degenerate_ring_fixture,
-    path_graph,
+    matching_family_for_betti,
     random_connected_graph,
     random_operator,
+    random_regular_like_graph,
     strong_diagonal_fixture,
+    surplus_probe_operator,
 )
 from magnodal.graphs import Graph, OneForm, betti_number, num_components
 from magnodal.morse import (
     HESSIAN_SYM_TOL,
     TWO_PI,
     TorusPoint,
+    _kinds,
     critical_scan,
     eigenvalue_gradient,
     gradient_coords,
     hessian_eigenvalue,
-    is_critical,
     morse_index,
     verify_index_equals_surplus,
 )
-from magnodal.nodal import nodal_count, nodal_surplus
+from magnodal.nodal import (PRODUCT_REAL_TOL, _checked, nodal_count,
+                            nodal_surplus)
 from magnodal.operators import (
-    FLUX_TOL,
     SupportedMatrix,
     abs_part,
     dense_matrices,
     frobenius_norms,
     gauge_classes_of_signings,
-    is_gauge_equiv_to_symmetry,
 )
 from magnodal.spectral import (
     DEGENERACY_TOL,
@@ -186,33 +188,50 @@ class TestGradient:
         assert gradient_coords(p, 2).shape == (0,)
 
 
-class TestIsCritical:
+def kind_at(p: TorusPoint, k: int) -> tuple[str, float, tuple[int, ...]]:
+    """``morse._kinds`` at a point, on ``nodal._checked``'s solve of its
+    operator, with the largest imaginary edge product and the vanishing
+    vertices the kernel marks; the scalar classifier must agree."""
+    h = p.operator()
+    s, checks = _checked(h, k)
+    got = (_kinds(s, np.array([h.norm_fro]), checks)[0],
+           float(np.max(np.abs(s.products.imag), initial=0.0)),
+           tuple(np.flatnonzero(checks.vanishing[0, k - 1]).tolist()))
+    assert got == scalar_classify(simple_eigen(h, k, None, DEGENERACY_TOL),
+                                  PRODUCT_REAL_TOL, VANISH_TOL)
+    return got
+
+
+class TestKinds:
     def test_symmetry_point(self):
         p = TorusPoint.from_operator(triangle_base())
-        rep = is_critical(p, 1)
-        assert rep.critical and rep.kind == "symmetry"
-        assert rep.multiplicity == 1 and rep.vanishing == ()
+        assert kind_at(p, 1)[::2] == ("symmetry", ())
 
     def test_generic_point_not_critical(self):
         h = abs_part(triangle_base())
         p = TorusPoint(h, np.array([0.9, 0.0, 0.0]))
-        rep = is_critical(p, 1)
-        assert not rep.critical and rep.kind == "smooth-regular"
-        assert rep.max_imag_product > 0
+        kind, worst, _ = kind_at(p, 1)
+        assert kind == "smooth-regular" and worst > 0
 
     def test_degenerate_point(self):
+        # no kind at a double eigenvalue: the checked solve raises, and
+        # the scan reports the point as incorrigible
         p = TorusPoint.from_operator(ring_op(3))
-        rep = is_critical(p, 2)
-        assert rep.critical and rep.kind == "incorrigible"
-        assert rep.multiplicity == 2
+        with pytest.raises(NonSimpleEigenvalueError) as err:
+            _checked(p.operator(), 2)
+        assert err.value.multiplicity == 2
+        with pytest.raises(NonSimpleEigenvalueError):
+            simple_eigen(p.operator(), 2, None, DEGENERACY_TOL)
+        first = critical_scan(ring_op(3), 2).reports[0]
+        assert first.coords == (0.0,)
+        assert (first.classification, first.multiplicity) \
+            == ("incorrigible", 2)
 
     def test_exceptional_point(self):
         from magnodal.linkage import build_exceptional_fixture
 
         fx = build_exceptional_fixture(3, seed=0)
-        rep = is_critical(fx.point, fx.k)
-        assert rep.critical and rep.kind == "exceptional"
-        assert rep.vanishing == (0,)
+        assert kind_at(fx.point, fx.k)[::2] == ("exceptional", (0,))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_flux_slack_near_a_symmetry_point(self, k):
@@ -220,13 +239,10 @@ class TestIsCritical:
         # by more than FLUX_TOL; only the slack test calls the point real.
         h = abs_part(strong_diagonal_fixture(complete_graph(4), eta=10.0))
         near = TorusPoint.from_coords(h, np.array([1e-6, 0.0, 0.0]))
-        equiv, _ = is_gauge_equiv_to_symmetry(near.operator(), tol=FLUX_TOL)
-        assert not equiv
-        rep = is_critical(near, k)
-        assert rep.critical and rep.kind == "symmetry"
+        assert gauged_real(near.operator()) is None
+        assert kind_at(near, k)[0] == "symmetry"
         off = TorusPoint.from_coords(h, np.array([1e-5, 0.0, 0.0]))
-        rep = is_critical(off, k)
-        assert not rep.critical and rep.kind == "smooth-regular"
+        assert kind_at(off, k)[0] == "smooth-regular"
 
 
 class TestFrozenForm:
@@ -273,7 +289,7 @@ class TestHessian:
         for _ in range(20):
             p = TorusPoint.from_coords(h, rng.uniform(0, 2 * np.pi, size=6))
             for k in range(1, 6):
-                assert not is_critical(p, k).critical
+                assert kind_at(p, k)[0] == "smooth-regular"
                 exact = hessian_eigenvalue(p, k)
                 fd = hessian_eigenvalue_fd(p, k)
                 rel = np.linalg.norm(exact - fd) \
@@ -857,6 +873,59 @@ class TestLockstepPolish:
         assert any(real.any() for real, _ in steps)
         assert all(np.all(b[real] == 0.0) for real, b in steps)
         check_against_oracle(base, k, points, polished)
+
+
+def probe_operator(family: str, beta: int) -> SupportedMatrix:
+    """A surplus-probe operator on a complete graph minus a matching
+    (``cmm``) or a regular-like graph (``rrl``) of first Betti number
+    ``beta``, as ``clt-experiment`` draws them."""
+    rng = np.random.default_rng(beta)
+    g = (complete_minus_matching(*matching_family_for_betti(beta), rng=rng)
+         if family == "cmm" else random_regular_like_graph(beta, rng))
+    return surplus_probe_operator(g, rng)
+
+
+class TestRealSolverPath:
+    """``unit_phases`` is exactly real only at 0 and pi, so a Newton
+    trial whose edge entries are exactly real, one the polish solves on
+    its real path, sits at a symmetry point: every coordinate reduces to
+    exactly 0 or pi modulo 2 pi.  Its landing is then a point the scan
+    already knows."""
+
+    @pytest.mark.parametrize("family,number", [
+        *((family, beta) for family in ("cmm", "rrl")
+          for beta in (3, 4, 5, 6)),
+        ("random-K5", 0), ("random-K5", 1)])
+    def test_real_trials_sit_at_symmetry_points(self, monkeypatch, family,
+                                                number):
+        """On the probes of beta 3 to 6, and on random K5 operators
+        (``number`` is the seed), scanned at every k."""
+        import magnodal.morse as morse
+
+        h = (random_operator(complete_graph(5), np.random.default_rng(number))
+             if family == "random-K5" else probe_operator(family, number))
+        trials, inner = [], morse._offdiag_at
+
+        def recording(base, forest, coords):  # one call per polish round
+            off = inner(base, forest, coords)
+            trials.append((coords.copy(), off))
+            return off
+
+        monkeypatch.setattr(morse, "_offdiag_at", recording)
+        stacks = count_stacks(monkeypatch, morse)
+        beta = betti_number(h.graph)
+        for k in range(1, h.graph.n + 1):
+            critical_scan(h, k, starts=4, seed=k)
+        monkeypatch.undo()
+        real = np.concatenate([np.all(off.imag == 0.0, axis=1)
+                               for _, off in trials])
+        rem = np.mod(np.concatenate([c for c, _ in trials]), TWO_PI)
+        assert np.array_equal(
+            real, np.all((rem == 0.0) | (rem == np.pi), axis=1))
+        assert real.any()
+        # the real path solves those rows and the symmetry blocks only
+        assert sum(rows for path, rows in stacks if path == "real") \
+            == np.count_nonzero(real) + h.graph.n * 2 ** beta
 
 
 @st.composite

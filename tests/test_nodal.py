@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (classes_by_enumeration, complex_products,
-                      last_axis_products, multiplicity_by_walk,
+                      last_axis_products, multiplicity_by_walk, path_graph,
                       reduction_checks, referee_nodal, same_bits,
                       scalar_nodal_count, scalar_nodal_surplus,
-                      signing_histogram, signs_of, small_graphs)
+                      signing_histogram, signs_of, small_graphs, star_graph)
 import magnodal
 import magnodal.morse as morse
 import magnodal.nodal as nodal
@@ -40,10 +40,8 @@ from magnodal.families import (
     complete_minus_matching,
     cycle_graph,
     matching_family_for_betti,
-    path_graph,
     random_connected_graph,
     random_operator,
-    star_graph,
     strong_diagonal_fixture,
     surplus_probe_operator,
 )
@@ -55,7 +53,6 @@ from magnodal.morse import (
     eigenvalue_gradient,
     gradient_coords,
     hessian_eigenvalue,
-    is_critical,
     verify_index_equals_surplus,
 )
 from magnodal.nodal import (
@@ -263,7 +260,7 @@ class TestNodalCountErrors:
 @pytest.mark.parametrize("k", [0, -1, 5])
 @pytest.mark.parametrize("func", [
     nodal_count, nodal_surplus, eigenvalue_gradient, gradient_coords,
-    hessian_eigenvalue, is_critical, analyze_exceptional],
+    hessian_eigenvalue, analyze_exceptional],
     ids=lambda f: f.__name__)
 def test_single_point_functions_reject_k_outside_range(func, k):
     """A position outside 1..n raises ValueError before anything is read

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (class_id, classes_by_enumeration, cycle_masks,
                       dense_by_fancy_index, enumerate_signings, forest_mask,
-                      _is_number, index_of, is_vertex_pair_by_any,
-                      operator_by_items,
+                      gauged_real, _is_number, index_of,
+                      is_vertex_pair_by_any, operator_by_items, path_graph,
                       same_bits, signs_of, small_graphs)
 from magnodal.errors import (
     CapExceededError,
@@ -19,8 +19,7 @@ from magnodal.errors import (
     NotProperlySupportedError,
     SchemaError,
 )
-from magnodal.families import (complete_minus_matching, path_graph,
-                               random_connected_graph)
+from magnodal.families import complete_minus_matching, random_connected_graph
 from magnodal.graphs import (Graph, OneForm, _are_numbers, _are_vertex_pairs,
                              betti_number, num_components)
 from magnodal.operators import (
@@ -31,7 +30,6 @@ from magnodal.operators import (
     dense_matrices,
     gauge_classes_of_signings,
     gauge_transform,
-    is_gauge_equiv_to_symmetry,
     magnetic_action,
     operator_from_json,
     operator_to_json,
@@ -98,6 +96,23 @@ class TestPhaseActions:
         w = unit_phases(np.array([0.0, np.pi, -np.pi, 2 * np.pi, 3 * np.pi]))
         assert np.array_equal(w, np.array([1, -1, -1, 1, -1],
                                           dtype=np.complex128))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.floats(-1e6, 1e6)
+        | st.integers(-10 ** 5, 10 ** 5).map(lambda j: j * np.pi)
+        | st.integers(-10 ** 5, 10 ** 5).map(
+            lambda j: np.nextafter(j * np.pi, np.inf)), max_size=8))
+    @example([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, 3 * np.pi, 1e-300,
+              np.nextafter(np.pi, 0.0), np.nextafter(2 * np.pi, 7.0)])
+    def test_exactly_real_only_at_zero_and_pi(self, values):
+        """A phase is exactly real where its angle reduces to exactly 0
+        or pi modulo 2 pi, and nowhere else: the polish's real solver
+        path therefore holds only points with every coordinate there."""
+        x = np.array(values, dtype=np.float64)
+        rem = np.mod(x, 2 * np.pi)
+        assert np.array_equal(unit_phases(x).imag == 0.0,
+                              (rem == 0.0) | (rem == np.pi))
 
     def test_zero_form_is_identity(self):
         h = c3_op()
@@ -404,28 +419,27 @@ class TestClassesAgainstEnumeration:
 
 
 class TestSymmetryEquivalence:
+    """The flux criterion, through ``conftest.gauged_real``: an operator
+    is gauge-equivalent to a real one exactly when every cycle flux of
+    its entry phases is a multiple of pi."""
+
     def test_real_matrix_passes_with_flat_witness(self):
-        h = c3_op()
-        ok, witness = is_gauge_equiv_to_symmetry(h)
-        assert ok
-        out = gauge_transform(witness, h)
+        out = gauged_real(c3_op())
+        assert out is not None
         assert np.max(np.abs(out.offdiag.imag)) <= 1e-12
 
     def test_half_pi_flux_fails(self):
         h = c3_op()
         alpha = OneForm(c3(), np.array([np.pi / 2, 0.0, 0.0]))
-        ok, witness = is_gauge_equiv_to_symmetry(magnetic_action(alpha, h))
-        assert not ok and witness is None
+        assert gauged_real(magnetic_action(alpha, h)) is None
 
     def test_distributed_pi_flux_passes(self):
         # phases pi/3 on each edge around the cycle sum to flux pi
         h = c3_op()
         basis_cycle = [1.0, -1.0, 1.0]  # orientation of edges around C3
         vals = np.array([b * np.pi / 3 for b in basis_cycle])
-        hh = magnetic_action(OneForm(c3(), vals), h)
-        ok, witness = is_gauge_equiv_to_symmetry(hh)
-        assert ok
-        flattened = gauge_transform(witness, hh)
+        flattened = gauged_real(magnetic_action(OneForm(c3(), vals), h))
+        assert flattened is not None
         # witness pushes every entry to a multiple of pi within round-off
         args = np.angle(flattened.offdiag)
         rem = np.abs(args - np.pi * np.round(args / np.pi))
@@ -435,18 +449,14 @@ class TestSymmetryEquivalence:
         rng = np.random.default_rng(8)
         h = random_op(c3(), rng)
         for hs in enumerate_signings(abs_part(h)):
-            ok, _ = is_gauge_equiv_to_symmetry(hs)
-            assert ok
+            assert gauged_real(hs) is not None
 
     def test_gauge_of_symmetry_stays_symmetric(self):
         rng = np.random.default_rng(9)
         h = abs_part(random_op(k4(), rng))
         theta = rng.uniform(0, 2 * np.pi, 4)
-        ok, witness = is_gauge_equiv_to_symmetry(
-            gauge_transform(GaugePhase(theta), h))
-        assert ok
-        flattened = gauge_transform(
-            witness, gauge_transform(GaugePhase(theta), h))
+        flattened = gauged_real(gauge_transform(GaugePhase(theta), h))
+        assert flattened is not None
         args = np.angle(flattened.offdiag)
         rem = np.abs(args - np.pi * np.round(args / np.pi))
         assert np.max(rem) <= 1e-9
@@ -460,9 +470,9 @@ class TestSymmetryEquivalence:
             [-1.0, 1.0], size=g.num_edges))
         gauged = gauge_transform(
             GaugePhase(rng.uniform(0, 2 * np.pi, g.n)), signed)
-        ok, witness = is_gauge_equiv_to_symmetry(gauged)
-        assert ok
-        args = np.angle(gauge_transform(witness, gauged).offdiag)
+        flattened = gauged_real(gauged)
+        assert flattened is not None
+        args = np.angle(flattened.offdiag)
         assert np.all(np.abs(args - np.pi * np.round(args / np.pi))
                       <= FLUX_TOL)
 

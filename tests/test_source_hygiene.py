@@ -5,10 +5,16 @@ Every imported name must be used, and no module may use a bare
 ``InternalCrossCheckError`` in every mode.  The package ``__init__``
 re-exports names by importing them and is left out.  Every module-level
 function and class must be loaded in its own module, imported by
-another, or exported from ``__init__``.  ``families.py``, the fixture
-module the tests draw on, is exempt, and so are the functions the
-benchmark's tracer wraps (``LAYERS`` in ``bench/tracing.py``), which
-the benchmark needs to exist.  ``spectral`` is the package's one
+another, exported from ``__init__``, or a name the benchmark reaches
+(see below).  Every public module-level function and class must also
+be reached from what runs: the roots are ``cli.main``, the ``cmd_*``
+functions, and every package name that a script in ``bench/`` imports,
+loads from a package module it imports, or lists in ``LAYERS`` (the
+functions the benchmark's tracer wraps).  From a root, the rule
+follows the ``Name`` loads inside each module-level definition, the
+``Attribute`` loads on a package module it imports, and each import's
+binding.  An export alone reaches nothing: a name only tests read
+belongs in ``tests/conftest.py``.  ``spectral`` is the package's one
 gateway to LAPACK's dense solvers: no other module calls
 ``np.linalg.eigh``, ``eigvalsh`` or ``lstsq``.  It also holds the one
 degeneracy test, ``cluster_mask``: elsewhere ``tol_degeneracy`` is only
@@ -61,7 +67,6 @@ from pathlib import Path
 import pytest
 
 import magnodal
-from test_bench_contract import layers
 
 PACKAGE = Path(magnodal.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -416,6 +421,118 @@ def constant_reads(tree: ast.Module, name: str) -> list[str]:
     return [read for _, read in sorted(found)]
 
 
+def definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level functions, classes and assignments of ``tree``, by
+    the names they bind."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            found.update((n.id, node) for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return found
+
+
+def import_bindings(tree: ast.Module, package: str | None = None
+                    ) -> tuple[dict[str, tuple[str, str]], dict[str, str]]:
+    """What the imports of ``tree`` bind, by local name: ``(module,
+    name)`` for a package name and the module for a package module.  The
+    package is reached through relative imports, or, with ``package``
+    set, through absolute ones under that name."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        path = (node.module or "").split(".")
+        if node.level == 0 and package and path[0] == package:
+            path = path[1:] or [""]
+        elif node.level != 1:
+            continue
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if path[0]:
+                names[local] = (path[0], alias.name)
+            else:
+                modules[local] = alias.name
+    return names, modules
+
+
+def reached(trees: dict[Path, ast.Module], roots) -> set[tuple[str, str]]:
+    """The ``(module, name)`` pairs reached from ``roots``, following the
+    ``Name`` loads inside each module-level definition, the ``Attribute``
+    loads on a package module it imports, and its imports' bindings."""
+    defs = {p.stem: definitions(t) for p, t in trees.items()}
+    binds = {p.stem: import_bindings(t) for p, t in trees.items()}
+    seen, todo = set(), list(roots)
+    while todo:
+        module, name = todo.pop()
+        if (module, name) in seen or module not in defs:
+            continue
+        seen.add((module, name))
+        names, modules = binds[module]
+        if name in names:
+            todo.append(names[name])
+        if name not in defs[module]:
+            continue
+        for node in ast.walk(defs[module][name]):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Name) and node.id in defs[module]:
+                todo.append((module, node.id))
+            elif isinstance(node, ast.Name) and node.id in names:
+                todo.append(names[node.id])
+            elif isinstance(node, ast.Attribute) \
+                    and getattr(node.value, "id", None) in modules:
+                todo.append((modules[node.value.id], node.attr))
+    return seen
+
+
+def command_roots(trees: dict[Path, ast.Module]) -> set[tuple[str, str]]:
+    """``cli.main`` and the ``cmd_*`` functions of ``cli``."""
+    cli = next(t for p, t in trees.items() if p.stem == "cli")
+    return {("cli", "main")} | {("cli", name) for name in definitions(cli)
+                                if name.startswith("cmd_")}
+
+
+def bench_roots(trees: dict[Path, ast.Module], bench
+                ) -> set[tuple[str, str]]:
+    """``(module, name)`` for each package name that a benchmark script
+    in ``bench`` imports, loads from a package module it imports, or
+    lists in its ``LAYERS``; a name imported from the package root is
+    the one the root re-exports."""
+    init = next(t for p, t in trees.items() if p.stem == "__init__")
+    exports = import_bindings(init)[0]
+    roots = set()
+    for tree in bench:
+        names, modules = import_bindings(tree, "magnodal")
+        roots |= set(names.values())
+        roots |= {exports[m] for m in modules.values() if m in exports}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and getattr(node.value, "id", None) in modules:
+                roots.add((modules[node.value.id], node.attr))
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "LAYERS" for t in node.targets):
+                roots |= {(layer, f) for layer, functions in
+                          ast.literal_eval(node.value).items()
+                          for f in functions}
+    return roots
+
+
+def unreached(trees: dict[Path, ast.Module], roots) -> list[str]:
+    """``module.name`` for each public module-level function and class of
+    ``trees`` that ``roots`` do not reach."""
+    seen = reached(trees, roots)
+    return sorted(f"{p.stem}.{node.name}" for p, t in trees.items()
+                  for node in t.body if p.stem != "__init__"
+                  and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and (p.stem, node.name) not in seen)
+
+
 def bare_asserts(tree: ast.Module) -> list[int]:
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Assert)]
@@ -452,13 +569,22 @@ def test_only_the_kernel_cuts_at_the_admissibility_tolerances(path):
                           else None) == []
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "families.py"],
-    ids=lambda p: p.name)
+def benchmark_trees() -> list[ast.Module]:
+    return [parse(p) for p in sorted((ROOT / "bench").glob("*.py"))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_definition_is_used(path):
     trees = {p: parse(p) for p in PACKAGE.glob("*.py")}
-    traced = layers().get(path.stem, ())
-    assert unreferenced_definitions(path, trees, traced) == []
+    benched = {name for module, name in bench_roots(trees, benchmark_trees())
+               if module == path.stem}
+    assert unreferenced_definitions(path, trees, benched) == []
+
+
+def test_every_public_name_is_reached_from_a_command_or_the_benchmark():
+    trees = {p: parse(p) for p in PACKAGE.glob("*.py")}
+    roots = command_roots(trees) | bench_roots(trees, benchmark_trees())
+    assert unreached(trees, roots) == []
 
 
 def test_one_function_builds_class_sign_rows():
@@ -728,6 +854,36 @@ def test_checks_catch_what_they_look_for():
         "def f(h, cut=None):\n    return morse.RANK_TOL\n")}
     assert default_readers(trees, "RANK_TOL") == [
         "linkage.m", "morse.morse_index", "morse.verify", "morse.inner"]
+    trees = {Path("cli.py"): ast.parse(
+        "from .a import used\nfrom . import b\n"
+        "def main():\n    return used(), b.T\n"
+        "def cmd_x():\n    return _private()\n"
+        "def _private():\n    return b.helper\n"),
+        a: ast.parse(
+        "def used():\n    return _inner()\ndef _inner():\n    return LIMIT\n"
+        "LIMIT = cut()\ndef cut():\n    pass\n"
+        "def idle():\n    return orphan()\ndef orphan():\n    pass\n"
+        "def benched():\n    pass\ndef traced():\n    pass\n"
+        "class Loaded:\n    pass\ndef lone():\n    pass\n"),
+        b: ast.parse(
+        "def helper():\n    pass\nclass T:\n    def m(self):\n"
+        "        return method_only()\ndef method_only():\n    pass\n"),
+        Path("__init__.py"): ast.parse("from .a import idle, Loaded\n")}
+    bench = [ast.parse("from magnodal.a import benched\n"
+                       "from magnodal import cli, Loaded\n"
+                       "cli.main([])\nx = cli.cmd_x\n"),
+             ast.parse("LAYERS = {'a': ('traced',)}\n")]
+    assert command_roots(trees) == {("cli", "main"), ("cli", "cmd_x")}
+    assert bench_roots(trees, bench) == {
+        ("a", "benched"), ("a", "Loaded"), ("cli", "main"), ("cli", "cmd_x"),
+        ("a", "traced")}
+    assert unreached(trees, command_roots(trees)) == [
+        "a.Loaded", "a.benched", "a.idle", "a.lone", "a.orphan", "a.traced"]
+    assert unreached(trees, command_roots(trees) | bench_roots(
+        trees, bench)) == ["a.idle", "a.lone", "a.orphan"]
+    # exported or loaded is not reached: the older rule passes both
+    assert unreferenced_definitions(a, trees, ("benched", "traced")) == [
+        "lone (line 18)"]
     assert constant_reads(ast.parse(
         "from . import morse\nfrom .morse import RANK_TOL, morse_index\n"
         "a = morse.RANK_TOL\nb = m.x.RANK_TOL * RANK_TOL\n"

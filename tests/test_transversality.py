@@ -6,18 +6,17 @@ import re
 import numpy as np
 import pytest
 
-from conftest import projects_surjectively, same_bits, scalar_transverse
+from conftest import (degenerate_ring_fixture, path_graph,
+                      projects_surjectively, same_bits, scalar_transverse,
+                      two_triangle_join)
 from magnodal.errors import InternalCrossCheckError, StratumAmbiguousError
 from magnodal.families import (
     complete_graph,
     cycle_graph,
-    degenerate_ring_fixture,
-    path_graph,
     random_connected_graph,
     random_join_fixture,
     random_operator,
     strong_diagonal_fixture,
-    two_triangle_join,
 )
 from magnodal.graphs import Graph
 from magnodal.operators import SupportedMatrix

@@ -34,8 +34,8 @@ loses nothing because the vertex-phase directions are in its kernel.
 
 The search polishes all of its starts in lockstep, one round per
 Newton trial: the trial operators of every live start form one stack,
-of which only the eigensolve and edge products run once per solver
-path (real or complex); the rest of the round, Newton Hessians and one
+solved on the complex path even where a trial lands exactly on a
+symmetry point; the rest of the round, Newton Hessians and one
 stacked least-squares call included, runs once over the stack.  It
 fills one solve stack as it goes, a row per start, from which the
 search reports take their rows.  The stacked kernels do per row
@@ -478,16 +478,13 @@ def _polish(base: SupportedMatrix, forest: SpanningForest, k: int,
     error, and the decrement is what bounds it.
 
     The starts run in lockstep, one round per trial point of every live
-    start.  Only the eigensolve and the edge products depend on the
-    solver path: the exactly real operators come first and take the
-    real path.  The simplicity check at k, the gradients, the phase
-    decisions (masks over the round), one stack of Newton Hessians and
-    one least-squares call (``_lstsq``) run once per round.  A real-path
-    row has real edge products, so its gradient is exactly zero: it
-    ends the search with a zero step whatever its Hessian's bits.  Each
-    round writes into the solve stack the solves it holds: that of a
-    start entering its final check, and that of a kept final step.  So
-    each start follows the one-start trajectory bit for bit.
+    start.  The eigensolve and the edge products (one complex stack),
+    the simplicity check at k, the gradients, the phase decisions
+    (masks over the round), one stack of Newton Hessians and one
+    least-squares call (``_lstsq``) run once per round.  Each round
+    writes into the solve stack the solves it holds: that of a start
+    entering its final check, and that of a kept final step.  So each
+    start follows the one-start trajectory bit for bit.
     """
     graph, idx = base.graph, forest.nonforest
     count, n, m = len(starts), graph.n, graph.num_edges
@@ -505,15 +502,7 @@ def _polish(base: SupportedMatrix, forest: SpanningForest, k: int,
                      np.zeros((count, n, n), c), k, np.zeros((count, m), c))
     while (r := np.flatnonzero(phase < _OK)).size:
         off = _offdiag_at(base, forest, trial[r])
-        real = np.all(off.imag == 0.0, axis=1)  # on the real path, first
-        order, cut = np.argsort(~real, kind="stable"), np.count_nonzero(real)
-        r, off = r[order], off[order]
-        paths = [_Solves.at(graph, off[lo:hi], *eigh_stack(
-            graph, base.diag, off[lo:hi]), k)
-            for lo, hi in ((0, cut), (cut, len(r))) if lo < hi]
-        s = paths[0] if len(paths) == 1 else _Solves(off, *(np.concatenate(
-            [getattr(p, f) for p in paths]) for f in ("values", "vectors")),
-            k, np.concatenate([p.products for p in paths]))
+        s = _Solves.at(graph, off, *eigh_stack(graph, base.diag, off), k)
         w = s.values
         others = cluster_mask(w, w[:, k - 1], tol_degeneracy)
         others[:, k - 1] = False  # the rest of the cluster at lambda_k

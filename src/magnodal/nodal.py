@@ -117,9 +117,9 @@ class _Solves:
     ``offdiag`` (S, m) holds each operator's edge entries, ``values``
     (S, n) and ``vectors`` (S, n, n) its ascending eigenvalues and
     eigenvector columns, and ``products`` (S, m) the edge products of
-    its k-th eigenvector.  A stacked solve has the vectors of its solver
-    path, real for real operators and complex otherwise; the complex
-    solve stack of the Newton polish holds both.
+    its k-th eigenvector.  The vectors are real for real operators in
+    the class blocks and in ``_checked``, and complex in the Newton
+    polish, whose solver takes the complex path for every operator.
     """
 
     offdiag: np.ndarray

@@ -3,8 +3,9 @@
 Wraps the LAPACK-backed dense solver and fixes the remaining freedom:
 eigenvalues come back ascending, eigenvectors orthonormal, and each
 eigenvector is rotated so its largest-modulus entry is real and
-positive.  Real symmetric input takes the real code path, so its
-eigenvectors have exactly zero imaginary part.
+positive.  ``eigh`` and ``eigh_dense`` solve real symmetric input on
+the real code path, so its eigenvectors are real; ``eigh_stack``, the
+Newton polish's solve, takes the complex path for every stack.
 
 Eigenvalue positions ``k`` are 1-based throughout the library, matching
 the usual counting of the spectrum from the bottom.  The module is the
@@ -120,13 +121,16 @@ def eigh_stack(graph: Graph, diag: np.ndarray, offdiag: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues (S, n) and phase-normalized eigenvectors
     (S, n, n) of the matrices with diagonal ``diag`` and edge entries
-    ``offdiag`` (S, m), in one stacked solve.
+    ``offdiag`` (S, m), in one stacked solve on the complex path.
 
-    The rows take the real solver path when all of them are real and
-    the complex path otherwise; a row solved in a stack gets the bits it
-    gets alone on the same path.
+    Real rows are filled as complex ones are, with the conjugated
+    entries in the lower triangle that the solver reads: it passes the
+    signs of their zero imaginary parts on to the eigenvectors.  So a
+    row gets the bits it gets alone, whatever rows share its stack.
     """
-    values, vectors = eigh_dense(dense_matrices(graph, diag, offdiag))
+    dense = dense_matrices(graph, diag, offdiag).astype(complex, copy=False)
+    dense[:, graph.endpoints[:, 1], graph.endpoints[:, 0]] = offdiag.conj()
+    values, vectors = eigh_dense(dense)
     return values, _normalize_phases(vectors)
 
 

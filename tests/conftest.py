@@ -48,7 +48,8 @@ the same checks.
 of the k-th eigenvalue one neighbour at a time, against which
 ``spectral.cluster_mask`` and ``multiplicity`` must agree.
 ``scalar_polish`` is the Newton oracle: one start at a time, one
-``eigh`` per trial point, against which the lockstep ``morse._polish``
+``complex_eigh`` per trial point (the complex path, as the polish
+solves every trial), against which the lockstep ``morse._polish``
 must agree bit for bit, on each start's outcome and on the row of its
 solve stack that a converged start ends on.  ``scalar_report`` is the
 report oracle: one point at a time, one Hessian and one ``morse_index``
@@ -928,22 +929,33 @@ def scalar_classify(s: SimpleEigen, tol: float, tol_vanish: float
     return "exceptional", worst, tuple(vanishing)
 
 
+def complex_eigh(h: SupportedMatrix) -> EigenSystem:
+    """The eigensystem of ``h`` on the complex path, a real ``h``
+    included: each edge entry above the diagonal and its conjugate
+    below, one ``np.linalg.eigh``, pivots by ``take_along_axis_phases``."""
+    r, s = h.graph.endpoints.T
+    dense = np.diag(h.diag).astype(np.complex128)
+    dense[r, s], dense[s, r] = h.offdiag, np.conj(h.offdiag)
+    values, vectors = np.linalg.eigh(dense)
+    return EigenSystem(values, take_along_axis_phases(vectors))
+
+
 def scalar_polish(base, k: int, start, gtol: float, tol_degeneracy: float):
     """One start of ``morse._polish``, run on its own.
 
     Damped Newton steps on the gauge-slice gradient with the analytic
     Hessian as Jacobian and backtracking on the squared norm; each trial
-    point is one ``eigh`` of its own operator.  Returns ``(status, x,
-    aux, solve)``: the lockstep's outcome for this start, named, its
-    coordinates and auxiliary number, and for a converged start the
-    solve its row of the lockstep's solve stack holds (``None``
-    otherwise).
+    point is one ``complex_eigh`` of its own operator, exactly real or
+    not.  Returns ``(status, x, aux, solve)``: the lockstep's outcome
+    for this start, named, its coordinates and auxiliary number, and
+    for a converged start the solve its row of the lockstep's solve
+    stack holds (``None`` otherwise).
     """
     idx = base.graph.spanning_forest.nonforest
 
     def solve(coords):
         h = TorusPoint.from_coords(base, coords).operator()
-        es = eigh(h)
+        es = complex_eigh(h)
         try:
             return simple_eigen(h, k, es, tol_degeneracy)
         except NonSimpleEigenvalueError:

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (custom_forest, degenerate_ring_fixture, eigenvalue_at,
-                      frozen_form_indices, gauged_real, gradient_fd,
-                      hessian_eigenvalue_fd, path_graph, pseudo_inverse_apply,
-                      same_bits, scalar_classify, scalar_nodal_surplus,
-                      scalar_report, simple_eigen, small_graphs)
+from conftest import (complex_eigh, custom_forest, degenerate_ring_fixture,
+                      eigenvalue_at, frozen_form_indices, gauged_real,
+                      gradient_fd, hessian_eigenvalue_fd, path_graph,
+                      pseudo_inverse_apply, same_bits, scalar_classify,
+                      scalar_nodal_surplus, scalar_report, simple_eigen,
+                      small_graphs)
 from test_nodal import COARSE_TOLERANCES
 from magnodal.errors import (
     AdmissibilityError,
@@ -49,7 +50,6 @@ from magnodal.nodal import (PRODUCT_REAL_TOL, _checked, nodal_count,
 from magnodal.operators import (
     SupportedMatrix,
     abs_part,
-    dense_matrices,
     frobenius_norms,
     gauge_classes_of_signings,
 )
@@ -481,9 +481,7 @@ class TestCriticalScan:
     @pytest.mark.parametrize("k", [0, 5])
     def test_k_outside_the_spectrum_raises_before_any_solve(self, monkeypatch,
                                                              k):
-        import magnodal.morse as morse
-
-        stacks = count_stacks(monkeypatch, morse)
+        stacks = count_stacks(monkeypatch)
         with pytest.raises(ValueError, match=f"k={k} outside 1..4"):
             critical_scan(strong_diagonal_fixture(complete_graph(4)), k)
         assert stacks == []
@@ -560,7 +558,7 @@ class TestCriticalScan:
         base = abs_part(h)
         solves = [oracle_solve_count(monkeypatch, base, 2, start)
                   for start in scan_starts(base, 16, 0)]
-        stacks = count_stacks(monkeypatch, morse)
+        stacks = count_stacks(monkeypatch)
         inner = morse._offdiag_at
 
         def marking(*args):  # every round builds its operators once
@@ -580,10 +578,8 @@ class TestCriticalScan:
                 rounds[-1].append(path)
         assert rounds[0] == ["real"]  # the symmetry points
         assert len(rounds) == 1 + max(solves)
-        # one stacked solve per solver path: real rows (Newton trials that
-        # land on 0 or pi exactly) among complex ones cost a second call
-        assert all(sorted(r) in (["complex"], ["real"], ["complex", "real"])
-                   for r in rounds[1:])
+        # one complex stack per round, exactly real trials included
+        assert all(r == ["complex"] for r in rounds[1:])
         assert sum(rows for path, rows in stacks if path != "round") \
             == 2 ** 6 + sum(solves)
 
@@ -592,16 +588,16 @@ class TestCriticalScan:
         import magnodal.morse as morse
 
         base = abs_part(ring_op(4))
-        stacks = count_stacks(monkeypatch, morse)
+        stacks = count_stacks(monkeypatch)
         status, x, gap, _ = morse._polish(
             base, base.graph.spanning_forest, 2, np.array([[start]]), 1e-10,
             1e-8)
         monkeypatch.undo()
-        # the gap is the one a second solve at the same point would give
+        # the gap is the one a second complex solve at the point would give
         x0 = np.mod(np.array([start]), 2 * np.pi)
-        es = eigh(TorusPoint.from_coords(base, x0).operator())
+        es = complex_eigh(TorusPoint.from_coords(base, x0).operator())
         expected = min(abs(es.values[j] - es.values[1]) for j in (0, 2, 3))
-        assert stacks == [("real", 1)]
+        assert stacks == [("complex", 1)]
         assert status.tolist() == [morse._DEGENERATE]
         assert x.tolist() == [x0.tolist()]
         assert gap.tolist() == [expected]
@@ -611,7 +607,7 @@ class TestCriticalScan:
         round: a search report reads the solve its polish ended on."""
         import magnodal.morse as morse
 
-        stacks = count_stacks(monkeypatch, morse)
+        stacks = count_stacks(monkeypatch)
         in_polish = []
         original = morse._polish
 
@@ -627,6 +623,7 @@ class TestCriticalScan:
         search = sum(r.origin == "search" for r in sr.reports)
         assert search > 0  # 20 here; each cost a second solve once
         assert stacks == [("real", 2 ** 6)] + in_polish
+        assert {path for path, _ in in_polish} == {"complex"}
         # ... and that solve is the one at the reported coordinates
         monkeypatch.undo()
         base = abs_part(h)
@@ -710,34 +707,27 @@ def oracle_solve_count(monkeypatch, base, k, start):
     import conftest
 
     with monkeypatch.context() as m:
-        counts = count_calls(m, conftest, "eigh")
+        counts = count_calls(m, conftest, "complex_eigh")
         conftest.scalar_polish(base, k, start, scan_gtol(base),
                                DEGENERACY_TOL)
-    return counts["eigh"]
+    return counts["complex_eigh"]
 
 
-def count_stacks(monkeypatch, module):
-    """Record ``(path, rows)`` for each stacked solve that ``module``
-    makes: one ``eigh_dense`` call through ``eigh_stack``, or through
-    ``nodal``'s class-block solve at the symmetry points."""
+def count_stacks(monkeypatch):
+    """Record ``(path, rows)`` for each call of ``eigh_dense``, by the
+    dtype of the stack that reaches it: through ``eigh_stack`` in the
+    Newton polish, or through ``nodal``'s class-block solve at the
+    symmetry points.  A single matrix counts as a stack of one."""
     import magnodal.nodal as nodal
+    import magnodal.spectral as spectral
 
     stacks = []
-    inner, solve = module.eigh_stack, nodal.eigh_dense
-
-    def path(dense):
-        return "complex" if np.iscomplexobj(dense) else "real", len(dense)
-
-    def recording(graph, diag, offdiag):
-        stacks.append(path(dense_matrices(graph, diag, offdiag)))
-        return inner(graph, diag, offdiag)
-
-    def recording_block(dense):
-        stacks.append(path(dense))
-        return solve(dense)
-
-    monkeypatch.setattr(module, "eigh_stack", recording)
-    monkeypatch.setattr(nodal, "eigh_dense", recording_block)
+    for module in (spectral, nodal):
+        def recording(dense, _solve=module.eigh_dense):
+            stacks.append(("complex" if np.iscomplexobj(dense) else "real",
+                           dense.size // dense.shape[-1] ** 2))
+            return _solve(dense)
+        monkeypatch.setattr(module, "eigh_dense", recording)
     return stacks
 
 
@@ -777,11 +767,9 @@ def check_against_oracle(base, k, points, polished):
         assert same_bits(auxs[i], aux0)
         assert (s0 is not None) == (status0 == "ok")
         if s0 is not None:
-            # the stack is complex; a real-path solve sits in it exactly
             assert same_bits(solves.offdiag[i], s0.h.offdiag)
             assert same_bits(solves.values[i], s0.es.values)
-            assert same_bits(solves.vectors[i],
-                             s0.es.vectors.astype(np.complex128))
+            assert same_bits(solves.vectors[i], s0.es.vectors)
             assert same_bits(solves.products[i], s0.products)
     return {r[0] for r in want}
 
@@ -808,70 +796,63 @@ class TestLockstepPolish:
              "ring-C4": ring_op(4),
              "strong-C3": strong_diagonal_fixture(cycle_graph(3))}[case]
         base = abs_part(h)
-        points = scan_starts(base, starts, 0)
-        stacks = count_stacks(monkeypatch, morse)
+        points, gtol = scan_starts(base, starts, 0), scan_gtol(base)
+        stacks = count_stacks(monkeypatch)
         polished = morse._polish(base, h.graph.spanning_forest, k,
-                                 points, scan_gtol(base), DEGENERACY_TOL)
+                                 points, gtol, DEGENERACY_TOL)
         monkeypatch.undo()
         statuses = check_against_oracle(base, k, points, polished)
         if case == "random-K5-seed0" and k == 2:
             assert "stuck" in statuses
         if case == "ring-C4":
-            # a Halton start at pi is a real operator among complex ones
-            assert {"real", "complex"} <= {path for path, _ in stacks}
+            # a Halton start at pi is a real operator among complex ones,
+            # solved on the complex path with them
+            assert np.pi in points
+            assert {path for path, _ in stacks} == {"complex"}
             assert "degenerate" in statuses
 
     @pytest.mark.parametrize("case,k", [("strong-C3", 2), ("ring-C3", 1)])
-    def test_a_round_holds_both_solver_paths(self, monkeypatch, case, k):
+    def test_a_round_with_real_trials_is_one_stack(self, monkeypatch, case,
+                                                   k):
         """Newton trials on a triangle land exactly on 0 or pi, so later
-        rounds hold real-path rows beside complex ones.  Such a round
-        is still one round: each path gets its own stacked solve, and
-        every round with a moved start assembles one Hessian stack and
-        makes one least-squares call.  That one stack is safe because a
-        real-path row reaching the least-squares call has an exactly
-        zero gradient, so its step is zero whatever its Hessian."""
+        rounds hold exactly real operators beside complex ones.  Such a
+        round is still one round: one complex stacked solve, and, with a
+        moved start, one Hessian stack and one least-squares call."""
         import magnodal.morse as morse
 
         h = {"strong-C3": strong_diagonal_fixture(cycle_graph(3)),
              "ring-C3": ring_op(3)}[case]
         base = abs_part(h)
-        points = scan_starts(base, 4, 0)
-        stacks = count_stacks(monkeypatch, morse)
+        points, gtol = scan_starts(base, 4, 0), scan_gtol(base)
+        stacks = count_stacks(monkeypatch)
         log = record_calls(monkeypatch, (morse, "_offdiag_at"),
                            (morse, "eigh_stack"), (morse, "_hessian"),
                            (morse, "_lstsq"))
-        hessian, lstsq, steps = morse._hessian, morse._lstsq, []
+        inner, real = morse._offdiag_at, []
 
-        def real_rows(s, *args):  # the real path's rows are real operators
-            steps.append([np.all(s.offdiag.imag == 0.0, axis=1)])
-            return hessian(s, *args)
+        def real_rows(*args):
+            off = inner(*args)
+            real.append(np.all(off.imag == 0.0, axis=1))
+            return off
 
-        def right_hand_sides(a, b):
-            steps[-1].append(b)
-            return lstsq(a, b)
-
-        monkeypatch.setattr(morse, "_hessian", real_rows)
-        monkeypatch.setattr(morse, "_lstsq", right_hand_sides)
+        monkeypatch.setattr(morse, "_offdiag_at", real_rows)
         polished = morse._polish(base, h.graph.spanning_forest, k,
-                                 points, scan_gtol(base), DEGENERACY_TOL)
+                                 points, gtol, DEGENERACY_TOL)
         monkeypatch.undo()
-        paths, rounds = iter(path for path, _ in stacks), []
+        rounds = []
         for name in log:
             if name == "_offdiag_at":
                 rounds.append([])
             else:
-                rounds[-1].append(next(paths) if name == "eigh_stack"
-                                  else name)
-        mixed = [i for i, r in enumerate(rounds)
-                 if r[:2] == ["real", "complex"]]  # real rows first
+                rounds[-1].append(name)
+        mixed = [i for i, rows in enumerate(real)
+                 if rows.any() and not rows.all()]
         assert [i for i in mixed if i > 0]  # past the Halton start at pi
-        assert not any(r[:2] == ["complex", "real"] for r in rounds)
+        assert stacks == [("complex", len(rows)) for rows in real]
+        assert all(r.count("eigh_stack") == 1 for r in rounds)
         assert all(r.count("_hessian") == r.count("_lstsq") == ("_lstsq" in r)
                    for r in rounds)
         assert any("_lstsq" in rounds[i] for i in mixed)
-        assert len(steps) == sum("_lstsq" in r for r in rounds)
-        assert any(real.any() for real, _ in steps)
-        assert all(np.all(b[real] == 0.0) for real, b in steps)
         check_against_oracle(base, k, points, polished)
 
 
@@ -885,47 +866,61 @@ def probe_operator(family: str, beta: int) -> SupportedMatrix:
     return surplus_probe_operator(g, rng)
 
 
-class TestRealSolverPath:
+class TestRealTrialLandings:
     """``unit_phases`` is exactly real only at 0 and pi, so a Newton
-    trial whose edge entries are exactly real, one the polish solves on
-    its real path, sits at a symmetry point: every coordinate reduces to
-    exactly 0 or pi modulo 2 pi.  Its landing is then a point the scan
-    already knows."""
+    trial whose edge entries are exactly real sits at a symmetry point:
+    every coordinate reduces to exactly 0 or pi modulo 2 pi.  A start
+    that makes such a trial ends on a symmetry point, converged within
+    its dedup radius of one, which ``_first_of_clusters`` drops against
+    the known points, or degenerate there.  So how such a trial is
+    solved moves no search report."""
 
     @pytest.mark.parametrize("family,number", [
         *((family, beta) for family in ("cmm", "rrl")
           for beta in (3, 4, 5, 6)),
-        ("random-K5", 0), ("random-K5", 1)])
-    def test_real_trials_sit_at_symmetry_points(self, monkeypatch, family,
-                                                number):
-        """On the probes of beta 3 to 6, and on random K5 operators
-        (``number`` is the seed), scanned at every k."""
+        ("random-K5", 0), ("random-K5", 1),
+        ("ring", 3), ("ring", 4), ("ring", 5)])
+    def test_real_trials_land_on_symmetry_points(self, monkeypatch, family,
+                                                 number):
+        """On the probes of beta 3 to 6, on random K5 operators
+        (``number`` is the seed) and on uniform rings (``number`` is the
+        length), each start of a scan at every k polished alone."""
         import magnodal.morse as morse
 
         h = (random_operator(complete_graph(5), np.random.default_rng(number))
-             if family == "random-K5" else probe_operator(family, number))
+             if family == "random-K5" else ring_op(number) if family == "ring"
+             else probe_operator(family, number))
+        base, forest = abs_part(h), h.graph.spanning_forest
+        gtol = scan_gtol(base)
+        known = np.array(list(itertools.product(
+            (0.0, np.pi), repeat=betti_number(h.graph))))
         trials, inner = [], morse._offdiag_at
 
         def recording(base, forest, coords):  # one call per polish round
             off = inner(base, forest, coords)
-            trials.append((coords.copy(), off))
+            if np.all(off.imag == 0.0):
+                trials.append(np.mod(coords, TWO_PI))
             return off
 
         monkeypatch.setattr(morse, "_offdiag_at", recording)
-        stacks = count_stacks(monkeypatch, morse)
-        beta = betti_number(h.graph)
+        landed = []
         for k in range(1, h.graph.n + 1):
-            critical_scan(h, k, starts=4, seed=k)
-        monkeypatch.undo()
-        real = np.concatenate([np.all(off.imag == 0.0, axis=1)
-                               for _, off in trials])
-        rem = np.mod(np.concatenate([c for c, _ in trials]), TWO_PI)
-        assert np.array_equal(
-            real, np.all((rem == 0.0) | (rem == np.pi), axis=1))
-        assert real.any()
-        # the real path solves those rows and the symmetry blocks only
-        assert sum(rows for path, rows in stacks if path == "real") \
-            == np.count_nonzero(real) + h.graph.n * 2 ** beta
+            for start in scan_starts(base, 4, k):
+                trials.clear()
+                status, x, aux, _ = morse._polish(
+                    base, forest, k, start[None], gtol, DEGENERACY_TOL)
+                if trials:
+                    landed.append(status[0])
+                    assert all(np.isin(t, (0.0, np.pi)).all() for t in trials)
+                    assert status[0] in (morse._OK, morse._DEGENERATE)
+                    radius = (max(morse.DEDUP_TOL, 10.0 * aux[0])
+                              if status[0] == morse._OK else morse.DEDUP_TOL)
+                    assert min(scalar_torus_distance(x[0], y)
+                               for y in known) <= radius
+                    assert status[0] == morse._DEGENERATE or \
+                        morse._first_of_clusters(x, np.array([radius]),
+                                                 known) == []
+        assert morse._OK in landed
 
 
 @st.composite
@@ -1108,7 +1103,7 @@ class TestOneOperatorPerSolve:
         import magnodal.morse as morse
         import magnodal.nodal as nodal
 
-        stacks = count_stacks(monkeypatch, morse)
+        stacks = count_stacks(monkeypatch)
         counts = count_calls(monkeypatch, nodal, "eigh")
         counts.update(count_calls(monkeypatch, morse, "magnetic_action"))
         critical_scan(strong_diagonal_fixture(complete_graph(5), eta=10.0),
@@ -1120,7 +1115,7 @@ class TestOneOperatorPerSolve:
         import magnodal.morse as morse
         import magnodal.nodal as nodal
 
-        stacks = count_stacks(monkeypatch, morse)
+        stacks = count_stacks(monkeypatch)
         counts = count_calls(monkeypatch, nodal, "eigh")
         counts.update(count_calls(monkeypatch, morse, "magnetic_action"))
         t = verify_index_equals_surplus(

@@ -107,8 +107,8 @@ class TestPhaseActions:
               np.nextafter(np.pi, 0.0), np.nextafter(2 * np.pi, 7.0)])
     def test_exactly_real_only_at_zero_and_pi(self, values):
         """A phase is exactly real where its angle reduces to exactly 0
-        or pi modulo 2 pi, and nowhere else: the polish's real solver
-        path therefore holds only points with every coordinate there."""
+        or pi modulo 2 pi, and nowhere else: a torus point's operator is
+        exactly real only where every coordinate sits there."""
         x = np.array(values, dtype=np.float64)
         rem = np.mod(x, 2 * np.pi)
         assert np.array_equal(unit_phases(x).imag == 0.0,

@@ -27,7 +27,10 @@ its one caller.  No public function or method takes both an operator
 (``SupportedMatrix`` or ``TorusPoint``) and an ``EigenSystem``: each
 solves the operator it reads, except ``nodal_count`` and
 ``nodal_surplus``, which the benchmark's oracles hand an eigensystem.
-``SigningClasses.rows`` is called, and
+``spectral.eigh_stack``, which solves every stack on the complex path,
+has one caller, the Newton polish ``morse._polish``: the other stacked
+solves of real operators take the real path.  ``SigningClasses.rows``
+is called, and
 ``SWEEP_CHUNK`` read, in one function only, ``nodal._class_blocks``,
 the one walk over switching classes, which the class sum, the index
 check and the scan share.  Its blocks come checked, so ``morse``
@@ -614,6 +617,11 @@ def test_no_public_function_takes_an_operator_and_its_solve():
     trees = {p: parse(p) for p in MODULES}
     assert solve_handins(trees) == []
     assert solve_handins(trees, ()) == ["nodal.nodal_count"]
+
+
+def test_only_the_newton_polish_solves_a_complex_stack():
+    trees = {p: parse(p) for p in MODULES}
+    assert function_callers(trees, "eigh_stack") == ["morse._polish"]
 
 
 def test_one_function_forms_edge_products():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (multiplicity_by_walk, pseudo_inverse_apply, same_bits,
-                      small_graphs, take_along_axis_phases)
+from conftest import (complex_eigh, multiplicity_by_walk,
+                      pseudo_inverse_apply, same_bits, small_graphs,
+                      take_along_axis_phases)
 from magnodal.errors import EigenSolverError, NonSimpleEigenvalueError
 from magnodal.families import complete_graph
 from magnodal.graphs import Graph, num_components
@@ -131,17 +132,34 @@ def normalize_by_columns(vectors):
 class TestStackedSolve:
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_rows_match_single_solves(self, complex_entries):
+        """Every row, exactly real or not, gets the bits of its single
+        solve on the complex path."""
         rng = np.random.default_rng(11)
         h = random_supported(6, rng, density=0.8)
         rows = rng.uniform(0.5, 1.5, size=(5, h.graph.num_edges)) + 0j
         if complex_entries:
             rows *= np.exp(1j * rng.uniform(0, 2 * np.pi, size=rows.shape))
         values, vectors = eigh_stack(h.graph, h.diag, rows)
-        assert np.iscomplexobj(vectors) == complex_entries
+        assert np.iscomplexobj(vectors)
         for off, w, V in zip(rows, values, vectors):
-            es = eigh(SupportedMatrix(h.graph, h.diag, off))
+            es = complex_eigh(SupportedMatrix(h.graph, h.diag, off))
             assert es.values.tobytes() == w.tobytes()
             assert es.vectors.tobytes() == V.tobytes()
+
+    def test_real_rows_keep_their_bits_among_complex_rows(self):
+        """The solver can pass the signs of a real row's zero imaginary
+        parts on to its eigenvectors, as it does for some of these
+        triangles; filled as among complex rows in every stack, a real
+        row gets the same bits in an all-real stack as beside complex
+        rows."""
+        rng = np.random.default_rng(5)
+        g, diag = complete_graph(3), rng.normal(size=3)
+        real = rng.uniform(0.5, 1.5, (200, 3)) * rng.choice([-1, 1], (200, 3))
+        mixed = np.concatenate(
+            [real, real * np.exp(1j * rng.uniform(0, 2 * np.pi, real.shape))])
+        alone = eigh_stack(g, diag, real + 0j)
+        among = eigh_stack(g, diag, mixed)
+        assert all(same_bits(a, b[:len(real)]) for a, b in zip(alone, among))
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("complex_entries", [False, True])

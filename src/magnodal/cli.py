@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, nodal
 from .errors import (
     AdmissibilityError,
     CapExceededError,
@@ -48,8 +48,6 @@ from .graphs import betti_number, graph_from_json
 from .linkage import analyze_exceptional, build_exceptional_fixture
 from .morse import critical_scan, verify_index_equals_surplus
 from .nodal import (
-    PRODUCT_DEGENERATE_TOL,
-    PRODUCT_REAL_TOL,
     average_surplus_distribution,
     normalized_distribution,
     position_checks,
@@ -227,7 +225,8 @@ def _config_echo(args) -> dict:
 
 def _emit(args, payload: dict, csv_spec=None) -> None:
     """Write the run record and optional CSV table, echo to stdout; the
-    record is built only for ``--out``, and the table's rows, maybe a
+    record is built only for ``--out``, with the kernel's product cuts
+    as ``nodal`` holds them then, and the table's rows, maybe a
     generator, are read once, if printed or written."""
     if args.out:
         write_json(_stem(args.out) + ".json", {
@@ -236,8 +235,8 @@ def _emit(args, payload: dict, csv_spec=None) -> None:
             "tolerances": {
                 "degeneracy": getattr(args, "tol_degeneracy", DEGENERACY_TOL),
                 "vanish": getattr(args, "tol_vanish", VANISH_TOL),
-                "product": PRODUCT_DEGENERATE_TOL,
-                "real": PRODUCT_REAL_TOL,
+                "product": nodal.PRODUCT_DEGENERATE_TOL,
+                "real": nodal.PRODUCT_REAL_TOL,
             },
             "results": payload,
             "wall_time_s": round(time.monotonic() - args._t0, 3),

@@ -16,6 +16,9 @@ from .graphs import Graph, betti_number
 from .operators import SupportedMatrix
 from .spectral import eigh
 
+#: Diagonal scale of ``surplus_probe_operator``, against unit couplings.
+PROBE_ETA = 100.0
+
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
@@ -145,14 +148,15 @@ def strong_diagonal_fixture(g: Graph, eta: float = 100.0) -> SupportedMatrix:
     return SupportedMatrix(g, diag, off)
 
 
-def surplus_probe_operator(g: Graph, rng: np.random.Generator,
-                           eta: float = 100.0) -> SupportedMatrix:
-    """Unit couplings with a random widely spaced distinct diagonal."""
+def surplus_probe_operator(g: Graph, rng: np.random.Generator
+                           ) -> SupportedMatrix:
+    """Unit couplings with a random widely spaced distinct diagonal,
+    ``PROBE_ETA`` times distinct draws from ``[0, 1)``."""
     while True:
         base = rng.uniform(0.0, 1.0, size=g.n)
         if np.min(np.diff(np.sort(base))) > 1e-3:
             break
-    diag = eta * base
+    diag = PROBE_ETA * base
     off = -np.ones(g.num_edges, dtype=np.complex128)
     return SupportedMatrix(g, diag, off)
 

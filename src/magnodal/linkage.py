@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import morse
 from .errors import (
     AdmissibilityError,
     CapExceededError,
@@ -34,7 +33,12 @@ from .families import complete_graph
 from .graphs import OneForm, induced_subgraph
 from .morse import TorusPoint, _hessian, _kinds, morse_index
 from .nodal import _checked, nodal_surplus
-from .operators import GaugePhase, SupportedMatrix, gauge_transform
+from .operators import (
+    GaugePhase,
+    SupportedMatrix,
+    entry_phases,
+    gauge_transform,
+)
 from .spectral import (
     DEGENERACY_TOL,
     VANISH_TOL,
@@ -54,6 +58,9 @@ LENGTH_CAP = 20
 
 #: Sign rows per block of the genericity enumeration.
 _GENERIC_CHUNK = 1 << 13
+
+#: Seeded random starts ``sample_configuration`` tries before it gives up.
+SAMPLE_RESTARTS = 60
 
 #: Spectral shift coefficients below this count as degenerate.
 SHIFT_COEFF_TOL = 1e-9
@@ -158,14 +165,14 @@ def solvability_and_connectivity(L: LinkageLengths) -> LinkageTopology:
     return LinkageTopology("connected", dim)
 
 
-def sample_configuration(L: LinkageLengths, seed: int = 0,
-                         max_restarts: int = 60) -> np.ndarray:
+def sample_configuration(L: LinkageLengths, seed: int = 0) -> np.ndarray:
     """One closed configuration, normalized so the first angle is zero.
 
     Solves ``sum_r M_r exp(i theta_r) = 0`` by damped least squares
-    from seeded random starts, on the lengths scaled by a power of two
-    (``_unit_scaled``), which leaves the angles unchanged.  Works for any
-    solvable length set, not only generic ones; an unsolvable set raises.
+    from up to ``SAMPLE_RESTARTS`` seeded random starts, on the lengths
+    scaled by a power of two (``_unit_scaled``), which leaves the angles
+    unchanged.  Works for any solvable length set, not only generic
+    ones; an unsolvable set, or one no start closes, raises.
     """
     m = len(L)
     vals = _unit_scaled(L)
@@ -179,7 +186,7 @@ def sample_configuration(L: LinkageLengths, seed: int = 0,
     target = 1e-12 * total
     signed = np.stack([-vals[1:], vals[1:]])  # scales the Jacobian rows
     theta = np.zeros(m)
-    for attempt in range(max_restarts):
+    for attempt in range(SAMPLE_RESTARTS):
         # two bars first try the flat fold, which draws nothing
         theta[1:] = (np.pi if attempt == 0 and m == 2
                      else rng.uniform(0.0, TWO_PI, size=m - 1))
@@ -202,8 +209,8 @@ def sample_configuration(L: LinkageLengths, seed: int = 0,
                 break
             theta, r = trial, rc
     raise EmptyConfigurationError(
-        f"no closed configuration found after {max_restarts} restarts; the "
-        f"length set may be on the solvability boundary")
+        f"no closed configuration found after {SAMPLE_RESTARTS} restarts; "
+        f"the length set may be on the solvability boundary")
 
 
 def _closure(vals: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -254,8 +261,10 @@ def analyze_exceptional(h: SupportedMatrix, k: int, *,
     Hessian, whose nullity is cut at ``morse.RANK_TOL``, read when it
     runs.  Any mismatch between prediction and numerics raises, as does
     a point outside the analyzer's scope (no vanishing vertex, or more
-    than one).
+    than one).  A zero edge entry raises ``NotProperlySupportedError``
+    before anything is solved.
     """
+    entry_phases(h.offdiag)  # refuses a zero edge entry, as the scan does
     es = eigh(h)
     try:
         s, checks = _checked(h, k, es, tol_degeneracy=tol_degeneracy,
@@ -357,7 +366,7 @@ def analyze_exceptional(h: SupportedMatrix, k: int, *,
     predicted = surplus_red + (2 if c < 0.0 else 0)
 
     hess = _hessian(s, g.spanning_forest, tol_degeneracy)[0]
-    index, nullity = morse_index(hess, morse.RANK_TOL)
+    index, nullity = morse_index(hess)
     if nullity != dim:
         raise InternalCrossCheckError(
             f"numerical Hessian nullity {nullity} differs from the predicted "

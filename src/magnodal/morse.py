@@ -98,8 +98,8 @@ class TorusPoint:
     """Point of the phase torus over a real base matrix.
 
     Stores the full vector of edge angles reduced modulo 2 pi.  A point
-    built from gauge-slice coordinates keeps its forest angles at zero
-    and is addressed through its non-forest coordinates.
+    on the gauge slice has its forest angles at zero; its coordinates
+    are its angles at the forest's non-forest positions.
     """
 
     base: SupportedMatrix
@@ -117,16 +117,6 @@ class TorusPoint:
     @property
     def graph(self) -> Graph:
         return self.base.graph
-
-    @classmethod
-    def from_coords(cls, base: SupportedMatrix, coords) -> "TorusPoint":
-        idx = base.graph.spanning_forest.nonforest
-        coords = np.asarray(coords, dtype=np.float64)
-        if coords.shape != idx.shape:
-            raise ValueError("coordinate vector length does not match beta")
-        angles = np.zeros(base.graph.num_edges)
-        angles[idx] = coords
-        return cls(base, angles)
 
     @classmethod
     def from_operator(cls, h: SupportedMatrix, alpha: OneForm | None = None
@@ -147,12 +137,6 @@ class TorusPoint:
 
     def operator(self) -> SupportedMatrix:
         return magnetic_action(OneForm(self.graph, self.angles), self.base)
-
-    def coords(self) -> np.ndarray:
-        return self.angles[self.graph.spanning_forest.nonforest].copy()
-
-    def conjugate(self) -> "TorusPoint":
-        return TorusPoint(self.base, -self.angles)
 
 
 def eigenvalue_gradient(p: TorusPoint, k: int) -> OneForm:
@@ -277,15 +261,14 @@ def _hessian(s: _Solves, forest: SpanningForest, tol_degeneracy: float
     return 0.5 * (H + Ht)
 
 
-def morse_index(hess: np.ndarray, rank_tol: float = RANK_TOL
-                ) -> tuple[int, int]:
+def morse_index(hess: np.ndarray) -> tuple[int, int]:
     """Count of negative and of near-zero Hessian eigenvalues.
 
-    The zero band is ``rank_tol`` times the largest magnitude
-    eigenvalue; for the zero matrix everything is nullity.
+    The zero band is ``RANK_TOL``, read when it runs, times the largest
+    magnitude eigenvalue; for the zero matrix everything is nullity.
     """
     _, index, nullity = _morse_indices(
-        np.asarray(hess, dtype=np.float64)[None], rank_tol)
+        np.asarray(hess, dtype=np.float64)[None], RANK_TOL)
     return int(index[0]), int(nullity[0])
 
 
@@ -447,8 +430,9 @@ def _offdiag_at(base: SupportedMatrix, forest: SpanningForest,
                 coords: np.ndarray) -> np.ndarray:
     """Edge entries (S, m) of the operators at slice coordinates (S, d).
 
-    Row by row these are the bits of
-    ``TorusPoint.from_coords(base, coords[i]).operator().offdiag``.
+    Row by row these are the bits of ``TorusPoint(base,
+    angles).operator().offdiag``, with ``angles`` holding ``coords[i]``
+    at the non-forest positions and 0 elsewhere.
     """
     angles = np.zeros((len(coords), base.graph.num_edges))
     angles[:, forest.nonforest] = coords

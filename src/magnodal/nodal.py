@@ -15,14 +15,17 @@ decides for every row and every eigenvalue position at once whether
 the eigenvalue is simple, which eigenvector entries vanish, whether
 the edge products are real and which are too close to zero to carry a
 sign, and its masks word every error (``_StackChecks.error``); a
-caller at one position k reads column ``k - 1``.  Its one entry is
-``position_checks``: a class block, the scan's search points
-(``_Solves.checks``) and a single operator, solved as a stack of one
-(``_checked``), all go through it.  Only ``nodal_count`` takes an
-eigensystem from its caller; every other single-point computation of
-the package solves the operator it reads.  The surplus bounds are a
-theorem on connected graphs; on a disconnected graph a count outside
-them is inadmissible, not an internal fault.
+caller at one position k reads column ``k - 1``.  Its callers set the
+degeneracy and vanishing cuts; the realness and product cuts,
+``PRODUCT_REAL_TOL`` and ``PRODUCT_DEGENERATE_TOL``, are read when it
+runs.  Its one entry is ``position_checks``: a class block, the scan's
+search points (``_Solves.checks``) and a single operator, solved as a
+stack of one (``_checked``), all go through it.  Only ``nodal_count``
+and ``nodal_surplus`` take an eigensystem from their caller; every
+other single-point computation of the package solves the operator it
+reads.  The surplus bounds are a theorem on connected graphs; on a
+disconnected graph a count outside them is inadmissible, not an
+internal fault.
 
 The signing average solves one representative per switching class, the
 member that leaves the spanning forest unflipped.  ``_class_blocks`` is
@@ -64,7 +67,6 @@ from .errors import (
 )
 from .graphs import Graph, betti_number, num_components
 from .operators import (
-    SIGNING_CAP,
     SigningClasses,
     SupportedMatrix,
     dense_matrices,
@@ -251,12 +253,11 @@ class _StackChecks:
 def _stack_checks(values: np.ndarray, vectors: np.ndarray,
                   products: np.ndarray, scale, graph: Graph, *,
                   tol_degeneracy: float = DEGENERACY_TOL,
-                  tol_vanish: float = VANISH_TOL,
-                  tol_real: float = PRODUCT_REAL_TOL,
-                  tol_product: float = PRODUCT_DEGENERATE_TOL
-                  ) -> _StackChecks:
+                  tol_vanish: float = VANISH_TOL) -> _StackChecks:
     """The admissibility kernel, the one place where the vanishing,
-    realness and product tolerances cut.
+    realness and product tolerances cut.  The realness and product
+    cuts are ``PRODUCT_REAL_TOL`` and ``PRODUCT_DEGENERATE_TOL``, read
+    when it runs; ``tol_real`` of the result is the realness cut used.
 
     ``values`` (S, n) are the ascending spectra of S operators on
     ``graph``, ``vectors`` (S, n, n) and ``products`` (S, n, m) the
@@ -267,15 +268,15 @@ def _stack_checks(values: np.ndarray, vectors: np.ndarray,
     ``failed`` and ``out_of_bounds`` from them.
     """
     scale = np.asarray(scale, dtype=np.float64)[..., None, None]
-    flat = (~(np.abs(products.imag) > tol_real * scale).any(axis=2)
+    flat = (~(np.abs(products.imag) > PRODUCT_REAL_TOL * scale).any(axis=2)
             if np.iscomplexobj(products)
             else np.ones(products.shape[:2], dtype=bool))
     return _StackChecks(
         values, products, graph, betti_number(graph), tol_degeneracy,
-        tol_real, simple_positions(values, tol_degeneracy),
+        PRODUCT_REAL_TOL, simple_positions(values, tol_degeneracy),
         np.abs(vectors) < tol_vanish,
         flat,
-        np.abs(products.real) < tol_product * scale,
+        np.abs(products.real) < PRODUCT_DEGENERATE_TOL * scale,
         np.add.reduce(products.real > 0.0, axis=2, dtype=np.intp)
         - np.arange(values.shape[1]))
 
@@ -301,9 +302,7 @@ def _checked(h: SupportedMatrix, k: int, es: EigenSystem | None = None,
 def nodal_count(h: SupportedMatrix, k: int, *,
                 es: EigenSystem | None = None,
                 tol_degeneracy: float = DEGENERACY_TOL,
-                tol_vanish: float = VANISH_TOL,
-                tol_real: float = PRODUCT_REAL_TOL,
-                tol_product: float = PRODUCT_DEGENERATE_TOL) -> int:
+                tol_vanish: float = VANISH_TOL) -> int:
     """Number of edges with a positive edge product for eigenvector k.
 
     The eigenvalue must be simple, the eigenvector nowhere vanishing,
@@ -313,17 +312,20 @@ def nodal_count(h: SupportedMatrix, k: int, *,
     connected graph and ``AdmissibilityError`` on a disconnected one.
     """
     _, checks = _checked(h, k, es, tol_degeneracy=tol_degeneracy,
-                         tol_vanish=tol_vanish, tol_real=tol_real,
-                         tol_product=tol_product)
+                         tol_vanish=tol_vanish)
     error = checks.error(0, k - 1)
     if error is not None:
         raise error
     return int(checks.surplus[0, k - 1]) + k - 1
 
 
-def nodal_surplus(h: SupportedMatrix, k: int, **kwargs) -> int:
+def nodal_surplus(h: SupportedMatrix, k: int, *,
+                  es: EigenSystem | None = None,
+                  tol_degeneracy: float = DEGENERACY_TOL,
+                  tol_vanish: float = VANISH_TOL) -> int:
     """Nodal count minus ``k - 1``; in ``[0, beta]`` on connected graphs."""
-    return nodal_count(h, k, **kwargs) - (k - 1)
+    return nodal_count(h, k, es=es, tol_degeneracy=tol_degeneracy,
+                       tol_vanish=tol_vanish) - (k - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +369,9 @@ class SurplusDistribution:
 
 
 def position_checks(graph: Graph, offdiag: np.ndarray, values: np.ndarray,
-                    vectors: np.ndarray, scale, **tols) -> _StackChecks:
+                    vectors: np.ndarray, scale, *,
+                    tol_degeneracy: float = DEGENERACY_TOL,
+                    tol_vanish: float = VANISH_TOL) -> _StackChecks:
     """The kernel at every eigenvalue position of a stack of operators
     on ``graph``: edge entries ``offdiag`` (S, m), eigenvalues ``values``
     (S, n), eigenvector columns ``vectors`` (S, n, n) and Frobenius norm
@@ -378,7 +382,8 @@ def position_checks(graph: Graph, offdiag: np.ndarray, values: np.ndarray,
     vectors = np.ascontiguousarray(vectors.transpose(1, 2, 0)).T
     return _stack_checks(values, vectors,
                          edge_products(graph, offdiag[:, None], vectors),
-                         scale, graph, **tols)
+                         scale, graph, tol_degeneracy=tol_degeneracy,
+                         tol_vanish=tol_vanish)
 
 
 #: Classes per block of ``_class_blocks``: it holds ``SWEEP_CHUNK * n * n``
@@ -451,9 +456,10 @@ def _surplus_counts(h: SupportedMatrix, classes: SigningClasses,
 
 
 def average_surplus_distribution(h: SupportedMatrix, *,
-                                 cap: int = SIGNING_CAP,
                                  skip_inadmissible: bool = False,
-                                 **kwargs) -> SurplusDistribution:
+                                 tol_degeneracy: float = DEGENERACY_TOL,
+                                 tol_vanish: float = VANISH_TOL
+                                 ) -> SurplusDistribution:
     """Exact surplus histogram averaged over every signing.
 
     Switching-equivalent signings are conjugate by a diagonal sign
@@ -463,9 +469,11 @@ def average_surplus_distribution(h: SupportedMatrix, *,
     ``SWEEP_CHUNK`` stacked eigensolves whose sign rows are built per
     block, and its surpluses count ``class_size`` times.  Counts
     are accumulated as integers and divided once, so the probabilities
-    are exact ratios; ``cap`` bounds beta, and a graph whose
-    ``n * 2^|E|`` samples overflow the int64 counts is refused too.  A
-    signing counts only when every eigenvalue position is admissible.
+    are exact ratios.  ``operators.SIGNING_CAP``, read when it runs,
+    bounds beta, and a graph whose ``n * 2^|E|`` samples overflow the
+    int64 counts is refused too.  A signing counts only when every
+    eigenvalue position is admissible at ``tol_degeneracy`` and
+    ``tol_vanish`` and the module's product cuts.
     Without ``skip_inadmissible`` the first failing class raises
     ``InadmissibleSigningError``, which carries its representative's
     signs, k and reason.
@@ -481,12 +489,13 @@ def average_surplus_distribution(h: SupportedMatrix, *,
         raise AdmissibilityError("the signing average is stated for real "
                                  "matrices; this operator has complex entries")
     m, n = h.graph.num_edges, h.graph.n
-    classes = gauge_classes_of_signings(h, cap=cap)
+    classes = gauge_classes_of_signings(h)
     if n << m >= 1 << 63:
         raise CapExceededError(
             f"{n} vertices times 2^{m} signings overflow the int64 counts")
     counts, skipped = _surplus_counts(h, classes, skip_inadmissible,
-                                      **kwargs)
+                                      tol_degeneracy=tol_degeneracy,
+                                      tol_vanish=tol_vanish)
     return SurplusDistribution(betti_number(h.graph), counts,
                                ((1 << m) - skipped) * n, skipped=skipped)
 

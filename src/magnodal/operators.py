@@ -31,8 +31,8 @@ from .graphs import (Graph, OneForm, _are_numbers, _are_vertex_pairs,
 
 TWO_PI = 2.0 * np.pi
 
-#: Default refusal threshold on the cycles (beta) of a switching-class
-#: enumeration.
+#: Refusal threshold on the cycles (beta) of a switching-class
+#: enumeration, read when ``gauge_classes_of_signings`` runs.
 SIGNING_CAP = 20
 
 #: Flux distance to a multiple of pi below which a class is a switching class.
@@ -239,8 +239,7 @@ class SigningClasses:
         return rows
 
 
-def gauge_classes_of_signings(h: SupportedMatrix, cap: int = SIGNING_CAP
-                              ) -> SigningClasses:
+def gauge_classes_of_signings(h: SupportedMatrix) -> SigningClasses:
     """The ``2^beta`` switching classes of the signings of a real matrix.
 
     Two sign patterns are equivalent when they differ by a vertex sign
@@ -248,9 +247,10 @@ def gauge_classes_of_signings(h: SupportedMatrix, cap: int = SIGNING_CAP
     cycle agrees.  Vertex flips can set every forest edge to +1, so
     each class has exactly one member that leaves the forest unflipped,
     and that member is its representative.  Nothing is enumerated up
-    front; ``cap`` bounds beta.  The classes depend on the graph only,
-    so zero entries are allowed.  They read the non-forest positions off
-    the graph's spanning forest; no cycle is built.
+    front; ``SIGNING_CAP``, read when it runs, bounds beta.  The classes
+    depend on the graph only, so zero entries are allowed.  They read
+    the non-forest positions off the graph's spanning forest; no cycle
+    is built.
     """
     if not h.is_real:
         raise ValueError("signing classes are defined for real matrices")
@@ -259,9 +259,10 @@ def gauge_classes_of_signings(h: SupportedMatrix, cap: int = SIGNING_CAP
     if beta != betti_number(h.graph):
         raise InternalCrossCheckError(
             "non-forest edge count does not match the Betti number")
-    if beta > cap:
+    if beta > SIGNING_CAP:
         raise CapExceededError(
-            f"class enumeration over beta {beta} exceeds the cap of {cap}")
+            f"class enumeration over beta {beta} exceeds the cap of "
+            f"{SIGNING_CAP}")
     return SigningClasses(graph=h.graph, nonforest=nonforest,
                           class_size=1 << (h.graph.num_edges - beta))
 

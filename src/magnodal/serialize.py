@@ -66,14 +66,20 @@ _LEAVES = {type(None): lambda x: "null",
            int: str, float: _finite, str: _escape}
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
+def dumps_canonical(obj) -> str:
     """Canonical JSON text: sorted keys, fixed float format.
 
     Accepts the JSON value types plus tuples; anything else (including
     complex numbers) must be converted by the caller first.  Scalar
     leaves of the exact JSON types are formatted from one table keyed
-    by type, before any ``isinstance`` test.
+    by type, before any ``isinstance`` test.  Nested values recurse
+    through ``_canonical``, which carries the indentation depth.
     """
+    return _canonical(obj, 0)
+
+
+def _canonical(obj, indent: int) -> str:
+    """``dumps_canonical`` of ``obj`` nested ``indent`` levels deep."""
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         return leaf(obj)
@@ -88,7 +94,7 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [dumps_canonical(x, indent + 1) for x in obj]
+        items = [_canonical(x, indent + 1) for x in obj]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
     if isinstance(obj, dict):
         if not obj:
@@ -96,7 +102,7 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         pairs = sorted(obj.items())
         if not all(map(isinstance, obj, repeat(str))):
             raise TypeError("canonical JSON needs string keys")
-        items = [f"{_escape(k)}: {dumps_canonical(v, indent + 1)}"
+        items = [f"{_escape(k)}: {_canonical(v, indent + 1)}"
                  for k, v in pairs]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -213,10 +213,10 @@ def simple_positions(values: np.ndarray, tol_rel: float = DEGENERACY_TOL
     return ~(close[..., 1:] | close[..., :-1])
 
 
-def is_nowhere_vanishing(v: np.ndarray, tol: float = VANISH_TOL
-                         ) -> tuple[bool, list[int]]:
-    """Check a unit vector for entries below the vanishing threshold."""
-    vanishing = [int(i) for i in np.nonzero(np.abs(v) < tol)[0]]
+def is_nowhere_vanishing(v: np.ndarray) -> tuple[bool, list[int]]:
+    """Check a unit vector for entries below ``VANISH_TOL``, read when
+    it runs."""
+    vanishing = [int(i) for i in np.nonzero(np.abs(v) < VANISH_TOL)[0]]
     return not vanishing, vanishing
 
 

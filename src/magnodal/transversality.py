@@ -37,14 +37,11 @@ TRANSVERSALITY_RANK_TOL = 1e-8
 SUPPORT_TOL = 1e-8
 
 
-def codim_stratum(m: int, fixed_eigenvalue: bool = False) -> int:
-    """Codimension of the multiplicity-m stratum.
-
-    The eigenvalue is free by default; pinning it adds one.
-    """
+def codim_stratum(m: int) -> int:
+    """Codimension of the multiplicity-m stratum, the eigenvalue free."""
     if m < 1:
         raise ValueError("multiplicity must be positive")
-    return m * m - (0 if fixed_eigenvalue else 1)
+    return m * m - 1
 
 
 @dataclass(frozen=True, eq=False)

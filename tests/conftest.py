@@ -52,9 +52,9 @@ of the k-th eigenvalue one neighbour at a time, against which
 solves every trial), against which the lockstep ``morse._polish``
 must agree bit for bit, on each start's outcome and on the row of its
 solve stack that a converged start ends on.  ``scalar_report`` is the
-report oracle: one point at a time, one Hessian and one ``morse_index``
-per point, against which the stacked ``morse._reports_at`` must agree
-bit for bit.
+report oracle: one point at a time, one Hessian and one
+``scalar_morse_index`` per point, against which the stacked
+``morse._reports_at`` must agree bit for bit.
 ``scalar_transverse`` is the transversality oracle: one dense unit
 matrix per direction and one product per unit, against which
 ``is_transverse_at`` must agree bit for bit on its singular values,
@@ -66,7 +66,14 @@ sampler oracle, solving each Newton step with ``np.linalg.lstsq``.
 ``projects_surjectively`` are references that the package has no
 caller for: one pseudo-inverse column of the Hessian assembly, the
 cycle basis over another spanning forest, and the edge projection
-criterion for a multiplicity-2 eigenspace.
+criterion for a multiplicity-2 eigenspace.  ``torus_point`` places a
+``TorusPoint`` at gauge-slice coordinates and ``conjugate_point``
+conjugates it; the oracles decide vanishing entries and Morse indices
+at cuts of their own, ``vanishing_entries`` and
+``scalar_morse_index``.  ``kernel_tolerances``
+turns an oracle's keyword tolerances into the library's: the
+degeneracy and vanishing cuts stay keywords, and the product cut is
+patched into ``nodal``'s constant while its block runs.
 ``take_along_axis_phases`` is the phase normalization that gathers its
 pivots with ``np.take_along_axis``, the pivot oracle of
 ``spectral._normalize_phases``.
@@ -104,11 +111,13 @@ the eigenvalues, eigenvectors, edge-product signs and surplus at every
 k, independent of LAPACK and of the package's kernel.
 """
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -121,14 +130,14 @@ from magnodal.errors import (AdmissibilityError, CapExceededError,
                              InternalCrossCheckError, NonSimpleEigenvalueError,
                              VanishingEigenvectorError)
 import magnodal.graphs as graphs
+import magnodal.nodal as nodal
 from magnodal.errors import SchemaError
 from magnodal.families import _locate_cluster, cycle_graph
 from magnodal.graphs import (Graph, betti_number, graph_from_json,
                              num_components)
 from magnodal.linkage import GENERICITY_TOL, LENGTH_CAP
 from magnodal.morse import (RANK_TOL, TWO_PI, CriticalPointReport,
-                            TorusPoint, _check_symmetry, _hessian,
-                            morse_index)
+                            TorusPoint, _check_symmetry, _hessian)
 from magnodal.nodal import (PRODUCT_DEGENERATE_TOL, PRODUCT_REAL_TOL, _Solves,
                             _StackChecks, edge_products)
 from magnodal.operators import (FLUX_TOL, GaugePhase, SupportedMatrix,
@@ -136,8 +145,7 @@ from magnodal.operators import (FLUX_TOL, GaugePhase, SupportedMatrix,
                                 signs_for_index)
 from magnodal.serialize import _escape, format_float
 from magnodal.spectral import (DEGENERACY_TOL, VANISH_TOL, EigenSystem,
-                               cluster_mask, eigh, is_nowhere_vanishing,
-                               multiplicity)
+                               cluster_mask, eigh, multiplicity)
 from magnodal.transversality import (TRANSVERSALITY_RANK_TOL,
                                      EigenspaceBasis, TransversalityReport,
                                      codim_stratum, eigenspace_basis)
@@ -177,6 +185,24 @@ def path_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, tuple((0, i + 1) for i in range(leaves)))
+
+
+def zero_bar_operator() -> tuple[SupportedMatrix, int]:
+    """A K5 operator and k whose k-th eigenvector vanishes at vertex 0,
+    of degree 4, with a zero entry on the edge (0, 4).
+
+    The reduced block on vertices 1..4 is real with unit negative
+    couplings, and its bottom eigenvector ``w`` is positive.  The entries
+    ``exp(2 pi i u / 3) / w_u`` for u = 1, 2, 3 make three bars that
+    close, so ``(0, w)`` is an eigenvector, at position 1.
+    """
+    g = Graph(5, tuple((r, s) for r in range(5) for s in range(r + 1, 5)))
+    d = np.array([0.1, 0.2, 0.3, 0.4])
+    w = np.abs(np.linalg.eigh(np.diag(d) + np.eye(4) - 1.0)[1][:, 0])
+    off = np.full(g.num_edges, -1.0 + 0j)  # the edges (0, u) come first
+    off[:3] = np.exp(2j * np.pi * np.arange(1, 4) / 3) / w[:3]
+    off[3] = 0.0
+    return SupportedMatrix(g, np.concatenate([[0.5], d]), off), 1
 
 
 def two_triangle_join() -> tuple[SupportedMatrix, int]:
@@ -851,8 +877,8 @@ def scalar_count(s: SimpleEigen, tol_vanish: float,
     and inadmissible on a disconnected one, where the bounds need not
     hold."""
     h, k, products = s.h, s.k, s.products
-    ok, vanishing = is_nowhere_vanishing(s.v, tol_vanish)
-    if not ok:
+    vanishing = vanishing_entries(s.v, tol_vanish)
+    if vanishing:
         raise VanishingEigenvectorError(
             f"eigenvector {k} vanishes at vertices {vanishing}",
             vertices=vanishing)
@@ -919,7 +945,7 @@ def scalar_classify(s: SimpleEigen, tol: float, tol_vanish: float
     """``(kind, max imaginary product, vanishing vertices)`` of a simple
     eigenvalue, one check at a time, as ``morse._kinds`` classifies it."""
     worst = s.max_imag_product
-    _, vanishing = is_nowhere_vanishing(s.v, tol_vanish)
+    vanishing = vanishing_entries(s.v, tol_vanish)
     if not s.is_flat(tol):
         return "smooth-regular", worst, tuple(vanishing)
     if not vanishing:
@@ -954,7 +980,7 @@ def scalar_polish(base, k: int, start, gtol: float, tol_degeneracy: float):
     idx = base.graph.spanning_forest.nonforest
 
     def solve(coords):
-        h = TorusPoint.from_coords(base, coords).operator()
+        h = torus_point(base, coords).operator()
         es = complex_eigh(h)
         try:
             return simple_eigen(h, k, es, tol_degeneracy)
@@ -1012,9 +1038,59 @@ def scalar_report(coords, h, es, k: int, origin: str, *,
     hess = _hessian(s.stack, h.graph.spanning_forest, tol_degeneracy)[0]
     spectrum = tuple(float(x) for x in np.linalg.eigvalsh(hess)) \
         if hess.size else ()
-    index, nullity = morse_index(hess, rank_tol)
+    index, nullity = scalar_morse_index(hess, rank_tol)
     return CriticalPointReport(coords, k, kind, 1, vanishing,
                                gnorm, spectrum, index, nullity, origin)
+
+
+@contextlib.contextmanager
+def kernel_tolerances(tols):
+    """The keyword tolerances of ``tols`` (a dict or keyword, value
+    pairs) that the library takes; an oracle's ``tol_product`` is set
+    as ``nodal.PRODUCT_DEGENERATE_TOL`` until the block exits.  It
+    patches with ``mock.patch.object``, so a Hypothesis body can use
+    it."""
+    kwargs = dict(tols)
+    with mock.patch.object(nodal, "PRODUCT_DEGENERATE_TOL", kwargs.pop(
+            "tol_product", nodal.PRODUCT_DEGENERATE_TOL)):
+        yield kwargs
+
+
+def vanishing_entries(v: np.ndarray, tol: float) -> list[int]:
+    """The entries of the unit vector ``v`` below ``tol``, in order."""
+    return [int(i) for i in np.flatnonzero(np.abs(v) < tol)]
+
+
+def scalar_morse_index(hess: np.ndarray, rank_tol: float
+                       ) -> tuple[int, int]:
+    """``morse.morse_index`` of a symmetric ``hess`` at the cut
+    ``rank_tol``, from ``np.linalg.eigvalsh``."""
+    if hess.size == 0:
+        return 0, 0
+    w = np.linalg.eigvalsh(hess)
+    scale = float(np.max(np.abs(w)))
+    cut = rank_tol * scale
+    nullity = len(w) if scale == 0.0 else int(np.count_nonzero(
+        np.abs(w) <= cut))
+    return int(np.count_nonzero(w < -cut)), nullity
+
+
+def torus_point(base: SupportedMatrix, coords) -> TorusPoint:
+    """The point over ``base`` at gauge-slice coordinates ``coords``:
+    those angles on the non-forest edges, 0 on the forest."""
+    idx = base.graph.spanning_forest.nonforest
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.shape != idx.shape:
+        raise ValueError("coordinate vector length does not match beta")
+    angles = np.zeros(base.graph.num_edges)
+    angles[idx] = coords
+    return TorusPoint(base, angles)
+
+
+def conjugate_point(p: TorusPoint) -> TorusPoint:
+    """The point with every angle of ``p`` negated: its operator is
+    the entrywise conjugate."""
+    return TorusPoint(p.base, -p.angles)
 
 
 def same_bits(a, b) -> bool:

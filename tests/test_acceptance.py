@@ -17,7 +17,7 @@ import pytest
 from conftest import (class_id, cycle_masks, degenerate_ring_fixture,
                       enumerate_signings, forest_mask, gradient_fd,
                       hessian_eigenvalue_fd, index_of, projects_surjectively,
-                      record_criterion, two_triangle_join)
+                      record_criterion, torus_point, two_triangle_join)
 from magnodal import (
     AdmissibilityError,
     InadmissibleSigningError,
@@ -180,7 +180,7 @@ def test_criterion_04_index_equals_surplus():
         base = abs_part(h)
         for parities in itertools.product((0.0, np.pi),
                                           repeat=betti_number(h.graph)):
-            p = TorusPoint.from_coords(base, np.array(parities))
+            p = torus_point(base, np.array(parities))
             for k in range(1, n + 1):
                 a = hessian_eigenvalue(p, k)
                 f = hessian_eigenvalue_fd(p, k)
@@ -262,7 +262,7 @@ def test_criterion_07_perfect_morse_count():
     ts = np.arange(0.0, 2 * np.pi, 1e-3)
     grads = np.empty((3, ts.size))
     for i, t in enumerate(ts):
-        p = TorusPoint.from_coords(base, np.array([t]))
+        p = torus_point(base, np.array([t]))
         for j, k in enumerate((1, 2, 3)):
             grads[j, i] = gradient_coords(p, k)[0]
 

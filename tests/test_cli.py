@@ -9,7 +9,7 @@ import pytest
 
 from conftest import (avg_dist_tail, cycle_builds, forests_walked,
                       lose_a_root_path, path_graph, referee_nodal, star_graph,
-                      two_triangle_join)
+                      two_triangle_join, zero_bar_operator)
 from magnodal import __version__, cli
 from magnodal.cli import _build_parser, main
 from magnodal.errors import AdmissibilityError
@@ -922,6 +922,16 @@ class TestLinkageAnalyze:
             "--graph" in err
         assert not list(tmp_path.glob("run*"))
 
+    def test_zero_entry_beside_closing_bars_exits_2(self, tmp_path, capsys):
+        """Three bars that close and a zero entry at the vanishing
+        vertex: the zero entry is refused with exit 2, where its zero bar
+        length escaped as a traceback with exit 1."""
+        h, k = zero_bar_operator()
+        op = write_op(tmp_path, h)
+        assert run(capsys, ["linkage-analyze", "--op", op, "--k", str(k)]) \
+            == (2, "", "precondition not met: phase recovery needs a "
+                "nonzero entry on every edge\n")
+
     def test_degree_two_vanishing_exits_2(self, tmp_path, capsys):
         g = path_graph(3)
         h = SupportedMatrix(g, np.zeros(3), -np.ones(2, dtype=np.complex128))
@@ -1490,3 +1500,20 @@ class TestRunRecord:
             "results": expected["results"],
             "tolerances": {"degeneracy": 1e-08, "product": 1e-12,
                            "real": 1e-09, "vanish": 1e-08}}
+
+    def test_record_reads_the_product_cuts_when_written(self, tmp_path,
+                                                         capsys,
+                                                         monkeypatch):
+        """The record's product cuts are ``nodal``'s when the record is
+        written, the cuts the kernel read: a patched cut shows."""
+        import magnodal.nodal as nodal
+
+        monkeypatch.setattr(nodal, "PRODUCT_DEGENERATE_TOL", 2e-3)
+        monkeypatch.setattr(nodal, "PRODUCT_REAL_TOL", 3e-9)
+        op = write_op(tmp_path, triangle_op())
+        code, _, _ = run(capsys, ["nodal-dist", "--op", op,
+                                  "--out", str(tmp_path / "run")])
+        assert code == 0
+        record = json.loads((tmp_path / "run.json").read_text())
+        assert record["tolerances"] == {"degeneracy": 1e-08, "product": 2e-3,
+                                        "real": 3e-9, "vanish": 1e-08}

@@ -144,11 +144,21 @@ class TestOperatorFamilies:
     def test_surplus_probe_gap(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
-            h = surplus_probe_operator(complete_graph(5), rng, eta=100.0)
+            h = surplus_probe_operator(complete_graph(5), rng)
             gaps = np.diff(np.sort(h.diag))
             assert np.min(gaps) > 0.1
             np.testing.assert_array_equal(h.offdiag,
                                           -np.ones(10, dtype=np.complex128))
+
+    def test_surplus_probe_reads_its_scale_when_it_runs(self, monkeypatch):
+        import magnodal.families as families
+
+        a = surplus_probe_operator(complete_graph(5),
+                                   np.random.default_rng(5))
+        monkeypatch.setattr(families, "PROBE_ETA", 10.0)
+        b = surplus_probe_operator(complete_graph(5),
+                                   np.random.default_rng(5))
+        np.testing.assert_allclose(a.diag, 10.0 * b.diag, rtol=1e-15)
 
 
 class TestDegenerateFixtures:

@@ -6,8 +6,9 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import (path_graph, same_bits, scalar_is_generic,
-                      scalar_sample_configuration)
+from conftest import (conjugate_point, path_graph, same_bits,
+                      scalar_is_generic, scalar_sample_configuration,
+                      torus_point, zero_bar_operator)
 from magnodal.errors import (
     AdmissibilityError,
     CapExceededError,
@@ -16,6 +17,7 @@ from magnodal.errors import (
     LinkageHypothesisError,
     NonGenericLengthsError,
     NotCriticalError,
+    NotProperlySupportedError,
     VanishingEigenvectorError,
 )
 from magnodal.families import (
@@ -306,13 +308,13 @@ class TestSamplerOracle:
 
     @pytest.mark.parametrize("restarts", [1, 3, 60])
     @pytest.mark.parametrize("case", range(len(sampler_cases())))
-    def test_one_seed_matches_scalar(self, case, restarts):
+    def test_one_seed_matches_scalar(self, case, restarts, monkeypatch):
         vals = sampler_cases()[case]
+        monkeypatch.setattr(linkage, "SAMPLE_RESTARTS", restarts)
         for seed in (0, 1, 18, 35):
             want = self.scalar(vals, seed, restarts)
             try:
-                got = sample_configuration(LinkageLengths(vals), seed,
-                                           restarts)
+                got = sample_configuration(LinkageLengths(vals), seed)
             except EmptyConfigurationError as exc:
                 got = str(exc)
             if isinstance(want, str):
@@ -350,6 +352,26 @@ class TestBuildFixture:
 
 
 class TestAnalyzeExceptional:
+    def test_zero_edge_entry_is_refused_before_solving(self, monkeypatch):
+        """An eigenvector vanishing at a vertex whose three nonzero bars
+        close beside a zero entry: the zero entry has no phase and is
+        refused before any eigensolve, as the scan refuses it, where a
+        zero bar length used to escape as a ``ValueError``."""
+        import magnodal.spectral as spectral
+
+        h, k = zero_bar_operator()
+        v = eigh(h).vector(k)
+        assert abs(v[0]) < 1e-12 and np.count_nonzero(h.offdiag == 0) == 1
+
+        def refuse(*args):
+            raise AssertionError("an eigensolve ran before the refusal")
+
+        monkeypatch.setattr(spectral, "_eigensolve", refuse)
+        with pytest.raises(NotProperlySupportedError,
+                           match="phase recovery needs a nonzero entry on "
+                                 "every edge"):
+            analyze_exceptional(h, k)
+
     def test_degree_three_isolated(self):
         fx = build_exceptional_fixture(3, seed=0)
         an = analyze_exceptional(fx.point.operator(), fx.k)
@@ -383,7 +405,7 @@ class TestAnalyzeExceptional:
     def test_conjugate_point_agrees(self):
         fx = build_exceptional_fixture(3, seed=0)
         an = analyze_exceptional(fx.point.operator(), fx.k)
-        cn = analyze_exceptional(fx.point.conjugate().operator(), fx.k)
+        cn = analyze_exceptional(conjugate_point(fx.point).operator(), fx.k)
         assert cn.hessian_index == an.hessian_index
         assert cn.manifold_dimension == an.manifold_dimension
         assert cn.shift_coefficient == pytest.approx(an.shift_coefficient,
@@ -479,14 +501,15 @@ class TestAnalyzeExceptional:
         outcomes = []
         check = linkage._check_manifold_samples
 
-        def scalar(L, seed, max_restarts=60):
-            return scalar_sample_configuration(L.lengths, seed, max_restarts)
+        def scalar(L, seed):
+            return scalar_sample_configuration(L.lengths, seed,
+                                               linkage.SAMPLE_RESTARTS)
 
         def run(sampler, args):
             thetas = []
 
-            def record(L, seed, max_restarts=60):
-                thetas.append(sampler(L, seed, max_restarts))
+            def record(L, seed):
+                thetas.append(sampler(L, seed))
                 return thetas[-1]
 
             linkage.sample_configuration = record
@@ -518,7 +541,7 @@ class TestAnalyzeExceptional:
                 for r in critical_scan(h, k, starts=4, seed=0).reports:
                     if r.origin != "search":
                         continue
-                    p = TorusPoint.from_coords(base, np.array(r.coords))
+                    p = torus_point(base, np.array(r.coords))
                     try:
                         analyze_exceptional(p.operator(), k)
                     except (LinkageHypothesisError, AdmissibilityError,
@@ -535,7 +558,7 @@ class TestAnalyzeExceptional:
         for r in critical_scan(h, 2, starts=4, seed=0).reports:
             if r.origin != "search":
                 continue
-            p = TorusPoint.from_coords(base, np.array(r.coords))
+            p = torus_point(base, np.array(r.coords))
             try:
                 analyze_exceptional(p.operator(), 2)
             except LinkageHypothesisError as exc:
@@ -588,6 +611,13 @@ class TestCutsReadAtCallTime:
         monkeypatch.setattr(morse, "RANK_TOL", 1.0)
         with pytest.raises(InternalCrossCheckError, match="nullity"):
             analyze_exceptional(fx.point.operator(), fx.k)
+
+    def test_sample_restarts(self, monkeypatch):
+        lengths = LinkageLengths(np.array([1.0, 1.0, 1.5]))
+        monkeypatch.setattr(linkage, "SAMPLE_RESTARTS", 0)
+        with pytest.raises(EmptyConfigurationError,
+                           match="after 0 restarts"):
+            sample_configuration(lengths)
 
     def test_fixture_attempts(self, monkeypatch):
         monkeypatch.setattr(linkage, "FIXTURE_ATTEMPTS", 0)

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (complex_eigh, custom_forest, degenerate_ring_fixture,
-                      eigenvalue_at, frozen_form_indices, gauged_real,
-                      gradient_fd, hessian_eigenvalue_fd, path_graph,
+from conftest import (complex_eigh, conjugate_point, custom_forest,
+                      degenerate_ring_fixture, eigenvalue_at,
+                      frozen_form_indices, gauged_real, gradient_fd,
+                      hessian_eigenvalue_fd, path_graph,
                       pseudo_inverse_apply, same_bits, scalar_classify,
                       scalar_nodal_surplus, scalar_report, simple_eigen,
-                      small_graphs)
+                      small_graphs, torus_point, vanishing_entries)
 from test_nodal import COARSE_TOLERANCES
 from magnodal.errors import (
     AdmissibilityError,
@@ -59,7 +60,6 @@ from magnodal.spectral import (
     EigenSystem,
     eigh,
     eigh_stack,
-    is_nowhere_vanishing,
     multiplicity,
     simple_positions,
 )
@@ -94,15 +94,6 @@ class TestTorusPoint:
         with pytest.raises(ValueError):
             TorusPoint(abs_part(triangle_base()), np.zeros(2))
 
-    def test_from_coords_places_nonforest_angles(self):
-        h = abs_part(triangle_base())
-        nonforest = h.graph.spanning_forest.nonforest
-        assert len(nonforest) == 1
-        p = TorusPoint.from_coords(h, [0.7])
-        nf = nonforest[0]
-        assert p.angles[nf] == pytest.approx(0.7)
-        assert np.count_nonzero(p.angles) == 1
-
     def test_from_operator_round_trip(self):
         h = triangle_base()
         p = TorusPoint.from_operator(h)
@@ -125,16 +116,10 @@ class TestTorusPoint:
         with pytest.raises(NotProperlySupportedError):
             TorusPoint.from_operator(h)
 
-    def test_coords_round_trip(self):
-        h = abs_part(triangle_base())
-        p = TorusPoint.from_coords(h, [1.1])
-        q = TorusPoint.from_coords(h, p.coords())
-        np.testing.assert_allclose(q.angles, p.angles)
-
     def test_conjugate_negates_angles(self):
         h = abs_part(triangle_base())
         p = TorusPoint(h, np.array([0.5, 0.0, np.pi]))
-        c = p.conjugate()
+        c = conjugate_point(p)
         assert c.angles[0] == pytest.approx(2 * np.pi - 0.5)
         assert c.angles[1] == 0.0
         assert c.angles[2] == pytest.approx(np.pi)
@@ -144,7 +129,7 @@ class TestTorusPoint:
         h = abs_part(random_operator(complete_graph(4), rng))
         p = TorusPoint(h, rng.uniform(0, 2 * np.pi, size=6))
         for k in (1, 2, 3, 4):
-            assert eigenvalue_at(p.conjugate(), k) == \
+            assert eigenvalue_at(conjugate_point(p), k) == \
                 pytest.approx(eigenvalue_at(p, k), abs=1e-12)
 
 
@@ -238,10 +223,10 @@ class TestKinds:
         # Within PRODUCT_REAL_TOL of the real point the fluxes sit off pi
         # by more than FLUX_TOL; only the slack test calls the point real.
         h = abs_part(strong_diagonal_fixture(complete_graph(4), eta=10.0))
-        near = TorusPoint.from_coords(h, np.array([1e-6, 0.0, 0.0]))
+        near = torus_point(h, np.array([1e-6, 0.0, 0.0]))
         assert gauged_real(near.operator()) is None
         assert kind_at(near, k)[0] == "symmetry"
-        off = TorusPoint.from_coords(h, np.array([1e-5, 0.0, 0.0]))
+        off = torus_point(h, np.array([1e-5, 0.0, 0.0]))
         assert kind_at(off, k)[0] == "smooth-regular"
 
 
@@ -287,7 +272,7 @@ class TestHessian:
         rng = np.random.default_rng(5)
         h = abs_part(random_operator(complete_graph(5), rng))
         for _ in range(20):
-            p = TorusPoint.from_coords(h, rng.uniform(0, 2 * np.pi, size=6))
+            p = torus_point(h, rng.uniform(0, 2 * np.pi, size=6))
             for k in range(1, 6):
                 assert kind_at(p, k)[0] == "smooth-regular"
                 exact = hessian_eigenvalue(p, k)
@@ -302,8 +287,7 @@ class TestHessian:
         h = abs_part(random_operator(complete_graph(5), rng))
         edges = h.graph.spanning_forest.nonforest_edges
         for _ in range(5):
-            p = TorusPoint.from_coords(
-                h, rng.uniform(0, 2 * np.pi, size=len(edges)))
+            p = torus_point(h, rng.uniform(0, 2 * np.pi, size=len(edges)))
             op = p.operator()
             es = eigh(op)
             for k in range(1, 6):
@@ -364,20 +348,26 @@ class TestMorseIndex:
         assert morse_index(np.zeros((2, 2))) == (0, 2)
         assert morse_index(np.zeros((0, 0))) == (0, 0)
 
-    def test_rank_tolerance(self):
-        h = np.diag([1.0, 1e-9])
-        assert morse_index(h, rank_tol=1e-7) == (0, 1)
-        assert morse_index(h, rank_tol=1e-12) == (0, 0)
-
-    def test_stack_matches_one_matrix_at_a_time(self):
+    def test_rank_tolerance(self, monkeypatch):
         import magnodal.morse as morse
+
+        h = np.diag([1.0, 1e-9])
+        monkeypatch.setattr(morse, "RANK_TOL", 1e-7)
+        assert morse_index(h) == (0, 1)
+        monkeypatch.setattr(morse, "RANK_TOL", 1e-12)
+        assert morse_index(h) == (0, 0)
+
+    def test_stack_matches_one_matrix_at_a_time(self, monkeypatch):
+        import magnodal.morse as morse
+
+        monkeypatch.setattr(morse, "RANK_TOL", 0.25)
 
         a = np.random.default_rng(0).normal(size=(3, 3))
         stack = np.stack([a + a.T, np.zeros((3, 3)), -np.eye(3),
                           np.diag([-0.5, 0.5, 2.0]), a])
         w, index, nullity = morse._morse_indices(stack, 0.25)
         for m, wm, i, z in zip(stack, w, index, nullity):
-            assert (int(i), int(z)) == morse_index(m, 0.25)
+            assert (int(i), int(z)) == morse_index(m)
             assert same_bits(wm, np.linalg.eigvalsh(0.5 * (m + m.T)))
         # the zero matrix beside nonzero ones is all nullity
         assert (index[1], nullity[1]) == (0, 3)
@@ -542,7 +532,7 @@ class TestCriticalScan:
             for r in sr.reports:
                 if r.origin != "search":
                     continue
-                p = TorusPoint.from_coords(base, np.array(r.coords))
+                p = torus_point(base, np.array(r.coords))
                 assert float(np.max(np.abs(gradient_fd(p, k)))) \
                     <= 1e-6 * scale
                 assert r.morse_index + r.nullity <= betti_number(h.graph)
@@ -595,7 +585,7 @@ class TestCriticalScan:
         monkeypatch.undo()
         # the gap is the one a second complex solve at the point would give
         x0 = np.mod(np.array([start]), 2 * np.pi)
-        es = complex_eigh(TorusPoint.from_coords(base, x0).operator())
+        es = complex_eigh(torus_point(base, x0).operator())
         expected = min(abs(es.values[j] - es.values[1]) for j in (0, 2, 3))
         assert stacks == [("complex", 1)]
         assert status.tolist() == [morse._DEGENERATE]
@@ -630,7 +620,7 @@ class TestCriticalScan:
         for r in sr.reports:
             if r.origin != "search":
                 continue
-            p = TorusPoint.from_coords(base, np.array(r.coords))
+            p = torus_point(base, np.array(r.coords))
             hp = p.operator()
             fresh = scalar_report(r.coords, hp, eigh(hp), 2, "search",
                                   tol_degeneracy=DEGENERACY_TOL,
@@ -1038,7 +1028,7 @@ class TestConjugationSymmetry:
         bound = 1e-12 * max(1.0, base.norm_fro)
         for x, y, radius in conjugate_pairs(base, k, starts=4):
             assert morse._torus_distance(np.mod(-x, TWO_PI), y) <= radius
-            lam = [eigh(TorusPoint.from_coords(base, c).operator()).value(k)
+            lam = [eigh(torus_point(base, c).operator()).value(k)
                    for c in (x, y)]
             assert abs(lam[0] - lam[1]) <= bound
 
@@ -1298,15 +1288,15 @@ def verify_rows_oracle(h, tol_vanish):
     rows = []
     for bits in itertools.product((0, 1), repeat=betti_number(h.graph)):
         coords = np.array([np.pi if b else 0.0 for b in bits])
-        hs = TorusPoint.from_coords(base, coords).operator()
+        hs = torus_point(base, coords).operator()
         es = eigh(hs)
         for k in range(1, h.graph.n + 1):
             m, _ = multiplicity(es, k)
             if m != 1:
                 rows.append((bits, k, "skipped", f"multiplicity {m}"))
                 continue
-            ok, vanishing = is_nowhere_vanishing(es.vector(k), tol_vanish)
-            if not ok:
+            vanishing = vanishing_entries(es.vector(k), tol_vanish)
+            if vanishing:
                 rows.append((bits, k, "skipped", f"vanishes at {vanishing}"))
                 continue
             try:
@@ -1563,6 +1553,9 @@ class TestClassBlocks:
         monkeypatch.setattr(nodal, "SWEEP_CHUNK", chunk)
         base = abs_part(block_fixture(case))
         tols = dict(COARSE_TOLERANCES.get(tols, ()))
+        if "tol_product" in tols:
+            monkeypatch.setattr(nodal, "PRODUCT_DEGENERATE_TOL",
+                                tols.pop("tol_product"))
         for _, (_, off, vectors, checks) in morse._symmetry_blocks(base,
                                                                    **tols):
             scale = frobenius_norms(base.diag, off)

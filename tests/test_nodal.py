@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (classes_by_enumeration, complex_products,
-                      last_axis_products, multiplicity_by_walk, path_graph,
+                      kernel_tolerances, last_axis_products,
+                      multiplicity_by_walk, path_graph,
                       reduction_checks, referee_nodal, same_bits,
                       scalar_nodal_count, scalar_nodal_surplus,
                       signing_histogram, signs_of, small_graphs, star_graph)
@@ -530,8 +531,9 @@ class TestSweepAgainstScalarOracle:
     def check_skipping(name, pre_signed, tols=()):
         h = sweep_fixture(name, pre_signed)
         counts, skipped, _ = scalar_sweep(name, tols=tols)
-        d = average_surplus_distribution(h, skip_inadmissible=True,
-                                         **dict(tols))
+        with kernel_tolerances(tols) as kwargs:
+            d = average_surplus_distribution(h, skip_inadmissible=True,
+                                             **kwargs)
         assert d.counts.tolist() == counts
         assert d.skipped == skipped
         assert d.n_samples == ((1 << h.graph.num_edges) - skipped) * h.graph.n
@@ -541,13 +543,15 @@ class TestSweepAgainstScalarOracle:
         h = sweep_fixture(name, pre_signed)
         counts, skipped, _ = scalar_sweep(name, tols=tols)
         if skipped == 0:
-            d = average_surplus_distribution(h, **dict(tols))
+            with kernel_tolerances(tols) as kwargs:
+                d = average_surplus_distribution(h, **kwargs)
             assert d.counts.tolist() == counts
             assert d.skipped == 0
             assert d.n_samples == (1 << h.graph.num_edges) * h.graph.n
             return
-        with pytest.raises(InadmissibleSigningError) as err:
-            average_surplus_distribution(h, **dict(tols))
+        with pytest.raises(InadmissibleSigningError) as err, \
+                kernel_tolerances(tols) as kwargs:
+            average_surplus_distribution(h, **kwargs)
         signs, k, exc = scalar_sweep(name, True, pre_signed, tols)[2]
         assert str(err.value) == (f"signing with pattern {signs} is "
                                   f"inadmissible at k={k}: {exc}")
@@ -676,9 +680,9 @@ class TestSweepAgainstScalarOracle:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "_EIGH", counting)
+        monkeypatch.setattr(nodal, "PRODUCT_DEGENERATE_TOL", tol_product)
         d = average_surplus_distribution(zero_entry_k4(),
-                                         skip_inadmissible=True,
-                                         tol_product=tol_product)
+                                         skip_inadmissible=True)
         assert (d.counts.tolist(), d.skipped) == (counts, skipped)
         assert bool(solves) == (tol_product == 0.0)
 
@@ -919,10 +923,11 @@ def test_admissibility_kernel_matches_nodal_count(h, data):
                 tol_product=data.draw(st.sampled_from([1e-12, 2e-3])))
     values, vectors = stacked_solve(h.graph, h.diag, h.offdiag * rows)
     vectors = vectors.swapaxes(1, 2)  # (signing, k, vertex)
-    checks = nodal._stack_checks(
-        values, vectors,
-        complex_products(h.graph, (h.offdiag * rows)[:, None], vectors),
-        h.norm_fro, h.graph, **tols)
+    with kernel_tolerances(tols) as kwargs:
+        checks = nodal._stack_checks(
+            values, vectors,
+            complex_products(h.graph, (h.offdiag * rows)[:, None], vectors),
+            h.norm_fro, h.graph, **kwargs)
     if h.is_real:
         # the real parts of the complex products, bit for bit up to the
         # signs of zeros, which array_equal does not see
@@ -931,8 +936,9 @@ def test_admissibility_kernel_matches_nodal_count(h, data):
                                vectors)
         assert signed.dtype == np.float64 and not products.imag.any()
         assert np.array_equal(signed, products.real)
-        real = nodal._stack_checks(values, vectors, signed, h.norm_fro,
-                                   h.graph, **tols)
+        with kernel_tolerances(tols) as kwargs:
+            real = nodal._stack_checks(values, vectors, signed, h.norm_fro,
+                                       h.graph, **kwargs)
         for mask in ("simple", "vanishing", "flat", "unresolved", "surplus",
                      "unbounded", "inadmissible", "out_of_bounds", "failed"):
             assert np.array_equal(getattr(real, mask), getattr(checks, mask))
@@ -957,13 +963,15 @@ def test_admissibility_kernel_matches_nodal_count(h, data):
                 assert checks.failed[row, k - 1]
                 assert type(exc) is expected
                 assert error_fields(got) == error_fields(exc)
-                with pytest.raises(type(exc)) as err:
-                    nodal_surplus(hs, k, es=es, **tols)
+                with pytest.raises(type(exc)) as err, \
+                        kernel_tolerances(tols) as kwargs:
+                    nodal_surplus(hs, k, es=es, **kwargs)
                 assert error_fields(err.value) == error_fields(exc)
                 continue
             assert not checks.failed[row, k - 1] and expected is None
             assert checks.surplus[row, k - 1] == surplus
-            assert nodal_surplus(hs, k, es=es, **tols) == surplus
+            with kernel_tolerances(tols) as kwargs:
+                assert nodal_surplus(hs, k, es=es, **kwargs) == surplus
             assert 0 <= surplus <= beta
 
 
@@ -1020,7 +1028,8 @@ def test_kernel_layout_matches_the_reduction_oracle(h, data):
                     [PRODUCT_DEGENERATE_TOL, 2e-3])))
     scale = (np.full(len(rows), h.norm_fro) if data.draw(st.booleans())
              else h.norm_fro)
-    new = nodal.position_checks(g, off, values, vectors, scale, **tols)
+    with kernel_tolerances(tols) as kwargs:
+        new = nodal.position_checks(g, off, values, vectors, scale, **kwargs)
     flipped = vectors.swapaxes(1, 2)  # (row, k, vertex)
     products = last_axis_products(g, off[:, None], flipped)
     old = reduction_checks(values, flipped, products, scale, g, **tols)
@@ -1039,9 +1048,11 @@ def test_kernel_layout_matches_the_reduction_oracle(h, data):
         else:
             value = sg * f * tols["tol_product"] * h.norm_fro
         planted[row, col, e] = products[row, col, e] = value
+    with kernel_tolerances(tols) as kwargs:
+        new = nodal._stack_checks(values, flipped, planted, scale, g,
+                                  **kwargs)
     assert_same_checks(
-        nodal._stack_checks(values, flipped, planted, scale, g, **tols),
-        reduction_checks(values, flipped, products, scale, g, **tols))
+        new, reduction_checks(values, flipped, products, scale, g, **tols))
 
 
 def class_sum_by_scalars(h: SupportedMatrix, skip: bool, tols: dict):
@@ -1092,13 +1103,16 @@ def test_kernel_at_the_cuts_matches_the_oracles(h, data):
                 tol_product=data.draw(st.sampled_from([1e-12, 2e-3])))
     classes = gauge_classes_of_signings(h)
     for skip in (False, True):
-        assert class_sum_outcome(nodal._surplus_counts, h, classes, skip,
-                                 **tols) \
-            == class_sum_outcome(class_sum_by_scalars, h, skip, tols)
+        with kernel_tolerances(tols) as kwargs:
+            got = class_sum_outcome(nodal._surplus_counts, h, classes, skip,
+                                    **kwargs)
+        assert got == class_sum_outcome(class_sum_by_scalars, h, skip, tols)
     if not n:
         return
     # one block: these graphs have fewer classes than ``SWEEP_CHUNK``
-    _, off, vectors, checks = next(nodal._class_blocks(h, classes, **tols))
+    with kernel_tolerances(tols) as kwargs:
+        _, off, vectors, checks = next(nodal._class_blocks(h, classes,
+                                                           **kwargs))
     values, rows = checks.values, len(off)
     assert rows == classes.num_classes
     factor, sign = st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([-1, 1])
@@ -1120,8 +1134,9 @@ def test_kernel_at_the_cuts_matches_the_oracles(h, data):
             st.integers(0, max(m - 1, 0)), factor, sign), max_size=3)):
         if m:
             products[row, col, e] = sg * f * tols["tol_product"] * h.norm_fro
-    new = nodal._stack_checks(values, layout, products, h.norm_fro, g,
-                              **tols)
+    with kernel_tolerances(tols) as kwargs:
+        new = nodal._stack_checks(values, layout, products, h.norm_fro, g,
+                                  **kwargs)
     old = reduction_checks(values, vectors.swapaxes(1, 2),
                            np.ascontiguousarray(products), h.norm_fro, g,
                            **tols)
@@ -1202,7 +1217,8 @@ class TestOneSolveAndOneKernelCallPerClassBlock:
         assert stage == ["solve", "check", "block"] * self.blocks(h)
 
 
-def test_unbounded_count_on_a_disconnected_graph_is_inadmissible():
+def test_unbounded_count_on_a_disconnected_graph_is_inadmissible(
+        monkeypatch):
     """A triangle and an isolated vertex with the lowest diagonal: at a
     vanishing tolerance of 0 the triangle's eigenvectors, exactly 0 on
     the isolated vertex, pass every other check, and their counts miss
@@ -1224,13 +1240,14 @@ def test_unbounded_count_on_a_disconnected_graph_is_inadmissible():
     assert nodal_count(h, 3, tol_vanish=0.0) == 2
     # with no product cut either, the sweep's k=1, the isolated vertex's
     # eigenvector, passes, and its k=2 reaches the bound check
-    tols = dict(tol_vanish=0.0, tol_product=0.0)
+    monkeypatch.setattr(nodal, "PRODUCT_DEGENERATE_TOL", 0.0)
     with pytest.raises(InadmissibleSigningError) as err:
-        average_surplus_distribution(h, **tols)
+        average_surplus_distribution(h, tol_vanish=0.0)
     assert err.value.k == 2 and err.value.reason == (
         "nodal count 0 lies outside the bounds [1, 2] for k=2, beta=1, "
         "which hold on connected graphs only")
-    d = average_surplus_distribution(h, skip_inadmissible=True, **tols)
+    d = average_surplus_distribution(h, skip_inadmissible=True,
+                                     tol_vanish=0.0)
     assert d.skipped == 8 and d.n_samples == 0
 
 

@@ -299,13 +299,17 @@ class TestSigningClasses:
             prod_r = np.prod(np.sign(hr.offdiag.real))
             assert prod_s == prod_r
 
-    def test_cap_bounds_beta(self):
+    def test_cap_bounds_beta(self, monkeypatch):
+        import magnodal.operators as operators
+
         h = SupportedMatrix(k4(), np.zeros(4),
                             -np.ones(6, dtype=np.complex128))
-        assert gauge_classes_of_signings(h, cap=3).num_classes == 8
+        monkeypatch.setattr(operators, "SIGNING_CAP", 3)
+        assert gauge_classes_of_signings(h).num_classes == 8
+        monkeypatch.setattr(operators, "SIGNING_CAP", 2)
         with pytest.raises(CapExceededError,
                            match="over beta 3 exceeds the cap of 2"):
-            gauge_classes_of_signings(h, cap=2)
+            gauge_classes_of_signings(h)
 
     def test_zero_entry_classes_match_enumeration(self):
         # the classes depend on the cycle space only, not on the entries

@@ -21,12 +21,15 @@ degeneracy test, ``cluster_mask``: elsewhere ``tol_degeneracy`` is only
 passed on, never part of arithmetic or a comparison.  Likewise the
 vanishing, product and realness tolerances (``tol_vanish``,
 ``tol_product`` and ``tol_real``) cut only in ``nodal._stack_checks``,
-the one admissibility kernel, which checks every eigenvalue position:
+the one admissibility kernel, which reads the last two as the module
+constants ``PRODUCT_REAL_TOL`` and ``PRODUCT_DEGENERATE_TOL``, and
+checks every eigenvalue position:
 it has no ``positions`` parameter or field, and ``position_checks`` is
 its one caller.  No public function or method takes both an operator
 (``SupportedMatrix`` or ``TorusPoint``) and an ``EigenSystem``: each
 solves the operator it reads, except ``nodal_count`` and
-``nodal_surplus``, which the benchmark's oracles hand an eigensystem.
+``nodal_surplus``, which the benchmark's oracles hand an eigensystem:
+with no exemption, those two are exactly what the rule finds.
 ``spectral.eigh_stack``, which solves every stack on the complex path,
 has one caller, the Newton polish ``morse._polish``: the other stacked
 solves of real operators take the real path.  ``SigningClasses.rows``
@@ -55,13 +58,18 @@ from the one kernel call that checks every position.  Only
 the spanning forest's walk.  The "Public API" section of ``README.md``
 lists every name the package exports, once.  Every defaulted parameter
 of a public function or method is passed, by keyword, by position or
-through a splat, by some call in ``src``, ``bench`` or ``tests``,
-matched by name: a cut that nothing sets is a module constant, read
-where it cuts.  The Hessian-nullity cut, ``morse.RANK_TOL``, is read
-when its readers run: only ``morse_index`` takes it as a parameter
-default, ``verify_index_equals_surplus`` has no ``rank_tol``, and
-``linkage`` reads it as ``morse.RANK_TOL``, so one patch of the
-constant reaches every reader.
+through a ``*`` splat, by some call in ``src`` or ``bench`` other than
+its own recursion, matched by name: a test or a function calling itself
+is no caller, and a cut that nothing else sets is a module constant,
+read where it cuts.  A ``**`` splat passes no name, and no public
+function or method takes ``**`` keywords: every option it has is
+spelled out.  The Hessian-nullity cut ``morse.RANK_TOL``, the signing
+cap ``operators.SIGNING_CAP`` and the kernel's product cuts
+``nodal.PRODUCT_REAL_TOL`` and ``nodal.PRODUCT_DEGENERATE_TOL`` are
+read when their readers run: none is a parameter default, so one patch
+of the constant reaches every reader.  ``verify_index_equals_surplus``
+and ``morse_index`` have no ``rank_tol``, and ``linkage`` reads no
+``RANK_TOL``: it leaves the cut to ``morse_index``.
 """
 
 import ast
@@ -142,8 +150,10 @@ def solver_uses(tree: ast.Module) -> list[str]:
     return found
 
 
-#: The tolerances that only ``nodal._stack_checks`` may cut at.
-ADMISSIBILITY_TOLS = {"tol_vanish", "tol_product", "tol_real"}
+#: The tolerances that only ``nodal._stack_checks`` may cut at, by
+#: parameter or constant name.
+ADMISSIBILITY_TOLS = {"tol_vanish", "tol_product", "tol_real",
+                      "PRODUCT_REAL_TOL", "PRODUCT_DEGENERATE_TOL"}
 
 
 def tolerance_cuts(tree: ast.Module, names=frozenset({"tol_degeneracy"}),
@@ -328,8 +338,9 @@ def public_options(tree: ast.Module, module: str
 
 def passes(call: ast.Call, name: str, position: int | None) -> bool:
     """Whether ``call`` passes the parameter ``name`` at ``position``:
-    by keyword or a ``**`` splat, by position or a ``*`` splat."""
-    if any(kw.arg in (name, None) for kw in call.keywords):
+    by keyword, by position or a ``*`` splat; a ``**`` splat names
+    nothing."""
+    if any(kw.arg == name for kw in call.keywords):
         return True
     if position is None:
         return False
@@ -340,19 +351,45 @@ def passes(call: ast.Call, name: str, position: int | None) -> bool:
 
 def unset_options(trees: dict[Path, ast.Module], sources) -> list[str]:
     """``public_options`` of ``trees`` that no call in the ``sources``
-    trees passes, a call being matched by the function's name."""
+    trees passes, a call being matched by the function's name; a call
+    inside a function of the same name, its recursion, is not counted."""
     calls: dict[str, list[ast.Call]] = {}
+
+    def visit(node, caller):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            caller = node.name
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name != caller:
+                calls.setdefault(name, []).append(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, caller)
+
     for source in sources:
-        for node in ast.walk(source):
-            if isinstance(node, ast.Call):
-                calls.setdefault(getattr(node.func, "id", getattr(
-                    node.func, "attr", None)), []).append(node)
+        visit(source, None)
     return [f"{where}.{function}({name}=)"
             for path, tree in sorted(trees.items())
             for where, function, name, position in public_options(
                 tree, path.stem)
             if not any(passes(c, name, position)
                        for c in calls.get(function, ()))]
+
+
+#: The folders whose calls may set a public option.
+OPTION_FOLDERS = ("src", "bench")
+
+
+def option_sources(root: Path) -> list[ast.Module]:
+    """The parsed scripts under the ``OPTION_FOLDERS`` of ``root``."""
+    return [parse(p) for folder in OPTION_FOLDERS
+            for p in sorted((root / folder).rglob("*.py"))]
+
+
+def keyword_splats(trees: dict[Path, ast.Module]) -> list[str]:
+    """``public_functions`` that take ``**`` keywords."""
+    return [f"{where}.{f.name}" for path, tree in sorted(trees.items())
+            for where, f, _ in public_functions(tree, path.stem)
+            if f.args.kwarg is not None]
 
 
 #: The annotations that mark a parameter as an operator.
@@ -616,7 +653,8 @@ def test_the_kernel_checks_every_position_behind_one_entry():
 def test_no_public_function_takes_an_operator_and_its_solve():
     trees = {p: parse(p) for p in MODULES}
     assert solve_handins(trees) == []
-    assert solve_handins(trees, ()) == ["nodal.nodal_count"]
+    assert solve_handins(trees, ()) == ["nodal.nodal_count",
+                                        "nodal.nodal_surplus"]
 
 
 def test_only_the_newton_polish_solves_a_complex_stack():
@@ -673,21 +711,30 @@ def test_readme_lists_every_export_once():
 
 def test_every_public_option_is_passed():
     trees = {p: parse(p) for p in MODULES}
-    sources = [parse(p) for folder in ("src", "bench", "tests")
-               for p in sorted((ROOT / folder).rglob("*.py"))]
-    assert unset_options(trees, sources) == []
+    assert unset_options(trees, option_sources(ROOT)) == []
+
+
+def test_no_public_function_takes_keyword_splats():
+    assert keyword_splats({p: parse(p) for p in MODULES}) == []
+
+
+#: The cuts read when their readers run, never bound as a default.
+RUNTIME_CUTS = ("RANK_TOL", "SIGNING_CAP", "PRODUCT_REAL_TOL",
+                "PRODUCT_DEGENERATE_TOL")
 
 
 def test_the_nullity_cut_is_read_when_it_runs():
     trees = {p: parse(p) for p in MODULES}
-    assert default_readers(trees, "RANK_TOL") == ["morse.morse_index"]
-    assert "rank_tol" not in parameters(trees[PACKAGE / "morse.py"],
-                                        "verify_index_equals_surplus")
-    reads = constant_reads(trees[PACKAGE / "linkage.py"], "RANK_TOL")
-    assert reads and set(reads) == {"morse.RANK_TOL"}
+    for cut in RUNTIME_CUTS:
+        assert default_readers(trees, cut) == [], cut
+        assert name_readers(trees, cut), cut
+    morse = trees[PACKAGE / "morse.py"]
+    assert "rank_tol" not in parameters(morse, "verify_index_equals_surplus")
+    assert "rank_tol" not in parameters(morse, "morse_index")
+    assert constant_reads(trees[PACKAGE / "linkage.py"], "RANK_TOL") == []
 
 
-def test_checks_catch_what_they_look_for():
+def test_checks_catch_what_they_look_for(tmp_path):
     tree = ast.parse("import os\nfrom x import y as z\nassert z\n")
     assert unused_imports(tree) == ["os (line 1)"]
     assert bare_asserts(tree) == [3]
@@ -712,11 +759,16 @@ def test_checks_catch_what_they_look_for():
         "    f(v, tol_vanish=tol_vanish)\n"
         "    return abs(v) < tol_vanish\n"
         "x = s.tol_real + tol_degeneracy * 2\n"
-        "ok = tol_product >= 0.0\n")
+        "ok = tol_product >= 0.0\n"
+        "def _stack_checks(p, s):\n"
+        "    return abs(p) < PRODUCT_DEGENERATE_TOL * s\n"
+        "y = nodal.PRODUCT_REAL_TOL * s\n")
     assert tolerance_cuts(ast.parse(kernel), ADMISSIBILITY_TOLS,
-                          "_stack_checks") == ["line 6", "line 7", "line 8"]
-    assert tolerance_cuts(ast.parse(kernel), ADMISSIBILITY_TOLS) \
-        == ["line 2", "line 3", "line 6", "line 7", "line 8"]
+                          "_stack_checks") == [
+        "line 6", "line 7", "line 8", "line 11"]
+    assert tolerance_cuts(ast.parse(kernel), ADMISSIBILITY_TOLS) == [
+        "line 2", "line 3", "line 6", "line 7", "line 8", "line 10",
+        "line 11"]
     assert tolerance_cuts(ast.parse(kernel), inside="_stack_checks") \
         == ["line 7"]
     assert MODULES and all(p.name != "__init__.py" for p in MODULES)
@@ -821,9 +873,37 @@ def test_checks_catch_what_they_look_for():
         "class _D:\n    def m(self, v=1):\n        pass\n")}
     sources = [ast.parse("f(0, 1, w=4)\nx.g(**opts)\nc.m(5)\n"),
                ast.parse("C.n(*a)\ninner()\nk(z=0, s=1)\n")]
-    assert unset_options(trees, sources) == ["a.f(z=)", "a.C.m(s=)"]
+    # a ** splat names nothing
+    assert unset_options(trees, sources) == [
+        "a.f(z=)", "a.g(y=)", "a.g(z=)", "a.C.m(s=)"]
     assert unset_options(trees, sources[:1]) == [
-        "a.f(z=)", "a.C.m(s=)", "a.C.n(u=)", "a.C.n(v=)"]
+        "a.f(z=)", "a.g(y=)", "a.g(z=)", "a.C.m(s=)", "a.C.n(u=)",
+        "a.C.n(v=)"]
+    # its own recursion sets no option; another caller does
+    trees = {a: ast.parse(
+        "def dump(x, indent=0):\n    return [dump(y, indent + 1) for y in x]\n"
+        "def load(x, depth=0):\n    return load(x, depth - 1)\n"
+        "def other(x):\n    return load(x, depth=2)\n")}
+    assert unset_options(trees, list(trees.values())) == ["a.dump(indent=)"]
+    # an option only a test sets is unset
+    for folder, text in (("src", "def f(x, y=1):\n    pass\n"
+                                 "def g(z=1):\n    pass\n"),
+                         ("bench", "f(0)\n"),
+                         ("tests", "f(0, y=2)\ng(z=2)\n")):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "a.py").write_text(text, encoding="utf-8")
+    trees = {a: parse(tmp_path / "src" / "a.py")}
+    assert len(option_sources(tmp_path)) == 2
+    assert unset_options(trees, option_sources(tmp_path)) == [
+        "a.f(y=)", "a.g(z=)"]
+    assert keyword_splats({a: ast.parse(
+        "def f(h, **kw):\n    pass\n"
+        "def _g(**kw):\n    pass\n"
+        "def n(*args, k=1):\n    pass\n"
+        "class C:\n    def m(self, **kw):\n        def inner(**kw):\n"
+        "            pass\n"
+        "class _D:\n    def m(self, **kw):\n        pass\n")}) \
+        == ["a.f", "a.C.m"]
     trees = {a: ast.parse(
         "def f(h: SupportedMatrix, k: int, es: EigenSystem | None = None):"
         "\n    pass\n"
@@ -862,6 +942,17 @@ def test_checks_catch_what_they_look_for():
         "def f(h, cut=None):\n    return morse.RANK_TOL\n")}
     assert default_readers(trees, "RANK_TOL") == [
         "linkage.m", "morse.morse_index", "morse.verify", "morse.inner"]
+    # a cut bound as a default, by name or through its module
+    trees = {Path("nodal.py"): ast.parse(
+        "def _stack_checks(v, *, tol_real=PRODUCT_REAL_TOL):\n    pass\n"
+        "def count(h):\n    return PRODUCT_REAL_TOL * h\n"),
+        Path("operators.py"): ast.parse(
+        "def classes(h, cap=SIGNING_CAP):\n    pass\n"
+        "def sweep(h, cap=operators.SIGNING_CAP + 1):\n    pass\n")}
+    assert default_readers(trees, "PRODUCT_REAL_TOL") \
+        == ["nodal._stack_checks"]
+    assert default_readers(trees, "SIGNING_CAP") \
+        == ["operators.classes", "operators.sweep"]
     trees = {Path("cli.py"): ast.parse(
         "from .a import used\nfrom . import b\n"
         "def main():\n    return used(), b.T\n"

@@ -420,13 +420,15 @@ class TestVanishing:
                                          / np.sqrt(2))
         assert not ok and where == [1]
 
-    def test_boundary_is_strict(self):
-        tol = 1e-8
-        ok, where = is_nowhere_vanishing(np.array([tol, 1.0]), tol=tol)
+    def test_boundary_is_strict(self, monkeypatch):
+        import magnodal.spectral as spectral
+
+        tol = 1e-6  # read when it runs: a patched cut is the one used
+        monkeypatch.setattr(spectral, "VANISH_TOL", tol)
+        ok, where = is_nowhere_vanishing(np.array([tol, 1.0]))
         # an entry exactly at the threshold does not vanish (strict <)
         assert ok and where == []
-        ok, where = is_nowhere_vanishing(np.array([tol * 0.99, 1.0]),
-                                         tol=tol)
+        ok, where = is_nowhere_vanishing(np.array([tol * 0.99, 1.0]))
         assert not ok and where == [0]
 
 

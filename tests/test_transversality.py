@@ -43,11 +43,6 @@ class TestCodim:
         assert codim_stratum(2) == 3
         assert codim_stratum(3) == 8
 
-    def test_fixed_eigenvalue(self):
-        assert codim_stratum(1, fixed_eigenvalue=True) == 1
-        assert codim_stratum(2, fixed_eigenvalue=True) == 4
-        assert codim_stratum(3, fixed_eigenvalue=True) == 9
-
     def test_positive_required(self):
         with pytest.raises(ValueError):
             codim_stratum(0)
